@@ -26,6 +26,7 @@ Semantics notes (verified against the reference):
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 
@@ -60,6 +61,35 @@ class ScalarOp:
     def delete(self, ir, v, ts=None):
         raise NotImplementedError(f"{type(self).__name__} is not deletable")
 
+    def clone(self, ir):
+        """A copy of ir that merge/update may mutate without touching ir."""
+        return copy.deepcopy(ir)
+
+    def scan(self, acc, vals, ts, stops):
+        """Finalized values after folding the first stops[i] of (vals, ts)
+        onto acc, for a non-decreasing int array stops.  vals are non-null and
+        ts-ascending; acc may be None and is never mutated.  This default is
+        the sequential prepare/update fold; overrides must return the same
+        values bit for bit."""
+        out = []
+        j = 0
+        if acc is not None and len(stops) and stops[-1] > 0:
+            acc = self.clone(acc)
+        for stop in stops:
+            while j < stop:
+                v = vals[j]
+                t = int(ts[j])
+                j += 1
+                acc = self.prepare(v, t) if acc is None else self.update(acc, v, t)
+            if acc is None:
+                out.append(None)
+            else:
+                r = self.finalize(acc)
+                if r is acc:  # finalize aliases the live IR (Sum/TopK/...)
+                    r = copy.copy(r)
+                out.append(r)
+        return out
+
     def fold_segments(self, vals, ts, starts):
         """Vectorized segmented fold: IRs for contiguous segments
         [starts[i], starts[i+1]) of (vals, ts) — valid rows only, ts-sorted
@@ -72,6 +102,44 @@ class ScalarOp:
 
 def _seg_ok(vals) -> bool:
     return isinstance(vals, np.ndarray) and vals.dtype.kind in "fiub"
+
+
+# dtypes whose numpy arithmetic is the same IEEE/int64 operation, in the
+# same order, as the sequential Python fold over their elements
+_SCAN_DTYPES = (np.dtype(np.float64), np.dtype(np.int64))
+
+
+def _accumulate(ufunc, acc, vals, stops, same_dtype=False):
+    """ufunc.accumulate over [acc] + vals[:stops[-1]] (acc omitted when
+    None), or None when the dtypes do not make it exact: the caller then
+    runs the sequential fold.  same_dtype: acc must share vals' dtype (a
+    selection, unlike an addition, keeps its operand's type)."""
+    if not (isinstance(vals, np.ndarray) and vals.dtype in _SCAN_DTYPES):
+        return None
+    head = vals[: int(stops[-1]) if len(stops) else 0]
+    if acc is not None:
+        a = np.asarray(acc)
+        if a.dtype not in _SCAN_DTYPES or (same_dtype and a.dtype != vals.dtype):
+            return None
+        head = np.concatenate((a[None], head))
+    return ufunc.accumulate(head)
+
+
+def _at_stops(acc, run, stops):
+    """Scan output from run[i] = fold of acc (if any) and the first i+1
+    values: stop 0 is acc itself."""
+    off = 0 if acc is None else 1
+    return [acc if s == 0 else run[s - 1 + off] for s in stops.tolist()]
+
+
+def _signed_zeros(run) -> bool:
+    """True when run mixes 0.0 and -0.0, the one case where np.minimum/
+    np.maximum can keep a different zero than the fold's strict comparison
+    (the first such step leaves both zeros in run)."""
+    if run is None or run.dtype.kind != "f":
+        return False
+    z = run[run == 0]
+    return len(z) > 1 and np.signbit(z).any() and not np.signbit(z).all()
 
 
 class Sum(ScalarOp):
@@ -88,6 +156,17 @@ class Sum(ScalarOp):
 
     def delete(self, ir, v, ts=None):
         return ir - v
+
+    def clone(self, ir):
+        return ir
+
+    def scan(self, acc, vals, ts, stops):
+        # accumulate is a strictly sequential fold: bitwise equal to
+        # acc + v0 + v1 + ... (reduceat and prefix-sum differences are not)
+        run = _accumulate(np.add, acc, vals, stops)
+        if run is None:
+            return super().scan(acc, vals, ts, stops)
+        return _at_stops(acc, run, stops)
 
     def fold_segments(self, vals, ts, starts):
         if not _seg_ok(vals):
@@ -109,6 +188,12 @@ class Count(ScalarOp):
 
     def delete(self, ir, v, ts=None):
         return ir - 1
+
+    def clone(self, ir):
+        return ir
+
+    def scan(self, acc, vals, ts, stops):
+        return [acc if s == 0 else (s if acc is None else acc + s) for s in stops.tolist()]
 
     def fold_segments(self, vals, ts, starts):
         if not len(starts):
@@ -141,6 +226,21 @@ class Average(ScalarOp):
         ir[1] -= 1
         return ir
 
+    def clone(self, ir):
+        return list(ir)
+
+    def scan(self, acc, vals, ts, stops):
+        if acc is None:
+            if not len(stops) or stops[-1] == 0:
+                return [None] * len(stops)
+            # prepare makes v0 a float: scan the rest from that IR
+            rest = self.scan(self.prepare(vals[0]), vals[1:], ts[1:], np.maximum(stops - 1, 0))
+            return [None if s == 0 else r for s, r in zip(stops.tolist(), rest)]
+        sums = _accumulate(np.add, acc[0], vals, stops)
+        if sums is None:
+            return super().scan(acc, vals, ts, stops)
+        return _at_stops(self.finalize(acc), sums / (acc[1] + np.arange(len(sums))), stops)
+
     def fold_segments(self, vals, ts, starts):
         if not _seg_ok(vals):
             return None
@@ -151,7 +251,23 @@ class Average(ScalarOp):
         return [[float(s), int(c)] for s, c in zip(sums, ends - starts)]
 
 
-class Min(ScalarOp):
+class _Extremum(ScalarOp):
+    """Min/Max: a scalar IR, scanned with the subclass' ``_running``
+    ufunc (np.minimum / np.maximum)."""
+
+    def clone(self, ir):
+        return ir
+
+    def scan(self, acc, vals, ts, stops):
+        run = _accumulate(self._running, acc, vals, stops, same_dtype=True)
+        if run is None or _signed_zeros(run):
+            return super().scan(acc, vals, ts, stops)
+        return _at_stops(acc, run, stops)
+
+
+class Min(_Extremum):
+    _running = np.minimum
+
     def prepare(self, v, ts=None):
         return v
 
@@ -167,7 +283,9 @@ class Min(ScalarOp):
         return list(np.minimum.reduceat(vals, starts)) if len(vals) else []
 
 
-class Max(ScalarOp):
+class Max(_Extremum):
+    _running = np.maximum
+
     def prepare(self, v, ts=None):
         return v
 

@@ -185,12 +185,19 @@ def percentile_rank_column(ds, col: str, out_col: str = "pct_rank",
     cols = keep_cols if keep_cols is not None else [c for c in ds.schema().names]
 
     def score(batch: pa.Table) -> pa.Table:
-        x = batch[col].to_numpy(zero_copy_only=False)
-        ranks = cum[np.searchsorted(values, x, side="right") - 1]
-        t = batch.select(cols)
-        return t.append_column(out_col, pa.array(ranks / n_total, pa.float64()))
+        ranks = _cume_dist(values, cum, n_total, batch[col])
+        return batch.select(cols).append_column(out_col, ranks)
 
     return ds.map_batches(score, batch_format="pyarrow")
+
+
+def _cume_dist(values, cum, n_total: int, x: pa.ChunkedArray) -> pa.Array:
+    """#corpus rows with value <= x / n_total, from the corpus' sorted
+    distinct values and their cumulative counts: 0.0 below the corpus
+    minimum, null for a null x."""
+    pos = np.searchsorted(values, x.to_numpy(), side="right") - 1
+    ranks = np.where(pos >= 0, cum[np.maximum(pos, 0)], 0) / n_total
+    return pa.array(ranks, pa.float64(), mask=x.is_null().to_numpy())
 
 
 def robust_outlier_flags(ds, key_col: str, value_col: str, k: float = 3.0,
@@ -204,7 +211,9 @@ def robust_outlier_flags(ds, key_col: str, value_col: str, k: float = 3.0,
 
     Scale shape: ONE hash-bucket exchange keyed by the group column; both
     medians come from two vectorized lexsorts per partition (no per-group
-    Python), groups with MAD = 0 (constant or tiny) flag nothing.  Returns
+    Python).  A group with MAD = 0 (more than half its values equal the
+    median) flags every value that differs from the median at all, since
+    |v - med| > 0; constant groups and singletons flag nothing.  Returns
     the input columns + (med, mad, is_outlier)."""
     from ..stages.shuffle import BUCKET_COL, AddBucket
 

@@ -16,6 +16,15 @@ testable core: per-key batch IR map (what the KV store would hold) + per-key
 streaming rows or sealed tiles (streaming.TileAggregator), with fetch()
 returning the same feature row the offline kernel computes for (key, ts).
 
+The lambda is columnar.  Per part and hop group, lambda_aggregate_many
+builds the merged batch base once and answers all of the group's queries
+with one ScalarOp.scan: a running fold over the non-null streamed events
+that finalizes at each query's stop (numpy accumulate for sum, count,
+average, min and max, bit-identical to the sequential fold; the per-event
+prepare/update loop for every other op).  Bases are built from
+ScalarOp.clone copies, not deep copies.  The Fetcher ingests micro-batches
+with one factorize + lexsort instead of a pandas groupby.
+
 OnlineEnrich wraps the Fetcher as an actor-pool ``map_batches`` stage: the
 batch-IR dict ships once via ray.put and each actor deserializes per-key blobs
 lazily — point-lookups over a broadcast map, never a shuffle.
@@ -45,6 +54,13 @@ class SawtoothOnlineAggregator:
         self.ops = [make_scalar_op(p) for p in self.parts]
         self.batch_end_ts = batch_end_ts
         self.resolution = resolution
+        # per part: (op, output column, input column, None if unbounded else
+        # (window millis, tail hop)) — resolved once, not per fetched key
+        self._specs = [
+            (op, p.output_column, p.input_column,
+             None if p.window.unbounded else (p.window.millis, resolution.tail_hop(p.window)))
+            for p, op in zip(self.parts, self.ops)
+        ]
 
     def lambda_aggregate(self, batch_ir: dict | None, stream_ts, stream_rows,
                          query_ts: int) -> dict:
@@ -86,17 +102,15 @@ class SawtoothOnlineAggregator:
         return out
 
     def _merged_base(self, op, entry, lo):
-        """collapsed ⊕ in-window tiles for one part at one lo hop — the
-        expensive deep-copy-and-merge, paid once per (key, part, lo) instead
-        of once per query row (the prefix-fold-cache idea from the offline
-        kernel, kernel.py:1242-1296, applied to the serving lambda)."""
+        """collapsed ⊕ in-window tiles for one part at one lo hop, built from
+        clones so the batch IR it reads is never mutated."""
         if entry is None:
             return None
-        acc = copy.deepcopy(entry["c"]) if entry["c"] is not None else None
+        acc = op.clone(entry["c"]) if entry["c"] is not None else None
         for start, ir in entry["t"]:
             if ir is None or (lo is not None and start < lo):
                 continue
-            piece = copy.deepcopy(ir)
+            piece = op.clone(ir)
             acc = piece if acc is None else op.merge(acc, piece)
         return acc
 
@@ -104,73 +118,79 @@ class SawtoothOnlineAggregator:
                               query_ts) -> dict:
         """Vectorized lambda_aggregate over MANY query timestamps of one key.
 
-        Bitwise-identical to calling lambda_aggregate per row, but:
-        window bounds are searchsorted in one shot per part; the
-        collapsed+tiles merge is built once per distinct lo hop (queries
-        quantize to few hops); and within a hop group, queries sorted by ts
-        share ONE incremental event fold — each event is folded once per hop
-        group, not once per query (the offline kernel's prefix-engine shape).
-        Returns {output_column: list aligned with query_ts order}."""
+        Bitwise-identical to calling lambda_aggregate per row, but: window
+        bounds are searchsorted in one shot per part; the collapsed+tiles
+        base is built once per distinct lo hop (queries quantize to few
+        hops); and each hop group's queries, sorted by ts, are answered by
+        ONE ScalarOp.scan over the group's non-null events — a running fold
+        that finalizes at each query's stop (numpy accumulate for the
+        arithmetic ops).  Returns {output_column: list aligned with query_ts
+        order}."""
         qts = np.asarray(query_ts, dtype=np.int64)
         n = len(qts)
-        have_stream = stream_ts is not None and len(stream_ts) > 0
         out: dict = {}
-        for part, op in zip(self.parts, self.ops):
-            res: list = [None] * n
-            vals = stream_rows.get(part.input_column) if have_stream else None
-            if part.window.unbounded:
+        for op, out_col, in_col, win in self._specs:
+            if win is None:
                 lo_arr = None
-                i0 = np.zeros(n, dtype=np.int64)
-                if have_stream:
-                    i0[:] = np.searchsorted(stream_ts, self.batch_end_ts, side="left")
+                order = np.argsort(qts, kind="stable")
+                bounds = [0, n]
+                s_lo = np.full(n, self.batch_end_ts)
             else:
-                hop = self.resolution.tail_hop(part.window)
-                lo_arr = round_down(qts - part.window.millis, hop)
-                if have_stream:
-                    s_lo = np.maximum(lo_arr, self.batch_end_ts)
-                    i0 = np.searchsorted(stream_ts, s_lo, side="left")
-            if have_stream:
+                lo_arr = round_down(qts - win[0], win[1])
+                # one group per lo (one merged base), ts-ascending within it
+                # so each query's stop is a prefix of the group's events
+                order = np.lexsort((qts, lo_arr))
+                lo_sorted = lo_arr[order]
+                bounds = [0] + (np.flatnonzero(lo_sorted[1:] != lo_sorted[:-1]) + 1).tolist() + [n]
+                s_lo = np.maximum(lo_arr, self.batch_end_ts)
+            vals = stream_rows.get(in_col) if stream_ts is not None and len(stream_ts) else None
+            if vals is None:
+                ev_ts = ev_vals = np.zeros(0, dtype=np.int64)
+                i0 = i1 = np.zeros(n, dtype=np.int64)
+            else:
+                # only the events some query's window covers: [first i0, last
+                # i1) of the stream; nulls leave it, and each bound becomes
+                # the count of non-null events before it
+                i0 = np.searchsorted(stream_ts, s_lo, side="left")
                 i1 = np.searchsorted(stream_ts, qts, side="left")
-            # group queries by lo (one merged base per group), ts-ascending
-            # within a group so the event fold advances monotonically
-            order = (
-                np.argsort(qts, kind="stable")
-                if lo_arr is None
-                else np.lexsort((qts, lo_arr))
-            )
-            pos = 0
-            while pos < n:
-                gend = pos
-                if lo_arr is None:
-                    gend = n
-                else:
-                    g_lo = lo_arr[order[pos]]
-                    while gend < n and lo_arr[order[gend]] == g_lo:
-                        gend += 1
-                lo = None if lo_arr is None else int(lo_arr[order[pos]])
-                entry = None if batch_ir is None else batch_ir.get(part.output_column)
-                acc = self._merged_base(op, entry, lo)
-                j = int(i0[order[pos]]) if have_stream else 0
-                for oi in order[pos:gend]:
-                    if vals is not None:
-                        target = int(i1[oi])
-                        while j < target:
-                            v = vals[j]
-                            t = int(stream_ts[j])
-                            j += 1
-                            if v is None or (isinstance(v, float) and v != v):
-                                continue
-                            acc = op.prepare(v, t) if acc is None else op.update(acc, v, t)
-                    if acc is None:
-                        res[oi] = None
-                    else:
-                        r = op.finalize(acc)
-                        if r is acc:  # finalize aliases the live IR (Sum/TopK/…)
-                            r = copy.copy(r)
-                        res[oi] = r
-                pos = gend
-            out[part.output_column] = res
+                first = int(i0.min())
+                last = max(int(i1.max()), first)
+                ev_ts, ev_vals = stream_ts[first:last], vals[first:last]
+                i0, i1 = i0 - first, np.maximum(i1, first) - first
+                ok = _non_null(ev_vals)
+                if ok is not None:
+                    ev_ts, ev_vals = ev_ts[ok], ev_vals[ok]
+                    before = np.concatenate(([0], np.cumsum(ok)))
+                    i0, i1 = before[i0], before[i1]
+            entry = None if batch_ir is None else batch_ir.get(out_col)
+            res: list = [None] * n
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                if a == b:
+                    continue
+                idx = order[a:b]
+                lo = None if lo_arr is None else int(lo_arr[idx[0]])
+                base = self._merged_base(op, entry, lo)
+                j = int(i0[idx[0]])
+                stops = np.maximum(i1[idx] - j, 0)
+                for oi, r in zip(idx.tolist(), op.scan(base, ev_vals[j:], ev_ts[j:], stops)):
+                    res[oi] = r
+            out[out_col] = res
         return out
+
+
+def _non_null(vals):
+    """Mask of the values the fold takes — lambda_aggregate's rule: None and
+    Python-float NaN are nulls — or None when every value is taken."""
+    if vals.dtype == np.float64:
+        ok = ~np.isnan(vals)
+    elif vals.dtype.kind in "iub":
+        return None
+    else:
+        ok = np.fromiter(
+            (not (v is None or (isinstance(v, float) and v != v)) for v in vals),
+            dtype=bool, count=len(vals),
+        )
+    return None if ok.all() else ok
 
 
 def _scatter_features(feat_cols: dict, idx: np.ndarray, feats: dict, out_cols):
@@ -184,12 +204,60 @@ def _scatter_features(feat_cols: dict, idx: np.ndarray, feats: dict, out_cols):
         feat_cols[c][idx] = vals
 
 
+def _key_groups(df: pd.DataFrame, key_cols, ts, keep=None):
+    """df's rows grouped by key, ts-ascending (stable) within a key, with one
+    factorize per key column and one lexsort.  Rows outside ``keep`` or with
+    a null key are left out, as a pandas groupby drops them.  Returns
+    (positions into df, [(key tuple, a, b)]): a key's rows are
+    positions[a:b]."""
+    if keep is None:
+        keep = np.ones(len(df), dtype=bool)
+    codes, uniques = [], []
+    for k in key_cols:
+        c, u = pd.factorize(df[k])
+        codes.append(c)
+        uniques.append(u.tolist())
+        keep = keep & (c >= 0)
+    pos = np.flatnonzero(keep)
+    if not len(pos):
+        return pos, []
+    pos = pos[np.lexsort([ts[pos]] + [c[pos] for c in reversed(codes)])]
+    codes = [c[pos] for c in codes]
+    new_key = np.zeros(len(pos), dtype=bool)
+    new_key[0] = True
+    for c in codes:
+        new_key[1:] |= c[1:] != c[:-1]
+    bounds = np.flatnonzero(new_key).tolist() + [len(pos)]
+    return pos, [
+        (tuple(u[c[a]] for u, c in zip(uniques, codes)), a, b)
+        for a, b in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def _key_streams(df: pd.DataFrame, key_cols, in_cols, keep=None):
+    """(key, ts, {input column: values}) for each key of df, ts-ascending,
+    as slices of one (key, ts) sort of the frame."""
+    ts = df["ts"].to_numpy(dtype=np.int64)
+    pos, groups = _key_groups(df, key_cols, ts, keep)
+    ts = ts[pos]
+    cols = {c: df[c].to_numpy()[pos] for c in in_cols if c in df.columns}
+    for key, a, b in groups:
+        yield key, ts[a:b], {c: v[a:b] for c, v in cols.items()}
+
+
 class Fetcher:
     """Per-key batch IRs + streaming state, answering point-in-time fetches.
 
     Streaming state is either raw rows (put_events) or a TileAggregator
     (attach_tiles) — the two streaming architectures the reference supports
-    (raw-row lambda vs Flink tiled IRs)."""
+    (raw-row lambda vs Flink tiled IRs).
+
+    Raw rows are held columnar: per key, a ts-sorted int64 array plus one
+    array per input column.  put_events sorts each micro-batch once by
+    (key, ts) and stable-merges each key's slice into the key's arrays.
+    fetch_batch answers a key's rows with one lambda_aggregate_many call,
+    which builds each hop group's merged batch base (collapsed ⊕ in-window
+    tiles) from clones and folds the events with ScalarOp.scan."""
 
     def __init__(self, group_by: GroupBy, batch_end_ts: int, upload=None,
                  resolution=FiveMinuteResolution):
@@ -197,39 +265,38 @@ class Fetcher:
         self.agg = SawtoothOnlineAggregator(group_by, batch_end_ts, resolution)
         self.batch_end_ts = batch_end_ts
         self.key_cols = group_by.key_columns
+        self._in_cols = {p.input_column for p in self.agg.parts}
         self._blobs: dict = {}
-        self._cache: dict = {}
+        self._cache: dict = {}  # key -> batch IR (None when the key has none)
         if upload is not None:
             self._blobs = (
                 upload if isinstance(upload, dict) else load_upload(upload, self.key_cols)
             )
-        self._stream: dict[tuple, list] = {}  # key -> [ts_array, {col: arr}] pending sort
+        self._stream: dict[tuple, list] = {}  # key -> [ts_array, {col: arr}], ts-sorted
         self._tiles = None
         self.dropped_pre_seam = 0
 
     # -- streaming ingestion ------------------------------------------------
     def put_events(self, df: pd.DataFrame):
         """Ingest streaming rows; rows with ts < batch_end_ts are the batch
-        half's property and are dropped (counted), preserving the seam."""
-        pre = df["ts"] < self.batch_end_ts
-        self.dropped_pre_seam += int(pre.sum())
-        df = df[~pre]
-        in_cols = {p.input_column for p in self.agg.parts}
-        for key, sub in df.groupby(self.key_cols, sort=False):
-            key = key if isinstance(key, tuple) else (key,)
-            sub = sub.sort_values("ts", kind="stable")
-            ts = sub["ts"].to_numpy(dtype=np.int64)
-            rows = {c: sub[c].to_numpy() for c in in_cols if c in sub.columns}
-            cur = self._stream.get(key)
-            if cur is None:
-                self._stream[key] = [ts, rows]
-            else:  # merge-sort append (micro-batches may interleave in time)
-                all_ts = np.concatenate([cur[0], ts])
-                order = np.argsort(all_ts, kind="stable")
-                merged = {
-                    c: np.concatenate([cur[1][c], rows[c]])[order] for c in rows
-                }
-                self._stream[key] = [all_ts[order], merged]
+        half's property and are dropped (counted), preserving the seam.
+        Rows with a null key are dropped too (as a pandas groupby would)."""
+        keep = df["ts"].to_numpy(dtype=np.int64) >= self.batch_end_ts
+        self.dropped_pre_seam += len(keep) - int(np.count_nonzero(keep))
+        for key, ts, rows in _key_streams(df, self.key_cols, self._in_cols, keep):
+            self._append(key, ts, rows)
+
+    def _append(self, key: tuple, ts, rows: dict):
+        cur = self._stream.get(key)
+        if cur is None:
+            self._stream[key] = [ts, rows]
+            return
+        # merge-sort append (micro-batches may interleave in time); a stable
+        # sort of two sorted runs is near-linear
+        all_ts = np.concatenate([cur[0], ts])
+        order = np.argsort(all_ts, kind="stable")
+        merged = {c: np.concatenate([cur[1][c], rows[c]])[order] for c in rows}
+        self._stream[key] = [all_ts[order], merged]
 
     def attach_tiles(self, tile_aggregator):
         """Serve from a TileAggregator's sealed tiles + unsealed raw rows."""
@@ -256,9 +323,9 @@ class Fetcher:
     def fetch_batch(self, batch: pd.DataFrame) -> dict[str, list]:
         """Vectorized fetch for a whole (key cols + ts) frame: one
         ``lambda_aggregate_many`` call per distinct key (searchsorted window
-        bounds, per-hop memoized IR bases) instead of a Python dispatch per
-        row — the same engine ServingKernel's distributed path uses.  Tile-
-        backed serving stays per-row (TileAggregator holds mutable state).
+        bounds, one merged base and one scan per hop group) instead of a
+        Python dispatch per row — the same engine ServingKernel's
+        distributed path uses.  Tile-backed serving stays per-row (TileAggregator holds mutable state).
         Returns {output_column: values aligned with batch's positions}."""
         out_cols = [p.output_column for p in self.agg.parts]
         feat_cols = {
@@ -272,15 +339,16 @@ class Fetcher:
                 for c in out_cols:
                     feat_cols[c][pos] = row[c]
             return {c: feat_cols[c].tolist() for c in out_cols}
-        grouped = batch.reset_index(drop=True).groupby(self.key_cols, sort=False)
-        for key, sub in grouped:
-            key = key if isinstance(key, tuple) else (key,)
+        qts = batch["ts"].to_numpy(dtype=np.int64)
+        pos, groups = _key_groups(batch, self.key_cols, qts)
+        for key, a, b in groups:
+            idx = pos[a:b]
             st = self._stream.get(key)
             ts_arr, rows = (st[0], st[1]) if st else (None, None)
             feats = self.agg.lambda_aggregate_many(
-                self._batch_ir(key), ts_arr, rows, sub["ts"].to_numpy(dtype=np.int64)
+                self._batch_ir(key), ts_arr, rows, qts[idx]
             )
-            _scatter_features(feat_cols, sub.index.to_numpy(), feats, out_cols)
+            _scatter_features(feat_cols, idx, feats, out_cols)
         return {c: feat_cols[c].tolist() for c in out_cols}
 
 
@@ -326,30 +394,25 @@ class ServingKernel:
         if len(upload):
             keys = zip(*(upload[k] for k in self.key_cols))
             blobs = dict(zip(keys, upload[IR_COL]))
-        tails: dict = {}
-        if len(stream):
-            stream = stream.sort_values("ts", kind="stable")
-            for key, sub in stream.groupby(self.key_cols, sort=False):
-                key = key if isinstance(key, tuple) else (key,)
-                tails[key] = (
-                    sub["ts"].to_numpy(dtype=np.int64),
-                    {c: sub[c].to_numpy() for c in self.in_cols if c in sub.columns},
-                )
+        tails = {
+            key: (ts, rows)
+            for key, ts, rows in _key_streams(stream, self.key_cols, self.in_cols)
+        }
         out = queries.copy()
         feat_cols = {
             c: np.full(len(queries), None, dtype=object) for c in out_cols
         }
-        for key, sub in queries.groupby(self.key_cols, sort=False):
-            key = key if isinstance(key, tuple) else (key,)
+        qts = queries["ts"].to_numpy(dtype=np.int64)
+        pos, groups = _key_groups(queries, self.key_cols, qts)
+        for key, a, b in groups:
+            idx = pos[a:b]
             blob = blobs.get(key)
             ir = None if blob is None else pickle.loads(blob)
             ts_arr, rows = tails.get(key, (None, None))
             # all of the key's queries in one vectorized call: searchsorted
-            # bounds, per-hop memoized IR bases, shared incremental event fold
-            feats = self.agg.lambda_aggregate_many(
-                ir, ts_arr, rows, sub["ts"].to_numpy(dtype=np.int64)
-            )
-            _scatter_features(feat_cols, sub.index.to_numpy(), feats, out_cols)
+            # bounds, one merged IR base per hop, one scan per hop group
+            feats = self.agg.lambda_aggregate_many(ir, ts_arr, rows, qts[idx])
+            _scatter_features(feat_cols, idx, feats, out_cols)
         for c in out_cols:
             # .tolist() keeps pandas' dtype inference identical to the old
             # list-of-values writeback (float64 columns stay float64)

@@ -512,3 +512,267 @@ def test_upload_kernel_pandas_arrow_agree(ray_session, online_fixture):
     for k in ba:
         ia, ip = pickle.loads(ba[k]), pickle.loads(bp[k])
         assert repr(ia) == repr(ip), k
+
+
+# ---------------------------------------------------------------------------
+# ScalarOp.scan: the running fold the serving lambda answers each hop group
+# with.  Pinned bitwise (== plus the sign of float zeros) against the
+# sequential prepare/update/finalize fold it replaces.
+# ---------------------------------------------------------------------------
+
+
+def _same(a, b) -> bool:
+    import math
+
+    if isinstance(a, float) and isinstance(b, float) and a == 0 == b:
+        return math.copysign(1, a) == math.copysign(1, b)
+    return a == b
+
+
+def _sequential(op, acc, vals, ts, stops):
+    import copy
+
+    acc = copy.deepcopy(acc)
+    out, j = [], 0
+    for stop in stops:
+        while j < stop:
+            v, t = vals[j], int(ts[j])
+            acc = op.prepare(v, t) if acc is None else op.update(acc, v, t)
+            j += 1
+        out.append(None if acc is None else copy.deepcopy(op.finalize(acc)))
+    return out
+
+
+_ZEROS_AND_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -2.5]),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    op_name=st.sampled_from(["sum", "count", "average", "min", "max", "last_k", "unique_count"]),
+    dtype=st.sampled_from(["f", "i"]),
+    data=st.data(),
+)
+def test_scan_matches_sequential_fold(op_name, dtype, data):
+    import copy
+
+    from raywin.aggregator.scalar_ops import (
+        Average, Count, LastK, Max, Min, Sum, UniqueCount,
+    )
+
+    op = {
+        "sum": Sum(), "count": Count(), "average": Average(), "min": Min(),
+        "max": Max(), "last_k": LastK(3), "unique_count": UniqueCount(),
+    }[op_name]
+    elem = _ZEROS_AND_FLOATS if dtype == "f" else st.integers(-10**6, 10**6)
+    vals = np.array(
+        data.draw(st.lists(elem, max_size=40)),
+        dtype=np.float64 if dtype == "f" else np.int64,
+    )
+    ts = np.sort(np.array(data.draw(st.lists(st.integers(0, 50), min_size=len(vals),
+                                             max_size=len(vals))), dtype=np.int64))
+    stops = np.sort(np.array(data.draw(st.lists(st.integers(0, len(vals)), max_size=12)),
+                             dtype=np.int64))
+    scalar = st.one_of(st.none(), st.integers(-10**6, 10**6), _ZEROS_AND_FLOATS)
+    if op_name in ("sum", "min", "max"):
+        acc = data.draw(scalar)
+    elif op_name == "count":
+        acc = data.draw(st.one_of(st.none(), st.integers(1, 10**6)))
+    elif op_name == "average":
+        acc = data.draw(st.one_of(
+            st.none(),
+            st.tuples(_ZEROS_AND_FLOATS, st.integers(1, 100)).map(list),
+        ))
+    else:  # default path: a base folded from a few values
+        acc = None
+        for i, v in enumerate(data.draw(st.lists(st.integers(-5, 5), max_size=4))):
+            acc = op.prepare(v, -10 + i) if acc is None else op.update(acc, v, -10 + i)
+    before = copy.deepcopy(acc)
+    got = op.scan(acc, vals, ts, stops)
+    want = _sequential(op, acc, vals, ts, stops)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert _same(g, w), (g, w)
+    assert acc == before  # scan never mutates acc
+
+
+def test_scan_keeps_the_folds_signed_zero():
+    """np.minimum/np.maximum pick a different zero than the fold's strict
+    comparison; Min/Max.scan must still return the fold's zero."""
+    from raywin.aggregator.scalar_ops import Max, Min
+
+    for op in (Min(), Max()):
+        for acc in (None, 0.0, -0.0):
+            for vals in ([0.0, -0.0, 0.0], [-0.0, 0.0, -0.0, 1.0, -1.0]):
+                vals = np.array(vals)
+                ts = np.arange(len(vals), dtype=np.int64)
+                stops = np.arange(len(vals) + 1)
+                got = op.scan(acc, vals, ts, stops)
+                want = _sequential(op, acc, vals, ts, stops)
+                assert all(_same(g, w) for g, w in zip(got, want)), (op, acc, vals)
+
+
+def _composite_gb(aggregations):
+    return GroupBy(
+        sources=[EventSource(table="unused", query=Query())],
+        key_columns=["k1", "k2"],
+        aggregations=aggregations,
+        accuracy=Accuracy.TEMPORAL,
+        name="composite_gb",
+    )
+
+
+def test_put_events_interleaved_micro_batches():
+    """Out-of-order, time-interleaved micro-batches over a composite key (and
+    an all-pre-seam frame) ingest to the same per-key streams as one put of
+    the concatenated frame: same fetch answers, same dropped_pre_seam."""
+    gb = _composite_gb([
+        Aggregation(Operation.SUM, "v", windows=[Window(2, TimeUnit.HOURS)]),
+        Aggregation(Operation.COUNT, "v", windows=[Window(13, TimeUnit.HOURS)]),
+        Aggregation(Operation.AVERAGE, "v"),
+        Aggregation(Operation.LAST_K, "v", arg_map={"k": 3}, windows=[Window(1, TimeUnit.DAYS)]),
+        Aggregation(Operation.MAX, "v", windows=[Window(1, TimeUnit.DAYS)]),
+    ])
+    rng = np.random.default_rng(23)
+    n = 900
+    df = pd.DataFrame({
+        "k1": rng.choice(["a", "b", "c"], n),
+        "k2": rng.integers(0, 3, n),
+        # coarse ts: many equal-ts ties, order across batches matters
+        "ts": BATCH_END - HOUR + rng.integers(0, 30, n) * (5 * 60_000),
+        "v": rng.normal(3, 2, n).round(2),
+    })
+    df.loc[rng.random(n) < 0.05, "v"] = np.nan
+    df.loc[rng.random(n) < 0.02, "k1"] = None  # null keys are dropped
+    pre_seam = pd.DataFrame({"k1": ["a", "b"], "k2": [0, 1],
+                             "ts": [BATCH_END - 5, BATCH_END - HOUR], "v": [1.0, 2.0]})
+    parts = [df.iloc[i:i + 90] for i in range(0, n, 90)]
+    parts = parts[::2] + [pre_seam] + parts[1::2]  # interleaved in time
+
+    one = Fetcher(gb, BATCH_END)
+    one.put_events(pd.concat(parts, ignore_index=True))
+    many = Fetcher(gb, BATCH_END)
+    for p in parts:
+        many.put_events(p)
+    assert many.dropped_pre_seam == one.dropped_pre_seam == int((df["ts"] < BATCH_END).sum()) + 2
+    assert many._stream.keys() == one._stream.keys()
+
+    q = pd.DataFrame({
+        "k1": rng.choice(["a", "b", "c", "zz"], 200),
+        "k2": rng.integers(0, 3, 200),
+        "ts": BATCH_END + rng.integers(-HOUR, 3 * HOUR, 200),
+    })
+    got, want = many.fetch_batch(q), one.fetch_batch(q)
+    for c in want:
+        assert all(_same(g, w) for g, w in zip(got[c], want[c])), c
+    # and the batch path equals the per-row reference lambda
+    for i, (k1, k2, t) in enumerate(zip(q["k1"], q["k2"], q["ts"])):
+        row = one.fetch((k1, k2), int(t))
+        for c in want:
+            assert _same(want[c][i], row[c]), (i, c)
+
+
+def test_lambda_aggregate_many_nullable_columns_narrow_windows():
+    """Nullable object and float columns under windows much shorter than the
+    stream (which also holds events before the seam), with queries before
+    the seam and past the last event, and a call with only pre-seam
+    queries: lambda_aggregate_many equals the per-row reference lambda."""
+    from raywin.online.serving import SawtoothOnlineAggregator
+
+    gb = GroupBy(
+        sources=[EventSource(table="unused", query=Query())],
+        key_columns=["k"],
+        aggregations=[
+            Aggregation(Operation.UNIQUE_COUNT, "cat", windows=[Window(1, TimeUnit.HOURS)]),
+            Aggregation(Operation.LAST_K, "cat", arg_map={"k": 2}, windows=[Window(13, TimeUnit.HOURS)]),
+            Aggregation(Operation.SUM, "v", windows=[Window(1, TimeUnit.HOURS)]),
+            Aggregation(Operation.AVERAGE, "v"),
+            Aggregation(Operation.MIN, "v", windows=[Window(3, TimeUnit.DAYS)]),
+        ],
+        accuracy=Accuracy.TEMPORAL,
+        name="nullable_gb",
+    )
+    rng = np.random.default_rng(41)
+    n = 2000
+    ts = np.sort(BATCH_END + rng.integers(-DAY, 4 * DAY, n)).astype(np.int64)
+    cat = rng.choice(np.array(["x", "y", "z", None], dtype=object), n)
+    v = rng.normal(0, 3, n).round(2)
+    v[rng.random(n) < 0.2] = np.nan
+    agg = SawtoothOnlineAggregator(gb, BATCH_END)
+    qts = np.concatenate([
+        [BATCH_END - DAY, BATCH_END - 1, BATCH_END, BATCH_END + 5 * DAY],
+        BATCH_END + rng.integers(0, 4 * DAY, 60),
+    ]).astype(np.int64)
+    rows = {"cat": cat, "v": v}
+    for qs in (qts, qts[qts < BATCH_END]):
+        many = agg.lambda_aggregate_many(None, ts, rows, qs)
+        for i, q in enumerate(qs):
+            one = agg.lambda_aggregate(None, ts, rows, int(q))
+            for c, want in one.items():
+                assert _same(many[c][i], want), (len(qs), i, c)
+
+
+def _local_upload(gb, events, batch_end):
+    """{key: blob} of the batch half, built in-process by the upload kernel."""
+    from raywin.online.upload import IR_COL, UploadKernel
+
+    pre = events[events["ts"] < batch_end]
+    kernel = UploadKernel(gb.key_columns, gb.agg_parts(), batch_end, 2 * DAY,
+                          [pa.field("k", pa.string())])
+    out = kernel(pa.Table.from_pandas(pre, preserve_index=False))
+    return dict(zip(((k,) for k in out["k"].to_pylist()), out[IR_COL].to_pylist()))
+
+
+def test_fetch_batch_repeated_calls_match_fresh_fetcher():
+    """fetch_batch builds merged bases from ScalarOp.clone copies of the
+    cached upload IRs.  Query ts moving forward and back across hops, with
+    put_events in between, must answer like a fresh Fetcher every time, and
+    the cached upload IRs must stay equal to their blobs (no aliasing into
+    them)."""
+    import pickle
+
+    gb = GroupBy(
+        sources=[EventSource(table="unused", query=Query())],
+        key_columns=["k"],
+        aggregations=[
+            Aggregation(Operation.AVERAGE, "v", windows=[Window(2, TimeUnit.HOURS)]),
+            Aggregation(Operation.LAST_K, "v", arg_map={"k": 4}, windows=[Window(13, TimeUnit.HOURS)]),
+            Aggregation(Operation.SUM, "v", windows=[Window(1, TimeUnit.DAYS)]),
+            Aggregation(Operation.AVERAGE, "v"),
+        ],
+        accuracy=Accuracy.TEMPORAL,
+        name="repeat_gb",
+    )
+    rng = np.random.default_rng(31)
+    n = 3000
+    events = pd.DataFrame({
+        "k": rng.choice(list("pqrs"), n),
+        "ts": BATCH_END - 2 * DAY + rng.integers(0, 3 * DAY, n),
+        "v": rng.normal(0, 5, n).round(3),
+    }).sort_values("ts", kind="stable").reset_index(drop=True)
+    blobs = _local_upload(gb, events, BATCH_END)
+    stream = events[events["ts"] >= BATCH_END]
+    chunks = [stream.iloc[i:i + 200] for i in range(0, len(stream), 200)]
+    fetcher = Fetcher(gb, BATCH_END, upload=blobs)
+    put = []
+    for step in range(40):
+        if step % 5 == 0 and chunks:
+            put.append(chunks.pop(0))
+            fetcher.put_events(put[-1])
+        # ts jump back and forth across 5-min, 1-hour and 1-day hops
+        centre = BATCH_END + int(rng.integers(0, DAY))
+        q = pd.DataFrame({
+            "k": rng.choice(list("pqrst"), 12),
+            "ts": centre + rng.integers(-2 * HOUR, 2 * HOUR, 12),
+        })
+        fresh = Fetcher(gb, BATCH_END, upload=blobs)
+        for p in put:
+            fresh.put_events(p)
+        got, want = fetcher.fetch_batch(q), fresh.fetch_batch(q)
+        for c in want:
+            assert all(_same(g, w) for g, w in zip(got[c], want[c])), (step, c)
+    assert fetcher._cache
+    for key, ir in fetcher._cache.items():
+        assert ir == (pickle.loads(blobs[key]) if key in blobs else None), key

@@ -100,6 +100,27 @@ def test_percentile_rank_column(ray_session):
     assert np.array_equal(out["pct_rank"].to_numpy(), want)
 
 
+def test_percentile_rank_column_nulls_and_below_minimum(ray_session):
+    """A null value ranks null (not 1.0); non-null ranks still count every
+    corpus row in N.  A value below the corpus minimum ranks 0.0."""
+    import pyarrow as pa
+    import ray.data
+
+    from raywin.functions.stats import _cume_dist, percentile_rank_column
+
+    df = pd.DataFrame({"id": range(5), "v": pd.array([1, 2, 2, None, 5], dtype="Int64")})
+    out = (
+        percentile_rank_column(ray.data.from_pandas(df), "v", keep_cols=["id"])
+        .to_pandas().sort_values("id").reset_index(drop=True)
+    )
+    assert pd.isna(out["pct_rank"].iloc[3])
+    assert out["pct_rank"].drop(index=3).tolist() == [1 / 5, 3 / 5, 3 / 5, 4 / 5]
+
+    values, cum = np.array([3, 5, 7]), np.array([1, 3, 4])
+    x = pa.chunked_array([pa.array([-10, 2, 3, 6, 7, 99, None])])
+    assert _cume_dist(values, cum, 4, x).to_pylist() == [0.0, 0.0, 0.25, 0.75, 1.0, 1.0, None]
+
+
 def test_chunk_documents_edges(ray_session):
     """Window rule k*stride < n_tokens: boundary, short, and empty docs."""
     import ray.data
@@ -197,3 +218,20 @@ def test_robust_outlier_flags(ray_session):
     assert not out[out["grp"] >= 4]["is_outlier"].any()
     # the planted spikes are caught
     assert out[out["grp"] <= 3]["is_outlier"].sum() >= 6
+
+
+def test_robust_outlier_flags_zero_mad_flags_every_deviation(ray_session):
+    """MAD = 0 (most of the group equals the median): every value that
+    differs from the median is flagged, however small the difference."""
+    import ray.data
+
+    from raywin.functions.stats import robust_outlier_flags
+
+    df = pd.DataFrame({"rid": range(6), "grp": [1] * 6,
+                       "v": [5.0, 5.0, 5.0, 5.0, 5.001, 9.0]})
+    out = (
+        robust_outlier_flags(ray.data.from_pandas(df), "grp", "v", num_buckets=2)
+        .to_pandas().sort_values("rid").reset_index(drop=True)
+    )
+    assert (out["med"] == 5.0).all() and (out["mad"] == 0.0).all()
+    assert out["is_outlier"].tolist() == [False] * 4 + [True, True]
