@@ -30,11 +30,7 @@ def entry() -> Any:
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    out: dict[str, Callable[[str], Any]] = {}
-    for name, (fn, _sql) in catalog.ORACLE_QUERIES.items():
-        out[name] = fn
-    out.update(catalog.ROWS_ONLY_QUERIES)
-    return out
+    return {name: fn for name, (fn, _sql) in catalog.ORACLE_QUERIES.items()}
 
 
 def oracle_sql() -> dict[str, str]:

@@ -2,9 +2,9 @@
 
 Documented knobs:
 
-``shuffle_strategy = SORT_SHUFFLE_PUSH_BASED`` — the engine's one big
-exchange is ``groupby(bucket).map_groups(kernel)``, which rides Ray Data's
-sort shuffle.  The default pull-based sort serializes map-finish ->
+``shuffle_strategy = SORT_SHUFFLE_PUSH_BASED`` — every hash-bucket exchange
+goes through ``co_partition`` (stages/shuffle.py), one
+``groupby(bucket).map_groups(kernel)`` that rides Ray Data's sort shuffle.  The default pull-based sort serializes map-finish ->
 reduce-start; the push-based variant pipelines merge with map and cut the
 1M-row mixed-codec flagship 14.3 s -> 11.5 s at 32 CPUs (round 5, min-of-2,
 same session pattern).  Values verified unchanged: the kernel receives

@@ -16,6 +16,7 @@ import pyarrow as pa
 from ray.data.aggregate import Max, Min, Sum
 
 from ..stages.query import SqlBatch
+from ..stages.shuffle import CHUNK_COL, SIDE_COL, _arrow_schema, co_partition
 
 _MERGE_FNS = {"sum": Sum, "min": Min, "max": Max}
 
@@ -57,29 +58,21 @@ def distinct(ds, cols: list[str], num_buckets: int = 64):
     """DISTINCT rows over `cols`: ONE hash-bucket shuffle, then a vectorized
     per-partition drop_duplicates (never one Python call per group — the
     reference's uniqSort analogue, GroupBy.scala:311)."""
-    from ..stages.shuffle import BUCKET_COL, AddBucket
-
-    bucketed = ds.map_batches(AddBucket(cols, num_buckets), batch_format="pyarrow")
 
     def dd(df):
         return df.drop_duplicates(cols)
 
-    out = bucketed.groupby(BUCKET_COL).map_groups(dd, batch_format="pandas")
-    return out.drop_columns([BUCKET_COL])
+    return co_partition(ds, cols, dd, num_buckets=num_buckets, batch_format="pandas")
 
 
 def min_by_group(ds, group_cols: list[str], order_col: str, num_buckets: int = 64):
     """Keep the row with min(order_col) per group — vectorized per partition."""
-    from ..stages.shuffle import BUCKET_COL, AddBucket
-
-    bucketed = ds.map_batches(AddBucket(group_cols, num_buckets), batch_format="pyarrow")
 
     def pick(df):
         idx = df.groupby(group_cols, sort=False)[order_col].idxmin()
         return df.loc[idx]
 
-    out = bucketed.groupby(BUCKET_COL).map_groups(pick, batch_format="pandas")
-    return out.drop_columns([BUCKET_COL])
+    return co_partition(ds, group_cols, pick, num_buckets=num_buckets, batch_format="pandas")
 
 
 _ARROW_HOW = {"left": "left outer", "right": "right outer", "outer": "full outer"}
@@ -89,7 +82,6 @@ class _BucketJoinKernel:
     """map_groups fn: split a co-partitioned bucket by side tag and merge."""
 
     def __init__(self, on, how, left_names, right_names):
-        self.__name__ = "BucketJoin"
         self.on = list(on)
         self.how = how
         self.left_names = left_names
@@ -98,7 +90,7 @@ class _BucketJoinKernel:
     def __call__(self, group):
         import pyarrow as pa_
 
-        side = group["__side"].to_numpy(zero_copy_only=False)
+        side = group[SIDE_COL].to_numpy(zero_copy_only=False)
         lt = group.filter(pa_.array(side == 0)).select(self.left_names)
         rt = group.filter(pa_.array(side == 1)).select(self.right_names)
         # Arrow-native hash join: string keys never box (the pandas merge
@@ -111,35 +103,16 @@ class _BucketJoinKernel:
 
 
 def bucketed_left_join(left_ds, right_ds, on: list[str], num_buckets: int = 64, how: str = "left"):
-    """Partitioned hash join: pad both sides to one schema, tag, union, ONE
-    hash(on) co-partitioning shuffle, then a vectorized pandas merge per
-    partition.  Cheaper than spawning per-join aggregator actor pools when
-    the join is one stage of a larger pipeline."""
-    import numpy as np_
-    import pyarrow as pa_
-
-    from ..pipelines.group_by import _arrow_schema
-    from ..stages.shuffle import BUCKET_COL, SIDE_COL, AddBucket, pad_to_schema, unify_schemas
-
-    l_schema = _arrow_schema(left_ds)
-    r_schema = _arrow_schema(right_ds)
-    unified = unify_schemas(l_schema, r_schema, {SIDE_COL: pa_.int8()})
-
-    def tag(side_val):
-        def fn(batch: pa_.Table) -> pa_.Table:
-            batch = batch.append_column(
-                SIDE_COL, pa_.array(np_.full(len(batch), side_val, dtype=np_.int8))
-            )
-            return pad_to_schema(batch, unified)
-
-        return fn
-
-    unioned = left_ds.map_batches(tag(0), batch_format="pyarrow").union(
-        right_ds.map_batches(tag(1), batch_format="pyarrow")
+    """Partitioned hash join: ONE hash(on) co_partition exchange of both
+    sides, then a single-threaded Arrow hash join per partition.  Cheaper
+    than spawning per-join aggregator actor pools when the join is one stage
+    of a larger pipeline."""
+    kernel = _BucketJoinKernel(
+        on, how, list(_arrow_schema(left_ds).names), list(_arrow_schema(right_ds).names)
     )
-    bucketed = unioned.map_batches(AddBucket(list(on), num_buckets), batch_format="pyarrow")
-    kernel = _BucketJoinKernel(on, how, list(l_schema.names), list(r_schema.names))
-    return bucketed.groupby(BUCKET_COL).map_groups(kernel, batch_format="pyarrow")
+    return co_partition(
+        [left_ds, right_ds], list(on), kernel, num_buckets=num_buckets, batch_format="pyarrow"
+    )
 
 
 class _MultiBucketJoinKernel:
@@ -148,7 +121,6 @@ class _MultiBucketJoinKernel:
     key, so one exchange co-locates them all)."""
 
     def __init__(self, on, left_names, right_names_list):
-        self.__name__ = "MultiBucketJoin"
         self.on = list(on)
         self.left_names = left_names
         self.right_names_list = right_names_list
@@ -156,7 +128,7 @@ class _MultiBucketJoinKernel:
     def __call__(self, group):
         import pyarrow as pa_
 
-        side = group["__side"].to_numpy(zero_copy_only=False)
+        side = group[SIDE_COL].to_numpy(zero_copy_only=False)
         out = group.filter(pa_.array(side == 0)).select(self.left_names)
         for i, rn in enumerate(self.right_names_list):
             rt = group.filter(pa_.array(side == i + 1)).select(rn)
@@ -171,38 +143,12 @@ def bucketed_multi_left_join(left_ds, rights, on: list[str], num_buckets: int = 
     hash(on) co-partitioning shuffle (instead of one shuffle per right).
     ``rights`` is a list of Datasets; their non-key column names must be
     disjoint from the left's and each other's (prefix them first)."""
-    import numpy as np_
-    import pyarrow as pa_
-
-    from ..pipelines.group_by import _arrow_schema
-    from ..stages.shuffle import (
-        BUCKET_COL, SIDE_COL, AddBucket, pad_to_schema, unify_schemas,
-    )
-
-    l_schema = _arrow_schema(left_ds)
-    r_schemas = [_arrow_schema(r) for r in rights]
-    unified = l_schema
-    for rs in r_schemas:
-        unified = unify_schemas(unified, rs, {})
-    unified = unify_schemas(unified, pa_.schema([]), {SIDE_COL: pa_.int8()})
-
-    def tag(side_val):
-        def fn(batch: pa_.Table) -> pa_.Table:
-            batch = batch.append_column(
-                SIDE_COL, pa_.array(np_.full(len(batch), side_val, dtype=np_.int8))
-            )
-            return pad_to_schema(batch, unified)
-
-        return fn
-
-    unioned = left_ds.map_batches(tag(0), batch_format="pyarrow")
-    for i, r in enumerate(rights):
-        unioned = unioned.union(r.map_batches(tag(i + 1), batch_format="pyarrow"))
-    bucketed = unioned.map_batches(AddBucket(list(on), num_buckets), batch_format="pyarrow")
     kernel = _MultiBucketJoinKernel(
-        on, list(l_schema.names), [list(rs.names) for rs in r_schemas]
+        on, list(_arrow_schema(left_ds).names), [list(_arrow_schema(r).names) for r in rights]
     )
-    return bucketed.groupby(BUCKET_COL).map_groups(kernel, batch_format="pyarrow")
+    return co_partition(
+        [left_ds, *rights], list(on), kernel, num_buckets=num_buckets, batch_format="pyarrow"
+    )
 
 
 class _RangeJoinKernel:
@@ -210,7 +156,6 @@ class _RangeJoinKernel:
     range filter start <= ts < end."""
 
     def __init__(self, on, left_names, right_names, left_ts, right_start, right_end):
-        self.__name__ = "RangeJoin"
         self.on = list(on)
         self.left_names = left_names
         self.right_names = right_names
@@ -222,9 +167,7 @@ class _RangeJoinKernel:
         import pyarrow as pa_
         import pyarrow.compute as pc_
 
-        from ..stages.shuffle import CHUNK_COL
-
-        side = group["__side"].to_numpy(zero_copy_only=False)
+        side = group[SIDE_COL].to_numpy(zero_copy_only=False)
         lt = group.filter(pa_.array(side == 0)).select(self.left_names + [CHUNK_COL])
         rt = group.filter(pa_.array(side == 1)).select(self.right_names + [CHUNK_COL])
         j = lt.join(
@@ -262,7 +205,7 @@ def bucketed_range_join(
     spread across chunks the same way the hot-key chunking path does.
 
     Precondition: timestamps/interval bounds are non-negative int64 (epoch
-    ms) — AddBucket mixes the chunk into the shuffle hash only for
+    ms) — co_partition mixes the chunk into the shuffle hash only for
     chunk >= 0.  Non-key column names of the two sides must be disjoint.
 
     Reference analogue: Chronon expresses interval enrichment as a
@@ -273,25 +216,14 @@ def bucketed_range_join(
     import numpy as np_
     import pyarrow as pa_
 
-    from ..pipelines.group_by import _arrow_schema
-    from ..stages.shuffle import (
-        BUCKET_COL, CHUNK_COL, SIDE_COL, AddBucket, pad_to_schema, unify_schemas,
-    )
-
     l_schema = _arrow_schema(left_ds)
     r_schema = _arrow_schema(right_ds)
-    chunk_field = {CHUNK_COL: pa_.int64()}
-    unified = unify_schemas(l_schema, r_schema, {**chunk_field, SIDE_COL: pa_.int8()})
 
     def chunk_left(batch: pa_.Table) -> pa_.Table:
         ts = batch[left_ts].to_numpy(zero_copy_only=False).astype(np_.int64)
-        batch = batch.append_column(
+        return batch.append_column(
             CHUNK_COL, pa_.array(ts // chunk_ms, type=pa_.int64())
         )
-        batch = batch.append_column(
-            SIDE_COL, pa_.array(np_.zeros(len(batch), dtype=np_.int8))
-        )
-        return pad_to_schema(batch, unified)
 
     def replicate_right(batch: pa_.Table) -> pa_.Table:
         s = batch[right_start].to_numpy(zero_copy_only=False).astype(np_.int64)
@@ -305,21 +237,19 @@ def bucketed_range_join(
         base = np_.cumsum(reps) - reps
         offs = np_.arange(int(reps.sum()), dtype=np_.int64) - np_.repeat(base, reps)
         chunks = c0[idx] + offs
-        out = batch.take(idx)
-        out = out.append_column(CHUNK_COL, pa_.array(chunks, type=pa_.int64()))
-        out = out.append_column(
-            SIDE_COL, pa_.array(np_.ones(len(out), dtype=np_.int8))
-        )
-        return pad_to_schema(out, unified)
+        return batch.take(idx).append_column(CHUNK_COL, pa_.array(chunks, type=pa_.int64()))
 
-    unioned = left_ds.map_batches(chunk_left, batch_format="pyarrow").union(
-        right_ds.map_batches(replicate_right, batch_format="pyarrow")
-    )
-    bucketed = unioned.map_batches(AddBucket(list(on), num_buckets), batch_format="pyarrow")
+    chunk = pa_.field(CHUNK_COL, pa_.int64())
+    left = left_ds.map_batches(chunk_left, batch_format="pyarrow")
+    left._raywin_schema = l_schema.append(chunk)
+    right = right_ds.map_batches(replicate_right, batch_format="pyarrow")
+    right._raywin_schema = r_schema.append(chunk)
     kernel = _RangeJoinKernel(
         on, list(l_schema.names), list(r_schema.names), left_ts, right_start, right_end
     )
-    return bucketed.groupby(BUCKET_COL).map_groups(kernel, batch_format="pyarrow")
+    return co_partition(
+        [left, right], list(on), kernel, num_buckets=num_buckets, batch_format="pyarrow"
+    )
 
 
 def broadcast_lookup_join(ds, small_df, on: list[str], how: str = "inner"):

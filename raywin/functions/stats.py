@@ -215,7 +215,7 @@ def robust_outlier_flags(ds, key_col: str, value_col: str, k: float = 3.0,
     median) flags every value that differs from the median at all, since
     |v - med| > 0; constant groups and singletons flag nothing.  Returns
     the input columns + (med, mad, is_outlier)."""
-    from ..stages.shuffle import BUCKET_COL, AddBucket
+    from ..stages.shuffle import co_partition
 
     def flag(g: pd.DataFrame) -> pd.DataFrame:
         keys = g[key_col].to_numpy()
@@ -236,13 +236,9 @@ def robust_outlier_flags(ds, key_col: str, value_col: str, k: float = 3.0,
         mad = np.empty(n)
         med[order] = med_sorted
         mad[order] = mad_sorted
-        out = g.drop(columns=[BUCKET_COL])
-        out["med"] = med
-        out["mad"] = mad
-        out["is_outlier"] = np.abs(vals - med) > k * mad
-        return out
+        g["med"] = med
+        g["mad"] = mad
+        g["is_outlier"] = np.abs(vals - med) > k * mad
+        return g
 
-    bucketed = ds.map_batches(
-        AddBucket([key_col], num_buckets), batch_format="pyarrow"
-    )
-    return bucketed.groupby(BUCKET_COL).map_groups(flag, batch_format="pandas")
+    return co_partition(ds, [key_col], flag, num_buckets=num_buckets, batch_format="pandas")

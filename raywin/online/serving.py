@@ -364,7 +364,6 @@ class ServingKernel:
 
     def __init__(self, group_by: GroupBy, batch_end_ts: int, left_names,
                  resolution=FiveMinuteResolution):
-        self.__name__ = "ServingKernel"
         self.agg = SawtoothOnlineAggregator(group_by, batch_end_ts, resolution)
         self.key_cols = group_by.key_columns
         self.left_names = list(left_names)
@@ -434,39 +433,19 @@ def online_enrich_distributed(left_ds, group_by: GroupBy, batch_end_ts: int,
     One union co-partition shuffle (the EntityKernel three-side pattern) —
     the scale-safe replacement for broadcasting the tail + upload dict via
     ray.put (OnlineEnrich), which holds the whole state per node."""
-    import pyarrow as pa
+    from ..stages.shuffle import _arrow_schema, co_partition
 
-    from ..pipelines.group_by import _arrow_schema
-    from ..stages.shuffle import BUCKET_COL, SIDE_COL, AddBucket, pad_to_schema, unify_schemas
-
-    key_cols = group_by.key_columns
-    l_arrow = _arrow_schema(left_ds)
-    u_arrow = _arrow_schema(upload_ds)
-    unified = unify_schemas(l_arrow, u_arrow, {})
+    sides = [left_ds, upload_ds]
     if stream_ds is not None:
+        s_arrow = _arrow_schema(stream_ds)
         stream_ds = stream_ds.filter(expr=f"ts >= {batch_end_ts}")
-        unified = unify_schemas(unified, _arrow_schema(stream_ds), {SIDE_COL: pa.int8()})
-    else:
-        unified = unify_schemas(unified, pa.schema([]), {SIDE_COL: pa.int8()})
-
-    def tag(side_val):
-        def fn(batch: pa.Table) -> pa.Table:
-            batch = batch.append_column(
-                SIDE_COL, pa.array(np.full(len(batch), side_val, dtype=np.int8))
-            )
-            return pad_to_schema(batch, unified)
-
-        return fn
-
-    unioned = left_ds.map_batches(tag(0), batch_format="pyarrow").union(
-        upload_ds.map_batches(tag(1), batch_format="pyarrow")
+        stream_ds._raywin_schema = s_arrow
+        sides.append(stream_ds)
+    kernel = ServingKernel(group_by, batch_end_ts, list(_arrow_schema(left_ds).names), resolution)
+    out = co_partition(
+        sides, group_by.key_columns, kernel, num_buckets=num_buckets, batch_format="pyarrow"
     )
-    if stream_ds is not None:
-        unioned = unioned.union(stream_ds.map_batches(tag(2), batch_format="pyarrow"))
-    bucketed = unioned.map_batches(AddBucket(key_cols, num_buckets), batch_format="pyarrow")
-    kernel = ServingKernel(group_by, batch_end_ts, list(l_arrow.names), resolution)
-    out = bucketed.groupby(BUCKET_COL).map_groups(kernel, batch_format="pyarrow")
-    return out.select_columns(list(l_arrow.names) + [p.output_column for p in kernel.agg.parts])
+    return out.select_columns(kernel.left_names + [p.output_column for p in kernel.agg.parts])
 
 
 class OnlineEnrich:

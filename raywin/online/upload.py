@@ -25,10 +25,11 @@ tail_buffer are stale-batch territory: the collapsed IR over-includes (the
 reference behaves the same way — uploads are expected to refresh daily).
 
 Dataflow (Ray-Data-first): scan sources filtered to ts < batch_end_ts ->
-project to keys+ts+inputs -> AddBucket co-partition shuffle ->
-groupby(bucket).map_groups(UploadKernel) -> one row per key with a pickled
-IR blob (the reference ships Avro-encoded IRs to a KV store; a binary
-column in a parquet/Lance table is the warehouse-native equivalent).
+project to keys+ts+inputs -> co_partition(keys, UploadKernel), one
+hash(keys) sort shuffle with one kernel call per bucket -> one row per key
+with a pickled IR blob (the reference ships Avro-encoded IRs to a KV store;
+a binary column in a parquet/Lance table is the warehouse-native
+equivalent).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from ..api import GroupBy
 from ..aggregator.scalar_ops import make_scalar_op
 from ..aggregator.windowing import FiveMinuteResolution, round_down
 from ..sources.io import scan_source, union_sources
-from ..stages.shuffle import BUCKET_COL, AddBucket
+from ..stages.shuffle import _arrow_schema, co_partition
 
 IR_COL = "__batch_ir"
 
@@ -65,7 +66,6 @@ class UploadKernel:
 
     def __init__(self, key_cols, parts, batch_end_ts: int, tail_buffer_ms: int,
                  key_fields: list[pa.Field], resolution=FiveMinuteResolution):
-        self.__name__ = "UploadKernel"
         self.key_cols = key_cols
         self.parts = parts
         self.batch_end_ts = batch_end_ts
@@ -275,9 +275,6 @@ def group_by_upload(
     parts = group_by.agg_parts()
     key_cols = group_by.key_columns
     ds = union_sources([scan_source(s) for s in group_by.sources])
-
-    from ..pipelines.group_by import _arrow_schema
-
     schema = _arrow_schema(ds)  # static when possible — no pipeline probe
     needed = list(dict.fromkeys(key_cols + ["ts"] + [p.input_column for p in parts]))
     if set(needed) != set(schema.names):
@@ -295,9 +292,8 @@ def group_by_upload(
     if all(lo is not None for lo in lo_mins):
         ds = ds.filter(expr=f"ts >= {min(lo_mins)}")
     key_fields = [pa.field(k, schema.field(k).type) for k in key_cols]
-    bucketed = ds.map_batches(AddBucket(key_cols, num_buckets), batch_format="pyarrow")
     kernel = UploadKernel(key_cols, parts, batch_end_ts, tail_buffer_ms, key_fields, resolution)
-    out = bucketed.groupby(BUCKET_COL).map_groups(kernel, batch_format=None)
+    out = co_partition(ds, key_cols, kernel, num_buckets=num_buckets, batch_format=None)
     out = out.select_columns(key_cols + [IR_COL, "batch_end_ts"])
     out._raywin_schema = pa.schema(
         key_fields + [pa.field(IR_COL, pa.binary()), pa.field("batch_end_ts", pa.int64())]

@@ -111,8 +111,7 @@ def bootstrap_left(left_ds, join: Join, num_buckets: int = 64):
     declaration order (earlier bootstrap wins on overlap) so semantics match
     the sequential reference loop (Join.scala:524-546)."""
     from ..functions.relational import bucketed_multi_left_join
-
-    from .group_by import _arrow_schema
+    from ..stages.shuffle import _arrow_schema
 
     hash_to_cols: dict[str, set[str]] = {}
     out = left_ds

@@ -845,6 +845,7 @@ def paragraph_dedup_docs(sf_dir: str):
     import ray.data
 
     from ..stages.dedup import dedup_paragraphs
+    from ..stages.shuffle import _arrow_schema
 
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
@@ -855,9 +856,9 @@ def paragraph_dedup_docs(sf_dir: str):
         )
         return df
 
-    out = dedup_paragraphs(
-        ds.map_batches(chunk, batch_format="pandas"), "text", "doc_id"
-    )
+    chunked = ds.map_batches(chunk, batch_format="pandas")
+    chunked._raywin_schema = _arrow_schema(ds)  # chunk keeps the reader's columns and types
+    out = dedup_paragraphs(chunked, "text", "doc_id")
     return out.select_columns(["doc_id", "n_paras", "n_dropped", "clean_text"])
 
 
@@ -3464,6 +3465,3 @@ ORACLE_QUERIES.update(
         "bootstrap_join": (bootstrap_join, BOOTSTRAP_JOIN_SQL),
     }
 )
-
-# every catalog query now carries a DuckDB oracle
-ROWS_ONLY_QUERIES: dict = {}

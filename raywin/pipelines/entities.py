@@ -42,8 +42,7 @@ import pyarrow as pa
 from ..api import MILLIS_DAY, EntitySource, GroupBy, Operation
 from ..aggregator.kernel import detect_decimal, factorize_multi
 from ..aggregator.windowing import round_down
-from ..stages.shuffle import BUCKET_COL, SIDE_COL, AddBucket, pad_to_schema, unify_schemas
-from .group_by import _arrow_schema
+from ..stages.shuffle import SIDE_COL, _arrow_schema, co_partition
 
 # the reference's deletable (CDC-reversible) op set: SUM/COUNT/AVERAGE via
 # numeric minus (SimpleAggregators.scala:49-71,148-160) plus HISTOGRAM via
@@ -138,8 +137,7 @@ def snapshot_entity_features(group_by: GroupBy, num_buckets: int = 32):
                 ].apply(reduce_group)
         return pd.DataFrame(frames).reset_index()
 
-    bucketed = ds_.map_batches(AddBucket(key_cols, num_buckets), batch_format="pyarrow")
-    return bucketed.groupby(BUCKET_COL).map_groups(agg_fn, batch_format="pandas")
+    return co_partition(ds_, key_cols, agg_fn, num_buckets=num_buckets, batch_format="pandas")
 
 
 class EntityKernel:
@@ -148,7 +146,6 @@ class EntityKernel:
     sawtooth windows over the row ts."""
 
     def __init__(self, key_cols, parts, left_names):
-        self.__name__ = "EntityKernel"
         self.key_cols = key_cols
         self.parts = parts
         self.left_names = left_names
@@ -250,7 +247,6 @@ class EntityKernel:
                 s_seg_s, s_ts_s, s_vals,
                 m_seg_s, m_mts_s, m_ts_s, m_sign_s, m_vals,
             )
-        out = out.drop(columns=[BUCKET_COL], errors="ignore")
         if not hist_parts:
             return out
         # dict columns don't survive pandas->arrow inference (jagged structs);
@@ -538,25 +534,7 @@ def temporal_entity_features(group_by: GroupBy, left_ds, num_buckets: int = 32):
     key_cols = group_by.key_columns
     parts = group_by.agg_parts()
 
-    l_arrow = _arrow_schema(left_ds)
-    s_arrow = _arrow_schema(snaps)
-    m_arrow = _arrow_schema(muts)
-    unified = unify_schemas(unify_schemas(l_arrow, s_arrow, {}), m_arrow, {SIDE_COL: pa.int8()})
-
-    def tag(side_val):
-        def fn(batch: pa.Table) -> pa.Table:
-            batch = batch.append_column(
-                SIDE_COL, pa.array(np.full(len(batch), side_val, dtype=np.int8))
-            )
-            return pad_to_schema(batch, unified)
-
-        return fn
-
-    unioned = (
-        left_ds.map_batches(tag(0), batch_format="pyarrow")
-        .union(snaps.map_batches(tag(1), batch_format="pyarrow"))
-        .union(muts.map_batches(tag(2), batch_format="pyarrow"))
+    kernel = EntityKernel(key_cols, parts, list(_arrow_schema(left_ds).names))
+    return co_partition(
+        [left_ds, snaps, muts], key_cols, kernel, num_buckets=num_buckets, batch_format="pyarrow"
     )
-    bucketed = unioned.map_batches(AddBucket(key_cols, num_buckets), batch_format="pyarrow")
-    kernel = EntityKernel(key_cols, parts, list(l_arrow.names))
-    return bucketed.groupby(BUCKET_COL).map_groups(kernel, batch_format="pyarrow")

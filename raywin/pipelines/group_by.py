@@ -5,14 +5,15 @@ spark/.../GroupBy.scala:279-358, re-expressed Ray-Data-first):
 
     right = scan sources (projection pushdown, Query layer)      [stateless]
     left  = query rows (keys..., ts)                             [stateless]
-    both  -> pad to unified schema, tag __side, union            [stateless]
-          -> AddBucket hash(keys) % P                            [stateless]
-          -> groupby(__bucket).map_groups(PartitionKernel)       [the shuffle]
+    both  -> co_partition(keys, PartitionKernel): pad to one
+             schema, tag __side, union, hash(keys) % P,
+             sort shuffle, one kernel call per bucket            [the shuffle]
           -> Arrow feature rows, one per left (keys, ts)
 
 One all-to-all exchange total: both sides co-partition in a single
-``groupby`` shuffle and the vectorized kernel (aggregator/kernel.py) does the
-per-partition sort + sawtooth window evaluation.  This replaces the
+``co_partition`` (stages/shuffle.py) and the vectorized kernel
+(aggregator/kernel.py) does the per-partition sort + sawtooth window
+evaluation.  This replaces the
 reference's three-way leftOuterJoin topology (GroupBy.scala:340-355) with an
 equivalent single-shuffle union join.
 
@@ -32,11 +33,7 @@ from ..aggregator.kernel import PartitionAggregator
 from ..aggregator.windowing import DailyResolution, FiveMinuteResolution
 from ..sources.io import scan_source, union_sources
 from ..stages.query import apply_derivations
-from ..stages.shuffle import BUCKET_COL, SIDE_COL, AddBucket, pad_to_schema, unify_schemas
-
-import os as _os
-
-SHUFFLE_BUNDLE_ROWS = int(_os.environ.get("RAYWIN_SHUFFLE_BUNDLE_ROWS", "32768"))
+from ..stages.shuffle import SIDE_COL, _arrow_schema, co_partition, side_schema
 
 _FLOAT_OUT = {
     Operation.AVERAGE,
@@ -156,7 +153,6 @@ class PartitionKernel:
         dedupe_queries: bool = False,
         union_schema: pa.Schema | None = None,
     ):
-        self.__name__ = "PartitionKernel"  # ray map_groups wraps plain fns
         self.union_schema = union_schema
         self.key_cols = key_cols
         self.parts = parts
@@ -189,7 +185,7 @@ class PartitionKernel:
         lt_names = left_names + ([CHUNK_COL] if chunked else [])
         lt = group.filter(pa.array(is_left)).select(lt_names)
         rt_names = [
-            n for n in group.column_names if n not in (BUCKET_COL, SIDE_COL) and n not in left_names
+            n for n in group.column_names if n != SIDE_COL and n not in left_names
         ] + self.key_cols + ["ts"]
         rt = group.filter(pa.array(~is_left)).select(list(dict.fromkeys(rt_names)))
         out_schema = pa.schema(list(self.left_schema) + self.out_fields)
@@ -217,29 +213,6 @@ class PartitionKernel:
         for f, part in zip(self.out_fields, self.parts):
             cols.append(_to_arrow_column(results[part.output_column], f.type))
         return pa.table(cols, schema=out_schema)
-
-
-def _arrow_schema(ds) -> pa.Schema:
-    """Arrow schema of a Dataset whose last stage may be a pandas block.
-    Prefers a statically attached schema (scan_source / features_for_queries
-    set one) — probing a lazy actor/shuffle pipeline costs a real execution."""
-    static = getattr(ds, "_raywin_schema", None)
-    if isinstance(static, pa.Schema):
-        return static
-    sch = ds.schema()
-    base = getattr(sch, "base_schema", None)
-    if isinstance(base, pa.Schema):
-        return base
-    fields = []
-    for n, t in zip(sch.names, sch.types):
-        if isinstance(t, pa.DataType):
-            fields.append(pa.field(n, t))
-        else:
-            try:
-                fields.append(pa.field(n, pa.from_numpy_dtype(t)))
-            except (pa.ArrowNotImplementedError, TypeError):
-                fields.append(pa.field(n, pa.string()))  # pandas object column
-    return pa.schema(fields)
 
 
 def events_dataset(group_by: GroupBy):
@@ -297,25 +270,20 @@ def features_for_queries(
             + ([group_by.tie_breaker] if group_by.tie_breaker else [])
         )
     )
-    r_schema0 = _arrow_schema(right_ds)
-    r_names = set(r_schema0.names)
-    if set(needed) != r_names:
-        keep = [c for c in needed if c in r_names]
+    r_arrow = _arrow_schema(right_ds)
+    if set(needed) != set(r_arrow.names):
+        keep = [c for c in needed if c in r_arrow.names]
         right_ds = right_ds.select_columns(keep)
-        r_arrow = pa.schema([r_schema0.field(c) for c in keep])
-    else:
-        r_arrow = r_schema0
+        r_arrow = pa.schema([r_arrow.field(c) for c in keep])
     l_arrow = _arrow_schema(left_ds)
     input_types = {
         p.input_column: r_arrow.field(p.input_column).type for p in parts
     }
 
-    tag_types = {SIDE_COL: pa.int8()}
-    use_hot = bool(hot_config) and len(group_by.key_columns) == 1
-    if use_hot:
+    chunk = []
+    if hot_config and len(group_by.key_columns) == 1:
         from ..stages.shuffle import CHUNK_COL, HotChunkReplicate, HotChunkTag
 
-        tag_types[CHUNK_COL] = pa.int64()
         bounded = [p.window.millis for p in parts if not p.window.unbounded]
         has_unbounded = any(p.window.unbounded for p in parts)
         hops = [resolution.tail_hop(p.window) for p in parts if not p.window.unbounded]
@@ -332,31 +300,10 @@ def features_for_queries(
             ),
             batch_format="pyarrow",
         )
-    unified = unify_schemas(l_arrow, r_arrow, tag_types)
-
-    def tag(side_val):
-        def fn(batch: pa.Table) -> pa.Table:
-            batch = batch.append_column(
-                SIDE_COL, pa.array(np.full(len(batch), side_val, dtype=np.int8))
-            )
-            return pad_to_schema(batch, unified)
-
-        return fn
-
-    left_tagged = left_ds.map_batches(tag(0), batch_format="pyarrow")
-    right_tagged = right_ds.map_batches(tag(1), batch_format="pyarrow")
-    unioned = left_tagged.union(right_tagged)
-    # bundle the sub-sized blocks fine-grained upstream stages produce before
-    # the all-to-all: the sort's map phase pays a fixed per-block cost, and
-    # 1-2k-row blocks made it 8x slower than 32k-row blocks on this exchange.
-    # Rows here are narrow (keys + ts + numeric inputs; payloads never ride
-    # the kernel shuffle), so 32k rows is a few MB — raise for production
-    # block sizes via RAYWIN_SHUFFLE_BUNDLE_ROWS.
-    bucketed = unioned.map_batches(
-        AddBucket(group_by.key_columns, num_buckets),
-        batch_format="pyarrow",
-        batch_size=SHUFFLE_BUNDLE_ROWS,
-    )
+        chunk = [pa.field(CHUNK_COL, pa.int64())]
+    # static side schemas: co_partition never probes a lazy pipeline
+    left_ds._raywin_schema = pa.schema(list(l_arrow) + chunk)
+    right_ds._raywin_schema = pa.schema(list(r_arrow) + chunk)
     kernel = PartitionKernel(
         group_by.key_columns,
         parts,
@@ -366,12 +313,14 @@ def features_for_queries(
         head_rounding,
         group_by.tie_breaker,
         dedupe_queries,
-        union_schema=unified.append(pa.field(BUCKET_COL, pa.int32())),
+        union_schema=side_schema([left_ds, right_ds]),
     )
     # batch_format=None: take blocks as-is; the kernel handles the sort
     # shuffle's occasional pandas-block fallback itself (map/list inputs do
     # not survive generic pandas->arrow inference)
-    out = bucketed.groupby(BUCKET_COL).map_groups(kernel, batch_format=None)
+    out = co_partition(
+        [left_ds, right_ds], group_by.key_columns, kernel, num_buckets=num_buckets, batch_format=None
+    )
     out_cols = list(l_arrow.names) + [p.output_column for p in parts]
     out = out.select_columns(out_cols)
     if group_by.derivations:

@@ -271,10 +271,9 @@ def _chain_part_with_bootstrap(
         return enrich(out_ds), new_names
     covered, uncovered = split_covered(out_ds, covering)
     feats = enrich(uncovered)
-    from .group_by import _arrow_schema
-    from ..stages.shuffle import pad_to_schema
+    from ..stages.shuffle import _arrow_schema, pad_to_schema
 
-    f_schema = getattr(feats, "_raywin_schema", None) or _arrow_schema(feats)
+    f_schema = _arrow_schema(feats)
     covered = covered.map_batches(
         lambda b: pad_to_schema(b, f_schema), batch_format="pyarrow"
     )

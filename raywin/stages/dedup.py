@@ -19,7 +19,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..aggregator.sketches import splitmix64
-from ..stages.shuffle import stable_hash
+from ..stages.shuffle import SIDE_COL, _arrow_schema, co_partition, stable_hash
 
 def minhash_signatures_batch(
     texts, width: int, num_perm: int
@@ -185,8 +185,6 @@ def minhash_lsh_clusters(
     aggregate (one uint64 per block to the driver, nothing else)."""
     import os
 
-    from ..stages.shuffle import BUCKET_COL, SIDE_COL, AddBucket
-
     if local_edge_cutoff is None:
         local_edge_cutoff = int(os.environ.get("RAYWIN_CC_LOCAL_EDGES", "5000000"))
     num_buckets = 64
@@ -207,16 +205,11 @@ def minhash_lsh_clusters(
 
     def propagate(labeled_edges):
         """(doc, band, hash, cluster) -> new (doc, cluster) labels."""
-        return (
-            labeled_edges.map_batches(
-                AddBucket(["band", "band_hash"], num_buckets), batch_format="pyarrow"
-            )
-            .groupby(BUCKET_COL)
-            .map_groups(bucket_min, batch_format="pandas")
-            .map_batches(AddBucket([id_col], num_buckets), batch_format="pyarrow")
-            .groupby(BUCKET_COL)
-            .map_groups(doc_min, batch_format="pandas")
+        by_band = co_partition(
+            labeled_edges, ["band", "band_hash"], bucket_min,
+            num_buckets=num_buckets, batch_format="pandas",
         )
+        return co_partition(by_band, [id_col], doc_min, num_buckets=num_buckets, batch_format="pandas")
 
     # round 1: label(doc) = doc, so edges are already "labeled"
     def self_label(batch: pa.Table) -> pa.Table:
@@ -235,41 +228,10 @@ def minhash_lsh_clusters(
         out["cluster"] = out[id_col].map(m)
         return out
 
-    cols = [id_col, "band", "band_hash", "cluster"]
-
-    def pad_labels(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [
-                batch[id_col],
-                pa.nulls(len(batch), pa.int32()),
-                pa.nulls(len(batch), pa.int64()),
-                batch["cluster"],
-                pa.array(np.zeros(len(batch), dtype=np.int8)),
-            ],
-            names=cols + [SIDE_COL],
-        )
-
-    def pad_edges(batch: pa.Table) -> pa.Table:
-        return pa.Table.from_arrays(
-            [
-                batch[id_col],
-                batch["band"],
-                batch["band_hash"],
-                pa.nulls(len(batch), batch[id_col].type),
-                pa.array(np.ones(len(batch), dtype=np.int8)),
-            ],
-            names=cols + [SIDE_COL],
-        )
-
     converged = False
     for _ in range(max_rounds - 1):
-        unioned = labels.map_batches(pad_labels, batch_format="pyarrow").union(
-            edges.map_batches(pad_edges, batch_format="pyarrow")
-        )
-        labeled_edges = (
-            unioned.map_batches(AddBucket([id_col], num_buckets), batch_format="pyarrow")
-            .groupby(BUCKET_COL)
-            .map_groups(attach, batch_format="pandas")
+        labeled_edges = co_partition(
+            [labels, edges], [id_col], attach, num_buckets=num_buckets, batch_format="pandas"
         )
         labels = propagate(labeled_edges).materialize()
         new_checksum = _labels_checksum(labels, id_col)
@@ -312,7 +274,6 @@ def dedup_paragraphs(ds, text_col: str, id_col: str, sep: str = "\n\n",
     every paragraph lost survives as an empty string, so row count is
     preserved."""
     from ..functions.texthash import horner_texts, to_signed
-    from ..stages.shuffle import BUCKET_COL, SIDE_COL, AddBucket
 
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
         s = batch[text_col].fillna("")
@@ -359,38 +320,17 @@ def dedup_paragraphs(ds, text_col: str, id_col: str, sep: str = "\n\n",
 
     rows = ds.map_batches(explode, batch_format="pandas")
     # shuffle 1 (compact): (id, idx, h, plen) keyed by hash -> losing pairs
-    losers = (
-        rows.map_batches(
-            lambda b: b.select([id_col, "idx", "h", "plen"]),
-            batch_format="pyarrow",
-        )
-        .map_batches(AddBucket(["h"], num_buckets), batch_format="pyarrow")
-        .groupby(BUCKET_COL)
-        .map_groups(mark_losers, batch_format="pandas")
+    losers = co_partition(
+        rows.select_columns([id_col, "idx", "h", "plen"]), ["h"], mark_losers,
+        num_buckets=num_buckets, batch_format="pandas",
     )
-
-    def tag_text(b: pa.Table) -> pa.Table:
-        t = b.select([id_col, "idx", "para"])
-        return t.append_column(SIDE_COL, pa.array(np.zeros(len(t), dtype=np.int8)))
-
-    def tag_loser(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                id_col: b[id_col],
-                "idx": b["idx"],
-                "para": pa.nulls(len(b), pa.string()),
-                SIDE_COL: pa.array(np.ones(len(b), dtype=np.int8)),
-            }
-        )
-
     # shuffle 2: text rows + losing marks co-partition by doc id
-    unioned = rows.map_batches(tag_text, batch_format="pyarrow").union(
-        losers.map_batches(tag_loser, batch_format="pyarrow")
-    )
-    return (
-        unioned.map_batches(AddBucket([id_col], num_buckets), batch_format="pyarrow")
-        .groupby(BUCKET_COL)
-        .map_groups(rebuild, batch_format="pandas")
+    pos = [_arrow_schema(ds).field(id_col), pa.field("idx", pa.int64())]
+    texts = rows.select_columns([id_col, "idx", "para"])
+    texts._raywin_schema = pa.schema(pos + [pa.field("para", pa.string())])
+    losers._raywin_schema = pa.schema(pos)
+    return co_partition(
+        [texts, losers], [id_col], rebuild, num_buckets=num_buckets, batch_format="pandas"
     )
 
 
@@ -421,7 +361,6 @@ def remove_duplicate_spans(ds, text_col: str, id_col: str, n: int = 5,
     is preserved (token-free docs survive with clean_text = '')."""
     import re
 
-    from ..stages.shuffle import BUCKET_COL, SIDE_COL, AddBucket
     from ..stages.text import _GRAM_TOK_PAT, _word_gram_hashes
 
     def explode(batch: pd.DataFrame) -> pa.Table:
@@ -482,36 +421,17 @@ def remove_duplicate_spans(ds, text_col: str, id_col: str, n: int = 5,
         return out[[id_col, "n_tokens", "n_removed", "clean_text"]]
 
     # shuffle 1 (compact): (id, s, gh) keyed by gram hash -> losing marks
-    losers = (
-        ds.map_batches(explode, batch_format="pandas")
-        .map_batches(AddBucket(["gh"], num_buckets), batch_format="pyarrow")
-        .groupby(BUCKET_COL)
-        .map_groups(mark_losers, batch_format="pandas")
+    losers = co_partition(
+        ds.map_batches(explode, batch_format="pandas"), ["gh"], mark_losers,
+        num_buckets=num_buckets, batch_format="pandas",
     )
-
-    def tag_text(b: pa.Table) -> pa.Table:
-        t = b.select([id_col, text_col])
-        t = t.append_column("s", pa.nulls(len(t), pa.int64()))
-        return t.append_column(SIDE_COL, pa.array(np.zeros(len(t), dtype=np.int8)))
-
-    def tag_loser(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                id_col: b[id_col],
-                text_col: pa.nulls(len(b), pa.string()),
-                "s": b["s"],
-                SIDE_COL: pa.array(np.ones(len(b), dtype=np.int8)),
-            }
-        )
-
     # shuffle 2: whole-doc text rows + losing marks co-partition by doc id
-    unioned = ds.map_batches(tag_text, batch_format="pyarrow").union(
-        losers.map_batches(tag_loser, batch_format="pyarrow")
-    )
-    return (
-        unioned.map_batches(AddBucket([id_col], num_buckets), batch_format="pyarrow")
-        .groupby(BUCKET_COL)
-        .map_groups(rebuild, batch_format="pandas")
+    src = _arrow_schema(ds)
+    texts = ds.select_columns([id_col, text_col])
+    texts._raywin_schema = pa.schema([src.field(id_col), src.field(text_col)])
+    losers._raywin_schema = pa.schema([src.field(id_col), pa.field("s", pa.int64())])
+    return co_partition(
+        [texts, losers], [id_col], rebuild, num_buckets=num_buckets, batch_format="pandas"
     )
 
 
@@ -568,14 +488,8 @@ def pixel_dedup_groups(ds, id_col: str = "image_id", bytes_col: str = "bytes",
             }
         )
 
-    from ..stages.shuffle import BUCKET_COL, AddBucket
-
     rows = ds.map_batches(digest, batch_format="pandas")
-    return (
-        rows.map_batches(AddBucket(["d1"], num_buckets), batch_format="pyarrow")
-        .groupby(BUCKET_COL)
-        .map_groups(groups, batch_format="pandas")
-    )
+    return co_partition(rows, ["d1"], groups, num_buckets=num_buckets, batch_format="pandas")
 
 
 class SimHash:
@@ -632,8 +546,6 @@ def lsh_candidate_pairs(ds, text_col: str, id_col: str, num_perm=64, bands=16,
     inside each bucket, then a second small shuffle to dedupe pairs seen in
     several bands. Output: (a, b) with a < b. Recall at Jaccard J is
     1-(1-J^r)^b (r=num_perm/bands): ~1-5e-21 at J=.99, ~0.9998 at J=.8."""
-    from ..stages.shuffle import BUCKET_COL, AddBucket
-
     sig = ds.map_batches(
         MinHashBands(text_col, id_col, num_perm, bands, shingle), batch_format="pyarrow"
     )
@@ -651,20 +563,14 @@ def lsh_candidate_pairs(ds, text_col: str, id_col: str, num_perm=64, bands=16,
                                  "b": pd.Series([], dtype="int64")})
         return pd.concat(outs, ignore_index=True)
 
-    pairs = (
-        sig.map_batches(AddBucket(["band", "band_hash"], num_buckets), batch_format="pyarrow")
-        .groupby(BUCKET_COL)
-        .map_groups(bucket_pairs, batch_format="pandas")
+    pairs = co_partition(
+        sig, ["band", "band_hash"], bucket_pairs, num_buckets=num_buckets, batch_format="pandas"
     )
 
     def dd(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(["a", "b"])[["a", "b"]]
 
-    return (
-        pairs.map_batches(AddBucket(["a", "b"], num_buckets), batch_format="pyarrow")
-        .groupby(BUCKET_COL)
-        .map_groups(dd, batch_format="pandas")
-    )
+    return co_partition(pairs, ["a", "b"], dd, num_buckets=num_buckets, batch_format="pandas")
 
 
 def verified_neardup_pairs(ds, text_col: str, id_col: str, threshold: float,
@@ -860,7 +766,6 @@ def phash_neardup_pairs(ds, id_col: str = "image_id", phash_col: str = "phash",
     assert 0 < num_bands <= 64 and 64 % num_bands == 0
     assert max_dist < num_bands, "banding recall guarantee needs max_dist < num_bands"
     from ..functions.relational import distinct
-    from .shuffle import BUCKET_COL, AddBucket
 
     band_bits = 64 // num_bands
     mask = np.uint64((1 << band_bits) - 1)
@@ -916,11 +821,8 @@ def phash_neardup_pairs(ds, id_col: str = "image_id", phash_col: str = "phash",
             }
         )
 
-    bucketed = bands.map_batches(
-        AddBucket(["__band", "__bval"], num_buckets), batch_format="pyarrow"
-    )
-    cand = bucketed.groupby(BUCKET_COL).map_groups(
-        pairs_in_group, batch_format="pandas"
+    cand = co_partition(
+        bands, ["__band", "__bval"], pairs_in_group, num_buckets=num_buckets, batch_format="pandas"
     )
     # a pair can match in up to num_bands bands: one distinct exchange
     return distinct(cand, ["id_a", "id_b", "dist"])

@@ -12,8 +12,8 @@ Semantics are defined against the SQL oracle:
     same way (session numbering starts at 0 per key)
 
 Execution: one hash(keys) co-partition shuffle, then a fully vectorized
-numpy scan per partition (sort + shift within key segments) — a stateless
-``groupby(bucket).map_groups`` stage; ordering is enforced by the explicit
+numpy scan per partition (sort + shift within key segments) — one
+``co_partition`` stage; ordering is enforced by the explicit
 within-partition sort (Ray Data gives no intra-key order guarantees).
 """
 
@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 
 from ..aggregator.npfast import cumsum1d
-from ..stages.shuffle import BUCKET_COL, AddBucket
+from ..stages.shuffle import co_partition
 
 
 def _sorted_groups(df: pd.DataFrame, key_cols, ts_col, tie_col):
@@ -43,7 +42,6 @@ class LagLead:
     """map_groups fn: adds {col}_lag_{n} / {col}_lead_{n} columns."""
 
     def __init__(self, key_cols, value_cols, lags=(1,), leads=(1,), ts_col="ts", tie_col=None):
-        self.__name__ = "LagLead"
         self.key_cols = key_cols
         self.value_cols = value_cols
         self.lags = lags
@@ -73,7 +71,7 @@ class LagLead:
                 ok = src <= seg_last
                 out = np.where(ok, vals[np.clip(src, 0, n - 1)], None if vals.dtype.kind == "O" else np.nan)
                 df[f"{col}_lead_{k}"] = out
-        return df.drop(columns=[BUCKET_COL], errors="ignore")
+        return df
 
 
 class Sessionize:
@@ -83,7 +81,6 @@ class Sessionize:
     n_events / duration_ms."""
 
     def __init__(self, key_cols, gap_ms: int, ts_col="ts", tie_col=None, output="events"):
-        self.__name__ = "Sessionize"
         self.key_cols = key_cols
         self.gap_ms = gap_ms
         self.ts_col = ts_col
@@ -116,19 +113,14 @@ class Sessionize:
             out["n_events"] = (ends - starts + 1).astype(np.int64)
             out["duration_ms"] = (ts[ends] - ts[starts]).astype(np.int64)
             return out
-        return df.drop(columns=[BUCKET_COL], errors="ignore")
-
-
-def _bucketed_map_groups(ds, key_cols, fn, num_buckets: int):
-    bucketed = ds.map_batches(AddBucket(key_cols, num_buckets), batch_format="pyarrow")
-    return bucketed.groupby(BUCKET_COL).map_groups(fn, batch_format="pandas")
+        return df
 
 
 def lag_lead(ds, key_cols, value_cols, lags=(1,), leads=(1,), ts_col="ts", tie_col=None, num_buckets=64):
     fn = LagLead(key_cols, value_cols, lags, leads, ts_col, tie_col)
-    return _bucketed_map_groups(ds, key_cols, fn, num_buckets)
+    return co_partition(ds, key_cols, fn, num_buckets=num_buckets, batch_format="pandas")
 
 
 def sessionize(ds, key_cols, gap_ms, ts_col="ts", tie_col=None, num_buckets=64, output="events"):
     fn = Sessionize(key_cols, gap_ms, ts_col, tie_col, output)
-    return _bucketed_map_groups(ds, key_cols, fn, num_buckets)
+    return co_partition(ds, key_cols, fn, num_buckets=num_buckets, batch_format="pandas")

@@ -1,10 +1,11 @@
 """Partitioning helpers: deterministic hash-bucket assignment + hot-key salting.
 
-The engine's one big shuffle keys everything by ``hash(entity) % P`` (plus an
-optional time bucket), mirroring the reference's repartition-by-key pre-agg
-(spark/.../GroupBy.scala:365-380, FastHashing.scala:29-130 xxHash keys).  We
-use pandas' stable vectorized hash (fixed key, process-independent) so the
-same row lands in the same bucket on every node and every retry.
+Every hash-bucket exchange goes through ``co_partition``: it keys rows by
+``hash(keys) % P`` (plus an optional hot-key time chunk), mirroring the
+reference's repartition-by-key pre-agg (spark/.../GroupBy.scala:365-380,
+FastHashing.scala:29-130 xxHash keys).  We use pandas' stable vectorized
+hash (fixed key, process-independent) so the same row lands in the same
+bucket on every node and every retry.
 
 Skew: a hot entity can be salted into ``n_salt`` sub-buckets for the partial
 (IR) aggregation stage — IRs merge across salts for free because every op's
@@ -25,6 +26,7 @@ BUCKET_COL = "__bucket"
 SIDE_COL = "__side"
 
 from ray.data.aggregate import Max as _TsMax, Min as _TsMin, Sum as _CntSum  # noqa: E402
+from ray.data.block import BlockAccessor  # noqa: E402
 
 
 def stable_hash(columns: list[np.ndarray]) -> np.ndarray:
@@ -296,13 +298,87 @@ def pad_to_schema(batch: pa.Table, schema: pa.Schema) -> pa.Table:
     return pa.Table.from_arrays(cols, schema=schema)
 
 
-def unify_schemas(left: pa.Schema, right: pa.Schema, tag_types: dict[str, pa.DataType]) -> pa.Schema:
+def _arrow_schema(ds) -> pa.Schema:
+    """Arrow schema of a Dataset whose last stage may be a pandas block.
+    Prefers a statically attached schema (scan_source / features_for_queries
+    set one) — probing a lazy actor/shuffle pipeline costs a real execution."""
+    static = getattr(ds, "_raywin_schema", None)
+    if isinstance(static, pa.Schema):
+        return static
+    sch = ds.schema()
+    base = getattr(sch, "base_schema", None)
+    if isinstance(base, pa.Schema):
+        return base
+    fields = []
+    for n, t in zip(sch.names, sch.types):
+        if isinstance(t, pa.DataType):
+            fields.append(pa.field(n, t))
+        else:
+            try:
+                fields.append(pa.field(n, pa.from_numpy_dtype(t)))
+            except (pa.ArrowNotImplementedError, TypeError):
+                fields.append(pa.field(n, pa.string()))  # pandas object column
+    return pa.schema(fields)
+
+
+def side_schema(sides) -> pa.Schema:
+    """The one schema co_partition pads every side to: each side's columns
+    in first-seen order (a column must keep one type across sides), then
+    SIDE_COL."""
     fields: dict[str, pa.Field] = {}
-    for sch in (left, right):
-        for f in sch:
+    for ds in sides:
+        for f in _arrow_schema(ds):
             if f.name in fields and fields[f.name].type != f.type:
                 raise TypeError(f"column {f.name} type mismatch: {fields[f.name].type} vs {f.type}")
             fields.setdefault(f.name, pa.field(f.name, f.type))
-    for name, typ in tag_types.items():
-        fields[name] = pa.field(name, typ)
+    fields[SIDE_COL] = pa.field(SIDE_COL, pa.int8())
     return pa.schema(list(fields.values()))
+
+
+# rows per AddBucket batch ahead of the exchange: the sort's map phase pays a
+# fixed per-block cost, and 1-2k-row blocks made it 8x slower than 32k-row
+# blocks on the kernel exchange (rows there are narrow: keys, ts, inputs)
+_BUNDLE_ROWS = 32768
+
+
+def _tag_side(side: int, schema: pa.Schema):
+    def tag_side(batch: pa.Table) -> pa.Table:
+        batch = batch.append_column(SIDE_COL, pa.array(np.full(len(batch), side, dtype=np.int8)))
+        return pad_to_schema(batch, schema)
+
+    return tag_side
+
+
+def co_partition(sides, keys: list[str], fn, *, num_buckets: int, batch_format="pyarrow"):
+    """The engine's one co-partition exchange: every row of every side whose
+    ``keys`` hash to the same bucket reaches the same ``fn`` call.
+
+    ``sides`` is a Dataset or a list of them.  Several sides are padded to
+    ``side_schema(sides)`` (SIDE_COL = the side's list index) and unioned;
+    side schemas come from ``_raywin_schema`` when attached, so give lazy
+    pipelines one.  Rows are bucketed by ``hash(keys) % num_buckets`` (hot
+    chunks via CHUNK_COL, see AddBucket) and exchanged with one push-based
+    sort shuffle; ``fn`` gets each bucket in ``batch_format`` without
+    BUCKET_COL.  The Ray operator is named after ``fn``."""
+    if not isinstance(sides, (list, tuple)):
+        sides = [sides]
+    ds = sides[0]
+    if len(sides) > 1:
+        schema = side_schema(sides)
+        tagged = [s.map_batches(_tag_side(i, schema), batch_format="pyarrow") for i, s in enumerate(sides)]
+        ds = tagged[0].union(*tagged[1:])
+    bucketed = ds.map_batches(
+        AddBucket(list(keys), num_buckets), batch_format="pyarrow", batch_size=_BUNDLE_ROWS
+    )
+
+    def run(block):
+        # the sort hands back pandas blocks when an empty pandas block rode
+        # the union (map_batches passes zero-row blocks through untouched)
+        if isinstance(block, pa.Table):
+            block = block.drop_columns([BUCKET_COL])
+        else:
+            block = block.drop(columns=[BUCKET_COL])
+        return fn(BlockAccessor.for_block(block).to_batch_format(batch_format))
+
+    run.__name__ = getattr(fn, "__name__", type(fn).__name__)
+    return bucketed.groupby(BUCKET_COL).map_groups(run, batch_format=None)

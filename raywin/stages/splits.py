@@ -118,7 +118,7 @@ def token_pack(ds, id_col: str, ntok_col: str, block: int,
     (id, n_tok, start_tok, block_first, block_last)."""
     from ray.data.aggregate import Sum
 
-    from ..stages.shuffle import BUCKET_COL, AddBucket
+    from ..stages.shuffle import co_partition
 
     def partial(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False)
@@ -173,9 +173,7 @@ def token_pack(ds, id_col: str, ntok_col: str, block: int,
         ids = b[id_col].to_numpy(zero_copy_only=False)
         return b.append_column("rng", pa.array(ids // range_width, pa.int64()))
 
-    return (
-        ds.map_batches(add_rng, batch_format="pyarrow")
-        .map_batches(AddBucket(["rng"], num_buckets), batch_format="pyarrow")
-        .groupby(BUCKET_COL)
-        .map_groups(pack, batch_format="pandas")
+    return co_partition(
+        ds.map_batches(add_rng, batch_format="pyarrow"), ["rng"], pack,
+        num_buckets=num_buckets, batch_format="pandas",
     )

@@ -329,7 +329,7 @@ def duplicate_span_stats(ds, text_col: str, id_col: str, n: int = 5,
     then one shuffle keyed by doc for the per-document fraction."""
     import pyarrow as pa
 
-    from ..stages.shuffle import BUCKET_COL, AddBucket
+    from ..stages.shuffle import co_partition
 
     def grams(batch: pd.DataFrame) -> pa.Table:
         ids = batch[id_col].to_numpy()
@@ -358,16 +358,8 @@ def duplicate_span_stats(ds, text_col: str, id_col: str, n: int = 5,
         return out[[id_col, "n_grams", "dup_gram_frac", "max_gram_freq"]]
 
     rows = ds.map_batches(grams, batch_format="pandas")
-    flagged = (
-        rows.map_batches(AddBucket(["gh"], num_buckets), batch_format="pyarrow")
-        .groupby(BUCKET_COL)
-        .map_groups(flag, batch_format="pandas")
-    )
-    return (
-        flagged.map_batches(AddBucket([id_col], num_buckets), batch_format="pyarrow")
-        .groupby(BUCKET_COL)
-        .map_groups(per_doc, batch_format="pandas")
-    )
+    flagged = co_partition(rows, ["gh"], flag, num_buckets=num_buckets, batch_format="pandas")
+    return co_partition(flagged, [id_col], per_doc, num_buckets=num_buckets, batch_format="pandas")
 
 
 class Fingerprint:

@@ -1,7 +1,7 @@
 """Scale leg for the corpus-prep text operators: generate a deterministic
 1M-doc table (boilerplate planted in 10% of docs so span removal has real
-work) and time span_removal / doc_chunks / token_pack / percentile_rank /
-quantile_filter at the requested CPU count.
+work) and time span_removal / doc_chunks / token_pack / percentile_rank at
+the requested CPU count.
 
 Usage: RAY_GRAFT_CPUS=32 DOCS=1000000 python scripts/bench_text_ops.py
 Prints one JSON line; records belong in ROUND5.md / BASELINE.md.
