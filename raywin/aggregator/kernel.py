@@ -160,29 +160,6 @@ def factorize_multi(columns_list: list[list[np.ndarray]]) -> tuple[list[np.ndarr
     return out, n_entities
 
 
-class _PandasFrame:
-    """Minimal column-access facade over a pandas DataFrame (test /
-    compatibility path of PartitionAggregator)."""
-
-    __slots__ = ("df",)
-
-    def __init__(self, df: pd.DataFrame):
-        self.df = df
-
-    def __len__(self):
-        return len(self.df)
-
-    @property
-    def names(self):
-        return list(self.df.columns)
-
-    def np_col(self, name: str) -> np.ndarray:
-        return self.df[name].to_numpy()
-
-    def take(self, order: np.ndarray) -> "_PandasFrame":
-        return _PandasFrame(self.df.iloc[order].reset_index(drop=True))
-
-
 class _ArrowFrame:
     """Lazy column-access facade over a pyarrow Table — the kernel hot path.
 
@@ -231,44 +208,40 @@ class _ArrowFrame:
 def _factorize_frames(evf, qf, key_cols: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Joint entity codes for (events, queries) key tuples.
 
-    Arrow fast path: per-column ``dictionary_encode`` over the concatenated
-    native buffers — no per-cell Python boxing (encounter-order codes match
+    Per-column ``dictionary_encode`` over the concatenated native buffers —
+    dense codes with no per-cell Python boxing (encounter-order codes match
     ``pd.factorize(use_na_sentinel=False)`` exactly when the column has no
-    nulls, so sort orders and outputs are bitwise-unchanged vs the pandas
-    path).  Null-bearing key columns fall back to the object path."""
-    if isinstance(evf, _ArrowFrame) and isinstance(qf, _ArrowFrame):
-        import pyarrow.compute as pc
+    nulls).  Null-bearing key columns fall back to the object path, where
+    null is a key of its own."""
+    import pyarrow.compute as pc
 
-        n_ev, n_q = len(evf), len(qf)
-        combined_codes: list[np.ndarray] = []
-        ok = True
-        for c in key_cols:
-            ev_col = evf.table.column(c)
-            q_col = qf.table.column(c)
-            if evf._order is not None:
-                ev_col = ev_col.take(evf._order)
-            if qf._order is not None:
-                q_col = q_col.take(qf._order)
-            if ev_col.null_count or q_col.null_count:
-                ok = False
-                break
-            try:
-                concat = pa.chunked_array(
-                    list(ev_col.chunks) + list(q_col.chunks)
-                ).combine_chunks()
-                codes = pc.dictionary_encode(concat).indices.to_numpy(
-                    zero_copy_only=False
-                )
-            except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
-                ok = False
-                break
-            combined_codes.append(codes.astype(np.int64))
-        if ok:
-            if len(combined_codes) == 1:
-                joint = combined_codes[0]
-            else:
-                joint = _mix_codes(combined_codes).astype(np.int64)
-            return joint[:n_ev], joint[n_ev:]
+    n_ev = len(evf)
+    combined_codes: list[np.ndarray] = []
+    for c in key_cols:
+        ev_col = evf.table.column(c)
+        q_col = qf.table.column(c)
+        if evf._order is not None:
+            ev_col = ev_col.take(evf._order)
+        if qf._order is not None:
+            q_col = q_col.take(qf._order)
+        if ev_col.null_count or q_col.null_count:
+            break
+        try:
+            concat = pa.chunked_array(
+                list(ev_col.chunks) + list(q_col.chunks)
+            ).combine_chunks()
+            codes = pc.dictionary_encode(concat).indices.to_numpy(
+                zero_copy_only=False
+            )
+        except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
+            break
+        combined_codes.append(codes.astype(np.int64))
+    else:
+        if len(combined_codes) == 1:
+            joint = combined_codes[0]
+        else:
+            joint = _mix_codes(combined_codes).astype(np.int64)
+        return joint[:n_ev], joint[n_ev:]
     (ev_ent, q_ent), _ = factorize_multi(
         [
             [evf.np_col(c) for c in key_cols],
@@ -281,9 +254,7 @@ def _factorize_frames(evf, qf, key_cols: list[str]) -> tuple[np.ndarray, np.ndar
 class _Column:
     """Per-input-column preprocessed state over the sorted events."""
 
-    def __init__(self, raw, ts_sorted: np.ndarray):
-        if isinstance(raw, pd.Series):
-            raw = raw.to_numpy()
+    def __init__(self, raw: np.ndarray, ts_sorted: np.ndarray):
         self.raw = raw
         self.is_list = False
         self.is_map = False
@@ -835,30 +806,18 @@ class PartitionAggregator:
         self.tie_breaker = tie_breaker
         self.dedupe_queries = dedupe_queries
 
-    def aggregate(self, events: pd.DataFrame, queries: pd.DataFrame) -> pd.DataFrame:
-        """events: key_cols + ts + inputs; queries: key_cols + ts + passthrough.
-        Returns queries (re-ordered by (entity, ts)) + one column per part."""
-        q_order, results = self._core(_PandasFrame(events), _PandasFrame(queries))
-        out = queries.iloc[q_order].reset_index(drop=True)
-        for part in self.parts:
-            out[part.output_column] = results[part.output_column]
-        return out
-
     def aggregate_tables(
         self, events: pa.Table, queries: pa.Table, extra_key_cols=()
     ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        """Arrow-native path: returns (q_order, per-part result arrays).
+        """events: key_cols + ts + inputs; queries: key_cols + ts +
+        passthrough.  Returns (q_order, per-part result arrays).
 
         The caller reorders the queries table with ``queries.take(q_order)``
         — passthrough columns never leave Arrow.  extra_key_cols joins the
         entity factorization (hot-key time chunking passes CHUNK_COL so
         chunk partitions stay separate even when two chunks of one key
         hash-collide into the same bucket)."""
-        return self._core(
-            _ArrowFrame(events), _ArrowFrame(queries), extra_key_cols
-        )
-
-    def _core(self, evf, qf, extra_key_cols=()) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        evf, qf = _ArrowFrame(events), _ArrowFrame(queries)
         ev_ent, q_ent = _factorize_frames(
             evf, qf, self.key_cols + list(extra_key_cols)
         )

@@ -37,6 +37,7 @@ import pickle
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from ..api import GroupBy
 from ..aggregator.scalar_ops import make_scalar_op
@@ -364,31 +365,32 @@ class ServingKernel:
 
     def __init__(self, group_by: GroupBy, batch_end_ts: int, left_names,
                  resolution=FiveMinuteResolution):
+        from ..pipelines.group_by import events_dataset, output_type
+        from ..stages.shuffle import _arrow_schema
+
         self.agg = SawtoothOnlineAggregator(group_by, batch_end_ts, resolution)
         self.key_cols = group_by.key_columns
         self.left_names = list(left_names)
         self.in_cols = {p.input_column for p in self.agg.parts}
+        # the offline kernel's declared output types (the upload folded
+        # these same source columns), so every bucket emits one schema
+        src = _arrow_schema(events_dataset(group_by))
+        self.out_fields = [
+            pa.field(p.output_column, output_type(p, src.field(p.input_column).type))
+            for p in self.agg.parts
+        ]
 
-    def __call__(self, group):
-        import pyarrow as pa
-
+    def __call__(self, group: pa.Table) -> pa.Table:
+        from ..pipelines.group_by import _to_arrow_column
         from ..stages.shuffle import SIDE_COL
 
-        if isinstance(group, pa.Table):
-            side = group[SIDE_COL].to_numpy(zero_copy_only=False)
-            queries = group.filter(pa.array(side == 0)).select(self.left_names).to_pandas()
-            upload = group.filter(pa.array(side == 1)).to_pandas()
-            stream = group.filter(pa.array(side == 2)).to_pandas()
-        else:
-            side = group[SIDE_COL].to_numpy()
-            queries = group.loc[side == 0, self.left_names].reset_index(drop=True)
-            upload = group.loc[side == 1].reset_index(drop=True)
-            stream = group.loc[side == 2].reset_index(drop=True)
-        out_cols = [p.output_column for p in self.agg.parts]
-        if len(queries) == 0:
-            cols = {c: [] for c in self.left_names}
-            cols.update({c: [] for c in out_cols})
-            return pd.DataFrame(cols)
+        side = group[SIDE_COL].to_numpy(zero_copy_only=False)
+        q_tbl = group.filter(pa.array(side == 0)).select(self.left_names)
+        out_schema = pa.schema(list(q_tbl.schema) + self.out_fields)
+        if q_tbl.num_rows == 0:
+            return out_schema.empty_table()
+        upload = group.filter(pa.array(side == 1)).to_pandas()
+        stream = group.filter(pa.array(side == 2)).to_pandas()
         blobs: dict = {}
         if len(upload):
             keys = zip(*(upload[k] for k in self.key_cols))
@@ -397,12 +399,10 @@ class ServingKernel:
             key: (ts, rows)
             for key, ts, rows in _key_streams(stream, self.key_cols, self.in_cols)
         }
-        out = queries.copy()
-        feat_cols = {
-            c: np.full(len(queries), None, dtype=object) for c in out_cols
-        }
-        qts = queries["ts"].to_numpy(dtype=np.int64)
-        pos, groups = _key_groups(queries, self.key_cols, qts)
+        out_cols = [f.name for f in self.out_fields]
+        feat_cols = {c: np.full(q_tbl.num_rows, None, dtype=object) for c in out_cols}
+        qts = q_tbl["ts"].to_numpy(zero_copy_only=False).astype(np.int64)
+        pos, groups = _key_groups(q_tbl.select(self.key_cols).to_pandas(), self.key_cols, qts)
         for key, a, b in groups:
             idx = pos[a:b]
             blob = blobs.get(key)
@@ -412,11 +412,8 @@ class ServingKernel:
             # bounds, one merged IR base per hop, one scan per hop group
             feats = self.agg.lambda_aggregate_many(ir, ts_arr, rows, qts[idx])
             _scatter_features(feat_cols, idx, feats, out_cols)
-        for c in out_cols:
-            # .tolist() keeps pandas' dtype inference identical to the old
-            # list-of-values writeback (float64 columns stay float64)
-            out[c] = feat_cols[c].tolist()
-        return out
+        feats = [_to_arrow_column(feat_cols[f.name], f.type) for f in self.out_fields]
+        return pa.Table.from_arrays(list(q_tbl.columns) + feats, schema=out_schema)
 
 
 def online_enrich_distributed(left_ds, group_by: GroupBy, batch_end_ts: int,

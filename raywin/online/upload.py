@@ -39,6 +39,7 @@ import pickle
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..api import GroupBy
 from ..aggregator.scalar_ops import make_scalar_op
@@ -78,7 +79,7 @@ class UploadKernel:
                     "online upload: bucketed/element-wise parts are offline-only"
                 )
 
-    def __call__(self, group) -> pa.Table:
+    def __call__(self, group: pa.Table) -> pa.Table:
         """Vectorized per-bucket kernel (no pandas round-trip, no per-key
         Python loop over events):
 
@@ -99,41 +100,22 @@ class UploadKernel:
             for p in self.parts
         ]
         in_cols = list(dict.fromkeys(p.input_column for p in self.parts))
-        key_dicts: list = []  # per key col: (dictionary, codes) or (None, values)
-        if isinstance(group, pa.Table):
-            import pyarrow.compute as pc
-
-            n = group.num_rows
-            ts = group["ts"].to_numpy(zero_copy_only=False)
-            key_valid = np.ones(n, dtype=bool)
-            code_cols: list[np.ndarray] = []
-            for k in self.key_cols:
-                col = group[k]
-                if isinstance(col, pa.ChunkedArray):
-                    col = col.combine_chunks()
-                if col.null_count:
-                    key_valid &= pc.is_valid(col).to_numpy(zero_copy_only=False)
-                enc = pc.dictionary_encode(col)
-                codes = pc.fill_null(enc.indices, -1).to_numpy(
-                    zero_copy_only=False
-                ).astype(np.int64)
-                key_dicts.append((enc.dictionary, None))
-                code_cols.append(codes)
-            raw_vals = {
-                c: group[c].to_numpy(zero_copy_only=False) for c in in_cols
-            }
-        else:
-            n = len(group)
-            ts = group["ts"].to_numpy()
-            key_valid = np.ones(n, dtype=bool)
-            code_cols = []
-            for k in self.key_cols:
-                arr = group[k].to_numpy()
-                key_valid &= pd.notna(arr)
-                codes, uniques = pd.factorize(arr, use_na_sentinel=False)
-                key_dicts.append((None, np.asarray(uniques, dtype=object)))
-                code_cols.append(codes.astype(np.int64))
-            raw_vals = {c: group[c].to_numpy() for c in in_cols}
+        n = group.num_rows
+        ts = group["ts"].to_numpy(zero_copy_only=False)
+        key_valid = np.ones(n, dtype=bool)
+        key_dicts: list[pa.Array] = []
+        code_cols: list[np.ndarray] = []
+        for k in self.key_cols:
+            col = group[k]
+            if isinstance(col, pa.ChunkedArray):
+                col = col.combine_chunks()
+            if col.null_count:
+                key_valid &= pc.is_valid(col).to_numpy(zero_copy_only=False)
+            enc = pc.dictionary_encode(col)
+            codes = pc.fill_null(enc.indices, -1).to_numpy(zero_copy_only=False).astype(np.int64)
+            key_dicts.append(enc.dictionary)
+            code_cols.append(codes)
+        raw_vals = {c: group[c].to_numpy(zero_copy_only=False) for c in in_cols}
         if not key_valid.all():  # pandas-groupby parity: null keys dropped
             ridx = np.flatnonzero(key_valid)
             ts = ts[ridx]
@@ -208,13 +190,9 @@ class UploadKernel:
         cols = []
         for i, f in enumerate(self.key_fields):
             rep = code_cols[i][seg_starts] if n_keys else np.zeros(0, np.int64)
-            dictionary, uniques = key_dicts[i]
-            if dictionary is not None:  # arrow path: unbox only representatives
-                arr = dictionary.take(pa.array(rep, pa.int64()))
-                if arr.type != f.type:
-                    arr = arr.cast(f.type)
-            else:
-                arr = pa.array(uniques[rep], type=f.type)
+            arr = key_dicts[i].take(pa.array(rep, pa.int64()))  # unbox only representatives
+            if arr.type != f.type:
+                arr = arr.cast(f.type)
             cols.append(arr)
         cols.append(pa.array(out_blobs, type=pa.binary()))
         cols.append(pa.array(np.full(n_keys, self.batch_end_ts, dtype=np.int64)))
@@ -291,9 +269,10 @@ def group_by_upload(
     ]
     if all(lo is not None for lo in lo_mins):
         ds = ds.filter(expr=f"ts >= {min(lo_mins)}")
+    ds._raywin_schema = schema  # the filters keep it; co_partition never probes
     key_fields = [pa.field(k, schema.field(k).type) for k in key_cols]
     kernel = UploadKernel(key_cols, parts, batch_end_ts, tail_buffer_ms, key_fields, resolution)
-    out = co_partition(ds, key_cols, kernel, num_buckets=num_buckets, batch_format=None)
+    out = co_partition(ds, key_cols, kernel, num_buckets=num_buckets)
     out = out.select_columns(key_cols + [IR_COL, "batch_end_ts"])
     out._raywin_schema = pa.schema(
         key_fields + [pa.field(IR_COL, pa.binary()), pa.field("batch_end_ts", pa.int64())]

@@ -49,6 +49,7 @@ from ..stages.shuffle import SIDE_COL, _arrow_schema, co_partition
 # map-count decrement (SimpleAggregators.scala:311-321); everything else
 # raises "Operation is not deletable" there too (BaseAggregator.scala:60-62)
 _DELETABLE = {Operation.SUM, Operation.COUNT, Operation.AVERAGE, Operation.HISTOGRAM}
+_HIST_TYPE = pa.map_(pa.string(), pa.int64())
 
 
 def snapshot_entity_features(group_by: GroupBy, num_buckets: int = 32):
@@ -157,40 +158,34 @@ class EntityKernel:
 
     def __call__(self, group: pa.Table) -> pa.Table:
         side = group[SIDE_COL].to_numpy(zero_copy_only=False)
-        queries = group.filter(pa.array(side == 0)).select(self.left_names).to_pandas()
-        snaps = group.filter(pa.array(side == 1)).to_pandas()
-        muts = group.filter(pa.array(side == 2)).to_pandas()
-        if len(queries) == 0:
-            cols = {c: [] for c in self.left_names}
-            for part in self.parts:
-                cols[part.output_column] = []
-            return pd.DataFrame(cols)
-        out = queries.copy()
-
-        (q_k, s_k, m_k), _ = factorize_multi(
-            [
-                [queries[c].to_numpy() for c in self.key_cols],
-                [snaps[c].to_numpy() for c in self.key_cols] if len(snaps) else [np.array([], dtype=object) for _ in self.key_cols],
-                [muts[c].to_numpy() for c in self.key_cols] if len(muts) else [np.array([], dtype=object) for _ in self.key_cols],
+        queries = group.filter(pa.array(side == 0)).select(self.left_names)
+        out_schema = pa.schema(
+            list(queries.schema)
+            + [
+                pa.field(p.output_column, _HIST_TYPE if p.operation is Operation.HISTOGRAM else pa.float64())
+                for p in self.parts
             ]
         )
-        q_ts = queries["ts"].to_numpy().astype(np.int64)
+        if queries.num_rows == 0:
+            return out_schema.empty_table()
+        snaps = group.filter(pa.array(side == 1))
+        muts = group.filter(pa.array(side == 2))
+
+        def col(t: pa.Table, name: str) -> np.ndarray:
+            return t[name].to_numpy(zero_copy_only=False)
+
+        (q_k, s_k, m_k), _ = factorize_multi(
+            [[col(t, c) for c in self.key_cols] for t in (queries, snaps, muts)]
+        )
+        q_ts = col(queries, "ts").astype(np.int64)
         q_day = (q_ts // MILLIS_DAY) * MILLIS_DAY
         # snapshot of day D covers queries of day D+1: snap day-end == q day-start
-        s_day = (
-            pd.to_datetime(snaps["ds"]).astype("int64").to_numpy() // 1_000_000 + MILLIS_DAY
-            if len(snaps)
-            else np.zeros(0, dtype=np.int64)
-        )
-        s_ts = snaps["ts"].to_numpy().astype(np.int64) if "ts" in snaps and len(snaps) else np.zeros(len(snaps), dtype=np.int64)
-        m_mts = muts["mutation_ts"].to_numpy().astype(np.int64) if len(muts) else np.zeros(0, dtype=np.int64)
-        m_ts = muts["ts"].to_numpy().astype(np.int64) if len(muts) else np.zeros(0, dtype=np.int64)
+        s_day = pd.to_datetime(col(snaps, "ds")).to_numpy().astype("datetime64[ms]").astype(np.int64) + MILLIS_DAY
+        s_ts = col(snaps, "ts").astype(np.int64)
+        m_mts = col(muts, "mutation_ts").astype(np.int64)
+        m_ts = col(muts, "ts").astype(np.int64)
         m_day = (m_mts // MILLIS_DAY) * MILLIS_DAY
-        m_sign = (
-            np.where(muts["is_before"].to_numpy(), -1, 1).astype(np.int64)
-            if len(muts)
-            else np.zeros(0, dtype=np.int64)
-        )
+        m_sign = np.where(col(muts, "is_before"), -1, 1).astype(np.int64)
 
         # jointly factorize (key, day) segments across the three frames into
         # DENSE codes (composite searchsorted keys must stay within int64)
@@ -210,56 +205,33 @@ class EntityKernel:
         m_sign_s = m_sign[m_order]
         q_order = np.lexsort((q_ts, q_seg))
 
+        out: dict = {}
         num_parts = [p for p in self.parts if p.operation is not Operation.HISTOGRAM]
         hist_parts = [p for p in self.parts if p.operation is Operation.HISTOGRAM]
         for col_name, col_parts in _group_by_column(num_parts):
-            s_vals = (
-                snaps[col_name].iloc[s_order].to_numpy()
-                if len(snaps)
-                else np.zeros(0, dtype=np.float64)
-            )
-            m_vals = (
-                muts[col_name].iloc[m_order].to_numpy()
-                if len(muts)
-                else np.zeros(0, dtype=np.float64)
-            )
             self._eval_column(
                 out, col_parts,
                 q_seg, q_ts, q_day,
-                s_seg_s, s_ts_s, s_vals,
-                m_seg_s, m_mts_s, m_ts_s, m_sign_s, m_vals,
+                s_seg_s, s_ts_s, col(snaps, col_name)[s_order],
+                m_seg_s, m_mts_s, m_ts_s, m_sign_s, col(muts, col_name)[m_order],
             )
         for part in hist_parts:
-            col_name = part.input_column
-            s_vals = (
-                snaps[col_name].iloc[s_order].to_numpy()
-                if len(snaps)
-                else np.zeros(0, dtype=object)
-            )
-            m_vals = (
-                muts[col_name].iloc[m_order].to_numpy()
-                if len(muts)
-                else np.zeros(0, dtype=object)
-            )
             self._eval_histogram(
                 out, part,
                 q_seg, q_ts, q_order,
-                s_seg_s, s_ts_s, s_vals,
-                m_seg_s, m_mts_s, m_ts_s, m_sign_s, m_vals,
+                s_seg_s, s_ts_s, col(snaps, part.input_column)[s_order],
+                m_seg_s, m_mts_s, m_ts_s, m_sign_s, col(muts, part.input_column)[m_order],
             )
-        if not hist_parts:
-            return out
-        # dict columns don't survive pandas->arrow inference (jagged structs);
-        # emit an explicit map<string,int64> column like the event kernel
-        hist_cols = [p.output_column for p in hist_parts]
-        tbl = pa.Table.from_pandas(out.drop(columns=hist_cols), preserve_index=False)
-        for p in hist_parts:
-            arr = pa.array(
+        feats = [
+            pa.array(
                 [None if v is None else sorted(v.items()) for v in out[p.output_column]],
-                type=pa.map_(pa.string(), pa.int64()),
+                type=_HIST_TYPE,
             )
-            tbl = tbl.append_column(p.output_column, arr)
-        return tbl
+            if p.operation is Operation.HISTOGRAM
+            else pa.array(out[p.output_column], type=pa.float64(), from_pandas=True)  # NaN -> null
+            for p in self.parts
+        ]
+        return pa.Table.from_arrays(list(queries.columns) + feats, schema=out_schema)
 
     def _eval_histogram(
         self, out, part,

@@ -11,9 +11,10 @@ spark/.../GroupBy.scala:279-358, re-expressed Ray-Data-first):
           -> Arrow feature rows, one per left (keys, ts)
 
 One all-to-all exchange total: both sides co-partition in a single
-``co_partition`` (stages/shuffle.py) and the vectorized kernel
-(aggregator/kernel.py) does the per-partition sort + sawtooth window
-evaluation.  This replaces the
+``co_partition`` (stages/shuffle.py), which hands PartitionKernel each
+bucket as an Arrow table with the padded side schema's types, and the
+vectorized kernel (aggregator/kernel.py) does the per-partition sort +
+sawtooth window evaluation.  This replaces the
 reference's three-way leftOuterJoin topology (GroupBy.scala:340-355) with an
 equivalent single-shuffle union join.
 
@@ -33,7 +34,7 @@ from ..aggregator.kernel import PartitionAggregator
 from ..aggregator.windowing import DailyResolution, FiveMinuteResolution
 from ..sources.io import scan_source, union_sources
 from ..stages.query import apply_derivations
-from ..stages.shuffle import SIDE_COL, _arrow_schema, co_partition, side_schema
+from ..stages.shuffle import SIDE_COL, _arrow_schema, co_partition
 
 _FLOAT_OUT = {
     Operation.AVERAGE,
@@ -121,22 +122,6 @@ def _to_arrow_column(values, typ: pa.DataType) -> pa.Array:
     return pa.array(list(arr), type=typ, from_pandas=True)
 
 
-def _pandas_to_arrow(df: pd.DataFrame, schema: pa.Schema) -> pa.Table:
-    """Rebuild an Arrow block from a pandas block using the KNOWN schema.
-
-    Ray's sort shuffle can fall back to pandas blocks (an empty pandas block
-    riding the union poisons the reduce-side concat), and generic
-    pandas->arrow inference cannot reconstruct map/list columns."""
-    n = len(df)
-    cols = []
-    for f in schema:
-        if f.name in df.columns:
-            cols.append(_to_arrow_column(df[f.name].to_numpy(), f.type))
-        else:
-            cols.append(pa.nulls(n, f.type))
-    return pa.Table.from_arrays(cols, schema=schema)
-
-
 class PartitionKernel:
     """map_groups callable: split a co-partitioned bucket into (events,
     queries), run the vectorized PartitionAggregator, emit Arrow."""
@@ -151,9 +136,7 @@ class PartitionKernel:
         head_rounding: int = 1,
         tie_breaker: str | None = None,
         dedupe_queries: bool = False,
-        union_schema: pa.Schema | None = None,
     ):
-        self.union_schema = union_schema
         self.key_cols = key_cols
         self.parts = parts
         self.left_schema = left_schema
@@ -168,10 +151,7 @@ class PartitionKernel:
             key_cols, parts, resolution, head_rounding, tie_breaker, dedupe_queries
         )
 
-    def __call__(self, group) -> pa.Table:
-        if isinstance(group, pd.DataFrame):
-            # sort-shuffle pandas fallback: rebuild with the declared schema
-            group = _pandas_to_arrow(group, self.union_schema)
+    def __call__(self, group: pa.Table) -> pa.Table:
         from ..stages.shuffle import CHUNK_COL
 
         side = group[SIDE_COL].to_numpy(zero_copy_only=False)
@@ -200,16 +180,8 @@ class PartitionKernel:
         q_order, results = self.agg.aggregate_tables(
             rt, lt, extra_key_cols=(CHUNK_COL,) if chunked else ()
         )
-        taken = lt.select(left_names).take(q_order)
-        cols = []
-        for f in self.left_schema:
-            c = taken.column(f.name)
-            if c.type != f.type:
-                try:
-                    c = c.cast(f.type)
-                except (pa.ArrowInvalid, pa.ArrowNotImplementedError):
-                    c = _to_arrow_column(c.to_numpy(zero_copy_only=False), f.type)
-            cols.append(c)
+        # co_partition hands the bucket over with the declared left types
+        cols = list(lt.select(left_names).take(q_order).columns)
         for f, part in zip(self.out_fields, self.parts):
             cols.append(_to_arrow_column(results[part.output_column], f.type))
         return pa.table(cols, schema=out_schema)
@@ -313,14 +285,8 @@ def features_for_queries(
         head_rounding,
         group_by.tie_breaker,
         dedupe_queries,
-        union_schema=side_schema([left_ds, right_ds]),
     )
-    # batch_format=None: take blocks as-is; the kernel handles the sort
-    # shuffle's occasional pandas-block fallback itself (map/list inputs do
-    # not survive generic pandas->arrow inference)
-    out = co_partition(
-        [left_ds, right_ds], group_by.key_columns, kernel, num_buckets=num_buckets, batch_format=None
-    )
+    out = co_partition([left_ds, right_ds], group_by.key_columns, kernel, num_buckets=num_buckets)
     out_cols = list(l_arrow.names) + [p.output_column for p in parts]
     out = out.select_columns(out_cols)
     if group_by.derivations:

@@ -299,9 +299,11 @@ def pad_to_schema(batch: pa.Table, schema: pa.Schema) -> pa.Table:
 
 
 def _arrow_schema(ds) -> pa.Schema:
-    """Arrow schema of a Dataset whose last stage may be a pandas block.
-    Prefers a statically attached schema (scan_source / features_for_queries
-    set one) — probing a lazy actor/shuffle pipeline costs a real execution."""
+    """Arrow schema of a Dataset: its static ``_raywin_schema`` when one is
+    attached (scan_source, features_for_queries and the lazy sides of
+    co_partition set one, because probing a lazy actor/shuffle pipeline
+    costs a real execution), else ``ds.schema()``.  Pandas-typed columns map
+    through their numpy dtype; object columns become string."""
     static = getattr(ds, "_raywin_schema", None)
     if isinstance(static, pa.Schema):
         return static
@@ -349,6 +351,29 @@ def _tag_side(side: int, schema: pa.Schema):
     return tag_side
 
 
+def _per_bucket(fn, batch_format: str, schema: pa.Schema | None):
+    """The map_groups fn around ``fn``: drop BUCKET_COL and hand ``fn`` the
+    bucket in ``batch_format``.
+
+    Ray's sort reducer converts its blocks to the block type most of them
+    have, and empty pandas blocks ride map_batches untouched, so a bucket
+    can arrive as pandas.  Under "pyarrow" that block is rebuilt once
+    against ``schema`` (pandas inference loses map, list and nullable-int
+    types), so ``fn`` always gets the declared Arrow types."""
+
+    def run(block):
+        if isinstance(block, pa.Table):
+            block = block.drop_columns([BUCKET_COL])
+            return fn(BlockAccessor.for_block(block).to_batch_format(batch_format))
+        block = block.drop(columns=[BUCKET_COL])
+        if batch_format == "pyarrow":
+            block = pa.Table.from_pandas(block, schema=schema, preserve_index=False)
+        return fn(block)
+
+    run.__name__ = getattr(fn, "__name__", type(fn).__name__)
+    return run
+
+
 def co_partition(sides, keys: list[str], fn, *, num_buckets: int, batch_format="pyarrow"):
     """The engine's one co-partition exchange: every row of every side whose
     ``keys`` hash to the same bucket reaches the same ``fn`` call.
@@ -358,27 +383,24 @@ def co_partition(sides, keys: list[str], fn, *, num_buckets: int, batch_format="
     side schemas come from ``_raywin_schema`` when attached, so give lazy
     pipelines one.  Rows are bucketed by ``hash(keys) % num_buckets`` (hot
     chunks via CHUNK_COL, see AddBucket) and exchanged with one push-based
-    sort shuffle; ``fn`` gets each bucket in ``batch_format`` without
-    BUCKET_COL.  The Ray operator is named after ``fn``."""
+    sort shuffle.  ``batch_format`` is "pyarrow" or "pandas"; ``fn`` gets
+    each bucket without BUCKET_COL, and under "pyarrow" always as an Arrow
+    table with the declared types (``side_schema(sides)``, or the one
+    side's ``_arrow_schema``), whatever block type the sort handed back.
+    The Ray operator is named after ``fn``."""
     if not isinstance(sides, (list, tuple)):
         sides = [sides]
     ds = sides[0]
+    schema = None
     if len(sides) > 1:
         schema = side_schema(sides)
         tagged = [s.map_batches(_tag_side(i, schema), batch_format="pyarrow") for i, s in enumerate(sides)]
         ds = tagged[0].union(*tagged[1:])
+    elif batch_format == "pyarrow":
+        schema = _arrow_schema(ds)
     bucketed = ds.map_batches(
         AddBucket(list(keys), num_buckets), batch_format="pyarrow", batch_size=_BUNDLE_ROWS
     )
-
-    def run(block):
-        # the sort hands back pandas blocks when an empty pandas block rode
-        # the union (map_batches passes zero-row blocks through untouched)
-        if isinstance(block, pa.Table):
-            block = block.drop_columns([BUCKET_COL])
-        else:
-            block = block.drop(columns=[BUCKET_COL])
-        return fn(BlockAccessor.for_block(block).to_batch_format(batch_format))
-
-    run.__name__ = getattr(fn, "__name__", type(fn).__name__)
+    run = _per_bucket(fn, batch_format, schema)
+    # Ray's "no conversion": run sees the sort's own block, pandas or Arrow
     return bucketed.groupby(BUCKET_COL).map_groups(run, batch_format=None)

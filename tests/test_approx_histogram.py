@@ -14,6 +14,8 @@ from raywin.aggregator.kernel import PartitionAggregator
 from raywin.aggregator.scalar_ops import ApproxHistogramK, Histogram
 from raywin.aggregator.windowing import FiveMinuteResolution
 
+from .test_kernel_vs_oracle import aggregate
+
 
 def _run_stream(op, values, splits=1, seed=0):
     """Feed values through `splits` independent IRs (round-robin) then merge."""
@@ -126,8 +128,8 @@ def test_kernel_integration_exact_cardinality():
         for a in [Aggregation(Operation.HISTOGRAM, "tag", windows=win)]
         for p in a.unpack()
     ]
-    out_a = PartitionAggregator(["user"], approx, FiveMinuteResolution, tie_breaker="seq").aggregate(ev, q)
-    out_e = PartitionAggregator(["user"], exact, FiveMinuteResolution, tie_breaker="seq").aggregate(ev, q)
+    out_a = aggregate(PartitionAggregator(["user"], approx, FiveMinuteResolution, tie_breaker="seq"), ev, q)
+    out_e = aggregate(PartitionAggregator(["user"], exact, FiveMinuteResolution, tie_breaker="seq"), ev, q)
     for pa_, pe in zip(approx, exact):
         got = [None if v is None else dict(v) for v in out_a[pa_.output_column]]
         want = [None if v is None else dict(v) for v in out_e[pe.output_column]]

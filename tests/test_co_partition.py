@@ -3,8 +3,9 @@ random multi-column keys over 1-3 sides with different column sets — every
 key's rows from every side reach exactly one fn call, SIDE_COL is the side's
 list index, BUCKET_COL never reaches fn or the output, and the output rows
 are the input rows.  Plus: an empty side changes nothing, the kernel
-operator keeps its name, and a plan over static side schemas never probes
-Dataset.schema."""
+operator keeps its name, a plan over static side schemas never probes
+Dataset.schema, and a bucket the sort hands back as pandas still reaches an
+Arrow fn with the declared types."""
 
 import uuid
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from raywin.stages.shuffle import BUCKET_COL, SIDE_COL, co_partition
+from raywin.stages.shuffle import BUCKET_COL, SIDE_COL, co_partition, pad_to_schema
 
 KEY_POOL = {"k_int": st.integers(-3, 3), "k_str": st.sampled_from(["a", "b", "c", ""])}
 
@@ -116,11 +117,11 @@ def test_co_partition_empty_side_changes_nothing(ray_session, empty_via):
     pd.testing.assert_frame_equal(got, alone.to_pandas().sort_values("ts").reset_index(drop=True))
 
 
-def _tiny_group_by():
+def _tiny_group_by(table="unused.parquet"):
     from raywin.api import Accuracy, Aggregation, EventSource, GroupBy, Operation, Query
 
     return GroupBy(
-        sources=[EventSource(table="unused.parquet", query=Query(selects={"v": "v"}))],
+        sources=[EventSource(table=table, query=Query(selects={"k": "k", "v": "v"}, time_column="ts"))],
         key_columns=["k"],
         aggregations=[Aggregation(Operation.SUM, "v")],
         accuracy=Accuracy.TEMPORAL,
@@ -155,12 +156,16 @@ def test_kernel_operator_keeps_its_name(ray_session):
     assert any(n.startswith("MapBatches(PartitionKernel)") for n in names), names
 
 
-def test_co_partition_never_probes_static_schemas(ray_session, monkeypatch):
+def test_co_partition_never_probes_static_schemas(ray_session, monkeypatch, tmp_path):
+    import pyarrow.parquet as pq
     import ray.data
 
+    from raywin.online import group_by_upload
     from raywin.pipelines.group_by import features_for_queries
 
     left, right = _tiny_sides()
+    path = str(tmp_path / "events.parquet")
+    pq.write_table(pa.table({"k": [1, 1, 2], "ts": [10, 20, 30], "v": [1.0, 2.0, 3.0]}), path)
     schema = ray.data.Dataset.schema
 
     def no_probe(self, fetch_if_missing=True):
@@ -171,3 +176,52 @@ def test_co_partition_never_probes_static_schemas(ray_session, monkeypatch):
     monkeypatch.setattr(ray.data.Dataset, "schema", no_probe)
     co_partition([left, right], ["k"], lambda g: g, num_buckets=3)
     features_for_queries(_tiny_group_by(), left, num_buckets=2, right_ds=right)
+    # a single side past two filter(expr) seams: no static schema of its own
+    group_by_upload(_tiny_group_by(path), batch_end_ts=25, num_buckets=2)
+
+
+def bucket_of(*sides: pa.Table) -> pa.Table:
+    """One co-partitioned bucket as co_partition hands it to fn: each side
+    tagged with its SIDE_COL index and padded to the sides' union schema."""
+    fields: dict = {}
+    for t in sides:
+        for f in t.schema:
+            fields.setdefault(f.name, f)
+    schema = pa.schema(list(fields.values()) + [pa.field(SIDE_COL, pa.int8())])
+    return pa.concat_tables([
+        pad_to_schema(t.append_column(SIDE_COL, pa.array(np.full(len(t), i, dtype=np.int8))), schema)
+        for i, t in enumerate(sides)
+    ])
+
+
+@pytest.mark.parametrize("block_type", ["pandas", "arrow"])
+def test_pandas_bucket_reaches_fn_with_declared_types(block_type):
+    """Ray's sort reducer converts a bucket to pandas when pandas blocks
+    win its block-type vote (an empty pandas block rides map_batches
+    untouched).  Map, list and nullable-int64 columns do not survive pandas
+    inference, so the per-bucket adapter rebuilds the block against the
+    declared schema: fn gets the same Arrow table either way, without
+    BUCKET_COL."""
+    from ray.data.block import BlockAccessor
+
+    from raywin.stages.shuffle import _per_bucket
+
+    want = bucket_of(
+        pa.table({"k": ["a", "b"], "ts": pa.array([5, 6], pa.int64()),
+                  "n": pa.array([7, None], pa.int64())}),
+        pa.table({
+            "k": ["a", None, "b"],
+            "ts": pa.array([1, 2, 3], pa.int64()),
+            "m": pa.array([[("x", 1)], None, []], pa.map_(pa.string(), pa.int64())),
+            "l": pa.array([[1.5, None], [], None], pa.list_(pa.float64())),
+        }),
+    )
+    block = want.append_column(BUCKET_COL, pa.array(np.full(len(want), 3, dtype=np.int32)))
+    if block_type == "pandas":
+        block = BlockAccessor.for_block(block).to_pandas()  # the reducer's conversion
+        assert block["n"].dtype == np.float64  # inference alone would lose int64
+    got = []
+    _per_bucket(got.append, "pyarrow", want.schema)(block)
+    assert isinstance(got[0], pa.Table)
+    assert got[0].schema == want.schema
+    assert got[0].equals(want)

@@ -341,3 +341,53 @@ def test_noagg_rejected_on_query_path():
     gb = GroupBy(sources=[EventSource(table="/tmp/x.parquet")], key_columns=["k"], name="nak")
     with pytest.raises(ValueError, match="no aggregations"):
         features_for_queries(gb, None)
+
+
+def test_temporal_entities_output_schema(ray_session, entity_tables):
+    """EntityKernel returns one typed Arrow table: left columns keep their
+    Arrow types, SUM/COUNT/AVERAGE parts are float64 and HISTOGRAM parts
+    map<string,int64>; a bucket with no query rows returns the same
+    schema with zero rows."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from raywin.pipelines.entities import EntityKernel
+
+    from .test_co_partition import bucket_of
+
+    snap_path, mut_path, _, _ = entity_tables
+    gb = GroupBy(
+        sources=[EntitySource(snapshot_table=snap_path, mutation_table=mut_path, query=Query())],
+        key_columns=["k"],
+        aggregations=[
+            Aggregation(Operation.SUM, "rating", windows=[Window(2, TimeUnit.DAYS)]),
+            Aggregation(Operation.COUNT, "rating"),
+            Aggregation(Operation.HISTOGRAM, "rating"),
+            Aggregation(Operation.AVERAGE, "rating"),
+        ],
+        accuracy=Accuracy.TEMPORAL,
+        name="ent_schema",
+    )
+    left = pa.table({
+        "k": ["1", "2", "3"],
+        "ts": pa.array([BASE + DAY + 5] * 3, pa.int64()),
+        "w": pa.array([1, None, 3], pa.int32()),
+    })
+    want = pa.schema(list(left.schema) + [
+        ("rating_sum_2d", pa.float64()),
+        ("rating_count", pa.float64()),
+        ("rating_histogram", pa.map_(pa.string(), pa.int64())),
+        ("rating_average", pa.float64()),
+    ])
+    # 16 buckets over 12 keys: some buckets hold snapshot rows and no query
+    out = temporal_entity_features(gb, ray.data.from_arrow(left), num_buckets=16).materialize()
+    assert out.schema().base_schema == want
+    assert sorted(out.to_pandas()["w"].fillna(0).astype(int)) == [0, 1, 3]
+
+    kernel = EntityKernel(["k"], gb.agg_parts(), left.column_names)
+    snaps, muts = pq.read_table(snap_path), pq.read_table(mut_path)
+    got = kernel(bucket_of(left, snaps, muts))
+    assert got.schema == want and got.num_rows == 3
+    empty = kernel(bucket_of(left.slice(0, 0), snaps, muts))
+    assert empty.schema == want and empty.num_rows == 0

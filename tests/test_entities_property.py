@@ -100,10 +100,7 @@ def run_kernel(snap_rows, mut_rows, queries, parts):
             SIDE_COL: col(side, pa.int8()),
         }
     )
-    kernel = EntityKernel(["k"], parts, ["k", "ts"])
-    out = kernel(group)
-    # the kernel may return either arrow or pandas; map_groups normalizes
-    return out.to_pandas() if isinstance(out, pa.Table) else out
+    return EntityKernel(["k"], parts, ["k", "ts"])(group).to_pandas()
 
 
 @settings(max_examples=100, deadline=None)

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from raywin.api import Aggregation, Operation, TimeUnit, Window
@@ -77,12 +78,36 @@ def _check(part_col, kernel_out, oracle_out, op):
             assert k == o, f"{part_col}[{i}]: {k!r} != {o!r}"
 
 
+def to_arrow(df: pd.DataFrame, types=None) -> pa.Table:
+    """Arrow copy of a test frame; columns named in ``types`` (list / map
+    inputs: map cells as dicts) get that explicit type."""
+    types = types or {}
+    cols = {}
+    for c in df.columns:
+        vals = df[c].to_numpy()
+        t = types.get(c)
+        if t is not None and pa.types.is_map(t):
+            vals = [None if v is None else sorted(v.items()) for v in vals]
+        cols[c] = pa.array(vals, type=t, from_pandas=True)
+    return pa.table(cols)
+
+
+def aggregate(agg, ev: pd.DataFrame, q: pd.DataFrame, types=None) -> pd.DataFrame:
+    """agg.aggregate_tables over Arrow copies of ev and q: the query rows in
+    kernel order plus one column per part."""
+    q_order, results = agg.aggregate_tables(to_arrow(ev, types), to_arrow(q, types))
+    out = q.iloc[q_order].reset_index(drop=True)
+    for part in agg.parts:
+        out[part.output_column] = results[part.output_column]
+    return out
+
+
 def run_case(aggs, ev=None, q=None, seed=7):
     if ev is None:
         ev, q = gen_data(seed)
     parts = [p for a in aggs for p in a.unpack()]
     agg = PartitionAggregator(["user"], parts, FiveMinuteResolution, tie_breaker="seq")
-    out = agg.aggregate(ev, q)
+    out = aggregate(agg, ev, q)
 
     oracle = NaiveOracle(parts, FiveMinuteResolution)
     # oracle computed per key
@@ -143,7 +168,7 @@ def test_small_hand_case():
     q = pd.DataFrame({"user": ["u", "u", "u", "u"], "ts": [1000, 2000, 3000, 4000]})
     parts = Aggregation(Operation.SUM, "value").unpack()
     agg = PartitionAggregator(["user"], parts, FiveMinuteResolution)
-    out = agg.aggregate(ev, q).sort_values("ts")
+    out = aggregate(agg, ev, q).sort_values("ts")
     got = out["value_sum"].tolist()
     assert math.isnan(got[0]) and got[1:] == [1.0, 3.0, 7.0]
 
@@ -159,51 +184,30 @@ def test_window_tail_rounding():
     ev = pd.DataFrame({"user": ["u", "u"], "ts": [ev_ts, ev_ts - 1], "value": [5.0, 100.0], "seq": [0, 1]})
     q = pd.DataFrame({"user": ["u"], "ts": [q_ts]})
     parts = Aggregation(Operation.SUM, "value", windows=[Window(1, TimeUnit.DAYS)]).unpack()
-    out = PartitionAggregator(["user"], parts, FiveMinuteResolution).aggregate(ev, q)
+    out = aggregate(PartitionAggregator(["user"], parts, FiveMinuteResolution), ev, q)
     assert out["value_sum_1d"].tolist() == [5.0]  # ev_ts-1 is outside the rounded tail
 
 
-def test_arrow_tables_path_matches_pandas_path():
-    """aggregate_tables (Arrow-native ingestion: dictionary_encode key
-    factorization, lazy per-column numpy, Table.take reorder) must be
-    bitwise-identical to the pandas aggregate() path, including null keys
-    (which route the factorization through the object fallback) and
-    string/list passthrough payload."""
-    import pyarrow as pa
-
-    from raywin.pipelines.group_by import _to_arrow_column, output_type
-
+def test_null_keys_and_passthrough_vs_oracle():
+    """Null keys route the entity factorization through the object
+    fallback, where null is a key of its own; string and list passthrough
+    payload rides the q_order reorder untouched."""
     ev, q = gen_data(seed=11, n_events=3000, n_queries=500)
-    q = q.copy()
+    ev.loc[ev.index[:5], "user"] = None
+    q.loc[q.index[:3], "user"] = None
+    q["qid"] = np.arange(len(q))
     q["url"] = [f"u/{i % 37}" for i in range(len(q))]
     q["emb"] = [[float(i % 5), float(i % 3)] for i in range(len(q))]
-    parts = []
-    for agg_spec in [
-        Aggregation(Operation.SUM, "value", windows=[Window(7, TimeUnit.DAYS)]),
-        Aggregation(Operation.AVERAGE, "qty", windows=[Window(-1)]),
-        Aggregation(Operation.LAST, "tag", windows=[Window(30, TimeUnit.DAYS)]),
-        Aggregation(Operation.COUNT, "qty", windows=[Window(1, TimeUnit.DAYS)]),
-    ]:
-        parts.extend(agg_spec.unpack())
-    for with_null_key in (False, True):
-        ev_c, q_c = ev.copy(), q.copy()
-        if with_null_key:
-            ev_c.loc[ev_c.index[:5], "user"] = None
-            q_c.loc[q_c.index[:3], "user"] = None
-        agg = PartitionAggregator(["user"], parts, FiveMinuteResolution, tie_breaker="seq")
-        out_pd = agg.aggregate(ev_c, q_c)
-        rt = pa.Table.from_pandas(ev_c, preserve_index=False)
-        lt = pa.Table.from_pandas(
-            q_c[["user", "ts", "url", "emb"]], preserve_index=False
-        )
-        q_order, results = agg.aggregate_tables(rt, lt)
-        taken = lt.take(q_order)
-        input_types = {"value": pa.float64(), "qty": pa.int64(), "tag": pa.string()}
-        assert list(taken.column("ts").to_numpy()) == out_pd["ts"].tolist()
-        assert list(taken.column("url").to_pylist()) == out_pd["url"].tolist()
-        for p in parts:
-            got = _to_arrow_column(results[p.output_column], output_type(p, input_types[p.input_column]))
-            want = _to_arrow_column(
-                out_pd[p.output_column].to_numpy(), output_type(p, input_types[p.input_column])
-            )
-            assert got.equals(want), p.output_column
+    out = run_case(
+        [
+            Aggregation(Operation.SUM, "value", windows=[Window(7, TimeUnit.DAYS)]),
+            Aggregation(Operation.AVERAGE, "qty", windows=[Window(-1)]),
+            Aggregation(Operation.LAST, "tag", windows=[Window(30, TimeUnit.DAYS)]),
+            Aggregation(Operation.COUNT, "qty", windows=[Window(1, TimeUnit.DAYS)]),
+        ],
+        ev,
+        q,
+    )
+    assert out["user"].isna().sum() == 3
+    assert out["url"].tolist() == q["url"].to_numpy()[out["qid"]].tolist()
+    assert [list(e) for e in out["emb"]] == [q["emb"][i] for i in out["qid"]]

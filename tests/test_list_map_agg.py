@@ -19,9 +19,10 @@ from raywin.api import Aggregation, Operation, TimeUnit, Window
 from raywin.aggregator.kernel import PartitionAggregator
 from raywin.aggregator.windowing import FiveMinuteResolution, NaiveOracle
 
-from .test_kernel_vs_oracle import _check
+from .test_kernel_vs_oracle import _check, aggregate
 
 WINDOWS = [Window(1, TimeUnit.DAYS), Window(7, TimeUnit.DAYS), Window(-1)]
+TYPES = {"emb": pa.list_(pa.float64()), "m": pa.map_(pa.string(), pa.int64())}
 BASE_TS = 1_600_000_000_000
 
 
@@ -84,7 +85,7 @@ def test_list_explode_vs_oracle(op, args):
     ev, q = gen_list_data()
     parts = Aggregation(op, "emb", windows=WINDOWS, arg_map=args or {}).unpack()
     agg = PartitionAggregator(["user"], parts, FiveMinuteResolution, tie_breaker="seq")
-    out = agg.aggregate(ev, q)
+    out = aggregate(agg, ev, q, TYPES)
 
     flat = _exploded_by_key(ev)
     for part in parts:
@@ -134,7 +135,7 @@ def test_map_column_vs_oracle(op):
     ev, q = gen_map_data()
     parts = Aggregation(op, "m", windows=WINDOWS[:2]).unpack()
     agg = PartitionAggregator(["user"], parts, FiveMinuteResolution, tie_breaker="seq")
-    out = agg.aggregate(ev, q)
+    out = aggregate(agg, ev, q, TYPES)
 
     # per-subkey scalar rows
     per_key: dict = {}
@@ -226,7 +227,7 @@ def test_list_map_pipeline(ray_session, tmp_path):
     )
     ev_k = ev.copy()
     ev_k["m"] = evm["m"].to_numpy()
-    exp = agg.aggregate(ev_k, q_frame := ev[["user", "ts"]].copy())
+    exp = aggregate(agg, ev_k, ev[["user", "ts"]].copy(), TYPES)
     exp_map = dict(
         zip(zip(exp["user"], exp["ts"]), zip(exp["emb_sum_7d"], exp["emb_average"]))
     )

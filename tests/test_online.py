@@ -244,9 +244,51 @@ def test_online_enrich_distributed(ray_session, online_fixture):
     assert len(out) == len(qdf)
     out = out.set_index(["k", "ts"])
     got = [out.loc[(k, t)].to_dict() for k, t in zip(qdf["k"], qdf["ts"])]
-    # pandas upcasts None -> nan in float columns; normalize for _check
-    got = [{c: (None if isinstance(v, float) and v != v else v) for c, v in r.items()} for r in got]
+
+    def py(v):
+        # the output is Arrow with the offline kernel's types: to_pandas
+        # turns null into nan, list<T> cells into arrays and map cells into
+        # lists of (key, value) pairs
+        if isinstance(v, float) and v != v:
+            return None
+        if isinstance(v, np.ndarray):
+            return v.tolist()
+        return dict(v) if isinstance(v, list) else v
+
+    got = [{c: py(v) for c, v in r.items()} for r in got]
     _check(got, _expected(df, gb, qdf), gb.agg_parts())
+
+
+def test_serving_kernel_output_schema(ray_session, online_fixture):
+    """ServingKernel returns one typed Arrow table, the offline kernel's
+    feature types, and a bucket with no query rows returns the same schema
+    with zero rows."""
+    import ray
+
+    from raywin.online.serving import ServingKernel
+
+    from .test_co_partition import bucket_of
+
+    df, path, gb = online_fixture
+    upload = pa.concat_tables(ray.get(group_by_upload(gb, BATCH_END, num_buckets=4).to_arrow_refs()))
+    stream = pa.Table.from_pandas(df[df["ts"] >= BATCH_END][["k", "ts", "v", "cat"]], preserve_index=False)
+    queries = pa.Table.from_pandas(_queries(df, n=10), preserve_index=False)
+    want = pa.schema([
+        ("k", pa.string()),
+        ("ts", pa.int64()),
+        ("v_sum_1d", pa.float64()),
+        ("v_count_6h", pa.int64()),
+        ("v_average_2d", pa.float64()),
+        ("v_min", pa.float64()),
+        ("v_last3_12h", pa.list_(pa.float64())),
+        ("cat_unique_count_3d", pa.int64()),
+        ("cat_histogram_1d", pa.map_(pa.string(), pa.int64())),
+    ])
+    kernel = ServingKernel(gb, BATCH_END, ["k", "ts"])
+    got = kernel(bucket_of(queries, upload, stream))
+    assert got.schema == want and got.num_rows == 10
+    empty = kernel(bucket_of(queries.slice(0, 0), upload, stream))
+    assert empty.schema == want and empty.num_rows == 0
 
 
 def test_lambda_aggregate_many_bitwise(ray_session, online_fixture):
@@ -484,34 +526,6 @@ def test_fold_segments_matches_sequential_fold(n, n_segs, dtype, seed):
                 assert fg == pytest.approx(fe, rel=1e-9, nan_ok=True)
             else:
                 assert fg == fe, (type(op).__name__, s, e)
-
-
-def test_upload_kernel_pandas_arrow_agree(ray_session, online_fixture):
-    """UploadKernel's pandas fallback block path must produce byte-identical
-    IR blobs to the arrow path for the same co-partitioned group."""
-    import pickle
-
-    import pyarrow as pa
-
-    from raywin.online.upload import IR_COL, UploadKernel
-
-    df, path, gb = online_fixture
-    parts = [p for p in gb.agg_parts()]
-    kernel = UploadKernel(
-        ["k"], parts, BATCH_END, 2 * DAY, [pa.field("k", pa.string())]
-    )
-    sub = df[df["ts"] < BATCH_END].reset_index(drop=True)
-    out_arrow = kernel(pa.Table.from_pandas(sub, preserve_index=False))
-    out_pandas = kernel(sub)
-    assert out_arrow.num_rows == out_pandas.num_rows
-    ka = out_arrow["k"].to_pylist()
-    kp = out_pandas["k"].to_pylist()
-    ba = dict(zip(ka, out_arrow[IR_COL].to_pylist()))
-    bp = dict(zip(kp, out_pandas[IR_COL].to_pylist()))
-    assert set(ba) == set(bp)
-    for k in ba:
-        ia, ip = pickle.loads(ba[k]), pickle.loads(bp[k])
-        assert repr(ia) == repr(ip), k
 
 
 # ---------------------------------------------------------------------------
