@@ -156,14 +156,12 @@ def run_benchmarks():
         # 8 CPUs and hides the straggler, the wide leg can't).  Warmup, then
         # min-of-N timed runs (min resists the sandbox's one-sided noise).
         scaling_dir = ensure_scaling_images()
-        image_feature_backfill(scaling_dir, handle_skew=True, read_blocks=128).count()
+        image_feature_backfill(scaling_dir, handle_skew=True).count()
         best = None
         n_feat = 0
         for _ in range(int(os.environ.get("RAYWIN_SCALING_REPEATS", "2"))):
             t0 = time.perf_counter()
-            n_feat = image_feature_backfill(
-                scaling_dir, handle_skew=True, read_blocks=128
-            ).count()
+            n_feat = image_feature_backfill(scaling_dir, handle_skew=True).count()
             dt = time.perf_counter() - t0
             best = dt if best is None else min(best, dt)
         timings["image_backfill"] = round(best, 3)
@@ -243,14 +241,12 @@ def run_benchmarks():
         # noisy (VERDICT r3 item 8)
         n10 = timed(
             "image_backfill_10m",
-            lambda: image_feature_backfill(sdir, handle_skew=True, read_blocks=64).count(),
+            lambda: image_feature_backfill(sdir, handle_skew=True).count(),
             repeats=2,
         )
         timed(
             "image_backfill_10m_hotchunk",
-            lambda: image_feature_backfill(
-                sdir, handle_skew=True, read_blocks=64, bounded_only=True
-            ).count(),
+            lambda: image_feature_backfill(sdir, handle_skew=True, bounded_only=True).count(),
             repeats=2,
         )
         extra["scale_rows"] = n10

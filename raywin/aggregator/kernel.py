@@ -927,7 +927,7 @@ class PartitionAggregator:
                 return self._exact_moments_engine(part, col, get_bounds, nq)
             return self._segtree_engine(part, get_col, get_bounds, segtrees, nq)
         if op is Operation.APPROX_PERCENTILE:
-            return self._percentile_engine(part, get_col, get_bounds, nq)
+            return self._percentile_engine(part, get_col, get_bounds, nq, ev_ent_s)
         return self._object_engine(part, ev_ts_s, ev_ent_s, get_col, get_bounds, nq)
 
     def _prefix_engine(self, part, get_col, get_bounds):
@@ -1081,18 +1081,22 @@ class PartitionAggregator:
                 out = np.where((n >= 4) & (m2 > 0), n * m4 / (m2 * m2) - 3, np.nan)
         return np.where(n >= 1, out, np.nan)
 
-    def _percentile_engine(self, part, get_col, get_bounds, nq):
+    def _percentile_engine(self, part, get_col, get_bounds, nq, ev_ent_s):
         """Percentiles over the window's value slice — exact (linear
-        interpolation), deterministic and partition-independent, unlike a
-        merge-order-dependent sketch.
+        interpolation) and merge-order independent, unlike a sketch.
 
-        Two paths chosen by estimated work:
+        Three paths chosen by estimated work:
           * small windows: per-query sort of the slice (vectorizable constant)
-          * hot keys / wide windows: ONE sliding-window pass with a Fenwick
-            tree over value ranks — both window bounds are monotone
-            non-decreasing over the (entity, ts)-sorted partition, so every
-            query is answered in O(log n) after amortized O(1) adds/removes.
-            This is the skew answer for percentile (SURVEY.md §7.5 #5).
+          * wide windows: ONE sliding-window pass with a Fenwick tree over
+            value ranks — both window bounds are monotone non-decreasing over
+            the (entity, ts)-sorted partition, so every query is answered in
+            O(log n) after amortized O(1) adds/removes.  This is the skew
+            answer for percentile (SURVEY.md §7.5 #5).
+          * an entity whose own windows hold over 4M values: its windows of
+            more than 64 values are binned (``_binned_percentiles``).
+        Every choice that changes an answer is made per entity from that
+        entity's own windows, so a key's answers do not depend on which
+        other keys share the kernel call.
         """
         import json as _json
 
@@ -1110,9 +1114,8 @@ class PartitionAggregator:
         vals = col.comp_vals.astype(np.float64)
         out = np.empty(nq, dtype=object)
         counts = rv - lv
-        total_work = int(counts.sum())
 
-        def slice_exact(indices):
+        def slice_exact(indices, vals, lv, rv):
             for i in indices:
                 a, b = int(lv[i]), int(rv[i])
                 if a >= b:
@@ -1129,15 +1132,19 @@ class PartitionAggregator:
                 frac = pos - lo
                 out[i] = [float(x) for x in v[lo] * (1 - frac) + v[hi] * frac]
 
-        if total_work <= 64 * max(nq, 1):
-            slice_exact(range(nq))
-            return out
-        if total_work > 4_000_000:
-            # hybrid: tiny windows exact (global-bin quantization would be
-            # coarse relative to a handful of values), big windows binned
-            small = counts <= 64
-            slice_exact(np.flatnonzero(small))
-            big_idx = np.flatnonzero(~small)
+        todo = np.arange(nq)
+        if int(counts.sum()) > 4_000_000:
+            # a non-empty window lies inside one entity: the entity of its
+            # first value; its total window work decides exact vs binned
+            ent = ev_ent_s[col.valid]
+            work = np.bincount(ent[np.minimum(lv, len(ent) - 1)], weights=counts,
+                               minlength=int(ent.max()) + 1)
+            hot_val = (work > 4_000_000)[ent]
+            q_hot = (counts > 0) & hot_val[np.minimum(lv, len(ent) - 1)]
+            # tiny windows stay exact (bin quantization would be coarse
+            # relative to a handful of values), bigger ones are binned
+            big_idx = np.flatnonzero(q_hot & (counts > 64))
+            slice_exact(np.flatnonzero(q_hot & (counts <= 64)), vals, lv, rv)
             if len(big_idx):
                 # bin budget = the requested sketch size k (reference maps k
                 # to KLL accuracy, SimpleAggregators.scala:383-392); rank
@@ -1146,11 +1153,19 @@ class PartitionAggregator:
                     n_bins = int(part.arg("k") or 256)
                 except (TypeError, ValueError):
                     n_bins = 256
-                binned = self._binned_percentiles(
-                    vals, lv[big_idx], rv[big_idx], pct, len(big_idx),
+                out[big_idx] = self._binned_percentiles(
+                    vals, ent, lv[big_idx], rv[big_idx], pct, len(big_idx),
                     n_bins=min(max(n_bins, 64), 1024),
                 )
-                out[big_idx] = binned
+            # the other entities' windows hold no hot value: drop those values
+            # so the exact paths below never walk them
+            todo = np.flatnonzero(~q_hot)
+            shift = np.zeros(len(vals) + 1, dtype=np.int64)
+            shift[1:] = np.cumsum(~hot_val)
+            vals, lv, rv = vals[~hot_val], shift[lv], shift[rv]
+            counts = rv - lv
+        if int(counts[todo].sum()) <= 64 * max(len(todo), 1):
+            slice_exact(todo, vals, lv, rv)
             return out
         # Fenwick sliding window over value ranks
         n = len(vals)
@@ -1183,7 +1198,7 @@ class PartitionAggregator:
 
         cur_l = cur_r = 0
         pcts = pct.tolist()
-        for i in range(nq):
+        for i in todo:
             a, b = int(lv[i]), int(rv[i])
             while cur_r < b:
                 update(rank_of_pos[cur_r], 1)
@@ -1210,7 +1225,7 @@ class PartitionAggregator:
             out[i] = res
         return out
 
-    def _binned_percentiles(self, vals, lv, rv, pct, nq, n_bins: int = 256,
+    def _binned_percentiles(self, vals, ent, lv, rv, pct, nq, n_bins: int = 256,
                             chunk: int = 8192):
         """Fully vectorized approximate percentiles for very hot keys: values
         quantized to equi-depth bins, per-bin cumulative counts snapshotted at
@@ -1218,23 +1233,32 @@ class PartitionAggregator:
         error <= window/n_bins — the hybrid exact->approx pattern of the
         reference's ApproxHistogram (SimpleAggregators.scala:459-601).
 
+        Bins are equi-depth within each entity (``ent``: the entity code of
+        every value, ascending), so an entity's answers do not depend on
+        which other entities share the kernel call; a bin answers with the
+        midpoint of its entity's lowest and highest value in it.
+
         Queries are processed in chunks so the temporary arrays stay a few MB
         — same-size allocations then reuse warm arena pages (page faults on
         fresh memory are the scarce resource here, see raywin/__init__)."""
         n = len(vals)
-        sample = vals if n <= 100_000 else vals[:: max(1, n // 100_000)]
-        edges = np.unique(np.quantile(np.sort(sample), np.linspace(0, 1, n_bins + 1)))
-        if len(edges) < 2:
-            # (near-)constant distribution: one collapsed edge — every
-            # non-empty window's percentiles are that constant
-            const = float(edges[0]) if len(edges) else float("nan")
-            out = np.empty(nq, dtype=object)
-            for j in range(nq):
-                out[j] = None if rv[j] <= lv[j] else [const] * len(pct)
-            return out
-        centers = (edges[:-1] + edges[1:]) / 2
-        nb = len(centers)
-        bin_idx = np.clip(np.searchsorted(edges, vals, side="right") - 1, 0, nb - 1)
+        nb = n_bins
+        # rank of each value within its entity -> bin = rank * nb // size
+        by_value = np.lexsort((vals, ent))
+        starts = np.searchsorted(ent, ent, side="left")  # entity start per value
+        sizes = np.searchsorted(ent, ent, side="right") - starts
+        rank = np.empty(n, dtype=np.int64)
+        rank[by_value] = np.arange(n) - starts[by_value]
+        bin_idx = rank * nb // sizes
+        sorted_vals = vals[by_value]
+
+        def centers(q_first, picks):
+            """Bin midpoints for queries whose window starts at q_first."""
+            s, size = starts[q_first], sizes[q_first]
+            hi = s + ((picks + 1) * size + nb - 1) // nb - 1
+            lo = np.minimum(s + (picks * size + nb - 1) // nb, hi)  # an empty bin is never picked
+            return (sorted_vals[lo] + sorted_vals[hi]) / 2
+
         out = np.empty(nq, dtype=object)
         # Global block prefix: counts per bin of all events in blocks [0, b).
         # With it, the cumulative count at any boundary p is
@@ -1301,7 +1325,8 @@ class PartitionAggregator:
             for pi, p in enumerate(pct):
                 target = np.maximum(1, np.ceil(p * totals)).astype(np.int32)
                 picks[pi] = np.minimum((cdf < target[:, None]).sum(axis=1), nb - 1)
-            rows = centers[picks].T.tolist()  # (w, n_pct) python lists in one hop
+            first = np.minimum(clv, n - 1)  # empty windows are answered None below
+            rows = centers(first, picks).T.tolist()  # (w, n_pct) python lists in one hop
             empty = totals == 0
             for j in range(w):
                 out[c0 + j] = None if empty[j] else rows[j]

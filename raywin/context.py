@@ -2,9 +2,10 @@
 
 Documented knobs:
 
-``shuffle_strategy = SORT_SHUFFLE_PUSH_BASED`` — every hash-bucket exchange
+``shuffle_strategy = SORT_SHUFFLE_PUSH_BASED`` — every key exchange
 goes through ``co_partition`` (stages/shuffle.py), one
-``groupby(bucket).map_groups(kernel)`` that rides Ray Data's sort shuffle.  The default pull-based sort serializes map-finish ->
+``sort(key hash).map_batches(kernel)`` that rides Ray Data's sort shuffle.
+The default pull-based sort serializes map-finish ->
 reduce-start; the push-based variant pipelines merge with map and cut the
 1M-row mixed-codec flagship 14.3 s -> 11.5 s at 32 CPUs (round 5, min-of-2,
 same session pattern).  Values verified unchanged: the kernel receives
@@ -61,9 +62,22 @@ min-of-2 in fresh interleaved processes): buf=2 90.2 s, buf=16 90.1 s,
 buf=128 83.2 s — indistinguishable within sandbox noise, so the generous
 value costs nothing on the buffer-heaviest leg; buf=16 also passed 4/4
 full-bench wedge trials at 8 CPUs, i.e. the fix has an 8x margin over the
-2-8 blocks wedge-shape producers actually yield.  ``RAYWIN_GEN_BUFFER``
-overrides per deployment (memory-tight clusters can drop to 16 with no
-measured cost).
+2-8 blocks wedge-shape producers actually yield.  The value is fixed:
+``tests/test_context.py`` runs the wedge shape (two reads whose tasks
+yield several blocks each, two sorts, a union) at 1 CPU, which finishes
+in seconds at 128 and wedges at 2.
+
+Partition sizing (no knobs): parquet reads go through
+``sources.io.read_parquet``, which asks for one block per CPU (a read
+task cuts its output at ``target_max_block_size`` by itself), and
+``co_partition`` calls its fn once per sort output
+block, so the kernel's call count follows the exchange's input blocks
+(``_BUNDLE_ROWS`` rows or more each) instead of a fixed bucket count.  The
+8k-row mixed-codec flagship at 1 CPU used to run 45 tasks (fixed 32-block
+reads and 32 hash buckets) of about 1 ms of work each; it now reads one
+block per side into one exchange partition, in 7 tasks.  perfbench
+``img_backfill`` at 1 CPU (seed 3, 10 interleaved pairs, medians): 2643
+-> 4632 rows/ref-CPU-s, ``setup_s`` 6.0 -> 5.3 s.
 """
 
 from __future__ import annotations
@@ -71,8 +85,6 @@ from __future__ import annotations
 
 def tune_data_context() -> None:
     """Apply the engine's Ray Data context defaults (idempotent, sticky)."""
-    import os
-
     import ray.data
 
     ctx = ray.data.DataContext.get_current()
@@ -80,10 +92,7 @@ def tune_data_context() -> None:
     # Deadlock fix (see module docstring): producer tasks must be able to
     # finish and release their CPU while an AllToAll bulk_fn blocks the
     # scheduling loop, instead of pausing on a 2-block generator buffer.
-    # RAYWIN_GEN_BUFFER overrides for experiments / per-deployment tuning.
-    ctx._max_num_blocks_in_streaming_gen_buffer = int(
-        os.environ.get("RAYWIN_GEN_BUFFER", "128")
-    )
+    ctx._max_num_blocks_in_streaming_gen_buffer = 128
     try:
         from ray.data.context import ShuffleStrategy
 

@@ -203,8 +203,7 @@ def compare_joined(joined_ds, value_fields: list[tuple[str, pa.DataType]],
 
 def compare_tables(left_ds, right_ds, keys: list[str],
                    value_fields: list[tuple[str, pa.DataType]],
-                   time_column: str = "ts", bucket_minutes: int = 60,
-                   num_buckets: int = 16):
+                   time_column: str = "ts", bucket_minutes: int = 60):
     """CompareJob equivalent (stats/CompareJob.scala): join two tables on
     row keys, compute per-field consistency metrics per time bucket.
 
@@ -220,6 +219,6 @@ def compare_tables(left_ds, right_ds, keys: list[str],
     keep_r = keys + [c + RIGHT_SUFFIX for c, _ in value_fields]
     r = r.select_columns([c for c in keep_r if c != time_column])
     joined = bucketed_left_join(
-        l, r, [k for k in keys if k != time_column], num_buckets=num_buckets
+        l, r, [k for k in keys if k != time_column]
     )
     return compare_joined(joined, value_fields, time_column, bucket_minutes)

@@ -54,7 +54,7 @@ def sql_group_agg(
     return merged.map_batches(SqlBatch(final_sql), batch_format="pyarrow")
 
 
-def distinct(ds, cols: list[str], num_buckets: int = 64):
+def distinct(ds, cols: list[str]):
     """DISTINCT rows over `cols`: ONE hash-bucket shuffle, then a vectorized
     per-partition drop_duplicates (never one Python call per group — the
     reference's uniqSort analogue, GroupBy.scala:311)."""
@@ -62,17 +62,17 @@ def distinct(ds, cols: list[str], num_buckets: int = 64):
     def dd(df):
         return df.drop_duplicates(cols)
 
-    return co_partition(ds, cols, dd, num_buckets=num_buckets, batch_format="pandas")
+    return co_partition(ds, cols, dd, batch_format="pandas")
 
 
-def min_by_group(ds, group_cols: list[str], order_col: str, num_buckets: int = 64):
+def min_by_group(ds, group_cols: list[str], order_col: str):
     """Keep the row with min(order_col) per group — vectorized per partition."""
 
     def pick(df):
         idx = df.groupby(group_cols, sort=False)[order_col].idxmin()
         return df.loc[idx]
 
-    return co_partition(ds, group_cols, pick, num_buckets=num_buckets, batch_format="pandas")
+    return co_partition(ds, group_cols, pick, batch_format="pandas")
 
 
 _ARROW_HOW = {"left": "left outer", "right": "right outer", "outer": "full outer"}
@@ -102,7 +102,7 @@ class _BucketJoinKernel:
         )
 
 
-def bucketed_left_join(left_ds, right_ds, on: list[str], num_buckets: int = 64, how: str = "left"):
+def bucketed_left_join(left_ds, right_ds, on: list[str], how: str = "left"):
     """Partitioned hash join: ONE hash(on) co_partition exchange of both
     sides, then a single-threaded Arrow hash join per partition.  Cheaper
     than spawning per-join aggregator actor pools when the join is one stage
@@ -111,7 +111,7 @@ def bucketed_left_join(left_ds, right_ds, on: list[str], num_buckets: int = 64, 
         on, how, list(_arrow_schema(left_ds).names), list(_arrow_schema(right_ds).names)
     )
     return co_partition(
-        [left_ds, right_ds], list(on), kernel, num_buckets=num_buckets, batch_format="pyarrow"
+        [left_ds, right_ds], list(on), kernel, batch_format="pyarrow"
     )
 
 
@@ -138,7 +138,7 @@ class _MultiBucketJoinKernel:
         return out
 
 
-def bucketed_multi_left_join(left_ds, rights, on: list[str], num_buckets: int = 64):
+def bucketed_multi_left_join(left_ds, rights, on: list[str]):
     """left ⟕ SEVERAL right tables that all join on the same key, in ONE
     hash(on) co-partitioning shuffle (instead of one shuffle per right).
     ``rights`` is a list of Datasets; their non-key column names must be
@@ -147,7 +147,7 @@ def bucketed_multi_left_join(left_ds, rights, on: list[str], num_buckets: int = 
         on, list(_arrow_schema(left_ds).names), [list(_arrow_schema(r).names) for r in rights]
     )
     return co_partition(
-        [left_ds, *rights], list(on), kernel, num_buckets=num_buckets, batch_format="pyarrow"
+        [left_ds, *rights], list(on), kernel, batch_format="pyarrow"
     )
 
 
@@ -188,7 +188,6 @@ def bucketed_range_join(
     right_start: str,
     right_end: str,
     chunk_ms: int,
-    num_buckets: int = 64,
 ):
     """Keyed interval (range) join: left point rows x right interval rows,
     matching on equi-keys AND ``start <= ts < end`` (end exclusive).
@@ -248,7 +247,7 @@ def bucketed_range_join(
         on, list(l_schema.names), list(r_schema.names), left_ts, right_start, right_end
     )
     return co_partition(
-        [left, right], list(on), kernel, num_buckets=num_buckets, batch_format="pyarrow"
+        [left, right], list(on), kernel, batch_format="pyarrow"
     )
 
 

@@ -200,8 +200,7 @@ def _cume_dist(values, cum, n_total: int, x: pa.ChunkedArray) -> pa.Array:
     return pa.array(ranks, pa.float64(), mask=x.is_null().to_numpy())
 
 
-def robust_outlier_flags(ds, key_col: str, value_col: str, k: float = 3.0,
-                         num_buckets: int = 64):
+def robust_outlier_flags(ds, key_col: str, value_col: str, k: float = 3.0):
     """Per-group robust outlier flags (median / MAD, the data-quality
     screen that doesn't let the outliers move their own threshold the way
     mean/std do): a row is flagged when |v - median| > k * MAD, both
@@ -241,4 +240,4 @@ def robust_outlier_flags(ds, key_col: str, value_col: str, k: float = 3.0,
         g["is_outlier"] = np.abs(vals - med) > k * mad
         return g
 
-    return co_partition(ds, [key_col], flag, num_buckets=num_buckets, batch_format="pandas")
+    return co_partition(ds, [key_col], flag, batch_format="pandas")

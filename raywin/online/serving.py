@@ -417,7 +417,7 @@ class ServingKernel:
 
 
 def online_enrich_distributed(left_ds, group_by: GroupBy, batch_end_ts: int,
-                              upload_ds, stream_ds=None, num_buckets: int = 32,
+                              upload_ds, stream_ds=None,
                               resolution=FiveMinuteResolution):
     """Serving lambda applied offline with zero driver materialization.
 
@@ -440,7 +440,7 @@ def online_enrich_distributed(left_ds, group_by: GroupBy, batch_end_ts: int,
         sides.append(stream_ds)
     kernel = ServingKernel(group_by, batch_end_ts, list(_arrow_schema(left_ds).names), resolution)
     out = co_partition(
-        sides, group_by.key_columns, kernel, num_buckets=num_buckets, batch_format="pyarrow"
+        sides, group_by.key_columns, kernel, batch_format="pyarrow"
     )
     return out.select_columns(kernel.left_names + [p.output_column for p in kernel.agg.parts])
 

@@ -243,7 +243,6 @@ def _fold_masked_segments(op, vals, ts, joint, seg_starts, mask, out):
 def group_by_upload(
     group_by: GroupBy,
     batch_end_ts: int,
-    num_buckets: int = 64,
     tail_buffer_ms: int = 2 * 24 * 3600 * 1000,
     resolution=FiveMinuteResolution,
 ):
@@ -272,7 +271,7 @@ def group_by_upload(
     ds._raywin_schema = schema  # the filters keep it; co_partition never probes
     key_fields = [pa.field(k, schema.field(k).type) for k in key_cols]
     kernel = UploadKernel(key_cols, parts, batch_end_ts, tail_buffer_ms, key_fields, resolution)
-    out = co_partition(ds, key_cols, kernel, num_buckets=num_buckets)
+    out = co_partition(ds, key_cols, kernel)
     out = out.select_columns(key_cols + [IR_COL, "batch_end_ts"])
     out._raywin_schema = pa.schema(
         key_fields + [pa.field(IR_COL, pa.binary()), pa.field("batch_end_ts", pa.int64())]

@@ -59,7 +59,6 @@ def backfill_temporal(
     start_ds: str,
     end_ds: str,
     step_days: int = 1,
-    num_buckets: int = 32,
     resolution=FiveMinuteResolution,
     right_ds_fn=None,
     dedupe_queries: bool = True,
@@ -105,7 +104,6 @@ def backfill_temporal(
         feats = features_for_queries(
             group_by,
             left,
-            num_buckets=num_buckets,
             resolution=resolution,
             right_ds=right,
             dedupe_queries=dedupe_queries,

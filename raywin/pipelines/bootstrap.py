@@ -96,7 +96,7 @@ def _merge_hashes(existing, hit_mask: np.ndarray, h: str) -> pa.Array:
     return pa.array(out, type=pa.string())
 
 
-def bootstrap_left(left_ds, join: Join, num_buckets: int = 64):
+def bootstrap_left(left_ds, join: Join):
     """left ⟕ every bootstrap part; returns (dataset, hash_to_cols).
 
     dataset carries all bootstrapped value columns plus MATCHED_HASHES;
@@ -155,7 +155,7 @@ def bootstrap_left(left_ds, join: Join, num_buckets: int = 64):
         if MATCHED_HASHES not in names:
             names.append(MATCHED_HASHES)
 
-        out = bucketed_multi_left_join(out, rights, on=keys, num_buckets=num_buckets)
+        out = bucketed_multi_left_join(out, rights, on=keys)
 
         def fold_all(batch: pa.Table, folds=folds) -> pa.Table:
             for h, renames, hit_col, value_cols in folds:

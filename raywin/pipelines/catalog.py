@@ -27,6 +27,7 @@ from ..api import (
     Window,
 )
 from ..context import tune_data_context
+from ..sources.io import read_parquet
 
 # Engine context (shuffle strategy, reservation, generator-buffer deadlock
 # fix — see raywin/context.py) must cover EVERY entry path, including the
@@ -34,10 +35,6 @@ from ..context import tune_data_context
 # applying it at catalog import is safe with or without ray.init.
 tune_data_context()
 
-# kernel co-partition width: ~2x the CPU count so the slowest bucket can't
-# straddle the whole run; on a multi-node cluster set RAYWIN_NUM_BUCKETS to
-# ~2x total cores (buckets are the unit of kernel parallelism)
-N_BUCKETS = int(os.environ.get("RAYWIN_NUM_BUCKETS", "16"))
 # max rows of a filtered dimension pulled to the driver for a broadcast join;
 # above this the plan falls back to a distributed bucketed hash join
 BROADCAST_DIM_CUTOFF = int(os.environ.get("RAYWIN_BROADCAST_CUTOFF", "2000000"))
@@ -53,9 +50,7 @@ def _events_source(sf_dir: str, selects: dict[str, str]) -> EventSource:
 
 
 def _events_ds(sf_dir: str, columns):
-    import ray.data
-
-    return ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=columns)
+    return read_parquet(f"{sf_dir}/events.parquet", columns=columns)
 
 
 def _distinct_user_ts(sf_dir: str):
@@ -86,7 +81,7 @@ def asof_core(sf_dir: str):
     )
     from .group_by import features_for_queries
 
-    return features_for_queries(gb, _distinct_user_ts(sf_dir), num_buckets=N_BUCKETS, dedupe_queries=True)
+    return features_for_queries(gb, _distinct_user_ts(sf_dir), dedupe_queries=True)
 
 
 # Float sums/averages use EXACT fixed-point semantics (values are 2-decimal):
@@ -194,7 +189,7 @@ def asof_timed(sf_dir: str):
     )
     from .group_by import features_for_queries
 
-    out = features_for_queries(gb, _distinct_user_ts(sf_dir), num_buckets=N_BUCKETS, dedupe_queries=True)
+    out = features_for_queries(gb, _distinct_user_ts(sf_dir), dedupe_queries=True)
     # static schema — .schema() on the lazy kernel pipeline would execute the
     # whole shuffle once just for names (tie_breaker event_id is a right-side
     # input, never a left/output column)
@@ -231,7 +226,7 @@ def asof_moments(sf_dir: str):
     )
     from .group_by import features_for_queries
 
-    return features_for_queries(gb, _distinct_user_ts(sf_dir), num_buckets=N_BUCKETS, dedupe_queries=True)
+    return features_for_queries(gb, _distinct_user_ts(sf_dir), dedupe_queries=True)
 
 
 # Moments from EXACT integer power sums of the 100x-scaled values, finalized
@@ -293,7 +288,7 @@ def asof_distinct_topk(sf_dir: str):
     )
     from .group_by import features_for_queries
 
-    return features_for_queries(gb, _distinct_user_ts(sf_dir), num_buckets=N_BUCKETS, dedupe_queries=True)
+    return features_for_queries(gb, _distinct_user_ts(sf_dir), dedupe_queries=True)
 
 
 ASOF_DISTINCT_SQL = f"""
@@ -326,7 +321,7 @@ def asof_histogram_exploded(sf_dir: str):
     )
     from .group_by import features_for_queries
 
-    feats = features_for_queries(gb, _distinct_user_ts(sf_dir), num_buckets=N_BUCKETS, dedupe_queries=True)
+    feats = features_for_queries(gb, _distinct_user_ts(sf_dir), dedupe_queries=True)
 
     def explode(batch: pa.Table) -> pa.Table:
         users, tss, types, cnts = [], [], [], []
@@ -375,7 +370,7 @@ def approx_histogram_exploded(sf_dir: str):
     )
     from .group_by import features_for_queries
 
-    feats = features_for_queries(gb, _distinct_user_ts(sf_dir), num_buckets=N_BUCKETS, dedupe_queries=True)
+    feats = features_for_queries(gb, _distinct_user_ts(sf_dir), dedupe_queries=True)
 
     def explode(batch: pa.Table) -> pa.Table:
         users, tss, types, cnts = [], [], [], []
@@ -424,7 +419,6 @@ def lag_lead_events(sf_dir: str):
     )
     return lag_lead(
         ds, ["user_id"], ["value"], lags=(1, 2), leads=(1,), tie_col="event_id",
-        num_buckets=N_BUCKETS,
     )
 
 
@@ -444,8 +438,7 @@ def sessionize_30m(sf_dir: str):
     ds = _events_ds(sf_dir, ["event_id", "user_id", "ts"]).map_batches(
         lambda df: df.assign(ts=df["ts"].astype("int64") // 1000), batch_format="pandas"
     )
-    return sessionize(ds, ["user_id"], gap_ms=30 * 60 * 1000, tie_col="event_id",
-                      num_buckets=N_BUCKETS)
+    return sessionize(ds, ["user_id"], gap_ms=30 * 60 * 1000, tie_col="event_id")
 
 
 SESSIONIZE_SQL = """
@@ -491,7 +484,7 @@ def range_join_windows(sf_dir: str):
     return bucketed_range_join(
         left, right, on=["user_id"], left_ts="ts",
         right_start="w_start", right_end="w_end",
-        chunk_ms=6 * 3600 * 1000, num_buckets=N_BUCKETS,
+        chunk_ms=6 * 3600 * 1000,
     )
 
 
@@ -524,7 +517,7 @@ def snapshot_daily(sf_dir: str):
         accuracy=Accuracy.SNAPSHOT,
         name="snap",
     )
-    out = snapshot_backfill(gb, ["2024-01-10", "2024-01-15"], num_buckets=N_BUCKETS)
+    out = snapshot_backfill(gb, ["2024-01-10", "2024-01-15"])
     return out.select_columns(["user_id", "ds", "value_sum_7d", "value_count"])
 
 
@@ -587,7 +580,7 @@ def join_enrich(sf_dir: str):
         ],
         name="enriched",
     )
-    return backfill_join(join, num_buckets=N_BUCKETS)
+    return backfill_join(join)
 
 
 JOIN_ENRICH_SQL = f"""
@@ -611,11 +604,9 @@ SELECT *, user_stats_value_sum_7d / user_stats_value_count AS sum_per_count FROM
 
 
 def q1_pricing_summary(sf_dir: str):
-    import ray.data
-
     from ..functions.relational import sql_group_agg
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
                  "l_discount", "l_shipdate"],
@@ -668,18 +659,16 @@ def q3_top_revenue(sf_dir: str):
     no shuffle for the dimension join; one shuffle for the lineitem
     pre-aggregate; one co-partitioned hash join orders x revenue; per-batch
     top-k prune before the tiny global sort."""
-    import ray.data
-
     from ..functions.relational import (
         broadcast_lookup_join, bucketed_left_join, sql_group_agg,
     )
 
-    cust = ray.data.read_parquet(f"{sf_dir}/customer.parquet",
-                                 columns=["c_custkey", "c_mktsegment"])
-    orders = ray.data.read_parquet(f"{sf_dir}/orders.parquet",
-                                   columns=["o_orderkey", "o_custkey", "o_orderdate"])
-    li = ray.data.read_parquet(f"{sf_dir}/lineitem.parquet",
-                               columns=["l_orderkey", "l_extendedprice", "l_discount"])
+    cust = read_parquet(f"{sf_dir}/customer.parquet",
+                        columns=["c_custkey", "c_mktsegment"])
+    orders = read_parquet(f"{sf_dir}/orders.parquet",
+                          columns=["o_orderkey", "o_custkey", "o_orderdate"])
+    li = read_parquet(f"{sf_dir}/lineitem.parquet",
+                      columns=["l_orderkey", "l_extendedprice", "l_discount"])
     filtered = (
         cust.filter(expr="c_mktsegment == 'BUILDING'")
         .select_columns(["c_custkey"])
@@ -697,8 +686,7 @@ def q3_top_revenue(sf_dir: str):
         joined = broadcast_lookup_join(orders, cust_df, on=["o_custkey"], how="inner")
     else:
         dim = filtered.rename_columns({"c_custkey": "o_custkey"})
-        joined = bucketed_left_join(orders, dim, on=["o_custkey"],
-                                    num_buckets=N_BUCKETS, how="inner")
+        joined = bucketed_left_join(orders, dim, on=["o_custkey"], how="inner")
     rev = sql_group_agg(
         li, keys=["l_orderkey"],
         partials={"revenue": "sum(l_extendedprice * (1 - l_discount))"},
@@ -711,8 +699,7 @@ def q3_top_revenue(sf_dir: str):
         )
 
     rev = rev.map_batches(rename, batch_format="pyarrow")
-    out = bucketed_left_join(joined, rev, on=["o_orderkey"],
-                             num_buckets=N_BUCKETS, how="inner")
+    out = bucketed_left_join(joined, rev, on=["o_orderkey"], how="inner")
     out = out.select_columns(["o_orderkey", "o_orderdate", "revenue"])
 
     def prune(batch: pa.Table) -> pa.Table:
@@ -746,11 +733,9 @@ ORDER BY revenue DESC, o_orderkey LIMIT 10
 
 
 def dedup_exact_docs(sf_dir: str):
-    import ray.data
-
     from ..stages.dedup import exact_dedup
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet")
+    ds = read_parquet(f"{sf_dir}/documents.parquet")
     return exact_dedup(ds, ["text"], order_col="doc_id")
 
 
@@ -763,11 +748,9 @@ WHERE doc_id IN (SELECT min(doc_id) FROM documents GROUP BY text)
 def repetition_stats_docs(sf_dir: str):
     """Gopher-style repetition filters (duplicate/top word-bigram fractions)
     over the documents table — standard LLM-corpus quality signals."""
-    import ray.data
-
     from ..stages.text import RepetitionStats
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     out = ds.map_batches(RepetitionStats("text"), batch_format="pandas")
     return out.select_columns(["doc_id", "n_bigrams", "dup_bigram_frac", "top_bigram_frac"])
 
@@ -799,11 +782,9 @@ def pii_scrub_docs(sf_dir: str):
     actor-pool PiiScrub stage must find and replace exactly those (plus any
     already in the text).  Both sides build the same augmented text, so the
     oracle checks the scrubbing byte for byte."""
-    import ray.data
-
     from ..stages.text import PiiScrub
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def inject(df):
         d = df["doc_id"].astype("string")
@@ -842,12 +823,10 @@ def paragraph_dedup_docs(sf_dir: str):
     text is deterministically re-chunked into 10-word paragraphs (same regex
     in the SQL oracle), then every paragraph keeps only its first
     (doc, position) occurrence and documents are reassembled."""
-    import ray.data
-
     from ..stages.dedup import dedup_paragraphs
     from ..stages.shuffle import _arrow_schema
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def chunk(df):
         df = df.copy()
@@ -885,11 +864,9 @@ def duplicate_spans_docs(sf_dir: str):
     5-grams that occur >=2 times corpus-wide + the max corpus frequency
     reached (Lee et al. 2022-style substring-duplication signal).  Docs with
     fewer than 5 tokens have no grams and are excluded (both sides)."""
-    import ray.data
-
     from ..stages.text import duplicate_span_stats
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     out = duplicate_span_stats(ds, "text", "doc_id", n=5, hot=2)
     return out.select_columns(["doc_id", "n_grams", "dup_gram_frac", "max_gram_freq"])
 
@@ -922,11 +899,9 @@ def span_removal_docs(sf_dir: str):
     as its surviving tokens.  The rewrite counterpart of duplicate_spans
     (which only scores); see stages/dedup.py:remove_duplicate_spans for the
     two-exchange scale shape."""
-    import ray.data
-
     from ..stages.dedup import remove_duplicate_spans
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     out = remove_duplicate_spans(ds, "text", "doc_id", n=5)
     return out.select_columns(["doc_id", "n_tokens", "n_removed", "clean_text"])
 
@@ -973,18 +948,16 @@ def quantile_filter_docs(sf_dir: str):
     cost bounded by value cardinality, never rows) and is captured as a
     plain scalar in the filter closure — broadcast, never a join."""
     import pyarrow.compute as pc
-    import ray.data
-
     from ..functions.stats import exact_quantile_by_counting
 
     thr = int(
         exact_quantile_by_counting(
-            ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["n_chars"]),
+            read_parquet(f"{sf_dir}/documents.parquet", columns=["n_chars"]),
             "n_chars",
             0.5,
         )
     )
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
     )
     return ds.map_batches(
@@ -1007,11 +980,9 @@ def outlier_flags(sf_dir: str):
     statistics the exact lower-median element of the user's own events
     (quantile_disc semantics -> bit-exact cross-engine).  One hash-bucket
     exchange; see functions/stats.py:robust_outlier_flags."""
-    import ray.data
-
     from ..functions.stats import robust_outlier_flags
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "user_id", "value"]
     )
     out = robust_outlier_flags(ds, "user_id", "value", k=3.0)
@@ -1040,11 +1011,9 @@ def doc_chunks(sf_dir: str):
     """Fixed-size overlapping token-window chunking (context-window prep):
     chunk k covers tokens [k*24, k*24+32); pure flat_map, no shuffle.  See
     stages/text.py:chunk_documents."""
-    import ray.data
-
     from ..stages.text import chunk_documents
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return chunk_documents(ds, "text", "doc_id", chunk=_CHUNK, stride=_CHUNK_STRIDE)
 
 
@@ -1075,8 +1044,6 @@ def token_pack_docs(sf_dir: str):
     first/last block via the two-level distributed prefix sum in
     stages/splits.py:token_pack (exchange bounded by #id-ranges, all-integer
     so bit-exact cross-engine)."""
-    import ray.data
-
     from ..stages.splits import token_pack
     from ..stages.text import _GRAM_TOK_PAT
 
@@ -1091,7 +1058,7 @@ def token_pack_docs(sf_dir: str):
         )
         return df[["doc_id", "n_tok"]]
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     counted = ds.map_batches(add_ntok, batch_format="pandas")
     return token_pack(counted, "doc_id", "n_tok", block=_PACK_BLOCK, range_width=100)
 
@@ -1119,11 +1086,9 @@ def percentile_normalize_docs(sf_dir: str):
     quality score against the corpus distribution' prep step.  Distribution
     pass bounded by value cardinality, scoring pass shuffle-free via a
     broadcast searchsorted (functions/stats.py:percentile_rank_column)."""
-    import ray.data
-
     from ..functions.stats import percentile_rank_column
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
     )
     return percentile_rank_column(ds, "n_chars", keep_cols=["doc_id", "n_chars"])
@@ -1153,12 +1118,10 @@ def user_trend(sf_dir: str):
     centering differs); residual low-bit divergence from partial-vs-serial
     summation order sits ~1e-12 relative, far under the harness's 1e-6
     rounding."""
-    import ray.data
-
     from ..functions.relational import sql_group_agg
 
     x = f"(epoch_ms(ts) - {_TREND_BASE_MS}) / 86400000.0"
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"])
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"])
     slope = "(n * sxy - sx * sy) / nullif(n * sxx - sx * sx, 0)"
     return sql_group_agg(
         ds,
@@ -1202,11 +1165,9 @@ FROM s
 
 
 def text_stats_docs(sf_dir: str):
-    import ray.data
-
     from ..stages.text import TextStats
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     out = ds.map_batches(TextStats("text"), batch_format="pandas")
     return out.select_columns(
         ["doc_id", "n_chars2", "n_tokens", "avg_token_len", "alpha_ratio", "digit_ratio"]
@@ -1235,11 +1196,9 @@ FROM x
 def token_counts_docs(sf_dir: str):
     """Whitespace + BPE-style pre-tokenizer counts per document (the
     brief's "token counting (whitespace + a BPE-ish regex)" item)."""
-    import ray.data
-
     from ..stages.text import TokenCount
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     out = ds.map_batches(TokenCount("text"), batch_format="pandas")
     return out.select_columns(
         ["doc_id", "n_ws_tokens", "n_bpe_tokens", "punct_token_ratio"]
@@ -1268,11 +1227,9 @@ def tfidf_top_terms_docs(sf_dir: str):
     """Top-3 TF-IDF terms per document (stages/text.py tfidf_top_terms):
     one vocabulary-sized term exchange + count-gated idf broadcast; a
     document's tokens never ride a shuffle."""
-    import ray.data
-
     from ..stages.text import tfidf_top_terms
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return tfidf_top_terms(ds, "text", "doc_id", k=3)
 
 
@@ -1295,11 +1252,9 @@ def lm_quality_docs(sf_dir: str):
     """CCNet-style unigram-LM quality score per document (stages/text.py
     lm_quality): vocabulary-sized term exchange + count-gated model
     broadcast; scoring local to each batch."""
-    import ray.data
-
     from ..stages.text import lm_quality
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return lm_quality(ds, "text", "doc_id")
 
 
@@ -1332,8 +1287,6 @@ def decontaminate_docs(sf_dir: str):
     deterministic held-out benchmark split (doc_id % 97 == 0); the benchmark
     gram set is the only exchange, candidates never shuffle."""
     import pyarrow as pa
-    import ray.data
-
     from ..stages.text import decontaminate
 
     def split(keep_bench: bool):
@@ -1343,7 +1296,7 @@ def decontaminate_docs(sf_dir: str):
 
         return fn
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     bench = ds.map_batches(split(True), batch_format="pyarrow")
     cand = ds.map_batches(split(False), batch_format="pyarrow")
     return decontaminate(cand, bench, "text", "doc_id", n=5, min_overlap=1)
@@ -1378,13 +1331,11 @@ WHERE t.doc_id % 97 <> 0
 
 
 def ann_cosine_topk(sf_dir: str):
-    import ray.data
-
     from ..stages.ann import brute_force_topk
 
     emb_path = f"{sf_dir}/embeddings.parquet"
     qvecs, qids = _query_vectors(emb_path, 8)
-    ds = ray.data.read_parquet(emb_path, columns=["vec_id", "embedding"])
+    ds = read_parquet(emb_path, columns=["vec_id", "embedding"])
     out = brute_force_topk(ds, qvecs, qids, "embedding", "vec_id", k=10)
     return out.select_columns(["query_id", "vec_id", "rank"])
 
@@ -1415,9 +1366,7 @@ FROM s WHERE rank <= 10
 
 
 def elementwise_avg_by_label(sf_dir: str):
-    import ray.data
-
-    ds = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"])
+    ds = read_parquet(f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"])
 
     def partial(batch: pa.Table) -> pa.Table:
         from ..stages.ann import vecs_to_numpy
@@ -1586,42 +1535,34 @@ SELECT doc_id, min(lab) AS cluster FROM reach GROUP BY doc_id
 
 
 def minhash_clusters_docs(sf_dir: str):
-    import ray.data
-
     from ..stages.dedup import minhash_lsh_clusters
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return minhash_lsh_clusters(ds, "text", "doc_id")
 
 
 def simhash_docs(sf_dir: str):
-    import ray.data
-
     from ..stages.dedup import SimHash
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return ds.map_batches(SimHash("text"), batch_format="pyarrow").select_columns(
         ["doc_id", "simhash"]
     )
 
 
 def langid_docs(sf_dir: str):
-    import ray.data
-
     from ..stages.text import LangId, QualityScore
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
     out = ds.map_batches(LangId, batch_format="pandas", concurrency=2)
     out = out.map_batches(QualityScore, batch_format="pandas", concurrency=2)
     return out.select_columns(["doc_id", "lang", "lang_guess", "quality_score"])
 
 
 def fingerprint_docs(sf_dir: str):
-    import ray.data
-
     from ..stages.text import Fingerprint
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
     return ds.map_batches(Fingerprint("text"), batch_format="pandas").select_columns(
         ["doc_id", "fingerprint"]
     )
@@ -1649,8 +1590,6 @@ def approx_distinct_users(sf_dir: str):
     from .group_by import features_for_queries
 
     # one query per event_type at the max ts + 1
-    import ray.data
-
     left = (
         _events_ds(sf_dir, ["event_type", "ts"])
         .map_batches(
@@ -1662,7 +1601,7 @@ def approx_distinct_users(sf_dir: str):
         .groupby("event_type")
         .map_groups(lambda g: g.sort_values("ts").tail(1), batch_format="pandas")
     )
-    feats = features_for_queries(gb, left, num_buckets=4)
+    feats = features_for_queries(gb, left)
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         exact = df["user_id_unique_count"].astype("int64")
@@ -1701,13 +1640,11 @@ def lsh_ann_docs(sf_dir: str):
     brute-force top-1 (hard SQL check — the query's own bucket always
     matches), and recall@5 vs the independent brute-force pipeline must
     clear a floor (bound oracle)."""
-    import ray.data
-
     from ..stages.ann import brute_force_topk, lsh_bucketed_topk
 
     emb_path = f"{sf_dir}/embeddings.parquet"
     qvecs, qids = _query_vectors(emb_path, 4)
-    ds = ray.data.read_parquet(emb_path, columns=["vec_id", "embedding"])
+    ds = read_parquet(emb_path, columns=["vec_id", "embedding"])
     lsh = lsh_bucketed_topk(ds, qvecs, qids, "embedding", "vec_id", k=5, n_planes=4,
                             multiprobe=2)
     brute = brute_force_topk(ds, qvecs, qids, "embedding", "vec_id", k=5)
@@ -1740,13 +1677,11 @@ def ivf_ann_docs(sf_dir: str):
     LSH variant: top-1 must equal the global brute-force top-1 (a corpus row
     identical to the query always lands in the query's own probed cell), and
     recall@5 vs the independent brute-force pipeline must clear a floor."""
-    import ray.data
-
     from ..stages.ann import brute_force_topk, ivf_bucketed_topk
 
     emb_path = f"{sf_dir}/embeddings.parquet"
     qvecs, qids = _query_vectors(emb_path, 4)
-    ds = ray.data.read_parquet(emb_path, columns=["vec_id", "embedding"])
+    ds = read_parquet(emb_path, columns=["vec_id", "embedding"])
     ivf = ivf_bucketed_topk(ds, qvecs, qids, "embedding", "vec_id", k=5,
                             n_centroids=8, nprobe=3)
     brute = brute_force_topk(ds, qvecs, qids, "embedding", "vec_id", k=5)
@@ -1771,11 +1706,9 @@ def kmeans_clusters(sf_dir: str):
     centroids + per-batch partial sums; the oracle unrolls the identical
     iterations in SQL.  k=4 seeds from vec_id<4, 3 Lloyd updates, final
     assignment labels every row."""
-    import ray.data
-
     from ..stages.kmeans import kmeans_cluster
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
     return kmeans_cluster(ds, "embedding", "vec_id", k=4, iters=3)
@@ -1791,11 +1724,9 @@ def dataset_split(sf_dir: str):
     """Deterministic 80/10/10 train/val/test split of the documents table by
     splitmix64(doc_id) — stable under re-runs, engine changes, and appends
     (stages/splits.py)."""
-    import ray.data
-
     from ..stages.splits import hash_split
 
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
+    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
     return hash_split(ds, "doc_id")
 
 
@@ -1813,11 +1744,9 @@ def stratified_sample_embeddings(sf_dir: str):
     """Deterministic class-balanced sample: the 10 lowest-hash vec_ids per
     label (stages/splits.py stratified_sample — per-block top-n prune, one
     tiny stratum exchange)."""
-    import ray.data
-
     from ..stages.splits import stratified_sample
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "label"]
     )
     return stratified_sample(ds, "label", "vec_id", 10)
@@ -1863,7 +1792,7 @@ def image_backfill_small(sf_dir: str):
     tables carry no image payloads; BASELINE's input shape is synthesized)."""
     from .images import image_feature_backfill
 
-    return image_feature_backfill(_ensure_img_small(), num_buckets=8)
+    return image_feature_backfill(_ensure_img_small())
 
 
 _PHASH_TBL = "/tmp/raywin_phash_small"
@@ -1921,13 +1850,11 @@ def phash_neardup_images(sf_dir: str):
     LSH banding (4x16-bit bands, complete recall for dist <= 3) + exact
     vectorized popcount verify; payloads never ride, see
     stages/dedup.py:phash_neardup_pairs."""
-    import ray.data
-
     from ..stages.dedup import phash_neardup_pairs
 
     path = _ensure_phash_table()
-    ds = ray.data.read_parquet(path, columns=["image_id", "phash"])
-    return phash_neardup_pairs(ds, max_dist=3, num_bands=4, num_buckets=16)
+    ds = read_parquet(path, columns=["image_id", "phash"])
+    return phash_neardup_pairs(ds, max_dist=3, num_bands=4)
 
 
 def _phash_neardup_sql() -> str:
@@ -2031,12 +1958,10 @@ def image_pixel_dedup(sf_dir: str):
     byte-identical images corpus-wide — bytes dropped in the decode stage,
     only (id, digest128) rides the one exchange.  See
     stages/dedup.py:pixel_dedup_groups."""
-    import ray.data
-
     from ..stages.dedup import pixel_dedup_groups
 
     path = _ensure_dupimg_table()
-    ds = ray.data.read_parquet(path, columns=["image_id", "bytes", "fmt"])
+    ds = read_parquet(path, columns=["image_id", "bytes", "fmt"])
     return pixel_dedup_groups(ds).select_columns(
         ["image_id", "canonical_id", "group_size"]
     )
@@ -2082,12 +2007,10 @@ def video_frame_sample(sf_dir: str):
     pixel features; PSNR/caption invariants enforced per sampled frame.
     See stages/video.py — brief-mandated net-new surface (no chronon
     counterpart; payloads there are opaque thrift binary columns)."""
-    import ray.data
-
     from ..stages.video import FrameSampleStage
 
     path = _ensure_video_table()
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         path, columns=["video_id", "bytes", "fmt", "caption", "ts"]
     )
     ds = ds.map_batches(
@@ -2140,12 +2063,10 @@ def audio_window_features(sf_dir: str):
     enforced per sampled window.  See stages/audio.py — brief-mandated
     net-new surface (no chronon counterpart; payloads there are opaque
     thrift binary columns)."""
-    import ray.data
-
     from ..stages.audio import AudioWindowStage
 
     path = _ensure_audio_table()
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         path, columns=["audio_id", "bytes", "fmt", "caption", "ts"]
     )
     ds = ds.map_batches(
@@ -2177,17 +2098,15 @@ def image_backfill_skew_small(sf_dir: str):
     (7 hot keys), so the chunk path runs end to end in the driver gate —
     reference analogue: the skew-handling assertions around
     spark/src/test/scala/ai/chronon/spark/test/join/*JoinTest.scala."""
-    import ray.data
-
     from ..stages.shuffle import detect_hot_keys
     from .images import image_feature_backfill
 
     path = _ensure_img_small()
     hot = detect_hot_keys(
-        ray.data.read_parquet(path, columns=["image_id", "ts"]), "image_id"
+        read_parquet(path, columns=["image_id", "ts"]), "image_id"
     )
     assert hot.keys, "skew query ran without hot keys — detector regressed"
-    return image_feature_backfill(path, num_buckets=8, handle_skew=True)
+    return image_feature_backfill(path, handle_skew=True)
 
 
 def _image_backfill_sql() -> str:
@@ -2253,11 +2172,9 @@ GROUP BY o_orderdate
 
 
 def summary_stats_lineitem(sf_dir: str):
-    import ray.data
-
     from ..functions.stats import summary_stats
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/lineitem.parquet", columns=["l_quantity", "l_extendedprice", "l_discount"]
     )
     out = summary_stats(ds, ["l_quantity", "l_extendedprice", "l_discount"])
@@ -2378,8 +2295,6 @@ def temporal_entities_demo(sf_dir: str):
     """PITC aggregation over mutable entities (CDC reversals), unwindowed AND
     windowed deletable ops — deterministic fixture with a full DuckDB
     per-query recompute oracle (reference MutationsTest.scala:74-134)."""
-    import ray.data
-
     from ..api import Accuracy, EntitySource
     from .entities import temporal_entity_features
 
@@ -2398,8 +2313,8 @@ def temporal_entities_demo(sf_dir: str):
         accuracy=Accuracy.TEMPORAL,
         name="ent_demo",
     )
-    left = ray.data.read_parquet(left_path)
-    return temporal_entity_features(gb, left, num_buckets=4)
+    left = read_parquet(left_path)
+    return temporal_entity_features(gb, left)
 
 
 def _temporal_entities_sql() -> str:
@@ -2478,10 +2393,9 @@ def drift_stats_demo(sf_dir: str):
     binned on an explicit [min, max] grid with a fixed double-op formula so
     the SQL oracle reproduces the bin assignment (and hence both distances)
     exactly."""
-    import ray.data
     from ray.data.aggregate import Max, Min, Sum
 
-    ds = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "value"])
+    ds = read_parquet(f"{sf_dir}/events.parquet", columns=["event_id", "value"])
 
     def _half(parity):
         def fn(batch: pa.Table) -> pa.Table:
@@ -2611,7 +2525,7 @@ def bootstrap_join(sf_dir: str):
         ],
         name="bootstrap_join",
     )
-    return backfill_join(join, num_buckets=N_BUCKETS)
+    return backfill_join(join)
 
 
 BOOTSTRAP_JOIN_SQL = f"""
@@ -2643,8 +2557,6 @@ def list_explode_agg(sf_dir: str):
     embeddings table's vector aggregates as its own row.  Elements are
     integerized in the Query select (round(x*1000)) so every aggregate is
     integer-exact and the SQL oracle reproduces it bitwise."""
-    import ray.data
-
     from .group_by import features_for_queries
 
     src = EventSource(
@@ -2672,7 +2584,7 @@ def list_explode_agg(sf_dir: str):
         name="listagg",
     )
     left = (
-        ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "label"])
+        read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "label"])
         .map_batches(
             lambda df: df.assign(ts=1600000000000 + df["vec_id"].astype("int64") * 60000)[
                 ["label", "ts"]
@@ -2683,7 +2595,7 @@ def list_explode_agg(sf_dir: str):
         .map_groups(lambda g: g.sort_values("ts").tail(1).assign(ts=lambda d: d["ts"] + 1),
                     batch_format="pandas")
     )
-    return features_for_queries(gb, left, num_buckets=4)
+    return features_for_queries(gb, left)
 
 
 LIST_EXPLODE_SQL = f"""
@@ -2749,7 +2661,7 @@ def map_column_agg(sf_dir: str):
         .groupby("event_type")
         .map_groups(lambda g: g.sort_values("ts").tail(1), batch_format="pandas")
     )
-    feats = features_for_queries(gb, left, num_buckets=4)
+    feats = features_for_queries(gb, left)
 
     def explode(batch: pa.Table) -> pa.Table:
         cols = ["m_sum_7d", "m_sum", "m_count_7d", "m_max"]
@@ -2811,8 +2723,7 @@ def session_stats_30m(sf_dir: str):
     ds = _events_ds(sf_dir, ["event_id", "user_id", "ts"]).map_batches(
         lambda df: df.assign(ts=df["ts"].astype("int64") // 1000), batch_format="pandas"
     )
-    return sessionize(ds, ["user_id"], gap_ms=30 * 60 * 1000, tie_col="event_id",
-                      num_buckets=N_BUCKETS, output="sessions")
+    return sessionize(ds, ["user_id"], gap_ms=30 * 60 * 1000, tie_col="event_id", output="sessions")
 
 
 SESSION_STATS_SQL = """
@@ -2844,7 +2755,7 @@ def label_join_training(sf_dir: str):
         name="feat",
     )
     feats = features_for_queries(
-        feat_gb, _distinct_user_ts(sf_dir), num_buckets=N_BUCKETS, dedupe_queries=True
+        feat_gb, _distinct_user_ts(sf_dir), dedupe_queries=True
     )
     label_gb = GroupBy(
         sources=[_events_source(sf_dir, {"user_id": "user_id", "value": "value"})],
@@ -2853,7 +2764,7 @@ def label_join_training(sf_dir: str):
         accuracy=Accuracy.TEMPORAL,
         name="lbl",
     )
-    return label_join(feats, label_gb, DAY, ["user_id"], num_buckets=N_BUCKETS)
+    return label_join(feats, label_gb, DAY, ["user_id"])
 
 
 LABEL_JOIN_SQL = f"""
@@ -2905,8 +2816,7 @@ def chained_join_features(sf_dir: str):
         accuracy=Accuracy.TEMPORAL,
         name="child",
     )
-    return chained_features(child, _distinct_user_ts(sf_dir),
-                            num_buckets=N_BUCKETS, dedupe_queries=True)
+    return chained_features(child, _distinct_user_ts(sf_dir), dedupe_queries=True)
 
 
 CHAINED_JOIN_SQL = f"""
@@ -2940,7 +2850,7 @@ def bucketed_counts(sf_dir: str):
     from .group_by import features_for_queries
 
     feats = features_for_queries(
-        gb, _distinct_user_ts(sf_dir), num_buckets=N_BUCKETS, dedupe_queries=True
+        gb, _distinct_user_ts(sf_dir), dedupe_queries=True
     )
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -3001,7 +2911,7 @@ def snapshot_entities_daily(sf_dir: str):
         accuracy=Accuracy.SNAPSHOT,
         name="snap_ent",
     )
-    return snapshot_entity_features(gb, num_buckets=4)
+    return snapshot_entity_features(gb)
 
 
 def _snapshot_entities_sql() -> str:
@@ -3022,11 +2932,9 @@ def neardup_jaccard_docs(sf_dir: str):
     """MinHash-LSH candidates verified with exact 5-gram Jaccard >= 0.8.
     Candidate recall at the injected near-dups' J (~0.99) is 1-5e-21, so the
     verified set equals the oracle's brute-force all-pairs set."""
-    import ray.data
-
     from ..stages.dedup import verified_neardup_pairs
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     )
     return verified_neardup_pairs(ds, "text", "doc_id", threshold=0.8)
@@ -3053,11 +2961,9 @@ WHERE CAST(i AS DOUBLE) / (sa.n + sb.n - i) >= 0.8
 
 def neardup_cosine_pairs(sf_dir: str):
     """Exhaustive embedding-cosine near-dup pairs (block-pair matmul tasks)."""
-    import ray.data
-
     from ..stages.dedup import cosine_neardup_pairs
 
-    ds = ray.data.read_parquet(
+    ds = read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
     )
     return cosine_neardup_pairs(ds, tau=0.4, num_blocks=4)
@@ -3110,7 +3016,7 @@ def online_serving(sf_dir: str):
     # streaming tail stays lazy too — both ride the serving co-partition
     # shuffle with the queries instead of a driver .to_pandas() + ray.put
     # broadcast (which holds the whole tail+upload per node at scale)
-    upload = group_by_upload(gb, batch_end, num_buckets=N_BUCKETS)
+    upload = group_by_upload(gb, batch_end)
     stream = _events_ds(sf_dir, ["user_id", "ts", "value"]).map_batches(
         lambda df: df.assign(ts=df["ts"].astype("int64") // 1000),
         batch_format="pandas",
@@ -3120,7 +3026,7 @@ def online_serving(sf_dir: str):
         .filter(expr=f"ts >= {batch_end} and ts < {batch_end + DAY}")
     )
     return online_enrich_distributed(
-        left, gb, batch_end, upload, stream, num_buckets=N_BUCKETS
+        left, gb, batch_end, upload, stream
     )
 
 
@@ -3295,7 +3201,7 @@ def external_enrich(sf_dir: str):
         ],
         name="external_enrich",
     )
-    return backfill_join(join, num_buckets=N_BUCKETS)
+    return backfill_join(join)
 
 
 EXTERNAL_ENRICH_SQL = f"""
@@ -3325,11 +3231,9 @@ def consistency_compare(sf_dir: str):
     11th nulled, every 13th event type rewritten — and the metrics must
     localize exactly that drift per field per 6-hour bucket."""
     import pyarrow.compute as pc
-    import ray.data
-
     from ..functions.compare import compare_tables
 
-    base = ray.data.read_parquet(
+    base = read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "value", "event_type"]
     )
 
@@ -3358,7 +3262,6 @@ def consistency_compare(sf_dir: str):
         value_fields=[("score", pa.float64()), ("etype", pa.string())],
         time_column="ts",
         bucket_minutes=360,
-        num_buckets=N_BUCKETS,
     )
 
 

@@ -20,20 +20,20 @@ from .group_by import features_for_queries
 from .join import backfill_join
 
 
-def resolve_join_source(source: JoinSource, num_buckets: int = 32):
+def resolve_join_source(source: JoinSource):
     """Materialize the parent join and apply the child Query — the
     replaceJoinSource step.  Returns a Dataset usable as right_ds."""
-    parent = backfill_join(source.join, num_buckets=num_buckets)
+    parent = backfill_join(source.join)
     return apply_query(parent, source.query)
 
 
-def chained_features(group_by: GroupBy, left_ds, num_buckets: int = 32, **kwargs):
+def chained_features(group_by: GroupBy, left_ds, **kwargs):
     """features_for_queries for a GroupBy whose source is a JoinSource."""
     src = group_by.sources[0]
     assert isinstance(src, JoinSource), "chained_features requires a JoinSource"
-    right = resolve_join_source(src, num_buckets).materialize()
+    right = resolve_join_source(src).materialize()
     return features_for_queries(
-        group_by, left_ds, num_buckets=num_buckets, right_ds=right, **kwargs
+        group_by, left_ds, right_ds=right, **kwargs
     )
 
 
@@ -42,7 +42,6 @@ def label_join(
     label_group_by: GroupBy,
     label_offset_ms: int,
     key_cols: list[str],
-    num_buckets: int = 32,
 ):
     """Attach labels observed `label_offset_ms` AFTER each feature row's ts.
 
@@ -65,7 +64,7 @@ def label_join(
         shift, batch_format="pyarrow"
     )
     labels = features_for_queries(
-        label_group_by, shifted, num_buckets=num_buckets, dedupe_queries=False
+        label_group_by, shifted, dedupe_queries=False
     )
 
     def unshift(batch: pa.Table) -> pa.Table:
@@ -81,4 +80,4 @@ def label_join(
     labels = labels.rename_columns(rename)
     from ..functions.relational import bucketed_left_join
 
-    return bucketed_left_join(feature_ds, labels, key_cols + ["ts"], num_buckets, how="left")
+    return bucketed_left_join(feature_ds, labels, key_cols + ["ts"], how="left")

@@ -22,7 +22,7 @@ from ..functions.compare import LEFT_SUFFIX, RIGHT_SUFFIX, compare_joined
 from .join import backfill_join
 
 
-def comparison_join(join: Join, logged_table: str, num_buckets: int = 16) -> Join:
+def comparison_join(join: Join, logged_table: str) -> Join:
     """The Join re-pointed at the logged table as its left: selects the
     left key columns + ts straight from the log (ts is already epoch
     millis there), keeping every part/derivation unchanged
@@ -58,7 +58,6 @@ def consistency_metrics(
     schema_table: str,
     value_fields: list[tuple[str, pa.DataType]] | None = None,
     bucket_minutes: int = 60,
-    num_buckets: int = 16,
     tmp_dir: str = "/tmp/raywin_consistency",
 ):
     """End-to-end consistency metrics for one Join's serving logs.
@@ -76,8 +75,7 @@ def consistency_metrics(
     flat_path = os.path.join(tmp_dir, f"{join.name}_flat")
     if not os.path.exists(flat_path):
         logged.write_parquet(flat_path)
-    comp = backfill_join(comparison_join(join, flat_path, num_buckets),
-                         num_buckets=num_buckets)
+    comp = backfill_join(comparison_join(join, flat_path))
     if value_fields is None:
         # every feature field the log carries; the offline recompute of the
         # same Join produces the same columns (probing comp.schema() here
@@ -101,5 +99,5 @@ def consistency_metrics(
     r = r.select_columns(row_keys + [n + RIGHT_SUFFIX for n, _ in value_fields])
     from ..functions.relational import bucketed_left_join
 
-    joined = bucketed_left_join(l, r, row_keys, num_buckets=num_buckets)
+    joined = bucketed_left_join(l, r, row_keys)
     return compare_joined(joined, value_fields, "ts", bucket_minutes)

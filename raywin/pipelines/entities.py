@@ -42,6 +42,7 @@ import pyarrow as pa
 from ..api import MILLIS_DAY, EntitySource, GroupBy, Operation
 from ..aggregator.kernel import detect_decimal, factorize_multi
 from ..aggregator.windowing import round_down
+from ..sources.io import read_parquet
 from ..stages.shuffle import SIDE_COL, _arrow_schema, co_partition
 
 # the reference's deletable (CDC-reversible) op set: SUM/COUNT/AVERAGE via
@@ -52,11 +53,9 @@ _DELETABLE = {Operation.SUM, Operation.COUNT, Operation.AVERAGE, Operation.HISTO
 _HIST_TYPE = pa.map_(pa.string(), pa.int64())
 
 
-def snapshot_entity_features(group_by: GroupBy, num_buckets: int = 32):
+def snapshot_entity_features(group_by: GroupBy):
     """SNAPSHOT accuracy over an EntitySource: one feature row per (keys, ds)
     aggregating that day's snapshot rows (GroupBy.scala:100-142)."""
-    import ray.data
-
     src = group_by.sources[0]
     assert isinstance(src, EntitySource)
     if not group_by.aggregations:
@@ -65,7 +64,7 @@ def snapshot_entity_features(group_by: GroupBy, num_buckets: int = 32):
         from ..sources.io import scan_source
 
         return scan_source(src)
-    ds_ = ray.data.read_parquet(src.snapshot_table)
+    ds_ = read_parquet(src.snapshot_table)
     parts = group_by.agg_parts()
     key_cols = group_by.key_columns
 
@@ -138,7 +137,7 @@ def snapshot_entity_features(group_by: GroupBy, num_buckets: int = 32):
                 ].apply(reduce_group)
         return pd.DataFrame(frames).reset_index()
 
-    return co_partition(ds_, key_cols, agg_fn, num_buckets=num_buckets, batch_format="pandas")
+    return co_partition(ds_, key_cols, agg_fn, batch_format="pandas")
 
 
 class EntityKernel:
@@ -493,20 +492,18 @@ def _group_by_column(parts):
     return by_col.items()
 
 
-def temporal_entity_features(group_by: GroupBy, left_ds, num_buckets: int = 32):
+def temporal_entity_features(group_by: GroupBy, left_ds):
     """TEMPORAL accuracy over an EntitySource with CDC mutations: features as
     of the exact query millisecond, zero leakage of same-timestamp mutations
     (strict mutation_ts < query ts)."""
-    import ray.data
-
     src = group_by.sources[0]
     assert isinstance(src, EntitySource) and src.mutation_table
-    snaps = ray.data.read_parquet(src.snapshot_table)
-    muts = ray.data.read_parquet(src.mutation_table)
+    snaps = read_parquet(src.snapshot_table)
+    muts = read_parquet(src.mutation_table)
     key_cols = group_by.key_columns
     parts = group_by.agg_parts()
 
     kernel = EntityKernel(key_cols, parts, list(_arrow_schema(left_ds).names))
     return co_partition(
-        [left_ds, snaps, muts], key_cols, kernel, num_buckets=num_buckets, batch_format="pyarrow"
+        [left_ds, snaps, muts], key_cols, kernel, batch_format="pyarrow"
     )

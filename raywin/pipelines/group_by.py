@@ -6,13 +6,13 @@ spark/.../GroupBy.scala:279-358, re-expressed Ray-Data-first):
     right = scan sources (projection pushdown, Query layer)      [stateless]
     left  = query rows (keys..., ts)                             [stateless]
     both  -> co_partition(keys, PartitionKernel): pad to one
-             schema, tag __side, union, hash(keys) % P,
-             sort shuffle, one kernel call per bucket            [the shuffle]
+             schema, tag __side, union, sort on hash(keys),
+             one kernel call per sort partition                  [the shuffle]
           -> Arrow feature rows, one per left (keys, ts)
 
 One all-to-all exchange total: both sides co-partition in a single
 ``co_partition`` (stages/shuffle.py), which hands PartitionKernel each
-bucket as an Arrow table with the padded side schema's types, and the
+partition as an Arrow table with the padded side schema's types, and the
 vectorized kernel (aggregator/kernel.py) does the per-partition sort +
 sawtooth window evaluation.  This replaces the
 reference's three-way leftOuterJoin topology (GroupBy.scala:340-355) with an
@@ -123,7 +123,7 @@ def _to_arrow_column(values, typ: pa.DataType) -> pa.Array:
 
 
 class PartitionKernel:
-    """map_groups callable: split a co-partitioned bucket into (events,
+    """co_partition fn: split a co-partitioned block into (events,
     queries), run the vectorized PartitionAggregator, emit Arrow."""
 
     def __init__(
@@ -158,9 +158,8 @@ class PartitionKernel:
         left_names = [n for n in self.left_schema.names]
         is_left = side == 0
         # hot-key time chunking: the chunk id joins the entity key on BOTH
-        # sides so two chunks of one key that hash-collide into this bucket
-        # stay separate partitions (correctness must not depend on
-        # num_buckets >= number of chunk ids)
+        # sides, so two chunks of one key that share this sort partition
+        # (it holds a range of hashes) stay separate kernel groups
         chunked = CHUNK_COL in group.column_names
         lt_names = left_names + ([CHUNK_COL] if chunked else [])
         lt = group.filter(pa.array(is_left)).select(lt_names)
@@ -180,7 +179,7 @@ class PartitionKernel:
         q_order, results = self.agg.aggregate_tables(
             rt, lt, extra_key_cols=(CHUNK_COL,) if chunked else ()
         )
-        # co_partition hands the bucket over with the declared left types
+        # co_partition hands the partition over with the declared left types
         cols = list(lt.select(left_names).take(q_order).columns)
         for f, part in zip(self.out_fields, self.parts):
             cols.append(_to_arrow_column(results[part.output_column], f.type))
@@ -196,7 +195,6 @@ def events_dataset(group_by: GroupBy):
 def features_for_queries(
     group_by: GroupBy,
     left_ds,
-    num_buckets: int = 64,
     resolution=None,
     head_rounding: int | None = None,
     right_ds=None,
@@ -286,7 +284,7 @@ def features_for_queries(
         group_by.tie_breaker,
         dedupe_queries,
     )
-    out = co_partition([left_ds, right_ds], group_by.key_columns, kernel, num_buckets=num_buckets)
+    out = co_partition([left_ds, right_ds], group_by.key_columns, kernel)
     out_cols = list(l_arrow.names) + [p.output_column for p in parts]
     out = out.select_columns(out_cols)
     if group_by.derivations:
@@ -299,7 +297,7 @@ def features_for_queries(
     return out
 
 
-def snapshot_backfill(group_by: GroupBy, ds_dates: list[str], num_buckets: int = 64):
+def snapshot_backfill(group_by: GroupBy, ds_dates: list[str]):
     """Daily-partitioned snapshot backfill: features as of each date's end
     (reference snapshotEvents, GroupBy.scala:144-169; window membership
     ts < ds_epoch + 1d, GroupByTest.scala:124-137).
@@ -324,5 +322,5 @@ def snapshot_backfill(group_by: GroupBy, ds_dates: list[str], num_buckets: int =
     return features_for_queries(
         # queries are synthesized at exact midnights, so SNAPSHOT head
         # rounding (ts < round_down(q, DAY) = q) matches strict ts < q
-        group_by, left, num_buckets, resolution=DailyResolution
+        group_by, left, resolution=DailyResolution
     )

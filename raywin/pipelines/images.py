@@ -18,6 +18,7 @@ import pyarrow as pa
 
 from ..api import Accuracy, Aggregation, EventSource, GroupBy, Operation, Query, TimeUnit, Window
 from ..context import tune_data_context
+from ..sources.io import read_parquet
 from ..stages.images import DecodeFeatures
 from .group_by import features_for_queries
 
@@ -77,11 +78,9 @@ def image_feature_group_by(table_path: str, bounded_only: bool = False) -> Group
 
 def image_feature_backfill(
     table_path: str,
-    num_buckets: int = 32,
     check_invariants: bool = True,
     decode_concurrency=None,
     handle_skew: bool = False,
-    read_blocks: int | None = 32,
     bounded_only: bool = False,
 ):
     """handle_skew=True turns on hot-key time-chunk replication
@@ -90,19 +89,16 @@ def image_feature_backfill(
     with bounded event replication.  When window ~ span (this bench's 30d/30d
     dev slice) replication multiplies per-event kernel work faster than it
     splits the straggler, so it stays off by default; correctness of the
-    chunked path is pinned by tests/test_hot_keys.py either way."""
-    import ray.data
+    chunked path is pinned by tests/test_hot_keys.py either way.
 
-    # coarse blocks: per-task scheduling is expensive in this sandbox, and a
-    # 100 TB deployment wants ~100-500 MB blocks anyway (tune via
-    # DataContext.target_max_block_size / override_num_blocks)
+    Reads are sized by ``sources.io.read_parquet``: one block per CPU."""
     # the streaming executor's per-operator resource reservation starves the
     # CPU-heavy decode operator in this union+sort pipeline (measured at
     # 8 CPUs on the mixed png/jpeg/qimg 1M table: 253 s reserved vs 44 s
     # unreserved — parallelism ~1 on a 222 s-CPU operator); disable it for
     # the engine's sessions (sticky DataContext flag, see tune_data_context)
     tune_data_context()
-    events = ray.data.read_parquet(table_path, override_num_blocks=read_blocks)
+    events = read_parquet(table_path)
     if decode_concurrency is None:
         # stateless task pool: warm worker processes are reused across
         # tasks, so per-worker first-touch/warmup is paid once — a real
@@ -134,15 +130,13 @@ def image_feature_backfill(
     # storage) so decode runs exactly once; duplicate (image_id, ts) pairs are
     # deduplicated inside the kernel's own co-partition shuffle — no separate
     # DISTINCT exchange
-    left = ray.data.read_parquet(
-        table_path, columns=["image_id", "ts"], override_num_blocks=read_blocks
-    )
+    left = read_parquet(table_path, columns=["image_id", "ts"])
     hot_config = None
     if handle_skew:
         from ..stages.shuffle import detect_hot_keys
 
         hot_config = detect_hot_keys(
-            ray.data.read_parquet(table_path, columns=["image_id", "ts"]), "image_id"
+            read_parquet(table_path, columns=["image_id", "ts"]), "image_id"
         )
     parts = gb.agg_parts()
     unbounded = [p for p in parts if p.window.unbounded]
@@ -166,20 +160,19 @@ def image_feature_backfill(
         )
         decoded_mat = decoded.select_columns(in_cols).materialize()
         out = features_for_queries(
-            gb_b, left, num_buckets=num_buckets, right_ds=decoded_mat,
+            gb_b, left, right_ds=decoded_mat,
             dedupe_queries=True, hot_config=hot_config,
         )
         return features_for_queries(
-            gb_u, out, num_buckets=num_buckets, right_ds=decoded_mat,
+            gb_u, out, right_ds=decoded_mat,
         )
     return features_for_queries(
-        gb, left, num_buckets=num_buckets, right_ds=decoded, dedupe_queries=True,
+        gb, left, right_ds=decoded, dedupe_queries=True,
         hot_config=hot_config,
     )
 
 
-def image_serving_lambda(table_path: str, num_buckets: int = 32,
-                         read_blocks: int | None = 32):
+def image_serving_lambda(table_path: str):
     """Serving lambda (distributed co-partition path, zero driver state)
     over the image event table — the online counterpart of the flagship
     backfill, sized for the bench's 10x-tail scale leg.
@@ -189,8 +182,6 @@ def image_serving_lambda(table_path: str, num_buckets: int = 32,
     (image_id, ts) inside the seam day.  Only the lambda's input columns
     leave storage (no payload bytes, no decode — serving reads features
     already materialized upstream; here the raw numeric columns stand in)."""
-    import ray.data
-
     from ..online import group_by_upload
     from ..online.serving import online_enrich_distributed
     from ..sources.io import parquet_column_range
@@ -204,7 +195,7 @@ def image_serving_lambda(table_path: str, num_buckets: int = 32,
     if rng is None:
         from ray.data.aggregate import Max as _Max, Min as _Min
 
-        mm = ray.data.read_parquet(table_path, columns=["ts"]).aggregate(
+        mm = read_parquet(table_path, columns=["ts"]).aggregate(
             _Min("ts"), _Max("ts")
         )
         rng = (mm["min(ts)"], mm["max(ts)"])
@@ -224,20 +215,12 @@ def image_serving_lambda(table_path: str, num_buckets: int = 32,
         accuracy=Accuracy.TEMPORAL,
         name="img_serving",
     )
-    upload = group_by_upload(gb, batch_end, num_buckets=num_buckets)
-    stream = ray.data.read_parquet(
-        table_path, columns=["image_id", "ts", "views", "score"],
-        override_num_blocks=read_blocks,
+    upload = group_by_upload(gb, batch_end)
+    stream = read_parquet(table_path, columns=["image_id", "ts", "views", "score"])
+    left = read_parquet(table_path, columns=["image_id", "ts"]).filter(
+        expr=f"ts >= {batch_end} and ts < {batch_end + DAY}"
     )
-    left = (
-        ray.data.read_parquet(
-            table_path, columns=["image_id", "ts"], override_num_blocks=read_blocks
-        )
-        .filter(expr=f"ts >= {batch_end} and ts < {batch_end + DAY}")
-    )
-    return online_enrich_distributed(
-        left, gb, batch_end, upload, stream, num_buckets=num_buckets
-    )
+    return online_enrich_distributed(left, gb, batch_end, upload, stream)
 
 
 def _subset_group_by(gb: GroupBy, parts, name: str) -> GroupBy:

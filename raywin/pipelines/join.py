@@ -117,7 +117,7 @@ def _hash_filtered_right(gb: GroupBy, queries, kcol: str):
     from ..stages.shuffle import stable_hash
 
     def batch_hashes(batch: pa.Table) -> pa.Table:
-        h = stable_hash([batch[kcol].to_numpy(zero_copy_only=False)])
+        h = stable_hash([batch[kcol]])
         return pa.table({"h": pa.array(np.unique(h), type=pa.uint64())})
 
     parts = [
@@ -138,7 +138,7 @@ def _hash_filtered_right(gb: GroupBy, queries, kcol: str):
             self.hashes = ray.get(hashes_ref)
 
         def __call__(self, batch: pa.Table) -> pa.Table:
-            h = stable_hash([batch[kcol].to_numpy(zero_copy_only=False)])
+            h = stable_hash([batch[kcol]])
             idx = np.searchsorted(self.hashes, h)
             idx[idx == len(self.hashes)] = 0
             mask = self.hashes[idx] == h
@@ -187,7 +187,6 @@ def _self_enrichment(join: Join, part: JoinPart) -> bool:
 def part_features_chained(
     part: JoinPart,
     out_ds,
-    num_buckets: int = 64,
     prune_right: bool = True,
     n_left: int | None = None,
 ):
@@ -200,7 +199,7 @@ def part_features_chained(
         queries = queries.rename_columns(dict(key_mapping))
     right_ds = _semi_filtered_right(gb, queries, n_left) if prune_right else None
     feats = features_for_queries(
-        gb, queries, num_buckets=num_buckets, dedupe_queries=False, right_ds=right_ds
+        gb, queries, dedupe_queries=False, right_ds=right_ds
     )
     static = getattr(feats, "_raywin_schema", None)
     renames = _part_renames(part, invert_keys=True)
@@ -216,7 +215,6 @@ def _chain_part_with_bootstrap(
     part: JoinPart,
     out_ds,
     covering: set[str] | None,
-    num_buckets: int,
     n_left: int | None,
     schema_names: list[str],
     prune_right: bool = True,
@@ -244,7 +242,7 @@ def _chain_part_with_bootstrap(
     def enrich(ds):
         if present:
             ds = ds.rename_columns({c: _BS_PREFIX + c for c in present})
-        feats = part_features_chained(part, ds, num_buckets, prune_right=prune_right, n_left=n_left)
+        feats = part_features_chained(part, ds, prune_right=prune_right, n_left=n_left)
         if not present:
             return feats
 
@@ -283,7 +281,6 @@ def _chain_part_with_bootstrap(
 def part_features(
     part: JoinPart,
     left_ds,
-    num_buckets: int = 64,
     prune_right: bool = True,
     n_left: int | None = None,
 ):
@@ -303,14 +300,13 @@ def part_features(
     # DISTINCT (keys, ts) happens inside the kernel's co-partition shuffle
     # (uniqSort analogue, GroupBy.scala:311) — no separate exchange
     feats = features_for_queries(
-        gb, queries, num_buckets=num_buckets, dedupe_queries=True, right_ds=right_ds
+        gb, queries, dedupe_queries=True, right_ds=right_ds
     )
     return feats.rename_columns(_part_renames(part, invert_keys=True)), left_keys
 
 
 def backfill_join(
     join: Join,
-    num_buckets: int = 64,
     materialize_intermediates: bool = True,
     assembly: str = "chain",
 ):
@@ -331,7 +327,7 @@ def backfill_join(
         assert assembly == "chain", "bootstrap parts require the chained assembly"
         from .bootstrap import bootstrap_left, covering_combos
 
-        left, hash_to_cols = bootstrap_left(left, join, num_buckets)
+        left, hash_to_cols = bootstrap_left(left, join)
         left = left.materialize()  # feeds the combo scan AND the part chain
         bs_cover = covering_combos(left, join, hash_to_cols)
     elif materialize_intermediates:
@@ -344,7 +340,7 @@ def backfill_join(
         out_names = list(left.schema().names) if has_parts else []
         for i, part in enumerate(join.join_parts):
             out, out_names = _chain_part_with_bootstrap(
-                part, out, bs_cover.get(i), num_buckets, n_left, out_names,
+                part, out, bs_cover.get(i), n_left, out_names,
                 prune_right=not _self_enrichment(join, part),
             )
             if materialize_intermediates and part is not join.join_parts[-1]:
@@ -352,7 +348,7 @@ def backfill_join(
     else:
         from ..functions.relational import bucketed_left_join
 
-        part_tables = [part_features(part, left, num_buckets) for part in join.join_parts]
+        part_tables = [part_features(part, left) for part in join.join_parts]
         if materialize_intermediates and len(part_tables) > 1:
             # materialize part tables concurrently — independent DAGs
             # (the reference's per-JoinPart thread pool, Join.scala:292-296)
@@ -366,14 +362,12 @@ def backfill_join(
 
         for feats, left_keys in part_tables:
             join_keys = list(dict.fromkeys(left_keys + ["ts"]))
-            out = bucketed_left_join(out, feats, join_keys, num_buckets=num_buckets, how="left")
+            out = bucketed_left_join(out, feats, join_keys, how="left")
     if join.online_external_parts:
         assert assembly == "chain", "external parts require the chained assembly"
         from ..stages.external import enrich_external
 
-        out, out_names = enrich_external(
-            out, join, out_names, num_buckets, n_left=n_left
-        )
+        out, out_names = enrich_external(out, join, out_names, n_left=n_left)
     if join.bootstrap_parts:
         from .bootstrap import MATCHED_HASHES
 

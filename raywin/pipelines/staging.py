@@ -96,6 +96,7 @@ def run_staging_query(
     out-of-core) — the fallback for non-shardable SQL."""
     import ray.data
 
+    from ..sources.io import read_parquet
     from ..stages.query import get_duckdb
 
     if step_days:
@@ -104,7 +105,7 @@ def run_staging_query(
             os.makedirs(output_dir, exist_ok=True)
             out_path = os.path.join(output_dir, sq.name)
             out.write_parquet(out_path)
-            return ray.data.read_parquet(out_path)
+            return read_parquet(out_path)
         return out
     sql = render_query(sq, start_date, end_date, tables)
     con = get_duckdb().connect()
@@ -116,7 +117,7 @@ def run_staging_query(
         os.makedirs(output_dir, exist_ok=True)
         out_path = os.path.join(output_dir, f"{sq.name}.parquet")
         con.execute(f"COPY ({sql}) TO '{out_path}' (FORMAT PARQUET)")
-        return ray.data.read_parquet(out_path)
+        return read_parquet(out_path)
     table = con.execute(sql).fetch_arrow_table()
     return ray.data.from_arrow(table)
 

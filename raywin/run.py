@@ -72,7 +72,6 @@ def main(argv=None):
     p.add_argument("--output", help="output table path (parquet dir or *.lance)")
     p.add_argument("--start", help="start ds (YYYY-MM-DD), groupby-backfill/staging")
     p.add_argument("--end", help="end ds (YYYY-MM-DD), groupby-backfill/staging")
-    p.add_argument("--num-buckets", type=int, default=64)
     p.add_argument("--step-days", type=int, default=1)
     p.add_argument("--max-parallel", type=int, default=1,
                    help="flow-backfill: concurrent independent flow steps")
@@ -134,7 +133,7 @@ def main(argv=None):
             raise SystemExit("--output required for join-backfill")
         from .pipelines.join import backfill_join
 
-        out = backfill_join(conf, num_buckets=args.num_buckets)
+        out = backfill_join(conf)
         write_output(out, args.output)
         print(json.dumps({"mode": args.mode, "output": args.output,
                           "rows": out.count()}))
@@ -152,7 +151,7 @@ def main(argv=None):
 
         done = backfill_temporal(
             conf, left_fn, args.output, args.start, args.end,
-            step_days=args.step_days, num_buckets=args.num_buckets,
+            step_days=args.step_days,
         )
         print(json.dumps({"mode": args.mode, "output": args.output,
                           "partitions_computed": len(done)}))
@@ -170,7 +169,7 @@ def main(argv=None):
 
         flow = flow_from_backfill(
             conf, left_fn, args.output, args.start, args.end,
-            step_days=args.step_days, num_buckets=args.num_buckets,
+            step_days=args.step_days,
         )
         orch = LocalOrchestrator(state_dir=args.state_dir,
                                  max_parallel=args.max_parallel)

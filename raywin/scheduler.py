@@ -217,7 +217,7 @@ class LocalOrchestrator:
         return results
 
 
-def flow_from_join(join, num_buckets: int = 64, output_dir: str | None = None) -> Flow:
+def flow_from_join(join, output_dir: str | None = None) -> Flow:
     """validate -> backfill -> (export) DAG for a Join config — the shape the
     reference's adapters build from a compiled conf."""
     from .analyzer import validate_join
@@ -233,7 +233,7 @@ def flow_from_join(join, num_buckets: int = 64, output_dir: str | None = None) -
         return True
 
     def _backfill():
-        box["ds"] = backfill_join(join, num_buckets=num_buckets)
+        box["ds"] = backfill_join(join)
         return box["ds"]
 
     flow.add_step("validate", _validate)

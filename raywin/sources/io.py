@@ -9,7 +9,12 @@ lake as the production target).  ``read_table`` dispatches on the dataset
 format: a ``*.lance`` directory goes through ``ray.data.read_lance`` when the
 ``lance`` wheel is importable (it is absent in this container — the path is
 gated behind a try-import with a clear error), everything else through
-``ray.data.read_parquet``.  Both honor projection pushdown.
+``read_parquet``.  Both honor projection pushdown.
+
+Every parquet read in the engine goes through ``read_parquet``, which reads
+into one block per CPU of the session (``read_block_count``).  A read task
+already cuts its output at ``DataContext.target_max_block_size``, so a big
+table at few CPUs still arrives in bounded blocks.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import os
 
 import pyarrow.parquet as pq
+import ray
 import ray.data
 
 from ..api import EventSource, EntitySource, Query
@@ -90,6 +96,33 @@ def table_schema(path: str):
     return pq.ParquetFile(path).schema_arrow
 
 
+def _parquet_files(path) -> list[str]:
+    """The parquet files of a file, a list of files, or a (hive-partitioned)
+    directory."""
+    if isinstance(path, (list, tuple)):
+        return list(path)
+    if os.path.isdir(path):
+        return sorted(
+            os.path.join(d, f) for d, _, names in os.walk(path) for f in names if f.endswith(".parquet")
+        )
+    return [path]
+
+
+def read_block_count() -> int:
+    """Blocks to read a table into: one per CPU of the Ray session (of the
+    machine before Ray starts, as ``ray.data`` would start it).  Each block
+    then feeds one task downstream, so a small table at 1 CPU is one task
+    per stage instead of one per fixed split."""
+    if ray.is_initialized():
+        return max(1, int(ray.cluster_resources().get("CPU", 1)))
+    return os.cpu_count() or 1
+
+
+def read_parquet(path, columns: list[str] | None = None) -> "ray.data.Dataset":
+    """``ray.data.read_parquet`` into ``read_block_count()`` blocks."""
+    return ray.data.read_parquet(path, columns=columns, override_num_blocks=read_block_count())
+
+
 def parquet_column_range(path: str, column: str):
     """(min, max) of a column across a parquet file/directory from row-group
     STATISTICS only — reads footers, never data pages, so driver cost is
@@ -98,16 +131,8 @@ def parquet_column_range(path: str, column: str):
 
     Returns None when any row group lacks stats for the column (caller falls
     back to a distributed min/max aggregate)."""
-    if os.path.isdir(path):
-        files = [
-            os.path.join(path, f)
-            for f in sorted(os.listdir(path))
-            if f.endswith(".parquet")
-        ]
-    else:
-        files = [path]
     lo = hi = None
-    for f in files:
+    for f in _parquet_files(path):
         md = pq.ParquetFile(f).metadata
         try:
             ci = md.schema.to_arrow_schema().get_field_index(column)
@@ -142,7 +167,7 @@ def read_table(path: str, columns: list[str] | None = None) -> "ray.data.Dataset
                 "installed; install pylance or convert the table to parquet"
             )
         return ray.data.read_lance(path, columns=columns)
-    return ray.data.read_parquet(path, columns=columns)
+    return read_parquet(path, columns)
 
 
 def write_table(

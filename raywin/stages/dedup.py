@@ -50,19 +50,19 @@ def minhash_signatures_batch(
     return sig
 
 
-def exact_dedup(ds, cols: list[str], order_col: str, num_buckets: int = 64):
+def exact_dedup(ds, cols: list[str], order_col: str):
     """Keep the row with the smallest order_col per distinct `cols` content:
     content-hash column -> one hash-bucket shuffle -> vectorized min-per-group
     per partition."""
 
     def add_hash(batch: pa.Table) -> pa.Table:
-        h = stable_hash([batch[c].to_numpy(zero_copy_only=False) for c in cols])
+        h = stable_hash([batch[c] for c in cols])
         return batch.append_column("__h", pa.array(h.astype(np.int64)))
 
     hashed = ds.map_batches(add_hash, batch_format="pyarrow")
     from ..functions.relational import min_by_group
 
-    out = min_by_group(hashed, ["__h"], order_col, num_buckets=num_buckets)
+    out = min_by_group(hashed, ["__h"], order_col)
     return out.drop_columns(["__h"])
 
 
@@ -187,7 +187,6 @@ def minhash_lsh_clusters(
 
     if local_edge_cutoff is None:
         local_edge_cutoff = int(os.environ.get("RAYWIN_CC_LOCAL_EDGES", "5000000"))
-    num_buckets = 64
     # compact edges, computed once: payload text never leaves this stage
     edges = ds.map_batches(
         MinHashBands(text_col, id_col, num_perm, bands, shingle), batch_format="pyarrow"
@@ -206,10 +205,9 @@ def minhash_lsh_clusters(
     def propagate(labeled_edges):
         """(doc, band, hash, cluster) -> new (doc, cluster) labels."""
         by_band = co_partition(
-            labeled_edges, ["band", "band_hash"], bucket_min,
-            num_buckets=num_buckets, batch_format="pandas",
+            labeled_edges, ["band", "band_hash"], bucket_min, batch_format="pandas",
         )
-        return co_partition(by_band, [id_col], doc_min, num_buckets=num_buckets, batch_format="pandas")
+        return co_partition(by_band, [id_col], doc_min, batch_format="pandas")
 
     # round 1: label(doc) = doc, so edges are already "labeled"
     def self_label(batch: pa.Table) -> pa.Table:
@@ -231,7 +229,7 @@ def minhash_lsh_clusters(
     converged = False
     for _ in range(max_rounds - 1):
         labeled_edges = co_partition(
-            [labels, edges], [id_col], attach, num_buckets=num_buckets, batch_format="pandas"
+            [labels, edges], [id_col], attach, batch_format="pandas"
         )
         labels = propagate(labeled_edges).materialize()
         new_checksum = _labels_checksum(labels, id_col)
@@ -256,8 +254,7 @@ def minhash_lsh_clusters(
     return labels
 
 
-def dedup_paragraphs(ds, text_col: str, id_col: str, sep: str = "\n\n",
-                     num_buckets: int = 64):
+def dedup_paragraphs(ds, text_col: str, id_col: str, sep: str = "\n\n"):
     """FineWeb-style exact PARAGRAPH-level dedup: every paragraph keeps only
     its first occurrence corpus-wide (ordered by (doc, position)); documents
     are reassembled from their surviving paragraphs.
@@ -321,8 +318,7 @@ def dedup_paragraphs(ds, text_col: str, id_col: str, sep: str = "\n\n",
     rows = ds.map_batches(explode, batch_format="pandas")
     # shuffle 1 (compact): (id, idx, h, plen) keyed by hash -> losing pairs
     losers = co_partition(
-        rows.select_columns([id_col, "idx", "h", "plen"]), ["h"], mark_losers,
-        num_buckets=num_buckets, batch_format="pandas",
+        rows.select_columns([id_col, "idx", "h", "plen"]), ["h"], mark_losers, batch_format="pandas",
     )
     # shuffle 2: text rows + losing marks co-partition by doc id
     pos = [_arrow_schema(ds).field(id_col), pa.field("idx", pa.int64())]
@@ -330,12 +326,11 @@ def dedup_paragraphs(ds, text_col: str, id_col: str, sep: str = "\n\n",
     texts._raywin_schema = pa.schema(pos + [pa.field("para", pa.string())])
     losers._raywin_schema = pa.schema(pos)
     return co_partition(
-        [texts, losers], [id_col], rebuild, num_buckets=num_buckets, batch_format="pandas"
+        [texts, losers], [id_col], rebuild, batch_format="pandas"
     )
 
 
-def remove_duplicate_spans(ds, text_col: str, id_col: str, n: int = 5,
-                           num_buckets: int = 64):
+def remove_duplicate_spans(ds, text_col: str, id_col: str, n: int = 5):
     """Exact substring-span REMOVAL (Lee et al. 2022, 'Deduplicating
     Training Data Makes Language Models Better'): any word n-gram occurring
     >= 2 times corpus-wide keeps only its canonical occurrence (first by
@@ -422,8 +417,7 @@ def remove_duplicate_spans(ds, text_col: str, id_col: str, n: int = 5,
 
     # shuffle 1 (compact): (id, s, gh) keyed by gram hash -> losing marks
     losers = co_partition(
-        ds.map_batches(explode, batch_format="pandas"), ["gh"], mark_losers,
-        num_buckets=num_buckets, batch_format="pandas",
+        ds.map_batches(explode, batch_format="pandas"), ["gh"], mark_losers, batch_format="pandas",
     )
     # shuffle 2: whole-doc text rows + losing marks co-partition by doc id
     src = _arrow_schema(ds)
@@ -431,12 +425,12 @@ def remove_duplicate_spans(ds, text_col: str, id_col: str, n: int = 5,
     texts._raywin_schema = pa.schema([src.field(id_col), src.field(text_col)])
     losers._raywin_schema = pa.schema([src.field(id_col), pa.field("s", pa.int64())])
     return co_partition(
-        [texts, losers], [id_col], rebuild, num_buckets=num_buckets, batch_format="pandas"
+        [texts, losers], [id_col], rebuild, batch_format="pandas"
     )
 
 
 def pixel_dedup_groups(ds, id_col: str = "image_id", bytes_col: str = "bytes",
-                       fmt_col: str = "fmt", num_buckets: int = 64):
+                       fmt_col: str = "fmt"):
     """Exact IMAGE dedup by decoded-pixel digest: images whose decoded
     payloads are byte-identical (same geometry, same pixels — e.g. the same
     source re-encoded under the same codec, or straight file copies under a
@@ -489,7 +483,7 @@ def pixel_dedup_groups(ds, id_col: str = "image_id", bytes_col: str = "bytes",
         )
 
     rows = ds.map_batches(digest, batch_format="pandas")
-    return co_partition(rows, ["d1"], groups, num_buckets=num_buckets, batch_format="pandas")
+    return co_partition(rows, ["d1"], groups, batch_format="pandas")
 
 
 class SimHash:
@@ -539,7 +533,7 @@ def ngram_jaccard(text_a: str, text_b: str, n: int = 5) -> float:
 
 
 def lsh_candidate_pairs(ds, text_col: str, id_col: str, num_perm=64, bands=16,
-                        shingle=5, num_buckets=64):
+                        shingle=5):
     """Candidate near-duplicate pairs: docs sharing any LSH band bucket.
 
     One groupby shuffle over compact (id, band, band_hash) rows, pairs emitted
@@ -564,17 +558,17 @@ def lsh_candidate_pairs(ds, text_col: str, id_col: str, num_perm=64, bands=16,
         return pd.concat(outs, ignore_index=True)
 
     pairs = co_partition(
-        sig, ["band", "band_hash"], bucket_pairs, num_buckets=num_buckets, batch_format="pandas"
+        sig, ["band", "band_hash"], bucket_pairs, batch_format="pandas"
     )
 
     def dd(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(["a", "b"])[["a", "b"]]
 
-    return co_partition(pairs, ["a", "b"], dd, num_buckets=num_buckets, batch_format="pandas")
+    return co_partition(pairs, ["a", "b"], dd, batch_format="pandas")
 
 
 def verified_neardup_pairs(ds, text_col: str, id_col: str, threshold: float,
-                           shingle=5, num_perm=64, bands=16, num_buckets=64,
+                           shingle=5, num_perm=64, bands=16,
                            broadcast_cutoff: int = 200_000):
     """MinHash-LSH candidates -> exact n-gram-Jaccard verification: the full
     near-dup pipeline (candidate generation is sub-quadratic and shuffles only
@@ -599,8 +593,7 @@ def verified_neardup_pairs(ds, text_col: str, id_col: str, threshold: float,
     from ..functions.relational import bucketed_left_join
     from ..functions.texthash import normalize_ws
 
-    cand = lsh_candidate_pairs(ds, text_col, id_col, num_perm, bands, shingle,
-                               num_buckets).materialize()  # compact (a, b)
+    cand = lsh_candidate_pairs(ds, text_col, id_col, num_perm, bands, shingle).materialize()  # compact (a, b)
     n_cand = cand.count()
     docs = ds.select_columns([id_col, text_col])
 
@@ -654,9 +647,8 @@ def verified_neardup_pairs(ds, text_col: str, id_col: str, threshold: float,
 
     a_side = docs.rename_columns({id_col: "a", text_col: "__text_a"})
     b_side = docs.rename_columns({id_col: "b", text_col: "__text_b"})
-    nb = max(8, num_buckets // 8)
-    withl = bucketed_left_join(cand, a_side, on=["a"], num_buckets=nb, how="inner")
-    withr = bucketed_left_join(withl, b_side, on=["b"], num_buckets=nb, how="inner")
+    withl = bucketed_left_join(cand, a_side, on=["a"], how="inner")
+    withr = bucketed_left_join(withl, b_side, on=["b"], how="inner")
 
     def verify(g: pd.DataFrame) -> pd.DataFrame:
         return verify_frame(
@@ -744,8 +736,7 @@ def popcount64(x: np.ndarray) -> np.ndarray:
 
 
 def phash_neardup_pairs(ds, id_col: str = "image_id", phash_col: str = "phash",
-                        max_dist: int = 3, num_bands: int = 4,
-                        num_buckets: int = 32):
+                        max_dist: int = 3, num_bands: int = 4):
     """Image near-duplicate pairs by perceptual-hash hamming distance.
 
     LSH banding with COMPLETE recall: split the 64-bit phash into
@@ -822,7 +813,7 @@ def phash_neardup_pairs(ds, id_col: str = "image_id", phash_col: str = "phash",
         )
 
     cand = co_partition(
-        bands, ["__band", "__bval"], pairs_in_group, num_buckets=num_buckets, batch_format="pandas"
+        bands, ["__band", "__bval"], pairs_in_group, batch_format="pandas"
     )
     # a pair can match in up to num_bands bands: one distinct exchange
     return distinct(cand, ["id_a", "id_b", "dist"])

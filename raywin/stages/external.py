@@ -94,7 +94,7 @@ class _HandlerFetch:
         return batch
 
 
-def enrich_external(out, join, out_names: list[str], num_buckets: int,
+def enrich_external(out, join, out_names: list[str],
                     registry: ExternalSourceRegistry | None = None,
                     n_left: int | None = None):
     """Apply every online_external_part to the chained backfill output.
@@ -152,7 +152,7 @@ def enrich_external(out, join, out_names: list[str], num_buckets: int,
             )
             sjp._ext_prefix = part.full_name + "_"
             out = part_features_chained(
-                sjp, out, num_buckets=num_buckets, n_left=n_left
+                sjp, out, n_left=n_left
             )
             out_names = out_names + [
                 f"{part.full_name}_{c}"

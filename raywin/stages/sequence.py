@@ -116,11 +116,11 @@ class Sessionize:
         return df
 
 
-def lag_lead(ds, key_cols, value_cols, lags=(1,), leads=(1,), ts_col="ts", tie_col=None, num_buckets=64):
+def lag_lead(ds, key_cols, value_cols, lags=(1,), leads=(1,), ts_col="ts", tie_col=None):
     fn = LagLead(key_cols, value_cols, lags, leads, ts_col, tie_col)
-    return co_partition(ds, key_cols, fn, num_buckets=num_buckets, batch_format="pandas")
+    return co_partition(ds, key_cols, fn, batch_format="pandas")
 
 
-def sessionize(ds, key_cols, gap_ms, ts_col="ts", tie_col=None, num_buckets=64, output="events"):
+def sessionize(ds, key_cols, gap_ms, ts_col="ts", tie_col=None, output="events"):
     fn = Sessionize(key_cols, gap_ms, ts_col, tie_col, output)
-    return co_partition(ds, key_cols, fn, num_buckets=num_buckets, batch_format="pandas")
+    return co_partition(ds, key_cols, fn, batch_format="pandas")

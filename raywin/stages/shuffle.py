@@ -1,11 +1,12 @@
-"""Partitioning helpers: deterministic hash-bucket assignment + hot-key salting.
+"""Partitioning helpers: deterministic key hashing + hot-key salting.
 
-Every hash-bucket exchange goes through ``co_partition``: it keys rows by
-``hash(keys) % P`` (plus an optional hot-key time chunk), mirroring the
-reference's repartition-by-key pre-agg (spark/.../GroupBy.scala:365-380,
+Every key exchange goes through ``co_partition``: it tags rows with a 64-bit
+hash of their keys (plus an optional hot-key time chunk), sorts on it and
+calls ``fn`` once per sort output block, mirroring the reference's
+repartition-by-key pre-agg (spark/.../GroupBy.scala:365-380,
 FastHashing.scala:29-130 xxHash keys).  We use pandas' stable vectorized
-hash (fixed key, process-independent) so the same row lands in the same
-bucket on every node and every retry.
+hash (fixed key, process-independent) so the same row gets the same hash
+on every node and every retry.
 
 Skew: a hot entity can be salted into ``n_salt`` sub-buckets for the partial
 (IR) aggregation stage — IRs merge across salts for free because every op's
@@ -22,18 +23,42 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-BUCKET_COL = "__bucket"
+HASH_COL = "__key_hash"
 SIDE_COL = "__side"
 
-from ray.data.aggregate import Max as _TsMax, Min as _TsMin, Sum as _CntSum  # noqa: E402
+from ray.data.aggregate import Max as _TsMax, Min as _TsMin  # noqa: E402
 from ray.data.block import BlockAccessor  # noqa: E402
 
+_NULL_HASH = np.uint64(0x5BD1E9955BD1E995)
 
-def stable_hash(columns: list[np.ndarray]) -> np.ndarray:
-    """Deterministic uint64 hash of one or more key columns."""
+
+def _column_hash(col) -> np.ndarray:
+    """uint64 hash of one key column.  An Arrow column hashes by its declared
+    type — every integer width and bool as int64, floats as float64, a null
+    as _NULL_HASH — because ``to_numpy`` turns an int column holding a null
+    into float64 and a bool one into objects, whose hashes differ from the
+    same keys' in a null-free batch."""
+    nulls = None
+    if isinstance(col, (pa.Array, pa.ChunkedArray)):
+        t = col.type
+        if col.null_count:
+            nulls = col.is_null().to_numpy(zero_copy_only=False)
+        if pa.types.is_integer(t) or pa.types.is_boolean(t):
+            col = pc.cast(col, pa.int64(), safe=False).fill_null(0)
+        elif pa.types.is_floating(t):
+            col = pc.cast(col, pa.float64())
+        col = col.to_numpy(zero_copy_only=False)
+    h = pd.util.hash_array(np.asarray(col), categorize=False).astype(np.uint64)
+    if nulls is not None:
+        h[nulls] = _NULL_HASH
+    return h
+
+
+def stable_hash(columns: list) -> np.ndarray:
+    """Deterministic uint64 hash of one or more key columns (Arrow or numpy)."""
     acc = None
     for col in columns:
-        h = pd.util.hash_array(np.asarray(col), categorize=False).astype(np.uint64)
+        h = _column_hash(col)
         if acc is None:
             acc = h
         else:  # boost-style hash combine
@@ -44,24 +69,20 @@ def stable_hash(columns: list[np.ndarray]) -> np.ndarray:
 CHUNK_COL = "__chunk"
 
 
-class AddBucket:
-    """map_batches fn adding BUCKET_COL = hash(keys) % num_buckets.
+class AddKeyHash:
+    """map_batches fn adding HASH_COL = hash(keys) as int64, the exchange's
+    sort key.
 
     When a CHUNK_COL is present (hot-key time chunking), rows with chunk >= 0
-    are bucketed by hash(keys, chunk) so a hot entity's chunks land on
-    different partitions (the time-bucket skew answer,
+    hash by (keys, chunk) so a hot entity's chunks land on different
+    partitions (the time-bucket skew answer,
     reference docs/source/window_tiling.md:381-390)."""
 
-    def __init__(self, key_cols: list[str], num_buckets: int, time_bucket_ms: int | None = None):
+    def __init__(self, key_cols: list[str]):
         self.key_cols = key_cols
-        self.num_buckets = num_buckets
-        self.time_bucket_ms = time_bucket_ms
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        h = stable_hash([batch[c].to_numpy(zero_copy_only=False) for c in self.key_cols])
-        if self.time_bucket_ms:
-            tb = batch["ts"].to_numpy(zero_copy_only=False) // self.time_bucket_ms
-            h = h * np.uint64(1000003) + tb.astype(np.uint64)
+        h = stable_hash([batch[c] for c in self.key_cols])
         if CHUNK_COL in batch.column_names:
             chunk = batch[CHUNK_COL].to_numpy(zero_copy_only=False)
             hot = chunk >= 0
@@ -69,8 +90,7 @@ class AddBucket:
                 h = np.where(
                     hot, h * np.uint64(0x9E3779B97F4A7C15) + chunk.astype(np.uint64), h
                 )
-        bucket = (h % np.uint64(self.num_buckets)).astype(np.int32)
-        return batch.append_column(BUCKET_COL, pa.array(bucket))
+        return batch.append_column(HASH_COL, pa.array(h.view(np.int64)))
 
 
 class HotChunkTag:
@@ -337,9 +357,11 @@ def side_schema(sides) -> pa.Schema:
     return pa.schema(list(fields.values()))
 
 
-# rows per AddBucket batch ahead of the exchange: the sort's map phase pays a
-# fixed per-block cost, and 1-2k-row blocks made it 8x slower than 32k-row
-# blocks on the kernel exchange (rows there are narrow: keys, ts, inputs)
+# rows per AddKeyHash batch ahead of the exchange: the sort's map phase pays
+# a fixed per-block cost, and 1-2k-row blocks made it 8x slower than 32k-row
+# blocks on the kernel exchange (rows there are narrow: keys, ts, inputs).
+# The sort has one output partition per input block, so this also sizes the
+# kernel calls.
 _BUNDLE_ROWS = 32768
 
 
@@ -351,21 +373,21 @@ def _tag_side(side: int, schema: pa.Schema):
     return tag_side
 
 
-def _per_bucket(fn, batch_format: str, schema: pa.Schema | None):
-    """The map_groups fn around ``fn``: drop BUCKET_COL and hand ``fn`` the
-    bucket in ``batch_format``.
+def _per_partition(fn, batch_format: str, schema: pa.Schema | None):
+    """The map_batches fn around ``fn``: drop HASH_COL and hand ``fn`` the
+    sort's output block in ``batch_format``.
 
     Ray's sort reducer converts its blocks to the block type most of them
-    have, and empty pandas blocks ride map_batches untouched, so a bucket
+    have, and empty pandas blocks ride map_batches untouched, so a block
     can arrive as pandas.  Under "pyarrow" that block is rebuilt once
     against ``schema`` (pandas inference loses map, list and nullable-int
     types), so ``fn`` always gets the declared Arrow types."""
 
     def run(block):
         if isinstance(block, pa.Table):
-            block = block.drop_columns([BUCKET_COL])
+            block = block.drop_columns([HASH_COL])
             return fn(BlockAccessor.for_block(block).to_batch_format(batch_format))
-        block = block.drop(columns=[BUCKET_COL])
+        block = block.drop(columns=[HASH_COL])
         if batch_format == "pyarrow":
             block = pa.Table.from_pandas(block, schema=schema, preserve_index=False)
         return fn(block)
@@ -374,20 +396,24 @@ def _per_bucket(fn, batch_format: str, schema: pa.Schema | None):
     return run
 
 
-def co_partition(sides, keys: list[str], fn, *, num_buckets: int, batch_format="pyarrow"):
-    """The engine's one co-partition exchange: every row of every side whose
-    ``keys`` hash to the same bucket reaches the same ``fn`` call.
+def co_partition(sides, keys: list[str], fn, *, batch_format="pyarrow"):
+    """The engine's one co-partition exchange: every row of every side with
+    the same ``keys`` reaches the same ``fn`` call.
 
     ``sides`` is a Dataset or a list of them.  Several sides are padded to
     ``side_schema(sides)`` (SIDE_COL = the side's list index) and unioned;
     side schemas come from ``_raywin_schema`` when attached, so give lazy
-    pipelines one.  Rows are bucketed by ``hash(keys) % num_buckets`` (hot
-    chunks via CHUNK_COL, see AddBucket) and exchanged with one push-based
-    sort shuffle.  ``batch_format`` is "pyarrow" or "pandas"; ``fn`` gets
-    each bucket without BUCKET_COL, and under "pyarrow" always as an Arrow
-    table with the declared types (``side_schema(sides)``, or the one
-    side's ``_arrow_schema``), whatever block type the sort handed back.
-    The Ray operator is named after ``fn``."""
+    pipelines one.  Rows are tagged with the 64-bit hash of ``keys`` (hot
+    chunks via CHUNK_COL, see AddKeyHash), sorted on it with one push-based
+    sort shuffle, and ``fn`` runs once per sort output block: rows with one
+    hash fall in one block, the way Ray's own ``map_groups`` keeps groups
+    whole.  The number of calls follows the exchange's input blocks
+    (``_BUNDLE_ROWS`` rows or more each), so no bucket count caps it.
+    ``batch_format`` is "pyarrow" or "pandas"; ``fn`` gets each block
+    without HASH_COL, and under "pyarrow" always as an Arrow table with
+    the declared types (``side_schema(sides)``, or the one side's
+    ``_arrow_schema``), whatever block type the sort handed back.  The Ray
+    operator is named after ``fn``."""
     if not isinstance(sides, (list, tuple)):
         sides = [sides]
     ds = sides[0]
@@ -398,9 +424,8 @@ def co_partition(sides, keys: list[str], fn, *, num_buckets: int, batch_format="
         ds = tagged[0].union(*tagged[1:])
     elif batch_format == "pyarrow":
         schema = _arrow_schema(ds)
-    bucketed = ds.map_batches(
-        AddBucket(list(keys), num_buckets), batch_format="pyarrow", batch_size=_BUNDLE_ROWS
-    )
-    run = _per_bucket(fn, batch_format, schema)
-    # Ray's "no conversion": run sees the sort's own block, pandas or Arrow
-    return bucketed.groupby(BUCKET_COL).map_groups(run, batch_format=None)
+    hashed = ds.map_batches(AddKeyHash(list(keys)), batch_format="pyarrow", batch_size=_BUNDLE_ROWS)
+    run = _per_partition(fn, batch_format, schema)
+    # batch_format=None is Ray's "no conversion": run sees the sort's own
+    # block, pandas or Arrow, whole (batch_size=None)
+    return hashed.sort(HASH_COL).map_batches(run, batch_size=None, batch_format=None)

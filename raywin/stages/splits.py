@@ -98,7 +98,7 @@ def stratified_sample(ds, stratum_col: str, id_col: str, n_per_stratum: int):
 
 
 def token_pack(ds, id_col: str, ntok_col: str, block: int,
-               range_width: int = 1 << 20, num_buckets: int = 64):
+               range_width: int = 1 << 20):
     """GPT-style sequence-packing offsets: documents are conceptually
     concatenated in id order and the stream is cut into fixed ``block``-token
     training blocks (documents may straddle block boundaries — the standard
@@ -174,6 +174,5 @@ def token_pack(ds, id_col: str, ntok_col: str, block: int,
         return b.append_column("rng", pa.array(ids // range_width, pa.int64()))
 
     return co_partition(
-        ds.map_batches(add_rng, batch_format="pyarrow"), ["rng"], pack,
-        num_buckets=num_buckets, batch_format="pandas",
+        ds.map_batches(add_rng, batch_format="pyarrow"), ["rng"], pack, batch_format="pandas",
     )

@@ -316,7 +316,7 @@ def chunk_documents(ds, text_col: str, id_col: str, chunk: int = 32,
 
 
 def duplicate_span_stats(ds, text_col: str, id_col: str, n: int = 5,
-                         hot: int = 2, num_buckets: int = 64):
+                         hot: int = 2):
     """Cross-document duplicated-span signal (Lee et al. 2022 / Gopher
     repetition, corpus-wide): for each document, the fraction of its word
     n-grams that occur >= `hot` times in the WHOLE corpus, plus the max
@@ -358,8 +358,8 @@ def duplicate_span_stats(ds, text_col: str, id_col: str, n: int = 5,
         return out[[id_col, "n_grams", "dup_gram_frac", "max_gram_freq"]]
 
     rows = ds.map_batches(grams, batch_format="pandas")
-    flagged = co_partition(rows, ["gh"], flag, num_buckets=num_buckets, batch_format="pandas")
-    return co_partition(flagged, [id_col], per_doc, num_buckets=num_buckets, batch_format="pandas")
+    flagged = co_partition(rows, ["gh"], flag, batch_format="pandas")
+    return co_partition(flagged, [id_col], per_doc, batch_format="pandas")
 
 
 class Fingerprint:

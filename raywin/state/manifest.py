@@ -122,7 +122,7 @@ def archive_stale(output_dir: str, partition: str, old_hash: str) -> None:
 
 def load_output(output_dir: str, partitions: list[str] | None = None):
     """Read the completed output back as one Dataset."""
-    import ray.data
+    from ..sources.io import read_parquet
 
     if partitions is None:
         partitions = [
@@ -135,4 +135,4 @@ def load_output(output_dir: str, partitions: list[str] | None = None):
     files = []
     for p in partitions:
         files.extend(sorted(glob.glob(os.path.join(data_dir(output_dir, p), "*.parquet"))))
-    return ray.data.read_parquet(files)
+    return read_parquet(files)

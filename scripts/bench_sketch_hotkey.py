@@ -67,7 +67,6 @@ def main():
         out = features_for_queries(
             gb,
             ray.data.from_pandas(qdf),
-            num_buckets=1,
             right_ds=ray.data.from_pandas(ev),
         ).to_pandas()
         dt = time.perf_counter() - t0

@@ -55,13 +55,13 @@ def main():
     start, mid, end = "2023-11-14", "2024-05-14", "2024-11-14"
     t0 = time.time()
     first = backfill_temporal(
-        gb, left_fn, out, start, mid, step_days=92, num_buckets=32,
+        gb, left_fn, out, start, mid, step_days=92,
         right_ds_fn=right_fn, dedupe_queries=True,
     )
     t_first = time.time() - t0
     t0 = time.time()
     resumed = backfill_temporal(
-        gb, left_fn, out, start, end, step_days=92, num_buckets=32,
+        gb, left_fn, out, start, end, step_days=92,
         right_ds_fn=right_fn, dedupe_queries=True,
     )
     t_resume = time.time() - t0

@@ -23,3 +23,28 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def exchange_block_rows(monkeypatch):
+    """Set the rows per co_partition input block for one test.  The
+    exchange's sort has one output partition, and so one fn call, per input
+    block: a huge value forces every key into one call; a small one cuts
+    the sort's input into blocks of that many rows, so the keys spread over
+    several calls however few blocks the sides arrive in."""
+    from ray.data import Dataset
+
+    from raywin.stages import shuffle
+
+    sort = Dataset.sort
+
+    def reblocked_sort(ds, key, *args, **kwargs):
+        if key == shuffle.HASH_COL:
+            ds = ds.repartition(target_num_rows_per_block=shuffle._BUNDLE_ROWS)
+        return sort(ds, key, *args, **kwargs)
+
+    def set_rows(rows):
+        monkeypatch.setattr(shuffle, "_BUNDLE_ROWS", rows)
+        monkeypatch.setattr(Dataset, "sort", reblocked_sort)
+
+    return set_rows

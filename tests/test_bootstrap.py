@@ -102,9 +102,10 @@ def _join(events, bs_a, bs_b):
     )
 
 
-def test_bootstrap_covering(ray_session, fixture_dirs):
+def test_bootstrap_covering(ray_session, exchange_block_rows, fixture_dirs):
+    exchange_block_rows(128)
     events, bs_a, bs_b, ev = fixture_dirs
-    out = backfill_join(_join(events, bs_a, bs_b), num_buckets=4).to_pandas()
+    out = backfill_join(_join(events, bs_a, bs_b)).to_pandas()
     assert len(out) == len(ev)
     assert "__matched_hashes" not in out.columns
 

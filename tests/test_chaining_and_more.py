@@ -41,12 +41,13 @@ def _user_gb():
     )
 
 
-def test_join_source_chaining(ray_session):
+def test_join_source_chaining(ray_session, exchange_block_rows):
     """GroupBy over the OUTPUT of a join: count of enriched rows per user."""
     import ray.data
 
     from raywin.pipelines.chaining import chained_features
 
+    exchange_block_rows(512)
     parent = Join(
         left=EventSource(
             table=f"{SF_DIR}/events.parquet",
@@ -66,12 +67,12 @@ def test_join_source_chaining(ray_session):
     left = ray.data.read_parquet(f"{SF_DIR}/events.parquet", columns=["user_id", "ts"]).map_batches(
         lambda df: df.assign(ts=df["ts"].astype("int64") // 1000), batch_format="pandas"
     )
-    out = chained_features(child, left, num_buckets=4, dedupe_queries=True).to_pandas()
+    out = chained_features(child, left, dedupe_queries=True).to_pandas()
     assert len(out) > 0
     assert "u_value_sum_7d_average" in out.columns
 
 
-def test_label_join(ray_session):
+def test_label_join(ray_session, exchange_block_rows):
     """Labels computed at ts + offset; verify one row against brute force."""
     import duckdb
     import ray.data
@@ -79,12 +80,12 @@ def test_label_join(ray_session):
     from raywin.pipelines.chaining import label_join
     from raywin.pipelines.group_by import features_for_queries
 
+    exchange_block_rows(512)
     feats = features_for_queries(
         _user_gb(),
         ray.data.read_parquet(f"{SF_DIR}/events.parquet", columns=["user_id", "ts"]).map_batches(
             lambda df: df.assign(ts=df["ts"].astype("int64") // 1000), batch_format="pandas"
         ),
-        num_buckets=4,
         dedupe_queries=True,
     )
     label_gb = GroupBy(
@@ -100,7 +101,7 @@ def test_label_join(ray_session):
         accuracy=Accuracy.TEMPORAL,
         name="lbl",
     )
-    out = label_join(feats, label_gb, label_offset_ms=DAY, key_cols=["user_id"], num_buckets=4).to_pandas()
+    out = label_join(feats, label_gb, label_offset_ms=DAY, key_cols=["user_id"]).to_pandas()
     assert "label_value_count_1d" in out.columns
     assert len(out) == feats.count()
     con = duckdb.connect()
@@ -116,10 +117,10 @@ def test_label_join(ray_session):
     assert int(sample["label_value_count_1d"]) == expected
 
 
-def test_partition_count_invariance(ray_session):
+def test_partition_count_invariance(ray_session, exchange_block_rows):
     """Features must not depend on the shuffle partitioning (the analogue of
     the reference's IR merge-associativity-under-splits invariant,
-    SawtoothAggregatorTest.scala:77-96)."""
+    SawtoothAggregatorTest.scala:77-96): one exchange partition vs many."""
     import ray.data
 
     from raywin.pipelines.group_by import features_for_queries
@@ -129,8 +130,10 @@ def test_partition_count_invariance(ray_session):
     ).map_batches(
         lambda df: df.assign(ts=df["ts"].astype("int64") // 1000), batch_format="pandas"
     )
-    a = features_for_queries(_user_gb(), left(), num_buckets=1, dedupe_queries=True).to_pandas()
-    b = features_for_queries(_user_gb(), left(), num_buckets=16, dedupe_queries=True).to_pandas()
+    exchange_block_rows(1 << 30)
+    a = features_for_queries(_user_gb(), left(), dedupe_queries=True).to_pandas()
+    exchange_block_rows(256)
+    b = features_for_queries(_user_gb(), left(), dedupe_queries=True).to_pandas()
     key = ["user_id", "ts"]
     a = a.sort_values(key).reset_index(drop=True)
     b = b.sort_values(key).reset_index(drop=True)
@@ -164,16 +167,17 @@ def test_sketches():
         assert abs(rank - p) < 0.05, (p, rank)
 
 
-def test_zero_leakage_image_pipeline(ray_session, tmp_path):
+def test_zero_leakage_image_pipeline(ray_session, exchange_block_rows, tmp_path):
     """Every backfill query at an event's exact ts must EXCLUDE that event:
     count feature at the first event of an entity is null, and at the k-th
     exact event ts equals k-1 within the window."""
     from raywin.pipelines.images import image_feature_backfill
     from raywin.stages.images import generate_image_events
 
+    exchange_block_rows(512)
     path = str(tmp_path / "img")
     generate_image_events(path, 1500, 100, files=2)
-    out = image_feature_backfill(path, num_buckets=4, read_blocks=2).to_pandas()
+    out = image_feature_backfill(path).to_pandas()
     import duckdb
 
     con = duckdb.connect()

@@ -71,15 +71,16 @@ def _mk_join():
     )
 
 
-def test_consistency_job_end_to_end(ray_session, tmp_path):
+def test_consistency_job_end_to_end(ray_session, exchange_block_rows, tmp_path):
     """Serve logs = offline backfill with 5 rows perturbed; the consistency
     job must recompute offline values and localize exactly 5 mismatches."""
     from raywin.pipelines.consistency import consistency_metrics
     from raywin.pipelines.join import backfill_join
 
+    exchange_block_rows(512)
     join = _mk_join()
     feat = "p1_usersum_value_sum_7d"
-    offline = backfill_join(join, num_buckets=4).to_pandas()
+    offline = backfill_join(join).to_pandas()
     assert feat in offline.columns and len(offline) == 1000
 
     logged = offline.copy()
@@ -120,7 +121,6 @@ def test_consistency_job_end_to_end(ray_session, tmp_path):
         log_path,
         schema_path,
         bucket_minutes=10**7,  # one giant bucket: totals over the whole table
-        num_buckets=4,
         tmp_dir=str(tmp_path / "consistency"),
     ).to_pandas()
     assert len(metrics) == 1

@@ -125,9 +125,10 @@ def brute_force(snap_rows, mut_rows, k, q_ts, window=None):
     return (s if c else None), (c if c else None)
 
 
-def test_temporal_entities(ray_session, entity_tables):
+def test_temporal_entities(ray_session, exchange_block_rows, entity_tables):
     import ray.data
 
+    exchange_block_rows(64)
     snap_path, mut_path, snap_rows, mut_rows = entity_tables
     rng = np.random.default_rng(9)
     n_q = 200
@@ -141,7 +142,7 @@ def test_temporal_entities(ray_session, entity_tables):
             qk[i] = k
             qts[i] = mts
     left = ray.data.from_pandas(pd.DataFrame({"k": qk, "ts": qts}))
-    out = temporal_entity_features(_gb(snap_path, mut_path), left, num_buckets=4).to_pandas()
+    out = temporal_entity_features(_gb(snap_path, mut_path), left).to_pandas()
     assert len(out) == n_q
     got = {(r["k"], int(r["ts"])): r for _, r in out.iterrows()}
     for k, t in zip(qk, qts):
@@ -186,11 +187,12 @@ def brute_force_hist(snap_rows, mut_rows, k, q_ts, window=None):
     return {kk: c for kk, c in hist.items() if c > 0} or None
 
 
-def test_temporal_entities_histogram(ray_session, entity_tables):
+def test_temporal_entities_histogram(ray_session, exchange_block_rows, entity_tables):
     """HISTOGRAM is deletable in the reference (map-count decrement,
     SimpleAggregators.scala:311-321) so it runs over CDC mutations too."""
     import ray.data
 
+    exchange_block_rows(64)
     snap_path, mut_path, snap_rows, mut_rows = entity_tables
     gb = GroupBy(
         sources=[EntitySource(snapshot_table=snap_path, mutation_table=mut_path, query=Query())],
@@ -208,7 +210,7 @@ def test_temporal_entities_histogram(ray_session, entity_tables):
     qk = rng.integers(0, 12, n_q).astype(str)
     qts = BASE + DAY + rng.integers(0, 3 * DAY, n_q)
     left = ray.data.from_pandas(pd.DataFrame({"k": qk, "ts": qts}))
-    out = temporal_entity_features(gb, left, num_buckets=4).to_pandas()
+    out = temporal_entity_features(gb, left).to_pandas()
     assert len(out) == n_q
     got = {(r["k"], int(r["ts"])): r for _, r in out.iterrows()}
 
@@ -229,9 +231,10 @@ def test_temporal_entities_histogram(ray_session, entity_tables):
         assert (s is None and np.isnan(gs)) or np.isclose(gs, s)
 
 
-def test_snapshot_entities_full_ops(ray_session, entity_tables):
+def test_snapshot_entities_full_ops(ray_session, exchange_block_rows, entity_tables):
     """snapshotEntities runs the whole op table in the reference
     (GroupBy.scala:100-142) — spot-check the non-trivial ones."""
+    exchange_block_rows(16)
     snap_path, _, snap_rows, _ = entity_tables
     gb = GroupBy(
         sources=[EntitySource(snapshot_table=snap_path, query=Query())],
@@ -247,7 +250,7 @@ def test_snapshot_entities_full_ops(ray_session, entity_tables):
         accuracy=Accuracy.SNAPSHOT,
         name="snap_full",
     )
-    out = snapshot_entity_features(gb, num_buckets=4).to_pandas()
+    out = snapshot_entity_features(gb).to_pandas()
     df = pd.DataFrame(snap_rows, columns=["k", "rating", "ts", "ds"])
     got = {(r["k"], r["ds"]): r for _, r in out.iterrows()}
     for (k, ds), sub in df.groupby(["k", "ds"]):
@@ -268,7 +271,8 @@ def test_snapshot_entities_full_ops(ray_session, entity_tables):
         assert list(row["rating_last3"]) == exp_lastk
 
 
-def test_snapshot_entities(ray_session, entity_tables):
+def test_snapshot_entities(ray_session, exchange_block_rows, entity_tables):
+    exchange_block_rows(16)
     snap_path, mut_path, snap_rows, _ = entity_tables
     gb = GroupBy(
         sources=[EntitySource(snapshot_table=snap_path, query=Query())],
@@ -280,7 +284,7 @@ def test_snapshot_entities(ray_session, entity_tables):
         accuracy=Accuracy.SNAPSHOT,
         name="snap_ent",
     )
-    out = snapshot_entity_features(gb, num_buckets=4).to_pandas()
+    out = snapshot_entity_features(gb).to_pandas()
     df = pd.DataFrame(snap_rows, columns=["k", "rating", "ts", "ds"])
     oracle = df.groupby(["k", "ds"]).agg(
         rating_sum=("rating", "sum"), rating_max=("rating", "max")
@@ -301,7 +305,7 @@ def test_noagg_passthrough_snapshot(ray_session, entity_tables):
         key_columns=["k"],
         name="dim_pass",
     )
-    out = snapshot_entity_features(gb, num_buckets=4).to_pandas()
+    out = snapshot_entity_features(gb).to_pandas()
     df = pd.DataFrame(snap_rows, columns=["k", "rating", "ts", "ds"])
     assert sorted(out.columns) == ["ds", "k", "rating"]
     assert len(out) == len(df)
@@ -343,10 +347,10 @@ def test_noagg_rejected_on_query_path():
         features_for_queries(gb, None)
 
 
-def test_temporal_entities_output_schema(ray_session, entity_tables):
+def test_temporal_entities_output_schema(ray_session, exchange_block_rows, entity_tables):
     """EntityKernel returns one typed Arrow table: left columns keep their
     Arrow types, SUM/COUNT/AVERAGE parts are float64 and HISTOGRAM parts
-    map<string,int64>; a bucket with no query rows returns the same
+    map<string,int64>; a partition with no query rows returns the same
     schema with zero rows."""
     import pyarrow as pa
     import pyarrow.parquet as pq
@@ -380,8 +384,10 @@ def test_temporal_entities_output_schema(ray_session, entity_tables):
         ("rating_histogram", pa.map_(pa.string(), pa.int64())),
         ("rating_average", pa.float64()),
     ])
-    # 16 buckets over 12 keys: some buckets hold snapshot rows and no query
-    out = temporal_entity_features(gb, ray.data.from_arrow(left), num_buckets=16).materialize()
+    # 161 exchange rows in 10-row blocks: most partitions hold snapshot rows
+    # and no query
+    exchange_block_rows(10)
+    out = temporal_entity_features(gb, ray.data.from_arrow(left)).materialize()
     assert out.schema().base_schema == want
     assert sorted(out.to_pandas()["w"].fillna(0).astype(int)) == [0, 1, 3]
 

@@ -40,7 +40,7 @@ def test_impure_handler_not_replayed_offline(ray_session):
         name="t",
     )
     out, names = enrich_external(
-        _left_ds(), join, ["event_id", "user_id"], 4, registry=reg
+        _left_ds(), join, ["event_id", "user_id"], registry=reg
     )
     assert names == ["event_id", "user_id", "ext_rng_v"]
     df = out.to_pandas()
@@ -66,7 +66,7 @@ def test_pure_handler_replayed(ray_session):
         name="t",
     )
     out, names = enrich_external(
-        _left_ds(), join, ["event_id", "user_id"], 4, registry=reg
+        _left_ds(), join, ["event_id", "user_id"], registry=reg
     )
     assert names[-1] == "ext_sq_sq"
     df = out.to_pandas()
@@ -84,7 +84,7 @@ def test_missing_key_raises_but_contextual_null_fills(ray_session):
     )
     reg = ExternalSourceRegistry()
     with pytest.raises(KeyError):
-        enrich_external(_left_ds(), join, ["event_id", "user_id"], 4, registry=reg)
+        enrich_external(_left_ds(), join, ["event_id", "user_id"], registry=reg)
 
     # contextual with a missing key: null-fill (Extensions.scala:719-722)
     join2 = Join(
@@ -94,7 +94,7 @@ def test_missing_key_raises_but_contextual_null_fills(ray_session):
         name="t2",
     )
     out, names = enrich_external(
-        _left_ds(), join2, ["event_id", "user_id"], 4, registry=reg
+        _left_ds(), join2, ["event_id", "user_id"], registry=reg
     )
     assert names[-1] == "ext_contextual_nope"
     assert out.to_pandas()["ext_contextual_nope"].isna().all()

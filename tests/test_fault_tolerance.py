@@ -65,10 +65,11 @@ def _asof_pipeline(flaky_marker: str | None):
     right = scan_source(gb.sources[0])
     if flaky_marker is not None:
         right = right.map_batches(_DieOnce(flaky_marker), batch_format="pyarrow")
-    return features_for_queries(gb, left, num_buckets=8, right_ds=right)
+    return features_for_queries(gb, left, right_ds=right)
 
 
-def test_worker_death_is_invisible(ray_session, tmp_path):
+def test_worker_death_is_invisible(ray_session, exchange_block_rows, tmp_path):
+    exchange_block_rows(256)
     clean = (
         _asof_pipeline(None)
         .to_pandas()

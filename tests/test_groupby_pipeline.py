@@ -50,14 +50,15 @@ def events_gb():
     )
 
 
-def test_temporal_vs_duckdb(ray_session, events_gb):
+def test_temporal_vs_duckdb(ray_session, exchange_block_rows, events_gb):
     import ray.data
 
+    exchange_block_rows(256)
     left = ray.data.read_parquet(f"{SF_DIR}/events.parquet", columns=["user_id", "ts"]).map_batches(
         lambda df: df.assign(ts=df["ts"].astype("int64") // 1000).drop_duplicates(),
         batch_format="pandas",
     )
-    out = features_for_queries(events_gb, left, num_buckets=8).to_pandas()
+    out = features_for_queries(events_gb, left).to_pandas()
 
     con = duckdb.connect()
     con.execute(f"CREATE VIEW events AS SELECT * FROM '{SF_DIR}/events.parquet'")
@@ -92,9 +93,10 @@ def test_temporal_vs_duckdb(ray_session, events_gb):
         assert not bad.any(), f"{col}: {merged[bad][['user_id', 'ts', col + '_o', col + '_k']].head()}"
 
 
-def test_snapshot_backfill(ray_session, events_gb):
+def test_snapshot_backfill(ray_session, exchange_block_rows, events_gb):
     from raywin.pipelines.group_by import snapshot_backfill
 
+    exchange_block_rows(256)
     gb = GroupBy(
         sources=events_gb.sources,
         key_columns=["user_id"],
@@ -106,7 +108,7 @@ def test_snapshot_backfill(ray_session, events_gb):
         name="snap",
     )
     dates = ["2024-01-10", "2024-01-15"]
-    out = snapshot_backfill(gb, dates, num_buckets=4).to_pandas()
+    out = snapshot_backfill(gb, dates).to_pandas()
 
     con = duckdb.connect()
     con.execute(f"CREATE VIEW events AS SELECT * FROM '{SF_DIR}/events.parquet'")

@@ -54,17 +54,18 @@ def _gb(path):
     )
 
 
-def test_hot_chunking_invisible(ray_session, hot_table):
+def test_hot_chunking_invisible(ray_session, exchange_block_rows, hot_table):
     import ray.data
 
+    exchange_block_rows(4096)
     left = ray.data.read_parquet(hot_table, columns=["k", "ts"])
     base = features_for_queries(
-        _gb(hot_table), left, num_buckets=8, dedupe_queries=True
+        _gb(hot_table), left, dedupe_queries=True
     ).to_pandas()
     hot_cfg = HotKeyConfig({"hot"}, chunk_ms=5 * DAY, ts_max=BASE + 31 * DAY)
     left2 = ray.data.read_parquet(hot_table, columns=["k", "ts"])
     chunked = features_for_queries(
-        _gb(hot_table), left2, num_buckets=8, dedupe_queries=True, hot_config=hot_cfg
+        _gb(hot_table), left2, dedupe_queries=True, hot_config=hot_cfg
     ).to_pandas()
 
     assert len(base) == len(chunked)
@@ -91,20 +92,21 @@ def test_hot_chunking_invisible(ray_session, hot_table):
             assert ((a1.isna() & a2.isna()) | np.isclose(a1, a2, rtol=1e-9, atol=max(atol, 1e-12), equal_nan=True)).all(), col
 
 
-def test_split_unbounded_backfill_invisible(ray_session, tmp_path):
+def test_split_unbounded_backfill_invisible(ray_session, exchange_block_rows, tmp_path):
     """handle_skew with an unbounded part auto-splits: bounded parts ride the
     hot-chunk pass, unbounded parts a second chained co-partition — must be
     row-for-row invisible vs the single-pass unsplit run."""
     from raywin.pipelines.images import image_feature_backfill
     from raywin.stages.images import generate_image_events
 
+    exchange_block_rows(4096)
     path = str(tmp_path / "img")
     # 90d span >> 30d max window so chunks engage; Zipf over few entities so
     # detect_hot_keys fires
     generate_image_events(path, n_rows=20000, n_entities=400, files=4,
                           skew=1.2, span_days=90)
-    base = image_feature_backfill(path, num_buckets=8, handle_skew=False).to_pandas()
-    split = image_feature_backfill(path, num_buckets=8, handle_skew=True).to_pandas()
+    base = image_feature_backfill(path, handle_skew=False).to_pandas()
+    split = image_feature_backfill(path, handle_skew=True).to_pandas()
     assert len(base) == len(split)
     key = ["image_id", "ts"]
     b = base.sort_values(key).reset_index(drop=True)
@@ -168,22 +170,23 @@ def test_distributed_detector_no_hot_keys(ray_session, tmp_path):
     assert not cfg and cfg.keys == set()
 
 
-def test_hot_chunking_invisible_with_bucket_collisions(ray_session, hot_table):
-    """REGRESSION (round 5): with more chunk ids than buckets, two chunks of
-    one hot key hash into the SAME bucket; the kernel must keep them separate
-    partitions (CHUNK_COL joins the entity factorization) or replicated
-    events double-count.  num_buckets=2 forces collisions; unaligned
+def test_hot_chunking_invisible_with_bucket_collisions(ray_session, exchange_block_rows, hot_table):
+    """REGRESSION (round 5): when two chunks of one hot key reach the SAME
+    kernel call, the kernel must keep them separate partitions (CHUNK_COL
+    joins the entity factorization) or replicated events double-count.  A
+    single exchange input block puts every chunk in one call; unaligned
     chunk_ms yields 10+ distinct chunk ids over the 31d span."""
     import ray.data
 
+    exchange_block_rows(1 << 30)
     left = ray.data.read_parquet(hot_table, columns=["k", "ts"])
     base = features_for_queries(
-        _gb(hot_table), left, num_buckets=2, dedupe_queries=True
+        _gb(hot_table), left, dedupe_queries=True
     ).to_pandas()
     hot_cfg = HotKeyConfig({"hot"}, chunk_ms=3 * DAY, ts_max=BASE + 31 * DAY)
     left2 = ray.data.read_parquet(hot_table, columns=["k", "ts"])
     chunked = features_for_queries(
-        _gb(hot_table), left2, num_buckets=2, dedupe_queries=True, hot_config=hot_cfg
+        _gb(hot_table), left2, dedupe_queries=True, hot_config=hot_cfg
     ).to_pandas()
     assert len(base) == len(chunked)
     key = ["k", "ts"]

@@ -62,7 +62,8 @@ def _type_gb():
     )
 
 
-def test_join_backfill(ray_session):
+def test_join_backfill(ray_session, exchange_block_rows):
+    exchange_block_rows(256)
     join = Join(
         left=EventSource(
             table=f"{SF_DIR}/events.parquet",
@@ -85,7 +86,7 @@ def test_join_backfill(ray_session):
         ],
         name="enriched_events",
     )
-    out = backfill_join(join, num_buckets=8).to_pandas()
+    out = backfill_join(join).to_pandas()
 
     con = duckdb.connect()
     con.execute(f"CREATE VIEW events AS SELECT * FROM '{SF_DIR}/events.parquet'")
@@ -121,7 +122,7 @@ def test_join_backfill(ray_session):
         assert ok.all(), f"{col}:\n{merged[~ok][['event_id', col + '_o', col + '_k']].head()}"
 
 
-def test_hashed_semi_filter_prunes_right(ray_session, tmp_path):
+def test_hashed_semi_filter_prunes_right(ray_session, exchange_block_rows, tmp_path):
     """Mid-size pruning tier (the reference's bloom band, Join.scala:306-341):
     a >100k-key left prunes the right scan through a sorted uint64 hash set
     — real row reduction, zero result change vs the unpruned kernel."""
@@ -133,6 +134,7 @@ def test_hashed_semi_filter_prunes_right(ray_session, tmp_path):
     from raywin.pipelines.group_by import features_for_queries
     from raywin.pipelines.join import SMALL_MODE_CUTOFF, _semi_filtered_right
 
+    exchange_block_rows(8192)
     n_left = SMALL_MODE_CUTOFF + 20_000
     rng = np.random.default_rng(5)
     left_keys = np.arange(n_left, dtype=np.int64) * 2  # evens only
@@ -169,11 +171,11 @@ def test_hashed_semi_filter_prunes_right(ray_session, tmp_path):
     assert kept < right_n * 0.6  # the scan really was reduced
 
     a = (
-        features_for_queries(gb, queries, num_buckets=8, right_ds=filtered)
+        features_for_queries(gb, queries, right_ds=filtered)
         .to_pandas().sort_values(["uid", "ts"]).reset_index(drop=True)
     )
     b = (
-        features_for_queries(gb, queries, num_buckets=8)
+        features_for_queries(gb, queries)
         .to_pandas().sort_values(["uid", "ts"]).reset_index(drop=True)
     )
     pd.testing.assert_frame_equal(a, b)

@@ -211,3 +211,51 @@ def test_null_keys_and_passthrough_vs_oracle():
     assert out["user"].isna().sum() == 3
     assert out["url"].tolist() == q["url"].to_numpy()[out["qid"]].tolist()
     assert [list(e) for e in out["emb"]] == [q["emb"][i] for i in out["qid"]]
+
+
+def test_binned_percentiles_ignore_other_keys_in_the_call():
+    """A hot key's wide windows take the binned percentile path (over 4M
+    window values in one call).  Its bins are its own: adding a key whose
+    values live on another scale to the same kernel call changes none of
+    its answers, and they stay within a few bins of the exact ones."""
+    rng = np.random.default_rng(5)
+    n_ev, n_q, day = 3000, 2500, 86_400_000
+    hot = pd.DataFrame({"user": "hot", "ts": BASE_TS + np.sort(rng.integers(0, 30 * day, n_ev)),
+                        "value": rng.normal(50, 5, n_ev)})
+    far = pd.DataFrame({"user": "far", "ts": BASE_TS + rng.integers(0, 30 * day, 200),
+                        "value": rng.normal(1e6, 1e5, 200)})
+    q = pd.DataFrame({"user": "hot", "ts": BASE_TS + 30 * day + np.sort(rng.integers(0, day, n_q))})
+    aggs = [Aggregation(Operation.APPROX_PERCENTILE, "value", windows=[Window(60, TimeUnit.DAYS)],
+                        arg_map={"k": 128, "percentiles": "[0.5, 0.95]"})]
+    parts = [p for a in aggs for p in a.unpack()]
+    agg = PartitionAggregator(["user"], parts, FiveMinuteResolution)
+    col = parts[0].output_column
+    alone = aggregate(agg, hot, q)[col].tolist()
+    shared = aggregate(agg, pd.concat([hot, far], ignore_index=True), q)[col].tolist()
+    assert alone == shared
+    exact = np.quantile(hot["value"], [0.5, 0.95])
+    assert np.allclose(alone[0], exact, rtol=0.01)
+
+
+def test_light_key_percentiles_stay_exact_beside_a_heavy_key():
+    """Exact vs binned is chosen per entity: a light key's percentiles are
+    the same exact answers alone and when a heavy key in the same kernel
+    call pushes the call past 4M window values."""
+    rng = np.random.default_rng(11)
+    day = 86_400_000
+    light = pd.DataFrame({"user": "light", "ts": BASE_TS + np.sort(rng.integers(0, 30 * day, 400)),
+                          "value": rng.normal(10, 3, 400)})
+    heavy = pd.DataFrame({"user": "heavy", "ts": BASE_TS + np.sort(rng.integers(0, 30 * day, 3000)),
+                          "value": rng.normal(50, 5, 3000)})
+    q_light = pd.DataFrame({"user": "light", "ts": BASE_TS + 30 * day + np.sort(rng.integers(0, day, 300))})
+    q_heavy = pd.DataFrame({"user": "heavy", "ts": BASE_TS + 30 * day + np.sort(rng.integers(0, day, 2500))})
+    aggs = [Aggregation(Operation.APPROX_PERCENTILE, "value", windows=[Window(60, TimeUnit.DAYS)],
+                        arg_map={"k": 128, "percentiles": "[0.5, 0.95]"})]
+    parts = [p for a in aggs for p in a.unpack()]
+    agg = PartitionAggregator(["user"], parts, FiveMinuteResolution)
+    col = parts[0].output_column
+    alone = aggregate(agg, light, q_light)[col].tolist()
+    shared = aggregate(agg, pd.concat([heavy, light], ignore_index=True),
+                       pd.concat([q_heavy, q_light], ignore_index=True))
+    assert shared.loc[shared["user"] == "light", col].tolist() == alone
+    assert alone[0] == np.quantile(light["value"], [0.5, 0.95]).tolist()

@@ -164,7 +164,7 @@ def test_map_column_vs_oracle(op):
         _check(part.output_column, col, expected, op)
 
 
-def test_list_map_pipeline(ray_session, tmp_path):
+def test_list_map_pipeline(ray_session, exchange_block_rows, tmp_path):
     """End-to-end through features_for_queries: arrow list/map typing,
     maps_as_pydicts conversion, _to_arrow_column output path."""
     import ray.data
@@ -172,6 +172,7 @@ def test_list_map_pipeline(ray_session, tmp_path):
     from raywin.api import Accuracy, EventSource, GroupBy, Query
     from raywin.pipelines.group_by import features_for_queries
 
+    exchange_block_rows(128)
     ev, q = gen_list_data(seed=17, n_events=200, n_queries=40, n_keys=4)
     evm, _ = gen_map_data(seed=17, n_events=200, n_queries=1, n_keys=4)
     tbl = pa.table(
@@ -210,7 +211,7 @@ def test_list_map_pipeline(ray_session, tmp_path):
         name="listmap",
     )
     left = ray.data.read_parquet(path, columns=["user", "ts"])
-    out = features_for_queries(gb, left, num_buckets=4)
+    out = features_for_queries(gb, left)
     sch = out.schema()
     t_by_name = dict(zip(sch.names, sch.types))
     assert pa.types.is_floating(t_by_name["emb_sum_7d"])

@@ -108,7 +108,7 @@ def test_object_ref_weights_and_registry(ray_session):
         ).materialize()
 
 
-def test_join_with_model_transforms(ray_session):
+def test_join_with_model_transforms(ray_session, exchange_block_rows):
     """Join.model_transforms composes with backfill_join (row_ids required)."""
     from raywin.api import (
         Accuracy,
@@ -124,6 +124,7 @@ def test_join_with_model_transforms(ray_session):
     )
     from raywin.pipelines.join import backfill_join
 
+    exchange_block_rows(512)
     sf = "/root/testdata/sf0.001"
     gb = GroupBy(
         sources=[EventSource(table=f"{sf}/events.parquet",
@@ -150,10 +151,10 @@ def test_join_with_model_transforms(ray_session):
         ),
         name="scored",
     )
-    out = backfill_join(join, num_buckets=4).to_pandas()
+    out = backfill_join(join).to_pandas()
     assert sorted(out.columns) == ["cnt_score", "event_id"]
     assert len(out) == 1000
 
     join.row_ids = None
     with pytest.raises(ValueError, match="row_ids"):
-        backfill_join(join, num_buckets=4)
+        backfill_join(join)

@@ -43,15 +43,15 @@ def _brute_pairs(texts, thresh):
     return out
 
 
-def test_verified_neardup_pairs(ray_session, doc_table):
+def test_verified_neardup_pairs(ray_session, exchange_block_rows, doc_table):
     import ray.data
 
     from raywin.stages.dedup import verified_neardup_pairs
 
+    exchange_block_rows(128)
     path, texts = doc_table
     ds = ray.data.read_parquet(path)
-    got = verified_neardup_pairs(ds, "text", "doc_id", threshold=0.6,
-                                 num_buckets=8).to_pandas()
+    got = verified_neardup_pairs(ds, "text", "doc_id", threshold=0.6).to_pandas()
     got_pairs = set(zip(got["a"].astype(int), got["b"].astype(int)))
     expect = _brute_pairs(texts, 0.6)
     # exact precision (verify stage recomputes true Jaccard) ...
@@ -127,7 +127,7 @@ def test_minhash_transitive_closure(ray_session, tmp_path, cutoff):
     ds = ray.data.read_parquet(path)
     out = minhash_lsh_clusters(
         ds, "text", "doc_id", local_edge_cutoff=cutoff
-    ).to_pandas().set_index("doc_id")["cluster"]
+    ).to_pandas().set_index("doc_id")["cluster"].sort_index()
     assert len(out) == len(texts)
     # chain endpoints need not share a bucket directly; closure links them
     assert out.loc[0] == out.loc[1] == out.loc[2] == 0
@@ -168,7 +168,7 @@ def test_minhash_nonconvergence_warns(ray_session, tmp_path):
     assert any("fixpoint" in str(w.message) for w in caught)
 
 
-def test_pixel_dedup_groups(ray_session):
+def test_pixel_dedup_groups(ray_session, exchange_block_rows):
     """Exact image dedup groups by decoded-pixel digest: same pixels under
     the same codec merge (even across different blobs being byte-identical),
     same pixels under a quantizing codec do NOT merge with the lossless
@@ -178,6 +178,7 @@ def test_pixel_dedup_groups(ray_session):
     from raywin.stages.dedup import pixel_dedup_groups
     from raywin.stages.images import make_pixels, png_encode, qimg_encode
 
+    exchange_block_rows(2)
     px_a = make_pixels("a", 8, 8)
     px_b = make_pixels("b", 12, 12)
     rows = pd.DataFrame(
@@ -193,7 +194,7 @@ def test_pixel_dedup_groups(ray_session):
         }
     )
     out = (
-        pixel_dedup_groups(ray.data.from_pandas(rows), num_buckets=4)
+        pixel_dedup_groups(ray.data.from_pandas(rows))
         .to_pandas().sort_values("image_id").reset_index(drop=True)
     )
     assert out["image_id"].tolist() == ["a1", "a2", "a3", "b1", "b2", "c1"]

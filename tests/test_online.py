@@ -102,11 +102,12 @@ def _check(got_rows, exp_rows, parts):
                 assert g == e, (i, p.output_column, g, e)
 
 
-def test_upload_fetch_matches_offline(ray_session, online_fixture):
+def test_upload_fetch_matches_offline(ray_session, exchange_block_rows, online_fixture):
     """The lambda (batch IR + streaming rows) equals a full recompute — the
     zero-temporal-leakage property at the batch/stream seam."""
+    exchange_block_rows(512)
     df, path, gb = online_fixture
-    upload = group_by_upload(gb, BATCH_END, num_buckets=8)
+    upload = group_by_upload(gb, BATCH_END)
     blob_map = load_upload(upload, ["k"])
     assert len(blob_map) == df["k"].nunique()
 
@@ -148,7 +149,7 @@ def test_seam_boundary_exact(ray_session, online_fixture):
         accuracy=Accuracy.TEMPORAL,
         name="seam_gb",
     )
-    upload = group_by_upload(gb2, BATCH_END, num_buckets=2)
+    upload = group_by_upload(gb2, BATCH_END)
     fetcher = Fetcher(gb2, BATCH_END, upload=load_upload(upload, ["k"]))
     fetcher.put_events(df)
     row = fetcher.fetch("x", BATCH_END + 2)
@@ -156,9 +157,10 @@ def test_seam_boundary_exact(ray_session, online_fixture):
     assert row["v_count_1d"] == 3
 
 
-def test_tiled_streaming_matches_offline(ray_session, online_fixture):
+def test_tiled_streaming_matches_offline(ray_session, exchange_block_rows, online_fixture):
+    exchange_block_rows(512)
     df, path, gb = online_fixture
-    upload = group_by_upload(gb, BATCH_END, num_buckets=8)
+    upload = group_by_upload(gb, BATCH_END)
     fetcher = Fetcher(gb, BATCH_END, upload=load_upload(upload, ["k"]))
     tiles = TileAggregator(gb, tile_ms=MILLIS_5MIN, allowed_lateness_ms=HOUR,
                            batch_end_ts=BATCH_END)
@@ -199,13 +201,14 @@ def test_late_events_counted_not_applied():
     assert row["v_sum"] == pytest.approx(1.0)  # late row never applied
 
 
-def test_online_enrich_stage(ray_session, online_fixture):
+def test_online_enrich_stage(ray_session, exchange_block_rows, online_fixture):
     """OnlineEnrich as an actor-pool map_batches stage == per-row fetch."""
     import ray
     import ray.data
 
+    exchange_block_rows(512)
     df, path, gb = online_fixture
-    upload_map = load_upload(group_by_upload(gb, BATCH_END, num_buckets=8), ["k"])
+    upload_map = load_upload(group_by_upload(gb, BATCH_END), ["k"])
     stream = df[df["ts"] >= BATCH_END]
     upload_ref = ray.put(upload_map)
     events_ref = ray.put(stream)
@@ -225,7 +228,7 @@ def test_online_enrich_stage(ray_session, online_fixture):
     _check(got, _expected(df, gb, qdf), gb.agg_parts())
 
 
-def test_online_enrich_distributed(ray_session, online_fixture):
+def test_online_enrich_distributed(ray_session, exchange_block_rows, online_fixture):
     """online_enrich_distributed (three-side co-partition shuffle, zero
     driver materialization) == full NaiveOracle recompute — same contract as
     the broadcast OnlineEnrich path but the upload table and streaming tail
@@ -234,12 +237,13 @@ def test_online_enrich_distributed(ray_session, online_fixture):
 
     from raywin.online.serving import online_enrich_distributed
 
+    exchange_block_rows(256)
     df, path, gb = online_fixture
-    upload = group_by_upload(gb, BATCH_END, num_buckets=8)
+    upload = group_by_upload(gb, BATCH_END)
     stream = ray.data.from_pandas(df[["k", "ts", "v", "cat"]])  # kernel seam-filters
     qdf = _queries(df, n=40)
     out = online_enrich_distributed(
-        ray.data.from_pandas(qdf), gb, BATCH_END, upload, stream, num_buckets=8
+        ray.data.from_pandas(qdf), gb, BATCH_END, upload, stream
     ).to_pandas()
     assert len(out) == len(qdf)
     out = out.set_index(["k", "ts"])
@@ -259,9 +263,9 @@ def test_online_enrich_distributed(ray_session, online_fixture):
     _check(got, _expected(df, gb, qdf), gb.agg_parts())
 
 
-def test_serving_kernel_output_schema(ray_session, online_fixture):
+def test_serving_kernel_output_schema(ray_session, exchange_block_rows, online_fixture):
     """ServingKernel returns one typed Arrow table, the offline kernel's
-    feature types, and a bucket with no query rows returns the same schema
+    feature types, and a partition with no query rows returns the same schema
     with zero rows."""
     import ray
 
@@ -269,8 +273,9 @@ def test_serving_kernel_output_schema(ray_session, online_fixture):
 
     from .test_co_partition import bucket_of
 
+    exchange_block_rows(1024)
     df, path, gb = online_fixture
-    upload = pa.concat_tables(ray.get(group_by_upload(gb, BATCH_END, num_buckets=4).to_arrow_refs()))
+    upload = pa.concat_tables(ray.get(group_by_upload(gb, BATCH_END).to_arrow_refs()))
     stream = pa.Table.from_pandas(df[df["ts"] >= BATCH_END][["k", "ts", "v", "cat"]], preserve_index=False)
     queries = pa.Table.from_pandas(_queries(df, n=10), preserve_index=False)
     want = pa.schema([
@@ -291,15 +296,16 @@ def test_serving_kernel_output_schema(ray_session, online_fixture):
     assert empty.schema == want and empty.num_rows == 0
 
 
-def test_lambda_aggregate_many_bitwise(ray_session, online_fixture):
+def test_lambda_aggregate_many_bitwise(ray_session, exchange_block_rows, online_fixture):
     """lambda_aggregate_many (hop-memoized bases + shared incremental event
     fold) must be bitwise-identical to per-row lambda_aggregate across every
     op, key, and window shape — including empty windows, pre-window queries,
     unbounded parts, and keys with no batch IR / no tail."""
     import pickle
 
+    exchange_block_rows(512)
     df, path, gb = online_fixture
-    upload = group_by_upload(gb, BATCH_END, num_buckets=8)
+    upload = group_by_upload(gb, BATCH_END)
     blob_map = load_upload(upload, ["k"])
     agg = Fetcher(gb, BATCH_END, upload=blob_map).agg
     in_cols = {p.input_column for p in agg.parts}
@@ -327,22 +333,23 @@ def test_lambda_aggregate_many_bitwise(ray_session, online_fixture):
                     k, int(q), p.output_column)
 
 
-def test_load_upload_count_gate(ray_session, online_fixture):
+def test_load_upload_count_gate(ray_session, exchange_block_rows, online_fixture):
     """load_upload refuses to materialize an upload table above max_rows —
     no caller can broadcast an unbounded IR state by default."""
+    exchange_block_rows(1024)
     df, path, gb = online_fixture
-    upload_ds = group_by_upload(gb, BATCH_END, num_buckets=4)
+    upload_ds = group_by_upload(gb, BATCH_END)
     with pytest.raises(ValueError, match="online_enrich_distributed"):
         load_upload(upload_ds, ["k"], max_rows=1)
     # explicit raise works, and the DataFrame fast path gates too
-    m = load_upload(group_by_upload(gb, BATCH_END, num_buckets=4), ["k"])
+    m = load_upload(group_by_upload(gb, BATCH_END), ["k"])
     assert len(m) > 1
     updf = pd.DataFrame({"k": list("abc"), "__batch_ir": [b"x", b"y", b"z"]})
     with pytest.raises(ValueError, match="max_rows"):
         load_upload(updf, ["k"], max_rows=2)
 
 
-def test_image_serving_lambda_matches_asof_oracle(ray_session, tmp_path):
+def test_image_serving_lambda_matches_asof_oracle(ray_session, exchange_block_rows, tmp_path):
     """The image-table serving lambda (bench 10x-tail leg) is exact: batch
     IR + streaming tail == plain point-in-time recompute over all events."""
     import duckdb
@@ -350,9 +357,10 @@ def test_image_serving_lambda_matches_asof_oracle(ray_session, tmp_path):
     from raywin.pipelines.images import image_serving_lambda
     from raywin.stages.images import generate_image_events
 
+    exchange_block_rows(128)
     path = str(tmp_path / "imgserv")
     generate_image_events(path, 1200, 60, files=2)
-    out = image_serving_lambda(path, num_buckets=4, read_blocks=2).to_pandas()
+    out = image_serving_lambda(path).to_pandas()
     assert len(out) > 0
 
     DAY, HOUR = 86_400_000, 3_600_000

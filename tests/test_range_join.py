@@ -61,7 +61,8 @@ def _canon(df: pd.DataFrame) -> pd.DataFrame:
 
 
 @pytest.mark.parametrize("seed", [0, 7])
-def test_range_join_matches_oracle(ray_session, seed):
+def test_range_join_matches_oracle(ray_session, exchange_block_rows, seed):
+    exchange_block_rows(512)
     left, right = _random_tables(seed)
     out = bucketed_range_join(
         ray.data.from_pandas(left),
@@ -71,14 +72,14 @@ def test_range_join_matches_oracle(ray_session, seed):
         right_start="s",
         right_end="e",
         chunk_ms=CHUNK_MS,
-        num_buckets=16,
     ).to_pandas()
     exp = _oracle(left, right)
     assert len(out) == len(exp) and len(exp) > 0
     pd.testing.assert_frame_equal(_canon(out), _canon(exp))
 
 
-def test_range_join_boundaries(ray_session):
+def test_range_join_boundaries(ray_session, exchange_block_rows):
+    exchange_block_rows(2)
     # inclusive start, exclusive end, interval spanning 5 chunks
     left = pd.DataFrame(
         {"pid": [0, 1, 2, 3], "k": [1, 1, 1, 1], "ts": [100, 5_099, 5_100, 99]}
@@ -92,7 +93,6 @@ def test_range_join_boundaries(ray_session):
         right_start="s",
         right_end="e",
         chunk_ms=CHUNK_MS,
-        num_buckets=4,
     ).to_pandas()
     # ts=100 (== start) and ts=5099 (== end-1) match; 5100 (== end) and 99 do not,
     # and the 5-chunk replication must not produce duplicate matches

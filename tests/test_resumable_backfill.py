@@ -48,14 +48,15 @@ def _gb(path, windows=None):
     )
 
 
-def test_resumable_backfill(ray_session, ev_table, tmp_path):
+def test_resumable_backfill(ray_session, exchange_block_rows, ev_table, tmp_path):
     import ray.data
 
+    exchange_block_rows(2048)
     out_dir = str(tmp_path / "out")
     left_fn = lambda: ray.data.read_parquet(ev_table, columns=["k", "ts"])
 
     done = backfill_temporal(
-        _gb(ev_table), left_fn, out_dir, "2024-02-01", "2024-02-06", step_days=2, num_buckets=4
+        _gb(ev_table), left_fn, out_dir, "2024-02-01", "2024-02-06", step_days=2
     )
     assert len(done) == 3  # 6 days / 2-day steps
     labels = [d[0] for d in done]
@@ -63,14 +64,14 @@ def test_resumable_backfill(ray_session, ev_table, tmp_path):
 
     # restart: nothing to do
     done2 = backfill_temporal(
-        _gb(ev_table), left_fn, out_dir, "2024-02-01", "2024-02-06", step_days=2, num_buckets=4
+        _gb(ev_table), left_fn, out_dir, "2024-02-01", "2024-02-06", step_days=2
     )
     assert done2 == []
 
     # delete one partition -> only that one recomputed
     shutil.rmtree(mf.partition_dir(out_dir, labels[1]))
     done3 = backfill_temporal(
-        _gb(ev_table), left_fn, out_dir, "2024-02-01", "2024-02-06", step_days=2, num_buckets=4
+        _gb(ev_table), left_fn, out_dir, "2024-02-01", "2024-02-06", step_days=2
     )
     assert [d[0] for d in done3] == [labels[1]]
 
@@ -80,7 +81,7 @@ def test_resumable_backfill(ray_session, ev_table, tmp_path):
     from raywin.pipelines.group_by import features_for_queries
 
     single = features_for_queries(
-        _gb(ev_table), left_fn(), num_buckets=4, dedupe_queries=True
+        _gb(ev_table), left_fn(), dedupe_queries=True
     ).to_pandas()
     key = ["k", "ts"]
     a = full.sort_values(key).reset_index(drop=True)
@@ -93,24 +94,27 @@ def test_resumable_backfill(ray_session, ev_table, tmp_path):
     # config change -> all partitions recomputed, stale archived
     done4 = backfill_temporal(
         _gb(ev_table, windows=[Window(1, TimeUnit.DAYS)]), left_fn, out_dir,
-        "2024-02-01", "2024-02-06", step_days=2, num_buckets=4,
+        "2024-02-01", "2024-02-06", step_days=2,
     )
     assert len(done4) == 3
     stale = [d for d in os.listdir(out_dir) if d.startswith("_stale_")]
     assert stale, "stale outputs must be archived on semantic change"
 
 
-def test_empty_partition_records_zero_row_manifest(ray_session, ev_table, tmp_path):
+def test_empty_partition_records_zero_row_manifest(
+    ray_session, exchange_block_rows, ev_table, tmp_path
+):
     """A day range with no events must complete with a rows=0 manifest (so
     resume skips it), not crash on the missing data directory."""
     import ray.data
 
+    exchange_block_rows(1024)
     out_dir = str(tmp_path / "empty_out")
     left_fn = lambda: ray.data.read_parquet(ev_table, columns=["k", "ts"])
     # ev_table covers 2024-02-01..07; this range is far in the future
     done = backfill_temporal(
         _gb(ev_table), left_fn, out_dir, "2025-06-01", "2025-06-02",
-        step_days=2, num_buckets=4,
+        step_days=2,
     )
     assert len(done) == 1
     label, m = done[0]
@@ -118,31 +122,34 @@ def test_empty_partition_records_zero_row_manifest(ray_session, ev_table, tmp_pa
     # resume: nothing left to do
     done2 = backfill_temporal(
         _gb(ev_table), left_fn, out_dir, "2025-06-01", "2025-06-02",
-        step_days=2, num_buckets=4,
+        step_days=2,
     )
     assert done2 == []
 
 
-def test_truncated_step_recomputed_on_extended_range(ray_session, ev_table, tmp_path):
+def test_truncated_step_recomputed_on_extended_range(
+    ray_session, exchange_block_rows, ev_table, tmp_path
+):
     """A backfill first launched with an end date that TRUNCATES its final
     step must not poison a later full-range resume: the truncated step's
     manifest records its actual ts_range, and the resume recomputes it
     instead of silently skipping the missing tail days."""
     import ray.data
 
+    exchange_block_rows(2048)
     out_dir = str(tmp_path / "trunc")
     left_fn = lambda: ray.data.read_parquet(ev_table, columns=["k", "ts"])
 
     # 2-day steps, but the first launch ends mid-step (02-01..02-03 covers
     # one full step + a 1-day truncated second step with the same label)
     first = backfill_temporal(
-        _gb(ev_table), left_fn, out_dir, "2024-02-01", "2024-02-03", step_days=2, num_buckets=4
+        _gb(ev_table), left_fn, out_dir, "2024-02-01", "2024-02-03", step_days=2
     )
     assert [d[0] for d in first] == ["ds=2024-02-01", "ds=2024-02-03"]
 
     # full range: the truncated ds=2024-02-03 step must be recomputed
     resumed = backfill_temporal(
-        _gb(ev_table), left_fn, out_dir, "2024-02-01", "2024-02-06", step_days=2, num_buckets=4
+        _gb(ev_table), left_fn, out_dir, "2024-02-01", "2024-02-06", step_days=2
     )
     assert "ds=2024-02-03" in [d[0] for d in resumed]
     assert [d for d in os.listdir(out_dir) if "truncated" in d], "truncated step archived"
@@ -151,6 +158,6 @@ def test_truncated_step_recomputed_on_extended_range(ray_session, ev_table, tmp_
     from raywin.pipelines.group_by import features_for_queries
 
     single = features_for_queries(
-        _gb(ev_table), left_fn(), num_buckets=4, dedupe_queries=True
+        _gb(ev_table), left_fn(), dedupe_queries=True
     ).to_pandas()
     assert len(full) == len(single), "resume after truncation must lose no rows"

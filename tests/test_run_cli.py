@@ -47,7 +47,7 @@ def test_run_cli_join_backfill(ray_session, tmp_path, monkeypatch, capsys):
     try:
         out_dir = str(tmp_path / "out")
         rc = main(["--mode", "join-backfill", "--conf", "confs_cli:the_join",
-                   "--output", out_dir, "--num-buckets", "8"])
+                   "--output", out_dir])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["rows"] == 1000
@@ -78,7 +78,7 @@ def test_run_cli_flow_backfill(ray_session, tmp_path, monkeypatch, capsys):
         rc = main([
             "--mode", "flow-backfill", "--conf", "confs_cli:user_gb",
             "--output", out_dir, "--start", "2024-01-05", "--end", "2024-01-08",
-            "--step-days", "2", "--num-buckets", "4", "--max-parallel", "2",
+            "--step-days", "2", "--max-parallel", "2",
             "--state-dir", str(tmp_path / "state"),
         ])
         assert rc == 0
@@ -93,7 +93,7 @@ def test_run_cli_flow_backfill(ray_session, tmp_path, monkeypatch, capsys):
         rc = main([
             "--mode", "flow-backfill", "--conf", "confs_cli:user_gb",
             "--output", out_dir, "--start", "2024-01-05", "--end", "2024-01-08",
-            "--step-days", "2", "--num-buckets", "4",
+            "--step-days", "2",
             "--state-dir", str(tmp_path / "state"),
         ])
         assert rc == 0

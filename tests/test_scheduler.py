@@ -122,7 +122,7 @@ def ev_table(tmp_path_factory):
     return str(path)
 
 
-def test_flow_from_backfill_end_to_end(ray_session, ev_table, tmp_path):
+def test_flow_from_backfill_end_to_end(ray_session, exchange_block_rows, ev_table, tmp_path):
     import pyarrow.dataset as pads
     import ray.data
 
@@ -131,6 +131,7 @@ def test_flow_from_backfill_end_to_end(ray_session, ev_table, tmp_path):
         TimeUnit, Window,
     )
 
+    exchange_block_rows(1024)
     gb = GroupBy(
         sources=[EventSource(table=ev_table, query=Query())],
         key_columns=["k"],
@@ -144,7 +145,7 @@ def test_flow_from_backfill_end_to_end(ray_session, ev_table, tmp_path):
     left_fn = lambda: ray.data.read_parquet(ev_table, columns=["k", "ts"])
     flow = flow_from_backfill(
         gb, left_fn, out_dir, "2024-03-01", "2024-03-04",
-        step_days=2, num_buckets=4,
+        step_days=2,
     )
     # validate + 2 partition steps, partitions independent of each other
     assert len(flow.steps) == 3

@@ -46,12 +46,13 @@ def test_pii_scrub_edges():
     ]
 
 
-def test_paragraph_dedup(ray_session):
+def test_paragraph_dedup(ray_session, exchange_block_rows):
     """Cross-document paragraph winner rule + row-count preservation."""
     import ray.data
 
     from raywin.stages.dedup import dedup_paragraphs
 
+    exchange_block_rows(2)
     docs = pd.DataFrame(
         {
             "doc_id": [1, 2, 3],
@@ -63,7 +64,7 @@ def test_paragraph_dedup(ray_session):
         }
     )
     out = (
-        dedup_paragraphs(ray.data.from_pandas(docs), "text", "doc_id", num_buckets=4)
+        dedup_paragraphs(ray.data.from_pandas(docs), "text", "doc_id")
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     assert out["doc_id"].tolist() == [1, 2, 3]
@@ -72,12 +73,13 @@ def test_paragraph_dedup(ray_session):
     assert out["n_dropped"].tolist() == [0, 1, 2]
 
 
-def test_duplicate_span_stats(ray_session):
+def test_duplicate_span_stats(ray_session, exchange_block_rows):
     """Corpus-wide 5-gram duplication: identical docs share every gram."""
     import ray.data
 
     from raywin.stages.text import duplicate_span_stats
 
+    exchange_block_rows(2)
     docs = pd.DataFrame(
         {
             "doc_id": [1, 2, 3, 4],
@@ -91,7 +93,7 @@ def test_duplicate_span_stats(ray_session):
     )
     out = (
         duplicate_span_stats(ray.data.from_pandas(docs), "text", "doc_id",
-                             n=5, hot=2, num_buckets=4)
+                             n=5, hot=2)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     assert out["doc_id"].tolist() == [1, 2, 3]
@@ -242,13 +244,14 @@ def test_lm_quality_empty_docs(ray_session):
     assert np.isnan(out.loc[2, "avg_neg_logp"]) and np.isnan(out.loc[3, "unigram_ppl"])
 
 
-def test_span_removal_hand(ray_session):
+def test_span_removal_hand(ray_session, exchange_block_rows):
     """Canonical-occurrence rule: duplicated n-grams survive only at their
     first (doc, start); covered tokens elsewhere are removed."""
     import ray.data
 
     from raywin.stages.dedup import remove_duplicate_spans
 
+    exchange_block_rows(2)
     docs = pd.DataFrame(
         {
             "doc_id": [1, 2, 3, 4, 5],
@@ -263,7 +266,7 @@ def test_span_removal_hand(ray_session):
     )
     out = (
         remove_duplicate_spans(ray.data.from_pandas(docs), "text", "doc_id",
-                               n=3, num_buckets=4)
+                               n=3)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     assert out["doc_id"].tolist() == [1, 2, 3, 4, 5]
@@ -272,7 +275,7 @@ def test_span_removal_hand(ray_session):
     assert out["n_removed"].tolist() == [0, 3, 3, 0, 0]
 
 
-def test_span_removal_matches_brute(ray_session):
+def test_span_removal_matches_brute(ray_session, exchange_block_rows):
     """Randomized corpus vs a positional brute-force recompute (overlapping
     duplicated spans, same-doc repeats, punctuation tokenization)."""
     import re
@@ -281,6 +284,7 @@ def test_span_removal_matches_brute(ray_session):
 
     from raywin.stages.dedup import remove_duplicate_spans
 
+    exchange_block_rows(64)
     rng = np.random.default_rng(11)
     vocab = [f"t{i}" for i in range(12)]  # tiny vocab: dense gram collisions
     texts = [
@@ -306,7 +310,7 @@ def test_span_removal_matches_brute(ray_session):
     docs = pd.DataFrame({"doc_id": range(len(texts)), "text": texts})
     out = (
         remove_duplicate_spans(ray.data.from_pandas(docs), "text", "doc_id",
-                               n=n, num_buckets=4)
+                               n=n)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     assert out["clean_text"].tolist() == exp_text

@@ -151,13 +151,14 @@ def test_chunk_documents_edges(ray_session):
     assert out.loc[4, "chunk_text"] == "a b"
 
 
-def test_token_pack_matches_serial(ray_session):
+def test_token_pack_matches_serial(ray_session, exchange_block_rows):
     """Distributed two-level prefix sum == serial cumsum, across range and
     block boundaries, with zero-token docs dropped."""
     import ray.data
 
     from raywin.stages.splits import token_pack
 
+    exchange_block_rows(64)
     rng = np.random.default_rng(13)
     n = 237
     ntok = rng.integers(0, 9, n)  # includes zeros
@@ -167,8 +168,7 @@ def test_token_pack_matches_serial(ray_session):
     ).repartition(9)
     block, width = 16, 10  # small range width: many cross-range carries
     out = (
-        token_pack(ds, "doc_id", "n_tok", block=block, range_width=width,
-                   num_buckets=4)
+        token_pack(ds, "doc_id", "n_tok", block=block, range_width=width)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     start_all = np.concatenate([[0], np.cumsum(ntok[:-1])])
@@ -181,13 +181,14 @@ def test_token_pack_matches_serial(ray_session):
     ).tolist()
 
 
-def test_robust_outlier_flags(ray_session):
+def test_robust_outlier_flags(ray_session, exchange_block_rows):
     """median/MAD flags vs a per-group brute force; constant groups (MAD=0)
     and singletons flag nothing."""
     import ray.data
 
     from raywin.functions.stats import robust_outlier_flags
 
+    exchange_block_rows(32)
     rng = np.random.default_rng(17)
     base = rng.normal(0, 1, 120)
     base[::17] += 40  # planted spikes
@@ -201,7 +202,6 @@ def test_robust_outlier_flags(ray_session):
     out = (
         robust_outlier_flags(
             ray.data.from_pandas(df).repartition(5), "grp", "v", k=3.0,
-            num_buckets=4,
         )
         .to_pandas().sort_values("rid").reset_index(drop=True)
     )
@@ -230,7 +230,7 @@ def test_robust_outlier_flags_zero_mad_flags_every_deviation(ray_session):
     df = pd.DataFrame({"rid": range(6), "grp": [1] * 6,
                        "v": [5.0, 5.0, 5.0, 5.0, 5.001, 9.0]})
     out = (
-        robust_outlier_flags(ray.data.from_pandas(df), "grp", "v", num_buckets=2)
+        robust_outlier_flags(ray.data.from_pandas(df), "grp", "v")
         .to_pandas().sort_values("rid").reset_index(drop=True)
     )
     assert (out["med"] == 5.0).all() and (out["mad"] == 0.0).all()
