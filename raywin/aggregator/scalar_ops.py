@@ -91,13 +91,18 @@ class ScalarOp:
         return out
 
     def fold_segments(self, vals, ts, starts):
-        """Vectorized segmented fold: IRs for contiguous segments
-        [starts[i], starts[i+1]) of (vals, ts) — valid rows only, ts-sorted
-        within each segment.  Returns None when this op has no vectorized
-        fold (callers run the per-row prepare/update loop per segment).
-        Float sums use numpy's pairwise reduction, so results may differ
-        from the sequential fold in the last ulp."""
-        return None
+        """IRs of the contiguous non-empty segments [starts[i], starts[i+1])
+        of (vals, ts): non-null rows only, ts-ascending within a segment.
+        This default is the sequential prepare/update fold; the vectorized
+        overrides (segmented ``ufunc.reduceat``) sum floats pairwise, so
+        they may differ from it in the last ulp."""
+        out = []
+        for s, e in zip(starts.tolist(), np.append(starts[1:], len(vals)).tolist()):
+            ir = self.prepare(vals[s], int(ts[s]))
+            for i in range(s + 1, e):
+                ir = self.update(ir, vals[i], int(ts[i]))
+            out.append(ir)
+        return out
 
 
 def _seg_ok(vals) -> bool:
@@ -170,7 +175,7 @@ class Sum(ScalarOp):
 
     def fold_segments(self, vals, ts, starts):
         if not _seg_ok(vals):
-            return None
+            return super().fold_segments(vals, ts, starts)
         return list(np.add.reduceat(vals, starts)) if len(vals) else []
 
 
@@ -243,7 +248,7 @@ class Average(ScalarOp):
 
     def fold_segments(self, vals, ts, starts):
         if not _seg_ok(vals):
-            return None
+            return super().fold_segments(vals, ts, starts)
         if not len(vals):
             return []
         sums = np.add.reduceat(vals.astype(np.float64, copy=False), starts)
@@ -279,7 +284,7 @@ class Min(_Extremum):
 
     def fold_segments(self, vals, ts, starts):
         if not _seg_ok(vals):
-            return None
+            return super().fold_segments(vals, ts, starts)
         return list(np.minimum.reduceat(vals, starts)) if len(vals) else []
 
 
@@ -297,7 +302,7 @@ class Max(_Extremum):
 
     def fold_segments(self, vals, ts, starts):
         if not _seg_ok(vals):
-            return None
+            return super().fold_segments(vals, ts, starts)
         return list(np.maximum.reduceat(vals, starts)) if len(vals) else []
 
 

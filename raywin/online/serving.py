@@ -15,6 +15,8 @@ The Fetcher is the reference's online Fetcher collapsed to its offline-
 testable core: per-key batch IR map (what the KV store would hold) + per-key
 streaming rows or sealed tiles (streaming.TileAggregator), with fetch()
 returning the same feature row the offline kernel computes for (key, ts).
+Both kinds of streaming state are answered by the same lambda: sealed tiles
+join the batch IR's tail tiles, and the unsealed raw head is the stream.
 
 The lambda is columnar.  Per part and hop group, lambda_aggregate_many
 builds the merged batch base once and answers all of the group's queries
@@ -25,9 +27,10 @@ prepare/update loop for every other op).  Bases are built from
 ScalarOp.clone copies, not deep copies.  The Fetcher ingests micro-batches
 with one factorize + lexsort instead of a pandas groupby.
 
-OnlineEnrich wraps the Fetcher as an actor-pool ``map_batches`` stage: the
-batch-IR dict ships once via ray.put and each actor deserializes per-key blobs
-lazily — point-lookups over a broadcast map, never a shuffle.
+online_enrich_distributed applies the lambda offline at scale: queries,
+upload rows and the streaming tail meet in one co-partition exchange, and
+each partition answers its keys with the same lambda_aggregate_many calls;
+nothing is broadcast or collected into the calling process.
 """
 
 from __future__ import annotations
@@ -65,7 +68,11 @@ class SawtoothOnlineAggregator:
 
     def lambda_aggregate(self, batch_ir: dict | None, stream_ts, stream_rows,
                          query_ts: int) -> dict:
-        """batch_ir: {output_column: {"c": ir, "t": [(start, ir), ...]}} or
+        """The per-row reference lambda for one query: the sequential
+        prepare/update fold that the tests compare lambda_aggregate_many
+        against bit for bit.  Serving calls lambda_aggregate_many.
+
+        batch_ir: {output_column: {"c": ir, "t": [(start, ir), ...]}} or
         None; stream_ts: ascending int array; stream_rows: {input_column:
         array} aligned with stream_ts (already seam-filtered)."""
         out = {}
@@ -246,6 +253,21 @@ def _key_streams(df: pd.DataFrame, key_cols, in_cols, keep=None):
         yield key, ts[a:b], {c: v[a:b] for c, v in cols.items()}
 
 
+def _merge_append(streams: dict, key: tuple, ts, rows: dict):
+    """Merge one key's ts-ascending slice into streams[key] = [ts, {column:
+    values}].  Micro-batches may interleave in time; a stable sort of two
+    sorted runs is near-linear and keeps earlier-ingested rows first on ts
+    ties."""
+    cur = streams.get(key)
+    if cur is None:
+        streams[key] = [ts, rows]
+        return
+    all_ts = np.concatenate([cur[0], ts])
+    order = np.argsort(all_ts, kind="stable")
+    merged = {c: np.concatenate([cur[1][c], rows[c]])[order] for c in rows}
+    streams[key] = [all_ts[order], merged]
+
+
 class Fetcher:
     """Per-key batch IRs + streaming state, answering point-in-time fetches.
 
@@ -256,9 +278,11 @@ class Fetcher:
     Raw rows are held columnar: per key, a ts-sorted int64 array plus one
     array per input column.  put_events sorts each micro-batch once by
     (key, ts) and stable-merges each key's slice into the key's arrays.
-    fetch_batch answers a key's rows with one lambda_aggregate_many call,
-    which builds each hop group's merged batch base (collapsed ⊕ in-window
-    tiles) from clones and folds the events with ScalarOp.scan."""
+    fetch and fetch_batch answer each key with one lambda_aggregate_many
+    call, which builds each hop group's merged batch base (collapsed ⊕
+    in-window tiles) from clones and folds the events with ScalarOp.scan.
+    Tile-backed state takes the same call: the key's sealed tiles extend the
+    batch tiles and the unsealed raw head is the stream."""
 
     def __init__(self, group_by: GroupBy, batch_end_ts: int, upload=None,
                  resolution=FiveMinuteResolution):
@@ -285,19 +309,7 @@ class Fetcher:
         keep = df["ts"].to_numpy(dtype=np.int64) >= self.batch_end_ts
         self.dropped_pre_seam += len(keep) - int(np.count_nonzero(keep))
         for key, ts, rows in _key_streams(df, self.key_cols, self._in_cols, keep):
-            self._append(key, ts, rows)
-
-    def _append(self, key: tuple, ts, rows: dict):
-        cur = self._stream.get(key)
-        if cur is None:
-            self._stream[key] = [ts, rows]
-            return
-        # merge-sort append (micro-batches may interleave in time); a stable
-        # sort of two sorted runs is near-linear
-        all_ts = np.concatenate([cur[0], ts])
-        order = np.argsort(all_ts, kind="stable")
-        merged = {c: np.concatenate([cur[1][c], rows[c]])[order] for c in rows}
-        self._stream[key] = [all_ts[order], merged]
+            _merge_append(self._stream, key, ts, rows)
 
     def attach_tiles(self, tile_aggregator):
         """Serve from a TileAggregator's sealed tiles + unsealed raw rows."""
@@ -312,43 +324,58 @@ class Fetcher:
         self._cache[key] = ir
         return ir
 
+    def _state(self, key: tuple):
+        """(batch IR, stream ts, stream rows) of key, as the lambda takes
+        them.  Tile-backed: the key's sealed tiles that start at or after
+        the seam follow the batch entry's tail tiles, and the unsealed raw
+        head is the stream."""
+        ir = self._batch_ir(key)
+        if self._tiles is None:
+            st = self._stream.get(key)
+        else:
+            st = self._tiles.raw.get(key)
+            key_tiles = self._tiles.tiles.get(key)
+            if key_tiles:
+                ir = dict(ir or {})  # never touch the cached batch IR
+                for col, tl in key_tiles.items():
+                    entry = ir.get(col) or {"c": None, "t": []}
+                    tail = [(s, t) for s, t in tl if s >= self.batch_end_ts]
+                    ir[col] = {"c": entry["c"], "t": entry["t"] + tail}
+        return (ir, st[0], st[1]) if st else (ir, None, None)
+
+    def _check_sealed(self, qts):
+        """Sealed tiles are whole tile spans: a query behind the sealed
+        boundary would count the part of a tile at or after its ts."""
+        sealed = None if self._tiles is None else self._tiles.sealed_until
+        if sealed is not None and len(qts) and int(qts.min()) < sealed:
+            raise ValueError(
+                f"query_ts {int(qts.min())} is behind the sealed boundary {sealed}"
+            )
+
     def fetch(self, key, query_ts: int) -> dict:
         key = key if isinstance(key, tuple) else (key,)
-        batch_ir = self._batch_ir(key)
-        if self._tiles is not None:
-            return self._tiles.lambda_query(self.agg, batch_ir, key, query_ts)
-        st = self._stream.get(key)
-        ts, rows = (st[0], st[1]) if st else (None, None)
-        return self.agg.lambda_aggregate(batch_ir, ts, rows, query_ts)
+        qts = np.array([query_ts], dtype=np.int64)
+        self._check_sealed(qts)
+        feats = self.agg.lambda_aggregate_many(*self._state(key), qts)
+        return {c: v[0] for c, v in feats.items()}
 
     def fetch_batch(self, batch: pd.DataFrame) -> dict[str, list]:
         """Vectorized fetch for a whole (key cols + ts) frame: one
         ``lambda_aggregate_many`` call per distinct key (searchsorted window
         bounds, one merged base and one scan per hop group) instead of a
         Python dispatch per row — the same engine ServingKernel's
-        distributed path uses.  Tile-backed serving stays per-row (TileAggregator holds mutable state).
-        Returns {output_column: values aligned with batch's positions}."""
+        distributed path uses.  Returns {output_column: values aligned with
+        batch's positions}."""
         out_cols = [p.output_column for p in self.agg.parts]
         feat_cols = {
             c: np.full(len(batch), None, dtype=object) for c in out_cols
         }
-        if self._tiles is not None:
-            for pos, (key, ts) in enumerate(
-                zip(zip(*(batch[k] for k in self.key_cols)), batch["ts"])
-            ):
-                row = self.fetch(key, int(ts))
-                for c in out_cols:
-                    feat_cols[c][pos] = row[c]
-            return {c: feat_cols[c].tolist() for c in out_cols}
         qts = batch["ts"].to_numpy(dtype=np.int64)
+        self._check_sealed(qts)
         pos, groups = _key_groups(batch, self.key_cols, qts)
         for key, a, b in groups:
             idx = pos[a:b]
-            st = self._stream.get(key)
-            ts_arr, rows = (st[0], st[1]) if st else (None, None)
-            feats = self.agg.lambda_aggregate_many(
-                self._batch_ir(key), ts_arr, rows, qts[idx]
-            )
+            feats = self.agg.lambda_aggregate_many(*self._state(key), qts[idx])
             _scatter_features(feat_cols, idx, feats, out_cols)
         return {c: feat_cols[c].tolist() for c in out_cols}
 
@@ -427,9 +454,9 @@ def online_enrich_distributed(left_ds, group_by: GroupBy, batch_end_ts: int,
     pre-filtered to ts >= batch_end_ts (rows before the seam are the batch
     half's property and are dropped here to preserve exactness).
 
-    One union co-partition shuffle (the EntityKernel three-side pattern) —
-    the scale-safe replacement for broadcasting the tail + upload dict via
-    ray.put (OnlineEnrich), which holds the whole state per node."""
+    One union co-partition shuffle (the EntityKernel three-side pattern):
+    each partition holds only its keys' upload rows and tail, never the
+    whole state."""
     from ..stages.shuffle import _arrow_schema, co_partition
 
     sides = [left_ds, upload_ds]
@@ -443,33 +470,3 @@ def online_enrich_distributed(left_ds, group_by: GroupBy, batch_end_ts: int,
         sides, group_by.key_columns, kernel, batch_format="pyarrow"
     )
     return out.select_columns(kernel.left_names + [p.output_column for p in kernel.agg.parts])
-
-
-class OnlineEnrich:
-    """Actor-pool enrichment stage: ``map_batches(OnlineEnrich, fn_constructor_args=
-    (upload_ref, events_ref, group_by, batch_end_ts), concurrency=N,
-    batch_format="pandas")`` — the serving lambda applied offline at scale.
-
-    upload_ref: ray.ObjectRef of the {key: blob} dict (ray.put once — every
-    actor reads the same plasma copy, zero re-shipping per batch).
-    events_ref: ObjectRef of a streaming-rows DataFrame or None.
-
-    Broadcast trades state size for shuffle-free lookups: right when the
-    upload+tail fit one node comfortably.  For large state use
-    online_enrich_distributed (co-partition, no driver materialization)."""
-
-    def __init__(self, upload_ref, events_ref, group_by: GroupBy, batch_end_ts: int):
-        import ray
-
-        upload = ray.get(upload_ref) if upload_ref is not None else {}
-        self.fetcher = Fetcher(group_by, batch_end_ts, upload=upload)
-        if events_ref is not None:
-            self.fetcher.put_events(ray.get(events_ref))
-        self.key_cols = group_by.key_columns
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        feat_cols = self.fetcher.fetch_batch(batch)
-        out = batch.copy()
-        for col in self.fetcher.agg.parts:
-            out[col.output_column] = feat_cols[col.output_column]
-        return out

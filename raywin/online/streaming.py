@@ -14,7 +14,9 @@ out-of-orderness) as a plain micro-batch consumer:
     never applied (FlinkJob.scala:173-205 side-output semantics);
   * queries merge sealed tiles (tile-aligned, exact for any window tail
     because every tail hop is a multiple of the 5-min tile) + raw unsealed
-    rows for the exact millisecond head.
+    rows for the exact millisecond head.  A Fetcher with the aggregator
+    attached answers them with the raw-row serving lambda: sealed tiles
+    join the batch IR's tail tiles and the raw head is the stream.
 
 The per-key tile map is the state a Flink job would checkpoint; here it
 lives in a plain object so tests can drive time deterministically.
@@ -22,14 +24,16 @@ lives in a plain object so tests can drive time deterministically.
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 import pandas as pd
 
 from ..api import MILLIS_5MIN, GroupBy
 from ..aggregator.scalar_ops import make_scalar_op
-from ..aggregator.windowing import round_down
+from ..aggregator.windowing import FiveMinuteResolution, round_down
+from .serving import Fetcher, _key_streams, _merge_append, _non_null
+
+# seam of an aggregator without a batch side: below every event ts
+_NO_SEAM = np.iinfo(np.int64).min // 4
 
 
 class TileAggregator:
@@ -39,12 +43,7 @@ class TileAggregator:
         self.parts = group_by.agg_parts()
         self.ops = [make_scalar_op(p) for p in self.parts]
         for p in self.parts:
-            hop_ok = True
-            if not p.window.unbounded:
-                from ..aggregator.windowing import FiveMinuteResolution
-
-                hop_ok = FiveMinuteResolution.tail_hop(p.window) % tile_ms == 0
-            if not hop_ok:
+            if not p.window.unbounded and FiveMinuteResolution.tail_hop(p.window) % tile_ms:
                 raise ValueError(f"tile_ms {tile_ms} must divide the tail hop of {p}")
         self.tile_ms = tile_ms
         self.lateness = allowed_lateness_ms
@@ -53,6 +52,7 @@ class TileAggregator:
             # a tile straddling the seam would be partially owned by batch
             raise ValueError("batch_end_ts must be tile-aligned (it is a midnight)")
         self.key_cols = group_by.key_columns
+        self._in_cols = {p.input_column for p in self.parts}
         self.watermark = None
         self.sealed_until = None  # tile-aligned boundary; tiles end <= this are sealed
         # key -> {output_column: [(tile_start, ir), ...] ascending}
@@ -64,42 +64,27 @@ class TileAggregator:
 
     # -- ingestion ----------------------------------------------------------
     def process_batch(self, df: pd.DataFrame):
+        ts = df["ts"].to_numpy(dtype=np.int64)
+        keep = np.ones(len(ts), dtype=bool)
         if self.batch_end_ts is not None:
-            pre = df["ts"] < self.batch_end_ts
-            self.pre_seam_count += int(pre.sum())
-            df = df[~pre]
-        if len(df) == 0:
+            keep = ts >= self.batch_end_ts
+            self.pre_seam_count += len(ts) - int(np.count_nonzero(keep))
+        if self.sealed_until is not None:
+            late = keep & (ts < self.sealed_until)
+            self.late_count += int(np.count_nonzero(late))
+            keep &= ~late
+        if not keep.any():  # a batch can be entirely pre-seam or late
             return
-        boundary = self.sealed_until
-        if boundary is not None:
-            late = df["ts"] < boundary
-            self.late_count += int(late.sum())
-            df = df[~late]
-        if len(df) == 0:  # a batch can be entirely late
-            return
-        in_cols = {p.input_column for p in self.parts}
-        for key, sub in df.groupby(self.key_cols, sort=False):
-            key = key if isinstance(key, tuple) else (key,)
-            sub = sub.sort_values("ts", kind="stable")
-            ts = sub["ts"].to_numpy(dtype=np.int64)
-            rows = {c: sub[c].to_numpy() for c in in_cols if c in sub.columns}
-            cur = self.raw.get(key)
-            if cur is None:
-                self.raw[key] = [ts, rows]
-            else:
-                all_ts = np.concatenate([cur[0], ts])
-                order = np.argsort(all_ts, kind="stable")
-                self.raw[key] = [
-                    all_ts[order],
-                    {c: np.concatenate([cur[1][c], rows[c]])[order] for c in rows},
-                ]
-        new_wm = int(df["ts"].max()) - self.lateness
+        for key, k_ts, rows in _key_streams(df, self.key_cols, self._in_cols, keep):
+            _merge_append(self.raw, key, k_ts, rows)
+        new_wm = int(ts[keep].max()) - self.lateness
         if self.watermark is None or new_wm > self.watermark:
             self.watermark = new_wm
             self._advance(round_down(new_wm, self.tile_ms))
 
     def _advance(self, new_boundary: int):
-        """Seal complete tiles up to new_boundary: fold raw rows into IRs."""
+        """Seal complete tiles up to new_boundary: fold raw rows into IRs,
+        one fold_segments call per key and part over its non-null rows."""
         if self.sealed_until is not None and new_boundary <= self.sealed_until:
             return
         for key, (ts, rows) in list(self.raw.items()):
@@ -107,26 +92,20 @@ class TileAggregator:
             if n_seal == 0:
                 continue
             key_tiles = self.tiles.setdefault(key, {})
-            starts = (ts[:n_seal] // self.tile_ms) * self.tile_ms
-            cut = np.flatnonzero(np.diff(starts)) + 1
-            seg_starts = np.concatenate(([0], cut))
-            seg_ends = np.concatenate((cut, [n_seal]))
             for part, op in zip(self.parts, self.ops):
                 vals = rows.get(part.input_column)
                 if vals is None:
                     continue
+                s_ts, s_vals = ts[:n_seal], vals[:n_seal]
+                ok = _non_null(s_vals)
+                if ok is not None:
+                    s_ts, s_vals = s_ts[ok], s_vals[ok]
+                if not len(s_ts):
+                    continue
+                starts = round_down(s_ts, self.tile_ms)
+                st = np.concatenate(([0], np.flatnonzero(np.diff(starts)) + 1))
                 tl = key_tiles.setdefault(part.output_column, [])
-                for s, e in zip(seg_starts, seg_ends):
-                    ir = None
-                    for i in range(s, e):
-                        v = vals[i]
-                        if v is None or (isinstance(v, float) and v != v):
-                            continue
-                        t = int(ts[i])
-                        ir = op.prepare(v, t) if ir is None else op.update(ir, v, t)
-                    if ir is None:
-                        continue
-                    start = int(starts[s])
+                for start, ir in zip(starts[st].tolist(), op.fold_segments(s_vals, s_ts, st)):
                     if tl and tl[-1][0] == start:  # same tile, later micro-batch
                         tl[-1] = (start, op.merge(tl[-1][1], ir))
                     else:
@@ -134,67 +113,11 @@ class TileAggregator:
             self.raw[key] = [ts[n_seal:], {c: v[n_seal:] for c, v in rows.items()}]
         self.sealed_until = new_boundary
 
-    # -- query --------------------------------------------------------------
-    def lambda_query(self, agg, batch_ir, key: tuple, query_ts: int) -> dict:
-        """Merge batch IR + sealed tiles + raw head for one (key, query_ts).
-        query_ts must be >= sealed_until (serving queries 'now', which is
-        ahead of the watermark) — sealed tiles are complete 5-min spans and a
-        mid-tile query would over-include."""
-        q = int(query_ts)
-        if self.sealed_until is not None and q < self.sealed_until:
-            raise ValueError(
-                f"query_ts {q} is behind the sealed boundary {self.sealed_until}"
-            )
-        out = {}
-        key_tiles = self.tiles.get(key, {})
-        st = self.raw.get(key)
-        for part, op in zip(agg.parts, agg.ops):
-            if part.window.unbounded:
-                lo = None
-            else:
-                hop = agg.resolution.tail_hop(part.window)
-                lo = round_down(q - part.window.millis, hop)
-            acc = None
-            if batch_ir is not None:
-                entry = batch_ir.get(part.output_column)
-                if entry is not None:
-                    if entry["c"] is not None:
-                        acc = copy.deepcopy(entry["c"])
-                    for start, ir in entry["t"]:
-                        if ir is None or (lo is not None and start < lo):
-                            continue
-                        piece = copy.deepcopy(ir)
-                        acc = piece if acc is None else op.merge(acc, piece)
-            s_lo = agg.batch_end_ts if self.batch_end_ts is not None else None
-            for start, ir in key_tiles.get(part.output_column, []):
-                if lo is not None and start < lo:
-                    continue
-                if s_lo is not None and start < s_lo:
-                    continue
-                piece = copy.deepcopy(ir)
-                acc = piece if acc is None else op.merge(acc, piece)
-            if st is not None and len(st[0]):
-                ts, rows = st
-                raw_lo = lo if lo is not None else np.iinfo(np.int64).min // 4
-                if s_lo is not None:
-                    raw_lo = max(raw_lo, s_lo)
-                i0 = int(np.searchsorted(ts, raw_lo, side="left"))
-                i1 = int(np.searchsorted(ts, q, side="left"))
-                vals = rows.get(part.input_column)
-                if vals is not None:
-                    for i in range(i0, i1):
-                        v = vals[i]
-                        if v is None or (isinstance(v, float) and v != v):
-                            continue
-                        t = int(ts[i])
-                        acc = op.prepare(v, t) if acc is None else op.update(acc, v, t)
-            out[part.output_column] = None if acc is None else op.finalize(acc)
-        return out
-
     # -- direct query without a batch side (pure-streaming GroupBy) ---------
     def query(self, key, query_ts: int) -> dict:
-        from .serving import SawtoothOnlineAggregator
-
-        key = key if isinstance(key, tuple) else (key,)
-        agg = SawtoothOnlineAggregator(self.group_by, self.batch_end_ts or 0)
-        return self.lambda_query(agg, None, key, query_ts)
+        """Sealed tiles + raw head of one key at query_ts (>= sealed_until),
+        served by a Fetcher with no upload."""
+        seam = _NO_SEAM if self.batch_end_ts is None else self.batch_end_ts
+        fetcher = Fetcher(self.group_by, seam)
+        fetcher.attach_tiles(self)
+        return fetcher.fetch(key, query_ts)

@@ -87,13 +87,14 @@ class UploadKernel:
            box) + the offline kernel's radix mix for composite keys;
         2. one ``lexsort((ts, key))`` orders the bucket into contiguous
            per-key, ts-ascending segments;
-        3. per part, collapsed IRs and tail-hop tiles are segmented
-           ``ufunc.reduceat`` folds (``ScalarOp.fold_segments``); ops with
-           object IRs (moments, K-ops, sketches) fall back to the per-row
-           fold — but only over their own segment.
+        3. per part, the collapsed IRs and the tail-hop tiles are each one
+           ``ScalarOp.fold_segments`` call over the part's non-null rows:
+           segmented ``ufunc.reduceat`` for the arithmetic ops, the
+           sequential prepare/update fold per segment for object IRs
+           (moments, K-ops, sketches).
 
-        Python touches each KEY once (dict assembly + pickle), never each
-        event."""
+        Outside that object-IR fold, Python touches each KEY once (dict
+        assembly + pickle), never each event."""
         ops = [make_scalar_op(p) for p in self.parts]
         bounds = [
             part_boundaries(p, self.batch_end_ts, self.tail_buffer_ms, self.resolution)
@@ -144,37 +145,21 @@ class UploadKernel:
         # per part: collapsed IR per key (object array) + tiles list per key
         collapsed_parts: list[np.ndarray] = []
         tiles_parts: list[list] = []
+        key_heads = joint[seg_starts]
         for part, op, (lo_min, lo_max, hop) in zip(self.parts, ops, bounds):
             vals = raw_vals[part.input_column]
             valid = pd.notna(vals)
             body = valid if lo_min is None else valid & (ts >= lo_max)
             collapsed = np.full(n_keys, None, dtype=object)
-            _fold_masked_segments(op, vals, ts, joint, seg_starts, body, collapsed)
+            ki, _, irs = _fold_runs(op, vals, ts, joint, key_heads, np.flatnonzero(body))
+            packed = np.empty(len(irs), dtype=object)
+            packed[:] = irs
+            collapsed[ki] = packed
             tiles: list = [[] for _ in range(n_keys)]
             if lo_min is not None:
-                in_tail = valid & (ts >= lo_min) & (ts < lo_max)
-                if in_tail.any():
-                    t_idx = np.flatnonzero(in_tail)
-                    t_ts = ts[t_idx]
-                    t_vals = vals[t_idx]
-                    t_key = joint[t_idx]
-                    t_tile = (t_ts // hop) * hop
-                    cut = np.flatnonzero(
-                        (np.diff(t_key) != 0) | (np.diff(t_tile) != 0)
-                    ) + 1
-                    st = np.concatenate(([0], cut))
-                    irs = op.fold_segments(t_vals, t_ts, st)
-                    if irs is None:
-                        en = np.append(st[1:], len(t_idx))
-                        irs = [
-                            _fold_slice(op, t_vals, t_ts, s, e)
-                            for s, e in zip(st, en)
-                        ]
-                    seg_key = np.searchsorted(
-                        joint[seg_starts], t_key[st], side="left"
-                    )
-                    for ki, t0, ir in zip(seg_key, t_tile[st], irs):
-                        tiles[ki].append((int(t0), ir))
+                t_idx = np.flatnonzero(valid & (ts >= lo_min) & (ts < lo_max))
+                for k, t0, ir in zip(*_fold_runs(op, vals, ts, joint, key_heads, t_idx, hop)):
+                    tiles[k].append((int(round_down(t0, hop)), ir))
             collapsed_parts.append(collapsed)
             tiles_parts.append(tiles)
 
@@ -205,39 +190,19 @@ class UploadKernel:
         )
 
 
-def _fold_slice(op, vals, ts, s: int, e: int):
-    """Sequential prepare/update fold over contiguous rows [s, e) — the
-    reference semantics, used for ops without a vectorized fold."""
-    ir = None
-    for i in range(s, e):
-        ir = (
-            op.prepare(vals[i], int(ts[i]))
-            if ir is None
-            else op.update(ir, vals[i], int(ts[i]))
-        )
-    return ir
-
-
-def _fold_masked_segments(op, vals, ts, joint, seg_starts, mask, out):
-    """Fold mask-selected rows of each key segment into out[key_idx].
-
-    Rows are (key, ts)-sorted, so the masked subset stays contiguous per
-    key; folds run as one segmented reduceat when the op supports it."""
-    idx = np.flatnonzero(mask)
-    if len(idx) == 0:
-        return
-    sub_vals = vals[idx]
-    sub_ts = ts[idx]
-    sub_key = joint[idx]
-    st = np.concatenate(([0], np.flatnonzero(np.diff(sub_key)) + 1))
-    irs = op.fold_segments(sub_vals, sub_ts, st)
-    if irs is None:
-        en = np.append(st[1:], len(idx))
-        irs = [_fold_slice(op, sub_vals, sub_ts, s, e) for s, e in zip(st, en)]
-    ki = np.searchsorted(joint[seg_starts], sub_key[st], side="left")
-    packed = np.empty(len(irs), dtype=object)
-    packed[:] = irs
-    out[ki] = packed
+def _fold_runs(op, vals, ts, joint, key_heads, idx, hop=None):
+    """One ``fold_segments`` call over rows idx, cut into runs of one key
+    (and, given hop, one hop tile).  Rows are (key, ts)-sorted, so each run
+    is contiguous.  Returns (key index, first ts, IR) per run."""
+    if not len(idx):
+        return [], [], []
+    sub_ts, sub_key = ts[idx], joint[idx]
+    cut = np.diff(sub_key) != 0
+    if hop is not None:
+        cut |= np.diff(sub_ts // hop) != 0
+    st = np.concatenate(([0], np.flatnonzero(cut) + 1))
+    ki = np.searchsorted(key_heads, sub_key[st], side="left")
+    return ki, sub_ts[st], op.fold_segments(vals[idx], sub_ts, st)
 
 
 def group_by_upload(
@@ -284,9 +249,9 @@ def load_upload(upload_ds, key_cols: list[str], max_rows: int = 1_000_000) -> di
 
     The per-key IR table is exactly what the reference ships to its KV store
     (GroupByUpload -> Api.put); a real deployment loads this into the store
-    and the Fetcher reads per-key.  For in-process serving / offline
-    enrichment we hold the dict (broadcast once via ray.put for distributed
-    enrichment — see serving.OnlineEnrich).
+    and the Fetcher reads per-key.  For in-process serving we hold the dict;
+    offline enrichment at scale keeps the table distributed instead
+    (serving.online_enrich_distributed).
 
     COUNT-GATED (like the q3 dimension broadcast): broadcasting is only
     correct while the whole IR table fits one node, so a table above

@@ -2984,7 +2984,8 @@ WHERE list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
 
 def online_serving(sf_dir: str):
     """The serving lambda run offline end-to-end: GroupByUpload at a midnight
-    seam + streaming tail + OnlineEnrich actor-pool fetch.  Because the
+    seam + streaming tail + the co-partitioned online_enrich_distributed
+    fetch (queries, upload rows and tail in one exchange).  Because the
     lambda is exact (zero temporal leakage, SawtoothOnlineAggregator.scala:
     105-123), the result equals a plain as-of recompute over ALL events —
     which is exactly what the SQL oracle does, making the seam

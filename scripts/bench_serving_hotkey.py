@@ -141,7 +141,7 @@ def fetcher_leg(gb, rng) -> dict:
             fetch_s += time.perf_counter() - t0
             if r == 0:  # spot-check one request per micro-batch
                 for i, (k, t) in enumerate(zip(req["k"], req["ts"])):
-                    one = fetcher.fetch(k, int(t))
+                    one = fetcher.agg.lambda_aggregate(*fetcher._state((k,)), int(t))
                     for c, col in res.items():
                         assert _same(col[i], one[c]), c
                     checked += 1

@@ -20,7 +20,7 @@ from raywin.api import (
     Window,
 )
 from raywin.aggregator.windowing import NaiveOracle
-from raywin.online import Fetcher, OnlineEnrich, TileAggregator, group_by_upload, load_upload
+from raywin.online import Fetcher, TileAggregator, group_by_upload, load_upload
 
 HOUR = 3600 * 1000
 DAY = MILLIS_DAY
@@ -88,6 +88,11 @@ def _expected(df, gb, qdf):
         ]
         out.append(oracle.aggregate(events, [int(t)])[0])
     return out
+
+
+def _rows(cols):
+    """fetch_batch's {column: values} as one dict per query row."""
+    return [dict(zip(cols, vals)) for vals in zip(*cols.values())]
 
 
 def _check(got_rows, exp_rows, parts):
@@ -180,7 +185,53 @@ def test_tiled_streaming_matches_offline(ray_session, exchange_block_rows, onlin
     assert len(qdf) > 10
     got = [fetcher.fetch(k, int(t)) for k, t in zip(qdf["k"], qdf["ts"])]
     seen = df[df["ts"] < cutoff]  # batch half + applied streaming rows
-    _check(got, _expected(seen, gb, qdf), gb.agg_parts())
+    exp = _expected(seen, gb, qdf)
+    _check(got, exp, gb.agg_parts())
+    _check(_rows(fetcher.fetch_batch(qdf)), exp, gb.agg_parts())
+
+
+def test_tile_backed_and_raw_row_serving_agree(online_fixture):
+    """The same upload and stream served from raw rows (put_events) and
+    from sealed tiles + raw head (an attached TileAggregator, lateness 0,
+    tile-aligned seam) answer fetch_batch alike: both equal the NaiveOracle,
+    and each other exactly except float sums and averages, whose sealed
+    tiles fold with reduceat (pairwise summation).  A query behind the
+    sealed boundary raises."""
+    df, _, gb = online_fixture
+    blobs = _local_upload(gb, df, BATCH_END)
+    raw = Fetcher(gb, BATCH_END, upload=blobs)
+    tiled = Fetcher(gb, BATCH_END, upload=blobs)
+    tiles = TileAggregator(gb, tile_ms=MILLIS_5MIN, allowed_lateness_ms=0,
+                           batch_end_ts=BATCH_END)
+    tiled.attach_tiles(tiles)
+    cutoff = BATCH_END + 14 * HOUR
+    stream = df[(df["ts"] >= BATCH_END) & (df["ts"] < cutoff)]
+    for i in range(0, len(stream), 250):
+        raw.put_events(stream.iloc[i:i + 250])
+        tiles.process_batch(stream.iloc[i:i + 250])
+    assert tiles.late_count == 0 and tiles.tiles
+    qdf = _queries(df)
+    qdf = pd.concat([
+        qdf[qdf["ts"] >= tiles.sealed_until],
+        pd.DataFrame({"k": list("0123"), "ts": [tiles.sealed_until] * 4}),
+    ], ignore_index=True)
+    assert len(qdf) > 10
+    parts = gb.agg_parts()
+    exp = _expected(df[df["ts"] < cutoff], gb, qdf)
+    got_raw, got_tiled = raw.fetch_batch(qdf), tiled.fetch_batch(qdf)
+    _check(_rows(got_raw), exp, parts)
+    _check(_rows(got_tiled), exp, parts)
+    for p in parts:
+        r, t = got_raw[p.output_column], got_tiled[p.output_column]
+        if p.operation in (Operation.SUM, Operation.AVERAGE):
+            assert t == pytest.approx(r, rel=1e-12), p.output_column
+        else:
+            assert t == r, p.output_column
+    behind = pd.DataFrame({"k": ["0"], "ts": [tiles.sealed_until - 1]})
+    with pytest.raises(ValueError, match="sealed boundary"):
+        tiled.fetch_batch(behind)
+    with pytest.raises(ValueError, match="sealed boundary"):
+        tiled.fetch("0", tiles.sealed_until - 1)
 
 
 def test_late_events_counted_not_applied():
@@ -201,38 +252,10 @@ def test_late_events_counted_not_applied():
     assert row["v_sum"] == pytest.approx(1.0)  # late row never applied
 
 
-def test_online_enrich_stage(ray_session, exchange_block_rows, online_fixture):
-    """OnlineEnrich as an actor-pool map_batches stage == per-row fetch."""
-    import ray
-    import ray.data
-
-    exchange_block_rows(512)
-    df, path, gb = online_fixture
-    upload_map = load_upload(group_by_upload(gb, BATCH_END), ["k"])
-    stream = df[df["ts"] >= BATCH_END]
-    upload_ref = ray.put(upload_map)
-    events_ref = ray.put(stream)
-    qdf = _queries(df, n=40)
-    out = (
-        ray.data.from_pandas(qdf)
-        .map_batches(
-            OnlineEnrich,
-            fn_constructor_args=(upload_ref, events_ref, gb, BATCH_END),
-            concurrency=2,
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
-    assert len(out) == len(qdf)
-    got = out.to_dict("records")
-    _check(got, _expected(df, gb, qdf), gb.agg_parts())
-
-
 def test_online_enrich_distributed(ray_session, exchange_block_rows, online_fixture):
-    """online_enrich_distributed (three-side co-partition shuffle, zero
-    driver materialization) == full NaiveOracle recompute — same contract as
-    the broadcast OnlineEnrich path but the upload table and streaming tail
-    stay distributed."""
+    """online_enrich_distributed (three-side co-partition shuffle) == full
+    NaiveOracle recompute: the upload table and the streaming tail stay
+    distributed."""
     import ray.data
 
     from raywin.online.serving import online_enrich_distributed
@@ -494,17 +517,17 @@ def test_lambda_aggregate_many_property_sweep(specs, n_events, seam_slot, seed):
 @given(
     n=st.integers(0, 400),
     n_segs=st.integers(1, 12),
-    dtype=st.sampled_from(["f", "i"]),
+    dtype=st.sampled_from(["f", "i", "o", "s"]),
     seed=st.integers(0, 2**31),
 )
 def test_fold_segments_matches_sequential_fold(n, n_segs, dtype, seed):
-    """ScalarOp.fold_segments (segmented reduceat) must agree with the
-    sequential prepare/update fold on every supported op — floats to 1e-9
-    rel (pairwise vs sequential summation), everything else exactly."""
+    """ScalarOp.fold_segments never returns None and equals the sequential
+    prepare/update fold on every segment: the reduceat overrides to 1e-9 rel
+    on floats (pairwise vs sequential summation), the default fold (object
+    arrays, object IRs) exactly."""
     from raywin.aggregator.scalar_ops import (
-        Average, Count, First, Last, Max, Min, Sum,
+        Average, Count, First, Histogram, Last, LastK, Max, Min, Sum, UniqueCount,
     )
-    from raywin.online.upload import _fold_slice
 
     rng = np.random.default_rng(seed)
     ts = np.sort(rng.integers(0, 10**6, n)).astype(np.int64)
@@ -513,23 +536,25 @@ def test_fold_segments_matches_sequential_fold(n, n_segs, dtype, seed):
         if dtype == "f"
         else rng.integers(-50, 50, n).astype(np.int64)
     )
+    if dtype == "o":  # Python ints: the vectorized ops' default path
+        vals = vals.astype(object)
+    elif dtype == "s":
+        vals = np.array([f"s{v}" for v in vals.tolist()], dtype=object)
     if n == 0:  # kernel derives starts from run boundaries: empty -> empty
         starts = np.zeros(0, dtype=np.int64)
     else:
         starts = np.unique(rng.integers(0, n, min(n_segs, n)))
         starts[0] = 0
     ends = np.append(starts[1:], n)
-    for op in (Sum(), Count(), Average(), Min(), Max(), First(), Last()):
+    ops = [Sum(), Count(), Min(), Max(), First(), Last(), LastK(3), UniqueCount(), Histogram()]
+    if dtype != "s":
+        ops.append(Average())
+    for op in ops:
         got = op.fold_segments(vals, ts, starts)
-        assert got is not None and len(got) == len(starts)
+        assert got is not None and len(got) == len(starts), type(op).__name__
         for g, s, e in zip(got, starts, ends):
-            exp = _fold_slice(op, vals, ts, int(s), int(e))
-            if e == s:
-                # reduceat on an empty segment yields vals[s] (numpy
-                # semantics); the upload kernel never produces empty
-                # segments (starts come from run boundaries), so skip
-                continue
-            fg, fe = op.finalize(g), op.finalize(exp)
+            fe = _sequential(op, None, vals[s:e], ts[s:e], [e - s])[0]
+            fg = op.finalize(g)
             if isinstance(fe, float):
                 assert fg == pytest.approx(fe, rel=1e-9, nan_ok=True)
             else:
@@ -691,7 +716,7 @@ def test_put_events_interleaved_micro_batches():
         assert all(_same(g, w) for g, w in zip(got[c], want[c])), c
     # and the batch path equals the per-row reference lambda
     for i, (k1, k2, t) in enumerate(zip(q["k1"], q["k2"], q["ts"])):
-        row = one.fetch((k1, k2), int(t))
+        row = one.agg.lambda_aggregate(*one._state((k1, k2)), int(t))
         for c in want:
             assert _same(want[c][i], row[c]), (i, c)
 

@@ -1,13 +1,21 @@
-"""TwoStackLite engine vs the brute-force NaiveOracle (reference
-TwoStackLiteAggregatorTest semantics: exact agreement with naive recompute
-on sorted events/queries)."""
+"""The kernel's tile two-stack (``kernel._TileTwoStack``) vs the brute-force
+NaiveOracle, and its linear merge bound.
+
+The kernel reaches the two-stack only through its object engine (K-ops,
+sets, maps, sketches).  These cases drive it directly over every op shape,
+the sawtooth way: whole hop tiles in the stack, the query's own partial tile
+folded from raw events (reference TwoStackLiteAggregatorTest semantics:
+exact agreement with naive recompute on sorted events/queries)."""
+
+import copy
 
 import numpy as np
 import pytest
 
-from raywin.api import Aggregation, Operation, TimeUnit, Window
-from raywin.aggregator.twostack import two_stack_aggregate
-from raywin.aggregator.windowing import NaiveOracle
+from raywin.api import MILLIS_5MIN, Aggregation, Operation, TimeUnit, Window
+from raywin.aggregator.kernel import _TileTwoStack
+from raywin.aggregator.scalar_ops import Sum, make_scalar_op
+from raywin.aggregator.windowing import FiveMinuteResolution, NaiveOracle, round_down
 
 HOUR = 3600 * 1000
 DAY = 24 * HOUR
@@ -19,6 +27,37 @@ def _mk_events(rng, n):
     vals = rng.normal(50, 20, n).round(2)
     vals[rng.random(n) < 0.08] = np.nan  # null guard path
     return ts, vals
+
+
+def _two_stack_windows(part, ev_ts, vals, q_ts):
+    """Window answers for ascending q_ts: hop-tile IRs (one fold_segments
+    call over the non-null events) pushed into a _TileTwoStack and evicted
+    below each query's window start, merged with the query's partial tile.
+    The pushed IRs must come back unchanged: the stack clones before every
+    merge that may mutate its first argument."""
+    op = make_scalar_op(part)
+    hop = MILLIS_5MIN if part.window.unbounded else FiveMinuteResolution.tail_hop(part.window)
+    tile = ev_ts // hop
+    st = np.concatenate(([0], np.flatnonzero(np.diff(tile)) + 1))
+    tile_ids, tile_irs = tile[st].tolist(), op.fold_segments(vals, ev_ts, st)
+    pristine = copy.deepcopy(tile_irs)
+    stack = _TileTwoStack(op)
+    pushed = 0
+    out = []
+    for q in q_ts.tolist():
+        while pushed < len(tile_ids) and tile_ids[pushed] < q // hop:
+            stack.push(tile_ids[pushed], tile_irs[pushed])
+            pushed += 1
+        if not part.window.unbounded:
+            stack.evict_before(round_down(q - part.window.millis, hop) // hop)
+        ir = stack.query_cloned()
+        a, b = np.searchsorted(ev_ts, [round_down(q, hop), q])
+        if b > a:
+            head = op.fold_segments(vals[a:b], ev_ts[a:b], np.zeros(1, dtype=np.int64))[0]
+            ir = head if ir is None else op.merge(ir, head)
+        out.append(None if ir is None else op.finalize(ir))
+    assert tile_irs == pristine
+    return out
 
 
 @pytest.mark.parametrize(
@@ -41,19 +80,16 @@ def test_two_stack_matches_naive(op, args, window):
     agg = Aggregation(op, "v", windows=[window] if window else None, arg_map=args)
     part = agg.unpack()[0]
 
+    ok = ~np.isnan(ev_vals)
+    ev_ts, ev_vals = ev_ts[ok], ev_vals[ok]
     if op is Operation.HISTOGRAM:
-        ev_vals = np.where(np.isnan(ev_vals), np.nan, np.round(ev_vals / 20))
-        vals_list = [None if np.isnan(v) else str(int(v)) for v in ev_vals]
-    else:
-        vals_list = [None if np.isnan(v) else float(v) for v in ev_vals]
+        ev_vals = np.array([str(int(v)) for v in np.round(ev_vals / 20)], dtype=object)
 
-    got = two_stack_aggregate(ev_ts, vals_list, q_ts, part)
+    got = _two_stack_windows(part, ev_ts, ev_vals, q_ts)
 
-    oracle = NaiveOracle([part])
-    events = [
-        {"ts": int(t), "v": v} for t, v in zip(ev_ts, vals_list) if v is not None
-    ]
-    exp = [row[part.output_column] for row in oracle.aggregate(events, [int(q) for q in q_ts])]
+    events = [{"ts": int(t), "v": v} for t, v in zip(ev_ts, ev_vals.tolist())]
+    exp = [row[part.output_column]
+           for row in NaiveOracle([part]).aggregate(events, q_ts.tolist())]
 
     assert len(got) == len(exp)
     for g, e, q in zip(got, exp, q_ts):
@@ -66,30 +102,22 @@ def test_two_stack_matches_naive(op, args, window):
 
 
 def test_two_stack_amortized_shape():
-    """Every event enters the back once and flips to the front at most once —
-    total op-merge work is O(n + q), independent of window length."""
+    """Every tile enters the back once and flips to the front at most once:
+    n monotone pushes, evictions and queries cost fewer than 8·n op merges,
+    whatever the window length."""
     calls = {"n": 0}
 
-    from raywin.aggregator import scalar_ops
-
-    class CountingSum(scalar_ops.Sum):
+    class CountingSum(Sum):
         def merge(self, a, b):
             calls["n"] += 1
             return super().merge(a, b)
 
-    import raywin.aggregator.twostack as ts_mod
-
-    orig = ts_mod.make_scalar_op
-    ts_mod.make_scalar_op = lambda part: CountingSum()
-    try:
-        n = 3000
-        rng = np.random.default_rng(1)
-        ev_ts = np.sort(rng.integers(0, 30 * DAY, n)) + BASE
-        vals = [1.0] * n
-        q_ts = np.sort(rng.integers(0, 30 * DAY, n)) + BASE
-        part = Aggregation(Operation.SUM, "v", windows=[Window(7, TimeUnit.DAYS)]).unpack()[0]
-        two_stack_aggregate(ev_ts, vals, q_ts, part)
-    finally:
-        ts_mod.make_scalar_op = orig
-    # linear bound with a small constant (push + flip + per-query merge)
-    assert calls["n"] < 4 * (2 * n)
+    n = 3000
+    for width in (1, 50, n):  # window length in tiles
+        calls["n"] = 0
+        stack = _TileTwoStack(CountingSum())
+        for t in range(n):
+            stack.push(t, 1.0)
+            stack.evict_before(t - width + 1)
+            assert stack.query_cloned() == min(t + 1, width)
+        assert calls["n"] < 8 * n, (width, calls["n"])
