@@ -16,7 +16,7 @@ import pyarrow as pa
 from ray.data.aggregate import Max, Min, Sum
 
 from ..stages.query import SqlBatch
-from ..stages.shuffle import CHUNK_COL, SIDE_COL, _arrow_schema, co_partition
+from ..stages.shuffle import CHUNK_COL, SIDE_COL, _arrow_schema, co_partition, declare_schema
 
 _MERGE_FNS = {"sum": Sum, "min": Min, "max": Max}
 
@@ -91,8 +91,12 @@ class _BucketJoinKernel:
         import pyarrow as pa_
 
         side = group[SIDE_COL].to_numpy(zero_copy_only=False)
-        lt = group.filter(pa_.array(side == 0)).select(self.left_names)
-        rt = group.filter(pa_.array(side == 1)).select(self.right_names)
+        return self.join(
+            group.filter(pa_.array(side == 0)).select(self.left_names),
+            group.filter(pa_.array(side == 1)).select(self.right_names),
+        )
+
+    def join(self, lt, rt):
         # Arrow-native hash join: string keys never box (the pandas merge
         # round-trip boxed every key per group).  Single-threaded inside the
         # task — the actor/task already owns exactly one CPU slot.
@@ -107,12 +111,11 @@ def bucketed_left_join(left_ds, right_ds, on: list[str], how: str = "left"):
     sides, then a single-threaded Arrow hash join per partition.  Cheaper
     than spawning per-join aggregator actor pools when the join is one stage
     of a larger pipeline."""
-    kernel = _BucketJoinKernel(
-        on, how, list(_arrow_schema(left_ds).names), list(_arrow_schema(right_ds).names)
-    )
-    return co_partition(
-        [left_ds, right_ds], list(on), kernel, batch_format="pyarrow"
-    )
+    l_schema, r_schema = _arrow_schema(left_ds), _arrow_schema(right_ds)
+    kernel = _BucketJoinKernel(on, how, l_schema.names, r_schema.names)
+    out = co_partition([left_ds, right_ds], list(on), kernel, batch_format="pyarrow")
+    # the join of the two empty sides has the output's schema
+    return declare_schema(out, kernel.join(l_schema.empty_table(), r_schema.empty_table()).schema)
 
 
 class _MultiBucketJoinKernel:
@@ -129,12 +132,15 @@ class _MultiBucketJoinKernel:
         import pyarrow as pa_
 
         side = group[SIDE_COL].to_numpy(zero_copy_only=False)
-        out = group.filter(pa_.array(side == 0)).select(self.left_names)
-        for i, rn in enumerate(self.right_names_list):
-            rt = group.filter(pa_.array(side == i + 1)).select(rn)
-            out = out.join(
-                rt, keys=self.on, join_type="left outer", use_threads=False
-            )
+        return self.join(
+            group.filter(pa_.array(side == 0)).select(self.left_names),
+            [group.filter(pa_.array(side == i + 1)).select(rn)
+             for i, rn in enumerate(self.right_names_list)],
+        )
+
+    def join(self, out, rights):
+        for rt in rights:
+            out = out.join(rt, keys=self.on, join_type="left outer", use_threads=False)
         return out
 
 
@@ -143,11 +149,12 @@ def bucketed_multi_left_join(left_ds, rights, on: list[str]):
     hash(on) co-partitioning shuffle (instead of one shuffle per right).
     ``rights`` is a list of Datasets; their non-key column names must be
     disjoint from the left's and each other's (prefix them first)."""
-    kernel = _MultiBucketJoinKernel(
-        on, list(_arrow_schema(left_ds).names), [list(_arrow_schema(r).names) for r in rights]
-    )
-    return co_partition(
-        [left_ds, *rights], list(on), kernel, batch_format="pyarrow"
+    l_schema, r_schemas = _arrow_schema(left_ds), [_arrow_schema(r) for r in rights]
+    kernel = _MultiBucketJoinKernel(on, l_schema.names, [r.names for r in r_schemas])
+    out = co_partition([left_ds, *rights], list(on), kernel, batch_format="pyarrow")
+    # the join of the empty sides has the output's schema
+    return declare_schema(
+        out, kernel.join(l_schema.empty_table(), [r.empty_table() for r in r_schemas]).schema
     )
 
 
@@ -239,10 +246,10 @@ def bucketed_range_join(
         return batch.take(idx).append_column(CHUNK_COL, pa_.array(chunks, type=pa_.int64()))
 
     chunk = pa_.field(CHUNK_COL, pa_.int64())
-    left = left_ds.map_batches(chunk_left, batch_format="pyarrow")
-    left._raywin_schema = l_schema.append(chunk)
-    right = right_ds.map_batches(replicate_right, batch_format="pyarrow")
-    right._raywin_schema = r_schema.append(chunk)
+    left = declare_schema(left_ds.map_batches(chunk_left, batch_format="pyarrow"), l_schema.append(chunk))
+    right = declare_schema(
+        right_ds.map_batches(replicate_right, batch_format="pyarrow"), r_schema.append(chunk)
+    )
     kernel = _RangeJoinKernel(
         on, list(l_schema.names), list(r_schema.names), left_ts, right_start, right_end
     )

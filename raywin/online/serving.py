@@ -457,16 +457,17 @@ def online_enrich_distributed(left_ds, group_by: GroupBy, batch_end_ts: int,
     One union co-partition shuffle (the EntityKernel three-side pattern):
     each partition holds only its keys' upload rows and tail, never the
     whole state."""
-    from ..stages.shuffle import _arrow_schema, co_partition
+    from ..stages.shuffle import _arrow_schema, co_partition, declare_schema
 
     sides = [left_ds, upload_ds]
     if stream_ds is not None:
         s_arrow = _arrow_schema(stream_ds)
-        stream_ds = stream_ds.filter(expr=f"ts >= {batch_end_ts}")
-        stream_ds._raywin_schema = s_arrow
+        stream_ds = declare_schema(stream_ds.filter(expr=f"ts >= {batch_end_ts}"), s_arrow)
         sides.append(stream_ds)
-    kernel = ServingKernel(group_by, batch_end_ts, list(_arrow_schema(left_ds).names), resolution)
+    l_arrow = _arrow_schema(left_ds)
+    kernel = ServingKernel(group_by, batch_end_ts, list(l_arrow.names), resolution)
     out = co_partition(
         sides, group_by.key_columns, kernel, batch_format="pyarrow"
     )
-    return out.select_columns(kernel.left_names + [p.output_column for p in kernel.agg.parts])
+    out = out.select_columns(kernel.left_names + [p.output_column for p in kernel.agg.parts])
+    return declare_schema(out, pa.schema(list(l_arrow) + kernel.out_fields))

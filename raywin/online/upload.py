@@ -45,7 +45,7 @@ from ..api import GroupBy
 from ..aggregator.scalar_ops import make_scalar_op
 from ..aggregator.windowing import FiveMinuteResolution, round_down
 from ..sources.io import scan_source, union_sources
-from ..stages.shuffle import _arrow_schema, co_partition
+from ..stages.shuffle import _arrow_schema, co_partition, declare_schema
 
 IR_COL = "__batch_ir"
 
@@ -233,15 +233,14 @@ def group_by_upload(
     ]
     if all(lo is not None for lo in lo_mins):
         ds = ds.filter(expr=f"ts >= {min(lo_mins)}")
-    ds._raywin_schema = schema  # the filters keep it; co_partition never probes
+    declare_schema(ds, schema)  # the filters keep it; co_partition never probes
     key_fields = [pa.field(k, schema.field(k).type) for k in key_cols]
     kernel = UploadKernel(key_cols, parts, batch_end_ts, tail_buffer_ms, key_fields, resolution)
     out = co_partition(ds, key_cols, kernel)
     out = out.select_columns(key_cols + [IR_COL, "batch_end_ts"])
-    out._raywin_schema = pa.schema(
+    return declare_schema(out, pa.schema(
         key_fields + [pa.field(IR_COL, pa.binary()), pa.field("batch_end_ts", pa.int64())]
-    )
-    return out
+    ))
 
 
 def load_upload(upload_ds, key_cols: list[str], max_rows: int = 1_000_000) -> dict:
@@ -257,11 +256,20 @@ def load_upload(upload_ds, key_cols: list[str], max_rows: int = 1_000_000) -> di
     correct while the whole IR table fits one node, so a table above
     ``max_rows`` raises and points at online_enrich_distributed — the
     co-partitioned path with zero driver materialization.  Raise the limit
-    explicitly only when the deployment's nodes are known to hold it."""
+    explicitly only when the deployment's nodes are known to hold it.
+
+    A Dataset is executed once: its blocks stay in the object store until
+    the gate has passed on their metadata row counts."""
+    blocks = None
     if isinstance(upload_ds, pd.DataFrame):
         n = len(upload_ds)
     else:
-        n = upload_ds.count()  # metadata count: no materialization
+        blocks = [
+            (ref, meta.num_rows)
+            for bundle in upload_ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks
+        ]
+        n = sum(rows for _, rows in blocks)
     if n > max_rows:
         raise ValueError(
             f"upload table has {n} keys > max_rows={max_rows}: broadcasting "
@@ -269,6 +277,14 @@ def load_upload(upload_ds, key_cols: list[str], max_rows: int = 1_000_000) -> di
             "online.serving.online_enrich_distributed (co-partitioned, no "
             "driver materialization) or raise max_rows deliberately"
         )
-    df = upload_ds if isinstance(upload_ds, pd.DataFrame) else upload_ds.to_pandas()
+    df = upload_ds
+    if blocks is not None:
+        import ray
+
+        # zero-row blocks (the exchange's empty partitions) carry no schema
+        tables = ray.get([ref for ref, rows in blocks if rows])
+        if not tables:
+            return {}
+        df = pa.concat_tables(tables).to_pandas()
     keys = list(zip(*(df[k] for k in key_cols))) if len(df) else []
     return dict(zip(keys, df[IR_COL]))

@@ -18,12 +18,18 @@ import pyarrow as pa
 
 from ..api import MILLIS_DAY, GroupBy, semantic_hash
 from ..aggregator.windowing import FiveMinuteResolution
+from ..stages.shuffle import _arrow_schema, declare_schema
 from ..state import manifest as mf
 from .group_by import features_for_queries
 
 
-def _ts_filter(lo: int | None, hi: int | None):
-    def fn(batch: pa.Table) -> pa.Table:
+def _ts_filtered(ds, lo: int | None, hi: int | None):
+    """Rows of ``ds`` with lo <= ts < hi (None = open).  The filter keeps
+    the input's columns, so the output declares the input's schema: a
+    parquet read's is known without executing anything, and the kernel
+    then never probes the step's left."""
+
+    def ts_filter(batch: pa.Table) -> pa.Table:
         ts = batch["ts"].to_numpy(zero_copy_only=False)
         mask = np.ones(len(batch), dtype=bool)
         if lo is not None:
@@ -32,7 +38,7 @@ def _ts_filter(lo: int | None, hi: int | None):
             mask &= ts < hi
         return batch.filter(pa.array(mask))
 
-    return fn
+    return declare_schema(ds.map_batches(ts_filter, batch_format="pyarrow"), _arrow_schema(ds))
 
 
 def day_partitions(start_ds: str, end_ds: str, step_days: int = 1) -> list[tuple[str, int, int]]:
@@ -96,11 +102,10 @@ def backfill_temporal(
         if label not in todo:
             continue
         t0 = time.time()
-        left = left_ds_fn().map_batches(_ts_filter(lo, hi), batch_format="pyarrow")
+        left = _ts_filtered(left_ds_fn(), lo, hi)
         right = right_ds_fn() if right_ds_fn else None
         if right is not None:
-            scan_lo = None if has_unbounded else lo - lookback
-            right = right.map_batches(_ts_filter(scan_lo, hi), batch_format="pyarrow")
+            right = _ts_filtered(right, None if has_unbounded else lo - lookback, hi)
         feats = features_for_queries(
             group_by,
             left,

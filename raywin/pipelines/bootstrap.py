@@ -111,13 +111,9 @@ def bootstrap_left(left_ds, join: Join):
     declaration order (earlier bootstrap wins on overlap) so semantics match
     the sequential reference loop (Join.scala:524-546)."""
     from ..functions.relational import bucketed_multi_left_join
-    from ..stages.shuffle import _arrow_schema
 
     hash_to_cols: dict[str, set[str]] = {}
     out = left_ds
-    # track names statically: probing each intermediate join's schema would
-    # execute its whole map_groups pipeline once per bootstrap run
-    names = list(_arrow_schema(left_ds).names)
 
     parts = list(join.bootstrap_parts or [])
     scanned = [scan_bootstrap_part(p, join) for p in parts]
@@ -149,11 +145,6 @@ def bootstrap_left(left_ds, join: Join):
 
             rights.append(bs_ds.map_batches(mark, batch_format="pyarrow"))
             folds.append((h, renames, hit_col, value_cols))
-            for c in value_cols:
-                if c not in names:
-                    names.append(c)
-        if MATCHED_HASHES not in names:
-            names.append(MATCHED_HASHES)
 
         out = bucketed_multi_left_join(out, rights, on=keys)
 

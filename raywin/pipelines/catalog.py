@@ -53,13 +53,25 @@ def _events_ds(sf_dir: str, columns):
     return read_parquet(f"{sf_dir}/events.parquet", columns=columns)
 
 
+def _query_rows(read, rows, keys: list[str]):
+    """``rows``, a pandas pipeline over the parquet ``read``, declared as
+    (keys..., ts) query rows: keys keep the read's types, ts is epoch millis.
+    The kernel then never probes the pipeline for its schema."""
+    from ..stages.shuffle import _arrow_schema, declare_schema
+
+    fields = [_arrow_schema(read).field(k) for k in keys]
+    return declare_schema(rows, pa.schema(fields + [pa.field("ts", pa.int64())]))
+
+
 def _distinct_user_ts(sf_dir: str):
     """(user_id, ts-millis) query rows; exact dedup happens inside the
     kernel's co-partition shuffle (dedupe_queries=True at the call sites)."""
-    return _events_ds(sf_dir, ["user_id", "ts"]).map_batches(
+    read = _events_ds(sf_dir, ["user_id", "ts"])
+    rows = read.map_batches(
         lambda df: df.assign(ts=df["ts"].astype("int64") // 1000).drop_duplicates(),
         batch_format="pandas",
     )
+    return _query_rows(read, rows, ["user_id"])
 
 
 # --------------------------------------------------------------- as-of core
@@ -189,13 +201,8 @@ def asof_timed(sf_dir: str):
     )
     from .group_by import features_for_queries
 
-    out = features_for_queries(gb, _distinct_user_ts(sf_dir), dedupe_queries=True)
-    # static schema — .schema() on the lazy kernel pipeline would execute the
-    # whole shuffle once just for names (tie_breaker event_id is a right-side
-    # input, never a left/output column)
-    names = getattr(out, "_raywin_schema", None)
-    names = names.names if names is not None else out.schema().names
-    return out.drop_columns(["event_id"]) if "event_id" in names else out
+    # tie_breaker event_id is a right-side input, never a left/output column
+    return features_for_queries(gb, _distinct_user_ts(sf_dir), dedupe_queries=True)
 
 
 ASOF_TIMED_SQL = f"""
@@ -662,6 +669,7 @@ def q3_top_revenue(sf_dir: str):
     from ..functions.relational import (
         broadcast_lookup_join, bucketed_left_join, sql_group_agg,
     )
+    from ..stages.shuffle import _arrow_schema, declare_schema
 
     cust = read_parquet(f"{sf_dir}/customer.parquet",
                         columns=["c_custkey", "c_mktsegment"])
@@ -698,7 +706,10 @@ def q3_top_revenue(sf_dir: str):
             ["o_orderkey" if c == "l_orderkey" else c for c in batch.column_names]
         )
 
-    rev = rev.map_batches(rename, batch_format="pyarrow")
+    # (order key, float64 revenue): the join needs no probe of the aggregate
+    rev = declare_schema(rev.map_batches(rename, batch_format="pyarrow"), pa.schema([
+        _arrow_schema(li).field("l_orderkey").with_name("o_orderkey"), pa.field("revenue", pa.float64()),
+    ]))
     out = bucketed_left_join(joined, rev, on=["o_orderkey"], how="inner")
     out = out.select_columns(["o_orderkey", "o_orderdate", "revenue"])
 
@@ -824,7 +835,7 @@ def paragraph_dedup_docs(sf_dir: str):
     in the SQL oracle), then every paragraph keeps only its first
     (doc, position) occurrence and documents are reassembled."""
     from ..stages.dedup import dedup_paragraphs
-    from ..stages.shuffle import _arrow_schema
+    from ..stages.shuffle import _arrow_schema, declare_schema
 
     ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
@@ -835,8 +846,8 @@ def paragraph_dedup_docs(sf_dir: str):
         )
         return df
 
-    chunked = ds.map_batches(chunk, batch_format="pandas")
-    chunked._raywin_schema = _arrow_schema(ds)  # chunk keeps the reader's columns and types
+    # chunk keeps the reader's columns and types
+    chunked = declare_schema(ds.map_batches(chunk, batch_format="pandas"), _arrow_schema(ds))
     out = dedup_paragraphs(chunked, "text", "doc_id")
     return out.select_columns(["doc_id", "n_paras", "n_dropped", "clean_text"])
 
@@ -1590,9 +1601,9 @@ def approx_distinct_users(sf_dir: str):
     from .group_by import features_for_queries
 
     # one query per event_type at the max ts + 1
+    read = _events_ds(sf_dir, ["event_type", "ts"])
     left = (
-        _events_ds(sf_dir, ["event_type", "ts"])
-        .map_batches(
+        read.map_batches(
             lambda df: df.assign(ts=df["ts"].astype("int64") // 1000)
             .groupby("event_type", as_index=False)["ts"].max()
             .assign(ts=lambda d: d["ts"] + 1),
@@ -1601,7 +1612,7 @@ def approx_distinct_users(sf_dir: str):
         .groupby("event_type")
         .map_groups(lambda g: g.sort_values("ts").tail(1), batch_format="pandas")
     )
-    feats = features_for_queries(gb, left)
+    feats = features_for_queries(gb, _query_rows(read, left, ["event_type"]))
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         exact = df["user_id_unique_count"].astype("int64")
@@ -2583,9 +2594,9 @@ def list_explode_agg(sf_dir: str):
         accuracy=Accuracy.TEMPORAL,
         name="listagg",
     )
+    read = read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "label"])
     left = (
-        read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "label"])
-        .map_batches(
+        read.map_batches(
             lambda df: df.assign(ts=1600000000000 + df["vec_id"].astype("int64") * 60000)[
                 ["label", "ts"]
             ],
@@ -2595,7 +2606,7 @@ def list_explode_agg(sf_dir: str):
         .map_groups(lambda g: g.sort_values("ts").tail(1).assign(ts=lambda d: d["ts"] + 1),
                     batch_format="pandas")
     )
-    return features_for_queries(gb, left)
+    return features_for_queries(gb, _query_rows(read, left, ["label"]))
 
 
 LIST_EXPLODE_SQL = f"""
@@ -2650,9 +2661,9 @@ def map_column_agg(sf_dir: str):
         accuracy=Accuracy.TEMPORAL,
         name="mapagg",
     )
+    read = _events_ds(sf_dir, ["event_type", "ts"])
     left = (
-        _events_ds(sf_dir, ["event_type", "ts"])
-        .map_batches(
+        read.map_batches(
             lambda df: df.assign(ts=df["ts"].astype("int64") // 1000 + 1).dropna(
                 subset=["event_type"]
             ),
@@ -2661,7 +2672,7 @@ def map_column_agg(sf_dir: str):
         .groupby("event_type")
         .map_groups(lambda g: g.sort_values("ts").tail(1), batch_format="pandas")
     )
-    feats = features_for_queries(gb, left)
+    feats = features_for_queries(gb, _query_rows(read, left, ["event_type"]))
 
     def explode(batch: pa.Table) -> pa.Table:
         cols = ["m_sum_7d", "m_sum", "m_count_7d", "m_max"]

@@ -16,8 +16,9 @@ import pyarrow as pa
 
 from ..api import GroupBy, Join, JoinSource
 from ..stages.query import apply_query
+from ..stages.shuffle import _arrow_schema, declare_schema, known_schema
 from .group_by import features_for_queries
-from .join import backfill_join
+from .join import _renamed, backfill_join
 
 
 def resolve_join_source(source: JoinSource):
@@ -60,24 +61,28 @@ def label_join(
             batch.column_names.index("ts"), "ts", pa.array(ts + label_offset_ms)
         )
 
-    shifted = feature_ds.select_columns(key_cols + ["ts"]).map_batches(
-        shift, batch_format="pyarrow"
+    f_schema = _arrow_schema(feature_ds)
+    q_fields = [f_schema.field(c) for c in key_cols + ["ts"]]
+    shifted = declare_schema(
+        feature_ds.select_columns(key_cols + ["ts"]).map_batches(shift, batch_format="pyarrow"),
+        pa.schema(q_fields + [f_schema.field("ts").with_name("__orig_ts")]),
     )
-    labels = features_for_queries(
-        label_group_by, shifted, dedupe_queries=False
-    )
+    feats = features_for_queries(label_group_by, shifted, dedupe_queries=False)
 
     def unshift(batch: pa.Table) -> pa.Table:
         idx = batch.column_names.index("ts")
         batch = batch.set_column(idx, "ts", batch["__orig_ts"])
         return batch.drop_columns(["__orig_ts"])
 
-    labels = labels.map_batches(unshift, batch_format="pyarrow")
     rename = {
         c: f"label_{c}"
         for c in label_group_by.output_columns()
     }
-    labels = labels.rename_columns(rename)
+    unshifted = feats.map_batches(unshift, batch_format="pyarrow")
+    known = known_schema(feats)
+    if known is not None:
+        declare_schema(unshifted, known.remove(known.get_field_index("__orig_ts")))
+    labels = _renamed(unshifted, rename)
     from ..functions.relational import bucketed_left_join
 
     return bucketed_left_join(feature_ds, labels, key_cols + ["ts"], how="left")

@@ -19,6 +19,7 @@ import pyarrow as pa
 
 from ..api import EventSource, Join, Query
 from ..functions.compare import LEFT_SUFFIX, RIGHT_SUFFIX, compare_joined
+from ..stages.shuffle import _arrow_schema
 from .join import backfill_join
 
 
@@ -69,7 +70,7 @@ def consistency_metrics(
     from .logflatten import flatten_logs
 
     logged = flatten_logs(log_table, schema_table, join_name=join.name)
-    log_schema = logged._raywin_schema
+    log_schema = _arrow_schema(logged)
     # the comparison join scans a table, so the flattened log must land on
     # disk first — it is also the natural audit artifact
     flat_path = os.path.join(tmp_dir, f"{join.name}_flat")

@@ -43,7 +43,7 @@ from ..api import MILLIS_DAY, EntitySource, GroupBy, Operation
 from ..aggregator.kernel import detect_decimal, factorize_multi
 from ..aggregator.windowing import round_down
 from ..sources.io import read_parquet
-from ..stages.shuffle import SIDE_COL, _arrow_schema, co_partition
+from ..stages.shuffle import SIDE_COL, _arrow_schema, co_partition, declare_schema
 
 # the reference's deletable (CDC-reversible) op set: SUM/COUNT/AVERAGE via
 # numeric minus (SimpleAggregators.scala:49-71,148-160) plus HISTOGRAM via
@@ -154,17 +154,15 @@ class EntityKernel:
                 raise NotImplementedError(
                     f"temporal entities requires deletable ops, got {part.operation}"
                 )
+        self.out_fields = [
+            pa.field(p.output_column, _HIST_TYPE if p.operation is Operation.HISTOGRAM else pa.float64())
+            for p in parts
+        ]
 
     def __call__(self, group: pa.Table) -> pa.Table:
         side = group[SIDE_COL].to_numpy(zero_copy_only=False)
         queries = group.filter(pa.array(side == 0)).select(self.left_names)
-        out_schema = pa.schema(
-            list(queries.schema)
-            + [
-                pa.field(p.output_column, _HIST_TYPE if p.operation is Operation.HISTOGRAM else pa.float64())
-                for p in self.parts
-            ]
-        )
+        out_schema = pa.schema(list(queries.schema) + self.out_fields)
         if queries.num_rows == 0:
             return out_schema.empty_table()
         snaps = group.filter(pa.array(side == 1))
@@ -503,7 +501,7 @@ def temporal_entity_features(group_by: GroupBy, left_ds):
     key_cols = group_by.key_columns
     parts = group_by.agg_parts()
 
-    kernel = EntityKernel(key_cols, parts, list(_arrow_schema(left_ds).names))
-    return co_partition(
-        [left_ds, snaps, muts], key_cols, kernel, batch_format="pyarrow"
-    )
+    l_arrow = _arrow_schema(left_ds)
+    kernel = EntityKernel(key_cols, parts, list(l_arrow.names))
+    out = co_partition([left_ds, snaps, muts], key_cols, kernel, batch_format="pyarrow")
+    return declare_schema(out, pa.schema(list(l_arrow) + kernel.out_fields))

@@ -34,7 +34,7 @@ from ..aggregator.kernel import PartitionAggregator
 from ..aggregator.windowing import DailyResolution, FiveMinuteResolution
 from ..sources.io import scan_source, union_sources
 from ..stages.query import apply_derivations
-from ..stages.shuffle import SIDE_COL, _arrow_schema, co_partition
+from ..stages.shuffle import SIDE_COL, _arrow_schema, co_partition, declare_schema
 
 _FLOAT_OUT = {
     Operation.AVERAGE,
@@ -243,14 +243,13 @@ def features_for_queries(
     r_arrow = _arrow_schema(right_ds)
     if set(needed) != set(r_arrow.names):
         keep = [c for c in needed if c in r_arrow.names]
-        right_ds = right_ds.select_columns(keep)
         r_arrow = pa.schema([r_arrow.field(c) for c in keep])
+        right_ds = declare_schema(right_ds.select_columns(keep), r_arrow)
     l_arrow = _arrow_schema(left_ds)
     input_types = {
         p.input_column: r_arrow.field(p.input_column).type for p in parts
     }
 
-    chunk = []
     if hot_config and len(group_by.key_columns) == 1:
         from ..stages.shuffle import CHUNK_COL, HotChunkReplicate, HotChunkTag
 
@@ -259,21 +258,24 @@ def features_for_queries(
         hops = [resolution.tail_hop(p.window) for p in parts if not p.window.unbounded]
         lookback = (max(bounded) + max(hops)) if bounded else 0
         key_col = group_by.key_columns[0]
-        left_ds = left_ds.map_batches(
-            HotChunkTag(key_col, hot_config.keys, hot_config.chunk_ms, hot_config.max_chunk),
-            batch_format="pyarrow",
-        )
-        right_ds = right_ds.map_batches(
-            HotChunkReplicate(
-                key_col, hot_config.keys, hot_config.chunk_ms, lookback,
-                hot_config.max_chunk, has_unbounded,
+        chunk = pa.field(CHUNK_COL, pa.int64())
+        left_ds = declare_schema(
+            left_ds.map_batches(
+                HotChunkTag(key_col, hot_config.keys, hot_config.chunk_ms, hot_config.max_chunk),
+                batch_format="pyarrow",
             ),
-            batch_format="pyarrow",
+            l_arrow.append(chunk),
         )
-        chunk = [pa.field(CHUNK_COL, pa.int64())]
-    # static side schemas: co_partition never probes a lazy pipeline
-    left_ds._raywin_schema = pa.schema(list(l_arrow) + chunk)
-    right_ds._raywin_schema = pa.schema(list(r_arrow) + chunk)
+        right_ds = declare_schema(
+            right_ds.map_batches(
+                HotChunkReplicate(
+                    key_col, hot_config.keys, hot_config.chunk_ms, lookback,
+                    hot_config.max_chunk, has_unbounded,
+                ),
+                batch_format="pyarrow",
+            ),
+            r_arrow.append(chunk),
+        )
     kernel = PartitionKernel(
         group_by.key_columns,
         parts,
@@ -287,14 +289,11 @@ def features_for_queries(
     out = co_partition([left_ds, right_ds], group_by.key_columns, kernel)
     out_cols = list(l_arrow.names) + [p.output_column for p in parts]
     out = out.select_columns(out_cols)
-    if group_by.derivations:
-        out = apply_derivations(out, group_by.derivations, out_cols)
-    else:
-        # static output schema, so callers never have to execute the lazy
-        # kernel pipeline just to learn it (an all-to-all sort can't stop
-        # at one block); not defined under derivations (DuckDB-typed output)
-        out._raywin_schema = pa.schema(list(l_arrow) + kernel.out_fields)
-    return out
+    # static output schema, so neither callers nor to_arrow_refs() execute
+    # the lazy kernel pipeline again just to learn it (an all-to-all sort
+    # can't stop at one block)
+    declare_schema(out, pa.schema(list(l_arrow) + kernel.out_fields))
+    return apply_derivations(out, group_by.derivations, out_cols)
 
 
 def snapshot_backfill(group_by: GroupBy, ds_dates: list[str]):
@@ -318,7 +317,12 @@ def snapshot_backfill(group_by: GroupBy, ds_dates: list[str]):
             tables.append(t)
         return pa.concat_tables(tables)
 
-    left = keys.map_batches(explode, batch_format="pyarrow")
+    r_arrow = _arrow_schema(right_ds)
+    left = declare_schema(
+        keys.map_batches(explode, batch_format="pyarrow"),
+        pa.schema([r_arrow.field(k) for k in group_by.key_columns]
+                  + [pa.field("ts", pa.int64()), pa.field("ds", pa.string())]),
+    )
     return features_for_queries(
         # queries are synthesized at exact midnights, so SNAPSHOT head
         # rounding (ts < round_down(q, DAY) = q) matches strict ts < q

@@ -20,6 +20,7 @@ from ..api import Accuracy, Aggregation, EventSource, GroupBy, Operation, Query,
 from ..context import tune_data_context
 from ..sources.io import read_parquet
 from ..stages.images import DecodeFeatures
+from ..stages.shuffle import _arrow_schema, declare_schema
 from .group_by import features_for_queries
 
 
@@ -120,11 +121,10 @@ def image_feature_backfill(
     # float64 feature columns.  Without this, features_for_queries' schema
     # lookup EXECUTES a limit-1 probe through the fused read->decode stage —
     # a measured 5.5-6.5 s serial prefix on every flagship run at 32 CPUs.
-    ev_schema = events.schema().base_schema
-    dec_fields = [f for f in ev_schema if f.name != "bytes"] + [
+    dec_fields = [f for f in _arrow_schema(events) if f.name != "bytes"] + [
         pa.field(c, pa.float64()) for c in ("mean_lum", "contrast", "edge_energy")
     ]
-    decoded._raywin_schema = pa.schema(dec_fields)
+    declare_schema(decoded, pa.schema(dec_fields))
     gb = image_feature_group_by(table_path, bounded_only=bounded_only)
     # backfill queries come from the RAW event scan (only image_id, ts leave
     # storage) so decode runs exactly once; duplicate (image_id, ts) pairs are

@@ -29,6 +29,7 @@ import pyarrow as pa
 from ..api import GroupBy, Join, JoinPart
 from ..sources.io import scan_source
 from ..stages.query import apply_derivations
+from ..stages.shuffle import _arrow_schema, declare_schema, known_schema, pad_to_schema
 from .group_by import features_for_queries
 
 
@@ -152,11 +153,18 @@ def _with_scan_schema(gb: GroupBy, filter_cls):
 
     base = events_dataset(gb)
     out = base.map_batches(filter_cls, batch_format="pyarrow", concurrency=(1, 8))
-    # the filter is schema-preserving: keep the scan's static schema so the
-    # kernel needs no actor-pool probe
-    for attr in ("_raywin_schema", "_raywin_names"):
-        if getattr(base, attr, None) is not None:
-            setattr(out, attr, getattr(base, attr))
+    # the filter keeps the scan's columns: declare the scan's schema so the
+    # kernel never probes the actor-pool pipeline
+    return declare_schema(out, _arrow_schema(base))
+
+
+def _renamed(ds, renames: dict[str, str]):
+    """``ds.rename_columns(renames)``, declaring ``ds``'s schema renamed
+    when it is known."""
+    out = ds.rename_columns(renames)
+    known = known_schema(ds)
+    if known is not None:
+        declare_schema(out, pa.schema([f.with_name(renames.get(f.name, f.name)) for f in known]))
     return out
 
 
@@ -194,21 +202,12 @@ def part_features_chained(
     column rides the kernel as passthrough and the features append to it."""
     gb = part.group_by
     key_mapping = part.key_mapping or {}
-    queries = out_ds
-    if key_mapping:
-        queries = queries.rename_columns(dict(key_mapping))
+    queries = _renamed(out_ds, dict(key_mapping)) if key_mapping else out_ds
     right_ds = _semi_filtered_right(gb, queries, n_left) if prune_right else None
     feats = features_for_queries(
         gb, queries, dedupe_queries=False, right_ds=right_ds
     )
-    static = getattr(feats, "_raywin_schema", None)
-    renames = _part_renames(part, invert_keys=True)
-    out = feats.rename_columns(renames)
-    if static is not None:
-        out._raywin_schema = pa.schema(
-            [pa.field(renames.get(f.name, f.name), f.type) for f in static]
-        )
-    return out
+    return _renamed(feats, _part_renames(part, invert_keys=True))
 
 
 def _chain_part_with_bootstrap(
@@ -216,32 +215,23 @@ def _chain_part_with_bootstrap(
     out_ds,
     covering: set[str] | None,
     n_left: int | None,
-    schema_names: list[str],
     prune_right: bool = True,
 ):
     """Chained enrichment honoring bootstrap: rows whose matched-hash combo
     covers this part keep their bootstrap values and bypass the kernel
     shuffle; the rest compute, then COALESCE bootstrap over computed
     (reference covering-set skip Join.scala:300-341 + coalescedJoin
-    JoinUtils.scala:138-173).
-
-    schema_names is the STATIC column list of out_ds (tracked by the caller);
-    calling out_ds.schema() here would execute the whole upstream pipeline
-    once just for names (an all-to-all sort can't stop at one block).
-    Returns (enriched_ds, new_schema_names)."""
+    JoinUtils.scala:138-173)."""
     import pyarrow.compute as pc
 
     from .bootstrap import _BS_PREFIX, split_covered
 
-    out_cols = [f"{part.full_prefix}{c}" for c in part.group_by.output_columns()]
-    present = [c for c in out_cols if c in schema_names]
-    # kernel output = passthrough queries (bootstrap cols rode as __bs_ and are
-    # dropped by the coalesce) + this part's feature columns appended
-    new_names = [n for n in schema_names if n not in present] + out_cols
+    out_cols = {f"{part.full_prefix}{c}" for c in part.group_by.output_columns()}
+    present = [c for c in _arrow_schema(out_ds).names if c in out_cols]
 
     def enrich(ds):
         if present:
-            ds = ds.rename_columns({c: _BS_PREFIX + c for c in present})
+            ds = _renamed(ds, {c: _BS_PREFIX + c for c in present})
         feats = part_features_chained(part, ds, prune_right=prune_right, n_left=n_left)
         if not present:
             return feats
@@ -258,24 +248,22 @@ def _chain_part_with_bootstrap(
             return batch
 
         merged_ds = feats.map_batches(coal, batch_format="pyarrow")
-        st = getattr(feats, "_raywin_schema", None)
-        if st is not None:
-            merged_ds._raywin_schema = pa.schema(
-                [f for f in st if not f.name.startswith(_BS_PREFIX)]
+        known = known_schema(feats)
+        if known is not None:
+            declare_schema(
+                merged_ds, pa.schema([f for f in known if not f.name.startswith(_BS_PREFIX)])
             )
         return merged_ds
 
     if not covering:
-        return enrich(out_ds), new_names
+        return enrich(out_ds)
     covered, uncovered = split_covered(out_ds, covering)
     feats = enrich(uncovered)
-    from ..stages.shuffle import _arrow_schema, pad_to_schema
-
     f_schema = _arrow_schema(feats)
     covered = covered.map_batches(
         lambda b: pad_to_schema(b, f_schema), batch_format="pyarrow"
     )
-    return covered.union(feats), list(f_schema.names)
+    return declare_schema(covered.union(feats), f_schema)
 
 
 def part_features(
@@ -337,10 +325,9 @@ def backfill_join(
     if assembly == "chain":
         has_parts = bool(join.join_parts or join.online_external_parts)
         n_left = left.count() if has_parts else 0
-        out_names = list(left.schema().names) if has_parts else []
         for i, part in enumerate(join.join_parts):
-            out, out_names = _chain_part_with_bootstrap(
-                part, out, bs_cover.get(i), n_left, out_names,
+            out = _chain_part_with_bootstrap(
+                part, out, bs_cover.get(i), n_left,
                 prune_right=not _self_enrichment(join, part),
             )
             if materialize_intermediates and part is not join.join_parts[-1]:
@@ -367,19 +354,17 @@ def backfill_join(
         assert assembly == "chain", "external parts require the chained assembly"
         from ..stages.external import enrich_external
 
-        out, out_names = enrich_external(out, join, out_names, n_left=n_left)
+        out, _ = enrich_external(out, join, list(_arrow_schema(out).names), n_left=n_left)
     if join.bootstrap_parts:
         from .bootstrap import MATCHED_HASHES
 
         # processing metadata never reaches the output (Join.scala:253-255)
+        known = known_schema(out)
         out = out.drop_columns([MATCHED_HASHES])
-        if assembly == "chain" and MATCHED_HASHES in out_names:
-            out_names = [n for n in out_names if n != MATCHED_HASHES]
+        if known is not None:
+            declare_schema(out, known.remove(known.get_field_index(MATCHED_HASHES)))
     if join.derivations:
-        # chained assembly tracked the names statically; asking the lazy
-        # pipeline for its schema would execute the final kernel shuffle twice
-        names = out_names if assembly == "chain" else out.schema().names
-        out = apply_derivations(out, join.derivations, names)
+        out = apply_derivations(out, join.derivations, _arrow_schema(out).names)
     if join.model_transforms:
         # score the pre-model-transform output (ModelTransformBatchJob.scala
         # run loop; the pre-MT table is the chained `out` here)

@@ -23,6 +23,7 @@ import json
 import pyarrow as pa
 
 from ..sources.io import read_table
+from ..stages.shuffle import declare_schema
 
 _DTYPES = {
     "long": pa.int64(),
@@ -127,5 +128,4 @@ def flatten_logs(log_table: str, schema_table: str, join_name: str | None = None
         concurrency=concurrency or 2,
         batch_format="pyarrow",
     )
-    out._raywin_schema = stage.out_schema
-    return out
+    return declare_schema(out, stage.out_schema)

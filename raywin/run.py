@@ -44,19 +44,28 @@ def load_conf(spec: str):
         raise SystemExit(f"{mod_name} has no attribute {attr!r}") from e
 
 
-def write_output(ds, path: str):
-    """Partitioned parquet by default; Lance when the path asks for it."""
+def write_output(ds, path: str) -> int:
+    """Partitioned parquet by default; Lance when the path asks for it.
+    Returns the rows the write added, counted from the written files:
+    ``ds.count()`` would execute the whole pipeline a second time."""
     if path.rstrip("/").endswith(".lance"):
         try:
-            import lance  # noqa: F401
+            import lance
         except ImportError as e:
             raise SystemExit(
                 f"{path} requests a Lance dataset but the `lance` wheel is "
                 "not installed; use a parquet path or install pylance"
             ) from e
         ds.write_lance(path)
-    else:
-        ds.write_parquet(path)
+        return lance.dataset(path).count_rows()
+    import pyarrow.dataset as pads
+
+    from .sources.io import _parquet_files
+
+    before = set(_parquet_files(path)) if os.path.isdir(path) else set()
+    ds.write_parquet(path)
+    added = [f for f in _parquet_files(path) if f not in before] if os.path.isdir(path) else []
+    return pads.dataset(added, format="parquet").count_rows() if added else 0
 
 
 def main(argv=None):
@@ -133,10 +142,8 @@ def main(argv=None):
             raise SystemExit("--output required for join-backfill")
         from .pipelines.join import backfill_join
 
-        out = backfill_join(conf)
-        write_output(out, args.output)
-        print(json.dumps({"mode": args.mode, "output": args.output,
-                          "rows": out.count()}))
+        rows = write_output(backfill_join(conf), args.output)
+        print(json.dumps({"mode": args.mode, "output": args.output, "rows": rows}))
         return 0
 
     if args.mode == "groupby-backfill":

@@ -250,10 +250,7 @@ def scan_source(source, extra_columns: list[str] | None = None) -> "ray.data.Dat
             setups=query.setups,
         )
     if query.selects is None and query.time_column is None and not query.wheres:
-        cols = extra_columns if extra_columns else None
-        ds = read_table(path, cols)
-        ds._raywin_names = list(cols) if cols else list(schema.names)
-        return ds
+        return read_table(path, extra_columns or None)
     exprs = list((query.selects or {}).values()) + list(query.wheres or [])
     if query.time_column:
         exprs.append(query.time_column)
@@ -262,37 +259,30 @@ def scan_source(source, extra_columns: list[str] | None = None) -> "ray.data.Dat
         cols = schema.names  # SELECT * still needs everything
     ds = read_table(path, cols or None)
     out = apply_query(ds, query)
-    # output names are statically known (select aliases + ts): asking the
-    # SqlBatch actor pipeline would spin an actor up just for them
-    if query.selects is not None:
-        names = list(query.selects.keys())
-    else:
-        names = list(cols or schema.names)
-    if query.time_column:
-        names.append("ts")
-    out._raywin_names = names
     # pure projections (every select is a bare column) have statically known
-    # TYPES too — the kernel then needs no actor-pool schema probe at all
+    # types, so the kernel needs no probe of the SqlBatch pipeline
     if query.selects is not None and all(
         expr == alias and expr in schema.names for alias, expr in query.selects.items()
     ):
         import pyarrow as pa
 
+        from ..stages.shuffle import declare_schema
+
         fields = [pa.field(a, schema.field(a).type) for a in query.selects]
         if query.time_column:
             fields.append(pa.field("ts", pa.int64()))
-        out._raywin_schema = pa.schema(fields)
+        declare_schema(out, pa.schema(fields))
     return out
 
 
 def union_sources(datasets: list["ray.data.Dataset"]) -> "ray.data.Dataset":
-    """Union multiple scanned sources aligned by column name."""
+    """Union multiple scanned sources aligned by column name; the union
+    declares the first source's schema."""
     if len(datasets) == 1:
         return datasets[0]
+    from ..stages.shuffle import _arrow_schema, declare_schema
+
     base = datasets[0]
-    names = getattr(base, "_raywin_names", None) or base.schema().names
-    aligned = [base] + [d.select_columns(names) for d in datasets[1:]]
-    out = aligned[0]
-    for d in aligned[1:]:
-        out = out.union(d)
-    return out
+    schema = _arrow_schema(base)
+    out = base.union(*(d.select_columns(schema.names) for d in datasets[1:]))
+    return declare_schema(out, schema)

@@ -19,7 +19,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..aggregator.sketches import splitmix64
-from ..stages.shuffle import SIDE_COL, _arrow_schema, co_partition, stable_hash
+from ..stages.shuffle import SIDE_COL, _arrow_schema, co_partition, declare_schema, stable_hash
 
 def minhash_signatures_batch(
     texts, width: int, num_perm: int
@@ -322,9 +322,10 @@ def dedup_paragraphs(ds, text_col: str, id_col: str, sep: str = "\n\n"):
     )
     # shuffle 2: text rows + losing marks co-partition by doc id
     pos = [_arrow_schema(ds).field(id_col), pa.field("idx", pa.int64())]
-    texts = rows.select_columns([id_col, "idx", "para"])
-    texts._raywin_schema = pa.schema(pos + [pa.field("para", pa.string())])
-    losers._raywin_schema = pa.schema(pos)
+    texts = declare_schema(
+        rows.select_columns([id_col, "idx", "para"]), pa.schema(pos + [pa.field("para", pa.string())])
+    )
+    declare_schema(losers, pa.schema(pos))
     return co_partition(
         [texts, losers], [id_col], rebuild, batch_format="pandas"
     )
@@ -421,9 +422,10 @@ def remove_duplicate_spans(ds, text_col: str, id_col: str, n: int = 5):
     )
     # shuffle 2: whole-doc text rows + losing marks co-partition by doc id
     src = _arrow_schema(ds)
-    texts = ds.select_columns([id_col, text_col])
-    texts._raywin_schema = pa.schema([src.field(id_col), src.field(text_col)])
-    losers._raywin_schema = pa.schema([src.field(id_col), pa.field("s", pa.int64())])
+    texts = declare_schema(
+        ds.select_columns([id_col, text_col]), pa.schema([src.field(id_col), src.field(text_col)])
+    )
+    declare_schema(losers, pa.schema([src.field(id_col), pa.field("s", pa.int64())]))
     return co_partition(
         [texts, losers], [id_col], rebuild, batch_format="pandas"
     )

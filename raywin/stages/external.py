@@ -28,6 +28,7 @@ from typing import Callable, Optional
 import pyarrow as pa
 
 from ..api import ExternalPart
+from .shuffle import declare_schema, known_schema
 
 _DTYPES = {
     "long": pa.int64(),
@@ -94,6 +95,13 @@ class _HandlerFetch:
         return batch
 
 
+def _appended(ds, mapped, fields: list[pa.Field]):
+    """``mapped`` (``ds`` with ``fields`` appended) with its schema declared
+    when ``ds``'s is known."""
+    known = known_schema(ds)
+    return mapped if known is None else declare_schema(mapped, pa.schema(list(known) + fields))
+
+
 def enrich_external(out, join, out_names: list[str],
                     registry: ExternalSourceRegistry | None = None,
                     n_left: int | None = None):
@@ -130,7 +138,8 @@ def enrich_external(out, join, out_names: list[str],
                         )
                 return batch
 
-            out = out.map_batches(ctx, batch_format="pyarrow")
+            out = _appended(out, out.map_batches(ctx, batch_format="pyarrow"),
+                            [pa.field(c, t) for c, (_, t) in cols.items()])
             out_names = out_names + list(cols)
             continue
 
@@ -167,12 +176,12 @@ def enrich_external(out, join, out_names: list[str],
                 f"{part.full_name}_{f}": (f, field_type(dt))
                 for f, dt in src.value_schema.items()
             }
-            out = out.map_batches(
+            out = _appended(out, out.map_batches(
                 _HandlerFetch,
                 fn_constructor_args=(handler, left_keys, list(src.key_schema), value_cols),
                 concurrency=(1, 8),
                 batch_format="pyarrow",
-            )
+            ), [pa.field(c, t) for c, (_, t) in value_cols.items()])
             out_names = out_names + list(value_cols)
             continue
 
@@ -187,7 +196,8 @@ def enrich_external(out, join, out_names: list[str],
                 batch = batch.append_column(col, pa.nulls(len(batch), typ))
             return batch
 
-        out = out.map_batches(null_pad, batch_format="pyarrow")
+        out = _appended(out, out.map_batches(null_pad, batch_format="pyarrow"),
+                        [pa.field(c, t) for c, t in pad.items()])
         out_names = out_names + list(pad)
     return out, out_names
 

@@ -68,6 +68,7 @@ def get_duckdb():
         raise ImportError("duckdb import poisoned and unrecoverable")
 
 from ..api import Derivation, Query
+from .shuffle import declare_schema, known_schema
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -171,4 +172,8 @@ def apply_derivations(ds, derivations: list[Derivation] | None, base_columns: li
     if not derivations:
         return ds
     sql = derivation_sql(derivations, base_columns)
-    return ds.map_batches(SqlBatch(sql), batch_format="pyarrow")
+    out = ds.map_batches(SqlBatch(sql), batch_format="pyarrow")
+    known = known_schema(ds)
+    # DuckDB types a result when it binds the statement, so the statement
+    # over an empty table of the input's schema has the output's schema
+    return out if known is None else declare_schema(out, SqlBatch(sql)(known.empty_table()).schema)

@@ -318,16 +318,36 @@ def pad_to_schema(batch: pa.Table, schema: pa.Schema) -> pa.Table:
     return pa.Table.from_arrays(cols, schema=schema)
 
 
+def declare_schema(ds, schema: pa.Schema):
+    """Record ``schema`` as ``ds``'s schema in Ray's own plan and return
+    ``ds``.  ``ds.schema()``, ``to_arrow_refs()`` and ``_arrow_schema`` then
+    read it instead of executing a limit-1 copy of the plan, which for a
+    pipeline with a sort or an aggregate is the whole pipeline again (an
+    all-to-all cannot stop at one block).  Ray does not carry the cache to
+    Datasets derived from ``ds``, so each declaration covers exactly one
+    Dataset; declare only a schema the blocks really have."""
+    ds._plan.cache_schema(schema)
+    return ds
+
+
+def known_schema(ds) -> pa.Schema | None:
+    """Arrow schema of a Dataset when Ray knows it without executing
+    anything: a declared schema (``declare_schema``), a parquet read or a
+    materialized Dataset; else None."""
+    sch = ds.schema(fetch_if_missing=False)
+    return None if sch is None else _to_arrow(sch)
+
+
 def _arrow_schema(ds) -> pa.Schema:
-    """Arrow schema of a Dataset: its static ``_raywin_schema`` when one is
-    attached (scan_source, features_for_queries and the lazy sides of
-    co_partition set one, because probing a lazy actor/shuffle pipeline
-    costs a real execution), else ``ds.schema()``.  Pandas-typed columns map
-    through their numpy dtype; object columns become string."""
-    static = getattr(ds, "_raywin_schema", None)
-    if isinstance(static, pa.Schema):
-        return static
-    sch = ds.schema()
+    """Arrow schema of a Dataset: ``known_schema``, else a limit-1 probe of
+    its plan."""
+    known = known_schema(ds)
+    return known if known is not None else _to_arrow(ds.schema())
+
+
+def _to_arrow(sch) -> pa.Schema:
+    """A ``ray.data.Schema`` as Arrow.  Pandas-typed columns map through
+    their numpy dtype; object columns become string."""
     base = getattr(sch, "base_schema", None)
     if isinstance(base, pa.Schema):
         return base
@@ -402,10 +422,10 @@ def co_partition(sides, keys: list[str], fn, *, batch_format="pyarrow"):
 
     ``sides`` is a Dataset or a list of them.  Several sides are padded to
     ``side_schema(sides)`` (SIDE_COL = the side's list index) and unioned;
-    side schemas come from ``_raywin_schema`` when attached, so give lazy
-    pipelines one.  Rows are tagged with the 64-bit hash of ``keys`` (hot
-    chunks via CHUNK_COL, see AddKeyHash), sorted on it with one push-based
-    sort shuffle, and ``fn`` runs once per sort output block: rows with one
+    side schemas come from ``_arrow_schema``, so a lazy side without a
+    ``declare_schema`` costs a probe.  Rows are tagged with the 64-bit hash
+    of ``keys`` (hot chunks via CHUNK_COL, see AddKeyHash), sorted on it
+    with one push-based sort shuffle, and ``fn`` runs once per sort output block: rows with one
     hash fall in one block, the way Ray's own ``map_groups`` keeps groups
     whole.  The number of calls follows the exchange's input blocks
     (``_BUNDLE_ROWS`` rows or more each), so no bucket count caps it.

@@ -48,3 +48,24 @@ def exchange_block_rows(monkeypatch):
         monkeypatch.setattr(Dataset, "sort", reblocked_sort)
 
     return set_rows
+
+
+@pytest.fixture
+def count_executions(monkeypatch):
+    """Record every Ray Data execution the test starts, as the list of its
+    DAG's operator names (upstream first).  A schema probe is a DAG that
+    ends in a ``limit=1`` operator."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    runs = []
+    execute = StreamingExecutor.execute
+
+    def names(op):
+        return [n for dep in op.input_dependencies for n in names(dep)] + [op.name]
+
+    def recording_execute(self, dag, *args, **kwargs):
+        runs.append(names(dag))
+        return execute(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", recording_execute)
+    return runs

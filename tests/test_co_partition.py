@@ -18,7 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from raywin.stages.shuffle import HASH_COL, SIDE_COL, co_partition, pad_to_schema, stable_hash
+from raywin.stages.shuffle import (
+    HASH_COL, SIDE_COL, co_partition, declare_schema, pad_to_schema, stable_hash,
+)
 
 KEY_POOL = {"k_int": st.one_of(st.none(), st.integers(-3, 3)), "k_str": st.sampled_from(["a", "b", "c", ""])}
 
@@ -53,8 +55,7 @@ def _blocks(t: pa.Table, n: int):
 
     cuts = np.linspace(0, len(t), n + 1).astype(int)
     ds = ray.data.from_arrow([t.slice(a, b - a) for a, b in zip(cuts[:-1], cuts[1:])])
-    ds._raywin_schema = t.schema
-    return ds
+    return declare_schema(ds, t.schema)
 
 
 def _tag_call(group: pa.Table) -> pa.Table:
@@ -204,8 +205,8 @@ def test_co_partition_empty_side_changes_nothing(ray_session, exchange_block_row
         empty = right.filter(expr="ts < 0")
     else:
         empty = right.map_batches(lambda df: df[df["ts"] < 0], batch_format="pandas")
-    empty._raywin_schema = right_t.schema
-    left._raywin_schema = left_t.schema
+    declare_schema(empty, right_t.schema)
+    declare_schema(left, left_t.schema)
 
     def left_rows(group: pa.Table) -> pa.Table:
         side = group[SIDE_COL].to_numpy(zero_copy_only=False)
@@ -237,8 +238,7 @@ def _tiny_sides():
     events = pa.table({"k": [1, 1, 2], "ts": [10, 20, 30], "v": [1.0, 2.0, 3.0]})
     queries = pa.table({"k": [1, 2], "ts": [25, 40]})
     right, left = ray.data.from_arrow(events), ray.data.from_arrow(queries)
-    right._raywin_schema, left._raywin_schema = events.schema, queries.schema
-    return left, right
+    return declare_schema(left, queries.schema), declare_schema(right, events.schema)
 
 
 def test_kernel_operator_keeps_its_name(ray_session):
