@@ -29,10 +29,26 @@ from __future__ import annotations
 import copy
 import json
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from ..api import AggregationPart, Operation
+
+
+class Segments(NamedTuple):
+    """The groups of one ScalarOp.scan_segments call.  Group g merges
+    heads[collapsed[g]] (when collapsed[g] >= 0), then heads[tile[g]:tile[g]
+    + n_tiles[g]] in that order, then folds the values from vals[ev_start[g]]
+    on.  q_group is each stop's group, non-decreasing, and every group has
+    a stop; a group's stops are non-decreasing counts of its values
+    folded, as in ScalarOp.scan."""
+
+    collapsed: np.ndarray
+    tile: np.ndarray
+    n_tiles: np.ndarray
+    ev_start: np.ndarray
+    q_group: np.ndarray
 
 
 class ScalarOp:
@@ -88,6 +104,33 @@ class ScalarOp:
                 if r is acc:  # finalize aliases the live IR (Sum/TopK/...)
                     r = copy.copy(r)
                 out.append(r)
+        return out
+
+    def ir_array(self, irs):
+        """irs as the array scan_segments folds in one accumulate, or None
+        when the IRs must be merged one by one (this default)."""
+        return None
+
+    def scan_segments(self, heads, vals, ts, segs: Segments, stops):
+        """scan for many groups at once: per group (see Segments), the
+        finalized fold at each of its stops, starting from the merge of its
+        heads.  heads holds IRs (or the rows of an ir_array) and is never
+        mutated.  Returns the answers aligned with stops.  This default
+        merges clones of each group's heads and runs scan on it; the
+        overrides fold every group in one row-wise accumulate and must give
+        the same values bit for bit."""
+        out = []
+        qb = np.searchsorted(segs.q_group, np.arange(len(segs.ev_start) + 1)).tolist()
+        for g, (c, t0, nt, e0) in enumerate(zip(
+                segs.collapsed.tolist(), segs.tile.tolist(), segs.n_tiles.tolist(),
+                segs.ev_start.tolist())):
+            acc = None if c < 0 else self.clone(heads[c])
+            for i in range(t0, t0 + nt):
+                piece = self.clone(heads[i])
+                acc = piece if acc is None else self.merge(acc, piece)
+            st = stops[qb[g]:qb[g + 1]]
+            e1 = e0 + int(st[-1])
+            out.extend(self.scan(acc, vals[e0:e1], ts[e0:e1], st))
         return out
 
     def fold_segments(self, vals, ts, starts):
@@ -147,6 +190,156 @@ def _signed_zeros(run) -> bool:
     return len(z) > 1 and np.signbit(z).any() and not np.signbit(z).all()
 
 
+def _scalar_array(irs):
+    """Scalar IRs as one float64 or int64 array, or None when they are not
+    all floats or all ints that fit int64 (a fold over mixed or other
+    types is not the same arithmetic)."""
+    kinds = set(map(type, irs))
+    if kinds <= {float, np.float64}:
+        return np.array(irs, dtype=np.float64)
+    if kinds <= {int, np.int64}:
+        try:
+            return np.array(irs, dtype=np.int64)
+        except OverflowError:
+            return None
+    return None
+
+
+def _row_dtype(heads, vals, stops):
+    """The one dtype of the heads and the values a scan folds, or None when
+    they are not all one of _SCAN_DTYPES (the caller then takes the default
+    path).  An accumulate over one float64 or int64 row is the same
+    sequential arithmetic as the fold."""
+    dtype = None
+    if len(heads):
+        dtype = heads.dtype if isinstance(heads, np.ndarray) else None
+        if dtype not in _SCAN_DTYPES:
+            return None
+    if len(stops) and stops.max() > 0:
+        if vals.dtype not in _SCAN_DTYPES or dtype not in (None, vals.dtype):
+            return None
+        dtype = vals.dtype
+    return np.dtype(np.float64) if dtype is None else dtype
+
+
+# A segmented scan pads its rows into matrices of at most twice their real
+# cells, or of this many cells when that is more (a few more padded cells
+# cost less than another matrix)
+_DENSE_CELLS = 4096
+# and keeps a matrix within this many cells (one row at least)
+_MAX_CELLS = 1 << 20
+
+
+def _row_bins(n_tiles, n_events):
+    """The matrices a segmented scan pads its rows into: [(groups, tiles
+    width, events width)], groups None for all of them.  A row is a cell
+    for the collapsed IR, then tile cells, then event cells.  One matrix
+    when its cells stay within max(2x the real cells, _DENSE_CELLS); else,
+    longest rows first, a matrix takes the next row while that holds for
+    its own rows and it stays within _MAX_CELLS (one row at least), so
+    padding never costs more than twice the real cells plus _DENSE_CELLS
+    per matrix."""
+    size = 1 + n_tiles + n_events
+    tw, ew = int(n_tiles.max(initial=0)), int(n_events.max(initial=0))
+    if len(size) * (1 + tw + ew) <= max(2 * int(size.sum()), _DENSE_CELLS):
+        return [(None, tw, ew)]
+    order = (-size).argsort(kind="stable")
+    ts, es = n_tiles[order].tolist(), n_events[order].tolist()
+    bins, i = [], 0
+    while i < len(ts):
+        tw = ew = real = 0
+        j = i
+        while j < len(ts):
+            t, e = max(tw, ts[j]), max(ew, es[j])
+            cells = (j - i + 1) * (1 + t + e)
+            if j > i and cells > min(max(2 * (real + 1 + ts[j] + es[j]), _DENSE_CELLS), _MAX_CELLS):
+                break
+            tw, ew, real, j = t, e, real + 1 + ts[j] + es[j], j + 1
+        bins.append((order[i:j], tw, ew))
+        i = j
+    return bins
+
+
+def _identity(ufunc, dtype):
+    """The value ufunc folds to a no-op, bit for bit: -0.0 (not 0.0) for a
+    float sum, the extreme of the dtype for min and max."""
+    if ufunc is np.add:
+        return -0.0 if dtype.kind == "f" else 0
+    if dtype.kind == "f":
+        return np.inf if ufunc is np.minimum else -np.inf
+    return np.iinfo(dtype).max if ufunc is np.minimum else np.iinfo(dtype).min
+
+
+def _scan_rows(ufunc, heads, vals, segs, stops, signed_zeros=False):
+    """ufunc.accumulate along every group's row: its collapsed IR, its
+    tiles, then its values up to its last stop.  heads (IRs in ir_array
+    form) and the values read are arrays of one dtype; an IR that is a row
+    of numbers adds a trailing axis to both.  Rows go into _row_bins
+    matrices of [collapsed | tiles | values] blocks, missing cells are the
+    fold's identity, and a query's answer is the cell after its stop.
+    Returns (the run at each query, mask of the queries that folded
+    anything), or None when signed_zeros is set and a row's run mixes 0.0
+    and -0.0."""
+    dtype, tail = heads.dtype, heads.shape[1:]
+    ident = _identity(ufunc, dtype)
+    n_groups, q_group = len(segs.ev_start), segs.q_group
+    has_c = segs.collapsed >= 0
+    last = stops[q_group.searchsorted(np.arange(1, n_groups + 1)) - 1]
+    out = np.zeros((len(stops),) + tail, dtype=dtype)
+    trail = (1,) * len(tail)
+
+    def block(src, starts, width, counts):
+        # rows of src[starts + j] for j < width; cells at j >= counts are
+        # the identity (counts None: left as read, never used)
+        if not (width and len(src)):
+            m = np.empty((len(starts), width) + tail, dtype=dtype)
+            m.fill(ident)
+            return m
+        j = np.arange(width)
+        m = src.take(starts[:, None] + j, axis=0, mode="clip")
+        if counts is None:
+            return m
+        return np.where((j < counts[:, None]).reshape(m.shape[:2] + trail), m, ident)
+
+    for gs, t_width, e_width in _row_bins(segs.n_tiles, last):
+        qi, qg, sub = slice(None), q_group, slice(None)
+        if gs is not None:
+            rank = np.empty(n_groups, dtype=np.int64)
+            rank.fill(-1)
+            rank[gs] = np.arange(len(gs))
+            qi = (rank[q_group] >= 0).nonzero()[0]
+            qg, sub = rank[q_group[qi]], gs
+        cs = segs.collapsed[sub]
+        c = heads[cs] if len(heads) else np.zeros((len(cs),) + tail, dtype=dtype)
+        m = np.concatenate((
+            np.where(has_c[sub].reshape((-1,) + trail), c, ident)[:, None],
+            block(heads, segs.tile[sub], t_width, segs.n_tiles[sub]),
+            block(vals, segs.ev_start[sub], e_width, last[sub] if signed_zeros else None),
+        ), axis=1)
+        run = ufunc.accumulate(m, axis=1)
+        if signed_zeros:
+            z = run == 0
+            if z.any():
+                neg = z & np.signbit(run)
+                if (neg.any(axis=1) & (z & ~neg).any(axis=1)).any():
+                    return None
+        out[qi] = run[qg, t_width + stops[qi]]
+    return out, (has_c | (segs.n_tiles > 0))[q_group] | (stops > 0)
+
+
+def _typed(heads, dtype, shape=()):
+    """heads as an array: an empty one of dtype when there are none (heads
+    may then be an empty list)."""
+    return heads if len(heads) else np.zeros((0,) + shape, dtype=dtype)
+
+
+def _answers(run, ok):
+    """Object array of run's values where ok, None elsewhere."""
+    out = np.empty(len(ok), dtype=object)  # all None
+    out[ok] = run[ok]
+    return out
+
+
 class Sum(ScalarOp):
     deletable = True
 
@@ -172,6 +365,15 @@ class Sum(ScalarOp):
         if run is None:
             return super().scan(acc, vals, ts, stops)
         return _at_stops(acc, run, stops)
+
+    def ir_array(self, irs):
+        return _scalar_array(irs)
+
+    def scan_segments(self, heads, vals, ts, segs, stops):
+        dt = _row_dtype(heads, vals, stops)
+        if dt is None:
+            return super().scan_segments(heads, vals, ts, segs, stops)
+        return _answers(*_scan_rows(np.add, _typed(heads, dt), vals, segs, stops))
 
     def fold_segments(self, vals, ts, starts):
         if not _seg_ok(vals):
@@ -199,6 +401,21 @@ class Count(ScalarOp):
 
     def scan(self, acc, vals, ts, stops):
         return [acc if s == 0 else (s if acc is None else acc + s) for s in stops.tolist()]
+
+    def ir_array(self, irs):
+        arr = _scalar_array(irs)
+        return arr if arr is not None and arr.dtype == np.int64 else None
+
+    def scan_segments(self, heads, vals, ts, segs, stops):
+        # a count is its heads' sum plus its stop: no row to fold
+        if len(heads) and not (isinstance(heads, np.ndarray) and heads.dtype == np.int64):
+            return super().scan_segments(heads, vals, ts, segs, stops)
+        run = np.concatenate(([0], np.cumsum(_typed(heads, np.int64))))
+        has_c = segs.collapsed >= 0
+        base = (run[segs.tile + segs.n_tiles] - run[segs.tile]
+                + np.where(has_c, run[segs.collapsed + 1] - run[segs.collapsed], 0))
+        ok = (has_c | (segs.n_tiles > 0))[segs.q_group] | (stops > 0)
+        return _answers(base[segs.q_group] + stops, ok)
 
     def fold_segments(self, vals, ts, starts):
         if not len(starts):
@@ -246,6 +463,26 @@ class Average(ScalarOp):
             return super().scan(acc, vals, ts, stops)
         return _at_stops(self.finalize(acc), sums / (acc[1] + np.arange(len(sums))), stops)
 
+    def ir_array(self, irs):
+        # [sum, count] rows: float sums, and counts exact in float64
+        if (set(map(type, irs)) <= {list} and all(len(ir) == 2 for ir in irs)
+                and {type(ir[0]) for ir in irs} <= {float, np.float64}):
+            return np.array(irs, dtype=np.float64).reshape(-1, 2)
+        return None
+
+    def scan_segments(self, heads, vals, ts, segs, stops):
+        # rows of (sum, count): prepare makes a value a float, so float64
+        # sums of the values fold exactly as update does
+        if len(heads) and not (isinstance(heads, np.ndarray) and heads.ndim == 2):
+            return super().scan_segments(heads, vals, ts, segs, stops)
+        lifted = np.zeros((0, 2))
+        if len(stops) and stops.max() > 0:
+            if vals.dtype not in _SCAN_DTYPES:
+                return super().scan_segments(heads, vals, ts, segs, stops)
+            lifted = np.column_stack((vals.astype(np.float64), np.ones(len(vals))))
+        run, ok = _scan_rows(np.add, _typed(heads, np.float64, (2,)), lifted, segs, stops)
+        return _answers(run[:, 0] / np.where(ok, run[:, 1], 1), ok)
+
     def fold_segments(self, vals, ts, starts):
         if not _seg_ok(vals):
             return super().fold_segments(vals, ts, starts)
@@ -268,6 +505,17 @@ class _Extremum(ScalarOp):
         if run is None or _signed_zeros(run):
             return super().scan(acc, vals, ts, stops)
         return _at_stops(acc, run, stops)
+
+    def ir_array(self, irs):
+        return _scalar_array(irs)
+
+    def scan_segments(self, heads, vals, ts, segs, stops):
+        dt = _row_dtype(heads, vals, stops)
+        got = None if dt is None else _scan_rows(
+            self._running, _typed(heads, dt), vals, segs, stops, signed_zeros=dt.kind == "f")
+        if got is None:
+            return super().scan_segments(heads, vals, ts, segs, stops)
+        return _answers(*got)
 
 
 class Min(_Extremum):

@@ -15,7 +15,7 @@ import pyarrow as pa
 
 from ray.data.aggregate import Max, Min, Sum
 
-from ..stages.query import SqlBatch
+from ..stages.query import map_sql
 from ..stages.shuffle import CHUNK_COL, SIDE_COL, _arrow_schema, co_partition, declare_schema
 
 _MERGE_FNS = {"sum": Sum, "min": Min, "max": Max}
@@ -41,7 +41,7 @@ def sql_group_agg(
         + ", ".join(f"({e}) AS {c}" for c, e in partials.items())
         + f" FROM batch{where_sql} GROUP BY {', '.join(keys)}"
     )
-    partial = ds.map_batches(SqlBatch(partial_sql), batch_format="pyarrow")
+    partial = map_sql(ds, partial_sql)
     aggs = [_MERGE_FNS[m](c, alias_name=c) for c, m in merge.items()]
     merged = partial.groupby(keys).aggregate(*aggs)
     if finals is None:
@@ -51,7 +51,7 @@ def sql_group_agg(
         + ", ".join(f"({e}) AS {c}" for c, e in finals.items())
         + " FROM batch"
     )
-    return merged.map_batches(SqlBatch(final_sql), batch_format="pyarrow")
+    return map_sql(merged, final_sql)
 
 
 def distinct(ds, cols: list[str]):

@@ -18,18 +18,32 @@ returning the same feature row the offline kernel computes for (key, ts).
 Both kinds of streaming state are answered by the same lambda: sealed tiles
 join the batch IR's tail tiles, and the unsealed raw head is the stream.
 
-The lambda is columnar.  Per part and hop group, lambda_aggregate_many
-builds the merged batch base once and answers all of the group's queries
-with one ScalarOp.scan: a running fold over the non-null streamed events
-that finalizes at each query's stop (numpy accumulate for sum, count,
-average, min and max, bit-identical to the sequential fold; the per-event
-prepare/update loop for every other op).  Bases are built from
-ScalarOp.clone copies, not deep copies.  The Fetcher ingests micro-batches
-with one factorize + lexsort instead of a pandas groupby.
+The lambda answers a whole request in one call, as the reference's
+FetcherBase.fetchGroupBys runs it once over every key's state.  A request
+is the queries of some keys, the keys' decoded batch IRs and their streams
+one after another.  lambda_aggregate_many works on all of them at once:
+
+  * for every window at once: each query's lo, the (key, lo) groups and
+    each group's first stream event, one searchsorted over every key's
+    stream;
+  * per input column: the non-null events and the remap of the bounds;
+  * for every part at once: each group's heads, the key's collapsed IR
+    and then its tiles that start at or after lo, one searchsorted over
+    every key's tile starts;
+  * per part, one ScalarOp.scan_segments call folds every group.  Sum,
+    average, min and max fold heads and events in one row-wise numpy
+    accumulate, bit-identical to the sequential fold, and count adds its
+    heads to its stops; every other op merges clones of its heads and runs
+    the prepare/update loop.
+
+A key's batch IR is decoded once (SawtoothOnlineAggregator.decode, cached
+by the Fetcher) into per-part heads and tile starts, with the heads of the
+numeric ops as one array.  The Fetcher ingests micro-batches with one
+factorize + lexsort instead of a pandas groupby.
 
 online_enrich_distributed applies the lambda offline at scale: queries,
 upload rows and the streaming tail meet in one co-partition exchange, and
-each partition answers its keys with the same lambda_aggregate_many calls;
+each partition answers all of its keys with one lambda_aggregate_many call;
 nothing is broadcast or collected into the calling process.
 """
 
@@ -37,15 +51,55 @@ from __future__ import annotations
 
 import copy
 import pickle
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 from ..api import GroupBy
-from ..aggregator.scalar_ops import make_scalar_op
+from ..aggregator.scalar_ops import Segments, make_scalar_op
 from ..aggregator.windowing import FiveMinuteResolution, round_down
 from .upload import IR_COL, load_upload
+
+
+# lo of an unbounded part: below every tile start and event ts
+_LO_NONE = np.iinfo(np.int64).min // 2
+
+
+class _PartIR(NamedTuple):
+    """One part of one key's batch IR, decoded.  heads: the collapsed IR
+    (first, when there is one) then the tiles, ascending by start; starts:
+    the tiles' starts; arr: heads as the op's ir_array, or None."""
+
+    heads: list
+    has_c: int
+    starts: list
+    arr: np.ndarray | None
+
+
+class _KeyIR(NamedTuple):
+    """One key's batch IR as lambda_aggregate_many takes it: a _PartIR (or
+    None) per part of the aggregator, and over all parts the tile counts,
+    the collapsed flags (0/1) and the tile starts, one part after another."""
+
+    parts: list
+    n_tiles: np.ndarray
+    has_c: np.ndarray
+    starts: np.ndarray
+
+
+class _Groups(NamedTuple):
+    """The query groups of every window of a request (queries ts-ascending
+    within each key): window w's groups are [bounds[w], bounds[w + 1]);
+    each group's key, lo and first stream event in its window; and per
+    window, each query's group counted from the window's first."""
+
+    key: np.ndarray
+    lo: np.ndarray
+    bounds: np.ndarray
+    i0: np.ndarray
+    q_group: np.ndarray
 
 
 class SawtoothOnlineAggregator:
@@ -65,6 +119,12 @@ class SawtoothOnlineAggregator:
              None if p.window.unbounded else (p.window.millis, resolution.tail_hop(p.window)))
             for p, op in zip(self.parts, self.ops)
         ]
+        # the distinct windows, and each part's
+        wins = list(dict.fromkeys(w for *_, w in self._specs))
+        self._part_win = np.array([wins.index(w) for *_, w in self._specs], dtype=np.int64)
+        self._win_ms = np.array([0 if w is None else w[0] for w in wins], dtype=np.int64)
+        self._win_hop = np.array([1 if w is None else w[1] for w in wins], dtype=np.int64)
+        self._win_unbounded = np.array([w is None for w in wins])
 
     def lambda_aggregate(self, batch_ir: dict | None, stream_ts, stream_rows,
                          query_ts: int) -> dict:
@@ -109,81 +169,227 @@ class SawtoothOnlineAggregator:
             out[part.output_column] = None if acc is None else op.finalize(acc)
         return out
 
-    def _merged_base(self, op, entry, lo):
-        """collapsed ⊕ in-window tiles for one part at one lo hop, built from
-        clones so the batch IR it reads is never mutated."""
-        if entry is None:
+    # -- batch IRs as lambda_aggregate_many takes them ------------------------
+    def decode(self, batch_ir: dict | None) -> _KeyIR | None:
+        """A key's batch IR ({output_column: {"c": collapsed IR, "t":
+        [(start, IR), ...] ascending by start}}, or None) as
+        lambda_aggregate_many takes it.  The IRs are shared, not copied:
+        the lambda never mutates them."""
+        if batch_ir is None:
             return None
-        acc = op.clone(entry["c"]) if entry["c"] is not None else None
-        for start, ir in entry["t"]:
-            if ir is None or (lo is not None and start < lo):
+        parts = []
+        for op, col, _, _ in self._specs:
+            entry = batch_ir.get(col)
+            if entry is None:
+                parts.append(None)
                 continue
-            piece = op.clone(ir)
-            acc = piece if acc is None else op.merge(acc, piece)
-        return acc
+            tiles = entry["t"]
+            parts.append(_part_ir(op, entry["c"], [s for s, ir in tiles if ir is not None],
+                                  [ir for _, ir in tiles if ir is not None]))
+        return _key_ir(parts)
 
-    def lambda_aggregate_many(self, batch_ir: dict | None, stream_ts, stream_rows,
-                              query_ts) -> dict:
-        """Vectorized lambda_aggregate over MANY query timestamps of one key.
+    def with_tiles(self, key_ir: _KeyIR | None, key_tiles: dict) -> _KeyIR:
+        """A decoded batch IR with more tiles after its own: key_tiles is
+        {output_column: (starts, IRs)}, a TileAggregator key's."""
+        parts = [None] * len(self._specs) if key_ir is None else list(key_ir.parts)
+        for i, (op, col, _, _) in enumerate(self._specs):
+            starts, irs = key_tiles.get(col, ((), ()))
+            if not len(starts):
+                continue
+            p = parts[i]
+            parts[i] = _part_ir(op, None, list(starts), list(irs)) if p is None else _part_ir(
+                op, p.heads[0] if p.has_c else None, p.starts + list(starts),
+                p.heads[p.has_c:] + list(irs),
+            )
+        return _key_ir(parts)
 
-        Bitwise-identical to calling lambda_aggregate per row, but: window
-        bounds are searchsorted in one shot per part; the collapsed+tiles
-        base is built once per distinct lo hop (queries quantize to few
-        hops); and each hop group's queries, sorted by ts, are answered by
-        ONE ScalarOp.scan over the group's non-null events — a running fold
-        that finalizes at each query's stop (numpy accumulate for the
-        arithmetic ops).  Returns {output_column: list aligned with query_ts
-        order}."""
+    # -- the lambda ---------------------------------------------------------
+    def lambda_aggregate_many(self, batch_irs, stream_ts, stream_rows, query_ts,
+                              stream_bounds=None, query_bounds=None) -> dict:
+        """The lambda for one request: every query of every key, bitwise
+        equal to lambda_aggregate per query.
+
+        A request of K keys: batch_irs[k] is key k's decode()d batch IR (or
+        None); stream_ts and stream_rows ({input column: values}) hold the
+        keys' streams one after another, key k's at [stream_bounds[k],
+        stream_bounds[k + 1]), each ts-ascending; query_ts holds their
+        queries the same way, at query_bounds.  Without bounds the request
+        is one key's, and batch_irs is that key's raw batch IR.  Returns
+        {output column: object array aligned with query_ts}.
+
+        The groups of every window, each input column's non-null events and
+        the heads of every part are computed once for all keys; then each
+        part folds all of its groups with one ScalarOp.scan_segments call."""
         qts = np.asarray(query_ts, dtype=np.int64)
+        if query_bounds is None:  # one key
+            batch_irs = [self.decode(batch_irs)]
+            stream_bounds = [0, 0 if stream_ts is None else len(stream_ts)]
+            query_bounds = [0, len(qts)]
         n = len(qts)
-        out: dict = {}
-        for op, out_col, in_col, win in self._specs:
-            if win is None:
-                lo_arr = None
-                order = np.argsort(qts, kind="stable")
-                bounds = [0, n]
-                s_lo = np.full(n, self.batch_end_ts)
-            else:
-                lo_arr = round_down(qts - win[0], win[1])
-                # one group per lo (one merged base), ts-ascending within it
-                # so each query's stop is a prefix of the group's events
-                order = np.lexsort((qts, lo_arr))
-                lo_sorted = lo_arr[order]
-                bounds = [0] + (np.flatnonzero(lo_sorted[1:] != lo_sorted[:-1]) + 1).tolist() + [n]
-                s_lo = np.maximum(lo_arr, self.batch_end_ts)
-            vals = stream_rows.get(in_col) if stream_ts is not None and len(stream_ts) else None
-            if vals is None:
-                ev_ts = ev_vals = np.zeros(0, dtype=np.int64)
-                i0 = i1 = np.zeros(n, dtype=np.int64)
-            else:
-                # only the events some query's window covers: [first i0, last
-                # i1) of the stream; nulls leave it, and each bound becomes
-                # the count of non-null events before it
-                i0 = np.searchsorted(stream_ts, s_lo, side="left")
-                i1 = np.searchsorted(stream_ts, qts, side="left")
-                first = int(i0.min())
-                last = max(int(i1.max()), first)
-                ev_ts, ev_vals = stream_ts[first:last], vals[first:last]
-                i0, i1 = i0 - first, np.maximum(i1, first) - first
-                ok = _non_null(ev_vals)
-                if ok is not None:
-                    ev_ts, ev_vals = ev_ts[ok], ev_vals[ok]
-                    before = np.concatenate(([0], np.cumsum(ok)))
-                    i0, i1 = before[i0], before[i1]
-            entry = None if batch_ir is None else batch_ir.get(out_col)
-            res: list = [None] * n
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                if a == b:
-                    continue
-                idx = order[a:b]
-                lo = None if lo_arr is None else int(lo_arr[idx[0]])
-                base = self._merged_base(op, entry, lo)
-                j = int(i0[idx[0]])
-                stops = np.maximum(i1[idx] - j, 0)
-                for oi, r in zip(idx.tolist(), op.scan(base, ev_vals[j:], ev_ts[j:], stops)):
-                    res[oi] = r
+        if not n:
+            return {col: np.empty(0, dtype=object) for _, col, _, _ in self._specs}
+        if stream_ts is None:
+            stream_ts = np.zeros(0, dtype=np.int64)
+        stream_rows = stream_rows or {}
+        qb = np.asarray(query_bounds, dtype=np.int64)
+        q_key = np.arange(len(qb) - 1).repeat(qb[1:] - qb[:-1])
+        order = np.lexsort((qts, q_key))  # ts-ascending within each key
+        if (order == np.arange(n)).all():
+            order = None
+        else:
+            qts = qts[order]
+        stream = _Runs(stream_ts, np.asarray(stream_bounds, dtype=np.int64))
+        i1 = stream.search(q_key, qts)  # each query's first event at or after it
+        grp = self._groups(q_key, qts, stream)
+        heads = self._heads(batch_irs, grp)
+        columns, out = {}, {}
+        for (op, out_col, in_col, _), w, (h, collapsed, tile, n_tiles) in zip(
+                self._specs, self._part_win.tolist(), heads):
+            if in_col not in columns:
+                ev_vals, ev_ts, before = _events(stream_rows.get(in_col), stream_ts)
+                columns[in_col] = ev_vals, ev_ts, before, before[i1]
+            ev_vals, ev_ts, before, e1 = columns[in_col]
+            e0 = before[grp.i0[grp.bounds[w]:grp.bounds[w + 1]]]
+            q_group = grp.q_group[w]
+            segs = Segments(collapsed, tile, n_tiles, e0, q_group)
+            res = _objects(op.scan_segments(h, ev_vals, ev_ts, segs, np.maximum(e1 - e0[q_group], 0)))
+            if order is not None:  # back to the caller's query order
+                col = np.empty(n, dtype=object)
+                col[order] = res
+                res = col
             out[out_col] = res
         return out
+
+    def _groups(self, q_key, qts, stream) -> _Groups:
+        """The query groups of every window at once: a key's queries with
+        one lo (all of them when unbounded).  qts are ts-ascending within
+        each key, so a group is a run of them."""
+        lo = round_down(qts[None, :] - self._win_ms[:, None], self._win_hop[:, None])
+        lo[self._win_unbounded] = _LO_NONE
+        new = np.ones(lo.shape, dtype=bool)
+        new[:, 1:] = (lo[:, 1:] != lo[:, :-1]) | (q_key[1:] != q_key[:-1])
+        flat = new.ravel().nonzero()[0]
+        g_win, first = np.divmod(flat, len(qts))
+        key, g_lo = q_key[first], lo.ravel()[flat]
+        return _Groups(
+            key, g_lo, g_win.searchsorted(np.arange(len(lo) + 1)),
+            stream.search(key, np.maximum(g_lo, self.batch_end_ts)),
+            new.cumsum(axis=1) - 1,
+        )
+
+    def _heads(self, batch_irs, grp: _Groups) -> list:
+        """Each part's (heads, collapsed, tile, n_tiles) for Segments: a
+        group's heads are its key's collapsed IR, then the key's tiles that
+        start at or after the group's lo (all of them when unbounded),
+        found by one search over every key's and part's tile starts."""
+        n_parts = len(self._specs)
+        irs = [ir for ir in batch_irs if ir is not None]
+        none = np.zeros(n_parts, dtype=np.int64)
+        n_tiles = np.array([none if ir is None else ir.n_tiles for ir in batch_irs])
+        has_c = np.array([none if ir is None else ir.has_c for ir in batch_irs])
+        # rows: every part's groups, one part after another; tile runs are
+        # (key, part), key after key as decode lays them out
+        per_part = (grp.bounds[1:] - grp.bounds[:-1])[self._part_win]
+        rows = _concat_ranges(grp.bounds[self._part_win], per_part)
+        run = grp.key[rows] * n_parts + np.arange(n_parts).repeat(per_part)
+        t_bounds = np.concatenate(([0], n_tiles.cumsum()))
+        starts = np.concatenate([ir.starts for ir in irs]) if irs else none[:0]
+        first_tile = _Runs(starts, t_bounds).search(run, grp.lo[rows])
+        # a key's heads in its part's heads: the collapsed IR, then tiles
+        sizes = has_c + n_tiles
+        offset = (sizes.cumsum(axis=0) - sizes).ravel()[run]
+        hc = has_c.ravel()[run]
+        collapsed = np.where(hc > 0, offset, -1)
+        tile = offset + hc + first_tile - t_bounds[run]
+        count = t_bounds[run + 1] - first_tile
+        out, r = [], [0] + per_part.cumsum().tolist()
+        for p in range(n_parts):
+            a, b = r[p], r[p + 1]
+            out.append((_part_heads([ir.parts[p] for ir in irs]),
+                        collapsed[a:b], tile[a:b], count[a:b]))
+        return out
+
+
+def _part_ir(op, c, starts: list, irs: list) -> _PartIR | None:
+    heads = irs if c is None else [c] + irs
+    if not heads:
+        return None
+    return _PartIR(heads, int(c is not None), starts, op.ir_array(heads))
+
+
+def _key_ir(parts) -> _KeyIR:
+    return _KeyIR(
+        parts,
+        np.array([0 if p is None else len(p.starts) for p in parts], dtype=np.int64),
+        np.array([0 if p is None else p.has_c for p in parts], dtype=np.int64),
+        np.array([s for p in parts if p is not None for s in p.starts], dtype=np.int64),
+    )
+
+
+def _part_heads(entries):
+    """One part's heads over a request's keys (each key's _PartIR or
+    None): one array when every key's ir_array has one dtype, else a list
+    of the IRs."""
+    present = [e for e in entries if e is not None]
+    arrs = [e.arr for e in present]
+    if arrs and all(a is not None for a in arrs) and len({(a.dtype, a.ndim) for a in arrs}) == 1:
+        return arrs[0] if len(arrs) == 1 else np.concatenate(arrs)
+    return [h for e in present for h in e.heads]
+
+
+class _Runs:
+    """Ascending runs vals[bounds[k]:bounds[k + 1]], one per key, searched
+    for many (key, value) pairs by one np.searchsorted over the composite
+    (key, value) order."""
+
+    def __init__(self, vals, bounds):
+        self.vals, self.bounds = vals, bounds
+        self.comp = None
+        if len(vals):
+            self.lo = int(vals.min())
+            self.span = int(vals.max()) - self.lo + 2
+            if (len(bounds) - 1) * self.span < 2**62:
+                keys = np.arange(len(bounds) - 1).repeat(bounds[1:] - bounds[:-1])
+                self.comp = keys * self.span + (vals - self.lo)
+
+    def search(self, keys, x):
+        """Positions in vals of searchsorted(run of keys[i], x[i], "left")."""
+        if not len(self.vals):
+            return self.bounds[keys]
+        if self.comp is None:  # values too far apart for one int64 order
+            return np.array([
+                b + np.searchsorted(self.vals[b:e], v)
+                for b, e, v in zip(self.bounds[keys], self.bounds[keys + 1], x)
+            ], dtype=np.int64)
+        x = np.minimum(np.maximum(x, self.lo), self.lo + self.span - 1) - self.lo
+        return self.comp.searchsorted(keys * self.span + x)
+
+
+def _concat_ranges(starts, lengths):
+    """concatenate(arange(s, s + n) for s, n in zip(starts, lengths))"""
+    ends = lengths.cumsum()
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + (starts - (ends - lengths)).repeat(lengths)
+
+
+def _events(vals, ts):
+    """A column's non-null stream events: (values, ts, before), where
+    before[i] is how many of them the first i stream events hold."""
+    if vals is None:
+        return np.zeros(0), ts[:0], np.zeros(len(ts) + 1, dtype=np.int64)
+    ok = _non_null(vals)
+    if ok is None:
+        return vals, ts, np.arange(len(ts) + 1)
+    return vals[ok], ts[ok], np.concatenate(([0], ok.cumsum()))
+
+
+def _objects(values) -> np.ndarray:
+    """values as a 1-D object array (list and dict values stay whole)."""
+    if isinstance(values, np.ndarray):
+        return values
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
 
 
 def _non_null(vals):
@@ -199,17 +405,6 @@ def _non_null(vals):
             dtype=bool, count=len(vals),
         )
     return None if ok.all() else ok
-
-
-def _scatter_features(feat_cols: dict, idx: np.ndarray, feats: dict, out_cols):
-    """Scatter one key-group's feature lists into per-column object arrays
-    with numpy fancy indexing — two C-level assignments per column instead
-    of a Python loop over queries x parts."""
-    n = len(idx)
-    for c in out_cols:
-        vals = np.empty(n, dtype=object)
-        vals[:] = feats[c]  # object target: safe for ragged list values
-        feat_cols[c][idx] = vals
 
 
 def _key_groups(df: pd.DataFrame, key_cols, ts, keep=None):
@@ -278,11 +473,11 @@ class Fetcher:
     Raw rows are held columnar: per key, a ts-sorted int64 array plus one
     array per input column.  put_events sorts each micro-batch once by
     (key, ts) and stable-merges each key's slice into the key's arrays.
-    fetch and fetch_batch answer each key with one lambda_aggregate_many
-    call, which builds each hop group's merged batch base (collapsed ⊕
-    in-window tiles) from clones and folds the events with ScalarOp.scan.
-    Tile-backed state takes the same call: the key's sealed tiles extend the
-    batch tiles and the unsealed raw head is the stream."""
+    fetch_batch answers a request with one lambda_aggregate_many call over
+    all of its keys (fetch is a one-row fetch_batch); each key's batch IR
+    is unpickled and decoded once, into _cache.  Tile-backed state takes
+    the same call: the key's sealed tiles extend the batch tiles and the
+    unsealed raw head is the stream."""
 
     def __init__(self, group_by: GroupBy, batch_end_ts: int, upload=None,
                  resolution=FiveMinuteResolution):
@@ -292,7 +487,7 @@ class Fetcher:
         self.key_cols = group_by.key_columns
         self._in_cols = {p.input_column for p in self.agg.parts}
         self._blobs: dict = {}
-        self._cache: dict = {}  # key -> batch IR (None when the key has none)
+        self._cache: dict = {}  # key -> decoded batch IR (None when the key has none)
         if upload is not None:
             self._blobs = (
                 upload if isinstance(upload, dict) else load_upload(upload, self.key_cols)
@@ -320,15 +515,15 @@ class Fetcher:
         if key in self._cache:
             return self._cache[key]
         blob = self._blobs.get(key)
-        ir = None if blob is None else pickle.loads(blob)
+        ir = None if blob is None else self.agg.decode(pickle.loads(blob))
         self._cache[key] = ir
         return ir
 
     def _state(self, key: tuple):
-        """(batch IR, stream ts, stream rows) of key, as the lambda takes
-        them.  Tile-backed: the key's sealed tiles that start at or after
-        the seam follow the batch entry's tail tiles, and the unsealed raw
-        head is the stream."""
+        """(decoded batch IR, stream ts, stream rows) of key, as the lambda
+        takes them.  Tile-backed: the key's sealed tiles that start at or
+        after the seam follow the batch IR's tail tiles, and the unsealed
+        raw head is the stream."""
         ir = self._batch_ir(key)
         if self._tiles is None:
             st = self._stream.get(key)
@@ -336,11 +531,11 @@ class Fetcher:
             st = self._tiles.raw.get(key)
             key_tiles = self._tiles.tiles.get(key)
             if key_tiles:
-                ir = dict(ir or {})  # never touch the cached batch IR
-                for col, tl in key_tiles.items():
-                    entry = ir.get(col) or {"c": None, "t": []}
-                    tail = [(s, t) for s, t in tl if s >= self.batch_end_ts]
-                    ir[col] = {"c": entry["c"], "t": entry["t"] + tail}
+                tail = {}
+                for col, (starts, irs) in key_tiles.items():
+                    i = int(np.searchsorted(starts, self.batch_end_ts))
+                    tail[col] = (starts[i:], irs[i:])
+                ir = self.agg.with_tiles(ir, tail)
         return (ir, st[0], st[1]) if st else (ir, None, None)
 
     def _check_sealed(self, qts):
@@ -353,31 +548,62 @@ class Fetcher:
             )
 
     def fetch(self, key, query_ts: int) -> dict:
+        """One key at one ts: a one-row fetch_batch."""
         key = key if isinstance(key, tuple) else (key,)
-        qts = np.array([query_ts], dtype=np.int64)
-        self._check_sealed(qts)
-        feats = self.agg.lambda_aggregate_many(*self._state(key), qts)
-        return {c: v[0] for c, v in feats.items()}
+        row = pd.DataFrame({**{c: [v] for c, v in zip(self.key_cols, key)},
+                            "ts": [int(query_ts)]})
+        return {c: v[0] for c, v in self.fetch_batch(row).items()}
 
     def fetch_batch(self, batch: pd.DataFrame) -> dict[str, list]:
-        """Vectorized fetch for a whole (key cols + ts) frame: one
-        ``lambda_aggregate_many`` call per distinct key (searchsorted window
-        bounds, one merged base and one scan per hop group) instead of a
-        Python dispatch per row — the same engine ServingKernel's
-        distributed path uses.  Returns {output_column: values aligned with
-        batch's positions}."""
-        out_cols = [p.output_column for p in self.agg.parts]
-        feat_cols = {
-            c: np.full(len(batch), None, dtype=object) for c in out_cols
-        }
+        """Fetch for a whole (key cols + ts) frame with one
+        ``lambda_aggregate_many`` call over all of its keys — the same
+        engine ServingKernel's distributed path uses.  Returns
+        {output_column: values aligned with batch's positions}."""
         qts = batch["ts"].to_numpy(dtype=np.int64)
         self._check_sealed(qts)
         pos, groups = _key_groups(batch, self.key_cols, qts)
-        for key, a, b in groups:
-            idx = pos[a:b]
-            feats = self.agg.lambda_aggregate_many(*self._state(key), qts[idx])
-            _scatter_features(feat_cols, idx, feats, out_cols)
-        return {c: feat_cols[c].tolist() for c in out_cols}
+        states = [self._state(key) for key, _, _ in groups]
+        ts, rows, bounds = _concat_streams([(t, r) for _, t, r in states], self._in_cols)
+        feats = self.agg.lambda_aggregate_many(
+            [ir for ir, _, _ in states], ts, rows, qts[pos],
+            bounds, [a for _, a, _ in groups] + [len(pos)],
+        )
+        return {c: _scatter(len(batch), pos, v).tolist() for c, v in feats.items()}
+
+
+def _scatter(n: int, pos, values) -> np.ndarray:
+    """An object array of n Nones with values at pos."""
+    out = np.empty(n, dtype=object)  # all None
+    out[pos] = values
+    return out
+
+
+def _concat_streams(streams, in_cols):
+    """A request's (ts, rows) streams, one per key (ts None: no stream),
+    one after another: (ts or None, {input column: values}, key bounds).
+    A column a key never streamed is null for it.  A column whose keys
+    hold different dtypes is joined as objects, so each value keeps its
+    own arithmetic in the fold."""
+    bounds = np.cumsum([0] + [0 if ts is None else len(ts) for ts, _ in streams])
+    have = [(ts, rows) for ts, rows in streams if ts is not None and len(ts)]
+    if not have:
+        return None, None, bounds
+    rows = {}
+    for c in in_cols:
+        cols = [r.get(c) for _, r in have]
+        if all(v is None for v in cols):
+            continue
+        rows[c] = _concat([np.full(len(ts), None, dtype=object) if v is None else v
+                           for (ts, _), v in zip(have, cols)])
+    return _concat([ts for ts, _ in have]), rows, bounds
+
+
+def _concat(arrays):
+    if len(arrays) == 1:
+        return arrays[0]
+    if len({a.dtype for a in arrays}) > 1:
+        arrays = [a.astype(object) for a in arrays]
+    return np.concatenate(arrays)
 
 
 class ServingKernel:
@@ -388,7 +614,8 @@ class ServingKernel:
     materialized on the driver — upload blobs and tail events ride the same
     hash(key) co-partition shuffle as the queries, so each bucket task sees
     exactly its keys' state (the distributed analogue of a KV-store range
-    scan; reference Fetcher reads per-key from the store instead)."""
+    scan; reference Fetcher reads per-key from the store instead).  A
+    bucket's queries are one request: one lambda_aggregate_many call."""
 
     def __init__(self, group_by: GroupBy, batch_end_ts: int, left_names,
                  resolution=FiveMinuteResolution):
@@ -422,25 +649,30 @@ class ServingKernel:
         if len(upload):
             keys = zip(*(upload[k] for k in self.key_cols))
             blobs = dict(zip(keys, upload[IR_COL]))
-        tails = {
-            key: (ts, rows)
-            for key, ts, rows in _key_streams(stream, self.key_cols, self.in_cols)
-        }
-        out_cols = [f.name for f in self.out_fields]
-        feat_cols = {c: np.full(q_tbl.num_rows, None, dtype=object) for c in out_cols}
+        s_ts = stream["ts"].to_numpy(dtype=np.int64)
+        s_pos, s_groups = _key_groups(stream, self.key_cols, s_ts)
+        runs = {key: (a, b - a) for key, a, b in s_groups}
         qts = q_tbl["ts"].to_numpy(zero_copy_only=False).astype(np.int64)
         pos, groups = _key_groups(q_tbl.select(self.key_cols).to_pandas(), self.key_cols, qts)
-        for key, a, b in groups:
-            idx = pos[a:b]
+        irs, starts, lengths = [], [], []
+        for key, _, _ in groups:
             blob = blobs.get(key)
-            ir = None if blob is None else pickle.loads(blob)
-            ts_arr, rows = tails.get(key, (None, None))
-            # all of the key's queries in one vectorized call: searchsorted
-            # bounds, one merged IR base per hop, one scan per hop group
-            feats = self.agg.lambda_aggregate_many(ir, ts_arr, rows, qts[idx])
-            _scatter_features(feat_cols, idx, feats, out_cols)
-        feats = [_to_arrow_column(feat_cols[f.name], f.type) for f in self.out_fields]
-        return pa.Table.from_arrays(list(q_tbl.columns) + feats, schema=out_schema)
+            irs.append(None if blob is None else self.agg.decode(pickle.loads(blob)))
+            a, n = runs.get(key, (0, 0))
+            starts.append(a)
+            lengths.append(n)
+        # the queried keys' streams, one after another
+        take = s_pos[_concat_ranges(np.array(starts, dtype=np.int64),
+                                   np.array(lengths, dtype=np.int64))]
+        rows = {c: stream[c].to_numpy()[take] for c in self.in_cols if c in stream.columns}
+        feats = self.agg.lambda_aggregate_many(
+            irs, s_ts[take], rows, qts[pos],
+            np.cumsum([0] + lengths),
+            [a for _, a, _ in groups] + [len(pos)],
+        )
+        cols = [_to_arrow_column(_scatter(q_tbl.num_rows, pos, feats[f.name]), f.type)
+                for f in self.out_fields]
+        return pa.Table.from_arrays(list(q_tbl.columns) + cols, schema=out_schema)
 
 
 def online_enrich_distributed(left_ds, group_by: GroupBy, batch_end_ts: int,

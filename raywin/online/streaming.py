@@ -16,7 +16,12 @@ out-of-orderness) as a plain micro-batch consumer:
     because every tail hop is a multiple of the 5-min tile) + raw unsealed
     rows for the exact millisecond head.  A Fetcher with the aggregator
     attached answers them with the raw-row serving lambda: sealed tiles
-    join the batch IR's tail tiles and the raw head is the stream.
+    join the batch IR's tail tiles and the raw head is the stream;
+  * a query behind the sealed boundary raises, so a tile that starts
+    before round_down(sealed_until - window, tail_hop) is outside every
+    window a query can still ask for: sealing drops it from a windowed
+    part, and an unbounded part keeps a single tile, every sealed row
+    folded into it (the key's collapsed streaming IR).
 
 The per-key tile map is the state a Flink job would checkpoint; here it
 lives in a plain object so tests can drive time deterministically.
@@ -55,7 +60,7 @@ class TileAggregator:
         self._in_cols = {p.input_column for p in self.parts}
         self.watermark = None
         self.sealed_until = None  # tile-aligned boundary; tiles end <= this are sealed
-        # key -> {output_column: [(tile_start, ir), ...] ascending}
+        # key -> {output_column: (tile starts ascending, [ir, ...])}
         self.tiles: dict[tuple, dict] = {}
         # key -> [ts array, {col: values}] unsealed raw rows (ascending ts)
         self.raw: dict[tuple, list] = {}
@@ -84,7 +89,9 @@ class TileAggregator:
 
     def _advance(self, new_boundary: int):
         """Seal complete tiles up to new_boundary: fold raw rows into IRs,
-        one fold_segments call per key and part over its non-null rows."""
+        one fold_segments call per key and part over its non-null rows
+        (one segment per tile; one in all for an unbounded part, merged
+        into its single tile), then drop the tiles no query can reach."""
         if self.sealed_until is not None and new_boundary <= self.sealed_until:
             return
         for key, (ts, rows) in list(self.raw.items()):
@@ -102,14 +109,23 @@ class TileAggregator:
                     s_ts, s_vals = s_ts[ok], s_vals[ok]
                 if not len(s_ts):
                     continue
-                starts = round_down(s_ts, self.tile_ms)
-                st = np.concatenate(([0], np.flatnonzero(np.diff(starts)) + 1))
-                tl = key_tiles.setdefault(part.output_column, [])
-                for start, ir in zip(starts[st].tolist(), op.fold_segments(s_vals, s_ts, st)):
-                    if tl and tl[-1][0] == start:  # same tile, later micro-batch
-                        tl[-1] = (start, op.merge(tl[-1][1], ir))
+                col = part.output_column
+                starts, irs = key_tiles.get(col, (np.zeros(0, dtype=np.int64), []))
+                if part.window.unbounded:
+                    ir = op.fold_segments(s_vals, s_ts, np.zeros(1, dtype=np.int64))[0]
+                    if irs:
+                        ir = op.merge(irs[0], ir)
                     else:
-                        tl.append((start, ir))
+                        starts = round_down(s_ts[:1], self.tile_ms)
+                    key_tiles[col] = (starts, [ir])
+                    continue
+                new = round_down(s_ts, self.tile_ms)
+                st = np.concatenate(([0], np.flatnonzero(np.diff(new)) + 1))
+                starts = np.concatenate((starts, new[st]))
+                irs = irs + op.fold_segments(s_vals, s_ts, st)
+                hop = FiveMinuteResolution.tail_hop(part.window)
+                cut = int(np.searchsorted(starts, round_down(new_boundary - part.window.millis, hop)))
+                key_tiles[col] = (starts[cut:], irs[cut:])
             self.raw[key] = [ts[n_seal:], {c: v[n_seal:] for c, v in rows.items()}]
         self.sealed_until = new_boundary
 

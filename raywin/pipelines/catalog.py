@@ -470,23 +470,19 @@ def range_join_windows(sf_dir: str):
     replicated per overlapped chunk, group-local Arrow join + range
     filter) — the brief's named "range join" custom-operator example."""
     from ..functions.relational import bucketed_range_join
-    from ..stages.query import SqlBatch
+    from ..stages.query import map_sql
 
     cols = ["event_id", "user_id", "ts", "event_type"]
-    left = _events_ds(sf_dir, cols).map_batches(
-        SqlBatch(
-            "SELECT event_id, user_id, epoch_ms(ts) AS ts, event_type "
-            "FROM batch WHERE event_type <> 'purchase'"
-        ),
-        batch_format="pyarrow",
+    left = map_sql(
+        _events_ds(sf_dir, cols),
+        "SELECT event_id, user_id, epoch_ms(ts) AS ts, event_type "
+        "FROM batch WHERE event_type <> 'purchase'",
     )
-    right = _events_ds(sf_dir, cols).map_batches(
-        SqlBatch(
-            "SELECT event_id AS win_id, user_id, epoch_ms(ts) AS w_start, "
-            "epoch_ms(ts) + 21600000 AS w_end "
-            "FROM batch WHERE event_type = 'purchase'"
-        ),
-        batch_format="pyarrow",
+    right = map_sql(
+        _events_ds(sf_dir, cols),
+        "SELECT event_id AS win_id, user_id, epoch_ms(ts) AS w_start, "
+        "epoch_ms(ts) + 21600000 AS w_end "
+        "FROM batch WHERE event_type = 'purchase'",
     )
     return bucketed_range_join(
         left, right, on=["user_id"], left_ts="ts",

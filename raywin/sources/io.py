@@ -257,22 +257,8 @@ def scan_source(source, extra_columns: list[str] | None = None) -> "ray.data.Dat
     cols = referenced_columns(exprs, schema.names)
     if query.selects is None:
         cols = schema.names  # SELECT * still needs everything
-    ds = read_table(path, cols or None)
-    out = apply_query(ds, query)
-    # pure projections (every select is a bare column) have statically known
-    # types, so the kernel needs no probe of the SqlBatch pipeline
-    if query.selects is not None and all(
-        expr == alias and expr in schema.names for alias, expr in query.selects.items()
-    ):
-        import pyarrow as pa
-
-        from ..stages.shuffle import declare_schema
-
-        fields = [pa.field(a, schema.field(a).type) for a in query.selects]
-        if query.time_column:
-            fields.append(pa.field("ts", pa.int64()))
-        declare_schema(out, pa.schema(fields))
-    return out
+    # apply_query declares the SqlBatch output's schema: no probe of it
+    return apply_query(read_table(path, cols or None), query)
 
 
 def union_sources(datasets: list["ray.data.Dataset"]) -> "ray.data.Dataset":

@@ -159,21 +159,27 @@ def derivation_sql(derivations: list[Derivation], base_columns: list[str]) -> st
     return f"SELECT {', '.join(items)} FROM batch"
 
 
+def map_sql(ds, sql: str, setups: list[str] | None = None):
+    """ds mapped by one DuckDB statement per Arrow batch (SqlBatch), with
+    the output's schema declared when ds's is known: DuckDB types a result
+    when it binds the statement, so the statement over an empty table of
+    the input's schema has the output's schema."""
+    out = ds.map_batches(SqlBatch(sql, setups=setups), batch_format="pyarrow")
+    known = known_schema(ds)
+    if known is None:
+        return out
+    return declare_schema(out, SqlBatch(sql, setups=setups)(known.empty_table()).schema)
+
+
 def apply_query(ds, query: Query):
     """Apply a Query's select/where/time mapping to a Dataset."""
     sql = build_select_sql(query)
     if sql is None:
         return ds
-    setups = getattr(query, "setups", None)
-    return ds.map_batches(SqlBatch(sql, setups=setups), batch_format="pyarrow")
+    return map_sql(ds, sql, getattr(query, "setups", None))
 
 
 def apply_derivations(ds, derivations: list[Derivation] | None, base_columns: list[str]):
     if not derivations:
         return ds
-    sql = derivation_sql(derivations, base_columns)
-    out = ds.map_batches(SqlBatch(sql), batch_format="pyarrow")
-    known = known_schema(ds)
-    # DuckDB types a result when it binds the statement, so the statement
-    # over an empty table of the input's schema has the output's schema
-    return out if known is None else declare_schema(out, SqlBatch(sql)(known.empty_table()).schema)
+    return map_sql(ds, derivation_sql(derivations, base_columns))

@@ -1,9 +1,10 @@
 """Serving-lambda microbench, two legs on fixed-seed inputs:
 
 * hot key: per-row lambda_aggregate vs the vectorized lambda_aggregate_many
-  on ONE hot key — 100k tail events x 20k queries;
+  on a one-key request of ONE hot key — 100k tail events x 20k queries;
 * Fetcher closed loop: put_events micro-batches, each followed by
-  fetch_batch requests over Zipf-keyed rows, against a 2k-key batch upload.
+  fetch_batch requests over Zipf-keyed rows (one lambda_aggregate_many call
+  per request), against a 2k-key batch upload.
 
 Both legs spot-check the vectorized answers against the per-row reference
 lambda (bitwise: ==, and the sign of float zeros).
@@ -118,6 +119,13 @@ def fetcher_leg(gb, rng) -> dict:
                       N_KEYS) - 1
     zipf = iter(zipf.tolist())
     fetcher = Fetcher(gb, BATCH_END, upload=upload)
+    lam, calls = fetcher.agg.lambda_aggregate_many, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return lam(*args)
+
+    fetcher.agg.lambda_aggregate_many = counted
     put_s = fetch_s = 0.0
     checked = 0
     for m in range(MICRO_BATCHES):
@@ -141,7 +149,9 @@ def fetcher_leg(gb, rng) -> dict:
             fetch_s += time.perf_counter() - t0
             if r == 0:  # spot-check one request per micro-batch
                 for i, (k, t) in enumerate(zip(req["k"], req["ts"])):
-                    one = fetcher.agg.lambda_aggregate(*fetcher._state((k,)), int(t))
+                    ts_rows = fetcher._stream.get((k,)) or (None, None)
+                    one = fetcher.agg.lambda_aggregate(
+                        pickle.loads(upload[(k,)]), *ts_rows, int(t))
                     for c, col in res.items():
                         assert _same(col[i], one[c]), c
                     checked += 1
@@ -150,6 +160,7 @@ def fetcher_leg(gb, rng) -> dict:
         "requests": MICRO_BATCHES * REQUESTS, "request_rows": REQUEST_ROWS,
         "put_events_s": put_s, "fetch_batch_s": fetch_s,
         "fetch_rows_per_s": MICRO_BATCHES * REQUESTS * REQUEST_ROWS / fetch_s,
+        "lambda_calls_per_request": calls[0] / (MICRO_BATCHES * REQUESTS),
         "rows_checked": checked,
     }
 

@@ -773,11 +773,11 @@ def _local_upload(gb, events, batch_end):
 
 
 def test_fetch_batch_repeated_calls_match_fresh_fetcher():
-    """fetch_batch builds merged bases from ScalarOp.clone copies of the
-    cached upload IRs.  Query ts moving forward and back across hops, with
-    put_events in between, must answer like a fresh Fetcher every time, and
-    the cached upload IRs must stay equal to their blobs (no aliasing into
-    them)."""
+    """fetch_batch folds the cached, decoded upload IRs (object IRs through
+    ScalarOp.clone copies).  Query ts moving forward and back across hops,
+    with put_events in between, must answer like a fresh Fetcher every
+    time, and the cached IRs must stay equal to a fresh decode of their
+    blobs (no aliasing into them)."""
     import pickle
 
     gb = GroupBy(
@@ -822,4 +822,11 @@ def test_fetch_batch_repeated_calls_match_fresh_fetcher():
             assert all(_same(g, w) for g, w in zip(got[c], want[c])), (step, c)
     assert fetcher._cache
     for key, ir in fetcher._cache.items():
-        assert ir == (pickle.loads(blobs[key]) if key in blobs else None), key
+        want = fetcher.agg.decode(pickle.loads(blobs[key])) if key in blobs else None
+        assert (ir is None) == (want is None), key
+        for p, q in zip(ir.parts if ir else [], want.parts if want else []):
+            assert (p is None) == (q is None), key
+            if p is None:
+                continue
+            assert p.heads == q.heads and p.has_c == q.has_c and p.starts == q.starts, key
+            assert (p.arr is None and q.arr is None) or np.array_equal(p.arr, q.arr), key

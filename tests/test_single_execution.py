@@ -141,6 +141,30 @@ def test_run_cli_join_backfill_runs_once(ray_session, count_executions, tmp_path
     assert len(kernel_runs) == 1, count_executions
 
 
+def test_expression_selects_run_once(ray_session, count_executions, tmp_path):
+    """A scan whose Query selects are expressions declares its SqlBatch
+    output's schema (DuckDB binds the statement over an empty table of the
+    read's schema), so features_for_queries over it is one execution, with
+    no limit-1 probe of the read -> SqlBatch pipeline."""
+    from raywin.pipelines.group_by import features_for_queries
+
+    path = _events_table(tmp_path)
+    gb = GroupBy(
+        sources=[EventSource(table=path, query=Query(
+            selects={"k": "k", "v2": "v * 2 + 1"}, wheres=["v > 0"], time_column="ts"))],
+        key_columns=["k"],
+        aggregations=[Aggregation(Operation.SUM, "v2", windows=[Window(1, TimeUnit.DAYS)])],
+        accuracy=Accuracy.TEMPORAL,
+        name="expr_gb",
+    )
+    left = ray.data.read_parquet(path, columns=["k", "ts"])
+    out = pa.concat_tables([t for t in ray.get(features_for_queries(gb, left).to_arrow_refs())
+                            if t.num_rows])
+    assert len(count_executions) == 1, count_executions
+    assert not _probes(count_executions)
+    assert out.num_rows == 3000 and "v2_sum_1d" in out.column_names
+
+
 def test_declared_schemas_match_executed(ray_session, tmp_path):
     """Every declared output schema equals the executed table's: the point-
     in-time kernel (plain and with DuckDB derivations), the upload table,
