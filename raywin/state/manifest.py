@@ -6,7 +6,7 @@ JoinBase.scala:384-405), and a semantic hash of the config archives stale
 outputs when the definition changes (SemanticHashUtils.scala:1-154).
 
 Layout:
-    {output_dir}/{partition}/part-*.parquet     data
+    {output_dir}/{partition}/data/*.parquet     data
     {output_dir}/{partition}/_MANIFEST.json     lineage + metrics
     {output_dir}/_stale_{hash}/{partition}/...  archived on config change
 """

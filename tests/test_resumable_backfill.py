@@ -48,6 +48,31 @@ def _gb(path, windows=None):
     )
 
 
+def _single(gb, left_fn):
+    from raywin.pipelines.group_by import features_for_queries
+
+    return features_for_queries(gb, left_fn(), dedupe_queries=True).to_pandas()
+
+
+def _assert_same(full, single, cols):
+    key = ["k", "ts"]
+    assert not full.duplicated(key).any(), "duplicate (k, ts) rows in the output"
+    a = full.sort_values(key).reset_index(drop=True)
+    b = single.sort_values(key).reset_index(drop=True)
+    assert len(a) == len(b)
+    assert (a[key].values == b[key].values).all()
+    for col in cols:
+        x, y = a[col].astype(float), b[col].astype(float)
+        assert ((x.isna() & y.isna()) | np.isclose(x, y, rtol=1e-9, equal_nan=True)).all(), col
+
+
+def _data_rows(out_dir, label):
+    import pyarrow.parquet as pq
+
+    ddir = mf.data_dir(out_dir, label)
+    return sum(pq.read_metadata(os.path.join(ddir, f)).num_rows for f in os.listdir(ddir))
+
+
 def test_resumable_backfill(ray_session, exchange_block_rows, ev_table, tmp_path):
     import ray.data
 
@@ -60,6 +85,10 @@ def test_resumable_backfill(ray_session, exchange_block_rows, ev_table, tmp_path
     )
     assert len(done) == 3  # 6 days / 2-day steps
     labels = [d[0] for d in done]
+    # one plan computed all 3 steps: each manifest carries its wall
+    assert [m["metrics"]["plan_partitions"] for _, m in done] == [3, 3, 3]
+    assert len({m["metrics"]["wall_sec"] for _, m in done}) == 1
+    assert done[0][1]["metrics"]["wall_sec"] > 0
     total_rows = sum(d[1]["rows"] for d in done)
 
     # restart: nothing to do
@@ -74,22 +103,12 @@ def test_resumable_backfill(ray_session, exchange_block_rows, ev_table, tmp_path
         _gb(ev_table), left_fn, out_dir, "2024-02-01", "2024-02-06", step_days=2
     )
     assert [d[0] for d in done3] == [labels[1]]
+    assert done3[0][1]["metrics"]["plan_partitions"] == 1
 
     # output equals a single-shot full-range computation
     full = mf.load_output(out_dir).to_pandas()
     assert len(full) == total_rows
-    from raywin.pipelines.group_by import features_for_queries
-
-    single = features_for_queries(
-        _gb(ev_table), left_fn(), dedupe_queries=True
-    ).to_pandas()
-    key = ["k", "ts"]
-    a = full.sort_values(key).reset_index(drop=True)
-    b = single.sort_values(key).reset_index(drop=True)
-    assert len(a) == len(b)
-    for col in ["v_sum_2d", "v_count"]:
-        x, y = a[col].astype(float), b[col].astype(float)
-        assert ((x.isna() & y.isna()) | np.isclose(x, y, rtol=1e-9, equal_nan=True)).all(), col
+    _assert_same(full, _single(_gb(ev_table), left_fn), ["v_sum_2d", "v_count"])
 
     # config change -> all partitions recomputed, stale archived
     done4 = backfill_temporal(
@@ -161,3 +180,115 @@ def test_truncated_step_recomputed_on_extended_range(
         _gb(ev_table), left_fn(), dedupe_queries=True
     ).to_pandas()
     assert len(full) == len(single), "resume after truncation must lose no rows"
+
+
+def test_lost_manifest_step_rewritten_not_appended(
+    ray_session, exchange_block_rows, ev_table, tmp_path
+):
+    """A run that dies after a step's write and before its manifest leaves
+    data files without a manifest; the re-run recomputes the step into an
+    emptied directory instead of adding a second copy beside the first."""
+    import ray.data
+
+    exchange_block_rows(2048)
+    out_dir = str(tmp_path / "lost")
+    left_fn = lambda: ray.data.read_parquet(ev_table, columns=["k", "ts"])
+    first = dict(backfill_temporal(
+        _gb(ev_table), left_fn, out_dir, "2024-02-01", "2024-02-06", step_days=2
+    ))
+    label = "ds=2024-02-03"
+    os.remove(os.path.join(mf.partition_dir(out_dir, label), mf.MANIFEST_NAME))
+
+    again = backfill_temporal(
+        _gb(ev_table), left_fn, out_dir, "2024-02-01", "2024-02-06", step_days=2
+    )
+    assert [d[0] for d in again] == [label]
+    assert again[0][1]["rows"] == first[label]["rows"] > 0
+    assert _data_rows(out_dir, label) == first[label]["rows"]
+    _assert_same(mf.load_output(out_dir).to_pandas(), _single(_gb(ev_table), left_fn),
+                 ["v_sum_2d", "v_count"])
+
+
+def test_killed_mid_write_leaves_no_manifest(
+    ray_session, exchange_block_rows, ev_table, tmp_path, monkeypatch
+):
+    """A write that dies after its first file leaves no manifest for any
+    pending step, so the re-run recomputes them all, and its output equals a
+    single-shot computation with no duplicate rows."""
+    import ray.data
+
+    import raywin.pipelines.backfill as bf
+
+    exchange_block_rows(1024)
+    out_dir = str(tmp_path / "killed")
+    left_fn = lambda: ray.data.read_parquet(ev_table, columns=["k", "ts"])
+
+    class DyingSink(bf._StepSink):
+        def _write_file(self, table, path):
+            super()._write_file(table, path)
+            raise RuntimeError("killed mid-write")
+
+    step_sink = bf._StepSink
+    monkeypatch.setattr(bf, "_StepSink", DyingSink)
+    with pytest.raises(Exception, match="killed mid-write"):
+        backfill_temporal(_gb(ev_table), left_fn, out_dir, "2024-02-01", "2024-02-06", step_days=2)
+    labels = [label for label, _, _ in bf.day_partitions("2024-02-01", "2024-02-06", 2)]
+    assert all(mf.read_manifest(out_dir, label) is None for label in labels)
+    assert any(os.listdir(mf.data_dir(out_dir, label)) for label in labels), "a file was written"
+
+    monkeypatch.setattr(bf, "_StepSink", step_sink)
+    done = backfill_temporal(_gb(ev_table), left_fn, out_dir, "2024-02-01", "2024-02-06", step_days=2)
+    assert [d[0] for d in done] == labels
+    assert all(_data_rows(out_dir, label) == m["rows"] for label, m in done)
+    _assert_same(mf.load_output(out_dir).to_pandas(), _single(_gb(ev_table), left_fn),
+                 ["v_sum_2d", "v_count"])
+
+
+def test_bounded_group_by_scans_only_its_window(
+    ray_session, exchange_block_rows, ev_table, tmp_path, monkeypatch
+):
+    """With no right_ds_fn and only windowed parts, the GroupBy's own
+    sources are read only in [first_step_start - lookback, last_step_end):
+    the right side handed to features_for_queries holds no other event, and
+    the output still equals a single-shot computation."""
+    import ray.data
+
+    import raywin.pipelines.backfill as bf
+    from raywin.aggregator.windowing import FiveMinuteResolution
+
+    exchange_block_rows(2048)
+    windows = [Window(2, TimeUnit.DAYS)]
+    gb = GroupBy(
+        sources=[EventSource(table=ev_table, query=Query())],
+        key_columns=["k"],
+        aggregations=[
+            Aggregation(Operation.SUM, "v", windows=windows),
+            Aggregation(Operation.COUNT, "v", windows=[Window(1, TimeUnit.DAYS)]),
+        ],
+        accuracy=Accuracy.TEMPORAL,
+        name="bf_bounded",
+    )
+    rights = []
+    features_for_queries = bf.features_for_queries
+
+    def capture(group_by, left, **kwargs):
+        rights.append(kwargs["right_ds"])
+        return features_for_queries(group_by, left, **kwargs)
+
+    monkeypatch.setattr(bf, "features_for_queries", capture)
+    out_dir = str(tmp_path / "bounded")
+    left_fn = lambda: ray.data.read_parquet(ev_table, columns=["k", "ts"])
+    done = backfill_temporal(gb, left_fn, out_dir, "2024-02-05", "2024-02-06", step_days=1)
+    assert [d[0] for d in done] == ["ds=2024-02-05", "ds=2024-02-06"]
+
+    lo, hi = done[0][1]["inputs"]["ts_range"][0], done[-1][1]["inputs"]["ts_range"][1]
+    lookback = 2 * DAY + FiveMinuteResolution.tail_hop(windows[0])
+    assert done[0][1]["inputs"]["scan_lookback_ms"] == lookback
+    assert len(rights) == 1 and rights[0] is not None
+    ts = rights[0].to_pandas()["ts"]
+    events = pd.read_parquet(ev_table)["ts"]
+    assert len(ts) == ((events >= lo - lookback) & (events < hi)).sum() < len(events)
+
+    single = _single(gb, left_fn)
+    single = single[(single["ts"] >= lo) & (single["ts"] < hi)]
+    _assert_same(mf.load_output(out_dir).to_pandas(), single, ["v_sum_2d", "v_count_1d"])

@@ -81,10 +81,11 @@ def test_image_backfill_runs_once(ray_session, count_executions, tmp_path):
     assert out.schema == known_schema(ds)
 
 
-def test_backfill_step_runs_once(ray_session, count_executions, tmp_path):
-    """backfill_temporal over a parquet-read left: its ts filter declares
-    the read's schema, so each step is one execution (the write), with no
-    probe of the filtered left."""
+def test_backfill_run_is_one_execution(ray_session, count_executions, tmp_path):
+    """backfill_temporal over a parquet-read left computes all of its
+    pending steps in one plan: its ts filters declare the reads' schemas,
+    and the per-step routing happens in the write, so the 3-step run is one
+    execution (the write), with no probe of the filtered left."""
     import ray.data
 
     from raywin.pipelines.backfill import backfill_temporal
@@ -95,7 +96,7 @@ def test_backfill_step_runs_once(ray_session, count_executions, tmp_path):
         str(tmp_path / "out"), "2023-11-15", "2023-11-17", step_days=1,
     )
     assert len(done) == 3 and sum(m["rows"] for _, m in done) > 0
-    assert len(count_executions) == len(done), count_executions
+    assert len(count_executions) == 1, count_executions
     assert not _probes(count_executions)
 
 
