@@ -51,13 +51,16 @@ def _ts_filtered(ds, ranges: list[tuple[int | None, int]]):
 
 class _StepSink(Datasink):
     """Writes each output row into the data directory of the step whose
-    start is the last one at or before its ts: one uniquely named file per
-    (write task, step with rows).  A task returns its per-step row counts;
-    ``rows`` holds their sums once the write completes."""
+    start is the last one at or before its ts: one file per (write task,
+    step with rows), named by the run and the task's index, so a task Ray
+    retries after its worker died overwrites its own files.  A task returns
+    its per-step row counts; ``rows`` holds their sums once the write
+    completes."""
 
     def __init__(self, dirs: list[str], starts: list[int]):
         self.dirs = dirs
         self.starts = np.asarray(starts, np.int64)
+        self.run = uuid.uuid4().hex
         self.rows = [0] * len(dirs)
 
     def write(self, blocks, ctx) -> list[int]:
@@ -69,7 +72,7 @@ class _StepSink(Datasink):
         step = np.searchsorted(self.starts, table["ts"].to_numpy(zero_copy_only=False), side="right") - 1
         order = np.argsort(step, kind="stable")
         bounds = np.searchsorted(step[order], np.arange(len(self.dirs) + 1))
-        name = f"{uuid.uuid4().hex}.parquet"
+        name = f"{self.run}_{ctx.task_idx:06d}.parquet"
         for i in np.flatnonzero(np.diff(bounds)):
             self._write_file(table.take(order[bounds[i]:bounds[i + 1]]), os.path.join(self.dirs[i], name))
             counts[i] = int(bounds[i + 1] - bounds[i])

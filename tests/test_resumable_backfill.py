@@ -244,6 +244,39 @@ def test_killed_mid_write_leaves_no_manifest(
                  ["v_sum_2d", "v_count"])
 
 
+def test_worker_death_mid_write_rewrites_its_own_files(
+    ray_session, exchange_block_rows, ev_table, tmp_path, monkeypatch
+):
+    """A write task whose worker dies after its first file is retried by
+    Ray; the retry overwrites that file instead of adding a second copy, so
+    each step's files hold exactly its manifest's rows, none twice."""
+    import ray.data
+
+    import raywin.pipelines.backfill as bf
+
+    exchange_block_rows(1024)
+    out_dir = str(tmp_path / "died")
+    marker = str(tmp_path / "die_once")
+    left_fn = lambda: ray.data.read_parquet(ev_table, columns=["k", "ts"])
+
+    class DieOnceSink(bf._StepSink):
+        def _write_file(self, table, path):
+            super()._write_file(table, path)
+            try:
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+                os._exit(1)  # first file only: the marker now exists for the retry
+            except FileExistsError:
+                pass
+
+    monkeypatch.setattr(bf, "_StepSink", DieOnceSink)
+    done = backfill_temporal(_gb(ev_table), left_fn, out_dir, "2024-02-01", "2024-02-06", step_days=2)
+    assert os.path.exists(marker), "the worker was never killed"
+    assert len(done) == 3
+    assert all(_data_rows(out_dir, label) == m["rows"] for label, m in done)
+    _assert_same(mf.load_output(out_dir).to_pandas(), _single(_gb(ev_table), left_fn),
+                 ["v_sum_2d", "v_count"])
+
+
 def test_bounded_group_by_scans_only_its_window(
     ray_session, exchange_block_rows, ev_table, tmp_path, monkeypatch
 ):
