@@ -2,8 +2,9 @@
 event table (the BASELINE north-star shape).
 
     image events (image_id, bytes, w, h, fmt, caption, phash, ts, score, views)
-      -> DecodeFeatures actor pool (decode, PSNR/caption invariants,
-         pixel features; payload bytes dropped before any shuffle)
+      -> DecodeFeatures actor pool (each distinct payload decoded once:
+         PSNR/caption invariants, pixel features gathered back to the
+         rows; payload bytes dropped before any shuffle)
       -> distinct (image_id, ts) backfill queries
       -> temporal sawtooth features per entity x timestamp
 
@@ -13,13 +14,12 @@ The wide binary column never rides through the aggregation shuffle
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 from ..api import Accuracy, Aggregation, EventSource, GroupBy, Operation, Query, TimeUnit, Window
 from ..context import tune_data_context
 from ..sources.io import read_parquet
-from ..stages.images import DecodeFeatures
+from ..stages.images import DecodeFeatures, check_captions
 from ..stages.shuffle import _arrow_schema, declare_schema
 from .group_by import features_for_queries
 
@@ -28,24 +28,14 @@ class CaptionCheck:
     """Invariant probe: captions survive byte-exact through any hop.
 
     Insertable after any map_batches stage that carries (image_id, caption).
-    Fully batched: regenerate the expected caption column for the whole
-    batch (vectorized splitmix64 stream, stages/images.py
-    make_captions_bulk) and compare as numpy arrays — no per-row Python.
-    The flagship's DecodeFeatures stage runs the same check inline; this
-    standalone stage exists for pipelines that keep captions riding past
-    decode."""
+    Regenerates the expected caption once per distinct (image_id, caption)
+    pair of the batch (stages/images.py check_captions, the check
+    DecodeFeatures runs inline); the error names the first corrupted row's
+    id.  This standalone stage exists for pipelines that keep captions
+    riding past decode."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from ..stages.images import make_captions_bulk
-
-        ids = batch["image_id"].to_pylist()
-        got = np.asarray(batch["caption"].to_pylist(), dtype=object)
-        expected = np.asarray(make_captions_bulk(ids), dtype=object)
-        bad = np.flatnonzero(got != expected)
-        assert len(bad) == 0, (
-            f"caption corrupted for {ids[bad[0]]}: "
-            f"{got[bad[0]]!r} != {expected[bad[0]]!r} (+{len(bad) - 1} more)"
-        )
+        check_captions(batch["image_id"], batch["caption"])
         return batch
 
 

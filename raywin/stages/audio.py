@@ -39,7 +39,7 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
-from .images import make_captions_bulk
+from .images import check_captions, make_captions_bulk
 from .video import sample_indices
 
 _HDR = struct.Struct(">III")
@@ -230,10 +230,7 @@ class AudioWindowStage:
         ids = batch["audio_id"].to_pylist()
         n = len(blobs)
         if self.check and "caption" in batch.column_names:
-            caps = batch["caption"].to_pylist()
-            expected = make_captions_bulk(ids)
-            bad = next((i for i in range(n) if caps[i] != expected[i]), None)
-            assert bad is None, f"caption corrupted for {ids[bad]}"
+            check_captions(batch["audio_id"], batch["caption"])
         pcm_list, idx_list, nw_list, row_of = [], [], [], []
         for i in range(n):
             nw, ws, sr = self.probe(blobs[i])

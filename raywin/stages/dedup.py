@@ -442,7 +442,8 @@ def pixel_dedup_groups(ds, id_col: str = "image_id", bytes_col: str = "bytes",
     analogue: chronon treats payloads as opaque binary columns
     (api/thrift/api.thrift Source fields) — net-new multimodal surface.
 
-    Scale shape: payload bytes are DROPPED inside the decode stage — only
+    Scale shape: each distinct (payload, fmt) of a batch is decoded and
+    digested once, and payload bytes are DROPPED inside that stage — only
     (id, digest128) rides the one group exchange (24 B/row); a duplicate
     class of k images costs k compact rows in one bucket, never k payloads.
     Digest = blake2b-128 over the decoded array bytes + geometry, so a false
@@ -453,39 +454,43 @@ def pixel_dedup_groups(ds, id_col: str = "image_id", bytes_col: str = "bytes",
     import hashlib
     import struct
 
-    def digest(batch: pd.DataFrame) -> pa.Table:
-        from ..stages.images import decode_images_bulk
+    def digest(batch: pa.Table) -> pa.Table:
+        from ..stages.images import decode_distinct
 
-        pxs = decode_images_bulk(
-            batch[bytes_col].tolist(), batch[fmt_col].to_numpy()
-        )
-        d1 = np.empty(len(pxs), dtype=np.int64)
-        d2 = np.empty(len(pxs), dtype=np.int64)
-        for i, px in enumerate(pxs):
+        # one decode and one digest per distinct (payload, fmt)
+        pxs, _, inv = decode_distinct(batch, bytes_col, fmt_col)
+        d = np.empty((len(pxs), 2), dtype=np.int64)
+        for j, px in enumerate(pxs):
             h = hashlib.blake2b(
                 struct.pack("<III", *px.shape) + px.tobytes(), digest_size=16
             ).digest()
-            d1[i], d2[i] = struct.unpack("<qq", h)
+            d[j] = struct.unpack("<qq", h)
         return pa.table(
             {
-                id_col: pa.array(batch[id_col]),
-                "d1": pa.array(d1, type=pa.int64()),
-                "d2": pa.array(d2, type=pa.int64()),
+                id_col: batch[id_col],
+                "d1": pa.array(d[inv, 0], type=pa.int64()),
+                "d2": pa.array(d[inv, 1], type=pa.int64()),
             }
         )
 
-    def groups(g: pd.DataFrame) -> pd.DataFrame:
-        gb = g.groupby(["d1", "d2"], sort=False)[id_col]
-        return pd.DataFrame(
+    def groups(g: pa.Table) -> pa.Table:
+        agg = g.group_by(["d1", "d2"]).aggregate([(id_col, "min"), (id_col, "count")])
+        out = g.join(agg, ["d1", "d2"])
+        return pa.table(
             {
-                id_col: g[id_col],
-                "canonical_id": gb.transform("min"),
-                "group_size": gb.transform("size").astype("int64"),
+                id_col: out[id_col],
+                "canonical_id": out[f"{id_col}_min"],
+                "group_size": out[f"{id_col}_count"],
             }
         )
 
-    rows = ds.map_batches(digest, batch_format="pandas")
-    return co_partition(rows, ["d1"], groups, batch_format="pandas")
+    rows = declare_schema(
+        ds.map_batches(digest, batch_format="pyarrow"),
+        pa.schema(
+            [_arrow_schema(ds).field(id_col), pa.field("d1", pa.int64()), pa.field("d2", pa.int64())]
+        ),
+    )
+    return co_partition(rows, ["d1"], groups)
 
 
 class SimHash:

@@ -35,7 +35,7 @@ import zlib
 import numpy as np
 import pyarrow as pa
 
-from .images import make_captions_bulk, make_pixels_bulk, pixel_features
+from .images import check_captions, make_captions_bulk, make_pixels_bulk, pixel_features
 
 _HDR = struct.Struct(">III")
 _IDX = struct.Struct(">II")
@@ -170,10 +170,7 @@ class FrameSampleStage:
         ids = batch["video_id"].to_pylist()
         n = len(blobs)
         if self.check and "caption" in batch.column_names:
-            caps = batch["caption"].to_pylist()
-            expected = make_captions_bulk(ids)
-            bad = next((i for i in range(n) if caps[i] != expected[i]), None)
-            assert bad is None, f"caption corrupted for {ids[bad]}"
+            check_captions(batch["video_id"], batch["caption"])
         frames_list, idx_list, nf_list, row_of = [], [], [], []
         for i in range(n):
             nf, w, h = self.probe(blobs[i])

@@ -461,3 +461,194 @@ def test_jpeg_header_prefix_cache_differentiates():
     many = jpeg_decode_many(blobs)
     for blob, got in zip(blobs, many):
         assert np.array_equal(got, jpeg_decode(blob))
+
+
+# ---------------------------------------------------------------------------
+# Distinct-payload decode: DecodeFeatures / ResizeStage decode each distinct
+# (payload, fmt) once and gather back to the rows; every row must still get
+# exactly what a per-row decode gives, and every row is still verified.
+# ---------------------------------------------------------------------------
+
+import functools  # noqa: E402
+
+import pyarrow as pa  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
+
+from raywin.stages.images import (  # noqa: E402
+    DecodeFeatures,
+    ResizeStage,
+    decode_image,
+    make_captions_bulk,
+    pixel_features,
+    qimg_decode,
+    qimg_encode,
+    register_codec,
+    resize_bilinear,
+    unregister_codec,
+)
+
+
+def _qimgx_decode(blob: bytes) -> np.ndarray:
+    """A second label for qimg bytes that decodes them differently (one
+    low bit flipped, still >= 40 dB): the same bytes under two fmt labels
+    are two distinct payloads."""
+    px = qimg_decode(blob).copy()
+    px[0, 0, 0] ^= 1
+    return px
+
+
+def _encode(px: np.ndarray, fmt: str) -> bytes:
+    if fmt == "png":
+        return png_encode(px)
+    if fmt == "bmp":
+        return bmp_encode(px)
+    if fmt == "jpeg":
+        return jpeg_encode(px, quality=100, subsampling="444")
+    return qimg_encode(px)  # qimg, and qimgx reuses the very same bytes
+
+
+_POOL_IDS = ("p0", "p1", "p2")
+_POOL_FMTS = ("png", "bmp", "jpeg", "qimg", "qimgx")
+_POOL_SIZES = (8, 12)
+
+
+@functools.cache
+def _payload(image_id: str, size: int, fmt: str) -> bytes:
+    return _encode(make_pixels(image_id, size, size), fmt)
+
+
+def _image_batch(rows, split: int = 0) -> pa.Table:
+    """(image_id, bytes, fmt, caption, ts) for rows of (image_id, blob, fmt);
+    ``split`` > 0 makes every column two chunks."""
+    ids = [r[0] for r in rows]
+    t = pa.table({
+        "image_id": pa.array(ids, pa.string()),
+        "bytes": pa.array([r[1] for r in rows], pa.binary()),
+        "fmt": pa.array([r[2] for r in rows], pa.string()),
+        "caption": pa.array(make_captions_bulk(ids) if ids else [], pa.string()),
+        "ts": pa.array(range(len(rows)), pa.int64()),
+    })
+    if 0 < split < t.num_rows:
+        t = pa.concat_tables([t.slice(0, split), t.slice(split)])
+    return t
+
+
+def _per_row_features(batch: pa.Table) -> np.ndarray:
+    """(n, 3) features from one decode_image + pixel_features per row, with
+    the per-row invariant: exact for png/bmp, PSNR >= 40 dB otherwise."""
+    out = np.empty((batch.num_rows, 3))
+    for i, (iid, blob, fmt) in enumerate(zip(
+        batch["image_id"].to_pylist(), batch["bytes"].to_pylist(), batch["fmt"].to_pylist()
+    )):
+        px = decode_image(blob, fmt)
+        pv = psnr(make_pixels(iid, px.shape[1], px.shape[0]), px)
+        assert pv == float("inf") if fmt in ("png", "bmp") else pv >= 40.0, (iid, fmt, pv)
+        out[i] = [v[0] for v in pixel_features(px[None])]
+    return out
+
+
+def _features(out: pa.Table) -> np.ndarray:
+    return np.stack(
+        [out[c].to_numpy() for c in ("mean_lum", "contrast", "edge_energy")], axis=1
+    )
+
+
+def test_bmp_lossless_exact():
+    """BMP is lossless: a tampered payload one pixel off (PSNR ~70 dB, well
+    over the lossy bound) must fail the exact-match invariant."""
+    px = make_pixels("img_00000005", 8, 8)
+    DecodeFeatures()(_image_batch([("img_00000005", bmp_encode(px), "bmp")]))
+    bad = px.copy()
+    bad[3, 4, 1] ^= 1
+    assert psnr(px, bad) >= 40.0
+    with pytest.raises(AssertionError, match="lossless decode mismatch for img_00000005"):
+        DecodeFeatures()(_image_batch([("img_00000005", bmp_encode(bad), "bmp")] * 3))
+
+
+def test_decode_mixed_geometries_match_per_row():
+    """8x8, 12x12 and 16x16 png/jpeg/qimg payloads, repeated, in one batch:
+    features (per shape group of distinct payloads) equal the per-row
+    reference bitwise, and so do ResizeStage's tensors and luminance."""
+    rows = []
+    for i in range(30):
+        size = (8, 12, 16)[i % 3]
+        iid = f"img_{i % 7:08d}"
+        fmt = ("png", "jpeg", "qimg")[(i // 3) % 3]
+        rows.append((iid, _payload(iid, size, fmt), fmt))
+    batch = _image_batch(rows + rows[::-1], split=17)
+    out = DecodeFeatures()(batch)
+    np.testing.assert_array_equal(_features(out), _per_row_features(batch))
+    assert out["image_id"].to_pylist() == batch["image_id"].to_pylist()
+
+    rs = ResizeStage(10, 6)(batch)
+    for i, (blob, fmt) in enumerate(zip(batch["bytes"].to_pylist(), batch["fmt"].to_pylist())):
+        # the stage writes into one C-ordered tensor, and the mean's summation
+        # order follows the memory layout
+        r = np.ascontiguousarray(resize_bilinear(decode_image(blob, fmt)[None], 10, 6))
+        assert rs["pixels"][i].as_py() == r[0].tobytes()
+        lum = 0.299 * r[..., 0] + 0.587 * r[..., 1] + 0.114 * r[..., 2]
+        assert rs["mean_lum_rs"][i].as_py() == lum.mean(axis=(1, 2))[0]
+
+
+_pool_key = st.tuples(
+    st.sampled_from(_POOL_IDS), st.sampled_from(_POOL_SIZES), st.sampled_from(_POOL_FMTS)
+)
+# a few distinct payloads, many rows each
+_repeated_rows = st.lists(_pool_key, min_size=1, max_size=4).flatmap(
+    lambda keys: st.lists(st.sampled_from(keys), min_size=1, max_size=40)
+)
+
+
+def _rows(keys):
+    return [(iid, _payload(iid, size, fmt), fmt) for iid, size, fmt in keys]
+
+
+@settings(max_examples=40, deadline=None)
+@given(keys=_repeated_rows, split=st.integers(0, 40))
+@example(  # the same qimg bytes under two labels; one id under two payloads
+    keys=[("p0", 8, "qimg"), ("p0", 8, "qimgx"), ("p0", 12, "png"), ("p0", 8, "qimg")],
+    split=2,
+)
+def test_decode_repeated_payloads_match_per_row(keys, split):
+    register_codec("qimgx", _qimgx_decode)
+    try:
+        batch = _image_batch(_rows(keys), split)
+        out = DecodeFeatures()(batch)
+        np.testing.assert_array_equal(_features(out), _per_row_features(batch))
+        assert out.drop_columns(["mean_lum", "contrast", "edge_energy"]).equals(
+            batch.drop_columns(["bytes"])
+        )
+    finally:
+        unregister_codec("qimgx")
+
+
+@settings(max_examples=30, deadline=None)
+@given(keys=_repeated_rows, pick=st.integers(0, 39), other=st.sampled_from(_POOL_IDS))
+def test_decode_tampered_duplicate_raises(keys, pick, other):
+    """A copy of some row whose payload is another image's (same size and
+    format) must fail its invariant, however many intact siblings share its
+    id and format."""
+    iid, size, fmt = keys[pick % len(keys)]
+    if other == iid:
+        other = _POOL_IDS[(_POOL_IDS.index(iid) + 1) % len(_POOL_IDS)]
+    rows = _rows(keys) + [(iid, _payload(other, size, fmt), fmt)]
+    register_codec("qimgx", _qimgx_decode)
+    try:
+        with pytest.raises(AssertionError, match="lossless decode mismatch|PSNR < 40"):
+            DecodeFeatures()(_image_batch(rows))
+    finally:
+        unregister_codec("qimgx")
+
+
+def test_decode_empty_batch_keeps_typed_schema():
+    batch = _image_batch([("p0", _payload("p0", 8, "png"), "png")]).slice(0, 0)
+    out = DecodeFeatures()(batch)
+    assert out.num_rows == 0
+    assert out.schema == batch.drop_columns(["bytes"]).schema.append(
+        pa.field("mean_lum", pa.float64())
+    ).append(pa.field("contrast", pa.float64())).append(pa.field("edge_energy", pa.float64()))
+    rs = ResizeStage(4, 4)(batch)
+    assert rs.num_rows == 0
+    assert rs.schema.field("pixels").type == pa.binary()
+    assert rs.schema.field("out_h").type == pa.int32()
+    assert rs.schema.field("mean_lum_rs").type == pa.float64()

@@ -166,6 +166,27 @@ def test_expression_selects_run_once(ray_session, count_executions, tmp_path):
     assert out.num_rows == 3000 and "v2_sum_1d" in out.column_names
 
 
+def test_pixel_dedup_runs_once(ray_session, count_executions, tmp_path):
+    """pixel_dedup_groups declares its digest stage's (id, d1, d2) schema,
+    so its exchange runs no limit-1 probe of read -> decode: one execution.
+    Each of the 4 sources is re-encoded 3 times under its own id; every
+    group is found."""
+    from raywin.stages.dedup import pixel_dedup_groups
+    from raywin.stages.images import make_pixels, png_encode
+
+    ids = [f"i{j:02d}" for j in range(12)]
+    blobs = [png_encode(make_pixels(f"src{j % 4}", 8, 8)) for j in range(12)]
+    path = str(tmp_path / "imgs.parquet")
+    pq.write_table(pa.table({"image_id": ids, "bytes": pa.array(blobs, pa.binary()),
+                             "fmt": ["png"] * 12}), path)
+    out = pixel_dedup_groups(ray.data.read_parquet(path)).to_pandas()
+    assert len(count_executions) == 1, count_executions
+    assert not _probes(count_executions)
+    canon = dict(zip(out["image_id"], out["canonical_id"]))
+    assert canon == {i: f"i{int(i[1:]) % 4:02d}" for i in ids}
+    assert (out["group_size"] == 3).all()
+
+
 def test_declared_schemas_match_executed(ray_session, tmp_path):
     """Every declared output schema equals the executed table's: the point-
     in-time kernel (plain and with DuckDB derivations), the upload table,
