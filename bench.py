@@ -194,11 +194,9 @@ def run_benchmarks():
     # as-of join over the sf events table (wall-time criterion); these run
     # 2-5s warm, so an extra repeat is cheap and the min resists the
     # sandbox's one-sided multi-second noise spikes far better
-    timed("asof_core", lambda: catalog.asof_core(SF_DIR).count(), repeats=3)
-    timed("asof_timed", lambda: catalog.asof_timed(SF_DIR).count(), repeats=3)
+    timed("asof_ops", lambda: catalog.asof_ops(SF_DIR).count(), repeats=3)
     timed("join_enrich", lambda: catalog.join_enrich(SF_DIR).count(), repeats=3)
-    timed("lag_lead", lambda: catalog.lag_lead_events(SF_DIR).count(), repeats=3)
-    timed("sessionize", lambda: catalog.sessionize_30m(SF_DIR).count(), repeats=3)
+    timed("event_sequence", lambda: catalog.event_sequence(SF_DIR).count(), repeats=3)
     timed("q1_pricing_summary", lambda: catalog.q1_pricing_summary(SF_DIR).count(), repeats=3)
     timed("minhash_clusters", lambda: catalog.minhash_clusters_docs(SF_DIR).count(), repeats=3)
     timed("ann_cosine_topk", lambda: catalog.ann_cosine_topk(SF_DIR).count(), repeats=3)

@@ -143,6 +143,11 @@ def validate_group_by(gb: GroupBy, check_tables: bool = True) -> list[str]:
         if k is not None and int(k) <= 0:
             errors.append(f"group_by {gb.name!r}: {agg.operation.value} k={k} must be positive")
 
+    outputs = gb.output_columns()
+    for col in sorted({c for c in outputs if outputs.count(c) > 1}):
+        # two parts would write one column (e.g. BOUNDED_UNIQUE_COUNT at two k)
+        errors.append(f"group_by {gb.name!r}: two aggregation parts both output column {col!r}")
+
     if check_tables:
         for s in gb.sources:
             schema = source_schema(s)

@@ -3,7 +3,15 @@
 where the semantics are SQL-expressible (driver correctness gate).
 
 Column names are chosen to match the oracle SQL exactly (the driver's
-value-hash compare sorts columns by name)."""
+value-hash compare sorts columns by name).
+
+Ordering contract (tests/test_catalog_contract.py): the driver records only
+the first 50 entries of ``ORACLE_QUERIES``, so it has at most 50, in one dict
+literal.  The flagship ``image_backfill`` is first and ``image_backfill_skew``
+second; every ``Operation``, ``buckets=`` and ``element_wise=True`` appears
+in some registered query's GroupBy.  One query covers an operator family:
+queries that read the same table at the same grain are one query whose
+oracle joins the old oracles as CTEs on the shared key (``_merged_sql``)."""
 
 from __future__ import annotations
 
@@ -63,36 +71,100 @@ def _query_rows(read, rows, keys: list[str]):
     return declare_schema(rows, pa.schema(fields + [pa.field("ts", pa.int64())]))
 
 
+def _epoch_ms(df: pd.DataFrame) -> pd.Series:
+    return df["ts"].astype("int64") // 1000
+
+
 def _distinct_user_ts(sf_dir: str):
     """(user_id, ts-millis) query rows; exact dedup happens inside the
     kernel's co-partition shuffle (dedupe_queries=True at the call sites)."""
     read = _events_ds(sf_dir, ["user_id", "ts"])
     rows = read.map_batches(
-        lambda df: df.assign(ts=df["ts"].astype("int64") // 1000).drop_duplicates(),
+        lambda df: df.assign(ts=_epoch_ms(df)).drop_duplicates(),
         batch_format="pandas",
     )
     return _query_rows(read, rows, ["user_id"])
 
 
-# --------------------------------------------------------------- as-of core
+def _after_last_rows(read, key: str, ts_of):
+    """One (key, ts) query row per non-null ``key``, at the key's last event
+    ts + 1: ``ts_of(df)`` is each row's epoch-millis ts in a pandas batch
+    of the parquet ``read``."""
+    rows = read.map_batches(
+        lambda df: df.assign(ts=ts_of(df) + 1).dropna(subset=[key])
+        .groupby(key, as_index=False)["ts"].max(),
+        batch_format="pandas",
+    ).groupby(key).map_groups(lambda g: g.sort_values("ts").tail(1), batch_format="pandas")
+    return _query_rows(read, rows, [key])
 
 
-def asof_core(sf_dir: str):
+def _explode_maps(feats, keep: list[str], key_col: str, maps: dict[str, str]):
+    """One row per (row of ``feats``, key of any of its ``maps`` columns):
+    the ``keep`` columns, the map key as ``key_col`` (string) and each map's
+    int64 value at that key, null where that map lacks it (``maps``: map
+    column -> output name).  Rows whose maps are all null or empty go."""
+
+    def explode(batch: pa.Table) -> pa.Table:
+        cols = [[dict(m or ()) for m in batch[c].to_pylist()] for c in maps]
+        rows, keys = [], []
+        for i in range(batch.num_rows):
+            for k in sorted(set().union(*(col[i] for col in cols))):
+                rows.append(i)
+                keys.append(k)
+        out = {c: batch[c].take(pa.array(rows, pa.int64())) for c in keep}
+        out[key_col] = pa.array(keys, pa.string())
+        for col, name in zip(cols, maps.values()):
+            out[name] = pa.array([col[i].get(k) for i, k in zip(rows, keys)], pa.int64())
+        return pa.table(out)
+
+    return feats.map_batches(explode, batch_format="pyarrow")
+
+
+def _merged_sql(ctes: dict[str, str], select: str) -> str:
+    """The oracle of a merged query: each of the oracles it replaces, as a
+    named CTE, and ``select`` joining them on their shared key."""
+    return "WITH " + ",\n".join(f"{name} AS ({sql})" for name, sql in ctes.items()) + "\n" + select
+
+
+# --------------------------------------------------------------- as-of ops
+
+
+def asof_ops(sf_dir: str):
+    """Every as-of op over the events in one GroupBy: sums, counts, average
+    and extremes; the timed ops (ties broken by event_id); the moments; the
+    distinct counts and top/bottom-k."""
+    week = [Window(7, TimeUnit.DAYS)]
     gb = GroupBy(
-        sources=[_events_source(sf_dir, {"user_id": "user_id", "value": "value"})],
+        sources=[
+            _events_source(sf_dir, {"user_id": "user_id", "value": "value",
+                                    "event_type": "event_type", "event_id": "event_id"})
+        ],
         key_columns=["user_id"],
         aggregations=[
             Aggregation(Operation.SUM, "value", windows=[Window(1, TimeUnit.DAYS), Window(-1)]),
             Aggregation(Operation.COUNT, "value", windows=[Window(1, TimeUnit.DAYS)]),
             Aggregation(Operation.AVERAGE, "value"),
-            Aggregation(Operation.MAX, "value", windows=[Window(7, TimeUnit.DAYS)]),
+            Aggregation(Operation.MAX, "value", windows=week),
             Aggregation(Operation.MIN, "value", windows=[Window(30, TimeUnit.DAYS)]),
+            Aggregation(Operation.LAST, "value"),
+            Aggregation(Operation.FIRST, "value", windows=week),
+            Aggregation(Operation.LAST_K, "value", windows=week, arg_map={"k": 3}),
+            Aggregation(Operation.FIRST_K, "value", windows=week, arg_map={"k": 2}),
+            Aggregation(Operation.VARIANCE, "value"),
+            Aggregation(Operation.SKEW, "value"),
+            Aggregation(Operation.KURTOSIS, "value"),
+            Aggregation(Operation.UNIQUE_COUNT, "event_type", windows=week),
+            Aggregation(Operation.BOUNDED_UNIQUE_COUNT, "event_type", arg_map={"k": 3}),
+            Aggregation(Operation.TOP_K, "value", windows=week, arg_map={"k": 3}),
+            Aggregation(Operation.BOTTOM_K, "value", windows=week, arg_map={"k": 2}),
         ],
         accuracy=Accuracy.TEMPORAL,
-        name="core",
+        name="ops",
+        tie_breaker="event_id",
     )
     from .group_by import features_for_queries
 
+    # tie_breaker event_id is a right-side input, never a left/output column
     return features_for_queries(gb, _distinct_user_ts(sf_dir), dedupe_queries=True)
 
 
@@ -118,16 +190,16 @@ FROM p GROUP BY user_id, ts
 
 
 def model_scores(sf_dir: str):
-    """ModelTransform over join output: the asof_core feature pipeline scored
+    """ModelTransform over join output: the asof_ops feature pipeline scored
     by a linear model in an actor-pool stage (ModelTransformBatchJob.scala
     run loop; MockModelBackend role played by the deterministic `linear`
     backend).  Fixed double-op accumulation order makes the score
-    bitwise-reproducible, so the oracle is the asof_core SQL wrapped with the
+    bitwise-reproducible, so the oracle is the asof_ops core SQL wrapped with the
     same expression."""
     from ..api import Model, ModelTransform, ModelTransforms
     from ..stages.models import apply_model_transforms
 
-    feats = asof_core(sf_dir)
+    feats = asof_ops(sf_dir)
     mts = ModelTransforms(
         transforms=[
             ModelTransform(
@@ -183,28 +255,6 @@ FROM f
 """
 
 
-def asof_timed(sf_dir: str):
-    gb = GroupBy(
-        sources=[
-            _events_source(sf_dir, {"user_id": "user_id", "value": "value", "event_id": "event_id"})
-        ],
-        key_columns=["user_id"],
-        aggregations=[
-            Aggregation(Operation.LAST, "value"),
-            Aggregation(Operation.FIRST, "value", windows=[Window(7, TimeUnit.DAYS)]),
-            Aggregation(Operation.LAST_K, "value", windows=[Window(7, TimeUnit.DAYS)], arg_map={"k": 3}),
-            Aggregation(Operation.FIRST_K, "value", windows=[Window(7, TimeUnit.DAYS)], arg_map={"k": 2}),
-        ],
-        accuracy=Accuracy.TEMPORAL,
-        name="timed",
-        tie_breaker="event_id",
-    )
-    from .group_by import features_for_queries
-
-    # tie_breaker event_id is a right-side input, never a left/output column
-    return features_for_queries(gb, _distinct_user_ts(sf_dir), dedupe_queries=True)
-
-
 ASOF_TIMED_SQL = f"""
 WITH e AS (SELECT user_id, event_id, epoch_ms(ts) AS ts, value FROM events),
 q AS (SELECT DISTINCT user_id, ts FROM e),
@@ -217,23 +267,6 @@ SELECT user_id, ts,
   (list(value ORDER BY ets ASC, eid ASC) FILTER (WHERE ets >= (ts - {7 * DAY})//{HOUR}*{HOUR}))[1:2] AS value_first2_7d
 FROM p GROUP BY user_id, ts
 """
-
-
-def asof_moments(sf_dir: str):
-    gb = GroupBy(
-        sources=[_events_source(sf_dir, {"user_id": "user_id", "value": "value"})],
-        key_columns=["user_id"],
-        aggregations=[
-            Aggregation(Operation.VARIANCE, "value"),
-            Aggregation(Operation.SKEW, "value"),
-            Aggregation(Operation.KURTOSIS, "value"),
-        ],
-        accuracy=Accuracy.TEMPORAL,
-        name="moments",
-    )
-    from .group_by import features_for_queries
-
-    return features_for_queries(gb, _distinct_user_ts(sf_dir), dedupe_queries=True)
 
 
 # Moments from EXACT integer power sums of the 100x-scaled values, finalized
@@ -276,28 +309,6 @@ FROM q LEFT JOIN f USING (user_id, ts)
 """
 
 
-def asof_distinct_topk(sf_dir: str):
-    gb = GroupBy(
-        sources=[
-            _events_source(
-                sf_dir, {"user_id": "user_id", "value": "value", "event_type": "event_type"}
-            )
-        ],
-        key_columns=["user_id"],
-        aggregations=[
-            Aggregation(Operation.UNIQUE_COUNT, "event_type", windows=[Window(7, TimeUnit.DAYS)]),
-            Aggregation(Operation.BOUNDED_UNIQUE_COUNT, "event_type", arg_map={"k": 3}),
-            Aggregation(Operation.TOP_K, "value", windows=[Window(7, TimeUnit.DAYS)], arg_map={"k": 3}),
-            Aggregation(Operation.BOTTOM_K, "value", windows=[Window(7, TimeUnit.DAYS)], arg_map={"k": 2}),
-        ],
-        accuracy=Accuracy.TEMPORAL,
-        name="distincts",
-    )
-    from .group_by import features_for_queries
-
-    return features_for_queries(gb, _distinct_user_ts(sf_dir), dedupe_queries=True)
-
-
 ASOF_DISTINCT_SQL = f"""
 WITH e AS (SELECT user_id, event_type, epoch_ms(ts) AS ts, value FROM events),
 q AS (SELECT DISTINCT user_id, ts FROM e),
@@ -316,12 +327,35 @@ FROM p GROUP BY user_id, ts
 """
 
 
-def asof_histogram_exploded(sf_dir: str):
+ASOF_OPS_SQL = _merged_sql(
+    {"core": ASOF_CORE_SQL, "timed": ASOF_TIMED_SQL, "moments": ASOF_MOMENTS_SQL,
+     "distincts": ASOF_DISTINCT_SQL},
+    "SELECT * FROM core JOIN timed USING (user_id, ts) JOIN moments USING (user_id, ts)"
+    " JOIN distincts USING (user_id, ts)",
+)
+
+
+def asof_histograms(sf_dir: str):
+    """Each user's 7d event_type counts three ways in one GroupBy: HISTOGRAM,
+    APPROX_HISTOGRAM_K and COUNT bucketed by event_type (reference cartesian
+    buckets x windows, Extensions.scala:187-210; kernel.py BucketedOp).  The
+    map outputs are exploded to one row per (user_id, ts, event_type).
+
+    APPROX_HISTOGRAM_K runs THROUGH THE SKETCH PATH: map_size k=2 forces the
+    exact->space-saving transition on nearly every IR (5 distinct event
+    types > 2), while capacity (4*k rounded to pow2 = 8) exceeds the true
+    cardinality so no counter is ever evicted — the sketch estimates are
+    exact and the DuckDB oracle can be an exact histogram (reference
+    ApproxHistogram, SimpleAggregators.scala:459-601)."""
+    week = [Window(7, TimeUnit.DAYS)]
     gb = GroupBy(
-        sources=[_events_source(sf_dir, {"user_id": "user_id", "event_type": "event_type"})],
+        sources=[_events_source(sf_dir, {"user_id": "user_id", "event_type": "event_type",
+                                         "value": "value"})],
         key_columns=["user_id"],
         aggregations=[
-            Aggregation(Operation.HISTOGRAM, "event_type", windows=[Window(7, TimeUnit.DAYS)])
+            Aggregation(Operation.HISTOGRAM, "event_type", windows=week),
+            Aggregation(Operation.APPROX_HISTOGRAM_K, "event_type", windows=week, arg_map={"k": 2}),
+            Aggregation(Operation.COUNT, "value", buckets=["event_type"], windows=week),
         ],
         accuracy=Accuracy.TEMPORAL,
         name="hist",
@@ -329,80 +363,11 @@ def asof_histogram_exploded(sf_dir: str):
     from .group_by import features_for_queries
 
     feats = features_for_queries(gb, _distinct_user_ts(sf_dir), dedupe_queries=True)
-
-    def explode(batch: pa.Table) -> pa.Table:
-        users, tss, types, cnts = [], [], [], []
-        col = batch["event_type_histogram_7d"].to_pylist()
-        u = batch["user_id"].to_pylist()
-        t = batch["ts"].to_pylist()
-        for i, m in enumerate(col):
-            if m is None:
-                continue
-            items = m.items() if isinstance(m, dict) else m
-            for k, v in items:
-                users.append(u[i])
-                tss.append(t[i])
-                types.append(k)
-                cnts.append(v)
-        return pa.table(
-            {
-                "user_id": pa.array(users, type=pa.int64()),
-                "ts": pa.array(tss, type=pa.int64()),
-                "event_type": pa.array(types, type=pa.string()),
-                "cnt": pa.array(cnts, type=pa.int64()),
-            }
-        )
-
-    return feats.map_batches(explode, batch_format="pyarrow")
-
-
-def approx_histogram_exploded(sf_dir: str):
-    """APPROX_HISTOGRAM_K end-to-end THROUGH THE SKETCH PATH: map_size k=2
-    forces the exact->space-saving transition on nearly every IR (5 distinct
-    event types > 2), while capacity (4*k rounded to pow2 = 8) exceeds the
-    true cardinality so no counter is ever evicted — the sketch estimates are
-    exact and the DuckDB oracle can be an exact histogram (reference
-    ApproxHistogram, SimpleAggregators.scala:459-601)."""
-    gb = GroupBy(
-        sources=[_events_source(sf_dir, {"user_id": "user_id", "event_type": "event_type"})],
-        key_columns=["user_id"],
-        aggregations=[
-            Aggregation(
-                Operation.APPROX_HISTOGRAM_K, "event_type",
-                windows=[Window(7, TimeUnit.DAYS)], arg_map={"k": 2},
-            )
-        ],
-        accuracy=Accuracy.TEMPORAL,
-        name="ahist",
-    )
-    from .group_by import features_for_queries
-
-    feats = features_for_queries(gb, _distinct_user_ts(sf_dir), dedupe_queries=True)
-
-    def explode(batch: pa.Table) -> pa.Table:
-        users, tss, types, cnts = [], [], [], []
-        col = batch["event_type_approx_histogram_k_7d"].to_pylist()
-        u = batch["user_id"].to_pylist()
-        t = batch["ts"].to_pylist()
-        for i, m in enumerate(col):
-            if m is None:
-                continue
-            items = m.items() if isinstance(m, dict) else m
-            for k, v in items:
-                users.append(u[i])
-                tss.append(t[i])
-                types.append(k)
-                cnts.append(v)
-        return pa.table(
-            {
-                "user_id": pa.array(users, type=pa.int64()),
-                "ts": pa.array(tss, type=pa.int64()),
-                "event_type": pa.array(types, type=pa.string()),
-                "cnt": pa.array(cnts, type=pa.int64()),
-            }
-        )
-
-    return feats.map_batches(explode, batch_format="pyarrow")
+    return _explode_maps(feats, ["user_id", "ts"], "event_type", {
+        "event_type_histogram_7d": "histogram",
+        "event_type_approx_histogram_k_7d": "approx_histogram",
+        "value_count_7d_by_event_type": "bucketed_count",
+    })
 
 
 ASOF_HISTOGRAM_SQL = f"""
@@ -415,18 +380,45 @@ GROUP BY q.user_id, q.ts, e.event_type
 """
 
 
+BUCKETED_COUNTS_SQL = f"""
+WITH e AS (SELECT user_id, event_type, epoch_ms(ts) AS ts, value FROM events),
+q AS (SELECT DISTINCT user_id, ts FROM e)
+SELECT q.user_id, q.ts, e.event_type AS bucket, count(e.value) AS cnt
+FROM q JOIN e ON e.user_id = q.user_id AND e.ts < q.ts
+              AND e.ts >= (q.ts - {7 * DAY})//{HOUR}*{HOUR}
+GROUP BY q.user_id, q.ts, e.event_type
+"""
+
+
+ASOF_HISTOGRAMS_SQL = _merged_sql(
+    {"hist": ASOF_HISTOGRAM_SQL, "bkt": BUCKETED_COUNTS_SQL},
+    "SELECT user_id, ts, event_type, hist.cnt AS histogram, hist.cnt AS approx_histogram,"
+    " bkt.cnt AS bucketed_count FROM hist"
+    " FULL JOIN (SELECT user_id, ts, bucket AS event_type, cnt FROM bkt) bkt"
+    " USING (user_id, ts, event_type)",
+)
+
+
 # ------------------------------------------------------------ lag / session
 
 
-def lag_lead_events(sf_dir: str):
-    from ..stages.sequence import lag_lead
+def event_sequence(sf_dir: str):
+    """Per-event sequence features in one co-partition exchange: value lags
+    (1, 2) and lead (1), the 30-minute inactivity session id and the event's
+    position in its session, all ordered by (ts, event_id) per user."""
+    from ..stages.sequence import LagLead, Sessionize
+    from ..stages.shuffle import co_partition
 
     ds = _events_ds(sf_dir, ["event_id", "user_id", "ts", "value"]).map_batches(
-        lambda df: df.assign(ts=df["ts"].astype("int64") // 1000), batch_format="pandas"
+        lambda df: df.assign(ts=_epoch_ms(df)), batch_format="pandas"
     )
-    return lag_lead(
-        ds, ["user_id"], ["value"], lags=(1, 2), leads=(1,), tie_col="event_id",
-    )
+    lag_lead = LagLead(["user_id"], ["value"], lags=(1, 2), leads=(1,), tie_col="event_id")
+    sessionize = Sessionize(["user_id"], gap_ms=30 * 60 * 1000, tie_col="event_id")
+
+    def sequence(df: pd.DataFrame) -> pd.DataFrame:
+        return sessionize(lag_lead(df))
+
+    return co_partition(ds, ["user_id"], sequence, batch_format="pandas")
 
 
 LAG_LEAD_SQL = """
@@ -437,15 +429,6 @@ SELECT event_id, user_id, epoch_ms(ts) AS ts, value,
 FROM events
 WINDOW w AS (PARTITION BY user_id ORDER BY epoch_ms(ts), event_id)
 """
-
-
-def sessionize_30m(sf_dir: str):
-    from ..stages.sequence import sessionize
-
-    ds = _events_ds(sf_dir, ["event_id", "user_id", "ts"]).map_batches(
-        lambda df: df.assign(ts=df["ts"].astype("int64") // 1000), batch_format="pandas"
-    )
-    return sessionize(ds, ["user_id"], gap_ms=30 * 60 * 1000, tie_col="event_id")
 
 
 SESSIONIZE_SQL = """
@@ -460,6 +443,12 @@ SELECT event_id, user_id, ts, CAST(sid AS BIGINT) AS session_id,
     AS session_event_seq
 FROM y
 """
+
+
+EVENT_SEQUENCE_SQL = _merged_sql(
+    {"lag_lead": LAG_LEAD_SQL, "sessions": SESSIONIZE_SQL},
+    "SELECT * FROM lag_lead JOIN sessions USING (event_id, user_id, ts)",
+)
 
 
 def range_join_windows(sf_dir: str):
@@ -752,16 +741,6 @@ WHERE doc_id IN (SELECT min(doc_id) FROM documents GROUP BY text)
 """
 
 
-def repetition_stats_docs(sf_dir: str):
-    """Gopher-style repetition filters (duplicate/top word-bigram fractions)
-    over the documents table — standard LLM-corpus quality signals."""
-    from ..stages.text import RepetitionStats
-
-    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    out = ds.map_batches(RepetitionStats("text"), batch_format="pandas")
-    return out.select_columns(["doc_id", "n_bigrams", "dup_bigram_frac", "top_bigram_frac"])
-
-
 REPETITION_STATS_SQL = """
 WITH t AS (SELECT doc_id,
         regexp_extract_all(lower(coalesce(text, '')), '[0-9a-z_]+') AS toks
@@ -867,15 +846,24 @@ FROM k GROUP BY doc_id
 
 
 def duplicate_spans_docs(sf_dir: str):
-    """Cross-document duplicated-span stats: fraction of each doc's word
-    5-grams that occur >=2 times corpus-wide + the max corpus frequency
-    reached (Lee et al. 2022-style substring-duplication signal).  Docs with
-    fewer than 5 tokens have no grams and are excluded (both sides)."""
+    """Cross-document duplicated word 5-grams, scored and removed (Lee et
+    al. 2022).  Stats: the fraction of each doc's 5-grams that occur >= 2
+    times corpus-wide and the max corpus frequency reached (null for docs
+    with fewer than 5 tokens, which have no grams).  Removal: each
+    duplicated 5-gram keeps only its first (doc, start) occurrence, every
+    token a losing occurrence covers is removed and the doc is rewritten as
+    its surviving tokens (see stages/dedup.py:remove_duplicate_spans for the
+    two-exchange scale shape).  Both are per-document, joined on doc_id."""
+    from ..stages.dedup import remove_duplicate_spans
     from ..stages.text import duplicate_span_stats
 
     ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    out = duplicate_span_stats(ds, "text", "doc_id", n=5, hot=2)
-    return out.select_columns(["doc_id", "n_grams", "dup_gram_frac", "max_gram_freq"])
+    # one row per document each, joined on the driver like the ANN checks
+    removed = remove_duplicate_spans(ds, "text", "doc_id", n=5).to_pandas()
+    stats = duplicate_span_stats(ds, "text", "doc_id", n=5, hot=2).to_pandas()
+    return removed[["doc_id", "n_tokens", "n_removed", "clean_text"]].merge(
+        stats, on="doc_id", how="left"
+    )
 
 
 DUPLICATE_SPANS_SQL = """
@@ -897,20 +885,6 @@ SELECT p.doc_id, CAST(count(*) AS BIGINT) AS n_grams,
   CAST(max(c.cnt) AS BIGINT) AS max_gram_freq
 FROM p JOIN c USING (gram) GROUP BY p.doc_id
 """
-
-
-def span_removal_docs(sf_dir: str):
-    """Exact substring-span REMOVAL (Lee et al. 2022): duplicated word
-    5-grams keep only their first (doc, start) occurrence corpus-wide; every
-    token covered by a losing occurrence is removed and the doc is rewritten
-    as its surviving tokens.  The rewrite counterpart of duplicate_spans
-    (which only scores); see stages/dedup.py:remove_duplicate_spans for the
-    two-exchange scale shape."""
-    from ..stages.dedup import remove_duplicate_spans
-
-    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    out = remove_duplicate_spans(ds, "text", "doc_id", n=5)
-    return out.select_columns(["doc_id", "n_tokens", "n_removed", "clean_text"])
 
 
 SPAN_REMOVAL_SQL = """
@@ -947,30 +921,10 @@ GROUP BY t.doc_id, len(t.toks)
 """
 
 
-def quantile_filter_docs(sf_dir: str):
-    """Corpus-statistic filter: keep documents at or above the exact corpus
-    MEDIAN length — the 'filter by a global distribution statistic' pipeline
-    shape (threshold pass + streaming filter pass).  The threshold is exact
-    via distributed counting (functions/stats.py:exact_quantile_by_counting,
-    cost bounded by value cardinality, never rows) and is captured as a
-    plain scalar in the filter closure — broadcast, never a join."""
-    import pyarrow.compute as pc
-    from ..functions.stats import exact_quantile_by_counting
-
-    thr = int(
-        exact_quantile_by_counting(
-            read_parquet(f"{sf_dir}/documents.parquet", columns=["n_chars"]),
-            "n_chars",
-            0.5,
-        )
-    )
-    ds = read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
-    )
-    return ds.map_batches(
-        lambda b: b.filter(pc.greater_equal(b["n_chars"], pa.scalar(thr))),
-        batch_format="pyarrow",
-    )
+DUPLICATE_SPANS_REMOVAL_SQL = _merged_sql(
+    {"removal": SPAN_REMOVAL_SQL, "stats": DUPLICATE_SPANS_SQL},
+    "SELECT * FROM removal LEFT JOIN stats USING (doc_id)",
+)
 
 
 QUANTILE_FILTER_SQL = """
@@ -1087,20 +1041,6 @@ FROM s WHERE n_tok > 0
 """
 
 
-def percentile_normalize_docs(sf_dir: str):
-    """Percentile-rank score normalization (cume_dist): each document's
-    length mapped to its exact corpus percentile — the standard 'normalize a
-    quality score against the corpus distribution' prep step.  Distribution
-    pass bounded by value cardinality, scoring pass shuffle-free via a
-    broadcast searchsorted (functions/stats.py:percentile_rank_column)."""
-    from ..functions.stats import percentile_rank_column
-
-    ds = read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
-    )
-    return percentile_rank_column(ds, "n_chars", keep_cols=["doc_id", "n_chars"])
-
-
 PERCENTILE_NORMALIZE_SQL = """
 SELECT doc_id, n_chars, cume_dist() OVER (ORDER BY n_chars) AS pct_rank
 FROM documents
@@ -1171,13 +1111,48 @@ FROM s
 """
 
 
-def text_stats_docs(sf_dir: str):
-    from ..stages.text import TextStats
+def doc_signals(sf_dir: str):
+    """Per-document signals from one documents read, each stage chained
+    onto the last: text stats, token counts (whitespace + a BPE-ish
+    regex), Gopher-style repetition stats, fingerprint, simhash, the
+    deterministic 80/10/10 split by splitmix64(doc_id) (stages/splits.py),
+    the exact corpus percentile of n_chars (cume_dist; distribution pass
+    bounded by value cardinality, scoring pass a broadcast searchsorted,
+    functions/stats.py:percentile_rank_column) and whether n_chars is at or
+    above the exact corpus MEDIAN (the corpus-statistic filter as a flag:
+    functions/stats.py:exact_quantile_by_counting, captured as a plain
+    scalar, broadcast, never a join)."""
+    from ..functions.stats import exact_quantile_by_counting, percentile_rank_column
+    from ..stages.dedup import SimHash
+    from ..stages.splits import hash_split
+    from ..stages.text import Fingerprint, RepetitionStats, TextStats, TokenCount
 
-    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    out = ds.map_batches(TextStats("text"), batch_format="pandas")
-    return out.select_columns(
-        ["doc_id", "n_chars2", "n_tokens", "avg_token_len", "alpha_ratio", "digit_ratio"]
+    path = f"{sf_dir}/documents.parquet"
+    thr = int(exact_quantile_by_counting(read_parquet(path, columns=["n_chars"]), "n_chars", 0.5))
+    stages = [TextStats("text"), TokenCount("text"), RepetitionStats("text"), Fingerprint("text")]
+
+    def signals(df: pd.DataFrame) -> pd.DataFrame:
+        for stage in stages:
+            df = stage(df)
+        return df.assign(above_median=df["n_chars"] >= thr)
+
+    cols = ["doc_id", "text", "n_chars"]
+    ds = percentile_rank_column(read_parquet(path, columns=cols), "n_chars", keep_cols=cols)
+    ds = ds.map_batches(signals, batch_format="pandas").map_batches(
+        SimHash("text"), batch_format="pyarrow"
+    )
+    return hash_split(ds, "doc_id").drop_columns(["text", "upper_ratio"])
+
+
+def _doc_signals_sql() -> str:
+    return _merged_sql(
+        {"text_stats": TEXT_STATS_SQL, "token_counts": TOKEN_COUNTS_SQL,
+         "repetition": REPETITION_STATS_SQL, "fingerprint": _THS["fingerprint_docs"],
+         "simhash": _THS["simhash_docs"], "split": _dataset_split_sql(),
+         "pct": PERCENTILE_NORMALIZE_SQL, "median_kept": QUANTILE_FILTER_SQL},
+        "SELECT *, doc_id IN (SELECT doc_id FROM median_kept) AS above_median FROM text_stats"
+        + "".join(f" JOIN {t} USING (doc_id)" for t in
+                  ("token_counts", "repetition", "fingerprint", "simhash", "split", "pct")),
     )
 
 
@@ -1198,18 +1173,6 @@ SELECT doc_id,
   END AS digit_ratio
 FROM x
 """
-
-
-def token_counts_docs(sf_dir: str):
-    """Whitespace + BPE-style pre-tokenizer counts per document (the
-    brief's "token counting (whitespace + a BPE-ish regex)" item)."""
-    from ..stages.text import TokenCount
-
-    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    out = ds.map_batches(TokenCount("text"), batch_format="pandas")
-    return out.select_columns(
-        ["doc_id", "n_ws_tokens", "n_bpe_tokens", "punct_token_ratio"]
-    )
 
 
 TOKEN_COUNTS_SQL = r"""
@@ -1372,54 +1335,6 @@ FROM s WHERE rank <= 10
 """
 
 
-def elementwise_avg_by_label(sf_dir: str):
-    ds = read_parquet(f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        from ..stages.ann import vecs_to_numpy
-
-        labels = batch["label"].to_numpy(zero_copy_only=False)
-        vecs = vecs_to_numpy(batch["embedding"])  # zero-copy list -> matrix
-        out_l, out_i, out_s, out_c = [], [], [], []
-        for lab in np.unique(labels):
-            m = labels == lab
-            s = vecs[m].sum(axis=0)
-            out_l.extend([int(lab)] * len(s))
-            out_i.extend(range(len(s)))
-            out_s.extend(s)
-            out_c.extend([int(m.sum())] * len(s))
-        return pa.table(
-            {"label": pa.array(out_l, pa.int32()), "i": pa.array(out_i, pa.int32()),
-             "s": pa.array(out_s, pa.float64()), "c": pa.array(out_c, pa.int64())}
-        )
-
-    from ray.data.aggregate import Sum
-
-    merged = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby(["label", "i"])
-        .aggregate(Sum("s", alias_name="s"), Sum("c", alias_name="c"))
-    )
-
-    def finish(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("i")
-        return pd.DataFrame(
-            {"label": [g["label"].iloc[0]], "avg_embedding": [(g["s"] / g["c"]).tolist()]}
-        )
-
-    return merged.groupby("label").map_groups(finish, batch_format="pandas")
-
-
-ELEMENTWISE_SQL = """
-SELECT label, list(a ORDER BY i) AS avg_embedding FROM (
-  SELECT label, i, avg(x) AS a FROM (
-    SELECT label, unnest(embedding) AS x, unnest(range(1, len(embedding)+1)) AS i
-    FROM embeddings)
-  GROUP BY label, i)
-GROUP BY label
-"""
-
-
 # --------------------------------------------------- corpus hashing oracles
 # Every deterministic text-hash stage has a DuckDB oracle built from the SAME
 # definition (functions/texthash.py): Horner codepoint hash mod 2**64
@@ -1548,15 +1463,6 @@ def minhash_clusters_docs(sf_dir: str):
     return minhash_lsh_clusters(ds, "text", "doc_id")
 
 
-def simhash_docs(sf_dir: str):
-    from ..stages.dedup import SimHash
-
-    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return ds.map_batches(SimHash("text"), batch_format="pyarrow").select_columns(
-        ["doc_id", "simhash"]
-    )
-
-
 def langid_docs(sf_dir: str):
     from ..stages.text import LangId, QualityScore
 
@@ -1564,68 +1470,6 @@ def langid_docs(sf_dir: str):
     out = ds.map_batches(LangId, batch_format="pandas", concurrency=2)
     out = out.map_batches(QualityScore, batch_format="pandas", concurrency=2)
     return out.select_columns(["doc_id", "lang", "lang_guess", "quality_score"])
-
-
-def fingerprint_docs(sf_dir: str):
-    from ..stages.text import Fingerprint
-
-    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return ds.map_batches(Fingerprint("text"), batch_format="pandas").select_columns(
-        ["doc_id", "fingerprint"]
-    )
-
-
-def approx_distinct_users(sf_dir: str):
-    """Sketch validation query: HLL estimate checked against the EXACT
-    unique count computed in the same kernel pass (error-bound oracle, the
-    reference's ApproxDistinctTest pattern), plus an exact nearest-rank
-    median that the SQL oracle reproduces verbatim."""
-    gb = GroupBy(
-        sources=[_events_source(sf_dir, {"user_id": "user_id", "event_type": "event_type",
-                                         "value": "value"})],
-        key_columns=["event_type"],
-        aggregations=[
-            Aggregation(Operation.APPROX_UNIQUE_COUNT, "user_id", arg_map={"lgk": 10}),
-            Aggregation(Operation.UNIQUE_COUNT, "user_id"),
-            Aggregation(Operation.APPROX_PERCENTILE, "value",
-                        arg_map={"k": 128, "percentiles": "[0.5]",
-                                 "interpolation": "disc"}),
-        ],
-        accuracy=Accuracy.TEMPORAL,
-        name="approx",
-    )
-    from .group_by import features_for_queries
-
-    # one query per event_type at the max ts + 1
-    read = _events_ds(sf_dir, ["event_type", "ts"])
-    left = (
-        read.map_batches(
-            lambda df: df.assign(ts=df["ts"].astype("int64") // 1000)
-            .groupby("event_type", as_index=False)["ts"].max()
-            .assign(ts=lambda d: d["ts"] + 1),
-            batch_format="pandas",
-        )
-        .groupby("event_type")
-        .map_groups(lambda g: g.sort_values("ts").tail(1), batch_format="pandas")
-    )
-    feats = features_for_queries(gb, _query_rows(read, left, ["event_type"]))
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        exact = df["user_id_unique_count"].astype("int64")
-        est = df["user_id_approx_unique_count"].astype("float64")
-        # HLL lgk=10: std err 1.04/sqrt(1024) ~ 3.2%; 4 sigma + small slack
-        hll_ok = (est - exact).abs() <= np.maximum(5.0, 0.13 * exact)
-        p50 = df["value_approx_percentile"].map(lambda v: None if v is None else v[0])
-        return pd.DataFrame(
-            {
-                "event_type": df["event_type"],
-                "exact_uniques": exact,
-                "hll_ok": hll_ok.astype(bool),
-                "p50": p50.astype("float64"),
-            }
-        )
-
-    return feats.map_batches(finish, batch_format="pandas")
 
 
 APPROX_SKETCHES_SQL = """
@@ -1642,32 +1486,36 @@ FROM q
 """
 
 
-def lsh_ann_docs(sf_dir: str):
-    """LSH-bucketed ANN validated two ways: top-1 must equal the global
-    brute-force top-1 (hard SQL check — the query's own bucket always
-    matches), and recall@5 vs the independent brute-force pipeline must
-    clear a floor (bound oracle)."""
-    from ..stages.ann import brute_force_topk, lsh_bucketed_topk
+def bucketed_ann(sf_dir: str):
+    """LSH- and IVF-bucketed ANN, each checked two ways against one
+    brute-force top-5: top-1 must equal the global brute-force top-1 (hard
+    SQL check — a corpus row identical to the query always lands in the
+    query's own bucket or probed cell), and recall@5 must clear a floor
+    (bound oracle).  One row per (method, query)."""
+    from ..stages.ann import brute_force_topk, ivf_bucketed_topk, lsh_bucketed_topk
 
     emb_path = f"{sf_dir}/embeddings.parquet"
     qvecs, qids = _query_vectors(emb_path, 4)
     ds = read_parquet(emb_path, columns=["vec_id", "embedding"])
-    lsh = lsh_bucketed_topk(ds, qvecs, qids, "embedding", "vec_id", k=5, n_planes=4,
-                            multiprobe=2)
-    brute = brute_force_topk(ds, qvecs, qids, "embedding", "vec_id", k=5)
-    ldf = lsh.to_pandas()  # tiny: n_queries x k rows
-    bdf = brute.to_pandas()
+    brute = brute_force_topk(ds, qvecs, qids, "embedding", "vec_id", k=5).to_pandas()
+    found = {
+        "lsh": lsh_bucketed_topk(ds, qvecs, qids, "embedding", "vec_id", k=5, n_planes=4,
+                                 multiprobe=2),
+        "ivf": ivf_bucketed_topk(ds, qvecs, qids, "embedding", "vec_id", k=5,
+                                 n_centroids=8, nprobe=3),
+    }
     rows = []
-    for qid in sorted(ldf["query_id"].unique()):
-        lq = ldf[ldf["query_id"] == qid]
-        bq = set(bdf[bdf["query_id"] == qid]["vec_id"])
-        top1 = int(lq[lq["rank"] == 1]["vec_id"].iloc[0])
-        recall = len(set(lq["vec_id"]) & bq) / max(len(bq), 1)
-        rows.append((int(qid), top1, bool(recall >= 0.6)))
-    return pd.DataFrame(rows, columns=["query_id", "top1_vec_id", "recall_ok"])
+    for method, res in found.items():
+        got = res.to_pandas()  # tiny: n_queries x k rows
+        for qid, g in got.groupby("query_id"):
+            ref = set(brute.loc[brute["query_id"] == qid, "vec_id"])
+            top1 = int(g.loc[g["rank"] == 1, "vec_id"].iloc[0])
+            recall = len(set(g["vec_id"]) & ref) / max(len(ref), 1)
+            rows.append((method, int(qid), top1, bool(recall >= 0.6)))
+    return pd.DataFrame(rows, columns=["method", "query_id", "top1_vec_id", "recall_ok"])
 
 
-LSH_ANN_SQL = """
+ANN_TOP1_SQL = """
 WITH q AS (SELECT vec_id AS qid, embedding AS qe FROM embeddings WHERE vec_id < 4),
 s AS (SELECT q.qid, c.vec_id,
         row_number() OVER (PARTITION BY q.qid ORDER BY
@@ -1679,32 +1527,10 @@ FROM s WHERE rank = 1
 """
 
 
-def ivf_ann_docs(sf_dir: str):
-    """IVF (k-means coarse quantizer) ANN validated the same two ways as the
-    LSH variant: top-1 must equal the global brute-force top-1 (a corpus row
-    identical to the query always lands in the query's own probed cell), and
-    recall@5 vs the independent brute-force pipeline must clear a floor."""
-    from ..stages.ann import brute_force_topk, ivf_bucketed_topk
-
-    emb_path = f"{sf_dir}/embeddings.parquet"
-    qvecs, qids = _query_vectors(emb_path, 4)
-    ds = read_parquet(emb_path, columns=["vec_id", "embedding"])
-    ivf = ivf_bucketed_topk(ds, qvecs, qids, "embedding", "vec_id", k=5,
-                            n_centroids=8, nprobe=3)
-    brute = brute_force_topk(ds, qvecs, qids, "embedding", "vec_id", k=5)
-    idf = ivf.to_pandas()  # tiny: n_queries x k rows
-    bdf = brute.to_pandas()
-    rows = []
-    for qid in sorted(idf["query_id"].unique()):
-        iq = idf[idf["query_id"] == qid]
-        bq = set(bdf[bdf["query_id"] == qid]["vec_id"])
-        top1 = int(iq[iq["rank"] == 1]["vec_id"].iloc[0])
-        recall = len(set(iq["vec_id"]) & bq) / max(len(bq), 1)
-        rows.append((int(qid), top1, bool(recall >= 0.6)))
-    return pd.DataFrame(rows, columns=["query_id", "top1_vec_id", "recall_ok"])
-
-
-IVF_ANN_SQL = LSH_ANN_SQL
+BUCKETED_ANN_SQL = _merged_sql(
+    {"ann": ANN_TOP1_SQL},
+    "SELECT method, ann.* FROM (VALUES ('lsh'), ('ivf')) m(method) CROSS JOIN ann",
+)
 
 
 def kmeans_clusters(sf_dir: str):
@@ -1725,16 +1551,6 @@ def _kmeans_sql() -> str:
     from ..stages.kmeans import kmeans_oracle_sql
 
     return kmeans_oracle_sql("embeddings", "embedding", "vec_id", k=4, iters=3, dim=64)
-
-
-def dataset_split(sf_dir: str):
-    """Deterministic 80/10/10 train/val/test split of the documents table by
-    splitmix64(doc_id) — stable under re-runs, engine changes, and appends
-    (stages/splits.py)."""
-    from ..stages.splits import hash_split
-
-    ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"])
-    return hash_split(ds, "doc_id")
 
 
 def _dataset_split_sql() -> str:
@@ -2558,22 +2374,24 @@ FROM e JOIN c ON c.event_id = e.event_id
 # ----------------------------------------------- list / map column inputs
 
 
+_INT_EMB = "list_transform(CAST(embedding AS DOUBLE[]), x -> CAST(round(x * 1000) AS BIGINT))"
+
+
 def list_explode_agg(sf_dir: str):
-    """Auto-explode aggregation over a ``list<int64>`` column (reference
-    ColumnAggregator.scala:79-116 VectorDispatcher): every element of the
-    embeddings table's vector aggregates as its own row.  Elements are
-    integerized in the Query select (round(x*1000)) so every aggregate is
-    integer-exact and the SQL oracle reproduces it bitwise."""
+    """Aggregation over a ``list<int64>`` column, exploded and element-wise.
+    Auto-explode (reference ColumnAggregator.scala:79-116 VectorDispatcher):
+    every element of the embeddings table's vector aggregates as its own
+    row.  Element-wise (ElementWiseOp, reference ElementWiseAggregator.scala):
+    the AVERAGE of each vector position, over a second select of the same
+    list, since both AVERAGE parts would otherwise output ``emb_average``.
+    Elements are integerized in the Query select (round(x*1000)) so every
+    aggregate is integer-exact and the SQL oracle reproduces it bitwise."""
     from .group_by import features_for_queries
 
     src = EventSource(
         table=f"{sf_dir}/embeddings.parquet",
         query=Query(
-            selects={
-                "label": "label",
-                "emb": "list_transform(CAST(embedding AS DOUBLE[]),"
-                       " x -> CAST(round(x * 1000) AS BIGINT))",
-            },
+            selects={"label": "label", "emb": _INT_EMB, "emb_vec": _INT_EMB},
             time_column="1600000000000 + vec_id * 60000",
         ),
     )
@@ -2586,29 +2404,21 @@ def list_explode_agg(sf_dir: str):
             Aggregation(Operation.AVERAGE, "emb"),
             Aggregation(Operation.MAX, "emb"),
             Aggregation(Operation.TOP_K, "emb", arg_map={"k": 3}),
+            Aggregation(Operation.AVERAGE, "emb_vec", element_wise=True),
         ],
         accuracy=Accuracy.TEMPORAL,
         name="listagg",
     )
     read = read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "label"])
-    left = (
-        read.map_batches(
-            lambda df: df.assign(ts=1600000000000 + df["vec_id"].astype("int64") * 60000)[
-                ["label", "ts"]
-            ],
-            batch_format="pandas",
-        )
-        .groupby("label")
-        .map_groups(lambda g: g.sort_values("ts").tail(1).assign(ts=lambda d: d["ts"] + 1),
-                    batch_format="pandas")
+    left = _after_last_rows(
+        read, "label", lambda df: 1600000000000 + df["vec_id"].astype("int64") * 60000
     )
-    return features_for_queries(gb, _query_rows(read, left, ["label"]))
+    return features_for_queries(gb, left)
 
 
-LIST_EXPLODE_SQL = f"""
+EXPLODED_SQL = f"""
 WITH e AS (SELECT label, 1600000000000 + vec_id * 60000 AS ts,
-                  list_transform(CAST(embedding AS DOUBLE[]),
-                                 x -> CAST(round(x * 1000) AS BIGINT)) AS emb
+                  {_INT_EMB} AS emb
            FROM embeddings),
 q AS (SELECT label, max(ts) + 1 AS ts FROM e GROUP BY label),
 x AS (SELECT label, ts, unnest(emb) AS v FROM e),
@@ -2625,12 +2435,36 @@ FROM p GROUP BY label, ts
 """
 
 
-def map_column_agg(sf_dir: str):
-    """Per-key aggregation of a ``map<string,int64>`` column (reference
+ELEMENTWISE_SQL = f"""
+WITH e AS (SELECT label, 1600000000000 + vec_id * 60000 AS ts, {_INT_EMB} AS emb
+           FROM embeddings),
+q AS (SELECT label, max(ts) + 1 AS ts FROM e GROUP BY label),
+x AS (SELECT q.label, q.ts, unnest(e.emb) AS v, unnest(range(1, len(e.emb) + 1)) AS i
+      FROM q JOIN e ON e.label = q.label AND e.ts < q.ts),
+a AS (SELECT label, ts, i, CAST(sum(v) AS DOUBLE) / count(v) AS avg_v
+      FROM x GROUP BY label, ts, i)
+SELECT label, ts, list(avg_v ORDER BY i) AS emb_vec_average FROM a GROUP BY label, ts
+"""
+
+
+LIST_EXPLODE_SQL = _merged_sql(
+    {"exploded": EXPLODED_SQL, "elementwise": ELEMENTWISE_SQL},
+    "SELECT * FROM exploded JOIN elementwise USING (label, ts)",
+)
+
+
+def event_type_aggs(sf_dir: str):
+    """Per-event_type aggregation at each type's last ts + 1, one GroupBy.
+
+    Sketch validation: the HLL estimate is checked against the EXACT unique
+    count computed in the same kernel pass (error-bound oracle, the
+    reference's ApproxDistinctTest pattern), plus an exact nearest-rank
+    median that the SQL oracle reproduces verbatim.
+
+    A ``map<string,int64>`` column aggregated per map key (reference
     MapColumnAggregator.scala:1-75): the Query select builds a two-key map
-    from the events table (json prop + scaled value); output map columns are
-    exploded to (key, value) rows for the oracle compare (same convention as
-    asof_histogram)."""
+    (json prop + scaled value), and the map outputs are exploded to one row
+    per (event_type, ts, mkey) for the oracle compare."""
     from .group_by import features_for_queries
 
     src = EventSource(
@@ -2638,6 +2472,8 @@ def map_column_agg(sf_dir: str):
         query=Query(
             selects={
                 "event_type": "event_type",
+                "user_id": "user_id",
+                "value": "value",
                 "m": "map(['k', 'v'],"
                      " [CAST(json_extract_string(props, '$.k') AS BIGINT),"
                      "  CAST(round(value * 100) AS BIGINT)])",
@@ -2650,59 +2486,37 @@ def map_column_agg(sf_dir: str):
         sources=[src],
         key_columns=["event_type"],
         aggregations=[
+            Aggregation(Operation.APPROX_UNIQUE_COUNT, "user_id", arg_map={"lgk": 10}),
+            Aggregation(Operation.UNIQUE_COUNT, "user_id"),
+            Aggregation(Operation.APPROX_PERCENTILE, "value",
+                        arg_map={"k": 128, "percentiles": "[0.5]",
+                                 "interpolation": "disc"}),
             Aggregation(Operation.SUM, "m", windows=[Window(7, TimeUnit.DAYS), Window(-1)]),
             Aggregation(Operation.COUNT, "m", windows=[Window(7, TimeUnit.DAYS)]),
             Aggregation(Operation.MAX, "m"),
         ],
         accuracy=Accuracy.TEMPORAL,
-        name="mapagg",
+        name="etype",
     )
-    read = _events_ds(sf_dir, ["event_type", "ts"])
-    left = (
-        read.map_batches(
-            lambda df: df.assign(ts=df["ts"].astype("int64") // 1000 + 1).dropna(
-                subset=["event_type"]
-            ),
-            batch_format="pandas",
-        )
-        .groupby("event_type")
-        .map_groups(lambda g: g.sort_values("ts").tail(1), batch_format="pandas")
+    left = _after_last_rows(_events_ds(sf_dir, ["event_type", "ts"]), "event_type", _epoch_ms)
+    maps = ["m_sum_7d", "m_sum", "m_count_7d", "m_max"]
+    sketches = ["user_id_unique_count", "user_id_approx_unique_count", "value_approx_percentile"]
+    rows = _explode_maps(
+        features_for_queries(gb, left), ["event_type", "ts"] + sketches, "mkey",
+        {c: c for c in maps},
     )
-    feats = features_for_queries(gb, _query_rows(read, left, ["event_type"]))
 
-    def explode(batch: pa.Table) -> pa.Table:
-        cols = ["m_sum_7d", "m_sum", "m_count_7d", "m_max"]
-        data = {c: batch[c].to_pylist() for c in cols}
-        et, ts = batch["event_type"].to_pylist(), batch["ts"].to_pylist()
-        rows = {"event_type": [], "ts": [], "mkey": []}
-        out_vals: dict[str, list] = {c: [] for c in cols}
-        for i in range(len(et)):
-            keys = set()
-            maps = {}
-            for c in cols:
-                m = data[c][i]
-                m = dict(m) if m is not None else {}
-                maps[c] = m
-                keys |= set(m)
-            for k in sorted(keys):
-                rows["event_type"].append(et[i])
-                rows["ts"].append(ts[i])
-                rows["mkey"].append(k)
-                for c in cols:
-                    out_vals[c].append(maps[c].get(k))
-        return pa.table(
-            {
-                "event_type": pa.array(rows["event_type"], type=pa.string()),
-                "ts": pa.array(rows["ts"], type=pa.int64()),
-                "mkey": pa.array(rows["mkey"], type=pa.string()),
-                "m_sum_7d": pa.array(out_vals["m_sum_7d"], type=pa.int64()),
-                "m_sum": pa.array(out_vals["m_sum"], type=pa.int64()),
-                "m_count_7d": pa.array(out_vals["m_count_7d"], type=pa.int64()),
-                "m_max": pa.array(out_vals["m_max"], type=pa.int64()),
-            }
+    def finish(df: pd.DataFrame) -> pd.DataFrame:
+        exact = df["user_id_unique_count"].astype("int64")
+        est = df["user_id_approx_unique_count"].astype("float64")
+        # HLL lgk=10: std err 1.04/sqrt(1024) ~ 3.2%; 4 sigma + small slack
+        hll_ok = (est - exact).abs() <= np.maximum(5.0, 0.13 * exact)
+        p50 = df["value_approx_percentile"].map(lambda v: None if v is None else v[0])
+        return df[["event_type", "ts", "mkey"] + maps].assign(
+            exact_uniques=exact, hll_ok=hll_ok.astype(bool), p50=p50.astype("float64")
         )
 
-    return feats.map_batches(explode, batch_format="pyarrow")
+    return rows.map_batches(finish, batch_format="pandas")
 
 
 MAP_COLUMN_SQL = f"""
@@ -2724,11 +2538,17 @@ FROM p GROUP BY event_type, ts, mkey
 """
 
 
+EVENT_TYPE_AGGS_SQL = _merged_sql(
+    {"maps": MAP_COLUMN_SQL, "sketches": APPROX_SKETCHES_SQL},
+    "SELECT * FROM maps JOIN sketches USING (event_type)",
+)
+
+
 def session_stats_30m(sf_dir: str):
     from ..stages.sequence import sessionize
 
     ds = _events_ds(sf_dir, ["event_id", "user_id", "ts"]).map_batches(
-        lambda df: df.assign(ts=df["ts"].astype("int64") // 1000), batch_format="pandas"
+        lambda df: df.assign(ts=_epoch_ms(df)), batch_format="pandas"
     )
     return sessionize(ds, ["user_id"], gap_ms=30 * 60 * 1000, tie_col="event_id", output="sessions")
 
@@ -2837,60 +2657,6 @@ par AS (SELECT DISTINCT a.user_id, a.ts,
         GROUP BY a.user_id, a.ts)
 SELECT q.user_id, q.ts, p.s7 AS s7_last
 FROM q ASOF LEFT JOIN par p ON p.user_id = q.user_id AND p.ts < q.ts
-"""
-
-
-def bucketed_counts(sf_dir: str):
-    """buckets modifier: per-key COUNT bucketed by event_type -> map column
-    (reference cartesian buckets x windows, Extensions.scala:187-210;
-    bucketed IR kernel.py BucketedOp), exploded to rows for the oracle."""
-    gb = GroupBy(
-        sources=[_events_source(sf_dir, {"user_id": "user_id",
-                                         "event_type": "event_type",
-                                         "value": "value"})],
-        key_columns=["user_id"],
-        aggregations=[Aggregation(Operation.COUNT, "value", buckets=["event_type"],
-                                  windows=[Window(7, TimeUnit.DAYS)])],
-        accuracy=Accuracy.TEMPORAL,
-        name="bkt",
-    )
-    from .group_by import features_for_queries
-
-    feats = features_for_queries(
-        gb, _distinct_user_ts(sf_dir), dedupe_queries=True
-    )
-
-    def explode(batch: pa.Table) -> pa.Table:
-        users, tss, bks, cnts = [], [], [], []
-        col = batch["value_count_7d_by_event_type"].to_pylist()
-        u = batch["user_id"].to_pylist()
-        t = batch["ts"].to_pylist()
-        for i, m in enumerate(col):
-            if m is None:
-                continue
-            items = m.items() if isinstance(m, dict) else m
-            for k, v in items:
-                users.append(u[i])
-                tss.append(t[i])
-                bks.append(k)
-                cnts.append(v)
-        return pa.table({
-            "user_id": pa.array(users, type=pa.int64()),
-            "ts": pa.array(tss, type=pa.int64()),
-            "bucket": pa.array(bks, type=pa.string()),
-            "cnt": pa.array(cnts, type=pa.int64()),
-        })
-
-    return feats.map_batches(explode, batch_format="pyarrow")
-
-
-BUCKETED_COUNTS_SQL = f"""
-WITH e AS (SELECT user_id, event_type, epoch_ms(ts) AS ts, value FROM events),
-q AS (SELECT DISTINCT user_id, ts FROM e)
-SELECT q.user_id, q.ts, e.event_type AS bucket, count(e.value) AS cnt
-FROM q JOIN e ON e.user_id = q.user_id AND e.ts < q.ts
-              AND e.ts >= (q.ts - {7 * DAY})//{HOUR}*{HOUR}
-GROUP BY q.user_id, q.ts, e.event_type
 """
 
 
@@ -3026,7 +2792,7 @@ def online_serving(sf_dir: str):
     # broadcast (which holds the whole tail+upload per node at scale)
     upload = group_by_upload(gb, batch_end)
     stream = _events_ds(sf_dir, ["user_id", "ts", "value"]).map_batches(
-        lambda df: df.assign(ts=df["ts"].astype("int64") // 1000),
+        lambda df: df.assign(ts=_epoch_ms(df)),
         batch_format="pandas",
     )
     left = (
@@ -3301,7 +3067,26 @@ FROM p GROUP BY ts_bucket
 """
 
 
+_THS = _texthash_sqls()
+
+# The driver records the first 50 entries: see the module docstring.
 ORACLE_QUERIES = {
+    # the flagship, then the queries that never had a driver row
+    "image_backfill": (image_backfill_small, _image_backfill_sql),
+    "image_backfill_skew": (image_backfill_skew_small, _image_backfill_sql),
+    "phash_neardup": (phash_neardup_images, _phash_neardup_sql),
+    "image_pixel_dedup": (image_pixel_dedup, _image_pixel_dedup_sql),
+    "video_frame_sample": (video_frame_sample, _video_frame_sample_sql),
+    "audio_window_features": (audio_window_features, _audio_window_features_sql),
+    "kmeans_clusters": (kmeans_clusters, _kmeans_sql),
+    "tfidf_top_terms": (tfidf_top_terms_docs, TFIDF_SQL),
+    "stratified_sample": (stratified_sample_embeddings, _stratified_sample_sql),
+    "doc_signals": (doc_signals, _doc_signals_sql),
+    "event_type_aggs": (event_type_aggs, EVENT_TYPE_AGGS_SQL),
+    "bucketed_ann": (bucketed_ann, BUCKETED_ANN_SQL),
+    "drift_stats": (drift_stats_demo, DRIFT_STATS_SQL),
+    "list_explode_agg": (list_explode_agg, LIST_EXPLODE_SQL),
+    "bootstrap_join": (bootstrap_join, BOOTSTRAP_JOIN_SQL),
     "external_enrich": (external_enrich, EXTERNAL_ENRICH_SQL),
     "consistency_compare": (consistency_compare, CONSISTENCY_SQL),
     "log_flatten": (log_flatten_query, LOG_FLATTEN_SQL),
@@ -3310,35 +3095,23 @@ ORACLE_QUERIES = {
     "neardup_cosine": (neardup_cosine_pairs, NEARDUP_COSINE_SQL),
     "label_join": (label_join_training, LABEL_JOIN_SQL),
     "chained_join": (chained_join_features, CHAINED_JOIN_SQL),
-    "bucketed_counts": (bucketed_counts, BUCKETED_COUNTS_SQL),
+    "asof_histograms": (asof_histograms, ASOF_HISTOGRAMS_SQL),
     "snapshot_entities": (snapshot_entities_daily, _snapshot_entities_sql),
     "staging_query": (staging_query_revenue, STAGING_SQL),
     "summary_stats": (summary_stats_lineitem, SUMMARY_STATS_SQL),
     "session_stats": (session_stats_30m, SESSION_STATS_SQL),
-    "asof_core": (asof_core, ASOF_CORE_SQL),
-    "asof_timed": (asof_timed, ASOF_TIMED_SQL),
+    "asof_ops": (asof_ops, ASOF_OPS_SQL),
     "model_scores": (model_scores, MODEL_SCORES_SQL),
-    "asof_moments": (asof_moments, ASOF_MOMENTS_SQL),
-    "asof_distinct_topk": (asof_distinct_topk, ASOF_DISTINCT_SQL),
-    "asof_histogram": (asof_histogram_exploded, ASOF_HISTOGRAM_SQL),
-    "approx_histogram": (approx_histogram_exploded, ASOF_HISTOGRAM_SQL),
-    "lag_lead": (lag_lead_events, LAG_LEAD_SQL),
-    "sessionize": (sessionize_30m, SESSIONIZE_SQL),
+    "event_sequence": (event_sequence, EVENT_SEQUENCE_SQL),
     "range_join": (range_join_windows, RANGE_JOIN_SQL),
     "snapshot_daily": (snapshot_daily, SNAPSHOT_SQL),
     "join_enrich": (join_enrich, JOIN_ENRICH_SQL),
     "q1_pricing_summary": (q1_pricing_summary, Q1_SQL),
     "q3_top_revenue": (q3_top_revenue, Q3_SQL),
     "dedup_exact": (dedup_exact_docs, DEDUP_EXACT_SQL),
-    "text_stats": (text_stats_docs, TEXT_STATS_SQL),
-    "token_counts": (token_counts_docs, TOKEN_COUNTS_SQL),
-    "repetition_stats": (repetition_stats_docs, REPETITION_STATS_SQL),
     "pii_scrub": (pii_scrub_docs, PII_SCRUB_SQL),
     "paragraph_dedup": (paragraph_dedup_docs, PARAGRAPH_DEDUP_SQL),
-    "duplicate_spans": (duplicate_spans_docs, DUPLICATE_SPANS_SQL),
-    "span_removal": (span_removal_docs, SPAN_REMOVAL_SQL),
-    "quantile_filter": (quantile_filter_docs, QUANTILE_FILTER_SQL),
-    "percentile_normalize": (percentile_normalize_docs, PERCENTILE_NORMALIZE_SQL),
+    "duplicate_spans": (duplicate_spans_docs, DUPLICATE_SPANS_REMOVAL_SQL),
     "doc_chunks": (doc_chunks, DOC_CHUNKS_SQL),
     "outlier_flags": (outlier_flags, OUTLIER_FLAGS_SQL),
     "token_pack": (token_pack_docs, TOKEN_PACK_SQL),
@@ -3346,33 +3119,7 @@ ORACLE_QUERIES = {
     "lm_quality": (lm_quality_docs, LM_QUALITY_SQL),
     "decontaminate": (decontaminate_docs, DECONTAMINATE_SQL),
     "ann_cosine_topk": (ann_cosine_topk, ANN_SQL),
-    "elementwise_avg": (elementwise_avg_by_label, ELEMENTWISE_SQL),
+    "minhash_clusters": (minhash_clusters_docs, _THS["minhash_clusters"]),
+    "langid_quality": (langid_docs, _THS["langid_quality"]),
+    "temporal_entities": (temporal_entities_demo, _temporal_entities_sql),
 }
-
-_THS = _texthash_sqls()
-ORACLE_QUERIES.update(
-    {
-        "minhash_clusters": (minhash_clusters_docs, _THS["minhash_clusters"]),
-        "simhash_docs": (simhash_docs, _THS["simhash_docs"]),
-        "langid_quality": (langid_docs, _THS["langid_quality"]),
-        "fingerprint_docs": (fingerprint_docs, _THS["fingerprint_docs"]),
-        "temporal_entities": (temporal_entities_demo, _temporal_entities_sql),
-        "image_backfill": (image_backfill_small, _image_backfill_sql),
-        "image_backfill_skew": (image_backfill_skew_small, _image_backfill_sql),
-        "phash_neardup": (phash_neardup_images, _phash_neardup_sql),
-        "image_pixel_dedup": (image_pixel_dedup, _image_pixel_dedup_sql),
-        "video_frame_sample": (video_frame_sample, _video_frame_sample_sql),
-        "audio_window_features": (audio_window_features, _audio_window_features_sql),
-        "approx_sketches": (approx_distinct_users, APPROX_SKETCHES_SQL),
-        "lsh_ann": (lsh_ann_docs, LSH_ANN_SQL),
-        "ivf_ann": (ivf_ann_docs, IVF_ANN_SQL),
-        "kmeans_clusters": (kmeans_clusters, _kmeans_sql),
-        "tfidf_top_terms": (tfidf_top_terms_docs, TFIDF_SQL),
-        "dataset_split": (dataset_split, _dataset_split_sql),
-        "stratified_sample": (stratified_sample_embeddings, _stratified_sample_sql),
-        "drift_stats": (drift_stats_demo, DRIFT_STATS_SQL),
-        "list_explode_agg": (list_explode_agg, LIST_EXPLODE_SQL),
-        "map_column_agg": (map_column_agg, MAP_COLUMN_SQL),
-        "bootstrap_join": (bootstrap_join, BOOTSTRAP_JOIN_SQL),
-    }
-)

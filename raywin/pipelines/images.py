@@ -2,7 +2,7 @@
 event table (the BASELINE north-star shape).
 
     image events (image_id, bytes, w, h, fmt, caption, phash, ts, score, views)
-      -> DecodeFeatures actor pool (each distinct payload decoded once:
+      -> DecodeFeatures task pool (each distinct payload decoded once:
          PSNR/caption invariants, pixel features gathered back to the
          rows; payload bytes dropped before any shuffle)
       -> distinct (image_id, ts) backfill queries
@@ -70,7 +70,6 @@ def image_feature_group_by(table_path: str, bounded_only: bool = False) -> Group
 def image_feature_backfill(
     table_path: str,
     check_invariants: bool = True,
-    decode_concurrency=None,
     handle_skew: bool = False,
     bounded_only: bool = False,
 ):
@@ -90,23 +89,12 @@ def image_feature_backfill(
     # the engine's sessions (sticky DataContext flag, see tune_data_context)
     tune_data_context()
     events = read_parquet(table_path)
-    if decode_concurrency is None:
-        # stateless task pool: warm worker processes are reused across
-        # tasks, so per-worker first-touch/warmup is paid once — a real
-        # model-loading decoder would instead pass concurrency=N for a
-        # fixed actor pool (which also sidesteps reservation starvation:
-        # 71 s at 8 CPUs on the same table, vs 44 s tasks-unreserved)
-        decoded = events.map_batches(
-            DecodeFeatures(check_invariants), batch_format="pyarrow", batch_size=8192
-        )
-    else:
-        decoded = events.map_batches(
-            DecodeFeatures,
-            fn_constructor_kwargs={"check_invariants": check_invariants},
-            batch_format="pyarrow",
-            batch_size=8192,
-            concurrency=decode_concurrency,
-        )
+    # stateless task pool: warm worker processes are reused across tasks, so
+    # per-worker first-touch/warmup is paid once (a fixed actor pool took
+    # 71 s at 8 CPUs on the 1M table, against 44 s for tasks unreserved)
+    decoded = events.map_batches(
+        DecodeFeatures(check_invariants), batch_format="pyarrow", batch_size=8192
+    )
     # static output schema: DecodeFeatures drops `bytes` and appends three
     # float64 feature columns.  Without this, features_for_queries' schema
     # lookup EXECUTES a limit-1 probe through the fused read->decode stage —

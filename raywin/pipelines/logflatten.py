@@ -104,8 +104,7 @@ class FlattenLogs:
         return pa.Table.from_arrays(arrays, schema=self.out_schema)
 
 
-def flatten_logs(log_table: str, schema_table: str, join_name: str | None = None,
-                 concurrency: int | None = None):
+def flatten_logs(log_table: str, schema_table: str, join_name: str | None = None):
     """Flatten a serving-log table into a typed feature table.
 
     log_table columns: join_name, schema_hash, key_json, value_json, ts, ds.
@@ -125,7 +124,7 @@ def flatten_logs(log_table: str, schema_table: str, join_name: str | None = None
     out = ds.map_batches(
         FlattenLogs,
         fn_constructor_args=(schema_rows,),
-        concurrency=concurrency or 2,
+        concurrency=2,
         batch_format="pyarrow",
     )
     return declare_schema(out, stage.out_schema)

@@ -1,5 +1,5 @@
 """Multimodal (image) columns: opaque binary payloads with typed metadata,
-decoded/validated in actor-pool map_batches stages.
+decoded/validated in map_batches stages.
 
 Every stage here decodes once per distinct payload: a batch's (bytes, fmt)
 columns are dictionary-encoded (exact: a hash plus a byte comparison), each
@@ -294,11 +294,13 @@ def decode_distinct(batch: pa.Table, bytes_col: str = "bytes", fmt_col: str = "f
     """Decode each distinct (payload, fmt) of ``batch`` once (through
     :func:`decode_images_bulk`, so JPEGs keep the batched finish).  Returns
     (pixels, fmts, inv): the decoded distinct payloads, their format labels
-    and each row's index into them — row r's pixels are ``pixels[inv[r]]``."""
+    and each row's index into them — row r's pixels are ``pixels[inv[r]]``.
+    Pixels are RGB: an alpha channel (RGBA PNG) is dropped, as PIL's
+    ``convert("RGB")`` does."""
     first, inv = _distinct(_codes(batch[bytes_col]), _codes(batch[fmt_col]))
     fmts = np.asarray(batch[fmt_col].take(first).to_pylist(), dtype=object)
     pixels = decode_images_bulk(batch[bytes_col].take(first).to_pylist(), fmts)
-    return pixels, fmts, inv
+    return [px[..., :3] for px in pixels], fmts, inv
 
 
 def check_captions(ids, captions) -> None:
@@ -319,8 +321,8 @@ def check_captions(ids, captions) -> None:
 
 
 class DecodeFeatures:
-    """Actor-pool stage: decode payloads, verify invariants, emit pixel
-    features (stateful setup in __init__ per the actor-pool pattern).
+    """map_batches stage: decode payloads, verify invariants, emit pixel
+    features.
 
     Each distinct (payload, fmt) of a batch is decoded once and its pixel
     features computed once, per shape group; the results are gathered back

@@ -185,8 +185,6 @@ def apply_model_transforms(
     ds,
     model_transforms: ModelTransforms,
     row_ids: list[str],
-    concurrency=(1, 8),
-    batch_size: int = 8192,
 ):
     """Score a join-output Dataset: returns row_ids + passthrough fields +
     one column per model output (ModelTransformBatchJob.scala:100-127 run
@@ -201,6 +199,6 @@ def apply_model_transforms(
             "backends": dict(MODEL_BACKENDS),
         },
         batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency,
+        batch_size=8192,
+        concurrency=(1, 8),
     )

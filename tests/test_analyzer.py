@@ -95,6 +95,30 @@ def test_group_by_failures():
     assert any("mixes source types" in e for e in validate_group_by(gb))
 
 
+def test_duplicate_output_columns_reported():
+    """Two parts with one output name are a validation error naming the
+    column, not a failure later in the plan's column selection."""
+    src = _events_src({"user_id": "user_id", "value": "value", "etype": "event_type"})
+    gb = _good_gb(sources=[src], aggregations=[
+        Aggregation(Operation.BOUNDED_UNIQUE_COUNT, "etype", arg_map={"k": 3}),
+        Aggregation(Operation.BOUNDED_UNIQUE_COUNT, "etype", arg_map={"k": 5}),
+    ])
+    errs = validate_group_by(gb, check_tables=False)
+    assert errs == ["group_by 'ok': two aggregation parts both output column "
+                    "'etype_bounded_unique_count'"]
+
+    # an element-wise and an exploded AVERAGE of one list column
+    gb = _good_gb(aggregations=[
+        Aggregation(Operation.AVERAGE, "emb", element_wise=True),
+        Aggregation(Operation.AVERAGE, "emb"),
+        Aggregation(Operation.SUM, "emb", windows=[Window(1, TimeUnit.DAYS), Window(-1)]),
+    ])
+    errs = validate_group_by(gb, check_tables=False)
+    assert [e for e in errs if "emb_" in e] == [
+        "group_by 'ok': two aggregation parts both output column 'emb_average'"
+    ]
+
+
 def test_derivation_validation():
     gb = _good_gb(derivations=[Derivation("renamed", "not_a_column")])
     assert any("not found in pre-derived" in e for e in validate_group_by(gb))

@@ -652,3 +652,20 @@ def test_decode_empty_batch_keeps_typed_schema():
     assert rs.schema.field("pixels").type == pa.binary()
     assert rs.schema.field("out_h").type == pa.int32()
     assert rs.schema.field("mean_lum_rs").type == pa.float64()
+
+
+@pytest.mark.parametrize("ftype", [0, 4])
+def test_rgba_png_decodes_as_rgb(ftype):
+    """An RGBA PNG of make_pixels with an opaque alpha channel gives the
+    same DecodeFeatures and ResizeStage output as the RGB PNG: alpha is
+    dropped once per distinct payload, as PIL's convert("RGB") does."""
+    ids = ["img_00000003", "img_00000007", "img_00000003"]
+    rgb, rgba = [], []
+    for iid in ids:
+        px = make_pixels(iid, 8, 8)
+        rgb.append((iid, png_encode(px), "png"))
+        alpha = np.full(px.shape[:2] + (1,), 255, np.uint8)
+        rgba.append((iid, _build_png(np.concatenate([px, alpha], axis=2), ftype), "png"))
+    want, got = _image_batch(rgb), _image_batch(rgba)
+    assert DecodeFeatures()(got).equals(DecodeFeatures()(want))
+    assert ResizeStage(4, 4)(got).equals(ResizeStage(4, 4)(want))

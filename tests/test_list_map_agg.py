@@ -17,7 +17,7 @@ import pytest
 
 from raywin.api import Aggregation, Operation, TimeUnit, Window
 from raywin.aggregator.kernel import PartitionAggregator
-from raywin.aggregator.windowing import FiveMinuteResolution, NaiveOracle
+from raywin.aggregator.windowing import FiveMinuteResolution, NaiveOracle, window_bounds
 
 from .test_kernel_vs_oracle import _check, aggregate
 
@@ -98,6 +98,39 @@ def test_list_explode_vs_oracle(op, args):
             for u, t in zip(out["user"], out["ts"])
         ]
         _check(part.output_column, col, expected, op)
+
+
+@pytest.mark.parametrize(
+    "op,reduce", [(Operation.SUM, np.sum), (Operation.AVERAGE, np.mean), (Operation.MAX, np.max)]
+)
+def test_element_wise_vs_oracle(op, reduce):
+    """element_wise=True (ElementWiseOp): output[i] reduces element i of
+    every in-window list that has one, against a per-index numpy
+    reference.  Lists are ragged (0-4 elements), so a longer list after a
+    shorter one appends indexes to the IR (ElementWiseOp.update's append)."""
+    ev, q = gen_list_data()
+    ev["emb"] = pd.Series(
+        [None if v is None else [x for x in v if not math.isnan(x)] for v in ev["emb"]],
+        dtype=object,
+    )
+    parts = Aggregation(op, "emb", windows=WINDOWS, element_wise=True).unpack()
+    agg = PartitionAggregator(["user"], parts, FiveMinuteResolution, tie_breaker="seq")
+    out = aggregate(agg, ev, q, TYPES)
+
+    has_list = ev["emb"].notna().to_numpy()
+    for part in parts:
+        lo, hi = window_bounds(out["ts"].to_numpy(), part, FiveMinuteResolution)
+        expected = []
+        for u, l, h in zip(out["user"], lo, hi):
+            m = has_list & (ev["user"] == u).to_numpy() & (ev["ts"] >= l).to_numpy() & (ev["ts"] < h).to_numpy()
+            lists = ev["emb"][m].tolist()
+            width = max(map(len, lists), default=0)
+            expected.append(
+                [float(reduce([v[i] for v in lists if len(v) > i])) for i in range(width)]
+                if lists else None
+            )
+        assert any(e and len(e) > 1 for e in expected)
+        _check(part.output_column, out[part.output_column].tolist(), expected, op)
 
 
 def gen_map_data(seed=13, n_events=300, n_queries=50, n_keys=5, span_days=15):
