@@ -37,18 +37,29 @@ from ..api import AggregationPart, Operation
 
 
 class Segments(NamedTuple):
-    """The groups of one ScalarOp.scan_segments call.  Group g merges
-    heads[collapsed[g]] (when collapsed[g] >= 0), then heads[tile[g]:tile[g]
-    + n_tiles[g]] in that order, then folds the values from vals[ev_start[g]]
-    on.  q_group is each stop's group, non-decreasing, and every group has
-    a stop; a group's stops are non-decreasing counts of its values
-    folded, as in ScalarOp.scan."""
+    """The groups of one part's scan (ScalarOp.scan_segments, scan_parts).
+    Group g merges heads[collapsed[g]] (when collapsed[g] >= 0), then
+    heads[tile[g]:tile[g] + n_tiles[g]] in that order, then folds the
+    values from vals[ev_start[g]] on.  q_group is each stop's group,
+    non-decreasing, and every group has a stop; a group's stops are
+    non-decreasing counts of its values folded, as in ScalarOp.scan."""
 
     collapsed: np.ndarray
     tile: np.ndarray
     n_tiles: np.ndarray
     ev_start: np.ndarray
     q_group: np.ndarray
+
+
+class Fold(NamedTuple):
+    """One running fold of a part's groups (ScalarOp.folds): ufunc (np.add,
+    np.minimum or np.maximum) along each group's row of heads, then vals,
+    both 1-D arrays of one dtype.  (ufunc, dtype) is the fold's channel:
+    scan_parts runs every part's folds of one channel in one pass."""
+
+    ufunc: np.ufunc
+    heads: np.ndarray
+    vals: np.ndarray
 
 
 class ScalarOp:
@@ -107,18 +118,29 @@ class ScalarOp:
         return out
 
     def ir_array(self, irs):
-        """irs as the array scan_segments folds in one accumulate, or None
-        when the IRs must be merged one by one (this default)."""
+        """irs as the array folds() reads, or None when the IRs must be
+        merged one by one (this default)."""
         return None
+
+    def folds(self, heads, vals, stops):
+        """The Folds whose runs answer scan_segments(heads, vals, ts, segs,
+        stops) (answer() turns them into values), or None when heads and
+        vals do not fold exactly as numpy arrays of one dtype, as with this
+        default: scan_segments then answers."""
+        return None
+
+    def answer(self, runs, ok):
+        """The answers from the runs of folds() at every stop: ok marks the
+        stops that folded anything, None elsewhere."""
+        return _answers(runs[0], ok)
 
     def scan_segments(self, heads, vals, ts, segs: Segments, stops):
         """scan for many groups at once: per group (see Segments), the
         finalized fold at each of its stops, starting from the merge of its
         heads.  heads holds IRs (or the rows of an ir_array) and is never
-        mutated.  Returns the answers aligned with stops.  This default
-        merges clones of each group's heads and runs scan on it; the
-        overrides fold every group in one row-wise accumulate and must give
-        the same values bit for bit."""
+        mutated.  Returns the answers aligned with stops.  It merges clones
+        of each group's heads and runs scan on it; scan_parts calls it for
+        the parts it cannot fold as numpy channels."""
         out = []
         qb = np.searchsorted(segs.q_group, np.arange(len(segs.ev_start) + 1)).tolist()
         for g, (c, t0, nt, e0) in enumerate(zip(
@@ -262,57 +284,134 @@ def _row_bins(n_tiles, n_events):
 
 def _identity(ufunc, dtype):
     """The value ufunc folds to a no-op, bit for bit: -0.0 (not 0.0) for a
-    float sum, the extreme of the dtype for min and max."""
+    float sum (an int64 sum takes _prefix_sums), the extreme of the dtype
+    for min and max."""
     if ufunc is np.add:
-        return -0.0 if dtype.kind == "f" else 0
+        return -0.0
     if dtype.kind == "f":
         return np.inf if ufunc is np.minimum else -np.inf
     return np.iinfo(dtype).max if ufunc is np.minimum else np.iinfo(dtype).min
 
 
+def scan_parts(parts) -> list:
+    """op.scan_segments(heads, vals, ts, segs, stops) for each (op, heads,
+    vals, ts, segs, stops) of parts, bit for bit.  The Folds of all parts
+    that share a channel run as one: their rows are stacked into one
+    _scan_rows pass, or one pass of prefix sums for an int64 sum (int64
+    addition wraps associatively, so its order does not change a bit).
+    Rows are independent, so stacking changes no answer.  A part without
+    folds, or with one in a channel that fails its check, is answered by
+    its scan_segments."""
+    folds = [op.folds(h, v, st) for op, h, v, _, _, st in parts]
+    channels = {}
+    for i, fs in enumerate(folds):
+        for j, f in enumerate(fs or ()):
+            channels.setdefault((f.ufunc, f.heads.dtype), []).append((i, j))
+    runs = [[None] * len(fs) if fs else None for fs in folds]
+    oks = [None] * len(parts)
+    for (ufunc, dtype), members in channels.items():
+        heads, vals, segs, stops = _stack([(folds[i][j], *parts[i][4:]) for i, j in members])
+        if ufunc is np.add and dtype == np.int64:
+            run = _prefix_sums(heads, vals, segs, stops)
+        else:
+            run = _scan_rows(ufunc, heads, vals, segs, stops,
+                             signed_zeros=dtype.kind == "f" and ufunc is not np.add)
+        if run is None:
+            for i, _ in members:
+                runs[i] = None
+            continue
+        ok = ((segs.collapsed >= 0) | (segs.n_tiles > 0))[segs.q_group] | (stops > 0)
+        at = 0
+        for i, j in members:
+            n = len(parts[i][5])
+            if runs[i] is not None:
+                runs[i][j], oks[i] = run[at:at + n], ok[at:at + n]
+            at += n
+    return [op.scan_segments(h, v, ts, segs, stops) if r is None else op.answer(r, ok)
+            for (op, h, v, ts, segs, stops), r, ok in zip(parts, runs, oks)]
+
+
+def _stack(items):
+    """One channel's (Fold, Segments, stops) items as one: their heads and
+    values one after another (a values array several folds read is taken
+    once), each item's segments moved to its rows and its groups numbered
+    after the previous items'."""
+    if len(items) == 1:
+        f, segs, stops = items[0]
+        return f.heads, f.vals, segs, stops
+    vals, at = [], {}
+    offsets, n_groups, n_stops = [], [], []  # per item: heads, values, groups before it
+    n_h = n_v = n_g = 0
+    for f, segs, stops in items:
+        if id(f.vals) not in at:
+            at[id(f.vals)] = n_v
+            vals.append(f.vals)
+            n_v += len(f.vals)
+        offsets.append((n_h, at[id(f.vals)], n_g))
+        n_groups.append(len(segs.ev_start))
+        n_stops.append(len(stops))
+        n_h += len(f.heads)
+        n_g += n_groups[-1]
+    offsets = np.array(offsets)
+    h_off, v_off = offsets[:, :2].repeat(n_groups, axis=0).T
+    collapsed, tile, n_tiles, ev_start, q_group = (
+        np.concatenate(c) for c in zip(*(segs for _, segs, _ in items)))
+    return (
+        np.concatenate([f.heads for f, _, _ in items]), np.concatenate(vals),
+        Segments(np.where(collapsed >= 0, collapsed + h_off, -1), tile + h_off, n_tiles,
+                 ev_start + v_off, q_group + offsets[:, 2].repeat(n_stops)),
+        np.concatenate([stops for _, _, stops in items]),
+    )
+
+
+def _prefix_sums(heads, vals, segs, stops):
+    """An int64 sum at every stop: the group's heads plus its values up to
+    the stop, each a difference of prefix sums."""
+    h = np.concatenate(([0], heads.cumsum()))
+    v = np.concatenate(([0], vals.cumsum()))
+    base = (h[segs.tile + segs.n_tiles] - h[segs.tile]
+            + np.where(segs.collapsed >= 0, h[segs.collapsed + 1] - h[segs.collapsed], 0))
+    # a fold whose stops are all 0 may read no values (then ev_start
+    # points past them)
+    e0 = np.minimum(segs.ev_start[segs.q_group], len(vals))
+    return base[segs.q_group] + v[e0 + stops] - v[e0]
+
+
 def _scan_rows(ufunc, heads, vals, segs, stops, signed_zeros=False):
     """ufunc.accumulate along every group's row: its collapsed IR, its
-    tiles, then its values up to its last stop.  heads (IRs in ir_array
-    form) and the values read are arrays of one dtype; an IR that is a row
-    of numbers adds a trailing axis to both.  Rows go into _row_bins
-    matrices of [collapsed | tiles | values] blocks, missing cells are the
-    fold's identity, and a query's answer is the cell after its stop.
-    Returns (the run at each query, mask of the queries that folded
-    anything), or None when signed_zeros is set and a row's run mixes 0.0
-    and -0.0."""
-    dtype, tail = heads.dtype, heads.shape[1:]
+    tiles, then its values up to its last stop.  heads and vals are 1-D
+    arrays of one dtype.  Rows go into _row_bins matrices of [collapsed |
+    tiles | values] blocks, missing cells are the fold's identity, and a
+    query's answer is the cell after its stop.  Returns the run at each
+    query, or None when signed_zeros is set and a row's run mixes 0.0 and
+    -0.0."""
+    dtype = heads.dtype
     ident = _identity(ufunc, dtype)
     n_groups, q_group = len(segs.ev_start), segs.q_group
     has_c = segs.collapsed >= 0
     last = stops[q_group.searchsorted(np.arange(1, n_groups + 1)) - 1]
-    out = np.zeros((len(stops),) + tail, dtype=dtype)
-    trail = (1,) * len(tail)
+    out = np.zeros(len(stops), dtype=dtype)
 
     def block(src, starts, width, counts):
         # rows of src[starts + j] for j < width; cells at j >= counts are
         # the identity (counts None: left as read, never used)
         if not (width and len(src)):
-            m = np.empty((len(starts), width) + tail, dtype=dtype)
-            m.fill(ident)
-            return m
+            return np.full((len(starts), width), ident, dtype=dtype)
         j = np.arange(width)
-        m = src.take(starts[:, None] + j, axis=0, mode="clip")
-        if counts is None:
-            return m
-        return np.where((j < counts[:, None]).reshape(m.shape[:2] + trail), m, ident)
+        m = src.take(starts[:, None] + j, mode="clip")
+        return m if counts is None else np.where(j < counts[:, None], m, ident)
 
     for gs, t_width, e_width in _row_bins(segs.n_tiles, last):
         qi, qg, sub = slice(None), q_group, slice(None)
         if gs is not None:
-            rank = np.empty(n_groups, dtype=np.int64)
-            rank.fill(-1)
+            rank = np.full(n_groups, -1, dtype=np.int64)
             rank[gs] = np.arange(len(gs))
             qi = (rank[q_group] >= 0).nonzero()[0]
             qg, sub = rank[q_group[qi]], gs
         cs = segs.collapsed[sub]
-        c = heads[cs] if len(heads) else np.zeros((len(cs),) + tail, dtype=dtype)
+        c = heads[cs] if len(heads) else np.zeros(len(cs), dtype=dtype)
         m = np.concatenate((
-            np.where(has_c[sub].reshape((-1,) + trail), c, ident)[:, None],
+            np.where(has_c[sub], c, ident)[:, None],
             block(heads, segs.tile[sub], t_width, segs.n_tiles[sub]),
             block(vals, segs.ev_start[sub], e_width, last[sub] if signed_zeros else None),
         ), axis=1)
@@ -324,13 +423,19 @@ def _scan_rows(ufunc, heads, vals, segs, stops, signed_zeros=False):
                 if (neg.any(axis=1) & (z & ~neg).any(axis=1)).any():
                     return None
         out[qi] = run[qg, t_width + stops[qi]]
-    return out, (has_c | (segs.n_tiles > 0))[q_group] | (stops > 0)
+    return out
 
 
-def _typed(heads, dtype, shape=()):
+def _typed(heads, dtype):
     """heads as an array: an empty one of dtype when there are none (heads
     may then be an empty list)."""
-    return heads if len(heads) else np.zeros((0,) + shape, dtype=dtype)
+    return heads if len(heads) else np.zeros(0, dtype=dtype)
+
+
+def _as(vals, dtype):
+    """The values a fold of dtype reads: vals, or none when they have
+    another dtype (_row_dtype allows that only when no stop reads one)."""
+    return vals if vals.dtype == dtype else np.zeros(0, dtype=dtype)
 
 
 def _answers(run, ok):
@@ -369,11 +474,9 @@ class Sum(ScalarOp):
     def ir_array(self, irs):
         return _scalar_array(irs)
 
-    def scan_segments(self, heads, vals, ts, segs, stops):
+    def folds(self, heads, vals, stops):
         dt = _row_dtype(heads, vals, stops)
-        if dt is None:
-            return super().scan_segments(heads, vals, ts, segs, stops)
-        return _answers(*_scan_rows(np.add, _typed(heads, dt), vals, segs, stops))
+        return None if dt is None else [Fold(np.add, _typed(heads, dt), _as(vals, dt))]
 
     def fold_segments(self, vals, ts, starts):
         if not _seg_ok(vals):
@@ -406,16 +509,11 @@ class Count(ScalarOp):
         arr = _scalar_array(irs)
         return arr if arr is not None and arr.dtype == np.int64 else None
 
-    def scan_segments(self, heads, vals, ts, segs, stops):
-        # a count is its heads' sum plus its stop: no row to fold
+    def folds(self, heads, vals, stops):
+        # a count sums its heads and a 1 per value
         if len(heads) and not (isinstance(heads, np.ndarray) and heads.dtype == np.int64):
-            return super().scan_segments(heads, vals, ts, segs, stops)
-        run = np.concatenate(([0], np.cumsum(_typed(heads, np.int64))))
-        has_c = segs.collapsed >= 0
-        base = (run[segs.tile + segs.n_tiles] - run[segs.tile]
-                + np.where(has_c, run[segs.collapsed + 1] - run[segs.collapsed], 0))
-        ok = (has_c | (segs.n_tiles > 0))[segs.q_group] | (stops > 0)
-        return _answers(base[segs.q_group] + stops, ok)
+            return None
+        return [Fold(np.add, _typed(heads, np.int64), np.ones(len(vals), dtype=np.int64))]
 
     def fold_segments(self, vals, ts, starts):
         if not len(starts):
@@ -470,18 +568,24 @@ class Average(ScalarOp):
             return np.array(irs, dtype=np.float64).reshape(-1, 2)
         return None
 
-    def scan_segments(self, heads, vals, ts, segs, stops):
-        # rows of (sum, count): prepare makes a value a float, so float64
-        # sums of the values fold exactly as update does
+    def folds(self, heads, vals, stops):
+        # the sums and the counts of the (sum, count) rows: prepare makes a
+        # value a float, so float64 sums of the values fold exactly as
+        # update does, and a count sums its heads and a 1 per value
         if len(heads) and not (isinstance(heads, np.ndarray) and heads.ndim == 2):
-            return super().scan_segments(heads, vals, ts, segs, stops)
-        lifted = np.zeros((0, 2))
-        if len(stops) and stops.max() > 0:
-            if vals.dtype not in _SCAN_DTYPES:
-                return super().scan_segments(heads, vals, ts, segs, stops)
-            lifted = np.column_stack((vals.astype(np.float64), np.ones(len(vals))))
-        run, ok = _scan_rows(np.add, _typed(heads, np.float64, (2,)), lifted, segs, stops)
-        return _answers(run[:, 0] / np.where(ok, run[:, 1], 1), ok)
+            return None
+        read = len(stops) and stops.max() > 0
+        if read and vals.dtype not in _SCAN_DTYPES:
+            return None
+        heads = heads if len(heads) else np.zeros((0, 2))
+        return [
+            Fold(np.add, heads[:, 0], vals.astype(np.float64, copy=False) if read else np.zeros(0)),
+            Fold(np.add, heads[:, 1].astype(np.int64), np.ones(len(vals), dtype=np.int64)),
+        ]
+
+    def answer(self, runs, ok):
+        sums, counts = runs
+        return _answers(sums / np.where(ok, counts, 1), ok)
 
     def fold_segments(self, vals, ts, starts):
         if not _seg_ok(vals):
@@ -509,13 +613,9 @@ class _Extremum(ScalarOp):
     def ir_array(self, irs):
         return _scalar_array(irs)
 
-    def scan_segments(self, heads, vals, ts, segs, stops):
+    def folds(self, heads, vals, stops):
         dt = _row_dtype(heads, vals, stops)
-        got = None if dt is None else _scan_rows(
-            self._running, _typed(heads, dt), vals, segs, stops, signed_zeros=dt.kind == "f")
-        if got is None:
-            return super().scan_segments(heads, vals, ts, segs, stops)
-        return _answers(*got)
+        return None if dt is None else [Fold(self._running, _typed(heads, dt), _as(vals, dt))]
 
 
 class Min(_Extremum):

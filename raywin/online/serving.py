@@ -30,16 +30,23 @@ one after another.  lambda_aggregate_many works on all of them at once:
   * for every part at once: each group's heads, the key's collapsed IR
     and then its tiles that start at or after lo, one searchsorted over
     every key's tile starts;
-  * per part, one ScalarOp.scan_segments call folds every group.  Sum,
-    average, min and max fold heads and events in one row-wise numpy
-    accumulate, bit-identical to the sequential fold, and count adds its
-    heads to its stops; every other op merges clones of its heads and runs
-    the prepare/update loop.
+  * per fold channel, one pass over the groups of every part in it
+    (scalar_ops.scan_parts).  Sum, count, average, min and max declare
+    their folds as (ufunc, dtype) channels: add for a sum, min or max for
+    an extremum, add on the sums plus an int64 add on the counts for an
+    average, an int64 add for a count.  The rows of every part of a
+    channel, whatever its window or input column, are stacked into one
+    row-wise numpy accumulate, bit-identical to the sequential fold; an
+    int64 add (associative) is one pass of prefix sums instead.  Every
+    other op, and a part whose channel fails its dtype or signed-zero
+    check, merges clones of its heads and runs the prepare/update loop.
 
 A key's batch IR is decoded once (SawtoothOnlineAggregator.decode, cached
 by the Fetcher) into per-part heads and tile starts, with the heads of the
-numeric ops as one array.  The Fetcher ingests micro-batches with one
-factorize + lexsort instead of a pandas groupby.
+numeric ops as one array.  Request and micro-batch rows are grouped by key
+with one lexsort (of the key values when they are integers, else of their
+factorize codes) instead of a pandas groupby, and a micro-batch that
+continues a key's stream in time is appended without a sort.
 
 online_enrich_distributed applies the lambda offline at scale: queries,
 upload rows and the streaming tail meet in one co-partition exchange, and
@@ -58,7 +65,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..api import GroupBy
-from ..aggregator.scalar_ops import Segments, make_scalar_op
+from ..aggregator.scalar_ops import Segments, make_scalar_op, scan_parts
 from ..aggregator.windowing import FiveMinuteResolution, round_down
 from .upload import IR_COL, load_upload
 
@@ -70,7 +77,8 @@ _LO_NONE = np.iinfo(np.int64).min // 2
 class _PartIR(NamedTuple):
     """One part of one key's batch IR, decoded.  heads: the collapsed IR
     (first, when there is one) then the tiles, ascending by start; starts:
-    the tiles' starts; arr: heads as the op's ir_array, or None."""
+    the tiles' starts; arr: heads as the op's ir_array (what its folds
+    read), or None."""
 
     heads: list
     has_c: int
@@ -218,8 +226,9 @@ class SawtoothOnlineAggregator:
         {output column: object array aligned with query_ts}.
 
         The groups of every window, each input column's non-null events and
-        the heads of every part are computed once for all keys; then each
-        part folds all of its groups with one ScalarOp.scan_segments call."""
+        the heads of every part are computed once for all keys; then
+        scan_parts folds the groups of all parts, one pass per fold
+        channel."""
         qts = np.asarray(query_ts, dtype=np.int64)
         if query_bounds is None:  # one key
             batch_irs = [self.decode(batch_irs)]
@@ -242,8 +251,8 @@ class SawtoothOnlineAggregator:
         i1 = stream.search(q_key, qts)  # each query's first event at or after it
         grp = self._groups(q_key, qts, stream)
         heads = self._heads(batch_irs, grp)
-        columns, out = {}, {}
-        for (op, out_col, in_col, _), w, (h, collapsed, tile, n_tiles) in zip(
+        columns, parts = {}, []
+        for (op, _, in_col, _), w, (h, collapsed, tile, n_tiles) in zip(
                 self._specs, self._part_win.tolist(), heads):
             if in_col not in columns:
                 ev_vals, ev_ts, before = _events(stream_rows.get(in_col), stream_ts)
@@ -251,8 +260,11 @@ class SawtoothOnlineAggregator:
             ev_vals, ev_ts, before, e1 = columns[in_col]
             e0 = before[grp.i0[grp.bounds[w]:grp.bounds[w + 1]]]
             q_group = grp.q_group[w]
-            segs = Segments(collapsed, tile, n_tiles, e0, q_group)
-            res = _objects(op.scan_segments(h, ev_vals, ev_ts, segs, np.maximum(e1 - e0[q_group], 0)))
+            parts.append((op, h, ev_vals, ev_ts, Segments(collapsed, tile, n_tiles, e0, q_group),
+                          np.maximum(e1 - e0[q_group], 0)))
+        out = {}
+        for (_, out_col, _, _), res in zip(self._specs, scan_parts(parts)):
+            res = _objects(res)
             if order is not None:  # back to the caller's query order
                 col = np.empty(n, dtype=object)
                 col[order] = res
@@ -409,19 +421,24 @@ def _non_null(vals):
 
 def _key_groups(df: pd.DataFrame, key_cols, ts, keep=None):
     """df's rows grouped by key, ts-ascending (stable) within a key, with one
-    factorize per key column and one lexsort.  Rows outside ``keep`` or with
-    a null key are left out, as a pandas groupby drops them.  Returns
-    (positions into df, [(key tuple, a, b)]): a key's rows are
-    positions[a:b]."""
-    if keep is None:
-        keep = np.ones(len(df), dtype=bool)
+    lexsort: of the key values themselves when every key column has an
+    integer numpy dtype (no nulls), else of one factorize per key column.
+    Rows outside ``keep`` or with a null key are left out, as a pandas
+    groupby drops them.  Returns (positions into df, [(key tuple, a, b)]):
+    a key's rows are positions[a:b], and a key is a tuple of Python
+    values either way."""
     codes, uniques = [], []
     for k in key_cols:
-        c, u = pd.factorize(df[k])
+        col = df[k]
+        if isinstance(col.dtype, np.dtype) and col.dtype.kind in "iu":
+            codes.append(col.to_numpy())
+            uniques.append(None)
+            continue
+        c, u = pd.factorize(col)
         codes.append(c)
-        uniques.append(u.tolist())
-        keep = keep & (c >= 0)
-    pos = np.flatnonzero(keep)
+        uniques.append(u)
+        keep = c >= 0 if keep is None else keep & (c >= 0)
+    pos = np.arange(len(df)) if keep is None else np.flatnonzero(keep)
     if not len(pos):
         return pos, []
     pos = pos[np.lexsort([ts[pos]] + [c[pos] for c in reversed(codes)])]
@@ -430,11 +447,11 @@ def _key_groups(df: pd.DataFrame, key_cols, ts, keep=None):
     new_key[0] = True
     for c in codes:
         new_key[1:] |= c[1:] != c[:-1]
-    bounds = np.flatnonzero(new_key).tolist() + [len(pos)]
-    return pos, [
-        (tuple(u[c[a]] for u, c in zip(uniques, codes)), a, b)
-        for a, b in zip(bounds[:-1], bounds[1:])
-    ]
+    firsts = np.flatnonzero(new_key)
+    keys = zip(*((c[firsts] if u is None else u.take(c[firsts])).tolist()
+                 for c, u in zip(codes, uniques)))
+    bounds = firsts.tolist() + [len(pos)]
+    return pos, list(zip(keys, bounds[:-1], bounds[1:]))
 
 
 def _key_streams(df: pd.DataFrame, key_cols, in_cols, keep=None):
@@ -450,12 +467,17 @@ def _key_streams(df: pd.DataFrame, key_cols, in_cols, keep=None):
 
 def _merge_append(streams: dict, key: tuple, ts, rows: dict):
     """Merge one key's ts-ascending slice into streams[key] = [ts, {column:
-    values}].  Micro-batches may interleave in time; a stable sort of two
-    sorted runs is near-linear and keeps earlier-ingested rows first on ts
-    ties."""
+    values}].  A slice that starts at or after the key's last ts is
+    appended; micro-batches may also interleave in time, and then a stable
+    sort of the two sorted runs (near-linear) keeps earlier-ingested rows
+    first on ts ties."""
     cur = streams.get(key)
     if cur is None:
         streams[key] = [ts, rows]
+        return
+    if not len(cur[0]) or cur[0][-1] <= ts[0]:  # in order: ties stay after
+        streams[key] = [np.concatenate([cur[0], ts]),
+                        {c: np.concatenate([cur[1][c], rows[c]]) for c in rows}]
         return
     all_ts = np.concatenate([cur[0], ts])
     order = np.argsort(all_ts, kind="stable")
@@ -472,7 +494,8 @@ class Fetcher:
 
     Raw rows are held columnar: per key, a ts-sorted int64 array plus one
     array per input column.  put_events sorts each micro-batch once by
-    (key, ts) and stable-merges each key's slice into the key's arrays.
+    (key, ts) and appends each key's slice to the key's arrays, or
+    stable-merges it when it starts before the key's last ts.
     fetch_batch answers a request with one lambda_aggregate_many call over
     all of its keys (fetch is a one-row fetch_batch); each key's batch IR
     is unpickled and decoded once, into _cache.  Tile-backed state takes

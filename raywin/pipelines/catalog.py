@@ -2763,10 +2763,12 @@ def online_serving(sf_dir: str):
     105-123), the result equals a plain as-of recompute over ALL events —
     which is exactly what the SQL oracle does, making the seam
     driver-verifiable."""
+    import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
     from ..online import group_by_upload
     from ..online.serving import online_enrich_distributed
+    from ..stages.shuffle import _arrow_schema, declare_schema
 
     ev_path = f"{sf_dir}/events.parquet"
     tbl = pads.dataset(ev_path, format="parquet").to_table(columns=["ts"])
@@ -2791,13 +2793,18 @@ def online_serving(sf_dir: str):
     # shuffle with the queries instead of a driver .to_pandas() + ray.put
     # broadcast (which holds the whole tail+upload per node at scale)
     upload = group_by_upload(gb, batch_end)
-    stream = _events_ds(sf_dir, ["user_id", "ts", "value"]).map_batches(
-        lambda df: df.assign(ts=_epoch_ms(df)),
-        batch_format="pandas",
-    )
-    left = (
-        _distinct_user_ts(sf_dir)
-        .filter(expr=f"ts >= {batch_end} and ts < {batch_end + DAY}")
+    # both sides declare their schemas, so the serving exchange probes
+    # neither: the stream keeps the read's types with ts as epoch millis
+    read = _events_ds(sf_dir, ["user_id", "ts", "value"])
+    read_schema = _arrow_schema(read)
+    i_ts = read_schema.get_field_index("ts")
+    stream = declare_schema(read.map_batches(
+        lambda b: b.set_column(i_ts, "ts", pc.divide(b["ts"].cast(pa.int64()), 1000)),
+        batch_format="pyarrow",
+    ), read_schema.set(i_ts, pa.field("ts", pa.int64())))
+    rows = _distinct_user_ts(sf_dir)
+    left = declare_schema(
+        rows.filter(expr=f"ts >= {batch_end} and ts < {batch_end + DAY}"), _arrow_schema(rows)
     )
     return online_enrich_distributed(
         left, gb, batch_end, upload, stream

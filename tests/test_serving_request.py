@@ -216,13 +216,9 @@ def test_serving_kernel_hot_key_bucket(ray_session, tmp_path, monkeypatch):
                 assert _same(float(g), float(w)), (i, c, g, w)
 
 
-def test_fetch_batch_perfbench_hook_contract():
-    """perfbench's online_fetch wraps fetcher.agg.lambda_aggregate_many and
-    runs np.searchsorted(args[1], args[3]) after every call.  fetch_batch
-    makes exactly one call per request; args[1] is a 1-D int64 array or
-    None and args[3] a 1-D int64 array, so the hook never raises; the
-    answers are the unwrapped Fetcher's; and _cache gains one entry per key
-    the request is the first to ask for."""
+def _online_fetch_gb():
+    """perfbench online_fetch's GroupBy, over a float column v and an int64
+    column n, and 6000 events of 60 keys over 8 days."""
     gb = _gb([
         Aggregation(Operation.SUM, "v", windows=[Window(1, TimeUnit.DAYS), Window(7, TimeUnit.DAYS)]),
         Aggregation(Operation.COUNT, "v", windows=[Window(6, TimeUnit.HOURS)]),
@@ -230,7 +226,6 @@ def test_fetch_batch_perfbench_hook_contract():
         Aggregation(Operation.MAX, "n", windows=[Window(1, TimeUnit.DAYS)]),
         Aggregation(Operation.SUM, "n"),
     ])
-    batch_end = BASE + 7 * DAY
     rng = np.random.default_rng(11)
     n = 6000
     events = pd.DataFrame({
@@ -239,6 +234,19 @@ def test_fetch_batch_perfbench_hook_contract():
         "v": rng.normal(50, 20, n).round(2),
         "n": rng.integers(0, 20, n).astype(np.int64),
     }).sort_values("ts", kind="stable").reset_index(drop=True)
+    return gb, events
+
+
+def test_fetch_batch_perfbench_hook_contract():
+    """perfbench's online_fetch wraps fetcher.agg.lambda_aggregate_many and
+    runs np.searchsorted(args[1], args[3]) after every call.  fetch_batch
+    makes exactly one call per request; args[1] is a 1-D int64 array or
+    None and args[3] a 1-D int64 array, so the hook never raises; the
+    answers are the unwrapped Fetcher's; and _cache gains one entry per key
+    the request is the first to ask for."""
+    gb, events = _online_fetch_gb()
+    batch_end = BASE + 7 * DAY
+    rng = np.random.default_rng(11)
     blobs = _upload(gb, events, batch_end)
     tail = events[events["ts"] >= batch_end].reset_index(drop=True)
     hooked = Fetcher(gb, batch_end, upload=blobs)
@@ -344,3 +352,191 @@ def test_runs_search_matches_per_key_searchsorted(span):
     got = _Runs(np.concatenate(runs), bounds).search(keys, x)
     want = [bounds[k] + np.searchsorted(runs[k], v) for k, v in zip(keys, x)]
     assert got.tolist() == want
+
+
+def test_request_scans_one_matrix_per_channel(monkeypatch):
+    """On online_fetch's GroupBy a request stacks the rows of its numeric
+    parts into one _scan_rows matrix per (ufunc, dtype) channel, whatever
+    the part's window or input column: at most 3 matrices (5 with a matrix
+    per part), none for the same channel twice.  The int64 sums and the
+    counts need none.  Answers equal the per-row reference lambda."""
+    import raywin.aggregator.scalar_ops as scalar_ops
+
+    gb, events = _online_fetch_gb()
+    batch_end = BASE + 7 * DAY
+    blobs = _upload(gb, events, batch_end)
+    tail = events[events["ts"] >= batch_end].reset_index(drop=True)
+    fetcher = Fetcher(gb, batch_end, upload=blobs)
+    scans = []
+    scan_rows = scalar_ops._scan_rows
+
+    def recording(ufunc, heads, *args, **kwargs):
+        scans.append((ufunc.__name__, heads.dtype.name))
+        return scan_rows(ufunc, heads, *args, **kwargs)
+
+    monkeypatch.setattr(scalar_ops, "_scan_rows", recording)
+    rng = np.random.default_rng(12)
+    for m in range(0, len(tail), 300):
+        batch = tail.iloc[m:m + 300]
+        fetcher.put_events(batch)
+        req = pd.DataFrame({
+            "k": rng.choice([f"u{i}" for i in range(70)], 8),
+            "ts": int(batch["ts"].max()) + rng.integers(1, HOUR, 8),
+        })
+        before = len(scans)
+        got = fetcher.fetch_batch(req)
+        made = scans[before:]
+        assert 0 < len(made) <= 3 and len(set(made)) == len(made), made
+        for i, (k, t) in enumerate(zip(req["k"], req["ts"])):
+            st_ = fetcher._stream.get((k,))
+            one = fetcher.agg.lambda_aggregate(
+                pickle.loads(blobs[(k,)]) if (k,) in blobs else None,
+                *(st_ if st_ else (None, None)), int(t))
+            assert all(_same(got[c][i], w) for c, w in one.items()), (k, t)
+    assert ("add", "float64") in scans and ("maximum", "int64") in scans
+
+
+_NUMERIC = [Operation.SUM, Operation.COUNT, Operation.AVERAGE, Operation.MIN, Operation.MAX]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    specs=st.lists(
+        st.tuples(st.sampled_from(_NUMERIC), st.sampled_from(_WINDOWS),
+                  st.sampled_from(["v", "w", "z", "n"])),
+        min_size=2, max_size=8, unique=True,
+    ),
+    n_keys=st.integers(1, 5),
+    n_events=st.integers(0, 300),
+    seam_slot=st.integers(0, 24 * 12 * 4),
+    seed=st.integers(0, 2**31),
+)
+def test_shared_channels_match_per_row_lambda(specs, n_keys, n_events, seam_slot, seed):
+    """Numeric parts that share a fold channel across windows and input
+    columns answer bit for bit as lambda_aggregate: float sums beside
+    AVERAGE's sums over the int64 column n, int64 sums beside counts, and
+    float MIN/MAX over z, mostly 0.0 and -0.0, so a short window's extremum
+    is a zero tie, beside v (nulls, few zeros) and w (neither): a channel
+    whose rows mix 0.0 and -0.0 takes the per-part fold for each of its
+    parts.  One request never scans a channel twice."""
+    from unittest import mock
+
+    import raywin.aggregator.scalar_ops as scalar_ops
+
+    rng = np.random.default_rng(seed)
+    batch_end = BASE + DAY + seam_slot * MILLIS_5MIN
+    gb = _gb([Aggregation(op, col, windows=[w] if w else [Window(-1)]) for op, w, col in specs])
+    v = rng.normal(0, 3, n_events).round(2)
+    v[rng.random(n_events) < 0.1] = np.nan
+    zeros = rng.random(n_events) < 0.1
+    v[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, 0.0, -0.0)
+    events = pd.DataFrame({
+        "k": [f"k{i}" for i in rng.integers(0, n_keys, n_events)],
+        "ts": (BASE + rng.integers(0, 8 * DAY, n_events)).astype(np.int64),
+        "v": v,
+        "w": rng.normal(10, 3, n_events).round(2),
+        "z": rng.choice([0.0, -0.0, 1.25, -1.25], n_events, p=[0.45, 0.45, 0.05, 0.05]),
+        "n": rng.integers(-5, 6, n_events).astype(np.int64),
+    }).sort_values("ts", kind="stable").reset_index(drop=True)
+    blobs = _upload(gb, events, batch_end) if len(events) else {}
+    agg = SawtoothOnlineAggregator(gb, batch_end)
+    tail = events[events["ts"] >= batch_end]
+    irs, streams, queries = [], [], []
+    for k in [f"k{i}" for i in range(n_keys)]:
+        blob = blobs.get((k,))
+        irs.append(None if blob is None else pickle.loads(blob))
+        sub = tail[tail["k"] == k]
+        streams.append((sub["ts"].to_numpy(np.int64), {c: sub[c].to_numpy() for c in "vwzn"}))
+        queries.append(np.concatenate([
+            [batch_end + 2 * DAY + HOUR], batch_end + rng.integers(-HOUR, 2 * DAY, 6),
+        ]).astype(np.int64))
+    lens = [len(t) for t, _ in streams]
+    scans = []
+    scan_rows = scalar_ops._scan_rows
+
+    def recording(ufunc, heads, *args, **kwargs):
+        scans.append((ufunc, heads.dtype))
+        return scan_rows(ufunc, heads, *args, **kwargs)
+
+    with mock.patch.object(scalar_ops, "_scan_rows", recording):
+        got = agg.lambda_aggregate_many(
+            [agg.decode(ir) for ir in irs],
+            np.concatenate([t for t, _ in streams]) if sum(lens) else None,
+            {c: np.concatenate([r[c] for _, r in streams]) for c in "vwzn"},
+            np.concatenate(queries),
+            np.concatenate(([0], np.cumsum(lens))),
+            np.concatenate(([0], np.cumsum([len(q) for q in queries]))),
+        )
+    assert len(set(scans)) == len(scans), scans
+    i = 0
+    for ir, (k_ts, rows), qs in zip(irs, streams, queries):
+        k_ts, rows = (k_ts, rows) if len(k_ts) else (None, None)
+        for q in qs.tolist():
+            for c, want in agg.lambda_aggregate(ir, k_ts, rows, q).items():
+                assert _same(got[c][i], want), (c, q - batch_end)
+            i += 1
+
+
+def test_key_groups_int_keys_match_factorize():
+    """Two integer key columns are grouped by a lexsort of their values;
+    the same keys as object columns go through factorize.  Both give the
+    same Python int key tuples and the same rows per key, ts-ascending with
+    ts ties in row order, with and without a keep mask; a nullable key
+    column drops its null keys."""
+    from raywin.online.serving import _key_groups
+
+    rng = np.random.default_rng(9)
+    n = 600
+    df = pd.DataFrame({
+        "a": rng.integers(-3, 3, n),
+        "b": rng.integers(0, 4, n).astype(np.uint32),
+    })
+    ts = rng.integers(0, 15, n).astype(np.int64)  # many ties
+    as_objects = df.astype(object)
+
+    def by_key(frame, keep):
+        pos, groups = _key_groups(frame, ["a", "b"], ts, keep)
+        return {key: pos[a:b].tolist() for key, a, b in groups}
+
+    for keep in (None, rng.random(n) < 0.6):
+        got, want = by_key(df, keep), by_key(as_objects, keep)
+        assert got == want
+        assert all(type(x) is int for key in got for x in key)
+        kept = np.flatnonzero(np.ones(n, dtype=bool) if keep is None else keep)
+        assert sorted(r for rows in got.values() for r in rows) == kept.tolist()
+        for rows in got.values():
+            assert rows == sorted(rows, key=lambda r: (ts[r], r))
+    nullable = df.astype({"a": "Int64"})
+    nullable.loc[::7, "a"] = pd.NA
+    got = by_key(nullable, None)
+    assert sum(map(len, got.values())) == n - len(range(0, n, 7))
+    assert got == {k: rows for k, rows in by_key(df, np.arange(n) % 7 != 0).items()}
+
+
+def test_put_events_appends_in_order_and_merges_out_of_order():
+    """Micro-batches that continue a key's stream (appended, ties at the
+    join included) and ones that go back in time or interleave (merged)
+    leave each key's stream as one stable ts sort of every row put: ts
+    ties stay in ingest order."""
+    gb = _gb([Aggregation(Operation.SUM, "seq")])
+    batch_end = BASE
+    rng = np.random.default_rng(17)
+    frames, seq = [], 0
+    for lo, hi in [(0, 10), (9, 20), (5, 15), (20, 30), (20, 30), (0, 40), (39, 45)]:
+        m = 60
+        frames.append(pd.DataFrame({
+            "k": rng.integers(0, 4, m),
+            "ts": (batch_end + rng.integers(lo, hi, m) * 1000).astype(np.int64),
+            "seq": np.arange(seq, seq + m),
+        }))
+        seq += m
+    fetcher = Fetcher(gb, batch_end)
+    for f in frames:
+        fetcher.put_events(f)
+    every = pd.concat(frames, ignore_index=True)
+    assert sorted(fetcher._stream) == [(k,) for k in sorted(every["k"].unique())]
+    for k, rows in every.groupby("k"):
+        want = rows.sort_values("ts", kind="stable")
+        ts, cols = fetcher._stream[(k,)]
+        assert ts.tolist() == want["ts"].tolist()
+        assert cols["seq"].tolist() == want["seq"].tolist()

@@ -187,6 +187,20 @@ def test_pixel_dedup_runs_once(ray_session, count_executions, tmp_path):
     assert (out["group_size"] == 3).all()
 
 
+def test_online_serving_runs_once(ray_session, count_executions):
+    """The online_serving catalog query declares its Arrow stream map's and
+    its filtered left side's schemas, so its serving exchange probes
+    neither: one execution, no limit-1 probe, and the declared output
+    schema is the executed one."""
+    from raywin.pipelines.catalog import online_serving
+
+    ds = online_serving(SF)
+    out = pa.concat_tables([t for t in ray.get(ds.to_arrow_refs()) if t.num_rows])
+    assert len(count_executions) == 1, count_executions
+    assert not _probes(count_executions)
+    assert out.num_rows > 0 and out.schema == known_schema(ds)
+
+
 def test_declared_schemas_match_executed(ray_session, tmp_path):
     """Every declared output schema equals the executed table's: the point-
     in-time kernel (plain and with DuckDB derivations), the upload table,
