@@ -1,8 +1,8 @@
 """Vectorized partition-local aggregation kernel.
 
-This is the compute kernel that runs inside ``groupby(bucket).map_groups`` /
-actor-pool ``map_batches`` stages after the hash(entity)xtime shuffle.  Given
-one co-partitioned group of (events, queries) it evaluates every
+This is the compute kernel that runs inside each ``co_partition`` call
+(stages/shuffle.py) after the hash(entity)xtime exchange.  Given one call's
+co-partitioned (events, queries), every key whole, it evaluates every
 AggregationPart at every query timestamp under the sawtooth membership rule
 
     round(q - w, tail_hop) <= ev.ts < round(q, head_rounding)

@@ -6,8 +6,9 @@ scala:35-218) and EditDistance (stats/EditDistance.scala:16-112) on Ray Data:
 - two tables joined on row ids (or keys + ts) into ``{field}_left`` /
   ``{field}_right`` column pairs,
 - per-row metric columns computed vectorized in ``map_batches``,
-- per-time-bucket aggregation (hourly by default) via ``groupby(bucket)
-  .map_groups`` — parallelism is by bucket, numpy inside each group.
+- per-time-bucket aggregation (hourly by default) via one ``co_partition``
+  exchange on the bucket — parallelism is by bucket, one vectorized numpy
+  pass over every bucket of a call.
 
 Metric families per value field (CompareMetrics.scala:52-130):
 
@@ -32,8 +33,9 @@ hourly bucket fits a worker; buckets fan out across the cluster.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+
+from ..stages.shuffle import _arrow_schema, co_partition, declare_schema, sort_by_key
 
 LEFT_SUFFIX = "_left"
 RIGHT_SUFFIX = "_right"
@@ -87,6 +89,13 @@ class RowMetrics:
         self.fields = value_fields
         self.time_column = time_column
         self.bucket_ms = bucket_minutes * 60 * 1000
+
+    def schema(self) -> pa.Schema:
+        """The output schema: this stage over an empty joined table."""
+        cols = {self.time_column: pa.array([], pa.int64())}
+        for name, typ in self.fields:
+            cols[name + LEFT_SUFFIX] = cols[name + RIGHT_SUFFIX] = pa.array([], typ)
+        return self(pa.table(cols)).schema
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ts = batch[self.time_column].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -154,51 +163,67 @@ class RowMetrics:
         return pa.Table.from_pydict(out)
 
 
+def _quantiles(gid: np.ndarray, vals: np.ndarray, n_groups: int, qs) -> list[np.ndarray]:
+    """np.quantile (linear, NaN skipped) of ``vals`` per group id in one
+    sort: one array per q, NaN for a group without values."""
+    ok = ~np.isnan(vals)
+    order = np.lexsort((vals[ok], gid[ok]))
+    v = vals[ok][order]
+    cnt = np.bincount(gid[ok], minlength=n_groups)
+    has = cnt > 0
+    first = (np.cumsum(cnt) - cnt)[has]
+    out = []
+    for q in qs:
+        pos = (cnt[has] - 1) * q
+        lo, t = np.floor(pos).astype(np.int64), pos % 1
+        a, b = v[first + lo], v[first + np.ceil(pos).astype(np.int64)]
+        r = np.full(n_groups, np.nan)
+        r[has] = a + (b - a) * t
+        out.append(r)
+    return out
+
+
 class BucketFinalize:
-    """map_groups per time bucket: sums / averages / exact quantiles."""
+    """co_partition fn: one row per time bucket of the call — sums,
+    averages and exact quantiles, each one vectorized pass over the
+    call's buckets."""
 
     def __init__(self, value_fields: list[tuple[str, pa.DataType]]):
         self.fields = value_fields
 
-    def __call__(self, g: pd.DataFrame) -> pd.DataFrame:
-        row: dict[str, object] = {"ts_bucket": int(g["__bucket"].iloc[0])}
-        n = len(g)
+    def __call__(self, t: pa.Table) -> pa.Table:
+        t, starts, _ = sort_by_key(t, ["__bucket"])
+        n = np.diff(np.append(starts, len(t)))
+
+        def sums(col):
+            return np.add.reduceat(t[col].to_numpy(zero_copy_only=False), starts)
+
+        row: dict[str, np.ndarray] = {"ts_bucket": t["__bucket"].to_numpy()[starts]}
         for name, typ in self.fields:
             for m in ("both_null", "left_null", "right_null"):
-                row[f"{name}_{m}"] = int(g[f"{name}_{m}"].sum())
+                row[f"{name}_{m}"] = sums(f"{name}_{m}")
             row[f"{name}_total"] = n
-            if f"{name}_mismatch" in g.columns:
-                row[f"{name}_mismatch"] = int(g[f"{name}_mismatch"].sum())
+            if f"{name}_mismatch" in t.column_names:
+                row[f"{name}_mismatch"] = sums(f"{name}_mismatch")
             if _is_numeric(typ):
-                row[f"{name}_smape"] = float(g[f"{name}_smape"].mean())
-                d = g[f"{name}_left_minus_right"].to_numpy(dtype=np.float64)
-                d = d[~np.isnan(d)]
-                if len(d):
-                    p0, p50, p100 = np.quantile(d, [0.0, 0.5, 1.0])
-                else:
-                    p0 = p50 = p100 = np.nan  # keeps the column float64
-                row[f"{name}_left_minus_right_p0"] = p0
-                row[f"{name}_left_minus_right_p50"] = p50
-                row[f"{name}_left_minus_right_p100"] = p100
+                row[f"{name}_smape"] = sums(f"{name}_smape") / n
+                d = t[f"{name}_left_minus_right"].to_numpy(zero_copy_only=False)
+                gid = np.repeat(np.arange(len(n)), n)
+                for p, col in zip((0, 50, 100), _quantiles(gid, d, len(n), (0.0, 0.5, 1.0))):
+                    row[f"{name}_left_minus_right_p{p}"] = col
             elif _is_sequence(typ):
-                row[f"{name}_edit_insert"] = int(g[f"{name}_edit_insert"].sum())
-                row[f"{name}_edit_delete"] = int(g[f"{name}_edit_delete"].sum())
-        return pd.DataFrame([row])
+                row[f"{name}_edit_insert"] = sums(f"{name}_edit_insert")
+                row[f"{name}_edit_delete"] = sums(f"{name}_edit_delete")
+        return pa.table(row)
 
 
 def compare_joined(joined_ds, value_fields: list[tuple[str, pa.DataType]],
                    time_column: str = "ts", bucket_minutes: int = 60):
     """Metrics over an already-joined table with _left/_right column pairs."""
-    rows = joined_ds.map_batches(
-        RowMetrics(value_fields, time_column, bucket_minutes),
-        batch_format="pyarrow",
-    )
-    fin = BucketFinalize(value_fields)
-
-    def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        return fin(g)
-
-    return rows.groupby("__bucket").map_groups(finalize, batch_format="pandas")
+    metrics, fin = RowMetrics(value_fields, time_column, bucket_minutes), BucketFinalize(value_fields)
+    schema = metrics.schema()
+    rows = declare_schema(joined_ds.map_batches(metrics, batch_format="pyarrow"), schema)
+    return declare_schema(co_partition(rows, ["__bucket"], fin), fin(schema.empty_table()).schema)
 
 
 def compare_tables(left_ds, right_ds, keys: list[str],
@@ -212,12 +237,17 @@ def compare_tables(left_ds, right_ds, keys: list[str],
     CompareBaseJob.scala:60-105)."""
     from ..functions.relational import bucketed_left_join
 
-    lren = {c: c + LEFT_SUFFIX for c, _ in value_fields}
-    rren = {c: c + RIGHT_SUFFIX for c, _ in value_fields}
-    l = left_ds.rename_columns(lren)
-    r = right_ds.rename_columns(rren)
-    keep_r = keys + [c + RIGHT_SUFFIX for c, _ in value_fields]
-    r = r.select_columns([c for c in keep_r if c != time_column])
+    def renamed(ds, suffix):
+        """ds with its value columns suffixed, declared (rename_columns
+        does not carry a declared schema)."""
+        ren = {c: c + suffix for c, _ in value_fields}
+        schema = pa.schema([f.with_name(ren.get(f.name, f.name)) for f in _arrow_schema(ds)])
+        return declare_schema(ds.rename_columns(ren), schema), schema
+
+    l, _ = renamed(left_ds, LEFT_SUFFIX)
+    r, r_schema = renamed(right_ds, RIGHT_SUFFIX)
+    keep_r = [c for c in keys + [c + RIGHT_SUFFIX for c, _ in value_fields] if c != time_column]
+    r = declare_schema(r.select_columns(keep_r), pa.schema([r_schema.field(c) for c in keep_r]))
     joined = bucketed_left_join(
         l, r, [k for k in keys if k != time_column]
     )

@@ -16,7 +16,7 @@ import pyarrow as pa
 from ray.data.aggregate import Max, Min, Sum
 
 from ..stages.query import map_sql
-from ..stages.shuffle import CHUNK_COL, SIDE_COL, _arrow_schema, co_partition, declare_schema
+from ..stages.shuffle import CHUNK_COL, SIDE_COL, _arrow_schema, co_partition, declare_schema, sort_by_key
 
 _MERGE_FNS = {"sum": Sum, "min": Min, "max": Max}
 
@@ -56,30 +56,33 @@ def sql_group_agg(
 
 def distinct(ds, cols: list[str]):
     """DISTINCT rows over `cols`: ONE hash-bucket shuffle, then a vectorized
-    per-partition drop_duplicates (never one Python call per group — the
-    reference's uniqSort analogue, GroupBy.scala:311)."""
+    per-partition first row per distinct `cols` (never one Python call per
+    group — the reference's uniqSort analogue, GroupBy.scala:311)."""
 
-    def dd(df):
-        return df.drop_duplicates(cols)
+    def dd(t: pa.Table) -> pa.Table:
+        t, starts, _ = sort_by_key(t, cols)
+        return t.take(pa.array(starts))
 
-    return co_partition(ds, cols, dd, batch_format="pandas")
+    return co_partition(ds, cols, dd)
 
 
 def min_by_group(ds, group_cols: list[str], order_col: str):
-    """Keep the row with min(order_col) per group — vectorized per partition."""
+    """Keep the row with min(order_col) per group — vectorized per
+    partition; the first such row on ties, and a null group key is a group
+    of its own, as in SQL ``GROUP BY``."""
 
-    def pick(df):
-        idx = df.groupby(group_cols, sort=False)[order_col].idxmin()
-        return df.loc[idx]
+    def pick(t: pa.Table) -> pa.Table:
+        t, starts, _ = sort_by_key(t, group_cols, [(order_col, "ascending")])
+        return t.take(pa.array(starts))
 
-    return co_partition(ds, group_cols, pick, batch_format="pandas")
+    return co_partition(ds, group_cols, pick)
 
 
 _ARROW_HOW = {"left": "left outer", "right": "right outer", "outer": "full outer"}
 
 
 class _BucketJoinKernel:
-    """map_groups fn: split a co-partitioned bucket by side tag and merge."""
+    """co_partition fn: split a call's rows by side tag and hash-join them."""
 
     def __init__(self, on, how, left_names, right_names):
         self.on = list(on)
@@ -113,13 +116,13 @@ def bucketed_left_join(left_ds, right_ds, on: list[str], how: str = "left"):
     of a larger pipeline."""
     l_schema, r_schema = _arrow_schema(left_ds), _arrow_schema(right_ds)
     kernel = _BucketJoinKernel(on, how, l_schema.names, r_schema.names)
-    out = co_partition([left_ds, right_ds], list(on), kernel, batch_format="pyarrow")
+    out = co_partition([left_ds, right_ds], list(on), kernel)
     # the join of the two empty sides has the output's schema
     return declare_schema(out, kernel.join(l_schema.empty_table(), r_schema.empty_table()).schema)
 
 
 class _MultiBucketJoinKernel:
-    """map_groups fn: split a co-partitioned bucket by side tag and merge the
+    """co_partition fn: split a call's rows by side tag and left-join the
     left side with EVERY right side sequentially (all sides share the join
     key, so one exchange co-locates them all)."""
 
@@ -151,7 +154,7 @@ def bucketed_multi_left_join(left_ds, rights, on: list[str]):
     disjoint from the left's and each other's (prefix them first)."""
     l_schema, r_schemas = _arrow_schema(left_ds), [_arrow_schema(r) for r in rights]
     kernel = _MultiBucketJoinKernel(on, l_schema.names, [r.names for r in r_schemas])
-    out = co_partition([left_ds, *rights], list(on), kernel, batch_format="pyarrow")
+    out = co_partition([left_ds, *rights], list(on), kernel)
     # the join of the empty sides has the output's schema
     return declare_schema(
         out, kernel.join(l_schema.empty_table(), [r.empty_table() for r in r_schemas]).schema
@@ -159,7 +162,7 @@ def bucketed_multi_left_join(left_ds, rights, on: list[str]):
 
 
 class _RangeJoinKernel:
-    """map_groups fn: Arrow equi-join on key+chunk, then a vectorized
+    """co_partition fn: Arrow equi-join on key+chunk, then a vectorized
     range filter start <= ts < end."""
 
     def __init__(self, on, left_names, right_names, left_ts, right_start, right_end):
@@ -253,27 +256,30 @@ def bucketed_range_join(
     kernel = _RangeJoinKernel(
         on, list(l_schema.names), list(r_schema.names), left_ts, right_start, right_end
     )
-    return co_partition(
-        [left, right], list(on), kernel, batch_format="pyarrow"
-    )
+    return co_partition([left, right], list(on), kernel)
 
 
 def broadcast_lookup_join(ds, small_df, on: list[str], how: str = "inner"):
     """Join a Dataset against a SMALL pandas table without a shuffle: the
-    small side is put in the object store once (ray.put) and merged per batch
-    (the reference's small-mode key-injection analogue, JoinUtils.scala:296-359)."""
+    small side is put in the object store once (ray.put) as Arrow and
+    hash-joined per batch (the reference's small-mode key-injection
+    analogue, JoinUtils.scala:296-359)."""
     import ray
 
-    ref = ray.put(small_df)
+    small = pa.Table.from_pandas(small_df, preserve_index=False)
+    ref = ray.put(small)
+    join_type = _ARROW_HOW.get(how, how)
 
     class Merge:
         def __init__(self):
             self.small = ray.get(ref)
 
-        def __call__(self, batch):
-            return batch.merge(self.small, on=on, how=how)
+        def __call__(self, batch: pa.Table) -> pa.Table:
+            return batch.join(self.small, keys=on, join_type=join_type, use_threads=False)
 
-    return ds.map_batches(Merge, batch_format="pandas", concurrency=(1, 8))
+    out = ds.map_batches(Merge, batch_format="pyarrow", concurrency=(1, 8))
+    # the join of the empty sides has the output's schema
+    return declare_schema(out, _arrow_schema(ds).empty_table().join(small, keys=on, join_type=join_type).schema)
 
 
 def top_k(ds, sort_col: str, k: int, descending: bool = True):

@@ -214,30 +214,27 @@ def robust_outlier_flags(ds, key_col: str, value_col: str, k: float = 3.0):
     median) flags every value that differs from the median at all, since
     |v - med| > 0; constant groups and singletons flag nothing.  Returns
     the input columns + (med, mad, is_outlier)."""
-    from ..stages.shuffle import co_partition
+    from ..stages.shuffle import co_partition, sort_by_key
 
-    def flag(g: pd.DataFrame) -> pd.DataFrame:
-        keys = g[key_col].to_numpy()
-        vals = g[value_col].to_numpy(dtype=np.float64)
-        n = len(g)
-        order = np.lexsort((vals, keys))
-        ks, vs = keys[order], vals[order]
-        starts = np.flatnonzero(np.r_[True, ks[1:] != ks[:-1]])
+    def flag(t: pa.Table) -> pa.Table:
+        t, starts, _ = sort_by_key(t, [key_col])
+        n = len(t)
         cnts = np.diff(np.r_[starts, n])
-        med_idx = starts + (cnts - 1) // 2
         gidx = np.repeat(np.arange(len(starts)), cnts)
+        vals = t[value_col].to_numpy(zero_copy_only=False).astype(np.float64)
+        order = np.lexsort((vals, gidx))
+        vs = vals[order]
+        med_idx = starts + (cnts - 1) // 2
         med_sorted = vs[med_idx][gidx]
         dev_sorted = np.abs(vs - med_sorted)
-        # second per-group sort on deviations: same boundaries (keys lead)
-        order2 = np.lexsort((dev_sorted, ks))
+        # second per-group sort on deviations: same boundaries (groups lead)
+        order2 = np.lexsort((dev_sorted, gidx))
         mad_sorted = dev_sorted[order2][med_idx][gidx]
         med = np.empty(n)
         mad = np.empty(n)
         med[order] = med_sorted
         mad[order] = mad_sorted
-        g["med"] = med
-        g["mad"] = mad
-        g["is_outlier"] = np.abs(vals - med) > k * mad
-        return g
+        return t.append_column("med", pa.array(med)).append_column("mad", pa.array(mad)) \
+            .append_column("is_outlier", pa.array(np.abs(vals - med) > k * mad))
 
-    return co_partition(ds, [key_col], flag, batch_format="pandas")
+    return co_partition(ds, [key_col], flag)

@@ -721,8 +721,6 @@ def online_enrich_distributed(left_ds, group_by: GroupBy, batch_end_ts: int,
         sides.append(stream_ds)
     l_arrow = _arrow_schema(left_ds)
     kernel = ServingKernel(group_by, batch_end_ts, list(l_arrow.names), resolution)
-    out = co_partition(
-        sides, group_by.key_columns, kernel, batch_format="pyarrow"
-    )
+    out = co_partition(sides, group_by.key_columns, kernel)
     out = out.select_columns(kernel.left_names + [p.output_column for p in kernel.agg.parts])
     return declare_schema(out, pa.schema(list(l_arrow) + kernel.out_fields))

@@ -63,7 +63,7 @@ def part_boundaries(part, batch_end_ts: int, tail_buffer_ms: int,
 
 
 class UploadKernel:
-    """map_groups callable: one co-partitioned bucket -> one IR row per key."""
+    """co_partition fn: one call's co-partitioned rows -> one IR row per key."""
 
     def __init__(self, key_cols, parts, batch_end_ts: int, tail_buffer_ms: int,
                  key_fields: list[pa.Field], resolution=FiveMinuteResolution):

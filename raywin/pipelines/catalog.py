@@ -20,6 +20,7 @@ import os
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..api import (
     Accuracy,
@@ -36,6 +37,7 @@ from ..api import (
 )
 from ..context import tune_data_context
 from ..sources.io import read_parquet
+from ..stages.shuffle import _arrow_schema, co_partition, declare_schema
 
 # Engine context (shuffle strategy, reservation, generator-buffer deadlock
 # fix — see raywin/context.py) must cover EVERY entry path, including the
@@ -62,40 +64,54 @@ def _events_ds(sf_dir: str, columns):
 
 
 def _query_rows(read, rows, keys: list[str]):
-    """``rows``, a pandas pipeline over the parquet ``read``, declared as
+    """``rows``, a pipeline over the parquet ``read``, declared as
     (keys..., ts) query rows: keys keep the read's types, ts is epoch millis.
     The kernel then never probes the pipeline for its schema."""
-    from ..stages.shuffle import _arrow_schema, declare_schema
-
     fields = [_arrow_schema(read).field(k) for k in keys]
     return declare_schema(rows, pa.schema(fields + [pa.field("ts", pa.int64())]))
 
 
-def _epoch_ms(df: pd.DataFrame) -> pd.Series:
-    return df["ts"].astype("int64") // 1000
+def _ts_ms(t: pa.Table) -> pa.Array:
+    """Epoch millis of an Arrow batch's ts column."""
+    return pc.divide(t["ts"].cast(pa.int64()), 1000)
 
 
 def _distinct_user_ts(sf_dir: str):
-    """(user_id, ts-millis) query rows; exact dedup happens inside the
-    kernel's co-partition shuffle (dedupe_queries=True at the call sites)."""
+    """(user_id, ts-millis) query rows, distinct per block; exact dedup
+    happens inside the kernel's co-partition shuffle (dedupe_queries=True at
+    the call sites)."""
     read = _events_ds(sf_dir, ["user_id", "ts"])
     rows = read.map_batches(
-        lambda df: df.assign(ts=_epoch_ms(df)).drop_duplicates(),
-        batch_format="pandas",
+        lambda t: pa.table({"user_id": t["user_id"], "ts": _ts_ms(t)}).group_by(["user_id", "ts"]).aggregate([]),
+        batch_format="pyarrow",
     )
     return _query_rows(read, rows, ["user_id"])
 
 
+def _ms_rows(read):
+    """The parquet ``read`` with ts as epoch millis, declared."""
+    schema = _arrow_schema(read)
+    i = schema.get_field_index("ts")
+    return declare_schema(
+        read.map_batches(lambda t: t.set_column(i, "ts", _ts_ms(t)), batch_format="pyarrow"),
+        schema.set(i, pa.field("ts", pa.int64())),
+    )
+
+
 def _after_last_rows(read, key: str, ts_of):
     """One (key, ts) query row per non-null ``key``, at the key's last event
-    ts + 1: ``ts_of(df)`` is each row's epoch-millis ts in a pandas batch
-    of the parquet ``read``."""
+    ts + 1: ``ts_of(t)`` is each row's epoch-millis ts in an Arrow batch of
+    the parquet ``read``.  Each block's last ts per key, then one exchange
+    on the key for the last of those."""
+
+    def last_ts(t: pa.Table) -> pa.Table:
+        return t.group_by(key).aggregate([("ts", "max")]).rename_columns([key, "ts"])
+
     rows = read.map_batches(
-        lambda df: df.assign(ts=ts_of(df) + 1).dropna(subset=[key])
-        .groupby(key, as_index=False)["ts"].max(),
-        batch_format="pandas",
-    ).groupby(key).map_groups(lambda g: g.sort_values("ts").tail(1), batch_format="pandas")
-    return _query_rows(read, rows, [key])
+        lambda t: last_ts(pa.table({key: t[key], "ts": pc.add(ts_of(t), 1)}).filter(pc.is_valid(t[key]))),
+        batch_format="pyarrow",
+    )
+    return _query_rows(read, co_partition(_query_rows(read, rows, [key]), [key], last_ts), [key])
 
 
 def _explode_maps(feats, keep: list[str], key_col: str, maps: dict[str, str]):
@@ -407,18 +423,15 @@ def event_sequence(sf_dir: str):
     (1, 2) and lead (1), the 30-minute inactivity session id and the event's
     position in its session, all ordered by (ts, event_id) per user."""
     from ..stages.sequence import LagLead, Sessionize
-    from ..stages.shuffle import co_partition
 
-    ds = _events_ds(sf_dir, ["event_id", "user_id", "ts", "value"]).map_batches(
-        lambda df: df.assign(ts=_epoch_ms(df)), batch_format="pandas"
-    )
+    ds = _ms_rows(_events_ds(sf_dir, ["event_id", "user_id", "ts", "value"]))
     lag_lead = LagLead(["user_id"], ["value"], lags=(1, 2), leads=(1,), tie_col="event_id")
     sessionize = Sessionize(["user_id"], gap_ms=30 * 60 * 1000, tie_col="event_id")
 
-    def sequence(df: pd.DataFrame) -> pd.DataFrame:
-        return sessionize(lag_lead(df))
+    def sequence(t: pa.Table) -> pa.Table:
+        return sessionize(lag_lead(t))
 
-    return co_partition(ds, ["user_id"], sequence, batch_format="pandas")
+    return co_partition(ds, ["user_id"], sequence)
 
 
 LAG_LEAD_SQL = """
@@ -654,7 +667,6 @@ def q3_top_revenue(sf_dir: str):
     from ..functions.relational import (
         broadcast_lookup_join, bucketed_left_join, sql_group_agg,
     )
-    from ..stages.shuffle import _arrow_schema, declare_schema
 
     cust = read_parquet(f"{sf_dir}/customer.parquet",
                         columns=["c_custkey", "c_mktsegment"])
@@ -810,7 +822,6 @@ def paragraph_dedup_docs(sf_dir: str):
     in the SQL oracle), then every paragraph keeps only its first
     (doc, position) occurrence and documents are reassembled."""
     from ..stages.dedup import dedup_paragraphs
-    from ..stages.shuffle import _arrow_schema, declare_schema
 
     ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
@@ -1313,7 +1324,6 @@ def ann_cosine_topk(sf_dir: str):
 def _query_vectors(emb_path: str, n: int):
     """Read ONLY the n query vectors (predicate pushed into the parquet scan
     — never the whole corpus onto the driver)."""
-    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     t = pq.read_table(
@@ -2411,7 +2421,7 @@ def list_explode_agg(sf_dir: str):
     )
     read = read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "label"])
     left = _after_last_rows(
-        read, "label", lambda df: 1600000000000 + df["vec_id"].astype("int64") * 60000
+        read, "label", lambda t: pc.add(pc.multiply(t["vec_id"].cast(pa.int64()), 60000), 1600000000000)
     )
     return features_for_queries(gb, left)
 
@@ -2498,7 +2508,7 @@ def event_type_aggs(sf_dir: str):
         accuracy=Accuracy.TEMPORAL,
         name="etype",
     )
-    left = _after_last_rows(_events_ds(sf_dir, ["event_type", "ts"]), "event_type", _epoch_ms)
+    left = _after_last_rows(_events_ds(sf_dir, ["event_type", "ts"]), "event_type", _ts_ms)
     maps = ["m_sum_7d", "m_sum", "m_count_7d", "m_max"]
     sketches = ["user_id_unique_count", "user_id_approx_unique_count", "value_approx_percentile"]
     rows = _explode_maps(
@@ -2547,9 +2557,7 @@ EVENT_TYPE_AGGS_SQL = _merged_sql(
 def session_stats_30m(sf_dir: str):
     from ..stages.sequence import sessionize
 
-    ds = _events_ds(sf_dir, ["event_id", "user_id", "ts"]).map_batches(
-        lambda df: df.assign(ts=_epoch_ms(df)), batch_format="pandas"
-    )
+    ds = _ms_rows(_events_ds(sf_dir, ["event_id", "user_id", "ts"]))
     return sessionize(ds, ["user_id"], gap_ms=30 * 60 * 1000, tie_col="event_id", output="sessions")
 
 
@@ -2763,12 +2771,10 @@ def online_serving(sf_dir: str):
     105-123), the result equals a plain as-of recompute over ALL events —
     which is exactly what the SQL oracle does, making the seam
     driver-verifiable."""
-    import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
     from ..online import group_by_upload
     from ..online.serving import online_enrich_distributed
-    from ..stages.shuffle import _arrow_schema, declare_schema
 
     ev_path = f"{sf_dir}/events.parquet"
     tbl = pads.dataset(ev_path, format="parquet").to_table(columns=["ts"])
@@ -3011,12 +3017,13 @@ def consistency_compare(sf_dir: str):
     perturbation of the offline table — every 7th row's score shifted, every
     11th nulled, every 13th event type rewritten — and the metrics must
     localize exactly that drift per field per 6-hour bucket."""
-    import pyarrow.compute as pc
     from ..functions.compare import compare_tables
 
     base = read_parquet(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "value", "event_type"]
     )
+    src = _arrow_schema(base)
+    eid, etype = src.field("event_id"), src.field("event_type").with_name("etype")
 
     def to_left(b: pa.Table) -> pa.Table:
         return pa.table(
@@ -3037,8 +3044,10 @@ def consistency_compare(sf_dir: str):
         return pa.table({"event_id": b["event_id"], "score": score, "etype": etype})
 
     return compare_tables(
-        base.map_batches(to_left, batch_format="pyarrow"),
-        base.map_batches(to_right, batch_format="pyarrow"),
+        declare_schema(base.map_batches(to_left, batch_format="pyarrow"),
+                       pa.schema([eid, pa.field("ts", pa.int64()), src.field("value").with_name("score"), etype])),
+        declare_schema(base.map_batches(to_right, batch_format="pyarrow"),
+                       pa.schema([eid, pa.field("score", pa.float64()), etype])),
         keys=["event_id"],
         value_fields=[("score", pa.float64()), ("etype", pa.string())],
         time_column="ts",

@@ -80,7 +80,8 @@ def snapshot_entity_features(group_by: GroupBy):
 
         scalar_ops = {p.output_column: make_scalar_op(p) for p in generic}
 
-    def agg_fn(g: pd.DataFrame) -> pd.DataFrame:
+    def agg_fn(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas()  # pandas groupby reductions: the kernel
         if generic:
             # timed ops (FIRST/LAST/…_K) read rows in ts order; stable sort
             # keeps insertion order among ts ties like the row-based reference
@@ -137,7 +138,7 @@ def snapshot_entity_features(group_by: GroupBy):
                 ].apply(reduce_group)
         return pd.DataFrame(frames).reset_index()
 
-    return co_partition(ds_, key_cols, agg_fn, batch_format="pandas")
+    return co_partition(ds_, key_cols, agg_fn)
 
 
 class EntityKernel:
@@ -503,5 +504,5 @@ def temporal_entity_features(group_by: GroupBy, left_ds):
 
     l_arrow = _arrow_schema(left_ds)
     kernel = EntityKernel(key_cols, parts, list(l_arrow.names))
-    out = co_partition([left_ds, snaps, muts], key_cols, kernel, batch_format="pyarrow")
+    out = co_partition([left_ds, snaps, muts], key_cols, kernel)
     return declare_schema(out, pa.schema(list(l_arrow) + kernel.out_fields))

@@ -10,8 +10,9 @@ each batch to candidate rows before the matmul; the corpus never shuffles.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+
+from .shuffle import _arrow_schema, co_partition, declare_schema, sort_by_key
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -57,31 +58,39 @@ class _BatchTopK:
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        vecs = vecs_to_numpy(batch[self.vec_col])
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        if len(vecs) == 0:
-            return pa.table(
-                {"query_id": pa.array([], pa.int64()), self.id_col: pa.array([], pa.int64()),
-                 "sim": pa.array([], pa.float64())}
-            )
-        sims = self.q @ _normalize(vecs).T  # (nq, nbatch)
-        k = min(self.k, sims.shape[1])
-        out_q, out_id, out_sim = [], [], []
-        for qi in range(sims.shape[0]):
+        k = min(self.k, len(batch))
+        cand = np.zeros((len(self.q), k), dtype=np.int64)
+        sim = np.zeros(cand.shape)
+        if k:
+            sims = self.q @ _normalize(vecs_to_numpy(batch[self.vec_col])).T  # (nq, nbatch)
+            ids = np.broadcast_to(batch[self.id_col].to_numpy(zero_copy_only=False), sims.shape)
             # deterministic local top-k: sim desc, id asc — argpartition on
             # sim alone could drop the lower id of an equal-sim tie pair at
             # the cutoff, breaking the documented global tie order
-            cand = np.lexsort((ids, -sims[qi]))[:k]
-            out_q.extend([self.query_ids[qi]] * len(cand))
-            out_id.extend(ids[cand])
-            out_sim.extend(sims[qi, cand])
+            cand = np.lexsort((ids, -sims))[:, :k]
+            sim = np.take_along_axis(sims, cand, axis=1)
         return pa.table(
             {
-                "query_id": pa.array(out_q, type=pa.int64()),
-                self.id_col: pa.array(out_id),
-                "sim": pa.array(out_sim, type=pa.float64()),
+                "query_id": pa.array(np.repeat(self.query_ids, k), pa.int64()),
+                self.id_col: batch[self.id_col].take(pa.array(cand.ravel())),
+                "sim": pa.array(sim.ravel(), pa.float64()),
             }
         )
+
+
+def _global_topk(local, ds, id_col: str, k: int):
+    """The k best (sim desc, id asc) of every query's local candidates
+    ``local`` (``_BatchTopK`` rows over ``ds``), ranked from 1: one
+    co-partition exchange on query_id, one vectorized rank per call."""
+    schema = pa.schema([pa.field("query_id", pa.int64()), _arrow_schema(ds).field(id_col),
+                        pa.field("sim", pa.float64())])
+
+    def global_topk(t: pa.Table) -> pa.Table:
+        t, _, pos = sort_by_key(t, ["query_id"], [("sim", "descending"), (id_col, "ascending")])
+        keep = pos < k
+        return t.filter(keep).append_column("rank", pa.array(pos[keep] + 1, pa.int64()))
+
+    return co_partition(declare_schema(local, schema), ["query_id"], global_topk)
 
 
 def brute_force_topk(ds, query_vectors: np.ndarray, query_ids, vec_col: str, id_col: str, k: int):
@@ -95,14 +104,7 @@ def brute_force_topk(ds, query_vectors: np.ndarray, query_ids, vec_col: str, id_
     local = ds.map_batches(
         _BatchTopK(ref, query_ids, vec_col, id_col, k), batch_format="pyarrow"
     )
-
-    def global_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", id_col], ascending=[False, True]).head(k)
-        g = g.copy()
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return local.groupby("query_id").map_groups(global_topk, batch_format="pandas")
+    return _global_topk(local, ds, id_col, k)
 
 
 class _LshPlanes:
@@ -154,14 +156,7 @@ def lsh_bucketed_topk(ds, query_vectors: np.ndarray, query_ids, vec_col: str, id
             return super().__call__(batch)
 
     local = ds.map_batches(Pruned, batch_format="pyarrow", concurrency=(1, 8))
-
-    def global_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", id_col], ascending=[False, True]).head(k)
-        g = g.copy()
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return local.groupby("query_id").map_groups(global_topk, batch_format="pandas")
+    return _global_topk(local, ds, id_col, k)
 
 
 def train_ivf_centroids(ds, vec_col: str, n_centroids: int = 16,
@@ -226,11 +221,4 @@ def ivf_bucketed_topk(ds, query_vectors: np.ndarray, query_ids, vec_col: str,
             return super().__call__(batch)
 
     local = ds.map_batches(IvfPruned, batch_format="pyarrow", concurrency=(1, 8))
-
-    def global_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", id_col], ascending=[False, True]).head(k)
-        g = g.copy()
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return local.groupby("query_id").map_groups(global_topk, batch_format="pandas")
+    return _global_topk(local, ds, id_col, k)

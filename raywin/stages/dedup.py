@@ -19,7 +19,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..aggregator.sketches import splitmix64
-from ..stages.shuffle import SIDE_COL, _arrow_schema, co_partition, declare_schema, stable_hash
+from ..stages.shuffle import SIDE_COL, _arrow_schema, co_partition, declare_schema, sort_by_key, stable_hash
 
 def minhash_signatures_batch(
     texts, width: int, num_perm: int
@@ -59,7 +59,9 @@ def exact_dedup(ds, cols: list[str], order_col: str):
         h = stable_hash([batch[c] for c in cols])
         return batch.append_column("__h", pa.array(h.astype(np.int64)))
 
-    hashed = ds.map_batches(add_hash, batch_format="pyarrow")
+    hashed = declare_schema(
+        ds.map_batches(add_hash, batch_format="pyarrow"), _arrow_schema(ds).append(pa.field("__h", pa.int64()))
+    )
     from ..functions.relational import min_by_group
 
     out = min_by_group(hashed, ["__h"], order_col)
@@ -194,20 +196,22 @@ def minhash_lsh_clusters(
     if edges.count() <= local_edge_cutoff:
         return _cc_local(edges, id_col)
 
-    def bucket_min(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.copy()
-        g["cluster"] = g.groupby(["band", "band_hash"], sort=False)["cluster"].transform("min")
-        return g[[id_col, "cluster"]]
+    id_field = _arrow_schema(edges).field(id_col)
+    label_schema = pa.schema([id_field, id_field.with_name("cluster")])
+    labeled_schema = _arrow_schema(edges).append(label_schema.field("cluster"))
 
-    def doc_min(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(id_col, as_index=False, sort=False)["cluster"].min()
+    def bucket_min(t: pa.Table) -> pa.Table:
+        m = t.group_by(["band", "band_hash"]).aggregate([("cluster", "min")])
+        return t.join(m, ["band", "band_hash"], use_threads=False).select([id_col, "cluster_min"]) \
+            .rename_columns(label_schema.names)
+
+    def doc_min(t: pa.Table) -> pa.Table:
+        return t.group_by(id_col).aggregate([("cluster", "min")]).rename_columns(label_schema.names)
 
     def propagate(labeled_edges):
         """(doc, band, hash, cluster) -> new (doc, cluster) labels."""
-        by_band = co_partition(
-            labeled_edges, ["band", "band_hash"], bucket_min, batch_format="pandas",
-        )
-        return co_partition(by_band, [id_col], doc_min, batch_format="pandas")
+        by_band = co_partition(declare_schema(labeled_edges, labeled_schema), ["band", "band_hash"], bucket_min)
+        return co_partition(declare_schema(by_band, label_schema), [id_col], doc_min)
 
     # round 1: label(doc) = doc, so edges are already "labeled"
     def self_label(batch: pa.Table) -> pa.Table:
@@ -216,21 +220,17 @@ def minhash_lsh_clusters(
     labels = propagate(edges.map_batches(self_label, batch_format="pyarrow")).materialize()
     checksum = _labels_checksum(labels, id_col)
 
-    def attach(g: pd.DataFrame) -> pd.DataFrame:
-        """Co-partitioned (edges ∪ labels) bucket -> edges with each doc's
+    def attach(t: pa.Table) -> pa.Table:
+        """Co-partitioned (edges ∪ labels) rows -> edges with each doc's
         current label attached."""
-        lab = g[g[SIDE_COL] == 0]
-        e = g[g[SIDE_COL] == 1]
-        m = dict(zip(lab[id_col], lab["cluster"]))
-        out = e[[id_col, "band", "band_hash"]].copy()
-        out["cluster"] = out[id_col].map(m)
-        return out
+        side = t[SIDE_COL].to_numpy(zero_copy_only=False)
+        lab = t.filter(side == 0).select(label_schema.names)
+        e = t.filter(side == 1).select([id_col, "band", "band_hash"])
+        return e.join(lab, id_col, join_type="left outer", use_threads=False)
 
     converged = False
     for _ in range(max_rounds - 1):
-        labeled_edges = co_partition(
-            [labels, edges], [id_col], attach, batch_format="pandas"
-        )
+        labeled_edges = co_partition([labels, edges], [id_col], attach)
         labels = propagate(labeled_edges).materialize()
         new_checksum = _labels_checksum(labels, id_col)
         if new_checksum == checksum:
@@ -291,14 +291,14 @@ def dedup_paragraphs(ds, text_col: str, id_col: str, sep: str = "\n\n"):
             }
         )
 
-    def mark_losers(g: pd.DataFrame) -> pd.DataFrame:
+    def mark_losers(t: pa.Table) -> pa.Table:
         # winner per (hash, len) = corpus-wide min (doc, position); all
         # same-hash rows co-partition here, so bucket-local first IS global
-        g = g.sort_values([id_col, "idx"], kind="stable")
-        lose = g.duplicated(["h", "plen"], keep="first")
-        return g.loc[lose, [id_col, "idx"]]
+        t, _, pos = sort_by_key(t, ["h", "plen"], [(id_col, "ascending"), ("idx", "ascending")])
+        return t.filter(pos > 0).select([id_col, "idx"])
 
-    def rebuild(g: pd.DataFrame) -> pd.DataFrame:
+    def rebuild(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas()  # pandas string ops: the kernel
         texts = g[g[SIDE_COL] == 0]
         losers = g[g[SIDE_COL] == 1]
         keep = ~pd.MultiIndex.from_frame(texts[[id_col, "idx"]]).isin(
@@ -316,19 +316,18 @@ def dedup_paragraphs(ds, text_col: str, id_col: str, sep: str = "\n\n"):
         return out[[id_col, "n_paras", "n_dropped", "clean_text"]]
 
     rows = ds.map_batches(explode, batch_format="pandas")
-    # shuffle 1 (compact): (id, idx, h, plen) keyed by hash -> losing pairs
-    losers = co_partition(
-        rows.select_columns([id_col, "idx", "h", "plen"]), ["h"], mark_losers, batch_format="pandas",
-    )
-    # shuffle 2: text rows + losing marks co-partition by doc id
     pos = [_arrow_schema(ds).field(id_col), pa.field("idx", pa.int64())]
+    # shuffle 1 (compact): (id, idx, h, plen) keyed by hash -> losing pairs
+    hashes = declare_schema(
+        rows.select_columns([id_col, "idx", "h", "plen"]),
+        pa.schema(pos + [pa.field("h", pa.int64()), pa.field("plen", pa.int64())]),
+    )
+    losers = declare_schema(co_partition(hashes, ["h"], mark_losers), pa.schema(pos))
+    # shuffle 2: text rows + losing marks co-partition by doc id
     texts = declare_schema(
         rows.select_columns([id_col, "idx", "para"]), pa.schema(pos + [pa.field("para", pa.string())])
     )
-    declare_schema(losers, pa.schema(pos))
-    return co_partition(
-        [texts, losers], [id_col], rebuild, batch_format="pandas"
-    )
+    return co_partition([texts, losers], [id_col], rebuild)
 
 
 def remove_duplicate_spans(ds, text_col: str, id_col: str, n: int = 5):
@@ -370,16 +369,16 @@ def remove_duplicate_spans(ds, text_col: str, id_col: str, n: int = 5):
             }
         )
 
-    def mark_losers(g: pd.DataFrame) -> pd.DataFrame:
+    def mark_losers(t: pa.Table) -> pa.Table:
         # canonical per gram = corpus-wide min (doc, start); same-hash rows
-        # co-partition here, so bucket-local first IS global.  duplicated()
-        # marks exactly the occurrences beyond the first — i.e. nothing for
-        # singleton grams, all non-canonical occurrences for duplicated ones.
-        g = g.sort_values([id_col, "s"], kind="stable")
-        lose = g.duplicated("gh", keep="first")
-        return g.loc[lose, [id_col, "s"]]
+        # co-partition here, so bucket-local first IS global.  Every
+        # occurrence after a gram's first loses — i.e. nothing for singleton
+        # grams, all non-canonical occurrences for duplicated ones.
+        t, _, pos = sort_by_key(t, ["gh"], [(id_col, "ascending"), ("s", "ascending")])
+        return t.filter(pos > 0).select([id_col, "s"])
 
-    def rebuild(g: pd.DataFrame) -> pd.DataFrame:
+    def rebuild(t: pa.Table) -> pd.DataFrame:
+        g = t.to_pandas()  # pandas string ops: the kernel
         tok_re = re.compile(_GRAM_TOK_PAT)
         texts = g[g[SIDE_COL] == 0]
         marks = g[g[SIDE_COL] == 1]
@@ -416,19 +415,18 @@ def remove_duplicate_spans(ds, text_col: str, id_col: str, n: int = 5):
         out["clean_text"] = out[id_col].map(agg).fillna("")
         return out[[id_col, "n_tokens", "n_removed", "clean_text"]]
 
-    # shuffle 1 (compact): (id, s, gh) keyed by gram hash -> losing marks
-    losers = co_partition(
-        ds.map_batches(explode, batch_format="pandas"), ["gh"], mark_losers, batch_format="pandas",
-    )
-    # shuffle 2: whole-doc text rows + losing marks co-partition by doc id
     src = _arrow_schema(ds)
+    marks = pa.schema([src.field(id_col), pa.field("s", pa.int64())])
+    # shuffle 1 (compact): (id, s, gh) keyed by gram hash -> losing marks
+    grams = declare_schema(
+        ds.map_batches(explode, batch_format="pandas"), marks.append(pa.field("gh", pa.int64()))
+    )
+    losers = declare_schema(co_partition(grams, ["gh"], mark_losers), marks)
+    # shuffle 2: whole-doc text rows + losing marks co-partition by doc id
     texts = declare_schema(
         ds.select_columns([id_col, text_col]), pa.schema([src.field(id_col), src.field(text_col)])
     )
-    declare_schema(losers, pa.schema([src.field(id_col), pa.field("s", pa.int64())]))
-    return co_partition(
-        [texts, losers], [id_col], rebuild, batch_format="pandas"
-    )
+    return co_partition([texts, losers], [id_col], rebuild)
 
 
 def pixel_dedup_groups(ds, id_col: str = "image_id", bytes_col: str = "bytes",
@@ -547,31 +545,34 @@ def lsh_candidate_pairs(ds, text_col: str, id_col: str, num_perm=64, bands=16,
     inside each bucket, then a second small shuffle to dedupe pairs seen in
     several bands. Output: (a, b) with a < b. Recall at Jaccard J is
     1-(1-J^r)^b (r=num_perm/bands): ~1-5e-21 at J=.99, ~0.9998 at J=.8."""
-    sig = ds.map_batches(
-        MinHashBands(text_col, id_col, num_perm, bands, shingle), batch_format="pyarrow"
+    from ..functions.relational import distinct
+
+    id_field = _arrow_schema(ds).field(id_col)
+    sig = declare_schema(
+        ds.map_batches(MinHashBands(text_col, id_col, num_perm, bands, shingle), batch_format="pyarrow"),
+        pa.schema([id_field, pa.field("band", pa.int32()), pa.field("band_hash", pa.int64())]),
     )
+    pair_schema = pa.schema([id_field.with_name("a"), id_field.with_name("b")])
 
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        outs = []
-        for _, grp in g.groupby(["band", "band_hash"], sort=False):
-            ids = np.unique(grp[id_col].to_numpy())
-            if len(ids) < 2:
-                continue
-            iu, ju = np.triu_indices(len(ids), 1)
-            outs.append(pd.DataFrame({"a": ids[iu], "b": ids[ju]}))
-        if not outs:
-            return pd.DataFrame({"a": pd.Series([], dtype="int64"),
-                                 "b": pd.Series([], dtype="int64")})
-        return pd.concat(outs, ignore_index=True)
+    def bucket_pairs(t: pa.Table) -> pa.Table:
+        t, starts, _ = sort_by_key(t, ["band", "band_hash"], [(id_col, "ascending")])
+        ii, jj = _pairs_within(starts, len(t))
+        return pa.table([t[id_col].take(ii), t[id_col].take(jj)], schema=pair_schema)
 
-    pairs = co_partition(
-        sig, ["band", "band_hash"], bucket_pairs, batch_format="pandas"
-    )
+    pairs = declare_schema(co_partition(sig, ["band", "band_hash"], bucket_pairs), pair_schema)
+    return distinct(pairs, ["a", "b"])
 
-    def dd(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["a", "b"])[["a", "b"]]
 
-    return co_partition(pairs, ["a", "b"], dd, batch_format="pandas")
+def _pairs_within(starts: np.ndarray, n: int):
+    """Row index pairs (i, j), i < j, of every two rows of one run of a
+    table whose runs start at ``starts``."""
+    ii, jj = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for lo, hi in zip(starts, np.append(starts[1:], n)):
+        if hi - lo > 1:
+            iu, ju = np.triu_indices(hi - lo, 1)
+            ii.append(lo + iu)
+            jj.append(lo + ju)
+    return np.concatenate(ii), np.concatenate(jj)
 
 
 def verified_neardup_pairs(ds, text_col: str, id_col: str, threshold: float,
@@ -768,7 +769,11 @@ def phash_neardup_pairs(ds, id_col: str = "image_id", phash_col: str = "phash",
     band_bits = 64 // num_bands
     mask = np.uint64((1 << band_bits) - 1)
 
-    uniq = distinct(ds.select_columns([id_col, phash_col]), [id_col, phash_col])
+    src = _arrow_schema(ds)
+    uniq = distinct(
+        declare_schema(ds.select_columns([id_col, phash_col]), pa.schema([src.field(id_col), src.field(phash_col)])),
+        [id_col, phash_col],
+    )
 
     def explode_bands(batch: pa.Table) -> pa.Table:
         ph = batch[phash_col].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -783,44 +788,26 @@ def phash_neardup_pairs(ds, id_col: str = "image_id", phash_col: str = "phash",
         tiled = tiled.append_column("__band", pa.array(band_idx))
         return tiled.append_column("__bval", pa.array(vals.astype(np.int64)))
 
-    bands = uniq.map_batches(explode_bands, batch_format="pyarrow")
-
-    def pairs_in_group(df: pd.DataFrame) -> pd.DataFrame:
-        # a bucket may hold several (band, bval) groups: pair only within
-        out_a, out_b, out_d = [], [], []
-        for _, sub in df.groupby(["__band", "__bval"], sort=False):
-            if len(sub) < 2:
-                continue
-            ids = sub[id_col].to_numpy()
-            ph = sub[phash_col].to_numpy().astype(np.uint64)
-            ii, jj = np.triu_indices(len(sub), k=1)
-            d = popcount64(ph[ii] ^ ph[jj])
-            keep = d <= max_dist
-            a, b = ids[ii[keep]], ids[jj[keep]]
-            swap = a > b
-            a2 = np.where(swap, b, a)
-            b2 = np.where(swap, a, b)
-            out_a.append(a2)
-            out_b.append(b2)
-            out_d.append(d[keep])
-        if not out_a:  # typed empty block: pandas object cols infer as null
-            return pa.table(
-                {
-                    "id_a": pa.array([], pa.string()),
-                    "id_b": pa.array([], pa.string()),
-                    "dist": pa.array([], pa.int64()),
-                }
-            )
-        return pa.table(
-            {
-                "id_a": pa.array(np.concatenate(out_a), pa.string()),
-                "id_b": pa.array(np.concatenate(out_b), pa.string()),
-                "dist": pa.array(np.concatenate(out_d), pa.int64()),
-            }
-        )
-
-    cand = co_partition(
-        bands, ["__band", "__bval"], pairs_in_group, batch_format="pandas"
+    bands = declare_schema(
+        uniq.map_batches(explode_bands, batch_format="pyarrow"),
+        pa.schema([src.field(id_col), src.field(phash_col), pa.field("__band", pa.int32()),
+                   pa.field("__bval", pa.int64())]),
     )
+
+    pair_schema = pa.schema([("id_a", pa.string()), ("id_b", pa.string()), ("dist", pa.int64())])
+
+    def pairs_in_group(t: pa.Table) -> pa.Table:
+        # a call may hold several (band, bval) groups: pair only within
+        t, starts, _ = sort_by_key(t, ["__band", "__bval"])
+        ii, jj = _pairs_within(starts, len(t))
+        ids = t[id_col].to_numpy(zero_copy_only=False)
+        ph = t[phash_col].to_numpy(zero_copy_only=False).astype(np.uint64)
+        d = popcount64(ph[ii] ^ ph[jj])
+        keep = d <= max_dist
+        a, b = ids[ii[keep]], ids[jj[keep]]
+        swap = a > b
+        return pa.table([np.where(swap, b, a), np.where(swap, a, b), d[keep]], schema=pair_schema)
+
+    cand = declare_schema(co_partition(bands, ["__band", "__bval"], pairs_in_group), pair_schema)
     # a pair can match in up to num_bands bands: one distinct exchange
     return distinct(cand, ["id_a", "id_b", "dist"])

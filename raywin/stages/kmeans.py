@@ -6,8 +6,8 @@ Unlike the bounded-sample quantizer trainer in :mod:`raywin.stages.ann`
 each Lloyd iteration is ONE streaming pass — centroids broadcast once with
 ``ray.put``, every batch computes assignments + per-cluster partial sums
 vectorized (the classic combiner), and the partials (k rows per block,
-independent of row count) reduce through a tiny ``groupby(cluster)`` whose
-exchange moves at most ``k × n_blocks`` rows.  The corpus itself is never
+independent of row count) reduce through a tiny ``co_partition`` on the
+cluster whose exchange moves at most ``k × n_blocks`` rows.  The corpus itself is never
 shuffled or materialized, so the per-iteration cost at 100 TB is one scan
 plus a k-row reduction.
 
@@ -34,6 +34,7 @@ import numpy as np
 import pyarrow as pa
 
 from .ann import vecs_to_numpy
+from .shuffle import co_partition, declare_schema
 
 
 def _init_centroids(ds, vec_col: str, id_col: str, k: int):
@@ -66,33 +67,32 @@ def _partial_sums(cent_ref, vec_col: str):
     import ray
 
     def fn(batch: pa.Table) -> pa.Table:
-        cents = ray.get(cent_ref)
         vecs = vecs_to_numpy(batch[vec_col])
         if len(vecs) == 0:
-            return pa.table(
-                {
-                    "cidx": pa.array([], pa.int64()),
-                    "cnt": pa.array([], pa.int64()),
-                    "sums": pa.array([], pa.list_(pa.float64())),
-                }
-            )
-        a = _assign(vecs, cents)
-        order = np.argsort(a, kind="stable")
-        sorted_a = a[order]
-        bounds = np.flatnonzero(np.diff(sorted_a)) + 1
-        starts = np.concatenate([[0], bounds])
-        cidx = sorted_a[starts]
-        cnt = np.diff(np.concatenate([starts, [len(sorted_a)]]))
-        sums = np.add.reduceat(vecs[order], starts, axis=0)
-        return pa.table(
-            {
-                "cidx": pa.array(cidx.astype(np.int64)),
-                "cnt": pa.array(cnt.astype(np.int64)),
-                "sums": pa.array(list(sums), pa.list_(pa.float64())),
-            }
-        )
+            return _PARTIALS.empty_table()
+        return _cluster_sums(_assign(vecs, ray.get(cent_ref)), 1, vecs)
 
     return fn
+
+
+_PARTIALS = pa.schema([("cidx", pa.int64()), ("cnt", pa.int64()), ("sums", pa.list_(pa.float64()))])
+
+
+def _cluster_sums(cidx: np.ndarray, cnt, vecs: np.ndarray) -> pa.Table:
+    """One (cidx, cnt, sums) row per cluster: its rows' counts and vectors
+    added, in row order."""
+    ids, inv = np.unique(cidx, return_inverse=True)
+    n = np.zeros(len(ids), dtype=np.int64)
+    np.add.at(n, inv, cnt)
+    sums = np.zeros((len(ids), vecs.shape[1]))
+    np.add.at(sums, inv, vecs)
+    return pa.table({"cidx": ids, "cnt": n, "sums": pa.array(list(sums), pa.list_(pa.float64()))},
+                    schema=_PARTIALS)
+
+
+def _combine(t: pa.Table) -> pa.Table:
+    """co_partition fn: the partials of every cluster in the call added."""
+    return _cluster_sums(t["cidx"].to_numpy(), t["cnt"].to_numpy(), vecs_to_numpy(t["sums"]))
 
 
 def kmeans_fit(ds, vec_col: str, id_col: str, k: int, iters: int):
@@ -103,29 +103,12 @@ def kmeans_fit(ds, vec_col: str, id_col: str, k: int, iters: int):
     cids, cents = _init_centroids(ds, vec_col, id_col, k)
     proj = ds.select_columns([vec_col])
     for _ in range(iters):
-        cent_ref = ray.put(cents)
-        partials = proj.map_batches(
-            _partial_sums(cent_ref, vec_col), batch_format="pyarrow"
+        partials = declare_schema(
+            proj.map_batches(_partial_sums(ray.put(cents), vec_col), batch_format="pyarrow"), _PARTIALS
         )
-
-        def _combine(g):
-            import pandas as pd
-
-            return pd.DataFrame(
-                {
-                    "cidx": [int(g["cidx"].iloc[0])],
-                    "cnt": [int(g["cnt"].sum())],
-                    "sums": [np.sum(np.stack(g["sums"].to_numpy()), axis=0)],
-                }
-            )
-
-        rows = partials.groupby("cidx").map_groups(_combine, batch_format="pandas").take_all()
-        rows.sort(key=lambda r: r["cidx"])
-        keep = np.asarray([r["cidx"] for r in rows], dtype=np.int64)
-        cnts = np.asarray([r["cnt"] for r in rows], dtype=np.float64)
-        sums = np.asarray([np.asarray(r["sums"], dtype=np.float64) for r in rows])
-        cids = cids[keep]
-        cents = sums / cnts[:, None]
+        rows = co_partition(partials, ["cidx"], _combine).to_pandas().sort_values("cidx")
+        cids = cids[rows["cidx"].to_numpy()]
+        cents = np.stack(rows["sums"].to_numpy()) / rows["cnt"].to_numpy()[:, None]
     return cids, cents
 
 

@@ -20,26 +20,23 @@ within-partition sort (Ray Data gives no intra-key order guarantees).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 
 from ..aggregator.npfast import cumsum1d
-from ..stages.shuffle import co_partition
+from ..stages.shuffle import co_partition, sort_by_key
 
 
-def _sorted_groups(df: pd.DataFrame, key_cols, ts_col, tie_col):
-    sort_cols = list(key_cols) + [ts_col] + ([tie_col] if tie_col else [])
-    df = df.sort_values(sort_cols, kind="mergesort").reset_index(drop=True)
-    keys = df[key_cols[0]].astype(str)
-    for c in key_cols[1:]:
-        keys = keys + "\x00" + df[c].astype(str)
-    codes, _ = pd.factorize(keys)
-    new_key = np.ones(len(df), dtype=bool)
-    new_key[1:] = codes[1:] != codes[:-1]
-    return df, new_key
+def _sorted_groups(t: pa.Table, key_cols, ts_col, tie_col):
+    order = [(ts_col, "ascending")] + ([(tie_col, "ascending")] if tie_col else [])
+    t, starts, _ = sort_by_key(t, list(key_cols), order)
+    new_key = np.zeros(len(t), dtype=bool)
+    new_key[starts] = True
+    return t, new_key
 
 
 class LagLead:
-    """map_groups fn: adds {col}_lag_{n} / {col}_lead_{n} columns."""
+    """co_partition fn: adds {col}_lag_{n} / {col}_lead_{n} columns (null
+    past the key's first or last event)."""
 
     def __init__(self, key_cols, value_cols, lags=(1,), leads=(1,), ts_col="ts", tie_col=None):
         self.key_cols = key_cols
@@ -49,33 +46,25 @@ class LagLead:
         self.ts_col = ts_col
         self.tie_col = tie_col
 
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
-        df, new_key = _sorted_groups(group, self.key_cols, self.ts_col, self.tie_col)
-        n = len(df)
+    def __call__(self, group: pa.Table) -> pa.Table:
+        t, new_key = _sorted_groups(group, self.key_cols, self.ts_col, self.tie_col)
+        n = len(t)
         key_start = np.flatnonzero(new_key)  # first row index of each key segment
         seg_id = cumsum1d(new_key) - 1
         seg_first = key_start[seg_id]  # per-row start of its segment
-        seg_last = np.empty(n, dtype=np.int64)
-        ends = np.append(key_start[1:], n) - 1
-        seg_last = ends[seg_id]
+        seg_last = (np.append(key_start[1:], n) - 1)[seg_id]
         idx = np.arange(n)
         for col in self.value_cols:
-            vals = df[col].to_numpy()
-            for k in self.lags:
-                src = idx - k
-                ok = src >= seg_first
-                out = np.where(ok, vals[np.clip(src, 0, n - 1)], None if vals.dtype.kind == "O" else np.nan)
-                df[f"{col}_lag_{k}"] = out
-            for k in self.leads:
-                src = idx + k
-                ok = src <= seg_last
-                out = np.where(ok, vals[np.clip(src, 0, n - 1)], None if vals.dtype.kind == "O" else np.nan)
-                df[f"{col}_lead_{k}"] = out
-        return df
+            vals = t[col]
+            shifts = [(f"{col}_lag_{k}", idx - k) for k in self.lags] + [(f"{col}_lead_{k}", idx + k) for k in self.leads]
+            for name, src in shifts:
+                off = (src < seg_first) | (src > seg_last)
+                t = t.append_column(name, vals.take(pa.array(np.clip(src, 0, n - 1), mask=off)))
+        return t
 
 
 class Sessionize:
-    """map_groups fn: adds session_id (0-based per key) and session_event_seq
+    """co_partition fn: adds session_id (0-based per key) and session_event_seq
     (0-based position within the session).  With output="sessions", emits one
     row per session instead: keys + session_id + session_start / session_end /
     n_events / duration_ms."""
@@ -87,10 +76,10 @@ class Sessionize:
         self.tie_col = tie_col
         self.output = output
 
-    def __call__(self, group: pd.DataFrame) -> pd.DataFrame:
-        df, new_key = _sorted_groups(group, self.key_cols, self.ts_col, self.tie_col)
-        n = len(df)
-        ts = df[self.ts_col].to_numpy().astype(np.int64)
+    def __call__(self, group: pa.Table) -> pa.Table:
+        t, new_key = _sorted_groups(group, self.key_cols, self.ts_col, self.tie_col)
+        n = len(t)
+        ts = t[self.ts_col].to_numpy(zero_copy_only=False).astype(np.int64)
         gap = np.zeros(n, dtype=bool)
         gap[1:] = (ts[1:] - ts[:-1]) > self.gap_ms
         new_session = new_key | gap
@@ -98,29 +87,29 @@ class Sessionize:
         sess_cum = cumsum1d(new_session)
         key_start_idx = np.flatnonzero(new_key)
         seg_id = cumsum1d(new_key) - 1
-        sess_at_key_start = sess_cum[key_start_idx]
-        df["session_id"] = (sess_cum - sess_at_key_start[seg_id]).astype(np.int64)
+        session_id = (sess_cum - sess_cum[key_start_idx][seg_id]).astype(np.int64)
         # position within session
-        sess_start = np.flatnonzero(new_session)
-        sid = cumsum1d(new_session) - 1
-        df["session_event_seq"] = (np.arange(n) - sess_start[sid]).astype(np.int64)
+        starts = np.flatnonzero(new_session)
+        sid = sess_cum - 1
         if self.output == "sessions":
-            starts = np.flatnonzero(new_session)
             ends = np.append(starts[1:], n) - 1
-            out = df.iloc[starts][list(self.key_cols) + ["session_id"]].reset_index(drop=True)
-            out["session_start"] = ts[starts]
-            out["session_end"] = ts[ends]
-            out["n_events"] = (ends - starts + 1).astype(np.int64)
-            out["duration_ms"] = (ts[ends] - ts[starts]).astype(np.int64)
-            return out
-        return df
+            return t.take(starts).select(list(self.key_cols)).append_column(
+                "session_id", pa.array(session_id[starts])
+            ).append_column("session_start", pa.array(ts[starts])).append_column(
+                "session_end", pa.array(ts[ends])
+            ).append_column("n_events", pa.array((ends - starts + 1).astype(np.int64))).append_column(
+                "duration_ms", pa.array(ts[ends] - ts[starts])
+            )
+        return t.append_column("session_id", pa.array(session_id)).append_column(
+            "session_event_seq", pa.array((np.arange(n) - starts[sid]).astype(np.int64))
+        )
 
 
 def lag_lead(ds, key_cols, value_cols, lags=(1,), leads=(1,), ts_col="ts", tie_col=None):
     fn = LagLead(key_cols, value_cols, lags, leads, ts_col, tie_col)
-    return co_partition(ds, key_cols, fn, batch_format="pandas")
+    return co_partition(ds, key_cols, fn)
 
 
 def sessionize(ds, key_cols, gap_ms, ts_col="ts", tie_col=None, output="events"):
     fn = Sessionize(key_cols, gap_ms, ts_col, tie_col, output)
-    return co_partition(ds, key_cols, fn, batch_format="pandas")
+    return co_partition(ds, key_cols, fn)

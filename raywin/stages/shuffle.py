@@ -27,7 +27,6 @@ HASH_COL = "__key_hash"
 SIDE_COL = "__side"
 
 from ray.data.aggregate import Max as _TsMax, Min as _TsMin  # noqa: E402
-from ray.data.block import BlockAccessor  # noqa: E402
 
 _NULL_HASH = np.uint64(0x5BD1E9955BD1E995)
 
@@ -302,6 +301,23 @@ def _seq_within(counts: np.ndarray) -> np.ndarray:
     return np.arange(total) - np.repeat(starts, counts)
 
 
+def sort_by_key(t: pa.Table, keys: list[str], order=()):
+    """``t`` sorted by ``keys`` and then ``order`` (Arrow sort keys), the
+    start row of each key's run and each row's 0-based position in its
+    run: a co_partition fn's per-key rank in one vectorized pass, however
+    many keys its call holds.  The sort is stable; a null key sorts last
+    and is a key of its own, as in SQL ``GROUP BY``."""
+    t = t.take(pc.sort_indices(t, [(k, "ascending") for k in keys] + list(order)))
+    new = np.zeros(len(t), dtype=bool)
+    new[:1] = True
+    for k in keys:
+        a, b = t[k].slice(1), t[k].slice(0, len(t) - 1)
+        same = pc.or_(pc.fill_null(pc.equal(a, b), False), pc.and_(a.is_null(), b.is_null()))
+        new[1:] |= ~same.to_numpy(zero_copy_only=False)
+    starts = np.flatnonzero(new)
+    return t, starts, _seq_within(np.diff(np.append(starts, len(t))))
+
+
 def pad_to_schema(batch: pa.Table, schema: pa.Schema) -> pa.Table:
     """Project/pad a batch to a unified schema (null-fill missing columns) so
     heterogeneous sides can be unioned ahead of one co-partitioning shuffle."""
@@ -393,59 +409,52 @@ def _tag_side(side: int, schema: pa.Schema):
     return tag_side
 
 
-def _per_partition(fn, batch_format: str, schema: pa.Schema | None):
-    """The map_batches fn around ``fn``: drop HASH_COL and hand ``fn`` the
-    sort's output block in ``batch_format``.
+def _per_partition(fn, schema: pa.Schema):
+    """The map_batches fn around ``fn``: hand ``fn`` the sort's output block
+    as an Arrow table without HASH_COL.
 
     Ray's sort reducer converts its blocks to the block type most of them
     have, and empty pandas blocks ride map_batches untouched, so a block
-    can arrive as pandas.  Under "pyarrow" that block is rebuilt once
-    against ``schema`` (pandas inference loses map, list and nullable-int
-    types), so ``fn`` always gets the declared Arrow types."""
+    can arrive as pandas.  That block is rebuilt once against ``schema``
+    (pandas inference loses map, list and nullable-int types), so ``fn``
+    always gets the declared Arrow types."""
 
     def run(block):
         if isinstance(block, pa.Table):
-            block = block.drop_columns([HASH_COL])
-            return fn(BlockAccessor.for_block(block).to_batch_format(batch_format))
-        block = block.drop(columns=[HASH_COL])
-        if batch_format == "pyarrow":
-            block = pa.Table.from_pandas(block, schema=schema, preserve_index=False)
-        return fn(block)
+            return fn(block.drop_columns([HASH_COL]))
+        return fn(pa.Table.from_pandas(block.drop(columns=[HASH_COL]), schema=schema, preserve_index=False))
 
     run.__name__ = getattr(fn, "__name__", type(fn).__name__)
     return run
 
 
-def co_partition(sides, keys: list[str], fn, *, batch_format="pyarrow"):
+def co_partition(sides, keys: list[str], fn):
     """The engine's one co-partition exchange: every row of every side with
     the same ``keys`` reaches the same ``fn`` call.
 
     ``sides`` is a Dataset or a list of them.  Several sides are padded to
     ``side_schema(sides)`` (SIDE_COL = the side's list index) and unioned;
     side schemas come from ``_arrow_schema``, so a lazy side without a
-    ``declare_schema`` costs a probe.  Rows are tagged with the 64-bit hash
-    of ``keys`` (hot chunks via CHUNK_COL, see AddKeyHash), sorted on it
-    with one push-based sort shuffle, and ``fn`` runs once per sort output block: rows with one
-    hash fall in one block, the way Ray's own ``map_groups`` keeps groups
-    whole.  The number of calls follows the exchange's input blocks
-    (``_BUNDLE_ROWS`` rows or more each), so no bucket count caps it.
-    ``batch_format`` is "pyarrow" or "pandas"; ``fn`` gets each block
-    without HASH_COL, and under "pyarrow" always as an Arrow table with
-    the declared types (``side_schema(sides)``, or the one side's
-    ``_arrow_schema``), whatever block type the sort handed back.  The Ray
-    operator is named after ``fn``."""
+    ``declare_schema`` costs a probe (one side included: its schema types
+    a block the sort hands back as pandas).  Rows are tagged with the
+    64-bit hash of ``keys`` (hot chunks via CHUNK_COL, see AddKeyHash),
+    sorted on it with one push-based sort shuffle, and ``fn`` runs once
+    per sort output block: rows with one hash fall in one block, so a
+    call holds whole keys, often several of them.  The number of calls
+    follows the exchange's input blocks (``_BUNDLE_ROWS`` rows or more
+    each), so no bucket count caps it.  ``fn`` gets each block as an Arrow
+    table with the declared types and without HASH_COL, whatever block
+    type the sort handed back.  The Ray operator is named after ``fn``."""
     if not isinstance(sides, (list, tuple)):
         sides = [sides]
-    ds = sides[0]
-    schema = None
     if len(sides) > 1:
         schema = side_schema(sides)
         tagged = [s.map_batches(_tag_side(i, schema), batch_format="pyarrow") for i, s in enumerate(sides)]
         ds = tagged[0].union(*tagged[1:])
-    elif batch_format == "pyarrow":
+    else:
+        ds = sides[0]
         schema = _arrow_schema(ds)
     hashed = ds.map_batches(AddKeyHash(list(keys)), batch_format="pyarrow", batch_size=_BUNDLE_ROWS)
-    run = _per_partition(fn, batch_format, schema)
     # batch_format=None is Ray's "no conversion": run sees the sort's own
     # block, pandas or Arrow, whole (batch_size=None)
-    return hashed.sort(HASH_COL).map_batches(run, batch_size=None, batch_format=None)
+    return hashed.sort(HASH_COL).map_batches(_per_partition(fn, schema), batch_size=None, batch_format=None)

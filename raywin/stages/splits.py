@@ -14,17 +14,18 @@ caches stay valid.
 ``hash_split`` is embarrassingly parallel (one map_batches, no shuffle).
 ``stratified_sample`` takes the n lowest-hash rows per stratum: a per-block
 partial top-n prune (at most n rows per stratum survive each block) feeds
-one tiny ``groupby(stratum)`` exchange — the corpus itself never shuffles,
+one tiny ``co_partition`` exchange on the stratum — the corpus itself never shuffles,
 so the exchange moves at most ``n × strata × n_blocks`` rows at any scale.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..aggregator.sketches import splitmix64
+from .shuffle import _arrow_schema, co_partition, declare_schema, sort_by_key
 
 
 def hash_ids(ids: np.ndarray) -> np.ndarray:
@@ -57,8 +58,17 @@ def hash_split(ds, id_col: str, train_pct: int = 80, val_pct: int = 10):
     )
 
 
+def _lowest_n(t: pa.Table, stratum_col: str, id_col: str, n: int):
+    """The rows of ``t`` among the n lowest (__h, id) of their stratum, and
+    their 0-based rank in it; a null stratum is a stratum of its own."""
+    t, _, pos = sort_by_key(t, [stratum_col], [("__h", "ascending"), (id_col, "ascending")])
+    keep = pos < n
+    return t.filter(keep), pos[keep]
+
+
 class _StratumPartialTopN:
-    """Per-block prune: keep the n lowest-(hash, id) rows per stratum."""
+    """Per-block prune: keep the n lowest-(hash, id) rows per stratum, as
+    (stratum, id, __h) rows."""
 
     def __init__(self, stratum_col: str, id_col: str, n: int):
         self.stratum_col = stratum_col
@@ -67,14 +77,8 @@ class _StratumPartialTopN:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        batch = batch.append_column("__h", pa.array(hash_ids(ids)))
-        df = batch.to_pandas()
-        keep = (
-            df.sort_values(["__h", self.id_col])
-            .groupby(self.stratum_col, sort=False)
-            .head(self.n)
-        )
-        return pa.Table.from_pandas(keep, preserve_index=False)
+        batch = batch.select([self.stratum_col, self.id_col]).append_column("__h", pa.array(hash_ids(ids)))
+        return _lowest_n(batch, self.stratum_col, self.id_col, self.n)[0]
 
 
 def stratified_sample(ds, stratum_col: str, id_col: str, n_per_stratum: int):
@@ -83,18 +87,17 @@ def stratified_sample(ds, stratum_col: str, id_col: str, n_per_stratum: int):
     Deterministic "random" sample — the hash order is a fixed pseudo-random
     permutation of ids, so the sample is unbiased w.r.t. any id-correlated
     attribute yet identical on every run, engine, and partitioning."""
-    pruned = ds.map_batches(
-        _StratumPartialTopN(stratum_col, id_col, n_per_stratum),
-        batch_format="pyarrow",
+    src = _arrow_schema(ds)
+    pruned = declare_schema(
+        ds.map_batches(_StratumPartialTopN(stratum_col, id_col, n_per_stratum), batch_format="pyarrow"),
+        pa.schema([src.field(stratum_col), src.field(id_col), pa.field("__h", pa.uint64())]),
     )
 
-    def _final(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["__h", id_col]).head(n_per_stratum)
-        out = g[[stratum_col, id_col]].copy()
-        out["rank"] = np.arange(1, len(out) + 1, dtype=np.int64)
-        return out
+    def final(t: pa.Table) -> pa.Table:
+        t, pos = _lowest_n(t, stratum_col, id_col, n_per_stratum)
+        return t.select([stratum_col, id_col]).append_column("rank", pa.array(pos + 1, pa.int64()))
 
-    return pruned.groupby(stratum_col).map_groups(_final, batch_format="pandas")
+    return co_partition(pruned, [stratum_col], final)
 
 
 def token_pack(ds, id_col: str, ntok_col: str, block: int,
@@ -117,8 +120,6 @@ def token_pack(ds, id_col: str, ntok_col: str, block: int,
     Zero-token docs are dropped (they occupy no stream positions).  Returns
     (id, n_tok, start_tok, block_first, block_last)."""
     from ray.data.aggregate import Sum
-
-    from ..stages.shuffle import co_partition
 
     def partial(batch: pa.Table) -> pa.Table:
         ids = batch[id_col].to_numpy(zero_copy_only=False)
@@ -147,21 +148,21 @@ def token_pack(ds, id_col: str, ntok_col: str, block: int,
         )
     }
 
-    def pack(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(id_col, kind="stable")
-        ids = g[id_col].to_numpy()
-        ntok = g[ntok_col].to_numpy(dtype=np.int64)
-        rng = ids // range_width
-        within = g.groupby(rng, sort=False)[ntok_col].cumsum().to_numpy(
-            dtype=np.int64
-        ) - ntok
-        start = np.asarray([base[int(r)] for r in np.unique(rng)])[
-            np.unique(rng, return_inverse=True)[1]
-        ] + within
+    def add_rng(b: pa.Table) -> pa.Table:
+        ids = pc.cast(b[id_col], pa.int64())
+        return pa.table({id_col: ids, ntok_col: pc.cast(b[ntok_col], pa.int64()),
+                         "rng": pa.array(ids.to_numpy(zero_copy_only=False) // range_width)})
+
+    def pack(t: pa.Table) -> pa.Table:
+        t, starts, _ = sort_by_key(t, ["rng"], [(id_col, "ascending")])
+        ntok = t[ntok_col].to_numpy(zero_copy_only=False)
+        excl = np.cumsum(ntok) - ntok  # exclusive prefix sum over the call
+        first = np.asarray([base[r] for r in t["rng"].to_numpy()[starts].tolist()], dtype=np.int64)
+        start = excl + np.repeat(first - excl[starts], np.diff(np.append(starts, len(t))))
         keep = ntok > 0
-        return pd.DataFrame(
+        return pa.table(
             {
-                id_col: ids[keep],
+                id_col: t[id_col].filter(keep),
                 "n_tok": ntok[keep],
                 "start_tok": start[keep],
                 "block_first": start[keep] // block,
@@ -169,10 +170,6 @@ def token_pack(ds, id_col: str, ntok_col: str, block: int,
             }
         )
 
-    def add_rng(b: pa.Table) -> pa.Table:
-        ids = b[id_col].to_numpy(zero_copy_only=False)
-        return b.append_column("rng", pa.array(ids // range_width, pa.int64()))
-
-    return co_partition(
-        ds.map_batches(add_rng, batch_format="pyarrow"), ["rng"], pack, batch_format="pandas",
-    )
+    rows = ds.map_batches(add_rng, batch_format="pyarrow")
+    schema = pa.schema([(id_col, pa.int64()), (ntok_col, pa.int64()), ("rng", pa.int64())])
+    return co_partition(declare_schema(rows, schema), ["rng"], pack)

@@ -328,38 +328,33 @@ def duplicate_span_stats(ds, text_col: str, id_col: str, n: int = 5,
     land in one bucket, so counting and flagging happen in the same task —
     then one shuffle keyed by doc for the per-document fraction."""
     import pyarrow as pa
+    import pyarrow.compute as pc
 
-    from ..stages.shuffle import co_partition
+    from ..stages.shuffle import _arrow_schema, co_partition, declare_schema
 
-    def grams(batch: pd.DataFrame) -> pa.Table:
-        ids = batch[id_col].to_numpy()
-        gh, gpos = _word_gram_hashes(batch[text_col], n)
-        return pa.table(
-            {
-                id_col: pa.array(ids[gpos]),
-                "gh": pa.array(gh.view(np.int64), type=pa.int64()),
-            }
-        )
+    def grams(batch: pa.Table) -> pa.Table:
+        gh, gpos = _word_gram_hashes(batch[text_col].to_pandas(), n)
+        return pa.table({id_col: batch[id_col].take(gpos), "gh": gh.view(np.int64)})
 
-    def flag(g: pd.DataFrame) -> pd.DataFrame:
-        cnt = g.groupby("gh", sort=False)["gh"].transform("size")
-        return pd.DataFrame(
-            {id_col: g[id_col], "dup": (cnt >= hot).to_numpy(), "freq": cnt.to_numpy()}
-        )
+    def flag(t: pa.Table) -> pa.Table:
+        _, inv, cnt = np.unique(t["gh"].to_numpy(), return_inverse=True, return_counts=True)
+        return pa.table({id_col: t[id_col], "dup": cnt[inv] >= hot, "freq": cnt[inv]})
 
-    def per_doc(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby(id_col, sort=False).agg(
-            n_grams=("dup", "size"), n_dup=("dup", "sum"), max_gram_freq=("freq", "max")
-        )
-        out = agg.reset_index()
-        out["dup_gram_frac"] = out.pop("n_dup") / out["n_grams"]
-        out["n_grams"] = out["n_grams"].astype("int64")
-        out["max_gram_freq"] = out["max_gram_freq"].astype("int64")
-        return out[[id_col, "n_grams", "dup_gram_frac", "max_gram_freq"]]
+    def per_doc(t: pa.Table) -> pa.Table:
+        agg = t.group_by(id_col).aggregate([("dup", "count"), ("dup", "sum"), ("freq", "max")])
+        n_grams = agg["dup_count"]
+        return pa.table({
+            id_col: agg[id_col],
+            "n_grams": n_grams,
+            "dup_gram_frac": pc.divide(agg["dup_sum"].cast(pa.float64()), n_grams.cast(pa.float64())),
+            "max_gram_freq": agg["freq_max"],
+        })
 
-    rows = ds.map_batches(grams, batch_format="pandas")
-    flagged = co_partition(rows, ["gh"], flag, batch_format="pandas")
-    return co_partition(flagged, [id_col], per_doc, batch_format="pandas")
+    rows = ds.map_batches(grams, batch_format="pyarrow")
+    id_field = _arrow_schema(ds).field(id_col)
+    flagged = co_partition(declare_schema(rows, pa.schema([id_field, pa.field("gh", pa.int64())])), ["gh"], flag)
+    flags = pa.schema([id_field, pa.field("dup", pa.bool_()), pa.field("freq", pa.int64())])
+    return co_partition(declare_schema(flagged, flags), [id_col], per_doc)
 
 
 class Fingerprint:

@@ -6,8 +6,9 @@ reaches fn or the output, and the output rows are the input rows.  Plus: a
 null in an int key column does not move that column's other keys, the
 kernel matches NaiveOracle at one exchange partition and at several, an
 empty side changes nothing, the kernel operator keeps its name, a plan over
-static side schemas never probes Dataset.schema, and a block the sort hands
-back as pandas still reaches an Arrow fn with the declared types."""
+static side schemas never probes Dataset.schema, a block the sort hands
+back as pandas still reaches an Arrow fn with the declared types, and
+co_partition is the only keyed exchange, Arrow only."""
 
 import uuid
 
@@ -323,7 +324,22 @@ def test_pandas_bucket_reaches_fn_with_declared_types(block_type):
         block = BlockAccessor.for_block(block).to_pandas()  # the reducer's conversion
         assert block["n"].dtype == np.float64  # inference alone would lose int64
     got = []
-    _per_partition(got.append, "pyarrow", want.schema)(block)
+    _per_partition(got.append, want.schema)(block)
     assert isinstance(got[0], pa.Table)
     assert got[0].schema == want.schema
     assert got[0].equals(want)
+
+
+def test_one_arrow_exchange_call():
+    """co_partition is the one keyed exchange and hands fn Arrow only: it
+    takes no batch_format, and no Ray groupby().map_groups() exchange is
+    left under raywin/."""
+    import inspect
+    import pathlib
+
+    import raywin
+
+    assert "batch_format" not in inspect.signature(co_partition).parameters
+    root = pathlib.Path(raywin.__file__).parent
+    users = [str(p.relative_to(root)) for p in root.rglob("*.py") if ".map_groups(" in p.read_text()]
+    assert users == []

@@ -5,6 +5,7 @@ starts a new session), single-event keys, shuffled input order."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,7 +39,7 @@ def _frame(events):
 def test_lag_lead_matches_pandas_shift(events, perm_seed):
     df = _frame(events)
     shuffled = df.sample(frac=1, random_state=perm_seed).reset_index(drop=True)
-    out = LagLead(["k"], ["v"], lags=(1, 2), leads=(1,), tie_col="seq")(shuffled)
+    out = LagLead(["k"], ["v"], lags=(1, 2), leads=(1,), tie_col="seq")(pa.table(shuffled)).to_pandas()
     exp = df.sort_values(["k", "ts", "seq"], kind="mergesort").reset_index(drop=True)
     g = exp.groupby("k", sort=False)["v"]
     for col, want in [
@@ -58,7 +59,7 @@ def test_lag_lead_matches_pandas_shift(events, perm_seed):
 def test_sessionize_matches_brute_force(events, perm_seed):
     df = _frame(events)
     shuffled = df.sample(frac=1, random_state=perm_seed).reset_index(drop=True)
-    out = Sessionize(["k"], GAP, tie_col="seq")(shuffled)
+    out = Sessionize(["k"], GAP, tie_col="seq")(pa.table(shuffled)).to_pandas()
 
     exp = df.sort_values(["k", "ts", "seq"], kind="mergesort").reset_index(drop=True)
     sess_ids, seqs = [], []
@@ -77,7 +78,7 @@ def test_sessionize_matches_brute_force(events, perm_seed):
     assert out["session_event_seq"].tolist() == seqs
 
     # sessions output mode agrees with the event labels
-    sess = Sessionize(["k"], GAP, tie_col="seq", output="sessions")(shuffled)
+    sess = Sessionize(["k"], GAP, tie_col="seq", output="sessions")(pa.table(shuffled)).to_pandas()
     lab = out.assign(sid=sess_ids)
     for _, s in sess.iterrows():
         members = lab[(lab["k"] == s["k"]) & (lab["session_id"] == s["session_id"])]

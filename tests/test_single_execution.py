@@ -201,6 +201,20 @@ def test_online_serving_runs_once(ray_session, count_executions):
     assert out.num_rows > 0 and out.schema == known_schema(ds)
 
 
+def test_consistency_compare_runs_once(ray_session, count_executions):
+    """The consistency_compare catalog query declares its two sides, the
+    renamed join sides, the per-row metrics and the bucket metrics, so
+    neither the join nor the bucket exchange probes: one execution, no
+    limit-1 probe, and the declared output schema is the executed one."""
+    from raywin.pipelines.catalog import consistency_compare
+
+    ds = consistency_compare(SF)
+    out = _executed(ds)
+    assert len(count_executions) == 1, count_executions
+    assert not _probes(count_executions)
+    assert out.num_rows > 0 and out.schema == known_schema(ds)
+
+
 def test_declared_schemas_match_executed(ray_session, tmp_path):
     """Every declared output schema equals the executed table's: the point-
     in-time kernel (plain and with DuckDB derivations), the upload table,
