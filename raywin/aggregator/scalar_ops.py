@@ -234,9 +234,10 @@ def _row_dtype(heads, vals, stops):
     sequential arithmetic as the fold."""
     dtype = None
     if len(heads):
-        dtype = heads.dtype if isinstance(heads, np.ndarray) else None
-        if dtype not in _SCAN_DTYPES:
+        # a list of IRs has no dtype (and None == np.dtype(float64) holds)
+        if not isinstance(heads, np.ndarray) or heads.dtype not in _SCAN_DTYPES:
             return None
+        dtype = heads.dtype
     if len(stops) and stops.max() > 0:
         if vals.dtype not in _SCAN_DTYPES or dtype not in (None, vals.dtype):
             return None

@@ -41,11 +41,16 @@ one after another.  lambda_aggregate_many works on all of them at once:
     other op, and a part whose channel fails its dtype or signed-zero
     check, merges clones of its heads and runs the prepare/update loop.
 
-A key's batch IR is decoded once (SawtoothOnlineAggregator.decode, cached
-by the Fetcher) into per-part heads and tile starts, with the heads of the
-numeric ops as one array.  Request and micro-batch rows are grouped by key
-with one lexsort (of the key values when they are integers, else of their
-factorize codes) instead of a pandas groupby, and a micro-batch that
+A key's batch IR blob is decoded once (upload.IRTable, cached by the
+Fetcher): the cache misses of a request are decoded together, with one
+np.frombuffer over their joined blobs, into flat arrays (every key's
+words, and per key and part the collapsed flag, tile count and kind).  A
+request's heads, collapsed and tile indices and tile counts are then
+fancy-indexed from those arrays and one searchsorted over the keys' tile
+starts, with no Python loop over keys; the heads of the numeric ops come
+out as one array per part.  Request and micro-batch rows are grouped by
+key with one lexsort (of the key values when they are integers, else of
+their factorize codes) instead of a pandas groupby, and a micro-batch that
 continues a key's stream in time is appended without a sort.
 
 online_enrich_distributed applies the lambda offline at scale: queries,
@@ -57,7 +62,6 @@ nothing is broadcast or collected into the calling process.
 from __future__ import annotations
 
 import copy
-import pickle
 from typing import NamedTuple
 
 import numpy as np
@@ -67,34 +71,19 @@ import pyarrow as pa
 from ..api import GroupBy
 from ..aggregator.scalar_ops import Segments, make_scalar_op, scan_parts
 from ..aggregator.windowing import FiveMinuteResolution, round_down
-from .upload import IR_COL, load_upload
+from .upload import IR_COL, IRTable, _concat_ranges, encode_dicts, load_upload
 
 
 # lo of an unbounded part: below every tile start and event ts
 _LO_NONE = np.iinfo(np.int64).min // 2
 
 
-class _PartIR(NamedTuple):
-    """One part of one key's batch IR, decoded.  heads: the collapsed IR
-    (first, when there is one) then the tiles, ascending by start; starts:
-    the tiles' starts; arr: heads as the op's ir_array (what its folds
-    read), or None."""
+class KeyIRs(NamedTuple):
+    """Some keys' decoded batch IRs as lambda_aggregate_many takes them:
+    an upload.IRTable and each key's row in it (0: no batch IR)."""
 
-    heads: list
-    has_c: int
-    starts: list
-    arr: np.ndarray | None
-
-
-class _KeyIR(NamedTuple):
-    """One key's batch IR as lambda_aggregate_many takes it: a _PartIR (or
-    None) per part of the aggregator, and over all parts the tile counts,
-    the collapsed flags (0/1) and the tile starts, one part after another."""
-
-    parts: list
-    n_tiles: np.ndarray
-    has_c: np.ndarray
-    starts: np.ndarray
+    table: IRTable
+    rows: np.ndarray
 
 
 class _Groups(NamedTuple):
@@ -133,6 +122,7 @@ class SawtoothOnlineAggregator:
         self._win_ms = np.array([0 if w is None else w[0] for w in wins], dtype=np.int64)
         self._win_hop = np.array([1 if w is None else w[1] for w in wins], dtype=np.int64)
         self._win_unbounded = np.array([w is None for w in wins])
+        self.columns = [col for _, col, _, _ in self._specs]
 
     def lambda_aggregate(self, batch_ir: dict | None, stream_ts, stream_rows,
                          query_ts: int) -> dict:
@@ -178,38 +168,25 @@ class SawtoothOnlineAggregator:
         return out
 
     # -- batch IRs as lambda_aggregate_many takes them ------------------------
-    def decode(self, batch_ir: dict | None) -> _KeyIR | None:
-        """A key's batch IR ({output_column: {"c": collapsed IR, "t":
-        [(start, IR), ...] ascending by start}}, or None) as
-        lambda_aggregate_many takes it.  The IRs are shared, not copied:
-        the lambda never mutates them."""
-        if batch_ir is None:
-            return None
-        parts = []
-        for op, col, _, _ in self._specs:
-            entry = batch_ir.get(col)
-            if entry is None:
-                parts.append(None)
-                continue
-            tiles = entry["t"]
-            parts.append(_part_ir(op, entry["c"], [s for s, ir in tiles if ir is not None],
-                                  [ir for _, ir in tiles if ir is not None]))
-        return _key_ir(parts)
+    def decode(self, batch_irs) -> KeyIRs:
+        """Keys' batch IRs in dict form ({output_column: {"c": collapsed IR,
+        "t": [(start, IR), ...] ascending by start}}, or None each), as
+        lambda_aggregate_many takes them: encoded as upload blobs and
+        decoded in one pass."""
+        table = IRTable(self.columns)
+        return KeyIRs(table, table.add(encode_dicts(self.ops, self.columns, batch_irs)))
 
-    def with_tiles(self, key_ir: _KeyIR | None, key_tiles: dict) -> _KeyIR:
-        """A decoded batch IR with more tiles after its own: key_tiles is
-        {output_column: (starts, IRs)}, a TileAggregator key's."""
-        parts = [None] * len(self._specs) if key_ir is None else list(key_ir.parts)
-        for i, (op, col, _, _) in enumerate(self._specs):
-            starts, irs = key_tiles.get(col, ((), ()))
-            if not len(starts):
-                continue
-            p = parts[i]
-            parts[i] = _part_ir(op, None, list(starts), list(irs)) if p is None else _part_ir(
-                op, p.heads[0] if p.has_c else None, p.starts + list(starts),
-                p.heads[p.has_c:] + list(irs),
-            )
-        return _key_ir(parts)
+    def with_tiles(self, batch_ir: dict | None, key_tiles: dict) -> dict:
+        """A dict-form batch IR with more tiles after its own: key_tiles is
+        {output_column: (starts, IRs)}, a TileAggregator key's.  decode()
+        it with the request's other keys."""
+        out = dict(batch_ir or {})
+        for col, (starts, irs) in key_tiles.items():
+            if len(starts):
+                entry = out.get(col) or {"c": None, "t": []}
+                out[col] = {"c": entry["c"],
+                            "t": list(entry["t"]) + list(zip(np.asarray(starts).tolist(), irs))}
+        return out
 
     # -- the lambda ---------------------------------------------------------
     def lambda_aggregate_many(self, batch_irs, stream_ts, stream_rows, query_ts,
@@ -217,12 +194,14 @@ class SawtoothOnlineAggregator:
         """The lambda for one request: every query of every key, bitwise
         equal to lambda_aggregate per query.
 
-        A request of K keys: batch_irs[k] is key k's decode()d batch IR (or
-        None); stream_ts and stream_rows ({input column: values}) hold the
-        keys' streams one after another, key k's at [stream_bounds[k],
-        stream_bounds[k + 1]), each ts-ascending; query_ts holds their
-        queries the same way, at query_bounds.  Without bounds the request
-        is one key's, and batch_irs is that key's raw batch IR.  Returns
+        A request of K keys: batch_irs is their KeyIRs (decode(), or a
+        Fetcher's table and the keys' rows in it), key k's at
+        batch_irs.rows[k]; stream_ts and stream_rows ({input column:
+        values}) hold the keys' streams one after another, key k's at
+        [stream_bounds[k], stream_bounds[k + 1]), each ts-ascending;
+        query_ts holds their queries the same way, at query_bounds.
+        Without bounds the request is one key's, and batch_irs is that
+        key's batch IR in dict form (or None).  Returns
         {output column: object array aligned with query_ts}.
 
         The groups of every window, each input column's non-null events and
@@ -231,7 +210,7 @@ class SawtoothOnlineAggregator:
         channel."""
         qts = np.asarray(query_ts, dtype=np.int64)
         if query_bounds is None:  # one key
-            batch_irs = [self.decode(batch_irs)]
+            batch_irs = self.decode([batch_irs])
             stream_bounds = [0, 0 if stream_ts is None else len(stream_ts)]
             query_bounds = [0, len(qts)]
         n = len(qts)
@@ -289,23 +268,20 @@ class SawtoothOnlineAggregator:
             new.cumsum(axis=1) - 1,
         )
 
-    def _heads(self, batch_irs, grp: _Groups) -> list:
+    def _heads(self, batch_irs: KeyIRs, grp: _Groups) -> list:
         """Each part's (heads, collapsed, tile, n_tiles) for Segments: a
         group's heads are its key's collapsed IR, then the key's tiles that
         start at or after the group's lo (all of them when unbounded),
-        found by one search over every key's and part's tile starts."""
+        found by one search over every key's and part's tile starts.  Every
+        index is computed for all keys and parts at once."""
         n_parts = len(self._specs)
-        irs = [ir for ir in batch_irs if ir is not None]
-        none = np.zeros(n_parts, dtype=np.int64)
-        n_tiles = np.array([none if ir is None else ir.n_tiles for ir in batch_irs])
-        has_c = np.array([none if ir is None else ir.has_c for ir in batch_irs])
+        has_c, n_tiles, starts, heads = batch_irs.table.gather(batch_irs.rows)
         # rows: every part's groups, one part after another; tile runs are
-        # (key, part), key after key as decode lays them out
+        # (key, part), key after key as gather lays them out
         per_part = (grp.bounds[1:] - grp.bounds[:-1])[self._part_win]
         rows = _concat_ranges(grp.bounds[self._part_win], per_part)
         run = grp.key[rows] * n_parts + np.arange(n_parts).repeat(per_part)
-        t_bounds = np.concatenate(([0], n_tiles.cumsum()))
-        starts = np.concatenate([ir.starts for ir in irs]) if irs else none[:0]
+        t_bounds = np.concatenate(([0], n_tiles.ravel().cumsum()))
         first_tile = _Runs(starts, t_bounds).search(run, grp.lo[rows])
         # a key's heads in its part's heads: the collapsed IR, then tiles
         sizes = has_c + n_tiles
@@ -314,39 +290,9 @@ class SawtoothOnlineAggregator:
         collapsed = np.where(hc > 0, offset, -1)
         tile = offset + hc + first_tile - t_bounds[run]
         count = t_bounds[run + 1] - first_tile
-        out, r = [], [0] + per_part.cumsum().tolist()
-        for p in range(n_parts):
-            a, b = r[p], r[p + 1]
-            out.append((_part_heads([ir.parts[p] for ir in irs]),
-                        collapsed[a:b], tile[a:b], count[a:b]))
-        return out
-
-
-def _part_ir(op, c, starts: list, irs: list) -> _PartIR | None:
-    heads = irs if c is None else [c] + irs
-    if not heads:
-        return None
-    return _PartIR(heads, int(c is not None), starts, op.ir_array(heads))
-
-
-def _key_ir(parts) -> _KeyIR:
-    return _KeyIR(
-        parts,
-        np.array([0 if p is None else len(p.starts) for p in parts], dtype=np.int64),
-        np.array([0 if p is None else p.has_c for p in parts], dtype=np.int64),
-        np.array([s for p in parts if p is not None for s in p.starts], dtype=np.int64),
-    )
-
-
-def _part_heads(entries):
-    """One part's heads over a request's keys (each key's _PartIR or
-    None): one array when every key's ir_array has one dtype, else a list
-    of the IRs."""
-    present = [e for e in entries if e is not None]
-    arrs = [e.arr for e in present]
-    if arrs and all(a is not None for a in arrs) and len({(a.dtype, a.ndim) for a in arrs}) == 1:
-        return arrs[0] if len(arrs) == 1 else np.concatenate(arrs)
-    return [h for e in present for h in e.heads]
+        r = [0] + per_part.cumsum().tolist()
+        return [(h, collapsed[a:b], tile[a:b], count[a:b])
+                for h, a, b in zip(heads, r[:-1], r[1:])]
 
 
 class _Runs:
@@ -375,13 +321,6 @@ class _Runs:
             ], dtype=np.int64)
         x = np.minimum(np.maximum(x, self.lo), self.lo + self.span - 1) - self.lo
         return self.comp.searchsorted(keys * self.span + x)
-
-
-def _concat_ranges(starts, lengths):
-    """concatenate(arange(s, s + n) for s, n in zip(starts, lengths))"""
-    ends = lengths.cumsum()
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + (starts - (ends - lengths)).repeat(lengths)
 
 
 def _events(vals, ts):
@@ -497,10 +436,13 @@ class Fetcher:
     (key, ts) and appends each key's slice to the key's arrays, or
     stable-merges it when it starts before the key's last ts.
     fetch_batch answers a request with one lambda_aggregate_many call over
-    all of its keys (fetch is a one-row fetch_batch); each key's batch IR
-    is unpickled and decoded once, into _cache.  Tile-backed state takes
-    the same call: the key's sealed tiles extend the batch tiles and the
-    unsealed raw head is the stream."""
+    all of its keys (fetch is a one-row fetch_batch).  Each key's batch IR
+    is decoded once into one IRTable, the request's cache misses together
+    with one IRTable.add; _cache holds every key looked up, with its row in
+    the table (0 when the key has no blob).  Tile-backed state takes the
+    same call: the key's sealed tiles extend the batch tiles (the request's
+    keys are then decoded afresh, as the tiles change with every batch)
+    and the unsealed raw head is the stream."""
 
     def __init__(self, group_by: GroupBy, batch_end_ts: int, upload=None,
                  resolution=FiveMinuteResolution):
@@ -510,7 +452,8 @@ class Fetcher:
         self.key_cols = group_by.key_columns
         self._in_cols = {p.input_column for p in self.agg.parts}
         self._blobs: dict = {}
-        self._cache: dict = {}  # key -> decoded batch IR (None when the key has none)
+        self._cache: dict = {}  # key -> its row in _irs (0 when the key has no blob)
+        self._irs = IRTable(self.agg.columns)
         if upload is not None:
             self._blobs = (
                 upload if isinstance(upload, dict) else load_upload(upload, self.key_cols)
@@ -534,32 +477,40 @@ class Fetcher:
         self._tiles = tile_aggregator
 
     # -- fetch --------------------------------------------------------------
-    def _batch_ir(self, key: tuple):
-        if key in self._cache:
-            return self._cache[key]
-        blob = self._blobs.get(key)
-        ir = None if blob is None else self.agg.decode(pickle.loads(blob))
-        self._cache[key] = ir
-        return ir
+    def _rows(self, keys) -> np.ndarray:
+        """The rows of (distinct) keys in _irs: the blobs of the keys not in
+        _cache yet are decoded together, by one IRTable.add."""
+        new = [k for k in keys if k not in self._cache]
+        if new:
+            rows = self._irs.add([self._blobs.get(k) for k in new])
+            self._cache.update(zip(new, rows.tolist()))
+        return np.array([self._cache[k] for k in keys], dtype=np.int64)
+
+    def _stream_of(self, key: tuple):
+        """(stream ts, stream rows) of key, (None, None) without a stream:
+        the raw rows put, or the TileAggregator's unsealed raw head."""
+        st = (self._stream if self._tiles is None else self._tiles.raw).get(key)
+        return (st[0], st[1]) if st else (None, None)
+
+    def _tiled(self, key: tuple, ir: dict | None):
+        """Tile-backed: the dict-form batch IR ir of key followed by the
+        key's sealed tiles that start at or after the seam."""
+        key_tiles = self._tiles.tiles.get(key)
+        if not key_tiles:
+            return ir
+        tail = {}
+        for col, (starts, irs) in key_tiles.items():
+            i = int(np.searchsorted(starts, self.batch_end_ts))
+            tail[col] = (starts[i:], irs[i:])
+        return self.agg.with_tiles(ir, tail)
 
     def _state(self, key: tuple):
-        """(decoded batch IR, stream ts, stream rows) of key, as the lambda
-        takes them.  Tile-backed: the key's sealed tiles that start at or
-        after the seam follow the batch IR's tail tiles, and the unsealed
-        raw head is the stream."""
-        ir = self._batch_ir(key)
-        if self._tiles is None:
-            st = self._stream.get(key)
-        else:
-            st = self._tiles.raw.get(key)
-            key_tiles = self._tiles.tiles.get(key)
-            if key_tiles:
-                tail = {}
-                for col, (starts, irs) in key_tiles.items():
-                    i = int(np.searchsorted(starts, self.batch_end_ts))
-                    tail[col] = (starts[i:], irs[i:])
-                ir = self.agg.with_tiles(ir, tail)
-        return (ir, st[0], st[1]) if st else (ir, None, None)
+        """(batch IR in dict form, stream ts, stream rows) of key, as the
+        per-row reference lambda_aggregate takes them."""
+        ir = self._irs.ir(int(self._rows([key])[0]))
+        if self._tiles is not None:
+            ir = self._tiled(key, ir)
+        return (ir, *self._stream_of(key))
 
     def _check_sealed(self, qts):
         """Sealed tiles are whole tile spans: a query behind the sealed
@@ -585,11 +536,16 @@ class Fetcher:
         qts = batch["ts"].to_numpy(dtype=np.int64)
         self._check_sealed(qts)
         pos, groups = _key_groups(batch, self.key_cols, qts)
-        states = [self._state(key) for key, _, _ in groups]
-        ts, rows, bounds = _concat_streams([(t, r) for _, t, r in states], self._in_cols)
+        keys = [key for key, _, _ in groups]
+        rows = self._rows(keys)
+        if self._tiles is None:
+            irs = KeyIRs(self._irs, rows)
+        else:
+            irs = self.agg.decode([self._tiled(k, self._irs.ir(r))
+                                   for k, r in zip(keys, rows.tolist())])
+        ts, cols, bounds = _concat_streams([self._stream_of(k) for k in keys], self._in_cols)
         feats = self.agg.lambda_aggregate_many(
-            [ir for ir, _, _ in states], ts, rows, qts[pos],
-            bounds, [a for _, a, _ in groups] + [len(pos)],
+            irs, ts, cols, qts[pos], bounds, [a for _, a, _ in groups] + [len(pos)],
         )
         return {c: _scatter(len(batch), pos, v).tolist() for c, v in feats.items()}
 
@@ -677,10 +633,11 @@ class ServingKernel:
         runs = {key: (a, b - a) for key, a, b in s_groups}
         qts = q_tbl["ts"].to_numpy(zero_copy_only=False).astype(np.int64)
         pos, groups = _key_groups(q_tbl.select(self.key_cols).to_pandas(), self.key_cols, qts)
-        irs, starts, lengths = [], [], []
+        # the bucket's blobs of the queried keys, decoded in one pass
+        table = IRTable(self.agg.columns)
+        irs = KeyIRs(table, table.add([blobs.get(key) for key, _, _ in groups]))
+        starts, lengths = [], []
         for key, _, _ in groups:
-            blob = blobs.get(key)
-            irs.append(None if blob is None else self.agg.decode(pickle.loads(blob)))
             a, n = runs.get(key, (0, 0))
             starts.append(a)
             lengths.append(n)

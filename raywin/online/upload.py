@@ -27,9 +27,29 @@ reference behaves the same way — uploads are expected to refresh daily).
 Dataflow (Ray-Data-first): scan sources filtered to ts < batch_end_ts ->
 project to keys+ts+inputs -> co_partition(keys, UploadKernel), one
 hash(keys) sort shuffle with one kernel call per bucket -> one row per key
-with a pickled IR blob (the reference ships Avro-encoded IRs to a KV store;
-a binary column in a parquet/Lance table is the warehouse-native
-equivalent).
+with a binary IR blob (the reference ships Avro-encoded IRs, TileCodec, to
+a KV store; a binary column in a parquet/Lance table is the
+warehouse-native equivalent).
+
+The blob is flat little-endian 8-byte words (encode_irs writes it, IRTable
+reads it; nothing else reads the layout):
+
+    one header word per part: n_tiles << 4 | kind << 1 | has_collapsed
+    the int64 tile starts, part after part, ascending within a part
+    the heads of the numeric parts, part after part: the collapsed IR (when
+        there is one), then the tiles, as the op's ir_array (float64 or
+        int64, one word per head; two float64 words for AVERAGE's
+        [sum, count])
+    a pickled section, zero-padded to a whole word, with the heads of the
+        parts whose IRs have no ir_array (LAST_K, HISTOGRAM, sketches,
+        UNIQUE_COUNT, ints beyond int64) or mix types: {part index:
+        [IR, ...]}
+
+kind also records the IRs' Python type (numpy or built-in scalar), so the
+dict-form reader (read_ir, IRTable.ir) gives back exactly what the upload
+fold produced (an AVERAGE sum always reads back as a float, which is what
+the fold makes).  IRTable decodes many blobs with one np.frombuffer over
+their concatenation and holds every key's IRs in flat arrays.
 """
 
 from __future__ import annotations
@@ -93,8 +113,9 @@ class UploadKernel:
            sequential prepare/update fold per segment for object IRs
            (moments, K-ops, sketches).
 
-        Outside that object-IR fold, Python touches each KEY once (dict
-        assembly + pickle), never each event."""
+        The blobs of all keys are then written by one encode_irs call
+        (Python touches a key only to pickle the heads of parts without
+        an ir_array), never each event."""
         ops = [make_scalar_op(p) for p in self.parts]
         bounds = [
             part_boundaries(p, self.batch_end_ts, self.tail_buffer_ms, self.resolution)
@@ -142,35 +163,20 @@ class UploadKernel:
             )
         n_keys = len(seg_starts)
 
-        # per part: collapsed IR per key (object array) + tiles list per key
-        collapsed_parts: list[np.ndarray] = []
-        tiles_parts: list[list] = []
+        # per part: each key's collapsed IR, and the (key, start)-ascending tiles
         key_heads = joint[seg_starts]
+        folded = []
         for part, op, (lo_min, lo_max, hop) in zip(self.parts, ops, bounds):
             vals = raw_vals[part.input_column]
             valid = pd.notna(vals)
             body = valid if lo_min is None else valid & (ts >= lo_max)
-            collapsed = np.full(n_keys, None, dtype=object)
             ki, _, irs = _fold_runs(op, vals, ts, joint, key_heads, np.flatnonzero(body))
-            packed = np.empty(len(irs), dtype=object)
-            packed[:] = irs
-            collapsed[ki] = packed
-            tiles: list = [[] for _ in range(n_keys)]
+            tk, starts, t_irs = _fold_runs(op, vals, ts, joint, key_heads, ki[:0])
             if lo_min is not None:
                 t_idx = np.flatnonzero(valid & (ts >= lo_min) & (ts < lo_max))
-                for k, t0, ir in zip(*_fold_runs(op, vals, ts, joint, key_heads, t_idx, hop)):
-                    tiles[k].append((int(round_down(t0, hop)), ir))
-            collapsed_parts.append(collapsed)
-            tiles_parts.append(tiles)
-
-        out_cols = [p.output_column for p in self.parts]
-        out_blobs: list[bytes] = []
-        for ki in range(n_keys):
-            ir_row = {
-                c: {"c": collapsed_parts[pi][ki], "t": tiles_parts[pi][ki]}
-                for pi, c in enumerate(out_cols)
-            }
-            out_blobs.append(pickle.dumps(ir_row, protocol=pickle.HIGHEST_PROTOCOL))
+                tk, t0, t_irs = _fold_runs(op, vals, ts, joint, key_heads, t_idx, hop)
+                starts = round_down(t0, hop)
+            folded.append((ki, irs, tk, starts, t_irs))
 
         cols = []
         for i, f in enumerate(self.key_fields):
@@ -179,7 +185,7 @@ class UploadKernel:
             if arr.type != f.type:
                 arr = arr.cast(f.type)
             cols.append(arr)
-        cols.append(pa.array(out_blobs, type=pa.binary()))
+        cols.append(encode_irs(ops, n_keys, folded))
         cols.append(pa.array(np.full(n_keys, self.batch_end_ts, dtype=np.int64)))
         return pa.Table.from_arrays(
             cols,
@@ -195,7 +201,7 @@ def _fold_runs(op, vals, ts, joint, key_heads, idx, hop=None):
     (and, given hop, one hop tile).  Rows are (key, ts)-sorted, so each run
     is contiguous.  Returns (key index, first ts, IR) per run."""
     if not len(idx):
-        return [], [], []
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), []
     sub_ts, sub_key = ts[idx], joint[idx]
     cut = np.diff(sub_key) != 0
     if hop is not None:
@@ -205,6 +211,269 @@ def _fold_runs(op, vals, ts, joint, key_heads, idx, hop=None):
     return ki, sub_ts[st], op.fold_segments(vals[idx], sub_ts, st)
 
 
+
+# -- the blob codec ------------------------------------------------------------
+# a part's kind (header bits 1-3): how its heads are stored.  A numeric kind
+# also names the IRs' type, so the words give back what the fold produced.
+_PICKLED, _F8, _PYF, _I8, _PYI, _PAIRS = range(6)
+_KINDS = {
+    (np.float64, np.dtype(np.float64)): _F8, (float, np.dtype(np.float64)): _PYF,
+    (np.int64, np.dtype(np.int64)): _I8, (int, np.dtype(np.int64)): _PYI,
+}
+# words per head, and the array class that heads of a kind share in a
+# request (0: IR objects, 1: float64, 2: int64, 3: [sum, count] float64 rows)
+_WIDTH = np.array([0, 1, 1, 1, 1, 2])
+_CLASS = np.array([0, 1, 1, 2, 2, 3])
+_HEADS = {1: lambda w: w.view("<f8"), 2: lambda w: w,
+          3: lambda w: w.view("<f8").reshape(-1, 2)}
+_IRS = {
+    _F8: lambda w: list(w.view("<f8")),
+    _PYF: lambda w: w.view("<f8").tolist(),
+    _I8: list,
+    _PYI: lambda w: w.tolist(),
+    _PAIRS: lambda w: [[s, int(c)] for s, c in w.view("<f8").reshape(-1, 2).tolist()],
+}
+
+
+def _kind(op, irs):
+    """(kind, op.ir_array(irs)) of one part's IRs: numeric when the op has
+    an ir_array for them and they share one type its words give back
+    exactly, else (_PICKLED, None)."""
+    arr = op.ir_array(irs) if irs else None
+    if arr is None:
+        return _PICKLED, None
+    t = type(irs[0])
+    if any(type(ir) is not t for ir in irs):
+        return _PICKLED, None
+    if arr.ndim == 2:
+        # AVERAGE's [sum, int count], counts exact in float64; a sum reads
+        # back as a float, the type the upload fold gives it
+        exact = all(type(c) is int for _, c in irs) and np.abs(arr[:, 1]).max() <= 2**53
+        return (_PAIRS, arr) if exact else (_PICKLED, None)
+    kind = _KINDS.get((t, arr.dtype), _PICKLED)
+    return kind, arr if kind else None
+
+
+def encode_irs(ops, n_keys: int, parts) -> pa.Array:
+    """The blobs of n_keys keys' batch IRs, one binary value per key (layout
+    in the module docstring).  parts[p] is part p's (keys, IRs, tile keys,
+    tile starts, tile IRs): the collapsed IR of each key in keys, and the
+    tiles ascending by (key, start).  A part's kind is chosen once for all
+    the keys; the words of every key are written by one numpy pass per
+    part, and only the pickled heads are encoded key by key."""
+    n_parts = len(ops)
+    has_c = np.zeros((n_keys, n_parts), dtype=np.int64)
+    n_tiles = np.zeros((n_keys, n_parts), dtype=np.int64)
+    kinds, arrays, ranks, objects = [], [], [], {}
+    for p, (op, (ck, c_irs, tk, _, t_irs)) in enumerate(zip(ops, parts)):
+        has_c[ck, p] = 1
+        n_tiles[:, p] = np.bincount(tk, minlength=n_keys)
+        ranks.append(np.arange(len(tk)) - np.searchsorted(tk, tk))  # among the key's tiles
+        irs = list(c_irs) + list(t_irs)
+        kind, arr = _kind(op, irs)
+        kinds.append(kind)
+        arrays.append(arr)
+        if kind == _PICKLED:  # a key's collapsed IR, then its tiles'
+            for k, ir in zip(np.concatenate((ck, tk)).tolist(), irs):
+                objects.setdefault(k, {}).setdefault(p, []).append(ir)
+    sections = {k: pickle.dumps(o, protocol=pickle.HIGHEST_PROTOCOL) for k, o in objects.items()}
+    kinds = np.array(kinds, dtype=np.int64)
+    hw = (has_c + n_tiles) * _WIDTH[kinds]
+    pk_words = np.zeros(n_keys, dtype=np.int64)
+    pk_words[list(sections)] = [-(-len(b) // 8) for b in sections.values()]
+    n_words = n_parts + n_tiles.sum(axis=1) + hw.sum(axis=1) + pk_words
+    end = n_words.cumsum()
+    off = end - n_words
+    words = np.zeros(int(end[-1]) if n_keys else 0, dtype="<i8")
+    words[off[:, None] + np.arange(n_parts)] = n_tiles << 4 | kinds << 1 | has_c
+    tile_at = (off + n_parts)[:, None] + n_tiles.cumsum(axis=1) - n_tiles
+    head_at = (off + n_parts + n_tiles.sum(axis=1))[:, None] + hw.cumsum(axis=1) - hw
+    for p, ((ck, _, tk, starts, _), arr, rank) in enumerate(zip(parts, arrays, ranks)):
+        words[tile_at[tk, p] + rank] = starts
+        if arr is not None:
+            w = int(_WIDTH[kinds[p]])
+            at = np.concatenate((head_at[ck, p], head_at[tk, p] + (has_c[tk, p] + rank) * w))
+            words[at[:, None] + np.arange(w)] = (
+                arr.astype(arr.dtype.newbyteorder("<"), copy=False).reshape(len(arr), w).view("<i8"))
+    as_bytes = words.view(np.uint8)
+    for k, b in sections.items():
+        at = int(end[k] - pk_words[k]) * 8
+        as_bytes[at:at + len(b)] = np.frombuffer(b, dtype=np.uint8)
+    offsets = np.concatenate(([0], end)) * 8
+    blobs = pa.Array.from_buffers(pa.large_binary(), n_keys,
+                                  [None, pa.py_buffer(offsets), pa.py_buffer(words)])
+    return blobs.cast(pa.binary())  # raises past binary's 2 GiB of offsets
+
+
+def encode_dicts(ops, columns, irs) -> list:
+    """The blobs of dict-form batch IRs ({column: {"c": collapsed IR or
+    None, "t": [(start, IR), ...] ascending by start}}, as read_ir gives
+    them), None where irs has None."""
+    present = [ir for ir in irs if ir is not None]
+    parts = []
+    for col in columns:
+        ck, c_irs, tk, starts, t_irs = [], [], [], [], []
+        for k, ir in enumerate(present):
+            entry = ir.get(col) or {"c": None, "t": ()}
+            if entry["c"] is not None:
+                ck.append(k)
+                c_irs.append(entry["c"])
+            for start, t in entry["t"]:
+                if t is not None:
+                    tk.append(k)
+                    starts.append(int(start))
+                    t_irs.append(t)
+        parts.append((np.array(ck, dtype=np.int64), c_irs, np.array(tk, dtype=np.int64),
+                      np.array(starts, dtype=np.int64), t_irs))
+    blobs = iter(encode_irs(ops, len(present), parts).to_pylist())
+    return [None if ir is None else next(blobs) for ir in irs]
+
+
+class IRTable:
+    """Decoded batch IRs of many keys, held flat: the words of every blob
+    one after another, and one meta row per key.  A meta row holds, per
+    part, the collapsed flag, the tile count, the kind, where the heads
+    start, their words and their array class (_CLASS, twice: -1 and 9 when
+    the part has no heads); then where the key's tile starts start, and
+    how many there are.  Row 0 is the empty IR of a key without a blob.
+    add() decodes many blobs in one pass, gather() gives some rows as
+    lambda_aggregate_many reads them, ir() is the dict-form reader."""
+
+    # the meta column blocks, n_parts columns each
+    HAS_C, N_TILES, KIND, HEAD_AT, HEAD_WORDS, CLASS_HI, CLASS_LO = range(7)
+
+    def __init__(self, columns):
+        self.columns = list(columns)
+        self.n_rows, self.n_words = 1, 0
+        n_parts = len(self.columns)
+        self.meta = np.zeros((1, 7 * n_parts + 2), dtype=np.int64)
+        self.meta[0, self.CLASS_HI * n_parts:(self.CLASS_HI + 1) * n_parts] = -1
+        self.meta[0, self.CLASS_LO * n_parts:(self.CLASS_LO + 1) * n_parts] = 9
+        self.words = np.zeros(0, dtype="<i8")
+        self.objects = {}  # row -> {part: [IR, ...]}: the pickled heads
+
+    def _block(self, m, block):
+        n_parts = len(self.columns)
+        return m[:, block * n_parts:(block + 1) * n_parts]
+
+    def add(self, blobs) -> np.ndarray:
+        """Decode blobs (None: no blob) with one np.frombuffer over their
+        concatenation; returns each one's row (0 for None)."""
+        rows = np.zeros(len(blobs), dtype=np.int64)
+        have = [i for i, b in enumerate(blobs) if b is not None]
+        if not have:
+            return rows
+        got = [blobs[i] for i in have]
+        buf = b"".join(got)
+        words = np.frombuffer(buf, dtype="<i8")
+        n_parts = len(self.columns)
+        size = np.fromiter(map(len, got), np.int64, len(got)) >> 3
+        off = size.cumsum() - size + self.n_words  # where each blob goes in self.words
+        head = words[(off - self.n_words)[:, None] + np.arange(n_parts)]
+        has_c, kind, n_tiles = head & 1, head >> 1 & 7, head >> 4
+        tiles = n_tiles.sum(axis=1)
+        present = has_c + n_tiles > 0
+        hw = (has_c + n_tiles) * _WIDTH[kind]
+        head_at = (off + n_parts + tiles)[:, None] + hw.cumsum(axis=1) - hw
+        cls = _CLASS[kind]
+        first = self.n_rows
+        if not kind.all():
+            for k in ((kind == _PICKLED) & present).any(axis=1).nonzero()[0].tolist():
+                at, end = int(head_at[k, -1] + hw[k, -1] - self.n_words), int(off[k] + size[k])
+                self.objects[first + k] = pickle.loads(
+                    memoryview(buf)[at * 8:(end - self.n_words) * 8])
+        self.meta = _append(self.meta, first, np.concatenate((
+            has_c, n_tiles, kind, head_at, hw, np.where(present, cls, -1),
+            np.where(present, cls, 9), (off + n_parts)[:, None], tiles[:, None]), axis=1))
+        self.words = _append(self.words, self.n_words, words)
+        self.n_rows += len(got)
+        self.n_words += len(words)
+        rows[have] = np.arange(first, self.n_rows)
+        return rows
+
+    def gather(self, rows):
+        """rows' batch IRs as lambda_aggregate_many reads them: has_c and
+        n_tiles per row and part; every tile start, row after row and part
+        after part; and per part the rows' heads one row after another, as
+        one array when their kinds share one, else as a list of IRs (an
+        empty list when there are none).  One take reads the starts and
+        the heads."""
+        m = self.meta[rows]
+        # the rows' tile starts, then each part's heads of every row
+        at = np.concatenate((m[:, -2], self._block(m, self.HEAD_AT).T.ravel()))
+        n = np.concatenate((m[:, -1], self._block(m, self.HEAD_WORDS).T.ravel()))
+        ends = n.cumsum()
+        words = self.words[np.arange(ends[-1]) + (at - ends + n).repeat(n)]
+        ends = [0] + ends[len(rows) - 1::len(rows)].tolist()
+        hi = self._block(m, self.CLASS_HI).max(axis=0).tolist()
+        lo = self._block(m, self.CLASS_LO).min(axis=0).tolist()
+        heads = []
+        for p, (a, b) in enumerate(zip(ends[1:-1], ends[2:])):
+            if hi[p] < 0:
+                heads.append([])
+            elif lo[p] == hi[p] > 0:
+                heads.append(_HEADS[hi[p]](words[a:b]))
+            else:  # IR objects, or numeric kinds of different dtypes
+                heads.append([ir for r in rows.tolist() for ir in self._irs(r, p)])
+        return (self._block(m, self.HAS_C), self._block(m, self.N_TILES),
+                words[:ends[1]], heads)
+
+    def _irs(self, row: int, p: int) -> list:
+        """Row's IRs of part p: its collapsed IR (when it has one), then its
+        tiles'."""
+        n_parts = len(self.columns)
+        has_c, n_tiles, kind, at = self.meta[row, p::n_parts][:self.HEAD_AT + 1].tolist()
+        if not has_c + n_tiles:
+            return []
+        if kind == _PICKLED:
+            return self.objects[row][p]
+        return _IRS[kind](self.words[at:at + (has_c + n_tiles) * int(_WIDTH[kind])])
+
+    def ir(self, row: int) -> dict | None:
+        """Row's batch IR in dict form, {column: {"c": collapsed IR or None,
+        "t": [(start, IR), ...]}} (None for row 0): what lambda_aggregate
+        takes, with the IRs the upload fold produced."""
+        if not row:
+            return None
+        n_parts = len(self.columns)
+        n_tiles = self.meta[row, n_parts:2 * n_parts].tolist()
+        at = int(self.meta[row, -2])
+        out = {}
+        for p, col in enumerate(self.columns):
+            irs = self._irs(row, p)
+            hc = int(self.meta[row, p])
+            out[col] = {"c": irs[0] if hc else None,
+                        "t": list(zip(self.words[at:at + n_tiles[p]].tolist(), irs[hc:]))}
+            at += n_tiles[p]
+        return out
+
+
+def read_ir(blob: bytes | None, columns) -> dict | None:
+    """A blob's batch IR in dict form (IRTable.ir), for the per-row
+    reference lambda (SawtoothOnlineAggregator.lambda_aggregate)."""
+    table = IRTable(columns)
+    return table.ir(int(table.add([blob])[0]))
+
+
+def _append(arr, n: int, new):
+    """arr[:n] followed by new, in arr's spare rows when they suffice (the
+    capacity doubles otherwise)."""
+    end = n + len(new)
+    if end > len(arr):
+        grown = np.empty((max(end, 2 * len(arr)),) + arr.shape[1:], dtype=arr.dtype)
+        grown[:n] = arr[:n]
+        arr = grown
+    arr[n:end] = new
+    return arr
+
+
+def _concat_ranges(starts, lengths):
+    """concatenate(arange(s, s + n) for s, n in zip(starts, lengths))"""
+    ends = lengths.cumsum()
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + (starts - (ends - lengths)).repeat(lengths)
+
+
 def group_by_upload(
     group_by: GroupBy,
     batch_end_ts: int,
@@ -212,7 +481,7 @@ def group_by_upload(
     resolution=FiveMinuteResolution,
 ):
     """Batch IR table for a GroupBy as of batch_end_ts (one row per key:
-    key columns + pickled IR blob + batch_end_ts).  Returns a lazy Dataset —
+    key columns + IR blob + batch_end_ts).  Returns a lazy Dataset —
     write_parquet it for the daily upload artifact."""
     parts = group_by.agg_parts()
     key_cols = group_by.key_columns

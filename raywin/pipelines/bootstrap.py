@@ -31,6 +31,7 @@ import pyarrow.compute as pc
 from ..api import BootstrapPart, Join
 from ..sources.io import read_table, table_schema
 from ..stages.query import apply_query, referenced_columns
+from ..stages.shuffle import _arrow_schema, declare_schema, known_schema
 
 MATCHED_HASHES = "__matched_hashes"
 _BS_PREFIX = "__bs_"
@@ -65,6 +66,7 @@ def scan_bootstrap_part(part: BootstrapPart, join: Join):
     if part.query.selects:
         ds = apply_query(read_table(part.table), part.query)
         cols = [c for c in (list(part.query.selects) + (["ts"] if part.query.time_column else [])) if c in wanted]
+        schema = _arrow_schema(ds)
     else:
         cols = [c for c in schema.names if c in wanted]
         ds = read_table(part.table, cols)
@@ -73,10 +75,12 @@ def scan_bootstrap_part(part: BootstrapPart, join: Join):
     def dedup(batch: pa.Table) -> pa.Table:
         # per-batch first-per-key; bootstrap tables are precomputed feature
         # tables assumed key-unique (reference dropDuplicates Join.scala:532)
-        df = batch.select([c for c in cols if c in batch.column_names]).to_pandas()
-        return pa.Table.from_pandas(df.drop_duplicates(subset=keys), preserve_index=False)
+        batch = batch.select([c for c in cols if c in batch.column_names])
+        first = ~batch.select(keys).to_pandas().duplicated().to_numpy()
+        return batch.filter(pa.array(first))
 
-    return ds.map_batches(dedup, batch_format="pyarrow"), keys, value_cols
+    out = ds.map_batches(dedup, batch_format="pyarrow")
+    return declare_schema(out, dedup(schema.empty_table()).schema), keys, value_cols
 
 
 def _merge_hashes(existing, hit_mask: np.ndarray, h: str) -> pa.Array:
@@ -143,7 +147,8 @@ def bootstrap_left(left_ds, join: Join):
                     hit_col, pa.array(np.ones(len(batch), dtype=np.int8))
                 )
 
-            rights.append(bs_ds.map_batches(mark, batch_format="pyarrow"))
+            rights.append(declare_schema(bs_ds.map_batches(mark, batch_format="pyarrow"),
+                                         mark(known_schema(bs_ds).empty_table()).schema))
             folds.append((h, renames, hit_col, value_cols))
 
         out = bucketed_multi_left_join(out, rights, on=keys)
@@ -179,7 +184,10 @@ def bootstrap_left(left_ds, join: Join):
                     batch = batch.append_column(MATCHED_HASHES, merged)
             return batch
 
+        joined = known_schema(out)
         out = out.map_batches(fold_all, batch_format="pyarrow")
+        if joined is not None:
+            declare_schema(out, fold_all(joined.empty_table()).schema)
     return out, hash_to_cols
 
 
@@ -223,7 +231,7 @@ def split_covered(ds, covering: set[str]):
 
         return fn
 
-    return (
-        ds.map_batches(make(True), batch_format="pyarrow"),
-        ds.map_batches(make(False), batch_format="pyarrow"),
-    )
+    schema = known_schema(ds)
+    sides = (ds.map_batches(make(True), batch_format="pyarrow"),
+             ds.map_batches(make(False), batch_format="pyarrow"))
+    return sides if schema is None else tuple(declare_schema(d, schema) for d in sides)

@@ -1430,11 +1430,18 @@ sh0 AS (SELECT doc_id, CASE WHEN length(norm) < 5 THEN [norm]
          ELSE list_transform(range(1, length(norm) - 3), __i -> substring(norm, __i, 5))
         END AS shingles FROM d),
 sh AS (SELECT doc_id, unnest(shingles) AS sgl FROM sh0),
-hh AS (SELECT doc_id, {sql_horner(sql_codepoints('sgl'))} AS h FROM sh),
+-- each distinct shingle is hashed once (a few thousand of them against
+-- ~150k occurrences at sf0.001), then joined back to its documents: a
+-- per-(doc, k) min over a set of shingles does not see duplicates
+hh AS (SELECT sgl, {sql_horner(sql_codepoints('sgl'))} AS h
+       FROM (SELECT DISTINCT sgl FROM sh)),
 pk AS (SELECT * FROM (VALUES {seed_rows}) __sd(k, seed)),
-mx0 AS (SELECT hh.doc_id, pk.k, xor(hh.h, pk.seed) AS hx FROM hh CROSS JOIN pk),
-{sql_splitmix64_ctes('mx0', 'hx', 'doc_id, k', 'mixed')},
-mins AS (SELECT doc_id, k, min(h) AS m FROM mixed GROUP BY doc_id, k),
+mx0 AS (SELECT hh.sgl, pk.k, xor(hh.h, pk.seed) AS hx FROM hh CROSS JOIN pk),
+{sql_splitmix64_ctes('mx0', 'hx', 'sgl, k', 'mixed')},
+mins AS (SELECT ds.doc_id, mixed.k, min(mixed.h) AS m
+         FROM (SELECT DISTINCT doc_id, sgl FROM sh) ds
+         JOIN mixed ON mixed.sgl IS NOT DISTINCT FROM ds.sgl
+         GROUP BY ds.doc_id, mixed.k),
 bnd0 AS (SELECT doc_id, k // 4 AS band,
           list_reduce(list_prepend(CAST({HORNER_INIT} AS HUGEINT), list(m ORDER BY k)),
                       (__a, __x) -> (__a * {HORNER_B} + __x) % CAST({U64} AS HUGEINT)) AS bh

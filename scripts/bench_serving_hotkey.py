@@ -16,7 +16,6 @@ Prints one JSON line with both legs' timings.
 import json
 import math
 import os
-import pickle
 import sys
 import time
 
@@ -30,6 +29,7 @@ from raywin.api import (  # noqa: E402
     TimeUnit, Window,
 )
 from raywin.online.serving import Fetcher, SawtoothOnlineAggregator  # noqa: E402
+from raywin.online.upload import encode_dicts, read_ir  # noqa: E402
 
 DAY = MILLIS_DAY
 BASE = (1_700_000_000_000 // DAY) * DAY
@@ -114,7 +114,8 @@ def hot_key_leg(gb, rng) -> dict:
 def fetcher_leg(gb, rng) -> dict:
     agg = SawtoothOnlineAggregator(gb, BATCH_END)
     keys = [f"u{i}" for i in range(N_KEYS)]
-    upload = {(k,): pickle.dumps(_batch_ir(agg, rng, 20, 24, 4)) for k in keys}
+    blobs = encode_dicts(agg.ops, agg.columns, [_batch_ir(agg, rng, 20, 24, 4) for _ in keys])
+    upload = dict(zip(((k,) for k in keys), blobs))
     zipf = np.minimum(rng.zipf(1.2, MICRO_BATCHES * (MICRO_BATCH_ROWS + REQUESTS * REQUEST_ROWS)),
                       N_KEYS) - 1
     zipf = iter(zipf.tolist())
@@ -151,7 +152,7 @@ def fetcher_leg(gb, rng) -> dict:
                 for i, (k, t) in enumerate(zip(req["k"], req["ts"])):
                     ts_rows = fetcher._stream.get((k,)) or (None, None)
                     one = fetcher.agg.lambda_aggregate(
-                        pickle.loads(upload[(k,)]), *ts_rows, int(t))
+                        read_ir(upload[(k,)], agg.columns), *ts_rows, int(t))
                     for c, col in res.items():
                         assert _same(col[i], one[c]), c
                     checked += 1

@@ -324,7 +324,7 @@ def test_lambda_aggregate_many_bitwise(ray_session, exchange_block_rows, online_
     fold) must be bitwise-identical to per-row lambda_aggregate across every
     op, key, and window shape — including empty windows, pre-window queries,
     unbounded parts, and keys with no batch IR / no tail."""
-    import pickle
+    from raywin.online.upload import read_ir
 
     exchange_block_rows(512)
     df, path, gb = online_fixture
@@ -339,8 +339,7 @@ def test_lambda_aggregate_many_bitwise(ray_session, exchange_block_rows, online_
         sub = tail[tail["k"] == k]
         ts_arr = sub["ts"].to_numpy(dtype=np.int64)
         rows = {c: sub[c].to_numpy() for c in in_cols if c in sub.columns}
-        blob = blob_map.get(key)
-        ir = None if blob is None else pickle.loads(blob)
+        ir = read_ir(blob_map.get(key), agg.columns)
         # 200 query points: dense inside the servable day, a few before the
         # seam (empty stream windows) and far future (all tiles expired)
         qts = np.concatenate([
@@ -452,10 +451,8 @@ _WINDOWS = st.sampled_from(
     seed=st.integers(0, 2**31),
 )
 def test_lambda_aggregate_many_property_sweep(specs, n_events, seam_slot, seed):
-    import pickle
-
     from raywin.online.serving import SawtoothOnlineAggregator
-    from raywin.online.upload import IR_COL, UploadKernel
+    from raywin.online.upload import IR_COL, UploadKernel, read_ir
 
     rng = np.random.default_rng(seed)
     batch_end = BASE + DAY + seam_slot * MILLIS_5MIN
@@ -487,7 +484,7 @@ def test_lambda_aggregate_many_property_sweep(specs, n_events, seam_slot, seed):
         ["k"], parts, batch_end, 2 * DAY, [pa.field("k", pa.string())]
     )
     out = kernel(tbl)
-    ir = pickle.loads(out[IR_COL][0].as_py()) if out.num_rows else None
+    ir = read_ir(out[IR_COL][0].as_py(), [p.output_column for p in parts]) if out.num_rows else None
     # streaming tail
     post = ts >= batch_end
     ts_arr = ts[post].astype(np.int64)
@@ -776,9 +773,9 @@ def test_fetch_batch_repeated_calls_match_fresh_fetcher():
     """fetch_batch folds the cached, decoded upload IRs (object IRs through
     ScalarOp.clone copies).  Query ts moving forward and back across hops,
     with put_events in between, must answer like a fresh Fetcher every
-    time, and the cached IRs must stay equal to a fresh decode of their
+    time, and the cached IRs must stay equal to a fresh read of their
     blobs (no aliasing into them)."""
-    import pickle
+    from raywin.online.upload import read_ir
 
     gb = GroupBy(
         sources=[EventSource(table="unused", query=Query())],
@@ -821,12 +818,8 @@ def test_fetch_batch_repeated_calls_match_fresh_fetcher():
         for c in want:
             assert all(_same(g, w) for g, w in zip(got[c], want[c])), (step, c)
     assert fetcher._cache
-    for key, ir in fetcher._cache.items():
-        want = fetcher.agg.decode(pickle.loads(blobs[key])) if key in blobs else None
-        assert (ir is None) == (want is None), key
-        for p, q in zip(ir.parts if ir else [], want.parts if want else []):
-            assert (p is None) == (q is None), key
-            if p is None:
-                continue
-            assert p.heads == q.heads and p.has_c == q.has_c and p.starts == q.starts, key
-            assert (p.arr is None and q.arr is None) or np.array_equal(p.arr, q.arr), key
+    for key, row in fetcher._cache.items():
+        got = fetcher._irs.ir(row)
+        want = read_ir(blobs.get(key), fetcher.agg.columns)
+        assert (got is None) == (want is None) == (key not in blobs), key
+        assert got == want, key

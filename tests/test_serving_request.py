@@ -4,8 +4,6 @@ call, bitwise equal to the per-row reference lambda; the segmented scan
 pads within its bound on a hot key; a TileAggregator keeps only the tiles a
 query can still reach."""
 
-import pickle
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -21,7 +19,7 @@ from raywin.api import (
 from raywin.aggregator.windowing import NaiveOracle
 from raywin.online import Fetcher, TileAggregator
 from raywin.online.serving import SawtoothOnlineAggregator
-from raywin.online.upload import IR_COL, UploadKernel
+from raywin.online.upload import IR_COL, UploadKernel, read_ir
 
 from .test_online import _same
 
@@ -102,7 +100,7 @@ def test_many_key_request_matches_per_key_lambda(specs, n_keys, n_events, seam_s
     irs, streams, queries = [], [], []
     for k in keys:
         blob = blobs.get((k,))
-        irs.append(None if blob is None else pickle.loads(blob))
+        irs.append(read_ir(blob, agg.columns))
         sub = tail[tail["k"] == k]
         streams.append((sub["ts"].to_numpy(np.int64), {c: sub[c].to_numpy() for c in ("v", "n")}))
         queries.append(np.concatenate([
@@ -111,7 +109,7 @@ def test_many_key_request_matches_per_key_lambda(specs, n_keys, n_events, seam_s
         ]).astype(np.int64))
     lens = [len(t) for t, _ in streams]
     got = agg.lambda_aggregate_many(
-        [agg.decode(ir) for ir in irs],
+        agg.decode(irs),
         np.concatenate([t for t, _ in streams]) if sum(lens) else None,
         {c: np.concatenate([r[c] for _, r in streams]) for c in ("v", "n")},
         np.concatenate(queries),
@@ -203,7 +201,7 @@ def test_serving_kernel_hot_key_bucket(ray_session, tmp_path, monkeypatch):
     for i in check:
         k, q = out["k"][i], int(out["ts"][i])
         sub = stream.get(k)
-        ir = pickle.loads(blobs[(k,)]) if (k,) in blobs else None
+        ir = read_ir(blobs.get((k,)), kernel.agg.columns)
         want = kernel.agg.lambda_aggregate(
             ir, None if sub is None else sub["ts"].to_numpy(np.int64),
             None if sub is None else {"v": sub["v"].to_numpy()}, q,
@@ -288,7 +286,7 @@ def test_fetch_batch_perfbench_hook_contract():
             for i, (k, t) in enumerate(zip(req["k"], req["ts"])):
                 st_ = plain._stream.get((k,))
                 one = plain.agg.lambda_aggregate(
-                    pickle.loads(blobs[(k,)]) if (k,) in blobs else None,
+                    read_ir(blobs.get((k,)), plain.agg.columns),
                     *(st_ if st_ else (None, None)), int(t))
                 assert all(_same(got[c][i], w) for c, w in one.items()), (k, t)
     assert folded[0] > 0
@@ -390,7 +388,7 @@ def test_request_scans_one_matrix_per_channel(monkeypatch):
         for i, (k, t) in enumerate(zip(req["k"], req["ts"])):
             st_ = fetcher._stream.get((k,))
             one = fetcher.agg.lambda_aggregate(
-                pickle.loads(blobs[(k,)]) if (k,) in blobs else None,
+                read_ir(blobs.get((k,)), fetcher.agg.columns),
                 *(st_ if st_ else (None, None)), int(t))
             assert all(_same(got[c][i], w) for c, w in one.items()), (k, t)
     assert ("add", "float64") in scans and ("maximum", "int64") in scans
@@ -444,7 +442,7 @@ def test_shared_channels_match_per_row_lambda(specs, n_keys, n_events, seam_slot
     irs, streams, queries = [], [], []
     for k in [f"k{i}" for i in range(n_keys)]:
         blob = blobs.get((k,))
-        irs.append(None if blob is None else pickle.loads(blob))
+        irs.append(read_ir(blob, agg.columns))
         sub = tail[tail["k"] == k]
         streams.append((sub["ts"].to_numpy(np.int64), {c: sub[c].to_numpy() for c in "vwzn"}))
         queries.append(np.concatenate([
@@ -460,7 +458,7 @@ def test_shared_channels_match_per_row_lambda(specs, n_keys, n_events, seam_slot
 
     with mock.patch.object(scalar_ops, "_scan_rows", recording):
         got = agg.lambda_aggregate_many(
-            [agg.decode(ir) for ir in irs],
+            agg.decode(irs),
             np.concatenate([t for t, _ in streams]) if sum(lens) else None,
             {c: np.concatenate([r[c] for _, r in streams]) for c in "vwzn"},
             np.concatenate(queries),

@@ -215,6 +215,21 @@ def test_consistency_compare_runs_once(ray_session, count_executions):
     assert out.num_rows > 0 and out.schema == known_schema(ds)
 
 
+def test_bootstrap_join_probes_nothing(ray_session, count_executions):
+    """bootstrap_join declares the schemas of each bootstrap table's dedup
+    and mark maps, the fold over the fused join and the covered/uncovered
+    split, so nothing runs a limit-1 schema probe.  The one limit-1 DAG
+    left is covering_combos' unique(): Ray takes the single row of its
+    global aggregate, the distinct hash combos themselves."""
+    from raywin.pipelines.catalog import bootstrap_join
+
+    out = _executed(bootstrap_join(SF))
+    limited = _probes(count_executions)
+    assert len(limited) == 1 and "Aggregate" in limited[0], count_executions
+    assert len(count_executions) == 3, count_executions
+    assert out.num_rows > 0
+
+
 def test_declared_schemas_match_executed(ray_session, tmp_path):
     """Every declared output schema equals the executed table's: the point-
     in-time kernel (plain and with DuckDB derivations), the upload table,
