@@ -16,16 +16,19 @@ RowAggregator.scala:25-29; we instead exploit Arrow/numpy columns):
   * events sorted once by (entity_code, ts, tie); queries by (entity_code, ts)
   * per-query window bounds found with ONE composite-key ``np.searchsorted``
     per (window, side) over the whole partition
-  * engines per operation class:
-      - PREFIX   sum/count/average: cumsum arrays, result = prefix[r]-prefix[l]
-      - POSITION first/last/first_k/last_k: direct slices of the sorted,
-        null-compressed value array (no aggregation tree needed at all)
-      - SEGTREE  min/max/variance/skew/kurtosis/top_k/bottom_k: disjoint
-        binary-block segment tree with *vectorized* monoid merges; O(log n)
-        lockstep merge rounds for all queries at once
-      - OBJECT   unique_count/histogram/sketches/bucketed/element-wise: hop
-        tiles (prepare_many per tile) + per-query python merges — mirrors the
-        reference HopsAggregator -> SawtoothAggregator stitch
+  * each part's engine is chosen from what its ScalarOp declares:
+      - POSITION a ``timed`` op (first/last/first_k/last_k): direct slices of
+        the sorted, null-compressed value array (no aggregation tree at all)
+      - PREFIX   an op whose ``ufunc`` is np.add (sum/count/average): cumsum
+        arrays, result = prefix[r]-prefix[l]
+      - SEGTREE  an op with a VectorIR in ``_VECTOR_IRS`` (min/max/variance/
+        skew/kurtosis/top_k/bottom_k): disjoint binary-block segment tree
+        with *vectorized* monoid merges; O(log n) lockstep merge rounds for
+        all queries at once
+      - OBJECT   everything else (unique_count/histogram/sketches/bucketed/
+        element-wise/map): hop-tile IRs (one ``fold_segments`` call per
+        part) + per-query python merges — mirrors the reference
+        HopsAggregator -> SawtoothAggregator stitch
         (HopsAggregator.scala:33-165, SawtoothAggregator.scala:64-139)
 """
 
@@ -36,21 +39,12 @@ import pandas as pd
 import pyarrow as pa
 
 from ..api import AggregationPart, Operation
-from .scalar_ops import ScalarOp, make_scalar_op
+from .scalar_ops import (
+    ApproxPercentile, BottomK, Kurtosis, Max, Min, ScalarOp, Skew, TopK, Variance,
+    make_scalar_op,
+)
 from .npfast import cumsum1d
 from .windowing import FiveMinuteResolution, round_down
-
-_PREFIX_OPS = {Operation.SUM, Operation.COUNT, Operation.AVERAGE}
-_POSITION_OPS = {Operation.FIRST, Operation.LAST, Operation.FIRST_K, Operation.LAST_K}
-_SEGTREE_OPS = {
-    Operation.MIN,
-    Operation.MAX,
-    Operation.VARIANCE,
-    Operation.SKEW,
-    Operation.KURTOSIS,
-    Operation.TOP_K,
-    Operation.BOTTOM_K,
-}
 
 _NEG_INF = np.iinfo(np.int64).min // 4
 
@@ -350,8 +344,8 @@ class VectorIR:
 
     fields: tuple[str, ...] = ()
 
-    def __init__(self, part: AggregationPart):
-        self.part = part
+    def __init__(self, op: ScalarOp):
+        self.op = op
 
     def leaf(self, vals: np.ndarray) -> dict[str, np.ndarray]:
         raise NotImplementedError
@@ -369,9 +363,9 @@ class VectorIR:
 class MinMaxIR(VectorIR):
     fields = ("v",)
 
-    def __init__(self, part):
-        super().__init__(part)
-        self.is_min = part.operation is Operation.MIN
+    def __init__(self, op):
+        super().__init__(op)
+        self.is_min = op.ufunc is np.minimum
 
     def leaf(self, vals):
         return {"v": vals.copy()}
@@ -396,9 +390,9 @@ class MomentsIR(VectorIR):
     """Welford (variance) / 4-moment (skew, kurtosis) vectorized merge
     (formulas from SimpleAggregators.scala:163-247, 872-975)."""
 
-    def __init__(self, part):
-        super().__init__(part)
-        self.four = part.operation in (Operation.SKEW, Operation.KURTOSIS)
+    def __init__(self, op):
+        super().__init__(op)
+        self.four = not isinstance(op, Variance)
         self.fields = ("n", "m1", "m2", "m3", "m4") if self.four else ("n", "m1", "m2")
 
     def leaf(self, vals):
@@ -440,9 +434,9 @@ class MomentsIR(VectorIR):
     def finalize(self, state, valid):
         n, m2 = state["n"], state["m2"]
         with np.errstate(invalid="ignore", divide="ignore"):
-            if self.part.operation is Operation.VARIANCE:
+            if not self.four:
                 out = m2 / n
-            elif self.part.operation is Operation.SKEW:
+            elif isinstance(self.op, Skew):
                 out = np.where((n < 3) | (m2 == 0), np.nan, np.sqrt(n) * state["m3"] / m2**1.5)
             else:
                 out = np.where((n < 4) | (m2 == 0), np.nan, n * state["m4"] / (m2 * m2) - 3)
@@ -454,10 +448,10 @@ class TopKIR(VectorIR):
 
     fields = ("v",)
 
-    def __init__(self, part):
-        super().__init__(part)
-        self.k = int(part.arg("k"))
-        self.desc = part.operation is Operation.TOP_K
+    def __init__(self, op):
+        super().__init__(op)
+        self.k = op.k
+        self.desc = isinstance(op, TopK)
 
     def leaf(self, vals):
         n = len(vals)
@@ -485,13 +479,12 @@ class TopKIR(VectorIR):
         return out
 
 
-def _make_vector_ir(part: AggregationPart) -> VectorIR:
-    op = part.operation
-    if op in (Operation.MIN, Operation.MAX):
-        return MinMaxIR(part)
-    if op in (Operation.VARIANCE, Operation.SKEW, Operation.KURTOSIS):
-        return MomentsIR(part)
-    return TopKIR(part)
+# the SEGTREE engine's state for each op class it serves
+_VECTOR_IRS = {
+    Min: MinMaxIR, Max: MinMaxIR,
+    Variance: MomentsIR, Skew: MomentsIR, Kurtosis: MomentsIR,
+    TopK: TopKIR, BottomK: TopKIR,
+}
 
 
 class SegTree:
@@ -566,14 +559,19 @@ class SegTree:
 # ---------------------------------------------------------------------------
 
 
-class BucketedOp(ScalarOp):
-    """Sub-key aggregation: IR = {bucket: inner_ir}; output map[bucket->out]
-    (reference BucketedColumnAggregator.scala:1-94)."""
+class _Nested(ScalarOp):
+    """An op whose IR nests the IRs of an inner op; the object engine
+    serves it.  Its clone is ScalarOp's default full copy."""
 
     def __init__(self, inner: ScalarOp):
         self.inner = inner
         self.timed = inner.timed
         self.order_sensitive = inner.order_sensitive
+
+
+class BucketedOp(_Nested):
+    """Sub-key aggregation: IR = {bucket: inner_ir}; output map[bucket->out]
+    (reference BucketedColumnAggregator.scala:1-94)."""
 
     def prepare(self, vb, ts=None):
         v, b = vb
@@ -597,24 +595,16 @@ class BucketedOp(ScalarOp):
         return {b: self.inner.finalize(sub) for b, sub in ir.items()}
 
 
-class ExplodeOp(ScalarOp):
+class ExplodeOp(_Nested):
     """Auto-explode list inputs: every element updates the inner op, as if
     each were its own row (reference ColumnAggregator.scala:79-116
     VectorDispatcher).  Element nulls are skipped."""
-
-    def __init__(self, inner: ScalarOp):
-        self.inner = inner
-        self.timed = inner.timed
-        self.order_sensitive = inner.order_sensitive
 
     def _fold(self, ir, vec, ts):
         for v in vec:
             if v is None or (isinstance(v, float) and v != v):
                 continue
-            if ir is None:
-                ir = self.inner.prepare(v, ts) if self.timed else self.inner.prepare(v)
-            else:
-                ir = self.inner.update(ir, v, ts) if self.timed else self.inner.update(ir, v)
+            ir = self.inner.prepare(v, ts) if ir is None else self.inner.update(ir, v, ts)
         return ir
 
     def prepare(self, vec, ts=None):
@@ -634,51 +624,35 @@ class ExplodeOp(ScalarOp):
         return None if ir is None else self.inner.finalize(ir)
 
 
-class MapColumnOp(ScalarOp):
+class MapColumnOp(_Nested):
     """Aggregate a map<key, value> column per key: IR = {key: inner_ir},
     output map<key, out> (reference MapColumnAggregator.scala:1-75)."""
-
-    def __init__(self, inner_factory):
-        self.inner_factory = inner_factory
-        self._probe = inner_factory()
-        self.timed = self._probe.timed
-        self.order_sensitive = self._probe.order_sensitive
 
     def prepare(self, m, ts=None):
         return self.update({}, m, ts)
 
     def update(self, ir, m, ts=None):
-        inner = self._probe
         for k, v in m.items():
             if v is None or (isinstance(v, float) and v != v):
                 continue
             sub = ir.get(k)
-            if sub is None:
-                ir[k] = inner.prepare(v, ts) if self.timed else inner.prepare(v)
-            else:
-                ir[k] = inner.update(sub, v, ts) if self.timed else inner.update(sub, v)
+            ir[k] = self.inner.prepare(v, ts) if sub is None else self.inner.update(sub, v, ts)
         return ir
 
     def merge(self, ir1, ir2):
-        inner = self._probe
         for k, sub in ir2.items():
             if k in ir1:
-                ir1[k] = inner.merge(ir1[k], sub)
+                ir1[k] = self.inner.merge(ir1[k], sub)
             else:
                 ir1[k] = sub
         return ir1
 
     def finalize(self, ir):
-        return {k: self._probe.finalize(sub) for k, sub in ir.items()}
+        return {k: self.inner.finalize(sub) for k, sub in ir.items()}
 
 
-class ElementWiseOp(ScalarOp):
+class ElementWiseOp(_Nested):
     """Aggregate list columns element-wise (reference ElementWiseAggregator.scala)."""
-
-    def __init__(self, inner: ScalarOp):
-        self.inner = inner
-        self.timed = inner.timed
-        self.order_sensitive = inner.order_sensitive
 
     def prepare(self, vec, ts=None):
         return [self.inner.prepare(v, ts) for v in vec]
@@ -703,21 +677,17 @@ class ElementWiseOp(ScalarOp):
         return [self.inner.finalize(sub) for sub in ir]
 
 
-def _prepare_many(op: ScalarOp, vals, tss) -> object:
-    ir = None
-    if op.timed:
-        for v, t in zip(vals, tss):
-            ir = op.prepare(v, t) if ir is None else op.update(ir, v, t)
-    else:
-        for v in vals:
-            ir = op.prepare(v) if ir is None else op.update(ir, v)
-    return ir
-
-
-def _clone_ir(ir):
-    import copy
-
-    return copy.deepcopy(ir)
+def _part_op(part: AggregationPart, col: "_Column") -> ScalarOp:
+    """The part's ScalarOp over its input column: wrapped for element-wise,
+    list (exploded) and map parts, then for a bucket."""
+    op = make_scalar_op(part)
+    if part.element_wise:
+        op = ElementWiseOp(op)
+    elif part.bucket is None and col.is_list:
+        op = ExplodeOp(op)
+    elif part.bucket is None and col.is_map:
+        op = MapColumnOp(op)
+    return op if part.bucket is None else BucketedOp(op)
 
 
 class _TileTwoStack:
@@ -747,7 +717,7 @@ class _TileTwoStack:
     def push(self, t: int, ir):
         self.back_idx.append(t)
         self.back_irs.append(ir)
-        leaf = _clone_ir(ir)
+        leaf = self.op.clone(ir)
         self.back_ir = leaf if self.back_ir is None else self.op.merge(self.back_ir, leaf)
 
     def _flip(self):
@@ -755,7 +725,7 @@ class _TileTwoStack:
         irs: list = [None] * len(self.back_idx)
         acc = None
         for i in range(len(self.back_idx) - 1, -1, -1):
-            leaf = _clone_ir(self.back_irs[i])
+            leaf = self.op.clone(self.back_irs[i])
             acc = leaf if acc is None else self.op.merge(leaf, acc)
             irs[i] = acc
         self.front_ir.extend(irs)
@@ -775,11 +745,11 @@ class _TileTwoStack:
         mutate; None when empty."""
         front = self.front_ir[0] if self.front_ir else None
         if front is None:
-            return None if self.back_ir is None else _clone_ir(self.back_ir)
-        leaf = _clone_ir(front)
+            return None if self.back_ir is None else self.op.clone(self.back_ir)
+        leaf = self.op.clone(front)
         if self.back_ir is None:
             return leaf
-        return self.op.merge(leaf, _clone_ir(self.back_ir))
+        return self.op.merge(leaf, self.op.clone(self.back_ir))
 
 
 # ---------------------------------------------------------------------------
@@ -901,37 +871,27 @@ class PartitionAggregator:
     def _eval_part(self, part, ev_ts_s, ev_ent_s, get_col, get_bounds, segtrees, nq):
         if len(ev_ts_s) == 0:
             return np.full(nq, None, dtype=object) if nq else np.array([], dtype=object)
-        op = part.operation
-        if part.bucket is not None or part.element_wise:
-            return self._object_engine(part, ev_ts_s, ev_ent_s, get_col, get_bounds, nq)
-        probe_col = get_col(part.input_column)
-        if probe_col.is_list or probe_col.is_map:
-            # auto-explode list inputs / per-key map aggregation
-            # (reference ColumnAggregator.scala:79-116, MapColumnAggregator.scala)
-            if probe_col.is_list and op in _PREFIX_OPS:
-                return self._list_prefix_engine(part, probe_col, get_bounds)
-            return self._object_engine(part, ev_ts_s, ev_ent_s, get_col, get_bounds, nq)
-        if op in _PREFIX_OPS:
-            return self._prefix_engine(part, get_col, get_bounds)
-        if op in _POSITION_OPS:
-            return self._position_engine(part, get_col, get_bounds, nq)
-        if op in _SEGTREE_OPS:
-            col = get_col(part.input_column)
-            if col.numeric is None and op not in (Operation.MIN, Operation.MAX):
-                return self._object_engine(part, ev_ts_s, ev_ent_s, get_col, get_bounds, nq)
-            if (
-                op in (Operation.VARIANCE, Operation.SKEW, Operation.KURTOSIS)
-                and col.numeric is not None
-                and col.decimal is not None
-            ):
-                return self._exact_moments_engine(part, col, get_bounds, nq)
-            return self._segtree_engine(part, get_col, get_bounds, segtrees, nq)
-        if op is Operation.APPROX_PERCENTILE:
-            return self._percentile_engine(part, get_col, get_bounds, nq, ev_ent_s)
-        return self._object_engine(part, ev_ts_s, ev_ent_s, get_col, get_bounds, nq)
-
-    def _prefix_engine(self, part, get_col, get_bounds):
         col = get_col(part.input_column)
+        op = _part_op(part, col)
+        if isinstance(op, _Nested):
+            if isinstance(op, ExplodeOp) and op.inner.ufunc is np.add:
+                return self._list_prefix_engine(part, col, get_bounds)
+            return self._object_engine(part, op, col, ev_ts_s, ev_ent_s, get_col, get_bounds, nq)
+        if op.timed:
+            return self._position_engine(part, col, get_bounds, nq)
+        if op.ufunc is np.add:
+            return self._prefix_engine(part, col, get_bounds)
+        vector_ir = _VECTOR_IRS.get(type(op))
+        # over strings only a comparison (an extremum) has a vector state
+        if vector_ir is not None and (col.numeric is not None or op.ufunc is not None):
+            if vector_ir is MomentsIR and col.decimal is not None:
+                return self._exact_moments_engine(part, col, get_bounds, nq)
+            return self._segtree_engine(part, vector_ir(op), col, get_bounds, segtrees, nq)
+        if isinstance(op, ApproxPercentile):
+            return self._percentile_engine(part, col, get_bounds, nq, ev_ent_s)
+        return self._object_engine(part, op, col, ev_ts_s, ev_ent_s, get_col, get_bounds, nq)
+
+    def _prefix_engine(self, part, col, get_bounds):
         l, r = get_bounds(part)
         cnt = col.cum_valid[r] - col.cum_valid[l]
         empty = cnt == 0
@@ -977,8 +937,7 @@ class PartitionAggregator:
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(empty, np.nan, s / np.maximum(cnt, 1))
 
-    def _position_engine(self, part, get_col, get_bounds, nq):
-        col = get_col(part.input_column)
+    def _position_engine(self, part, col, get_bounds, nq):
         l, r = get_bounds(part)
         lv, rv = col.compress(l, r)
         has = rv > lv
@@ -1022,11 +981,9 @@ class PartitionAggregator:
             out[i] = list(picked[offsets[i] : offsets[i + 1]]) if lengths[i] else None
         return out
 
-    def _segtree_engine(self, part, get_col, get_bounds, segtrees, nq):
-        col = get_col(part.input_column)
+    def _segtree_engine(self, part, ir, col, get_bounds, segtrees, nq):
         tree_key = (part.input_column, part.operation, part.arg("k"))
         if tree_key not in segtrees:
-            ir = _make_vector_ir(part)
             segtrees[tree_key] = SegTree(ir, col.comp_vals)
         tree = segtrees[tree_key]
         l, r = get_bounds(part)
@@ -1081,7 +1038,7 @@ class PartitionAggregator:
                 out = np.where((n >= 4) & (m2 > 0), n * m4 / (m2 * m2) - 3, np.nan)
         return np.where(n >= 1, out, np.nan)
 
-    def _percentile_engine(self, part, get_col, get_bounds, nq, ev_ent_s):
+    def _percentile_engine(self, part, col, get_bounds, nq, ev_ent_s):
         """Percentiles over the window's value slice — exact (linear
         interpolation) and merge-order independent, unlike a sketch.
 
@@ -1108,7 +1065,6 @@ class PartitionAggregator:
         # quantile_disc convention — returns actual data elements, so results
         # are exactly reproducible by an oracle; default linear interpolates
         disc = part.arg("interpolation") == "disc"
-        col = get_col(part.input_column)
         l, r = get_bounds(part)
         lv, rv = col.compress(l, r)
         vals = col.comp_vals.astype(np.float64)
@@ -1332,23 +1288,11 @@ class PartitionAggregator:
                 out[c0 + j] = None if empty[j] else rows[j]
         return out
 
-    def _object_engine(self, part, ev_ts_s, ev_ent_s, get_col, get_bounds, nq):
-        op = make_scalar_op(part)
-        col = get_col(part.input_column)
-        if part.element_wise:
-            op = ElementWiseOp(op)
-        elif col.is_list and part.bucket is None:
-            op = ExplodeOp(op)
-        elif col.is_map and part.bucket is None:
-            op = MapColumnOp(lambda: make_scalar_op(part))
+    def _object_engine(self, part, op, col, ev_ts_s, ev_ent_s, get_col, get_bounds, nq):
         valid = col.valid
         if part.bucket is not None:
             bcol = get_col(part.bucket)
             valid = valid & bcol.valid
-            vals_all = list(zip(col.raw, bcol.raw))
-            op = BucketedOp(op)
-        else:
-            vals_all = col.raw
         l, r = get_bounds(part)
         out = np.empty(nq, dtype=object)
         if part.window.unbounded:
@@ -1362,28 +1306,59 @@ class PartitionAggregator:
         tile_idx = cumsum1d(tile_break) - 1
         tile_bounds = np.flatnonzero(tile_break)
         tile_bounds = np.append(tile_bounds, len(ev_ts_s))
-        tiles: dict[int, object] = {}
+        n_tiles = len(tile_bounds) - 1
 
-        def tile_ir(t):
-            if t not in tiles:
-                a, b = tile_bounds[t], tile_bounds[t + 1]
-                m = valid[a:b]
-                if not m.any():
-                    tiles[t] = None
-                else:
-                    vs = [vals_all[i] for i in range(a, b) if valid[i]]
-                    ts = ev_ts_s[a:b][m]
-                    tiles[t] = _prepare_many(op, vs, ts)
-            return tiles[t]
+        # per query: its first and last tile t0, t1; the whole tiles
+        # ft0..ft1 inside [l, r); and the raw rows of the partial head tile
+        # (of the one tile, when a partial window stays inside it) and of
+        # the partial tail tile
+        live = l < r
+        t0 = tile_idx[np.minimum(l, len(ev_ts_s) - 1)]
+        t1 = tile_idx[np.maximum(r - 1, 0)]
+        head = live & (tile_bounds[t0] < l)
+        tail = live & (tile_bounds[t1 + 1] > r)
+        ft0, ft1 = t0 + head, t1 - tail
+        single = (t0 == t1) & (head | tail)
+        has_head, has_tail = head | single, tail & ~single
+        whole = live & (ft0 <= ft1)
+        needed = np.flatnonzero(np.cumsum(
+            np.bincount(ft0[whole], minlength=n_tiles + 1)
+            - np.bincount(ft1[whole] + 1, minlength=n_tiles + 1))[:n_tiles] > 0)
+        # one fold over the needed tiles, then every head and tail piece
+        lo = np.concatenate([tile_bounds[needed], l[has_head], tile_bounds[t1[has_tail]]])
+        hi = np.concatenate([tile_bounds[needed + 1],
+                             np.where(single, r, tile_bounds[t0 + 1])[has_head], r[has_tail]])
+        lengths = hi - lo
+        rows = _ranges(lo, lengths, step=1)
+        seg = np.repeat(np.arange(len(lo)), lengths)
+        keep = valid[rows]
+        rows, seg = rows[keep], seg[keep]
+        starts = np.flatnonzero(np.diff(seg, prepend=-1))
+        vals = col.raw[rows]
+        if part.bucket is not None:  # (value, bucket) rows, kept 1-D
+            vals = np.fromiter(zip(vals, bcol.raw[rows]), dtype=object, count=len(rows))
+        irs = np.full(len(lo), None, dtype=object)  # None: no valid row
+        irs[seg[starts]] = np.fromiter(
+            op.fold_segments(vals, ev_ts_s[rows], starts), dtype=object, count=len(starts))
+        k, h = len(needed), len(needed) + int(has_head.sum())
+        tiles = np.full(n_tiles, None, dtype=object)
+        tiles[needed] = irs[:k]
+        head_ir, tail_ir = np.full(nq, None, dtype=object), np.full(nq, None, dtype=object)
+        head_ir[has_head], tail_ir[has_tail] = irs[k:h], irs[h:]
+        live, has_head = live.tolist(), has_head.tolist()
+        t0, ft0, ft1 = t0.tolist(), ft0.tolist(), ft1.tolist()
 
-        def raw_ir(aa: int, bb: int):
-            m = valid[aa:bb]
-            if not m.any():
-                return None
-            vs = [vals_all[j] for j in range(aa, bb) if valid[j]]
-            return _prepare_many(op, vs, ev_ts_s[aa:bb][m])
+        def merged(ir, subs):
+            for sub in subs:
+                if sub is not None:
+                    ir = sub if ir is None else op.merge(ir, sub)
+            return ir
 
-        if getattr(op, "order_sensitive", False):
+        def with_tiles(ir, a, b):
+            # tile IRs are shared by queries: merge clones of tiles a..b
+            return merged(ir, (op.clone(tiles[t]) for t in range(a, b + 1) if tiles[t] is not None))
+
+        if op.order_sensitive:
             # lossy sketches give different (equally valid) results under a
             # different merge fold; keep them on the fixed ascending-tile
             # fold so outputs are reproducible run to run AND SQL-oracle-
@@ -1397,45 +1372,20 @@ class PartitionAggregator:
             cache_t1 = -1
             cache_ir = None
             for i in range(nq):
-                li, ri = int(l[i]), int(r[i])
-                if li >= ri:
+                if not live[i]:
                     out[i] = None
                     continue
-                t0, t1 = int(tile_idx[li]), int(tile_idx[ri - 1])
-                head_partial = tile_bounds[t0] < li
-                tail_partial = tile_bounds[t1 + 1] > ri
-                if head_partial or (t0 == t1 and tail_partial):
+                if has_head[i]:
                     # non-hop-aligned low (or single partial tile): exact
-                    # per-query ascending fold, unchanged
-                    ir = None
-                    for t in range(t0, t1 + 1):
-                        a, b = tile_bounds[t], tile_bounds[t + 1]
-                        if li <= a and b <= ri:
-                            sub = tile_ir(t)
-                        else:
-                            sub = raw_ir(max(a, li), min(b, ri))
-                        if sub is None:
-                            continue
-                        ir = _clone_ir(sub) if ir is None else op.merge(ir, _clone_ir(sub))
-                    out[i] = None if ir is None else op.finalize(ir)
-                    continue
-                ft1 = t1 - 1 if tail_partial else t1
-                if cache_t0 != t0 or cache_t1 > ft1:
-                    cache_t0, cache_t1, cache_ir = t0, t0 - 1, None
-                for t in range(cache_t1 + 1, ft1 + 1):
-                    sub = tile_ir(t)
-                    if sub is not None:
-                        cache_ir = (
-                            _clone_ir(sub)
-                            if cache_ir is None
-                            else op.merge(cache_ir, _clone_ir(sub))
-                        )
-                cache_t1 = max(cache_t1, ft1)
-                ir = None if cache_ir is None else _clone_ir(cache_ir)
-                if tail_partial:
-                    sub = raw_ir(int(tile_bounds[t1]), ri)
-                    if sub is not None:
-                        ir = sub if ir is None else op.merge(ir, sub)
+                    # per-query ascending fold
+                    ir = with_tiles(head_ir[i], ft0[i], ft1[i])
+                else:
+                    if cache_t0 != t0[i] or cache_t1 > ft1[i]:
+                        cache_t0, cache_t1, cache_ir = t0[i], t0[i] - 1, None
+                    cache_ir = with_tiles(cache_ir, cache_t1 + 1, ft1[i])
+                    cache_t1 = max(cache_t1, ft1[i])
+                    ir = None if cache_ir is None else op.clone(cache_ir)
+                ir = merged(ir, (tail_ir[i],))
                 out[i] = None if ir is None else op.finalize(ir)
             return out
 
@@ -1448,38 +1398,18 @@ class PartitionAggregator:
         stack = _TileTwoStack(op)
         pushed = -1
         for i in range(nq):
-            li, ri = int(l[i]), int(r[i])
-            if li >= ri:
+            if not live[i]:
                 out[i] = None
                 continue
-            t0, t1 = int(tile_idx[li]), int(tile_idx[ri - 1])
-            head_partial = tile_bounds[t0] < li
-            tail_partial = tile_bounds[t1 + 1] > ri
-            ft0 = t0 + 1 if head_partial else t0
-            ft1 = t1 - 1 if tail_partial else t1
-            stack.evict_before(ft0)
-            if ft1 >= ft0:
-                for t in range(max(pushed + 1, ft0), ft1 + 1):
-                    sub = tile_ir(t)
-                    if sub is not None:
-                        stack.push(t, sub)
-                pushed = max(pushed, ft1)
+            stack.evict_before(ft0[i])
+            ir = None
+            if ft1[i] >= ft0[i]:
+                for t in range(max(pushed + 1, ft0[i]), ft1[i] + 1):
+                    if tiles[t] is not None:
+                        stack.push(t, tiles[t])
+                pushed = max(pushed, ft1[i])
                 ir = stack.query_cloned()
-            else:
-                ir = None
-            if t0 == t1 and (head_partial or tail_partial):
-                sub = raw_ir(li, ri)  # single partially-covered tile
-                if sub is not None:
-                    ir = sub if ir is None else op.merge(ir, sub)
-            else:
-                if head_partial:
-                    sub = raw_ir(li, int(tile_bounds[t0 + 1]))
-                    if sub is not None:
-                        ir = sub if ir is None else op.merge(ir, sub)
-                if tail_partial:
-                    sub = raw_ir(int(tile_bounds[t1]), ri)
-                    if sub is not None:
-                        ir = sub if ir is None else op.merge(ir, sub)
+            ir = merged(ir, (head_ir[i], tail_ir[i]))
             out[i] = None if ir is None else op.finalize(ir)
         return out
 

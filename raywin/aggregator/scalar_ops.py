@@ -4,8 +4,9 @@ optional delete for abelian-group ops.
 These are the reference-parity semantics (reference
 aggregator/src/main/scala/ai/chronon/aggregator/base/SimpleAggregators.scala and
 TimedAggregators.scala), used by the brute-force oracle, the object-IR hop-tile
-engine for non-vectorizable ops, and property tests.  The hot path uses the
-vectorized engines in ``vector.py``; these classes define ground truth.
+engine for non-vectorizable ops, and property tests.  The offline kernel
+(``kernel.py``) picks its vectorized engine for a part from what its op
+declares (``timed``, ``ufunc``); these classes define ground truth.
 
 Semantics notes (verified against the reference):
   * empty IR is ``None``; finalize(None) -> None (NaiveAggregator initializes
@@ -72,6 +73,10 @@ class ScalarOp:
     # Engines that reorder merges for speed must keep these on a fixed
     # ascending fold so results are reproducible run to run.
     order_sensitive = False
+    # np.add for the sums (a window is a prefix difference), np.minimum or
+    # np.maximum for the extrema (a window is a SegTree query); None when
+    # the IR is not one running ufunc
+    ufunc = None
 
     def prepare(self, v, ts=None):
         raise NotImplementedError
@@ -448,6 +453,7 @@ def _answers(run, ok):
 
 class Sum(ScalarOp):
     deletable = True
+    ufunc = np.add
 
     def prepare(self, v, ts=None):
         return v
@@ -477,7 +483,7 @@ class Sum(ScalarOp):
 
     def folds(self, heads, vals, stops):
         dt = _row_dtype(heads, vals, stops)
-        return None if dt is None else [Fold(np.add, _typed(heads, dt), _as(vals, dt))]
+        return None if dt is None else [Fold(self.ufunc, _typed(heads, dt), _as(vals, dt))]
 
     def fold_segments(self, vals, ts, starts):
         if not _seg_ok(vals):
@@ -487,6 +493,7 @@ class Sum(ScalarOp):
 
 class Count(ScalarOp):
     deletable = True
+    ufunc = np.add
 
     def prepare(self, v, ts=None):
         return 1
@@ -514,7 +521,7 @@ class Count(ScalarOp):
         # a count sums its heads and a 1 per value
         if len(heads) and not (isinstance(heads, np.ndarray) and heads.dtype == np.int64):
             return None
-        return [Fold(np.add, _typed(heads, np.int64), np.ones(len(vals), dtype=np.int64))]
+        return [Fold(self.ufunc, _typed(heads, np.int64), np.ones(len(vals), dtype=np.int64))]
 
     def fold_segments(self, vals, ts, starts):
         if not len(starts):
@@ -525,6 +532,7 @@ class Count(ScalarOp):
 
 class Average(ScalarOp):
     deletable = True
+    ufunc = np.add
 
     def prepare(self, v, ts=None):
         return [float(v), 1]
@@ -580,8 +588,8 @@ class Average(ScalarOp):
             return None
         heads = heads if len(heads) else np.zeros((0, 2))
         return [
-            Fold(np.add, heads[:, 0], vals.astype(np.float64, copy=False) if read else np.zeros(0)),
-            Fold(np.add, heads[:, 1].astype(np.int64), np.ones(len(vals), dtype=np.int64)),
+            Fold(self.ufunc, heads[:, 0], vals.astype(np.float64, copy=False) if read else np.zeros(0)),
+            Fold(self.ufunc, heads[:, 1].astype(np.int64), np.ones(len(vals), dtype=np.int64)),
         ]
 
     def answer(self, runs, ok):
@@ -599,14 +607,14 @@ class Average(ScalarOp):
 
 
 class _Extremum(ScalarOp):
-    """Min/Max: a scalar IR, scanned with the subclass' ``_running``
-    ufunc (np.minimum / np.maximum)."""
+    """Min/Max: a scalar IR, scanned with the subclass' ``ufunc``
+    (np.minimum / np.maximum)."""
 
     def clone(self, ir):
         return ir
 
     def scan(self, acc, vals, ts, stops):
-        run = _accumulate(self._running, acc, vals, stops, same_dtype=True)
+        run = _accumulate(self.ufunc, acc, vals, stops, same_dtype=True)
         if run is None or _signed_zeros(run):
             return super().scan(acc, vals, ts, stops)
         return _at_stops(acc, run, stops)
@@ -616,11 +624,11 @@ class _Extremum(ScalarOp):
 
     def folds(self, heads, vals, stops):
         dt = _row_dtype(heads, vals, stops)
-        return None if dt is None else [Fold(self._running, _typed(heads, dt), _as(vals, dt))]
+        return None if dt is None else [Fold(self.ufunc, _typed(heads, dt), _as(vals, dt))]
 
 
 class Min(_Extremum):
-    _running = np.minimum
+    ufunc = np.minimum
 
     def prepare(self, v, ts=None):
         return v
@@ -638,7 +646,7 @@ class Min(_Extremum):
 
 
 class Max(_Extremum):
-    _running = np.maximum
+    ufunc = np.maximum
 
     def prepare(self, v, ts=None):
         return v

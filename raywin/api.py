@@ -93,12 +93,6 @@ class Operation(str, Enum):
     APPROX_PERCENTILE = "approx_percentile"
 
 
-# ops that need the row timestamp alongside the value
-TIMED_OPS = {Operation.FIRST, Operation.LAST, Operation.FIRST_K, Operation.LAST_K}
-
-DELETABLE_OPS = {Operation.COUNT, Operation.SUM, Operation.AVERAGE, Operation.HISTOGRAM}
-
-
 @dataclass(frozen=True)
 class AggregationPart:
     """One output column: (operation, input, window, bucket) fully unpacked."""

@@ -41,15 +41,11 @@ import pyarrow as pa
 
 from ..api import MILLIS_DAY, EntitySource, GroupBy, Operation
 from ..aggregator.kernel import detect_decimal, factorize_multi
+from ..aggregator.scalar_ops import make_scalar_op
 from ..aggregator.windowing import round_down
 from ..sources.io import read_parquet
 from ..stages.shuffle import SIDE_COL, _arrow_schema, co_partition, declare_schema
 
-# the reference's deletable (CDC-reversible) op set: SUM/COUNT/AVERAGE via
-# numeric minus (SimpleAggregators.scala:49-71,148-160) plus HISTOGRAM via
-# map-count decrement (SimpleAggregators.scala:311-321); everything else
-# raises "Operation is not deletable" there too (BaseAggregator.scala:60-62)
-_DELETABLE = {Operation.SUM, Operation.COUNT, Operation.AVERAGE, Operation.HISTOGRAM}
 _HIST_TYPE = pa.map_(pa.string(), pa.int64())
 
 
@@ -74,11 +70,7 @@ def snapshot_entity_features(group_by: GroupBy):
         Operation.BOUNDED_UNIQUE_COUNT,
     }
     generic = [p for p in parts if p.operation not in _VEC]
-    scalar_ops = {}
-    if generic:
-        from ..aggregator.scalar_ops import make_scalar_op
-
-        scalar_ops = {p.output_column: make_scalar_op(p) for p in generic}
+    scalar_ops = {p.output_column: make_scalar_op(p) for p in generic}
 
     def agg_fn(t: pa.Table) -> pd.DataFrame:
         g = t.to_pandas()  # pandas groupby reductions: the kernel
@@ -92,7 +84,8 @@ def snapshot_entity_features(group_by: GroupBy):
             op = part.operation
             col = groups[part.input_column]
             if op is Operation.SUM:
-                frames[part.output_column] = col.sum()
+                # null for an all-null group, as SQL's sum()
+                frames[part.output_column] = col.sum(min_count=1)
             elif op is Operation.COUNT:
                 frames[part.output_column] = col.count()
             elif op is Operation.AVERAGE:
@@ -113,24 +106,14 @@ def snapshot_entity_features(group_by: GroupBy):
                 # snapshotEntities runs the whole RowAggregator op table,
                 # GroupBy.scala:100-142); groups are one entity-day of
                 # snapshot rows, so the per-group reduce is tiny
-                sop = scalar_ops[part.output_column]
-                timed = getattr(sop, "timed", False)
-
-                def reduce_group(sub: pd.DataFrame, sop=sop, timed=timed,
+                def reduce_group(sub: pd.DataFrame, sop=scalar_ops[part.output_column],
                                  vcol=part.input_column):
                     vals = sub[vcol].to_numpy()
                     keep = pd.notna(vals)
-                    vals = vals[keep]
-                    if len(vals) == 0:
+                    if not keep.any():
                         return None
-                    ts = (
-                        sub["ts"].to_numpy()[keep]
-                        if timed and "ts" in sub
-                        else np.zeros(len(vals), dtype=np.int64)
-                    )
-                    ir = sop.prepare(vals[0], ts=int(ts[0]))
-                    for i in range(1, len(vals)):
-                        ir = sop.update(ir, vals[i], ts=int(ts[i]))
+                    ts = sub["ts"].to_numpy() if "ts" in sub else np.zeros(len(vals), dtype=np.int64)
+                    ir, = sop.fold_segments(vals[keep], ts[keep], np.zeros(1, dtype=np.int64))
                     return sop.finalize(ir)
 
                 frames[part.output_column] = groups[
@@ -151,7 +134,10 @@ class EntityKernel:
         self.parts = parts
         self.left_names = left_names
         for part in parts:
-            if part.operation not in _DELETABLE:
+            # SUM/COUNT/AVERAGE/HISTOGRAM, as the reference's CDC-reversible
+            # set; it raises "Operation is not deletable" for the rest too
+            # (BaseAggregator.scala:60-62)
+            if not make_scalar_op(part).deletable:
                 raise NotImplementedError(
                     f"temporal entities requires deletable ops, got {part.operation}"
                 )

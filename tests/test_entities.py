@@ -295,6 +295,37 @@ def test_snapshot_entities(ray_session, exchange_block_rows, entity_tables):
     assert np.allclose(merged["rating_max_o"], merged["rating_max_g"])
 
 
+def test_snapshot_entities_all_null_group(ray_session, tmp_path):
+    """A (key, ds) group whose values are all null sums to null, as SQL's
+    sum() does (DuckDB returns NULL), not to 0.0; it counts 0, and the
+    scalar-op fold of a generic op answers null for it too."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    path = str(tmp_path / "snaps.parquet")
+    pq.write_table(pa.table({
+        "k": ["a", "a", "b"],
+        "rating": pa.array([None, None, 2.0], pa.float64()),
+        "ts": pa.array([BASE, BASE + 1, BASE + 2], pa.int64()),
+        "ds": ["2024-03-01"] * 3,
+    }), path)
+    gb = GroupBy(
+        sources=[EntitySource(snapshot_table=path, query=Query())],
+        key_columns=["k"],
+        aggregations=[
+            Aggregation(Operation.SUM, "rating"),
+            Aggregation(Operation.COUNT, "rating"),
+            Aggregation(Operation.LAST, "rating"),
+        ],
+        accuracy=Accuracy.SNAPSHOT,
+        name="snap_null",
+    )
+    out = snapshot_entity_features(gb).to_pandas().set_index("k")
+    assert np.isnan(out.loc["a", "rating_sum"]) and out.loc["b", "rating_sum"] == 2.0
+    assert out["rating_count"].to_dict() == {"a": 0, "b": 1}
+    assert pd.isna(out.loc["a", "rating_last"]) and out.loc["b", "rating_last"] == 2.0
+
+
 def test_noagg_passthrough_snapshot(ray_session, entity_tables):
     """aggregations=None => keyed passthrough of the scanned snapshot
     (reference GroupBy.scala:137-141)."""

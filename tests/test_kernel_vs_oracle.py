@@ -259,3 +259,70 @@ def test_light_key_percentiles_stay_exact_beside_a_heavy_key():
                        pd.concat([q_heavy, q_light], ignore_index=True))
     assert shared.loc[shared["user"] == "light", col].tolist() == alone
     assert alone[0] == np.quantile(light["value"], [0.5, 0.95]).tolist()
+
+
+# Column kinds of the engine pin: one input column each, bucketed parts
+# sum by "string" and element-wise parts read "list"
+_ENGINE_KINDS = ("float", "decimal", "int", "string", "list", "map", "bucketed", "element_wise")
+
+# The engine each part is served by, per kind (in _ENGINE_KINDS order)
+_ENGINES = {
+    "count": "prefix prefix prefix prefix list_prefix object object object",
+    "sum": "prefix prefix prefix prefix list_prefix object object object",
+    "average": "prefix prefix prefix prefix list_prefix object object object",
+    "histogram": "object object object object object object object object",
+    "min": "segtree segtree segtree segtree object object object object",
+    "max": "segtree segtree segtree segtree object object object object",
+    "first": "position position position position object object object object",
+    "last": "position position position position object object object object",
+    "first_k": "position position position position object object object object",
+    "last_k": "position position position position object object object object",
+    "top_k": "segtree segtree segtree object object object object object",
+    "bottom_k": "segtree segtree segtree object object object object object",
+    "unique_count": "object object object object object object object object",
+    "approx_unique_count": "object object object object object object object object",
+    "bounded_unique_count": "object object object object object object object object",
+    "approx_histogram_k": "object object object object object object object object",
+    "variance": "segtree exact_moments exact_moments object object object object object",
+    "skew": "segtree exact_moments exact_moments object object object object object",
+    "kurtosis": "segtree exact_moments exact_moments object object object object object",
+    "approx_percentile": "percentile percentile percentile percentile object object object object",
+}
+
+
+class _Served(Exception):
+    pass
+
+
+def test_engine_per_op_and_column_kind(monkeypatch):
+    """Every (operation, column kind) reaches the engine it has always
+    reached.  The oracle tests check answers, so they would still pass if a
+    part moved to the slower object engine; this pin would not."""
+    for name in [n for n in vars(PartitionAggregator) if n.endswith("_engine")]:
+        def served(self, *args, name=name, **kwargs):
+            raise _Served(name[1:-len("_engine")])
+        monkeypatch.setattr(PartitionAggregator, name, served)
+    events = pa.table({
+        "user": ["u"] * 4,
+        "ts": pa.array([BASE_TS + i for i in range(4)], pa.int64()),
+        "float": [0.1234567891, 2.718281828459, 3.14159265358, 1e-7],
+        "decimal": [1.25, 2.5, 3.75, 5.0],
+        "int": pa.array([3, 1, 4, 1], pa.int64()),
+        "string": ["a", "b", "a", "c"],
+        "list": pa.array([[1.0, 2.0], [3.0], [], [4.0, 5.0]], pa.list_(pa.float64())),
+        "map": pa.array([[("a", 1.0)], [("b", 2.0)], [("a", 3.0)], []],
+                        pa.map_(pa.string(), pa.float64())),
+    })
+    queries = pa.table({"user": ["u", "u"], "ts": pa.array([BASE_TS + 2, BASE_TS + 9], pa.int64())})
+    got = {}
+    for op in Operation:
+        served = []
+        for kind in _ENGINE_KINDS:
+            col = {"bucketed": "float", "element_wise": "list"}.get(kind, kind)
+            part = Aggregation(op, col, arg_map={"k": 2}, buckets=["string"] if kind == "bucketed" else None,
+                               element_wise=kind == "element_wise").unpack()[0]
+            with pytest.raises(_Served) as e:
+                PartitionAggregator(["user"], [part]).aggregate_tables(events, queries)
+            served.append(str(e.value))
+        got[op.value] = " ".join(served)
+    assert got == _ENGINES
