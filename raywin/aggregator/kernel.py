@@ -25,6 +25,9 @@ RowAggregator.scala:25-29; we instead exploit Arrow/numpy columns):
         skew/kurtosis/top_k/bottom_k): disjoint binary-block segment tree
         with *vectorized* monoid merges; O(log n) lockstep merge rounds for
         all queries at once
+      - PERCENTILE ``ApproxPercentile``: exact, the k-th smallest of each
+        window for every query at once with a wavelet matrix over the
+        values' ranks (``_range_kth``)
       - OBJECT   everything else (unique_count/histogram/sketches/bucketed/
         element-wise/map): hop-tile IRs (one ``fold_segments`` call per
         part) + per-query python merges — mirrors the reference
@@ -888,7 +891,7 @@ class PartitionAggregator:
                 return self._exact_moments_engine(part, col, get_bounds, nq)
             return self._segtree_engine(part, vector_ir(op), col, get_bounds, segtrees, nq)
         if isinstance(op, ApproxPercentile):
-            return self._percentile_engine(part, col, get_bounds, nq, ev_ent_s)
+            return self._percentile_engine(part, col, get_bounds, nq)
         return self._object_engine(part, op, col, ev_ts_s, ev_ent_s, get_col, get_bounds, nq)
 
     def _prefix_engine(self, part, col, get_bounds):
@@ -1038,254 +1041,49 @@ class PartitionAggregator:
                 out = np.where((n >= 4) & (m2 > 0), n * m4 / (m2 * m2) - 3, np.nan)
         return np.where(n >= 1, out, np.nan)
 
-    def _percentile_engine(self, part, col, get_bounds, nq, ev_ent_s):
-        """Percentiles over the window's value slice — exact (linear
-        interpolation) and merge-order independent, unlike a sketch.
+    def _percentile_engine(self, part, col, get_bounds, nq):
+        """Exact percentiles of every query's window: the k-th smallest of
+        the window's non-null values, for all queries at once
+        (``_range_kth``).  Ties take the earlier event, so an answer depends
+        on the window alone, not on which other keys share the kernel call.
 
-        Three paths chosen by estimated work:
-          * small windows: per-query sort of the slice (vectorizable constant)
-          * wide windows: ONE sliding-window pass with a Fenwick tree over
-            value ranks — both window bounds are monotone non-decreasing over
-            the (entity, ts)-sorted partition, so every query is answered in
-            O(log n) after amortized O(1) adds/removes.  This is the skew
-            answer for percentile (SURVEY.md §7.5 #5).
-          * an entity whose own windows hold over 4M values: its windows of
-            more than 64 values are binned (``_binned_percentiles``).
-        Every choice that changes an answer is made per entity from that
-        entity's own windows, so a key's answers do not depend on which
-        other keys share the kernel call.
-        """
+        interpolation="disc" answers with the value at nearest rank
+        k = ceil(p*cnt)-1, clamped to [0, cnt-1] (SQL quantile_disc), so
+        the answers are data elements; the default linear rule reads
+        lo = int(p*(cnt-1)) and hi = min(lo+1, cnt-1) and answers v_lo when
+        frac = p*(cnt-1) - lo is 0, else v_lo*(1-frac) + v_hi*frac.  The
+        sketch size ``k`` is not read here: only the online sketch
+        (``ApproxPercentile``) is approximate."""
         import json as _json
 
         pct = part.arg("percentiles")
         if isinstance(pct, str):
             pct = _json.loads(pct)
-        pct = np.asarray(list(pct) if pct else [0.5], dtype=np.float64)
-        # interpolation="disc": nearest-rank (ceil(p*n)-1), the SQL
-        # quantile_disc convention — returns actual data elements, so results
-        # are exactly reproducible by an oracle; default linear interpolates
-        disc = part.arg("interpolation") == "disc"
+        pct = np.asarray(list(pct) if pct else [0.5], dtype=np.float64)[:, None]
         l, r = get_bounds(part)
         lv, rv = col.compress(l, r)
-        vals = col.comp_vals.astype(np.float64)
-        out = np.empty(nq, dtype=object)
-        counts = rv - lv
-
-        def slice_exact(indices, vals, lv, rv):
-            for i in indices:
-                a, b = int(lv[i]), int(rv[i])
-                if a >= b:
-                    out[i] = None
-                    continue
-                v = np.sort(vals[a:b])
-                if disc:
-                    idx = np.maximum(np.ceil(pct * len(v)).astype(np.int64) - 1, 0)
-                    out[i] = [float(x) for x in v[np.minimum(idx, len(v) - 1)]]
-                    continue
-                pos = pct * (len(v) - 1)
-                lo = np.floor(pos).astype(np.int64)
-                hi = np.minimum(lo + 1, len(v) - 1)
-                frac = pos - lo
-                out[i] = [float(x) for x in v[lo] * (1 - frac) + v[hi] * frac]
-
-        todo = np.arange(nq)
-        if int(counts.sum()) > 4_000_000:
-            # a non-empty window lies inside one entity: the entity of its
-            # first value; its total window work decides exact vs binned
-            ent = ev_ent_s[col.valid]
-            work = np.bincount(ent[np.minimum(lv, len(ent) - 1)], weights=counts,
-                               minlength=int(ent.max()) + 1)
-            hot_val = (work > 4_000_000)[ent]
-            q_hot = (counts > 0) & hot_val[np.minimum(lv, len(ent) - 1)]
-            # tiny windows stay exact (bin quantization would be coarse
-            # relative to a handful of values), bigger ones are binned
-            big_idx = np.flatnonzero(q_hot & (counts > 64))
-            slice_exact(np.flatnonzero(q_hot & (counts <= 64)), vals, lv, rv)
-            if len(big_idx):
-                # bin budget = the requested sketch size k (reference maps k
-                # to KLL accuracy, SimpleAggregators.scala:383-392); rank
-                # error <= window/n_bins
-                try:
-                    n_bins = int(part.arg("k") or 256)
-                except (TypeError, ValueError):
-                    n_bins = 256
-                out[big_idx] = self._binned_percentiles(
-                    vals, ent, lv[big_idx], rv[big_idx], pct, len(big_idx),
-                    n_bins=min(max(n_bins, 64), 1024),
-                )
-            # the other entities' windows hold no hot value: drop those values
-            # so the exact paths below never walk them
-            todo = np.flatnonzero(~q_hot)
-            shift = np.zeros(len(vals) + 1, dtype=np.int64)
-            shift[1:] = np.cumsum(~hot_val)
-            vals, lv, rv = vals[~hot_val], shift[lv], shift[rv]
-            counts = rv - lv
-        if int(counts[todo].sum()) <= 64 * max(len(todo), 1):
-            slice_exact(todo, vals, lv, rv)
+        out = np.full(nq, None, dtype=object)
+        live = np.flatnonzero(rv > lv)
+        if not len(live):
             return out
-        # Fenwick sliding window over value ranks
-        n = len(vals)
+        vals = col.comp_vals.astype(np.float64)
         order = np.argsort(vals, kind="stable")
-        rank_of_pos = np.empty(n, dtype=np.int64)
-        rank_of_pos[order] = np.arange(n)
-        sorted_vals = vals[order]
-        tree = [0] * (n + 1)
-
-        def update(pos, delta):
-            i = pos + 1
-            while i <= n:
-                tree[i] += delta
-                i += i & (-i)
-
-        log2n = max(1, n.bit_length())
-
-        def select(k):
-            """Position (1-based tree index) of the (k+1)-th present rank."""
-            idx = 0
-            rem = k + 1
-            bit = 1 << log2n
-            while bit:
-                nxt = idx + bit
-                if nxt <= n and tree[nxt] < rem:
-                    idx = nxt
-                    rem -= tree[nxt]
-                bit >>= 1
-            return idx  # 0-based rank = idx
-
-        cur_l = cur_r = 0
-        pcts = pct.tolist()
-        for i in todo:
-            a, b = int(lv[i]), int(rv[i])
-            while cur_r < b:
-                update(rank_of_pos[cur_r], 1)
-                cur_r += 1
-            while cur_l < a:
-                update(rank_of_pos[cur_l], -1)
-                cur_l += 1
-            cnt = b - a
-            if cnt <= 0:
-                out[i] = None
-                continue
-            res = []
-            for p in pcts:
-                if disc:
-                    k_ = min(max(int(np.ceil(p * cnt)) - 1, 0), cnt - 1)
-                    res.append(float(sorted_vals[select(k_)]))
-                    continue
-                pos = p * (cnt - 1)
-                lo = int(pos)
-                frac = pos - lo
-                v_lo = sorted_vals[select(lo)]
-                v_hi = sorted_vals[select(min(lo + 1, cnt - 1))] if frac else v_lo
-                res.append(float(v_lo * (1 - frac) + v_hi * frac))
-            out[i] = res
-        return out
-
-    def _binned_percentiles(self, vals, ent, lv, rv, pct, nq, n_bins: int = 256,
-                            chunk: int = 8192):
-        """Fully vectorized approximate percentiles for very hot keys: values
-        quantized to equi-depth bins, per-bin cumulative counts snapshotted at
-        every needed window boundary, per-query CDF via two gathers.  Rank
-        error <= window/n_bins — the hybrid exact->approx pattern of the
-        reference's ApproxHistogram (SimpleAggregators.scala:459-601).
-
-        Bins are equi-depth within each entity (``ent``: the entity code of
-        every value, ascending), so an entity's answers do not depend on
-        which other entities share the kernel call; a bin answers with the
-        midpoint of its entity's lowest and highest value in it.
-
-        Queries are processed in chunks so the temporary arrays stay a few MB
-        — same-size allocations then reuse warm arena pages (page faults on
-        fresh memory are the scarce resource here, see raywin/__init__)."""
-        n = len(vals)
-        nb = n_bins
-        # rank of each value within its entity -> bin = rank * nb // size
-        by_value = np.lexsort((vals, ent))
-        starts = np.searchsorted(ent, ent, side="left")  # entity start per value
-        sizes = np.searchsorted(ent, ent, side="right") - starts
-        rank = np.empty(n, dtype=np.int64)
-        rank[by_value] = np.arange(n) - starts[by_value]
-        bin_idx = rank * nb // sizes
-        sorted_vals = vals[by_value]
-
-        def centers(q_first, picks):
-            """Bin midpoints for queries whose window starts at q_first."""
-            s, size = starts[q_first], sizes[q_first]
-            hi = s + ((picks + 1) * size + nb - 1) // nb - 1
-            lo = np.minimum(s + (picks * size + nb - 1) // nb, hi)  # an empty bin is never picked
-            return (sorted_vals[lo] + sorted_vals[hi]) / 2
-
-        out = np.empty(nq, dtype=object)
-        # Global block prefix: counts per bin of all events in blocks [0, b).
-        # With it, the cumulative count at any boundary p is
-        #   block_prefix[p // bs] + (events in [bs*(p//bs), p))
-        # so each chunk only scans the few blocks its own boundaries fall in
-        # (O(total events) across ALL chunks) instead of re-scanning from the
-        # chunk's min boundary (O(events x chunks) on wide windows).
-        bs = 2048
-        n_blocks = n // bs + 1
-        block_prefix = np.zeros((n_blocks + 1, nb), dtype=np.int32)
-        np.add.at(block_prefix[1:], (np.arange(n) // bs, bin_idx), 1)
-        np.cumsum(block_prefix, axis=0, out=block_prefix)
-        # preallocated per-call buffers reused across chunks: fresh multi-MB
-        # temporaries pay ~0.5 ms/page first-touch faults in this sandbox,
-        # which made the unbuffered version ~10x slower (cumsum(out=) reuses
-        # these warm pages instead)
-        snaps_buf = np.zeros((2 * chunk + 2, nb), dtype=np.int32)
-        gl_buf = np.empty((chunk, nb), dtype=np.int32)
-        gr_buf = np.empty((chunk, nb), dtype=np.int32)
-        cdf_buf = np.empty((chunk, nb), dtype=np.int32)
-        for c0 in range(0, nq, chunk):
-            c1 = min(c0 + chunk, nq)
-            w = c1 - c0
-            clv, crv = lv[c0:c1], rv[c0:c1]
-            positions = np.unique(np.concatenate([clv, crv]))
-            npos = len(positions)
-            # within-block partial counts at each boundary via a diff array:
-            # event e in block b adds +1 to boundary rows after it and -1 past
-            # the block's last row, so a column cumsum yields, per row i,
-            # the count of events in [block_start(p_i), p_i)
-            pb = positions // bs
-            ub, first = np.unique(pb, return_index=True)
-            row_end = np.empty(len(ub), dtype=np.int64)
-            row_end[:-1] = first[1:]
-            row_end[-1] = npos
-            scan_start = ub * bs
-            lens = positions[row_end - 1] - scan_start
-            tot = int(lens.sum())
-            snaps = snaps_buf[: npos + 1]
-            snaps[:] = 0
-            if tot:
-                cum = np.cumsum(lens)
-                ev_idx = (
-                    np.arange(tot)
-                    - np.repeat(cum - lens, lens)
-                    + np.repeat(scan_start, lens)
-                )
-                ev_bins = bin_idx[ev_idx]
-                np.add.at(
-                    snaps, (np.searchsorted(positions, ev_idx, side="right"), ev_bins), 1
-                )
-                np.subtract.at(snaps, (np.repeat(row_end, lens), ev_bins), 1)
-            np.cumsum(snaps, axis=0, out=snaps)
-            snaps[:npos] += block_prefix[pb]  # absolute counts in [0, p_i)
-            li = np.searchsorted(positions, clv)
-            ri = np.searchsorted(positions, crv)
-            gl, gr = gl_buf[:w], gr_buf[:w]
-            np.take(snaps, li, axis=0, out=gl)
-            np.take(snaps, ri, axis=0, out=gr)
-            counts = np.subtract(gr, gl, out=gr)
-            cdf = np.cumsum(counts, axis=1, out=cdf_buf[:w])
-            totals = cdf[:, -1]
-            picks = np.empty((len(pct), w), dtype=np.int64)
-            for pi, p in enumerate(pct):
-                target = np.maximum(1, np.ceil(p * totals)).astype(np.int32)
-                picks[pi] = np.minimum((cdf < target[:, None]).sum(axis=1), nb - 1)
-            first = np.minimum(clv, n - 1)  # empty windows are answered None below
-            rows = centers(first, picks).T.tolist()  # (w, n_pct) python lists in one hop
-            empty = totals == 0
-            for j in range(w):
-                out[c0 + j] = None if empty[j] else rows[j]
+        ranks = np.empty(len(vals), dtype=np.int64)
+        ranks[order] = np.arange(len(vals))
+        lv, rv = lv[live], rv[live]
+        cnt = rv - lv
+        if part.arg("interpolation") == "disc":
+            k = np.clip(np.ceil(pct * cnt).astype(np.int64) - 1, 0, cnt - 1)
+            res = vals[order[_range_kth(ranks, lv, rv, k)]]
+        else:
+            pos = pct * (cnt - 1)
+            lo = pos.astype(np.int64)
+            frac = pos - lo
+            both = order[_range_kth(ranks, lv, rv, np.stack([lo, np.minimum(lo + 1, cnt - 1)]))]
+            v_lo, v_hi = vals[both]
+            with np.errstate(invalid="ignore"):
+                res = np.where(frac == 0, v_lo, v_lo * (1 - frac) + v_hi * frac)
+        out[live] = np.fromiter(res.T.tolist(), dtype=object, count=len(live))
         return out
 
     def _object_engine(self, part, op, col, ev_ts_s, ev_ent_s, get_col, get_bounds, nq):
@@ -1430,3 +1228,36 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray, step: int) -> np.ndarray:
     flat = np.repeat(starts, lengths)
     within = np.arange(total) - np.repeat(offsets[:-1], lengths)
     return flat + step * within
+
+
+def _range_kth(ranks: np.ndarray, lv: np.ndarray, rv: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The k-th smallest (0-based) of ranks[lv:rv] for every query at once.
+
+    ``ranks`` is a permutation of 0..n-1; k broadcasts against lv and rv and
+    0 <= k < rv - lv.  This is a wavelet matrix descent (Claude & Navarro,
+    SPIRE 2012): level by level from the top bit, ``zeros`` counts the
+    zero bits before each position, a query whose k falls among its range's
+    zeros keeps that bit 0 and narrows to them, else sets it and narrows to
+    the ones; then the level is stably partitioned zeros first.  Each level
+    is built, read by every query, and dropped: O((n + queries) log n)
+    numpy work and O(n + queries) memory."""
+    shape = np.broadcast(lv, k).shape
+    dt = np.int32 if len(ranks) < (1 << 31) - 1 else np.int64
+    l = np.broadcast_to(lv, shape).astype(dt).ravel()
+    r = np.broadcast_to(rv, shape).astype(dt).ravel()
+    k = np.broadcast_to(k, shape).astype(dt).ravel()
+    res = np.zeros(len(k), dtype=dt)
+    cur = ranks.astype(dt)
+    zeros = np.zeros(len(ranks) + 1, dtype=dt)
+    for bit in reversed(range(max(len(ranks) - 1, 0).bit_length())):
+        one = (cur & (1 << bit)) != 0
+        np.cumsum(~one, dtype=dt, out=zeros[1:])
+        zl, zr = zeros[l], zeros[r]
+        in_zeros = zr - zl
+        right = k >= in_zeros
+        res |= right.astype(dt) << bit
+        k -= np.where(right, in_zeros, 0)
+        l = np.where(right, zeros[-1] + l - zl, zl)
+        r = np.where(right, zeros[-1] + r - zr, zr)
+        cur = np.concatenate((cur[~one], cur[one]))
+    return res.reshape(shape)

@@ -1086,10 +1086,31 @@ class ApproxUniqueCount(ScalarOp):
     def finalize(self, ir):
         return int(round(ir.estimate()))
 
+    def fold_segments(self, vals, ts, starts):
+        # one hash64 call over the column equals each value's own
+        # hash64([v]) for int and float64 arrays and all-str object arrays;
+        # a mixed object array would hash its numbers as strings
+        import pandas as pd
+
+        from .sketches import hash64, hll_slots
+
+        if not isinstance(vals, np.ndarray) or not (
+            vals.dtype.kind in "iu" or vals.dtype == np.float64
+            or (vals.dtype == object and pd.api.types.infer_dtype(vals, skipna=False) == "string")
+        ):
+            return super().fold_segments(vals, ts, starts)
+        idx, rank = hll_slots(hash64(vals), self.lgk)
+        seg = np.repeat(np.arange(len(starts)), np.diff(np.append(starts, len(vals))))
+        regs = np.zeros((len(starts), 1 << self.lgk), dtype=np.uint8)
+        np.maximum.at(regs, (seg, idx), rank)
+        return [self._cls(self.lgk, row) for row in regs]
+
 
 class ApproxPercentile(ScalarOp):
     """Mergeable quantile sketch (stands in for KLL,
-    SimpleAggregators.scala:762-802); percentiles arg defaults to [0.5]."""
+    SimpleAggregators.scala:762-802); percentiles arg defaults to [0.5].
+    Upload and serving fold it; the offline kernel answers these parts
+    exactly and reads no ``k``."""
 
     order_sensitive = True  # compactor promotions depend on merge order
 

@@ -68,6 +68,31 @@ def hash64(values) -> np.ndarray:
     return pd.util.hash_array(arr.astype(object), categorize=False).astype(np.uint64)
 
 
+def hll_slots(hashes: np.ndarray, lgk: int) -> tuple[np.ndarray, np.ndarray]:
+    """(register index, rank) of each uint64 hash in a 2**lgk-register HLL:
+    the top lgk bits pick the register, the rank is the number of leading
+    zeros of the remaining bits plus one."""
+    m = np.uint64(lgk)
+    idx = (hashes >> (np.uint64(64) - m)).astype(np.int64)
+    rest = hashes << m  # remaining 64-lgk bits, top-aligned
+    # rank = number of leading zeros in `rest` + 1, capped
+    lz = np.full(len(hashes), 64 - lgk + 1, dtype=np.uint8)
+    nz = rest != 0
+    if nz.any():
+        # leading zero count via float64 exponent is unsafe at 64 bits;
+        # use bit-length: lz = 64 - bit_length(rest)
+        r = rest[nz]
+        bl = np.zeros(len(r), dtype=np.uint8)
+        for shift in (32, 16, 8, 4, 2, 1):
+            s = np.uint64(shift)
+            mask = r >> s != 0
+            bl[mask] += shift
+            r = np.where(mask, r >> s, r)
+        bl += 1  # bit_length
+        lz[nz] = (64 - bl) + 1
+    return idx, lz
+
+
 class HllSketch:
     """Dense HyperLogLog with 2**lgk uint8 registers; merge = elementwise max."""
 
@@ -84,25 +109,8 @@ class HllSketch:
 
     def add_hashed(self, hashes: np.ndarray) -> None:
         """Vectorized bulk insert of pre-hashed uint64 values."""
-        m = np.uint64(self.lgk)
-        idx = (hashes >> (np.uint64(64) - m)).astype(np.int64)
-        rest = hashes << m  # remaining 64-lgk bits, top-aligned
-        # rank = number of leading zeros in `rest` + 1, capped
-        lz = np.full(len(hashes), 64 - self.lgk + 1, dtype=np.uint8)
-        nz = rest != 0
-        if nz.any():
-            # leading zero count via float64 exponent is unsafe at 64 bits;
-            # use bit-length: lz = 64 - bit_length(rest)
-            r = rest[nz]
-            bl = np.zeros(len(r), dtype=np.uint8)
-            for shift in (32, 16, 8, 4, 2, 1):
-                s = np.uint64(shift)
-                mask = r >> s != 0
-                bl[mask] += shift
-                r = np.where(mask, r >> s, r)
-            bl += 1  # bit_length
-            lz[nz] = (64 - bl) + 1
-        np.maximum.at(self.registers, idx, lz)
+        idx, rank = hll_slots(hashes, self.lgk)
+        np.maximum.at(self.registers, idx, rank)
 
     def merge_in(self, other: "HllSketch") -> None:
         np.maximum(self.registers, other.registers, out=self.registers)

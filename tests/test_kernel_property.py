@@ -7,13 +7,19 @@ duplicate timestamps, single-event keys, all-null values, windows equal to
 or one hop larger than the data span.
 """
 
+import json
+
 import numpy as np
 import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from raywin.aggregator.kernel import PartitionAggregator
+from raywin.aggregator.windowing import FiveMinuteResolution, window_bounds
 from raywin.api import Aggregation, Operation, TimeUnit, Window
-from tests.test_kernel_vs_oracle import BASE_TS, run_case
+from tests.test_kernel_vs_oracle import (
+    BASE_TS, aggregate, run_case, same_bits, stable_sort_percentiles,
+)
 
 HOUR = 3600 * 1000
 HOP = 5 * 60 * 1000  # FiveMinuteResolution tail hop for hourly windows
@@ -158,6 +164,56 @@ def test_bucketed_matches_oracle(events, query_offsets, op):
         ev=ev,
         q=q,
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    events=st.lists(
+        st.tuples(
+            st.sampled_from(["a", "b", "c"]),
+            offset,
+            # duplicates, both zeros, both infinities and nulls
+            st.one_of(st.none(), st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1.0, -1.0]), value),
+        ),
+        min_size=1,
+        max_size=60,
+    ),
+    queries=st.lists(st.tuples(st.sampled_from(["a", "b", "c"]), offset), min_size=1, max_size=12),
+    window=st.sampled_from([Window(1, TimeUnit.HOURS), Window(1, TimeUnit.DAYS),
+                            Window(7, TimeUnit.DAYS), Window(30, TimeUnit.DAYS), Window(-1)]),
+    pct=st.lists(st.one_of(st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]), st.floats(0, 1)),
+                 min_size=1, max_size=4),
+    disc=st.booleans(),
+)
+def test_percentile_engine_matches_stable_sort(events, queries, window, pct, disc):
+    """Every percentile answer is, bit for bit, the documented rule over a
+    stable sort of its window's values, and each key's answers are the same
+    alone as in a call shared with the other keys."""
+    ev = pd.DataFrame(
+        {
+            "user": [e[0] for e in events],
+            "ts": np.array([BASE_TS + e[1] for e in events], dtype=np.int64),
+            "value": np.array([np.nan if e[2] is None else e[2] for e in events], dtype=np.float64),
+            "seq": np.arange(len(events)),
+        }
+    )
+    q = pd.DataFrame({"user": [u for u, _ in queries],
+                      "ts": np.array([BASE_TS + o for _, o in queries], dtype=np.int64)})
+    arg_map = {"percentiles": json.dumps(pct)}
+    if disc:
+        arg_map["interpolation"] = "disc"
+    parts = Aggregation(Operation.APPROX_PERCENTILE, "value", windows=[window], arg_map=arg_map).unpack()
+    agg = PartitionAggregator(["user"], parts, FiveMinuteResolution, tie_breaker="seq")
+    col = parts[0].output_column
+    shared = aggregate(agg, ev, q)
+    lo, hi = window_bounds(shared["ts"].to_numpy(), parts[0], FiveMinuteResolution)
+    for user, a, b, got in zip(shared["user"], lo, hi, shared[col]):
+        rows = ev[(ev["user"] == user) & (ev["ts"] >= a) & (ev["ts"] < b)].sort_values(["ts", "seq"])
+        assert same_bits(got, stable_sort_percentiles(rows["value"], pct, disc)), (user, got)
+    for user in set(q["user"]) & set(ev["user"]):
+        alone = aggregate(agg, ev[ev["user"] == user], q[q["user"] == user])[col]
+        mine = shared.loc[shared["user"] == user, col]
+        assert all(same_bits(x, y) for x, y in zip(alone, mine)), user
 
 
 def test_mix_codes_no_int64_wrap_aliasing():

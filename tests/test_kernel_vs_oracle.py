@@ -15,7 +15,7 @@ import pytest
 
 from raywin.api import Aggregation, Operation, TimeUnit, Window
 from raywin.aggregator.kernel import PartitionAggregator
-from raywin.aggregator.windowing import FiveMinuteResolution, NaiveOracle
+from raywin.aggregator.windowing import FiveMinuteResolution, NaiveOracle, window_bounds
 
 WINDOWS = [Window(1, TimeUnit.HOURS), Window(1, TimeUnit.DAYS), Window(7, TimeUnit.DAYS), Window(30, TimeUnit.DAYS), Window(-1)]
 
@@ -213,11 +213,86 @@ def test_null_keys_and_passthrough_vs_oracle():
     assert [list(e) for e in out["emb"]] == [q["emb"][i] for i in out["qid"]]
 
 
-def test_binned_percentiles_ignore_other_keys_in_the_call():
-    """A hot key's wide windows take the binned percentile path (over 4M
-    window values in one call).  Its bins are its own: adding a key whose
-    values live on another scale to the same kernel call changes none of
-    its answers, and they stay within a few bins of the exact ones."""
+def stable_sort_percentiles(vals, pct, disc=False):
+    """Percentiles of one window by the documented rules, from a stable sort
+    of its non-null values (ties keep event order): disc reads nearest rank
+    ceil(p*cnt)-1 clamped to [0, cnt-1]; linear reads lo = int(p*(cnt-1))
+    and min(lo+1, cnt-1), answering v_lo when frac is 0.  None when empty."""
+    v = np.asarray(vals, dtype=np.float64)
+    v = np.sort(v[~np.isnan(v)], kind="stable")
+    cnt = len(v)
+    if cnt == 0:
+        return None
+    out = []
+    for p in pct:
+        if disc:
+            out.append(float(v[min(max(math.ceil(p * cnt) - 1, 0), cnt - 1)]))
+            continue
+        pos = p * (cnt - 1)
+        lo = int(pos)
+        frac = pos - lo
+        v_lo, v_hi = v[lo], v[min(lo + 1, cnt - 1)]
+        out.append(float(v_lo if frac == 0 else v_lo * (1 - frac) + v_hi * frac))
+    return out
+
+
+def same_bits(a, b) -> bool:
+    """Two percentile answers are the same lists of floats, NaN equal to NaN
+    and the sign of zero included."""
+    if a is None or b is None:
+        return a is b
+    return len(a) == len(b) and all(
+        (math.isnan(x) and math.isnan(y)) or (x == y and np.signbit(x) == np.signbit(y))
+        for x, y in zip(a, b)
+    )
+
+
+def test_linear_percentile_does_not_depend_on_neighbour_keys():
+    """A key whose window holds [1.0, inf] gets [1.0, inf] for percentiles
+    [0.0, 0.5] alone and beside a 3000-event key: p = 0 lands exactly on 1.0
+    (frac 0), so inf never meets a zero weight."""
+    day = 86_400_000
+    a = pd.DataFrame({"user": "a", "ts": [BASE_TS, BASE_TS + 1], "value": [1.0, np.inf]})
+    rng = np.random.default_rng(2)
+    b = pd.DataFrame({"user": "b", "ts": BASE_TS + np.sort(rng.integers(0, 20 * day, 3000)),
+                      "value": rng.normal(0, 1, 3000)})
+    q = pd.DataFrame({"user": ["a", "b"], "ts": [BASE_TS + 21 * day] * 2})
+    parts = Aggregation(Operation.APPROX_PERCENTILE, "value", windows=[Window(30, TimeUnit.DAYS)],
+                        arg_map={"percentiles": "[0.0, 0.5]"}).unpack()
+    agg = PartitionAggregator(["user"], parts, FiveMinuteResolution)
+    col = parts[0].output_column
+    alone = aggregate(agg, a, q.iloc[:1])[col].tolist()
+    shared = aggregate(agg, pd.concat([a, b], ignore_index=True), q)
+    assert alone == [[1.0, np.inf]]
+    assert shared.loc[shared["user"] == "a", col].tolist() == [[1.0, np.inf]]
+
+
+def test_percentile_ties_keep_event_order():
+    """Among equal values the earlier event ranks first, so a window of
+    mixed 0.0 and -0.0 answers with the zero a stable sort puts there."""
+    rng = np.random.default_rng(4)
+    n, hour = 2000, 3_600_000
+    ev = pd.DataFrame({"user": "u", "ts": BASE_TS + np.sort(rng.integers(0, 48 * hour, n)),
+                       "value": rng.choice([0.0, -0.0, 0.0, -0.0, 1.0, -1.0], n),
+                       "seq": np.arange(n)})
+    q = pd.DataFrame({"user": "u", "ts": BASE_TS + np.sort(rng.integers(hour, 49 * hour, 300))})
+    pct = [0.3, 0.4, 0.5, 0.6, 0.7]
+    for disc in (True, False):
+        arg_map = {"percentiles": str(pct)} | ({"interpolation": "disc"} if disc else {})
+        parts = Aggregation(Operation.APPROX_PERCENTILE, "value", windows=[Window(6, TimeUnit.HOURS)],
+                            arg_map=arg_map).unpack()
+        agg = PartitionAggregator(["user"], parts, FiveMinuteResolution, tie_breaker="seq")
+        out = aggregate(agg, ev, q)
+        lo, hi = window_bounds(out["ts"].to_numpy(), parts[0], FiveMinuteResolution)
+        for a, b, got in zip(lo, hi, out[parts[0].output_column]):
+            win = ev.loc[(ev["ts"] >= a) & (ev["ts"] < b), "value"]
+            assert same_bits(got, stable_sort_percentiles(win, pct, disc)), (b, got)
+
+
+def test_hot_key_percentiles_ignore_other_keys_in_the_call():
+    """A hot key (7.5M window values over its 2500 queries) gets the exact
+    percentiles of its window, the same alone and beside a key whose values
+    live on another scale."""
     rng = np.random.default_rng(5)
     n_ev, n_q, day = 3000, 2500, 86_400_000
     hot = pd.DataFrame({"user": "hot", "ts": BASE_TS + np.sort(rng.integers(0, 30 * day, n_ev)),
@@ -233,14 +308,14 @@ def test_binned_percentiles_ignore_other_keys_in_the_call():
     alone = aggregate(agg, hot, q)[col].tolist()
     shared = aggregate(agg, pd.concat([hot, far], ignore_index=True), q)[col].tolist()
     assert alone == shared
-    exact = np.quantile(hot["value"], [0.5, 0.95])
-    assert np.allclose(alone[0], exact, rtol=0.01)
+    # every window holds all of the hot key's events
+    assert alone == [stable_sort_percentiles(hot["value"], [0.5, 0.95])] * n_q
 
 
 def test_light_key_percentiles_stay_exact_beside_a_heavy_key():
-    """Exact vs binned is chosen per entity: a light key's percentiles are
-    the same exact answers alone and when a heavy key in the same kernel
-    call pushes the call past 4M window values."""
+    """A light key's percentiles are the same exact answers alone and beside
+    a heavy key whose windows hold 7.5M values, and the heavy key's are
+    exact too."""
     rng = np.random.default_rng(11)
     day = 86_400_000
     light = pd.DataFrame({"user": "light", "ts": BASE_TS + np.sort(rng.integers(0, 30 * day, 400)),
@@ -259,6 +334,8 @@ def test_light_key_percentiles_stay_exact_beside_a_heavy_key():
                        pd.concat([q_heavy, q_light], ignore_index=True))
     assert shared.loc[shared["user"] == "light", col].tolist() == alone
     assert alone[0] == np.quantile(light["value"], [0.5, 0.95]).tolist()
+    assert shared.loc[shared["user"] == "heavy", col].tolist() == (
+        [stable_sort_percentiles(heavy["value"], [0.5, 0.95])] * len(q_heavy))
 
 
 # Column kinds of the engine pin: one input column each, bucketed parts

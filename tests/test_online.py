@@ -558,6 +558,35 @@ def test_fold_segments_matches_sequential_fold(n, n_segs, dtype, seed):
                 assert fg == fe, (type(op).__name__, s, e)
 
 
+@pytest.mark.parametrize("kind", ["int64", "int32", "float", "str", "mixed"])
+def test_approx_unique_count_fold_segments_registers(kind, monkeypatch):
+    """ApproxUniqueCount.fold_segments gives registers byte-identical to the
+    sequential fold.  Int, float64 and all-str columns are hashed in one
+    call, with no per-value prepare/update; a mixed object column, where one
+    call would hash the ints as strings, keeps the sequential fold."""
+    from raywin.aggregator.scalar_ops import ApproxUniqueCount, ScalarOp
+
+    rng = np.random.default_rng(3)
+    n = 3000
+    ints = rng.integers(-(10**6), 10**6, n)
+    vals = {
+        "int64": ints,
+        "int32": ints.astype(np.int32),
+        "float": np.concatenate([rng.normal(0, 1e3, n - 4), [0.0, -0.0, np.inf, -np.inf]]),
+        "str": np.array([f"s{v}" for v in ints.tolist()], dtype=object),
+        "mixed": np.array([v if v % 3 else f"{v}" for v in ints.tolist()], dtype=object),
+    }[kind]
+    ts = np.arange(n, dtype=np.int64)
+    starts = np.unique(np.concatenate([[0], rng.integers(0, n, 40)]))
+    op = ApproxUniqueCount()
+    want = [sk.registers.tobytes() for sk in ScalarOp.fold_segments(op, vals, ts, starts)]
+    if kind != "mixed":
+        monkeypatch.setattr(ApproxUniqueCount, "prepare", None)
+        monkeypatch.setattr(ApproxUniqueCount, "update", None)
+    got = [sk.registers.tobytes() for sk in op.fold_segments(vals, ts, starts)]
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # ScalarOp.scan: the running fold the serving lambda answers each hop group
 # with.  Pinned bitwise (== plus the sign of float zeros) against the
