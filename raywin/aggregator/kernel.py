@@ -46,7 +46,7 @@ from .scalar_ops import (
     ApproxPercentile, BottomK, Kurtosis, Max, Min, ScalarOp, Skew, TopK, Variance,
     make_scalar_op,
 )
-from .npfast import cumsum1d
+from .npfast import concat_ranges, cumsum1d
 from .windowing import FiveMinuteResolution, round_down
 
 _NEG_INF = np.iinfo(np.int64).min // 4
@@ -358,9 +358,6 @@ class VectorIR:
 
     def finalize(self, state: dict, valid: np.ndarray):
         raise NotImplementedError
-
-    def alloc(self, n: int, like: dict) -> dict:
-        return {f: np.zeros((n,) + like[f].shape[1:], dtype=like[f].dtype) for f in self.fields}
 
 
 class MinMaxIR(VectorIR):
@@ -963,11 +960,11 @@ class PartitionAggregator:
             start = np.maximum(lv, rv - k)
             lengths = np.where(has, rv - start, 0)
             # flat indices: rv-1, rv-2, ... descending ts (most recent first)
-            flat = _ranges(rv - 1, lengths, step=-1)
+            flat = concat_ranges(rv - 1, lengths, step=-1)
         else:  # FIRST_K
             end = np.minimum.reduce([rv, lv + k])
             lengths = np.where(has, end - lv, 0)
-            flat = _ranges(lv, lengths, step=1)
+            flat = concat_ranges(lv, lengths)
         picked = vals[flat]
         offsets = np.zeros(nq + 1, dtype=np.int64)
         offsets[1:] = cumsum1d(lengths, dtype=np.int64)
@@ -978,7 +975,7 @@ class PartitionAggregator:
         n_full = int(full.sum())
         if n_full:
             fidx = np.flatnonzero(full)
-            rows = picked[_ranges(offsets[fidx], np.full(n_full, k), step=1)]
+            rows = picked[concat_ranges(offsets[fidx], np.full(n_full, k))]
             out[fidx] = np.fromiter(rows.reshape(-1, k).tolist(), dtype=object, count=n_full)
         for i in np.flatnonzero(~full):
             out[i] = list(picked[offsets[i] : offsets[i + 1]]) if lengths[i] else None
@@ -1127,7 +1124,7 @@ class PartitionAggregator:
         hi = np.concatenate([tile_bounds[needed + 1],
                              np.where(single, r, tile_bounds[t0 + 1])[has_head], r[has_tail]])
         lengths = hi - lo
-        rows = _ranges(lo, lengths, step=1)
+        rows = concat_ranges(lo, lengths)
         seg = np.repeat(np.arange(len(lo)), lengths)
         keep = valid[rows]
         rows, seg = rows[keep], seg[keep]
@@ -1216,18 +1213,6 @@ def _mask_int(vals: np.ndarray, empty: np.ndarray):
     out = vals.astype(object)
     out[empty] = None
     return out
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray, step: int) -> np.ndarray:
-    """Concatenate arithmetic ranges [starts[i], starts[i] +/- lengths[i])."""
-    total = int(lengths.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    offsets[1:] = cumsum1d(lengths, dtype=np.int64)
-    flat = np.repeat(starts, lengths)
-    within = np.arange(total) - np.repeat(offsets[:-1], lengths)
-    return flat + step * within
 
 
 def _range_kth(ranks: np.ndarray, lv: np.ndarray, rv: np.ndarray, k: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Prefix-sum helpers.
+"""Prefix-sum and range helpers.
 
 Historical note: this environment's page faults on fresh mmap regions are
 ~0.5-1 ms/page, which made every big numpy temporary (including cumsum
@@ -23,11 +23,10 @@ def cumsum1d(a: np.ndarray, dtype=None) -> np.ndarray:
     return np.cumsum(a)
 
 
-def cumsum_rows(m: np.ndarray) -> np.ndarray:
-    """Per-row (axis=1) cumulative sum of a 2-D array."""
-    return np.cumsum(m, axis=1)
-
-
-def cumsum_cols(m: np.ndarray) -> np.ndarray:
-    """Per-column (axis=0) cumulative sum of a 2-D array."""
-    return np.cumsum(m, axis=0)
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray, step: int = 1) -> np.ndarray:
+    """concatenate(starts[i] + step * arange(lengths[i]) for every i): one
+    arange over the output plus each range's base repeated over its length,
+    which covers descending ranges (step=-1) too."""
+    ends = lengths.cumsum()
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(0, step * total, step) + (starts - step * (ends - lengths)).repeat(lengths)

@@ -1086,16 +1086,19 @@ class ApproxUniqueCount(ScalarOp):
     def finalize(self, ir):
         return int(round(ir.estimate()))
 
+    def clone(self, ir):
+        return self._cls(ir.lgk, ir.registers.copy())
+
     def fold_segments(self, vals, ts, starts):
         # one hash64 call over the column equals each value's own
-        # hash64([v]) for int and float64 arrays and all-str object arrays;
+        # hash64([v]) for int and float arrays and all-str object arrays;
         # a mixed object array would hash its numbers as strings
         import pandas as pd
 
         from .sketches import hash64, hll_slots
 
         if not isinstance(vals, np.ndarray) or not (
-            vals.dtype.kind in "iu" or vals.dtype == np.float64
+            vals.dtype.kind in "iuf"
             or (vals.dtype == object and pd.api.types.infer_dtype(vals, skipna=False) == "string")
         ):
             return super().fold_segments(vals, ts, starts)

@@ -56,7 +56,8 @@ def hash64(values) -> np.ndarray:
     """Deterministic 64-bit hashes of a column of ints/floats/strings/bytes.
 
     Uses pandas' stable vectorized hashing (fixed key) for object dtypes and
-    splitmix64 for native ints — stable across processes and runs.
+    splitmix64 for native ints and the float64 bits of floats — stable
+    across processes and runs.
     """
     import pandas as pd
 
@@ -64,7 +65,7 @@ def hash64(values) -> np.ndarray:
     if arr.dtype.kind in "iu":
         return splitmix64(arr.astype(np.uint64))
     if arr.dtype.kind == "f":
-        return splitmix64(arr.view(np.uint64))
+        return splitmix64(arr.astype(np.float64, copy=False).view(np.uint64))
     return pd.util.hash_array(arr.astype(object), categorize=False).astype(np.uint64)
 
 

@@ -396,11 +396,11 @@ def explain_plan(conf) -> dict:
             shuffles += 1
         else:
             stages.append(
-                f"external {ep.full_name}: pure-handler actor-pool replay "
+                f"external {ep.full_name}: pure-handler task replay "
                 "or null-pad (map)"
             )
     if conf.derivations:
         stages.append("derivations (vectorized map)")
     if conf.model_transforms:
-        stages.append("model transforms (stateful actor pool, batched inference)")
+        stages.append("model transforms (map tasks, models built per task, batched inference)")
     return {"stages": stages, "shuffles": shuffles, "broadcasts": broadcasts}

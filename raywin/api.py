@@ -290,7 +290,7 @@ class Model:
     api.thrift:468-473).  ``backend`` names a registered vectorized model
     backend (raywin.stages.models.MODEL_BACKENDS); ``params`` are its
     constructor arguments (small weights inline; large weight tensors as a
-    ``ray.ObjectRef`` placed once with ray.put and resolved per actor)."""
+    ``ray.ObjectRef`` placed once with ray.put and resolved once per task)."""
 
     name: str
     backend: str

@@ -102,7 +102,7 @@ class _BucketJoinKernel:
     def join(self, lt, rt):
         # Arrow-native hash join: string keys never box (the pandas merge
         # round-trip boxed every key per group).  Single-threaded inside the
-        # task — the actor/task already owns exactly one CPU slot.
+        # task — the task already owns exactly one CPU slot.
         return lt.join(
             rt, keys=self.on, join_type=_ARROW_HOW.get(self.how, self.how),
             use_threads=False,
@@ -270,14 +270,10 @@ def broadcast_lookup_join(ds, small_df, on: list[str], how: str = "inner"):
     ref = ray.put(small)
     join_type = _ARROW_HOW.get(how, how)
 
-    class Merge:
-        def __init__(self):
-            self.small = ray.get(ref)
+    def merge(batch: pa.Table) -> pa.Table:
+        return batch.join(ray.get(ref), keys=on, join_type=join_type, use_threads=False)
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            return batch.join(self.small, keys=on, join_type=join_type, use_threads=False)
-
-    out = ds.map_batches(Merge, batch_format="pyarrow", concurrency=(1, 8))
+    out = ds.map_batches(merge, batch_format="pyarrow")
     # the join of the empty sides has the output's schema
     return declare_schema(out, _arrow_schema(ds).empty_table().join(small, keys=on, join_type=join_type).schema)
 

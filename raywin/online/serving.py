@@ -69,9 +69,10 @@ import pandas as pd
 import pyarrow as pa
 
 from ..api import GroupBy
+from ..aggregator.npfast import concat_ranges
 from ..aggregator.scalar_ops import Segments, make_scalar_op, scan_parts
 from ..aggregator.windowing import FiveMinuteResolution, round_down
-from .upload import IR_COL, IRTable, _concat_ranges, encode_dicts, load_upload
+from .upload import IR_COL, IRTable, encode_dicts, load_upload
 
 
 # lo of an unbounded part: below every tile start and event ts
@@ -279,7 +280,7 @@ class SawtoothOnlineAggregator:
         # rows: every part's groups, one part after another; tile runs are
         # (key, part), key after key as gather lays them out
         per_part = (grp.bounds[1:] - grp.bounds[:-1])[self._part_win]
-        rows = _concat_ranges(grp.bounds[self._part_win], per_part)
+        rows = concat_ranges(grp.bounds[self._part_win], per_part)
         run = grp.key[rows] * n_parts + np.arange(n_parts).repeat(per_part)
         t_bounds = np.concatenate(([0], n_tiles.ravel().cumsum()))
         first_tile = _Runs(starts, t_bounds).search(run, grp.lo[rows])
@@ -642,8 +643,8 @@ class ServingKernel:
             starts.append(a)
             lengths.append(n)
         # the queried keys' streams, one after another
-        take = s_pos[_concat_ranges(np.array(starts, dtype=np.int64),
-                                   np.array(lengths, dtype=np.int64))]
+        take = s_pos[concat_ranges(np.array(starts, dtype=np.int64),
+                                  np.array(lengths, dtype=np.int64))]
         rows = {c: stream[c].to_numpy()[take] for c in self.in_cols if c in stream.columns}
         feats = self.agg.lambda_aggregate_many(
             irs, s_ts[take], rows, qts[pos],

@@ -467,13 +467,6 @@ def _append(arr, n: int, new):
     return arr
 
 
-def _concat_ranges(starts, lengths):
-    """concatenate(arange(s, s + n) for s, n in zip(starts, lengths))"""
-    ends = lengths.cumsum()
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + (starts - (ends - lengths)).repeat(lengths)
-
-
 def group_by_upload(
     group_by: GroupBy,
     batch_end_ts: int,

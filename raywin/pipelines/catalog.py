@@ -207,7 +207,7 @@ FROM p GROUP BY user_id, ts
 
 def model_scores(sf_dir: str):
     """ModelTransform over join output: the asof_ops feature pipeline scored
-    by a linear model in an actor-pool stage (ModelTransformBatchJob.scala
+    by a linear model in a map_batches task stage (ModelTransformBatchJob.scala
     run loop; MockModelBackend role played by the deterministic `linear`
     backend).  Fixed double-op accumulation order makes the score
     bitwise-reproducible, so the oracle is the asof_ops core SQL wrapped with the
@@ -777,7 +777,7 @@ FROM bg LEFT JOIN top USING (doc_id)
 def pii_scrub_docs(sf_dir: str):
     """PII scrubbing with deterministic injected PII: every doc gets a
     synthetic contact line appended (email + phone derived from doc_id), the
-    actor-pool PiiScrub stage must find and replace exactly those (plus any
+    PiiScrub stage must find and replace exactly those (plus any
     already in the text).  Both sides build the same augmented text, so the
     oracle checks the scrubbing byte for byte."""
     from ..stages.text import PiiScrub
@@ -794,8 +794,7 @@ def pii_scrub_docs(sf_dir: str):
         return df
 
     out = ds.map_batches(inject, batch_format="pandas").map_batches(
-        PiiScrub, fn_constructor_args=("text",), batch_format="pandas",
-        concurrency=(1, 4),
+        PiiScrub("text"), batch_format="pandas"
     )
     return out.select_columns(["doc_id", "n_emails", "n_phones", "clean_text"])
 
@@ -1484,8 +1483,8 @@ def langid_docs(sf_dir: str):
     from ..stages.text import LangId, QualityScore
 
     ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
-    out = ds.map_batches(LangId, batch_format="pandas", concurrency=2)
-    out = out.map_batches(QualityScore, batch_format="pandas", concurrency=2)
+    out = ds.map_batches(LangId(), batch_format="pandas")
+    out = out.map_batches(QualityScore(), batch_format="pandas")
     return out.select_columns(["doc_id", "lang", "lang_guess", "quality_score"])
 
 
@@ -2946,7 +2945,7 @@ def external_enrich(sf_dir: str):
     """Join with online external parts resolved offline (reference
     ExternalSourceRegistry.scala:30-120, Extensions.scala:1027-1056,
     Join.scala padExternalFields:90-120): a contextual part (keys pass
-    through as features), a pure-handler part replayed as an actor-pool
+    through as features), a pure-handler part replayed as a map_batches
     batch fetch, an offline-capable part riding the PITC kernel as a
     synthetic join part, and an unresolvable part null-padded."""
     from ..api import ContextualSource, ExternalPart, ExternalSource

@@ -97,15 +97,11 @@ def _semi_filtered_right(gb: GroupBy, queries, n_left: int | None):
         key_arr = np.asarray(sorted(key_vals, key=str), dtype=object)
     key_arr_ref = ray.put(key_arr)
 
-    class SemiFilter:
-        def __init__(self):
-            self.keys = ray.get(key_arr_ref)
+    def semi_filter(batch: pa.Table) -> pa.Table:
+        vals = batch[kcol].to_numpy(zero_copy_only=False)
+        return batch.filter(pa.array(np.isin(vals, ray.get(key_arr_ref))))
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vals = batch[kcol].to_numpy(zero_copy_only=False)
-            return batch.filter(pa.array(np.isin(vals, self.keys)))
-
-    return _with_scan_schema(gb, SemiFilter)
+    return _with_scan_schema(gb, semi_filter)
 
 
 def _hash_filtered_right(gb: GroupBy, queries, kcol: str):
@@ -134,27 +130,23 @@ def _hash_filtered_right(gb: GroupBy, queries, kcol: str):
         return None
     hashes_ref = ray.put(hashes)
 
-    class HashSemiFilter:
-        def __init__(self):
-            self.hashes = ray.get(hashes_ref)
+    def hash_semi_filter(batch: pa.Table) -> pa.Table:
+        hashes = ray.get(hashes_ref)
+        h = stable_hash([batch[kcol]])
+        idx = np.searchsorted(hashes, h)
+        idx[idx == len(hashes)] = 0
+        return batch.filter(pa.array(hashes[idx] == h))
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            h = stable_hash([batch[kcol]])
-            idx = np.searchsorted(self.hashes, h)
-            idx[idx == len(self.hashes)] = 0
-            mask = self.hashes[idx] == h
-            return batch.filter(pa.array(mask))
-
-    return _with_scan_schema(gb, HashSemiFilter)
+    return _with_scan_schema(gb, hash_semi_filter)
 
 
-def _with_scan_schema(gb: GroupBy, filter_cls):
+def _with_scan_schema(gb: GroupBy, row_filter):
     from .group_by import events_dataset
 
     base = events_dataset(gb)
-    out = base.map_batches(filter_cls, batch_format="pyarrow", concurrency=(1, 8))
+    out = base.map_batches(row_filter, batch_format="pyarrow")
     # the filter keeps the scan's columns: declare the scan's schema so the
-    # kernel never probes the actor-pool pipeline
+    # kernel never probes the filter's pipeline
     return declare_schema(out, _arrow_schema(base))
 
 

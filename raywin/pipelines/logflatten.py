@@ -11,8 +11,8 @@ and rows null-fill fields their version lacks (LogFlattenerJob.scala:
 150-214).
 
 Ray-Data shape: the schema registry is tiny (one row per schema version) and
-is read driver-side once; the decode itself is a stateful actor-pool
-``map_batches`` stage — schemas parse once per actor in ``__init__``, every
+is read driver-side once and its schemas parse once there, in the stage's
+constructor; the decode itself is a ``map_batches`` task stage, so every
 batch only pays the per-row JSON decode.
 """
 
@@ -72,7 +72,7 @@ def union_log_schema(schema_rows: list[tuple[str, str]]) -> tuple[dict, pa.Schem
 
 
 class FlattenLogs:
-    """Actor-pool decode stage: JSON key/value blobs -> typed columns."""
+    """map_batches decode stage: JSON key/value blobs -> typed columns."""
 
     def __init__(self, schema_rows: list[tuple[str, str]]):
         self.by_hash, self.out_schema = union_log_schema(schema_rows)
@@ -121,10 +121,4 @@ def flatten_logs(log_table: str, schema_table: str, join_name: str | None = None
     if join_name is not None:
         ds = ds.filter(expr=f"join_name == '{join_name}'")
     stage = FlattenLogs(schema_rows)
-    out = ds.map_batches(
-        FlattenLogs,
-        fn_constructor_args=(schema_rows,),
-        concurrency=2,
-        batch_format="pyarrow",
-    )
-    return declare_schema(out, stage.out_schema)
+    return declare_schema(ds.map_batches(stage, batch_format="pyarrow"), stage.out_schema)

@@ -122,29 +122,24 @@ def run_staging_query(
     return ray.data.from_arrow(table)
 
 
-class _ShardRunner:
-    """Actor-pool stage: one DuckDB per actor (views registered once in
-    __init__), one rendered date-slice SQL per __call__."""
+def _shard_runner(sq: StagingQuery, tables: dict[str, str]):
+    """map_batches stage running one rendered date-slice statement per
+    shard row on a ``SqlBatch`` connection: the setups and table views run
+    once per connection, and an interrupted statement retries on a fresh
+    one."""
+    from ..stages.query import SqlBatch
 
-    def __init__(self, sq: StagingQuery, tables: dict[str, str]):
-        from ..stages.query import get_duckdb
+    views = [f"CREATE OR REPLACE VIEW {name} AS SELECT * FROM '{path}'" for name, path in tables.items()]
+    con = SqlBatch(None, setups=list(sq.setups) + views)
 
-        self.sq = sq
-        self.tables = tables
-        self.con = get_duckdb().connect()
-        for setup in sq.setups:
-            self.con.execute(setup)
-        for name, path in tables.items():
-            self.con.execute(f"CREATE OR REPLACE VIEW {name} AS SELECT * FROM '{path}'")
-
-    def __call__(self, batch):
+    def run(batch):
         import pyarrow as pa
 
-        outs = []
-        for s, e in zip(batch["start"], batch["end"]):
-            sql = render_query(self.sq, str(s), str(e), self.tables)
-            outs.append(self.con.execute(sql).fetch_arrow_table())
+        outs = [con.execute(render_query(sq, str(s), str(e), tables))
+                for s, e in zip(batch["start"], batch["end"])]
         return pa.concat_tables(outs) if len(outs) > 1 else outs[0]
+
+    return run
 
 
 def _run_sharded(sq: StagingQuery, start_date: str, end_date: str,
@@ -163,10 +158,4 @@ def _run_sharded(sq: StagingQuery, start_date: str, end_date: str,
         for _, lo, hi in day_partitions(start_date, end_date, step_days)
     ]
     shard_ds = ray.data.from_items(specs)
-    return shard_ds.map_batches(
-        _ShardRunner,
-        fn_constructor_args=(sq, tables),
-        batch_size=1,
-        concurrency=(1, 8),
-        batch_format="pandas",
-    )
+    return shard_ds.map_batches(_shard_runner(sq, tables), batch_size=1, batch_format="pandas")

@@ -217,36 +217,6 @@ class LocalOrchestrator:
         return results
 
 
-def flow_from_join(join, output_dir: str | None = None) -> Flow:
-    """validate -> backfill -> (export) DAG for a Join config — the shape the
-    reference's adapters build from a compiled conf."""
-    from .analyzer import validate_join
-    from .pipelines.join import backfill_join
-
-    flow = Flow(f"join__{join.name}")
-    box: dict[str, Any] = {}
-
-    def _validate():
-        errs = validate_join(join, check_tables=True)
-        if errs:
-            raise ValueError(f"invalid join config: {errs}")
-        return True
-
-    def _backfill():
-        box["ds"] = backfill_join(join)
-        return box["ds"]
-
-    flow.add_step("validate", _validate)
-    flow.add_step("backfill", _backfill, deps=("validate",))
-    if output_dir:
-        def _export():
-            box["ds"].write_parquet(output_dir)
-            return output_dir
-
-        flow.add_step("export", _export, deps=("backfill",))
-    return flow
-
-
 def flow_from_backfill(
     group_by,
     left_ds_fn,

@@ -46,18 +46,33 @@ def vecs_to_numpy(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
 
 
 class _BatchTopK:
-    """Per-batch local top-k candidates vs the broadcast query matrix."""
+    """Per-batch local top-k candidates vs the broadcast query matrix.
+    With ``keep``, only the rows that ``keep(normalized vecs,
+    ray.get(keep_ref))`` marks are candidates.  The broadcasts are read on
+    the first batch of each task."""
 
-    def __init__(self, query_ref, query_ids, vec_col: str, id_col: str, k: int):
-        import ray
-
-        self.q = _normalize(np.asarray(ray.get(query_ref), dtype=np.float64))
+    def __init__(self, query_ref, query_ids, vec_col: str, id_col: str, k: int,
+                 keep=None, keep_ref=None):
+        self.query_ref = query_ref
+        self.q = None
+        self.keep = keep
+        self.keep_ref = keep_ref
+        self.keep_arg = None
         self.query_ids = np.asarray(query_ids)
         self.vec_col = vec_col
         self.id_col = id_col
         self.k = k
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        if self.q is None:
+            import ray
+
+            self.q = _normalize(np.asarray(ray.get(self.query_ref), dtype=np.float64))
+            if self.keep_ref is not None:
+                self.keep_arg = ray.get(self.keep_ref)
+        if self.keep is not None and len(batch):
+            vecs = _normalize(vecs_to_numpy(batch[self.vec_col]))
+            batch = batch.filter(pa.array(self.keep(vecs, self.keep_arg)))
         k = min(self.k, len(batch))
         cand = np.zeros((len(self.q), k), dtype=np.int64)
         sim = np.zeros(cand.shape)
@@ -136,27 +151,24 @@ def lsh_bucketed_topk(ds, query_vectors: np.ndarray, query_ids, vec_col: str, id
     for _ in range(multiprobe):
         frontier = {s ^ (1 << b) for s in frontier for b in range(n_planes)}
         q_sigs |= frontier
-    ref = ray.put(q)
-    sig_ref = ray.put((planes.planes, q_sigs))
-
-    class Pruned(_BatchTopK):
-        def __init__(self):
-            super().__init__(ref, query_ids, vec_col, id_col, k)
-            pl, sigs = ray.get(sig_ref)
-            self.planes = pl
-            self.sigs = sigs
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vecs = vecs_to_numpy(batch[self.vec_col])
-            if len(vecs):
-                signs = (_normalize(vecs) @ self.planes.T) > 0
-                sig = (signs.astype(np.uint64) << np.arange(signs.shape[1], dtype=np.uint64)).sum(axis=1)
-                mask = np.array([s in self.sigs for s in sig.tolist()])
-                batch = batch.filter(pa.array(mask))
-            return super().__call__(batch)
-
-    local = ds.map_batches(Pruned, batch_format="pyarrow", concurrency=(1, 8))
+    local = ds.map_batches(
+        _BatchTopK(ray.put(q), query_ids, vec_col, id_col, k, _lsh_keep,
+                   ray.put((planes, np.array(sorted(q_sigs), dtype=np.uint64)))),
+        batch_format="pyarrow",
+    )
     return _global_topk(local, ds, id_col, k)
+
+
+def _lsh_keep(vecs: np.ndarray, planes_sigs) -> np.ndarray:
+    """Rows whose LSH signature is one of the probed signatures."""
+    planes, sigs = planes_sigs
+    return np.isin(planes.signature(vecs), sigs)
+
+
+def _ivf_keep(vecs: np.ndarray, cells) -> np.ndarray:
+    """Rows whose nearest centroid is an allowed cell."""
+    cents, allowed = cells
+    return allowed[np.argmax(vecs @ cents.T, axis=1)]
 
 
 def train_ivf_centroids(ds, vec_col: str, n_centroids: int = 16,
@@ -203,22 +215,9 @@ def ivf_bucketed_topk(ds, query_vectors: np.ndarray, query_ids, vec_col: str,
     probe = np.argpartition(-sims_qc, npb - 1, axis=1)[:, :npb]
     allowed = np.zeros(centroids.shape[0], dtype=bool)
     allowed[np.unique(probe)] = True
-    ref = ray.put(np.asarray(query_vectors, dtype=np.float64))
-    cell_ref = ray.put((centroids, allowed))
-
-    class IvfPruned(_BatchTopK):
-        def __init__(self):
-            super().__init__(ref, query_ids, vec_col, id_col, k)
-            cents, mask = ray.get(cell_ref)
-            self.cents = cents
-            self.allowed = mask
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            vecs = vecs_to_numpy(batch[self.vec_col])
-            if len(vecs):
-                cell = np.argmax(_normalize(vecs) @ self.cents.T, axis=1)
-                batch = batch.filter(pa.array(self.allowed[cell]))
-            return super().__call__(batch)
-
-    local = ds.map_batches(IvfPruned, batch_format="pyarrow", concurrency=(1, 8))
+    local = ds.map_batches(
+        _BatchTopK(ray.put(np.asarray(query_vectors, dtype=np.float64)), query_ids, vec_col,
+                   id_col, k, _ivf_keep, ray.put((centroids, allowed))),
+        batch_format="pyarrow",
+    )
     return _global_topk(local, ds, id_col, k)

@@ -2,7 +2,7 @@
 
 Completes the multimodal stage set (decode / feature-extract / resize /
 frame-sample) for the audio modality: a seekable deterministic container
-(``qaud``) plus an actor-pool ``map_batches`` stage that decodes ONLY the
+(``qaud``) plus a ``map_batches`` task stage that decodes ONLY the
 sampled windows of each clip and emits vectorized per-window features
 (RMS, zero-crossing rate, spectral centroid).  Same scale posture as the
 video stage (stages/video.py): a k-of-n uniform sample touches k windows'
@@ -196,7 +196,7 @@ def snr_db(truth: np.ndarray, decoded: np.ndarray) -> np.ndarray:
 
 
 class AudioWindowStage:
-    """Actor-pool map_batches stage: probe each clip's header, uniformly
+    """map_batches task stage: probe each clip's header, uniformly
     sample ~k windows (same SQL-reproducible stride rule as the video
     stage: ``window_idx % ceil(n/k) == 0``), seek-decode only those, emit
     one row per sampled window with audio features.  The payload column is

@@ -12,9 +12,9 @@ Offline semantics per ExternalPart, in priority order:
 2. **offline_group_by set** — the part becomes a synthetic JoinPart whose
    output prefix is the external part's full name, and rides the normal
    chained PITC kernel (one co-partition shuffle like any other part).
-3. **deterministic handler registered** — the batch handler runs as an
-   actor-pool ``map_batches`` stage: handler resolved once per actor in
-   ``__init__``, per-batch fetch over the mapped key columns.  This is the
+3. **deterministic handler registered** — the batch handler runs in a
+   ``map_batches`` task stage: one handler fetch per batch over the mapped
+   key columns.  This is the
    offline replay of the online fetch — only valid for handlers that are
    pure functions of their keys (the registry tracks that flag).
 4. **otherwise** — value columns null-padded so downstream derivations
@@ -72,7 +72,7 @@ REGISTRY = ExternalSourceRegistry()
 
 
 class _HandlerFetch:
-    """Actor-pool stage: offline replay of a pure external handler."""
+    """map_batches stage: offline replay of a pure external handler."""
 
     def __init__(self, handler: Callable, part_key_cols: list[str],
                  source_keys: list[str], value_cols: dict[str, tuple[str, pa.DataType]]):
@@ -177,9 +177,7 @@ def enrich_external(out, join, out_names: list[str],
                 for f, dt in src.value_schema.items()
             }
             out = _appended(out, out.map_batches(
-                _HandlerFetch,
-                fn_constructor_args=(handler, left_keys, list(src.key_schema), value_cols),
-                concurrency=(1, 8),
+                _HandlerFetch(handler, left_keys, list(src.key_schema), value_cols),
                 batch_format="pyarrow",
             ), [pa.field(c, t) for c, (_, t) in value_cols.items()])
             out_names = out_names + list(value_cols)

@@ -26,8 +26,8 @@ so the codecs are implemented from scratch on stdlib zlib:
              "PSNR >= 40 dB for lossy formats" invariant end-to-end
 
 A production deployment would swap `decode_image`'s WebP branch for a real
-library decode inside the same actor signature — the Ray-side plumbing
-(schema, batch size, actor pool, output layout) is real and tested.
+library decode inside the same stage signature — the Ray-side plumbing
+(schema, batch size, map tasks, output layout) is real and tested.
 """
 
 from __future__ import annotations
@@ -693,7 +693,7 @@ def resize_bilinear(px: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 class ResizeStage:
-    """Actor-pool map_batches stage: decode -> bilinear resize to a fixed
+    """map_batches task stage: decode -> bilinear resize to a fixed
     (out_h, out_w) -> emit raw RGB tensors as fixed-size binary + features
     at the target resolution.  The training-data preprocessing shape:
     payload bytes are REPLACED by the normalized tensor, never both ride.

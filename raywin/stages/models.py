@@ -5,9 +5,9 @@ pre-model-transform join output, run the ModelBackend over it, write
 row_ids + model outputs), ModelBackend.scala (pluggable inference),
 api.thrift:468-486 (Model / ModelTransform / ModelTransforms).
 
-Ray-native design: ONE actor-pool ``map_batches`` stage.  Each actor builds
-every model once in ``__init__`` (weights resolved from ``ray.ObjectRef``
-params there — broadcast once per actor, never per batch) and scores a whole
+Ray-native design: ONE ``map_batches`` task stage.  Each task builds every
+model on its first batch (weights resolved from ``ray.ObjectRef`` params
+there — one object-store read per task, never per batch) and scores a whole
 Arrow batch vectorized in ``__call__``.  Model backends are a registry of
 factories so a deployment can plug real inference (the MockModelBackend role
 in ModelTransformsTest.scala is played by the deterministic built-ins here).
@@ -19,7 +19,7 @@ Built-in backends:
     binary (z > 0).  Null features impute to ``params["impute"]`` (0.0).
   * ``hash_embedding`` — deterministic pseudo-embedding of a string column:
     tokens -> splitmix64 -> signed bucket sums, L2-normalized.  Stands in
-    for a real text encoder with the same batch/actor plumbing.
+    for a real text encoder with the same batch plumbing.
 """
 
 from __future__ import annotations
@@ -145,17 +145,21 @@ def _build(model, backends=None) -> object:
 
 
 class ModelScorer:
-    """Actor-pool map_batches stage: models built ONCE per actor in
-    __init__ (weight ObjectRefs resolved here — one object-store read per
-    actor, not per batch); __call__ scores a whole Arrow batch vectorized."""
+    """map_batches task stage: models built ONCE per task, on its first
+    batch (weight ObjectRefs resolved there — one object-store read per
+    task, not per batch); __call__ scores a whole Arrow batch vectorized."""
 
     def __init__(self, transforms: list[ModelTransform], keep: list[str], backends=None):
         # `backends` is the driver-side registry snapshot (cloudpickled into
-        # the actor) so register_model_backend() works across worker processes
-        self.specs = [(mt, _build(mt.model, backends)) for mt in transforms]
+        # the task) so register_model_backend() works across worker processes
+        self.transforms = transforms
+        self.backends = backends
+        self.specs = None
         self.keep = keep
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        if self.specs is None:
+            self.specs = [(mt, _build(mt.model, self.backends)) for mt in self.transforms]
         cols: dict[str, object] = {
             c: batch[c] for c in self.keep if c in batch.column_names
         }
@@ -189,16 +193,10 @@ def apply_model_transforms(
     """Score a join-output Dataset: returns row_ids + passthrough fields +
     one column per model output (ModelTransformBatchJob.scala:100-127 run
     loop — here the range stepping lives in the caller / backfill manifest
-    and the scoring itself is one streaming actor-pool stage)."""
+    and the scoring itself is one streaming task stage)."""
     keep = list(row_ids) + list(model_transforms.passthrough_fields or [])
     return ds.map_batches(
-        ModelScorer,
-        fn_constructor_kwargs={
-            "transforms": model_transforms.transforms,
-            "keep": keep,
-            "backends": dict(MODEL_BACKENDS),
-        },
+        ModelScorer(model_transforms.transforms, keep, dict(MODEL_BACKENDS)),
         batch_format="pyarrow",
         batch_size=8192,
-        concurrency=(1, 8),
     )

@@ -4,9 +4,8 @@ batch with DuckDB (zero-copy over Arrow).
 The reference uses ONE expression dialect (Spark SQL) for offline scans and
 online row eval (api/.../QueryUtils.scala:1-57, online/.../CatalystUtil.scala);
 we mirror the invariant with DuckDB SQL applied per batch inside
-``map_batches``.  Stateful: the DuckDB connection is built once per actor
-(__init__), used per batch (__call__) — the actor-pool pattern for stateful
-stages.
+``map_batches`` tasks.  Stateful: the DuckDB connection is built on a task's
+first batch and used for the task's every batch (__call__).
 """
 
 from __future__ import annotations
@@ -100,19 +99,24 @@ def build_select_sql(query: Query, relation: str = "batch") -> str | None:
 
 
 class SqlBatch:
-    """map_batches callable class evaluating one SQL statement per Arrow batch.
+    """map_batches callable evaluating one SQL statement per Arrow batch.
 
-    Use as ``ds.map_batches(SqlBatch(sql), batch_format="pyarrow",
-    concurrency=N)`` — connection warm-up amortized across batches.
+    Use as ``ds.map_batches(SqlBatch(sql), batch_format="pyarrow")`` — each
+    task opens its connection on its first batch and reuses it for the rest.
     """
 
-    def __init__(self, sql: str, relation: str = "batch", setups: list[str] | None = None):
+    def __init__(self, sql: str | None, relation: str = "batch", setups: list[str] | None = None):
         self.sql = sql
         self.relation = relation
         self.setups = list(setups or [])  # UDF/macro DDL, once per connection
         self._con = None
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        return self.execute(self.sql, batch)
+
+    def execute(self, sql: str, batch: pa.Table | None = None) -> pa.Table:
+        """``sql``'s result, with ``batch`` registered as the relation when
+        given."""
         # Retry on "Query interrupted": Ray cancels an abandoned execution's
         # tasks with SIGINT, and in a REUSED worker the signal can land while
         # the NEXT task is mid-query — duckdb translates it into an
@@ -124,8 +128,10 @@ class SqlBatch:
                     self._con = get_duckdb().connect(":memory:")
                     for stmt in self.setups:
                         self._con.execute(stmt)
+                if batch is None:
+                    return self._con.execute(sql).fetch_arrow_table()
                 self._con.register(self.relation, batch)
-                out = self._con.execute(self.sql).fetch_arrow_table()
+                out = self._con.execute(sql).fetch_arrow_table()
                 self._con.unregister(self.relation)
                 return out
             except (Exception, KeyboardInterrupt) as e:

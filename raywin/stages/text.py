@@ -1,6 +1,7 @@
 """Text analysis stages: token counting, quality scoring, language-ID,
-document fingerprinting.  All vectorized pandas/numpy inside map_batches;
-regexes compiled once per actor (callable-class pattern)."""
+document fingerprinting.  All vectorized pandas/numpy inside map_batches
+tasks; each stage is an instance whose regexes compile once, in its
+constructor."""
 
 from __future__ import annotations
 
@@ -202,7 +203,7 @@ class RepetitionStats:
 class PiiScrub:
     """PII scrubbing for corpus prep: emails then phone-like digit runs are
     replaced with placeholder tokens, with per-row match counts.  Patterns
-    compiled once per actor (callable-class / actor-pool pattern); RE2-safe
+    compiled once, in the constructor; RE2-safe
     syntax so the DuckDB oracle (regexp_replace/regexp_extract_all) matches
     byte for byte.  Order is part of the contract: emails are counted and
     replaced on the original text, phones on the email-scrubbed text."""
@@ -418,15 +419,19 @@ class _TfIdfTopK:
     a doc's tokens never leave the block, so no shuffle at any corpus size."""
 
     def __init__(self, df_ref, n_docs: int, k: int, text_col: str, id_col: str):
-        import ray
-
         self.inner = _DocFreqPartials(text_col)
-        terms, dfs = ray.get(df_ref)
-        self.df_map = dict(zip(terms, np.log(n_docs / dfs)))
+        self.df_ref = df_ref
+        self.n_docs = n_docs
+        self.df_map = None  # term -> idf, built on the first batch of each task
         self.k = k
         self.id_col = id_col
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
+        if self.df_map is None:
+            import ray
+
+            terms, dfs = ray.get(self.df_ref)
+            self.df_map = dict(zip(terms, np.log(self.n_docs / dfs)))
         lens, flat = self.inner.doc_terms(batch)
         if not len(flat):
             return pd.DataFrame(
@@ -485,15 +490,7 @@ def tfidf_top_terms(ds, text_col: str, id_col: str, k: int = 3,
     df_ref = ray.put(
         (dft["term"].to_numpy(dtype=object), dft["df"].to_numpy().astype(np.float64))
     )
-    return ds.map_batches(
-        _TfIdfTopK,
-        fn_constructor_kwargs={
-            "df_ref": df_ref, "n_docs": n_docs, "k": k,
-            "text_col": text_col, "id_col": id_col,
-        },
-        batch_format="pandas",
-        concurrency=(1, 8),
-    )
+    return ds.map_batches(_TfIdfTopK(df_ref, n_docs, k, text_col, id_col), batch_format="pandas")
 
 
 class _TermFreqPartials:
@@ -530,15 +527,18 @@ class _LmScore:
     the harness's round(6) hash."""
 
     def __init__(self, tf_ref, total_tokens: int, text_col: str, id_col: str):
-        import ray
-
         self.inner = _DocFreqPartials(text_col)
-        terms, cnts = ray.get(tf_ref)
-        self.cnt_map = pd.Series(np.log(cnts), index=terms)
+        self.tf_ref = tf_ref
+        self.cnt_map = None  # term -> ln count, built on the first batch of each task
         self.ln_total = float(np.log(total_tokens)) if total_tokens else 0.0
         self.id_col = id_col
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
+        if self.cnt_map is None:
+            import ray
+
+            terms, cnts = ray.get(self.tf_ref)
+            self.cnt_map = pd.Series(np.log(cnts), index=terms)
         lens, flat = self.inner.doc_terms(batch)
         n = len(batch)
         n_tok = lens.astype(np.int64)
@@ -598,15 +598,7 @@ def lm_quality(ds, text_col: str, id_col: str, broadcast_cutoff: int = 5_000_000
     tf_ref = ray.put(
         (tft["term"].to_numpy(dtype=object), tft["tf"].to_numpy().astype(np.float64))
     )
-    return ds.map_batches(
-        _LmScore,
-        fn_constructor_kwargs={
-            "tf_ref": tf_ref, "total_tokens": total,
-            "text_col": text_col, "id_col": id_col,
-        },
-        batch_format="pandas",
-        concurrency=(1, 8),
-    )
+    return ds.map_batches(_LmScore(tf_ref, total, text_col, id_col), batch_format="pandas")
 
 
 class _ContamScore:
@@ -617,15 +609,15 @@ class _ContamScore:
 
     def __init__(self, bench_ref, n: int, min_overlap: int,
                  text_col: str, id_col: str):
-        import ray
-
-        self.bench = ray.get(bench_ref)  # sorted uint64 gram hashes
+        self.bench_ref = bench_ref  # sorted uint64 gram hashes
         self.n = n
         self.min_overlap = min_overlap
         self.text_col = text_col
         self.id_col = id_col
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
+        import ray
+
         n_rows = len(batch)
         n_grams = np.zeros(n_rows, dtype=np.int64)
         n_overlap = np.zeros(n_rows, dtype=np.int64)
@@ -638,10 +630,11 @@ class _ContamScore:
             keep[1:] = (pos[1:] != pos[:-1]) | (gh[1:] != gh[:-1])
             gh, pos = gh[keep], pos[keep]
             np.add.at(n_grams, pos, 1)
-            if len(self.bench):
-                idx = np.searchsorted(self.bench, gh)
-                idx[idx == len(self.bench)] = 0
-                hit = self.bench[idx] == gh
+            bench = ray.get(self.bench_ref)
+            if len(bench):
+                idx = np.searchsorted(bench, gh)
+                idx[idx == len(bench)] = 0
+                hit = bench[idx] == gh
                 np.add.at(n_overlap, pos[hit], 1)
         return pd.DataFrame(
             {
@@ -690,11 +683,5 @@ def decontaminate(ds, bench_ds, text_col: str, id_col: str, n: int = 5,
     ghs = np.sort(uniq.to_pandas()["gh"].to_numpy().view(np.uint64))
     bench_ref = ray.put(ghs)
     return ds.map_batches(
-        _ContamScore,
-        fn_constructor_kwargs={
-            "bench_ref": bench_ref, "n": n, "min_overlap": min_overlap,
-            "text_col": text_col, "id_col": id_col,
-        },
-        batch_format="pandas",
-        concurrency=(1, 8),
+        _ContamScore(bench_ref, n, min_overlap, text_col, id_col), batch_format="pandas"
     )

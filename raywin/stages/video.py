@@ -2,7 +2,7 @@
 
 The multimodal stage set is decode / feature-extract / resize /
 frame-sample; this module supplies the last one: a seekable deterministic
-container (``qvid``) plus an actor-pool ``map_batches`` stage that decodes
+container (``qvid``) plus a ``map_batches`` task stage that decodes
 ONLY the sampled frames of each video.  At 100-TB scale that seekability is
 the whole point — a k-of-n uniform sample touches k frames' compressed
 bytes, never the full payload, and the payload column is dropped before any
@@ -138,7 +138,7 @@ def make_frames_for(video_id: str, indices, w: int, h: int) -> np.ndarray:
 
 
 class FrameSampleStage:
-    """Actor-pool map_batches stage: probe each video's header, uniformly
+    """map_batches task stage: probe each video's header, uniformly
     sample ~k frames, seek-decode only those, emit one row per sampled frame
     with pixel features.  The payload column is dropped from the output —
     bytes never ride past this stage.

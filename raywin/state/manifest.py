@@ -69,11 +69,6 @@ def write_manifest(
     return manifest
 
 
-def is_complete(output_dir: str, partition: str, semantic_hash: str) -> bool:
-    m = read_manifest(output_dir, partition)
-    return m is not None and m.get("semantic_hash") == semantic_hash
-
-
 def unfilled_partitions(
     output_dir: str,
     partitions: list[str],

@@ -7,8 +7,9 @@ null in an int key column does not move that column's other keys, the
 kernel matches NaiveOracle at one exchange partition and at several, an
 empty side changes nothing, the kernel operator keeps its name, a plan over
 static side schemas never probes Dataset.schema, a block the sort hands
-back as pandas still reaches an Arrow fn with the declared types, and
-co_partition is the only keyed exchange, Arrow only."""
+back as pandas still reaches an Arrow fn with the declared types,
+co_partition is the only keyed exchange, Arrow only, and every map stage
+runs as tasks, never as an actor pool."""
 
 import uuid
 
@@ -343,3 +344,31 @@ def test_one_arrow_exchange_call():
     root = pathlib.Path(raywin.__file__).parent
     users = [str(p.relative_to(root)) for p in root.rglob("*.py") if ".map_groups(" in p.read_text()]
     assert users == []
+
+
+def test_every_map_stage_runs_as_tasks():
+    """No ``map_batches`` under raywin/ builds an actor pool: none passes a
+    class (only a function or a constructed instance), ``concurrency=``,
+    ``compute=`` or constructor arguments.  A pool holds its CPUs for the
+    stage's whole run, so at a small CPU count it can starve the tasks that
+    feed it."""
+    import ast
+    import pathlib
+
+    import raywin
+
+    root = pathlib.Path(raywin.__file__).parent
+    trees = {str(p.relative_to(root)): ast.parse(p.read_text()) for p in root.rglob("*.py")}
+    classes = {n.name for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.ClassDef)}
+    pool_kwargs = {"concurrency", "compute", "fn_constructor_args", "fn_constructor_kwargs"}
+    bad = []
+    for path, tree in trees.items():
+        for n in ast.walk(tree):
+            if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "map_batches"):
+                continue
+            fn = n.args[0] if n.args else None
+            named = fn.id if isinstance(fn, ast.Name) else fn.attr if isinstance(fn, ast.Attribute) else None
+            if named in classes or pool_kwargs & {k.arg for k in n.keywords}:
+                bad.append(f"{path}:{n.lineno}")
+    assert bad == []

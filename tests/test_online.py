@@ -558,10 +558,10 @@ def test_fold_segments_matches_sequential_fold(n, n_segs, dtype, seed):
                 assert fg == fe, (type(op).__name__, s, e)
 
 
-@pytest.mark.parametrize("kind", ["int64", "int32", "float", "str", "mixed"])
+@pytest.mark.parametrize("kind", ["int64", "int32", "float", "float32", "str", "mixed"])
 def test_approx_unique_count_fold_segments_registers(kind, monkeypatch):
     """ApproxUniqueCount.fold_segments gives registers byte-identical to the
-    sequential fold.  Int, float64 and all-str columns are hashed in one
+    sequential fold.  Int, float and all-str columns are hashed in one
     call, with no per-value prepare/update; a mixed object column, where one
     call would hash the ints as strings, keeps the sequential fold."""
     from raywin.aggregator.scalar_ops import ApproxUniqueCount, ScalarOp
@@ -573,6 +573,7 @@ def test_approx_unique_count_fold_segments_registers(kind, monkeypatch):
         "int64": ints,
         "int32": ints.astype(np.int32),
         "float": np.concatenate([rng.normal(0, 1e3, n - 4), [0.0, -0.0, np.inf, -np.inf]]),
+        "float32": rng.normal(0, 1e3, n).astype(np.float32),
         "str": np.array([f"s{v}" for v in ints.tolist()], dtype=object),
         "mixed": np.array([v if v % 3 else f"{v}" for v in ints.tolist()], dtype=object),
     }[kind]
@@ -585,6 +586,39 @@ def test_approx_unique_count_fold_segments_registers(kind, monkeypatch):
         monkeypatch.setattr(ApproxUniqueCount, "update", None)
     got = [sk.registers.tobytes() for sk in op.fold_segments(vals, ts, starts)]
     assert got == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8])
+def test_hash64_float32_hashes_each_value_as_float64(n):
+    """A float32 array hashes each value as its float64 widening: odd
+    lengths do not raise and even lengths do not hash pairs of values as
+    one."""
+    from raywin.aggregator.sketches import hash64
+
+    vals = np.random.default_rng(n).normal(0, 1e3, n).astype(np.float32)
+    want = hash64(vals.astype(np.float64))
+    assert np.array_equal(hash64(vals), want)
+    assert [hash64([v])[0] for v in vals] == want.tolist()
+
+
+def test_approx_unique_count_clone_is_independent(monkeypatch):
+    """ApproxUniqueCount.clone copies the registers byte for byte, without
+    the deep copy of ScalarOp's default clone, and updating or merging into
+    the clone leaves the original as it was."""
+    import copy
+
+    from raywin.aggregator.scalar_ops import ApproxUniqueCount
+
+    monkeypatch.setattr(copy, "deepcopy", None)
+    op = ApproxUniqueCount()
+    ir = op.fold_segments(np.arange(50), np.arange(50), np.array([0]))[0]
+    before = ir.registers.tobytes()
+    twin = op.clone(ir)
+    assert type(twin) is type(ir) and twin.lgk == ir.lgk
+    assert twin.registers.tobytes() == before
+    op.merge(op.update(twin, 10**9), op.prepare("x"))
+    assert twin.registers.tobytes() != before
+    assert ir.registers.tobytes() == before
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 connection.  Ray cancels an abandoned execution's tasks with SIGINT; in a
 reused worker the signal can land while the next task is mid-query, and
 DuckDB reports it as an interrupt (or Python raises KeyboardInterrupt).
-These tests drive ``SqlBatch.__call__`` in-process over stub connections
-from ``get_duckdb``, so they fail if the retry loop is removed."""
+These tests drive ``SqlBatch.__call__`` and a sharded StagingQuery's
+statements in-process over stub connections from ``get_duckdb``, so they
+fail if the retry loop is removed or the staging shards bypass it."""
 
 import pyarrow as pa
 import pytest
@@ -86,3 +87,21 @@ def test_three_interrupts_propagate(stub_duckdb):
     with pytest.raises(RuntimeError, match="interrupted"):
         query.SqlBatch("SELECT sum(x) AS y FROM batch")(BATCH)
     assert len(conns) == 3
+
+
+def test_staging_shard_retried_on_fresh_connection(stub_duckdb):
+    """A sharded StagingQuery runs each date slice through SqlBatch: an
+    interrupted statement re-opens the connection, which re-creates the
+    table views before the statement runs again."""
+    import pandas as pd
+
+    from raywin.pipelines.staging import StagingQuery, _shard_runner
+
+    answer = pa.table({"n": [1]})
+    view = pa.table({})
+    conns = stub_duckdb(view, INTERRUPT, view, answer)
+    sq = StagingQuery(query="SELECT count(*) AS n FROM t WHERE d BETWEEN '{{ start_date }}' AND '{{ end_date }}'")
+    run = _shard_runner(sq, {"t": "t.parquet"})
+    out = run(pd.DataFrame({"start": ["1995-01-01"], "end": ["1995-01-07"]}))
+    assert out is answer
+    assert [c.executed for c in conns] == [2, 2]
