@@ -20,8 +20,9 @@ cross-engine-reproducible family.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
-import pandas as pd
 
 from ..aggregator.sketches import splitmix64
 
@@ -50,9 +51,11 @@ def _pows(n: int) -> np.ndarray:
     return _POW_CACHE[0]
 
 
-def normalize_ws(texts: pd.Series) -> pd.Series:
-    """Collapse ASCII whitespace runs to ' ' and strip spaces."""
-    return texts.fillna("").str.replace(WS_PATTERN, " ", regex=True).str.strip(" ")
+def normalize_ws(texts) -> list[str]:
+    """A sequence of texts (null as '') with ASCII whitespace runs collapsed
+    to ' ' and spaces stripped."""
+    sub = re.compile(WS_PATTERN).sub
+    return [sub(" ", t or "").strip(" ") for t in texts]
 
 
 def codepoints_concat(texts) -> tuple[np.ndarray, np.ndarray]:

@@ -784,17 +784,15 @@ def pii_scrub_docs(sf_dir: str):
 
     ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
-    def inject(df):
-        d = df["doc_id"].astype("string")
-        df = df.copy()
-        df["text"] = (
-            df["text"].fillna("")
-            + " contact: user" + d + "@example.com or +1 (555) 010-" + d
+    def inject(t: pa.Table) -> pa.Table:
+        d = pc.cast(t["doc_id"], pa.string())
+        text = pc.binary_join_element_wise(
+            pc.fill_null(t["text"], ""), " contact: user", d, "@example.com or +1 (555) 010-", d, ""
         )
-        return df
+        return t.set_column(t.schema.get_field_index("text"), "text", text)
 
-    out = ds.map_batches(inject, batch_format="pandas").map_batches(
-        PiiScrub("text"), batch_format="pandas"
+    out = ds.map_batches(inject, batch_format="pyarrow").map_batches(
+        PiiScrub("text"), batch_format="pyarrow"
     )
     return out.select_columns(["doc_id", "n_emails", "n_phones", "clean_text"])
 
@@ -820,19 +818,22 @@ def paragraph_dedup_docs(sf_dir: str):
     text is deterministically re-chunked into 10-word paragraphs (same regex
     in the SQL oracle), then every paragraph keeps only its first
     (doc, position) occurrence and documents are reassembled."""
+    import re
+
     from ..stages.dedup import dedup_paragraphs
 
     ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+    ten_words = re.compile(r"((?:\S+ ){9}\S+) ")
 
-    def chunk(df):
-        df = df.copy()
-        df["text"] = df["text"].fillna("").str.replace(
-            r"((?:\S+ ){9}\S+) ", "\\1\n\n", regex=True
-        )
-        return df
+    def chunk(t: pa.Table) -> pa.Table:
+        i = t.schema.get_field_index("text")
+        f = t.schema.field(i)
+        text = pa.array([ten_words.sub("\\1\n\n", x or "") for x in t["text"].to_pylist()], f.type)
+        return t.set_column(i, f, text).replace_schema_metadata()
 
-    # chunk keeps the reader's columns and types
-    chunked = declare_schema(ds.map_batches(chunk, batch_format="pandas"), _arrow_schema(ds))
+    # chunk keeps the reader's columns and types; it drops the file's pandas
+    # metadata, which Ray's block-schema dedup cannot hash
+    chunked = declare_schema(ds.map_batches(chunk, batch_format="pyarrow"), _arrow_schema(ds))
     out = dedup_paragraphs(chunked, "text", "doc_id")
     return out.select_columns(["doc_id", "n_paras", "n_dropped", "clean_text"])
 
@@ -1015,22 +1016,19 @@ def token_pack_docs(sf_dir: str):
     first/last block via the two-level distributed prefix sum in
     stages/splits.py:token_pack (exchange bounded by #id-ranges, all-integer
     so bit-exact cross-engine)."""
+    import re
+
     from ..stages.splits import token_pack
-    from ..stages.text import _GRAM_TOK_PAT
+    from ..stages.text import _GRAM_TOK_PAT, _count, _texts
 
-    def add_ntok(df):
-        import re
+    tok = re.compile(_GRAM_TOK_PAT)
 
-        df = df.copy()
-        df["n_tok"] = (
-            df["text"].fillna("").str.lower()
-            .str.count(_GRAM_TOK_PAT)
-            .astype("int64")
-        )
-        return df[["doc_id", "n_tok"]]
+    def add_ntok(t: pa.Table) -> pa.Table:
+        n_tok = _count(tok, [x.lower() for x in _texts(t["text"].to_pylist())])
+        return pa.table({"doc_id": t["doc_id"], "n_tok": n_tok})
 
     ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    counted = ds.map_batches(add_ntok, batch_format="pandas")
+    counted = ds.map_batches(add_ntok, batch_format="pyarrow")
     return token_pack(counted, "doc_id", "n_tok", block=_PACK_BLOCK, range_width=100)
 
 
@@ -1141,14 +1139,14 @@ def doc_signals(sf_dir: str):
     thr = int(exact_quantile_by_counting(read_parquet(path, columns=["n_chars"]), "n_chars", 0.5))
     stages = [TextStats("text"), TokenCount("text"), RepetitionStats("text"), Fingerprint("text")]
 
-    def signals(df: pd.DataFrame) -> pd.DataFrame:
+    def signals(t: pa.Table) -> pa.Table:
         for stage in stages:
-            df = stage(df)
-        return df.assign(above_median=df["n_chars"] >= thr)
+            t = stage(t)
+        return t.append_column("above_median", pc.fill_null(pc.greater_equal(t["n_chars"], thr), False))
 
     cols = ["doc_id", "text", "n_chars"]
     ds = percentile_rank_column(read_parquet(path, columns=cols), "n_chars", keep_cols=cols)
-    ds = ds.map_batches(signals, batch_format="pandas").map_batches(
+    ds = ds.map_batches(signals, batch_format="pyarrow").map_batches(
         SimHash("text"), batch_format="pyarrow"
     )
     return hash_split(ds, "doc_id").drop_columns(["text", "upper_ratio"])
@@ -1483,8 +1481,8 @@ def langid_docs(sf_dir: str):
     from ..stages.text import LangId, QualityScore
 
     ds = read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"])
-    out = ds.map_batches(LangId(), batch_format="pandas")
-    out = out.map_batches(QualityScore(), batch_format="pandas")
+    out = ds.map_batches(LangId(), batch_format="pyarrow")
+    out = out.map_batches(QualityScore(), batch_format="pyarrow")
     return out.select_columns(["doc_id", "lang", "lang_guess", "quality_score"])
 
 
@@ -2522,17 +2520,17 @@ def event_type_aggs(sf_dir: str):
         {c: c for c in maps},
     )
 
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        exact = df["user_id_unique_count"].astype("int64")
-        est = df["user_id_approx_unique_count"].astype("float64")
+    def finish(t: pa.Table) -> pa.Table:
+        exact = t["user_id_unique_count"].to_numpy().astype(np.int64)
+        est = t["user_id_approx_unique_count"].to_numpy().astype(np.float64)
         # HLL lgk=10: std err 1.04/sqrt(1024) ~ 3.2%; 4 sigma + small slack
-        hll_ok = (est - exact).abs() <= np.maximum(5.0, 0.13 * exact)
-        p50 = df["value_approx_percentile"].map(lambda v: None if v is None else v[0])
-        return df[["event_type", "ts", "mkey"] + maps].assign(
-            exact_uniques=exact, hll_ok=hll_ok.astype(bool), p50=p50.astype("float64")
-        )
+        hll_ok = np.abs(est - exact) <= np.maximum(5.0, 0.13 * exact)
+        p50 = pc.list_element(t["value_approx_percentile"], 0).cast(pa.float64())
+        out = t.select(["event_type", "ts", "mkey"] + maps)
+        return out.append_column("exact_uniques", pa.array(exact)).append_column(
+            "hll_ok", pa.array(hll_ok)).append_column("p50", p50)
 
-    return rows.map_batches(finish, batch_format="pandas")
+    return rows.map_batches(finish, batch_format="pyarrow")
 
 
 MAP_COLUMN_SQL = f"""

@@ -135,8 +135,8 @@ def _shard_runner(sq: StagingQuery, tables: dict[str, str]):
     def run(batch):
         import pyarrow as pa
 
-        outs = [con.execute(render_query(sq, str(s), str(e), tables))
-                for s, e in zip(batch["start"], batch["end"])]
+        outs = [con.execute(render_query(sq, s, e, tables))
+                for s, e in zip(batch["start"].to_pylist(), batch["end"].to_pylist())]
         return pa.concat_tables(outs) if len(outs) > 1 else outs[0]
 
     return run
@@ -158,4 +158,4 @@ def _run_sharded(sq: StagingQuery, start_date: str, end_date: str,
         for _, lo, hi in day_partitions(start_date, end_date, step_days)
     ]
     shard_ds = ray.data.from_items(specs)
-    return shard_ds.map_batches(_shard_runner(sq, tables), batch_size=1, batch_format="pandas")
+    return shard_ds.map_batches(_shard_runner(sq, tables), batch_size=1, batch_format="pyarrow")

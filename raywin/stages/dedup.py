@@ -37,8 +37,8 @@ def minhash_signatures_batch(
         window_horner,
     )
 
-    norm = normalize_ws(pd.Series(list(texts)))
-    cp, off = codepoints_concat(norm.tolist())
+    norm = normalize_ws(texts)
+    cp, off = codepoints_concat(norm)
     sh, sh_off = window_horner(cp, off, width)
     seeds = minhash_seeds(num_perm)
     n = len(norm)
@@ -271,25 +271,17 @@ def dedup_paragraphs(ds, text_col: str, id_col: str, sep: str = "\n\n"):
     every paragraph lost survives as an empty string, so row count is
     preserved."""
     from ..functions.texthash import horner_texts, to_signed
+    from ..stages.text import _explode, _lens, _texts
 
-    def explode(batch: pd.DataFrame) -> pd.DataFrame:
-        s = batch[text_col].fillna("")
-        paras = s.str.split(sep)
-        counts = paras.str.len().to_numpy(dtype=np.int64)
-        total = int(counts.sum())
-        off = np.zeros(len(counts), dtype=np.int64)
-        np.cumsum(counts[:-1], out=off[1:])
-        idx = np.arange(total, dtype=np.int64) - np.repeat(off, counts)
-        flat = paras.explode()
-        return pd.DataFrame(
-            {
-                id_col: np.repeat(batch[id_col].to_numpy(), counts),
-                "idx": idx,
-                "para": flat.to_numpy(),
-                "h": to_signed(horner_texts(flat.tolist())),
-                "plen": flat.str.len().to_numpy(dtype=np.int64),
-            }
-        )
+    def explode(batch: pa.Table) -> pa.Table:
+        _, rows, idx, flat = _explode([t.split(sep) for t in _texts(batch[text_col].to_pylist())])
+        return pa.table({
+            id_col: batch[id_col].take(rows),
+            "idx": idx,
+            "para": pa.array(flat, pa.string()),
+            "h": to_signed(horner_texts(flat)),
+            "plen": _lens(flat),
+        })
 
     def mark_losers(t: pa.Table) -> pa.Table:
         # winner per (hash, len) = corpus-wide min (doc, position); all
@@ -297,25 +289,24 @@ def dedup_paragraphs(ds, text_col: str, id_col: str, sep: str = "\n\n"):
         t, _, pos = sort_by_key(t, ["h", "plen"], [(id_col, "ascending"), ("idx", "ascending")])
         return t.filter(pos > 0).select([id_col, "idx"])
 
-    def rebuild(t: pa.Table) -> pd.DataFrame:
-        g = t.to_pandas()  # pandas string ops: the kernel
-        texts = g[g[SIDE_COL] == 0]
-        losers = g[g[SIDE_COL] == 1]
-        keep = ~pd.MultiIndex.from_frame(texts[[id_col, "idx"]]).isin(
-            pd.MultiIndex.from_frame(losers[[id_col, "idx"]])
-        )
-        kept = texts[keep].sort_values("idx", kind="stable")
-        agg = kept.groupby(id_col, sort=False)["para"].agg(sep.join)
-        out = texts.groupby(id_col, sort=False).size().rename("n_paras").reset_index()
-        kept_n = kept.groupby(id_col, sort=False).size()
-        out["n_dropped"] = (
-            out["n_paras"] - out[id_col].map(kept_n).fillna(0)
-        ).astype("int64")
-        out["n_paras"] = out["n_paras"].astype("int64")
-        out["clean_text"] = out[id_col].map(agg).fillna("")
-        return out[[id_col, "n_paras", "n_dropped", "clean_text"]]
+    def rebuild(t: pa.Table) -> pa.Table:
+        side = t[SIDE_COL].to_numpy(zero_copy_only=False)
+        lost = set(zip(*(t.filter(side == 1)[c].to_pylist() for c in (id_col, "idx"))))
+        texts, starts, _ = sort_by_key(t.filter(side == 0), [id_col], [("idx", "ascending")])
+        ids, idx, paras = (texts[c].to_pylist() for c in (id_col, "idx", "para"))
+        ends = np.append(starts, len(texts))[1:]
+        kept = [
+            [p for d, i, p in zip(ids[lo:hi], idx[lo:hi], paras[lo:hi]) if (d, i) not in lost]
+            for lo, hi in zip(starts, ends)
+        ]
+        return pa.table({
+            id_col: texts[id_col].take(starts),
+            "n_paras": ends - starts,
+            "n_dropped": ends - starts - _lens(kept),
+            "clean_text": pa.array([sep.join(k) for k in kept], pa.string()),
+        })
 
-    rows = ds.map_batches(explode, batch_format="pandas")
+    rows = ds.map_batches(explode, batch_format="pyarrow")
     pos = [_arrow_schema(ds).field(id_col), pa.field("idx", pa.int64())]
     # shuffle 1 (compact): (id, idx, h, plen) keyed by hash -> losing pairs
     hashes = declare_schema(
@@ -355,19 +346,15 @@ def remove_duplicate_spans(ds, text_col: str, id_col: str, n: int = 5):
     gram strings.  Returns (id, n_tokens, n_removed, clean_text); row count
     is preserved (token-free docs survive with clean_text = '')."""
     import re
+    from itertools import compress, islice
 
-    from ..stages.text import _GRAM_TOK_PAT, _word_gram_hashes
+    from ..stages.text import _GRAM_TOK_PAT, _explode, _texts, _word_gram_hashes
 
-    def explode(batch: pd.DataFrame) -> pa.Table:
-        ids = batch[id_col].to_numpy()
-        gh, gpos, gstart = _word_gram_hashes(batch[text_col], n, with_starts=True)
-        return pa.table(
-            {
-                id_col: pa.array(ids[gpos]),
-                "s": pa.array(gstart, type=pa.int64()),
-                "gh": pa.array(gh.view(np.int64), type=pa.int64()),
-            }
-        )
+    tok_re = re.compile(_GRAM_TOK_PAT)
+
+    def explode(batch: pa.Table) -> pa.Table:
+        gh, gpos, gstart = _word_gram_hashes(batch[text_col].to_pylist(), n, with_starts=True)
+        return pa.table({id_col: batch[id_col].take(gpos), "s": gstart, "gh": gh.view(np.int64)})
 
     def mark_losers(t: pa.Table) -> pa.Table:
         # canonical per gram = corpus-wide min (doc, start); same-hash rows
@@ -377,49 +364,31 @@ def remove_duplicate_spans(ds, text_col: str, id_col: str, n: int = 5):
         t, _, pos = sort_by_key(t, ["gh"], [(id_col, "ascending"), ("s", "ascending")])
         return t.filter(pos > 0).select([id_col, "s"])
 
-    def rebuild(t: pa.Table) -> pd.DataFrame:
-        g = t.to_pandas()  # pandas string ops: the kernel
-        tok_re = re.compile(_GRAM_TOK_PAT)
-        texts = g[g[SIDE_COL] == 0]
-        marks = g[g[SIDE_COL] == 1]
-        toks = texts[text_col].fillna("").str.lower().str.findall(tok_re)
-        counts = toks.str.len().to_numpy(dtype=np.int64)
-        total = int(counts.sum())
-        off = np.zeros(len(counts), dtype=np.int64)
-        np.cumsum(counts[:-1], out=off[1:])
-        doc_ids = np.repeat(texts[id_col].to_numpy(), counts)
-        j = np.arange(total, dtype=np.int64) - np.repeat(off, counts)
-        flat = toks.explode().dropna()
-        # expand each losing occurrence to its n covered token positions
-        rid = np.repeat(marks[id_col].to_numpy(), n)
-        rj = (marks["s"].to_numpy(dtype=np.int64)[:, None]
-              + np.arange(n, dtype=np.int64)[None, :]).ravel()
-        # membership via dense integer keys (docs factorized bucket-locally,
-        # key = dense_doc * width + token_idx) — a sort-based np.isin, ~10x
-        # cheaper than tuple-object MultiIndex matching on wide buckets
-        uniq_docs, dense = np.unique(doc_ids, return_inverse=True)
-        width = int(counts.max()) + 1 if len(counts) else 1
-        mark_dense = np.searchsorted(uniq_docs, rid)  # same-bucket ids: exact
-        keep = ~np.isin(
-            dense.astype(np.int64) * width + j,
-            mark_dense.astype(np.int64) * width + rj,
-        )
-        kept = pd.DataFrame({id_col: doc_ids[keep], "tok": flat.to_numpy()[keep]})
-        agg = kept.groupby(id_col, sort=False)["tok"].agg(" ".join)
-        kept_n = kept.groupby(id_col, sort=False).size()
-        out = pd.DataFrame({id_col: texts[id_col].to_numpy()})
-        out["n_tokens"] = counts
-        out["n_removed"] = (
-            counts - out[id_col].map(kept_n).fillna(0).to_numpy(dtype=np.int64)
-        )
-        out["clean_text"] = out[id_col].map(agg).fillna("")
-        return out[[id_col, "n_tokens", "n_removed", "clean_text"]]
+    def rebuild(t: pa.Table) -> pa.Table:
+        side = t[SIDE_COL].to_numpy(zero_copy_only=False)
+        texts, marks = t.filter(side == 0), t.filter(side == 1)
+        counts, rows, _, flat = _explode([tok_re.findall(x.lower()) for x in _texts(texts[text_col].to_pylist())])
+        # each losing occurrence covers n tokens from its start: drop them by
+        # their index into the flat token list
+        row_of = {d: r for r, d in enumerate(texts[id_col].to_pylist())}
+        mark_rows = np.array([row_of[d] for d in marks[id_col].to_pylist()], dtype=np.int64)
+        first = (np.cumsum(counts) - counts)[mark_rows] + marks["s"].to_numpy()
+        keep = np.ones(len(flat), dtype=bool)
+        keep[(first[:, None] + np.arange(n)).ravel()] = False
+        kept_n = np.bincount(rows[keep], minlength=len(counts))
+        words = compress(flat, keep)
+        return pa.table({
+            id_col: texts[id_col],
+            "n_tokens": counts,
+            "n_removed": counts - kept_n,
+            "clean_text": pa.array([" ".join(islice(words, c)) for c in kept_n], pa.string()),
+        })
 
     src = _arrow_schema(ds)
     marks = pa.schema([src.field(id_col), pa.field("s", pa.int64())])
     # shuffle 1 (compact): (id, s, gh) keyed by gram hash -> losing marks
     grams = declare_schema(
-        ds.map_batches(explode, batch_format="pandas"), marks.append(pa.field("gh", pa.int64()))
+        ds.map_batches(explode, batch_format="pyarrow"), marks.append(pa.field("gh", pa.int64()))
     )
     losers = declare_schema(co_partition(grams, ["gh"], mark_losers), marks)
     # shuffle 2: whole-doc text rows + losing marks co-partition by doc id
@@ -510,14 +479,13 @@ class SimHash:
         from ..aggregator.sketches import splitmix64
         from ..functions.texthash import horner_texts
 
-        s = pd.Series(batch[self.text_col].to_pylist()).fillna("")
-        toks = s.str.findall(self.tok)
-        exl = toks.explode().dropna().str.lower()
-        lens = toks.str.len().to_numpy()
-        n = len(s)
+        from ..stages.text import _explode, _texts
+
+        lens, _, _, flat = _explode([self.tok.findall(t) for t in _texts(batch[self.text_col].to_pylist())])
+        n = len(lens)
         out = np.zeros(n, dtype=np.uint64)
-        if len(exl):
-            h = splitmix64(horner_texts(exl.tolist()))
+        if flat:
+            h = splitmix64(horner_texts([w.lower() for w in flat]))
             ar = np.arange(64, dtype=np.uint64)
             votes = (2 * ((h[:, None] >> ar) & np.uint64(1)).astype(np.int32)) - 1
             off = np.zeros(n, dtype=np.int64)
@@ -605,14 +573,12 @@ def verified_neardup_pairs(ds, text_col: str, id_col: str, threshold: float,
     n_cand = cand.count()
     docs = ds.select_columns([id_col, text_col])
 
-    def verify_frame(g: pd.DataFrame, ta, tb) -> pd.DataFrame:
+    def verify_frame(g: pa.Table, ta, tb) -> pa.Table:
         j = np.fromiter(
             (ngram_jaccard(x, y, shingle) for x, y in zip(ta, tb)),
             dtype=np.float64, count=len(g),
         )
-        out = g[["a", "b"]].copy()
-        out["jaccard"] = np.round(j, 6)
-        return out[j >= threshold]
+        return g.select(["a", "b"]).append_column("jaccard", pa.array(np.round(j, 6))).filter(j >= threshold)
 
     if n_cand <= broadcast_cutoff:
         id_tbl = pa.concat_tables(
@@ -640,32 +606,28 @@ def verified_neardup_pairs(ds, text_col: str, id_col: str, threshold: float,
         texts = dict(
             zip(
                 hits[id_col].to_pylist(),
-                normalize_ws(pd.Series(hits[text_col].to_pylist())).tolist(),
+                normalize_ws(hits[text_col].to_pylist()),
             )
         )
         texts_ref = ray.put(texts)
 
-        def verify_bcast(g: pd.DataFrame) -> pd.DataFrame:
+        def verify_bcast(g: pa.Table) -> pa.Table:
             lut = ray.get(texts_ref)
-            ta = [lut.get(x, "") for x in g["a"]]
-            tb = [lut.get(x, "") for x in g["b"]]
+            ta = [lut.get(x, "") for x in g["a"].to_pylist()]
+            tb = [lut.get(x, "") for x in g["b"].to_pylist()]
             return verify_frame(g, ta, tb)
 
-        return cand.map_batches(verify_bcast, batch_format="pandas")
+        return cand.map_batches(verify_bcast, batch_format="pyarrow")
 
     a_side = docs.rename_columns({id_col: "a", text_col: "__text_a"})
     b_side = docs.rename_columns({id_col: "b", text_col: "__text_b"})
     withl = bucketed_left_join(cand, a_side, on=["a"], how="inner")
     withr = bucketed_left_join(withl, b_side, on=["b"], how="inner")
 
-    def verify(g: pd.DataFrame) -> pd.DataFrame:
-        return verify_frame(
-            g,
-            normalize_ws(g["__text_a"]).tolist(),
-            normalize_ws(g["__text_b"]).tolist(),
-        )
+    def verify(g: pa.Table) -> pa.Table:
+        return verify_frame(g, normalize_ws(g["__text_a"].to_pylist()), normalize_ws(g["__text_b"].to_pylist()))
 
-    return withr.map_batches(verify, batch_format="pandas")
+    return withr.map_batches(verify, batch_format="pyarrow")
 
 
 def cosine_neardup_pairs(ds, tau: float, id_col: str = "vec_id",

@@ -26,8 +26,6 @@ import pyarrow.compute as pc
 HASH_COL = "__key_hash"
 SIDE_COL = "__side"
 
-from ray.data.aggregate import Max as _TsMax, Min as _TsMin  # noqa: E402
-
 _NULL_HASH = np.uint64(0x5BD1E9955BD1E995)
 
 
@@ -187,9 +185,7 @@ def detect_hot_keys(
     the candidates and exact-counts just them (at most |candidates| rows per
     block).  The earlier version shuffled a distinct-keys-per-block x blocks
     partial table through groupby(key) — measured 15.4 s of a 66 s job at
-    6M rows, and unboundedly worse at corpus scale.  Exact results, unlike
-    the retired sampled detector (kept as _detect_hot_keys_sampled for the
-    agreement test)."""
+    6M rows, and unboundedly worse at corpus scale.  Exact results."""
     proj = ds.select_columns([key_col, "ts"])
 
     def _pass_a(batch: pa.Table) -> pa.Table:
@@ -258,35 +254,6 @@ def detect_hot_keys(
     hot = {k for k, c in exact.items() if c > thresh}
     if not hot:
         return HotKeyConfig(set(), 1, 0)
-    chunk_ms = max(1, (ts_max - ts_min) // n_chunks + 1)
-    return HotKeyConfig(hot, chunk_ms, ts_max + chunk_ms)
-
-
-def _detect_hot_keys_sampled(
-    ds,
-    key_col: str,
-    sample_fraction: float = 0.05,
-    hot_fraction: float = 0.02,
-    n_chunks: int = 8,
-    seed: int = 7,
-) -> HotKeyConfig:
-    """RETIRED sampled detector (driver-side pandas sample) — kept only so
-    tests can assert the distributed detector agrees with it.  Do not call
-    from pipelines: the sample materializes on the driver and cannot run at
-    the 100-TB target."""
-    sample = (
-        ds.select_columns([key_col, "ts"])
-        .random_sample(sample_fraction, seed=seed)
-        .to_pandas()
-    )
-    if len(sample) == 0:
-        return HotKeyConfig(set(), 1, 0)
-    counts = sample[key_col].value_counts(normalize=True)
-    hot = set(counts[counts > hot_fraction].index)
-    if not hot:
-        return HotKeyConfig(set(), 1, 0)
-    mm = ds.select_columns(["ts"]).aggregate(_TsMin("ts"), _TsMax("ts"))
-    ts_min, ts_max = int(mm["min(ts)"]), int(mm["max(ts)"])
     chunk_ms = max(1, (ts_max - ts_min) // n_chunks + 1)
     return HotKeyConfig(hot, chunk_ms, ts_max + chunk_ms)
 

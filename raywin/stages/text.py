@@ -1,12 +1,18 @@
 """Text analysis stages: token counting, quality scoring, language-ID,
-document fingerprinting.  All vectorized pandas/numpy inside map_batches
-tasks; each stage is an instance whose regexes compile once, in its
-constructor."""
+document fingerprinting.  Every stage takes and returns a ``pa.Table``:
+regexes are Python ``re`` (compiled once, in the constructor) applied per
+document, counts and ratios are numpy arrays over the batch, and each
+output column has a fixed Arrow type (id columns keep the input's), so a
+zero-row batch gives typed empty output through the same code."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+
+from .shuffle import _seq_within
 
 _STOPWORDS = {
     "en": {"the", "and", "of", "to", "a", "in", "is", "that", "it", "for"},
@@ -16,38 +22,66 @@ _STOPWORDS = {
 }
 
 
+def _texts(texts) -> list[str]:
+    """A sequence of strings with null as ''."""
+    return [t or "" for t in texts]
+
+
+def _lens(xs) -> np.ndarray:
+    return np.fromiter(map(len, xs), np.int64, len(xs))
+
+
+def _count(rx, texts: list[str]) -> np.ndarray:
+    """Non-overlapping matches of ``rx`` per text (pandas' ``str.count``)."""
+    return np.fromiter((len(rx.findall(t)) for t in texts), np.int64, len(texts))
+
+
+def _explode(lists):
+    """Per-row lists flattened: each row's item count, and each item's row,
+    0-based position within its row and value."""
+    counts = _lens(lists)
+    rows = np.repeat(np.arange(len(lists)), counts)
+    return counts, rows, _seq_within(counts), [x for row in lists for x in row]
+
+
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, NaN (a null once appended) where den is 0."""
+    return np.where(den > 0, num / np.maximum(den, 1), np.nan)
+
+
+def _append(batch: pa.Table, schema: pa.Schema, arrays) -> pa.Table:
+    """``batch`` with one column per field of ``schema`` (NaN as null)."""
+    for f, a in zip(schema, arrays):
+        batch = batch.append_column(f, pa.array(a, type=f.type, from_pandas=True))
+    return batch
+
+
+_F64, _I64 = pa.float64(), pa.int64()
+
+
 class TextStats:
     """Adds n_chars2, n_tokens, avg_token_len, alpha_ratio, digit_ratio,
-    upper_ratio, quality_score. SQL-oracle-friendly definitions:
-    n_tokens = count of [A-Za-z0-9]+ runs."""
+    upper_ratio. SQL-oracle-friendly definitions: n_tokens = count of
+    [A-Za-z0-9]+ runs; a ratio over zero tokens or chars is null."""
+
+    schema = pa.schema([("n_chars2", _I64), ("n_tokens", _I64), ("avg_token_len", _F64),
+                        ("alpha_ratio", _F64), ("digit_ratio", _F64), ("upper_ratio", _F64)])
 
     def __init__(self, text_col: str = "text"):
-        import re
-
         self.text_col = text_col
         self.tok = re.compile(r"[A-Za-z0-9]+")
+        self.classes = [re.compile(p) for p in ("[A-Za-z0-9]", "[A-Za-z]", "[0-9]", "[A-Z]")]
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        s = batch[self.text_col].fillna("")
-        toks = s.str.findall(self.tok)
-        n_tok = toks.str.len().astype("int64")
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        s = _texts(batch[self.text_col].to_pylist())
+        n_tok, n_chars = _count(self.tok, s), _lens(s)
         # tokens are maximal [A-Za-z0-9] runs, so the summed token length IS
-        # the alnum char count — one vectorized str.count, no per-row lambda
-        tok_chars = s.str.count(r"[A-Za-z0-9]").astype("int64")
-        n_chars = s.str.len().astype("int64")
-        batch["n_chars2"] = n_chars
-        batch["n_tokens"] = n_tok
-        batch["avg_token_len"] = np.where(n_tok > 0, tok_chars / n_tok.clip(lower=1), np.nan)
-        batch["alpha_ratio"] = np.where(
-            n_chars > 0, s.str.count(r"[A-Za-z]") / n_chars.clip(lower=1), np.nan
-        )
-        batch["digit_ratio"] = np.where(
-            n_chars > 0, s.str.count(r"[0-9]") / n_chars.clip(lower=1), np.nan
-        )
-        batch["upper_ratio"] = np.where(
-            n_chars > 0, s.str.count(r"[A-Z]") / n_chars.clip(lower=1), np.nan
-        )
-        return batch
+        # the alnum char count
+        tok_chars, alpha, digit, upper = (_count(c, s) for c in self.classes)
+        return _append(batch, self.schema, [
+            n_chars, n_tok, _ratio(tok_chars, n_tok),
+            _ratio(alpha, n_chars), _ratio(digit, n_chars), _ratio(upper, n_chars),
+        ])
 
 
 _WS = " \\t\\n\\r\\f\\v"  # explicit ASCII whitespace: Python re and RE2 agree
@@ -69,23 +103,23 @@ class TokenCount:
     BPE_PAT = f"'(?:[sdmt]|ll|ve|re)|[A-Za-z]+|[0-9]+|[^A-Za-z0-9{_WS}']+|'"
     WS_PAT = f"[^{_WS}]+"
     PUNCT_PAT = f"[^A-Za-z0-9{_WS}']+|'"
+    CONTR_PAT = "'(?:[sdmt]|ll|ve|re)"
+
+    schema = pa.schema([("n_ws_tokens", _I64), ("n_bpe_tokens", _I64), ("punct_token_ratio", _F64)])
 
     def __init__(self, text_col: str = "text"):
         self.text_col = text_col
+        self.ws, self.bpe, self.punct, self.contr = (
+            re.compile(p) for p in (self.WS_PAT, self.BPE_PAT, self.PUNCT_PAT, self.CONTR_PAT)
+        )
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        s = batch[self.text_col].fillna("")
-        n_bpe = s.str.count(self.BPE_PAT).astype("int64")
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        s = _texts(batch[self.text_col].to_pylist())
+        n_bpe = _count(self.bpe, s)
         # contraction matches start with ' and are not punct runs; a lone '
         # (not followed by a contraction suffix) counts as punctuation
-        n_contr = s.str.count("'(?:[sdmt]|ll|ve|re)").astype("int64")
-        n_punct = s.str.count(self.PUNCT_PAT).astype("int64") - n_contr
-        batch["n_ws_tokens"] = s.str.count(self.WS_PAT).astype("int64")
-        batch["n_bpe_tokens"] = n_bpe
-        batch["punct_token_ratio"] = np.where(
-            n_bpe > 0, n_punct / n_bpe.clip(lower=1), np.nan
-        )
-        return batch
+        n_punct = _count(self.punct, s) - _count(self.contr, s)
+        return _append(batch, self.schema, [_count(self.ws, s), n_bpe, _ratio(n_punct, n_bpe)])
 
 
 class QualityScore:
@@ -93,111 +127,75 @@ class QualityScore:
     repetition penalty (distinct-token ratio).  ASCII token class + explicit
     IEEE expression order so the DuckDB oracle reproduces it exactly."""
 
-    def __init__(self, text_col: str = "text"):
-        import re
+    schema = pa.schema([("quality_score", _F64)])
 
+    def __init__(self, text_col: str = "text"):
         self.text_col = text_col
         self.tok = re.compile(r"[0-9A-Za-z_]+")
+        self.alpha = re.compile(r"[A-Za-z]")
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        s = batch[self.text_col].reset_index(drop=True).fillna("")
-        toks = s.str.findall(self.tok)
-        exl = toks.explode().dropna().str.lower()
-        n = len(batch)
-        n_tok = toks.str.len().to_numpy()
-        distinct = np.zeros(n, dtype=np.int64)
-        if len(exl):
-            g = exl.groupby(level=0).nunique()
-            distinct[g.index.to_numpy()] = g.to_numpy()
-        dr = distinct.astype(np.float64) / np.maximum(n_tok, 1)
-        ln = s.str.len().to_numpy()
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        s = _texts(batch[self.text_col].to_pylist())
+        toks = [self.tok.findall(t) for t in s]
+        distinct = np.fromiter((len({w.lower() for w in tk}) for tk in toks), np.int64, len(toks))
+        dr = distinct.astype(np.float64) / np.maximum(_lens(toks), 1)
+        ln = _lens(s)
         ls = np.sqrt(np.minimum(ln, 2000).astype(np.float64) / 2000.0)
-        al = s.str.count(r"[A-Za-z]").to_numpy().astype(np.float64) / np.maximum(ln, 1)
-        batch["quality_score"] = 0.4 * ls + 0.4 * al + 0.2 * dr
-        return batch
+        al = _count(self.alpha, s).astype(np.float64) / np.maximum(ln, 1)
+        return _append(batch, self.schema, [0.4 * ls + 0.4 * al + 0.2 * dr])
 
 
 class LangId:
-    """Stopword-heuristic language guess over a fixed language set —
-    vectorized: tokens exploded once, one isin per language, positional
-    add.at accumulation (no per-document Python loop)."""
+    """Stopword-heuristic language guess over a fixed language set: the
+    language whose stopwords make up most of a document's lowercase
+    tokens, ties to the lexicographically largest name, "unknown" when no
+    token is a stopword."""
+
+    schema = pa.schema([("lang_guess", pa.string())])
 
     def __init__(self, text_col: str = "text"):
-        import re
-
         self.text_col = text_col
         self.tok = re.compile(r"[a-zà-ÿäöüß]+")
         self.langs = sorted(_STOPWORDS)  # tie -> lexicographically LARGEST wins
         self.stop = _STOPWORDS
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        s = batch[self.text_col].reset_index(drop=True).fillna("").str.lower()
-        toks = s.str.findall(self.tok)
-        ex = toks.explode().dropna()
-        n = len(batch)
-        scores = np.zeros((n, len(self.langs)), dtype=np.int64)
-        if len(ex):
-            pos = ex.index.to_numpy()
-            for j, lang in enumerate(self.langs):
-                hit = ex.isin(self.stop[lang]).to_numpy()
-                np.add.at(scores[:, j], pos[hit], 1)
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        toks = [self.tok.findall(t.lower()) for t in _texts(batch[self.text_col].to_pylist())]
+        scores = np.array(
+            [[sum(w in self.stop[lang] for w in tk) for lang in self.langs] for tk in toks], dtype=np.int64
+        ).reshape(len(toks), len(self.langs))
         # argmax with ties to the LARGEST lang name (matches
         # max(langs, key=lambda l: (score, l)))
         rev_pick = scores.shape[1] - 1 - np.argmax(scores[:, ::-1], axis=1)
-        best = scores[np.arange(n), rev_pick]
-        lang_arr = np.asarray(self.langs, dtype=object)
-        batch["lang_guess"] = np.where(best > 0, lang_arr[rev_pick], "unknown")
-        return batch
+        best = scores[np.arange(len(toks)), rev_pick]
+        return _append(batch, self.schema, [np.where(best > 0, np.asarray(self.langs)[rev_pick], "unknown")])
 
 
 class RepetitionStats:
     """Gopher-style repetition quality signals over lowercase word tokens:
     duplicate-bigram fraction and top-bigram share — the standard "document
     is boilerplate/spam" filters in LLM corpus prep (Rae et al. 2021 §A1.1).
+    A document with fewer than two tokens has no bigrams and scores 0.
+    SQL-reproducible (list_distinct + unnest counts)."""
 
-    Vectorized: tokens exploded once; consecutive-pair mask builds all
-    bigrams batch-wide; per-doc distinct/top counts via pandas groupby —
-    no per-document Python loop.  SQL-reproducible (list_distinct +
-    unnest counts)."""
+    schema = pa.schema([("n_bigrams", _I64), ("dup_bigram_frac", _F64), ("top_bigram_frac", _F64)])
 
     def __init__(self, text_col: str = "text"):
-        import re
-
         self.text_col = text_col
         self.tok = re.compile(r"[0-9a-z_]+")
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        s = batch[self.text_col].reset_index(drop=True).fillna("").str.lower()
-        toks = s.str.findall(self.tok)
-        n = len(batch)
-        n_tok = toks.str.len().to_numpy(dtype=np.int64)
-        ex = toks.explode().dropna()
-        n_bg = np.maximum(n_tok - 1, 0)
-        dup_frac = np.zeros(n, dtype=np.float64)
-        top_frac = np.zeros(n, dtype=np.float64)
-        if len(ex):
-            vals = ex.to_numpy()
-            pos = ex.index.to_numpy()
-            same = pos[1:] == pos[:-1]
-            if same.any():
-                first = vals[:-1][same]
-                second = vals[1:][same]
-                bpos = pos[:-1][same]
-                codes, _ = pd.factorize(
-                    pd.Series(first, dtype=object) + "\x1f" + pd.Series(second, dtype=object)
-                )
-                df = pd.DataFrame({"p": bpos, "c": codes})
-                per = df.groupby("p")["c"]
-                distinct = per.nunique()
-                topc = df.groupby(["p", "c"]).size().groupby(level=0).max()
-                idx = distinct.index.to_numpy()
-                nb = n_bg[idx].astype(np.float64)
-                dup_frac[idx] = 1.0 - distinct.to_numpy() / nb
-                top_frac[idx] = topc.to_numpy() / nb
-        batch["n_bigrams"] = n_bg
-        batch["dup_bigram_frac"] = dup_frac
-        batch["top_bigram_frac"] = top_frac
-        return batch
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        from collections import Counter
+
+        toks = [self.tok.findall(t.lower()) for t in _texts(batch[self.text_col].to_pylist())]
+        n_bg = np.maximum(_lens(toks) - 1, 0)
+        dup_frac = np.zeros(len(toks))
+        top_frac = np.zeros(len(toks))
+        for i in np.flatnonzero(n_bg):
+            c = Counter(zip(toks[i], toks[i][1:]))
+            dup_frac[i] = 1.0 - len(c) / n_bg[i]
+            top_frac[i] = max(c.values()) / n_bg[i]
+        return _append(batch, self.schema, [n_bg, dup_frac, top_frac])
 
 
 class PiiScrub:
@@ -212,50 +210,40 @@ class PiiScrub:
     PHONE = r"\+?[0-9][0-9()\- ]{6,}[0-9]"
 
     def __init__(self, text_col: str = "text", out_col: str = "clean_text"):
-        import re
-
         self.text_col = text_col
-        self.out_col = out_col
+        self.schema = pa.schema([("n_emails", _I64), ("n_phones", _I64), (out_col, pa.string())])
         self.email = re.compile(self.EMAIL)
         self.phone = re.compile(self.PHONE)
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        s = batch[self.text_col].fillna("")
-        batch["n_emails"] = s.str.count(self.email).astype("int64")
-        s1 = s.str.replace(self.email, "<EMAIL>", regex=True)
-        batch["n_phones"] = s1.str.count(self.phone).astype("int64")
-        batch[self.out_col] = s1.str.replace(self.phone, "<PHONE>", regex=True)
-        return batch
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        # subn's count is the number of matches: neither pattern matches ''
+        emails = [self.email.subn("<EMAIL>", t) for t in _texts(batch[self.text_col].to_pylist())]
+        phones = [self.phone.subn("<PHONE>", t) for t, _ in emails]
+        return _append(batch, self.schema, [[n for _, n in emails], [n for _, n in phones], [t for t, _ in phones]])
 
 
 _GRAM_TOK_PAT = r"[0-9a-z_]+"
 
 
-def _word_gram_hashes(texts: pd.Series, n: int, with_starts: bool = False):
-    """Vectorized word n-gram hashes over lowercase `[0-9a-z_]+` tokens:
-    returns (gh: uint64[m], pos: int64[m]) where gh[i] is the Horner hash of
-    n consecutive token hashes and pos[i] the 0-based row the gram belongs
-    to.  With ``with_starts`` also returns start: int64[m], the gram's
-    0-based token offset WITHIN its row's token stream (what span-removal
-    needs to address covered tokens).  Hash = FNV offset seeded Horner with
-    multiplier 1000003 over `horner_texts` token hashes — collision-free in
-    practice at 64 bits; oracles compare the chr(31)-joined gram STRINGS
-    instead (same construction, DUPLICATE_SPANS_SQL / DECONTAMINATE_SQL)."""
-    import re
-
+def _word_gram_hashes(texts, n: int, with_starts: bool = False):
+    """Vectorized word n-gram hashes over a sequence of texts (null as ''),
+    tokens lowercase `[0-9a-z_]+`: returns (gh: uint64[m], pos: int64[m])
+    where gh[i] is the Horner hash of n consecutive token hashes and pos[i]
+    the 0-based row the gram belongs to.  With ``with_starts`` also returns
+    start: int64[m], the gram's 0-based token offset WITHIN its row's token
+    stream (what span-removal needs to address covered tokens).  Hash = FNV
+    offset seeded Horner with multiplier 1000003 over `horner_texts` token
+    hashes — collision-free in practice at 64 bits; oracles compare the
+    chr(31)-joined gram STRINGS instead (same construction,
+    DUPLICATE_SPANS_SQL / DECONTAMINATE_SQL)."""
     from ..functions.texthash import horner_texts
 
     tok_re = re.compile(_GRAM_TOK_PAT)
-    s = texts.reset_index(drop=True).fillna("").str.lower()
-    toks = s.str.findall(tok_re)
-    ex = toks.explode().dropna()
-    empty = (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64))
-    if len(ex) == 0:
-        return empty + (empty[1],) if with_starts else empty
-    th = horner_texts(ex.tolist())  # uint64 token hashes, vectorized
-    pos = ex.index.to_numpy()
+    _, pos, tok_idx, flat = _explode([tok_re.findall(t.lower()) for t in _texts(texts)])
+    th = horner_texts(flat)  # uint64 token hashes, vectorized
     m = len(th) - n + 1
     if m <= 0:
+        empty = (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64))
         return empty + (empty[1],) if with_starts else empty
     with np.errstate(over="ignore"):
         gh = np.full(m, np.uint64(14695981039346656037), dtype=np.uint64)
@@ -263,13 +251,8 @@ def _word_gram_hashes(texts: pd.Series, n: int, with_starts: bool = False):
             gh = gh * np.uint64(1000003) + th[j : j + m]
     # a gram is valid only when all n tokens belong to the same document
     valid = pos[:m] == pos[n - 1 :]
-    if not with_starts:
-        return gh[valid], pos[:m][valid].astype(np.int64)
-    # token index within its row: arange minus each row's first exploded slot
-    row_first = np.flatnonzero(np.r_[True, pos[1:] != pos[:-1]])
-    counts = np.diff(np.r_[row_first, len(pos)])
-    tok_idx = np.arange(len(pos), dtype=np.int64) - np.repeat(row_first, counts)
-    return gh[valid], pos[:m][valid].astype(np.int64), tok_idx[:m][valid]
+    out = gh[valid], pos[:m][valid]
+    return out + (tok_idx[:m][valid],) if with_starts else out
 
 
 def chunk_documents(ds, text_col: str, id_col: str, chunk: int = 32,
@@ -284,36 +267,24 @@ def chunk_documents(ds, text_col: str, id_col: str, chunk: int = 32,
     Scale shape: pure flat_map — one map_batches, no shuffle; output rows ~
     n_tokens / stride.  Returns (id, chunk_idx, n_chunk_tokens,
     chunk_text); token-free docs emit no chunks."""
-    import re
-
     tok_re = re.compile(_GRAM_TOK_PAT)
 
-    def explode(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = batch[text_col].fillna("").str.lower().str.findall(tok_re)
-        counts = toks.str.len().to_numpy(dtype=np.int64)
+    def explode(batch: pa.Table) -> pa.Table:
+        toks = [tok_re.findall(t.lower()) for t in _texts(batch[text_col].to_pylist())]
+        counts = _lens(toks)
         n_chunks = np.where(counts > 0, (counts - 1) // stride + 1, 0)
-        total = int(n_chunks.sum())
-        off = np.zeros(len(n_chunks), dtype=np.int64)
-        np.cumsum(n_chunks[:-1], out=off[1:])
-        cidx = np.arange(total, dtype=np.int64) - np.repeat(off, n_chunks)
-        rows = np.repeat(np.arange(len(counts)), n_chunks)
-        tok_lists = toks.to_numpy()
-        texts_out = [
-            " ".join(tok_lists[r][k * stride : k * stride + chunk])
-            for r, k in zip(rows, cidx)
-        ]
-        return pd.DataFrame(
-            {
-                id_col: np.repeat(batch[id_col].to_numpy(), n_chunks),
-                "chunk_idx": cidx,
-                "n_chunk_tokens": np.minimum(
-                    chunk, counts[rows] - cidx * stride
-                ).astype("int64"),
-                "chunk_text": texts_out,
-            }
-        )
+        rows = np.repeat(np.arange(len(toks)), n_chunks)
+        cidx = _seq_within(n_chunks)
+        return pa.table({
+            id_col: batch[id_col].take(rows),
+            "chunk_idx": cidx,
+            "n_chunk_tokens": np.minimum(chunk, counts[rows] - cidx * stride),
+            "chunk_text": pa.array(
+                [" ".join(toks[r][k * stride : k * stride + chunk]) for r, k in zip(rows, cidx)], pa.string()
+            ),
+        })
 
-    return ds.map_batches(explode, batch_format="pandas")
+    return ds.map_batches(explode, batch_format="pyarrow")
 
 
 def duplicate_span_stats(ds, text_col: str, id_col: str, n: int = 5,
@@ -328,13 +299,12 @@ def duplicate_span_stats(ds, text_col: str, id_col: str, n: int = 5,
     never text).  One shuffle keyed by gram hash — all occurrences of a gram
     land in one bucket, so counting and flagging happen in the same task —
     then one shuffle keyed by doc for the per-document fraction."""
-    import pyarrow as pa
     import pyarrow.compute as pc
 
     from ..stages.shuffle import _arrow_schema, co_partition, declare_schema
 
     def grams(batch: pa.Table) -> pa.Table:
-        gh, gpos = _word_gram_hashes(batch[text_col].to_pandas(), n)
+        gh, gpos = _word_gram_hashes(batch[text_col].to_pylist(), n)
         return pa.table({id_col: batch[id_col].take(gpos), "gh": gh.view(np.int64)})
 
     def flag(t: pa.Table) -> pa.Table:
@@ -366,14 +336,13 @@ class Fingerprint:
 
     def __init__(self, text_col: str = "text", out_col: str = "fingerprint"):
         self.text_col = text_col
-        self.out_col = out_col
+        self.schema = pa.schema([(out_col, _I64)])
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
+    def __call__(self, batch: pa.Table) -> pa.Table:
         from ..functions.texthash import horner_texts, normalize_ws, to_signed
 
-        norm = normalize_ws(batch[self.text_col])
-        batch[self.out_col] = to_signed(horner_texts(norm.tolist()))
-        return batch
+        norm = normalize_ws(batch[self.text_col].to_pylist())
+        return _append(batch, self.schema, [to_signed(horner_texts(norm))])
 
 
 class _DocFreqPartials:
@@ -384,32 +353,23 @@ class _DocFreqPartials:
     TERM_PAT = r"[A-Za-z0-9]+"
 
     def __init__(self, text_col: str = "text"):
-        import re
-
         self.text_col = text_col
         self.tok = re.compile(self.TERM_PAT)
 
-    def doc_terms(self, batch: pd.DataFrame):
-        """(term_lists, exploded_lowercased_terms) for a batch — terms are
-        ASCII-only runs, so Python .lower() and DuckDB lower() agree on any
-        input (no locale/unicode case-folding divergence)."""
-        lists = batch[self.text_col].fillna("").map(self.tok.findall)
-        lens = lists.map(len).to_numpy()
-        flat = (
-            np.asarray([t.lower() for row in lists for t in row], dtype=object)
-            if lens.sum()
-            else np.empty(0, dtype=object)
-        )
-        return lens, flat
+    def doc_terms(self, texts):
+        """``_explode`` of each text's lowercased terms (null as '') — terms
+        are ASCII-only runs, so Python .lower() and DuckDB lower() agree on
+        any input (no locale/unicode case-folding divergence)."""
+        return _explode([[w.lower() for w in self.tok.findall(t)] for t in _texts(texts)])
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        lens, flat = self.doc_terms(batch)
-        doc_idx = np.repeat(np.arange(len(batch)), lens)
-        if not len(flat):
-            return pd.DataFrame({"term": pd.Series([], dtype=object), "pdf": pd.Series([], dtype="int64")})
-        pairs = pd.DataFrame({"d": doc_idx, "term": flat}).drop_duplicates()
-        vc = pairs["term"].value_counts(sort=False)
-        return pd.DataFrame({"term": vc.index.to_numpy(dtype=object), "pdf": vc.to_numpy().astype("int64")})
+    def row_terms(self, batch: pa.Table) -> pa.Table:
+        """(row, term) per term occurrence of the batch's texts."""
+        _, rows, _, flat = self.doc_terms(batch[self.text_col].to_pylist())
+        return pa.table({"row": rows, "term": pa.array(flat, pa.string())})
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        agg = self.row_terms(batch).group_by("term").aggregate([("row", "count_distinct")])
+        return pa.table({"term": agg["term"], "pdf": agg["row_count_distinct"]})
 
 
 class _TfIdfTopK:
@@ -422,39 +382,28 @@ class _TfIdfTopK:
         self.inner = _DocFreqPartials(text_col)
         self.df_ref = df_ref
         self.n_docs = n_docs
-        self.df_map = None  # term -> idf, built on the first batch of each task
+        self.idf = None  # term -> idf, built on the first batch of each task
         self.k = k
         self.id_col = id_col
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        if self.df_map is None:
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        from .shuffle import sort_by_key
+
+        if self.idf is None:
             import ray
 
             terms, dfs = ray.get(self.df_ref)
-            self.df_map = dict(zip(terms, np.log(self.n_docs / dfs)))
-        lens, flat = self.inner.doc_terms(batch)
-        if not len(flat):
-            return pd.DataFrame(
-                {self.id_col: batch[self.id_col].iloc[:0], "term": pd.Series([], dtype=object),
-                 "rank": pd.Series([], dtype="int64"), "tfidf": pd.Series([], dtype="float64")}
-            )
-        doc_ids = batch[self.id_col].to_numpy()[np.repeat(np.arange(len(batch)), lens)]
-        tf = (
-            pd.DataFrame({self.id_col: doc_ids, "term": flat})
-            .groupby([self.id_col, "term"], sort=False)
-            .size()
-            .reset_index(name="tf")
-        )
-        idf = tf["term"].map(self.df_map).to_numpy()
-        tf["tfidf"] = tf["tf"].to_numpy() * idf
-        tf = tf.sort_values([self.id_col, "tfidf", "term"], ascending=[True, False, True])
-        tf["rank"] = tf.groupby(self.id_col, sort=False).cumcount() + 1
-        out = tf[tf["rank"] <= self.k]
-        return pd.DataFrame(
-            {self.id_col: out[self.id_col].to_numpy(), "term": out["term"].to_numpy(),
-             "rank": out["rank"].to_numpy().astype("int64"),
-             "tfidf": out["tfidf"].to_numpy().astype("float64")}
-        )
+            self.idf = dict(zip(terms, np.log(self.n_docs / dfs)))
+        tf = self.inner.row_terms(batch).group_by(["row", "term"]).aggregate([([], "count_all")])
+        idf = np.array([self.idf.get(t, np.nan) for t in tf["term"].to_pylist()], dtype=np.float64)
+        scored = tf.select(["row", "term"]).append_column("tfidf", pa.array(tf["count_all"].to_numpy() * idf))
+        scored, _, rank = sort_by_key(scored, ["row"], [("tfidf", "descending"), ("term", "ascending")])
+        top = rank < self.k
+        scored = scored.filter(top)
+        return pa.table({
+            self.id_col: batch[self.id_col].take(scored["row"]), "term": scored["term"],
+            "rank": rank[top] + 1, "tfidf": scored["tfidf"],
+        })
 
 
 def tfidf_top_terms(ds, text_col: str, id_col: str, k: int = 3,
@@ -473,7 +422,7 @@ def tfidf_top_terms(ds, text_col: str, id_col: str, k: int = 3,
     from ray.data.aggregate import Sum
 
     dfreq = (
-        ds.map_batches(_DocFreqPartials(text_col), batch_format="pandas")
+        ds.map_batches(_DocFreqPartials(text_col), batch_format="pyarrow")
         .groupby("term")
         .aggregate(Sum("pdf", alias_name="df"))
         .materialize()
@@ -490,7 +439,7 @@ def tfidf_top_terms(ds, text_col: str, id_col: str, k: int = 3,
     df_ref = ray.put(
         (dft["term"].to_numpy(dtype=object), dft["df"].to_numpy().astype(np.float64))
     )
-    return ds.map_batches(_TfIdfTopK(df_ref, n_docs, k, text_col, id_col), batch_format="pandas")
+    return ds.map_batches(_TfIdfTopK(df_ref, n_docs, k, text_col, id_col), batch_format="pyarrow")
 
 
 class _TermFreqPartials:
@@ -502,16 +451,11 @@ class _TermFreqPartials:
     def __init__(self, text_col: str = "text"):
         self.inner = _DocFreqPartials(text_col)
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        _, flat = self.inner.doc_terms(batch)
-        if not len(flat):
-            return pd.DataFrame(
-                {"term": pd.Series([], dtype=object), "ptf": pd.Series([], dtype="int64")}
-            )
-        vc = pd.Series(flat, dtype=object).value_counts(sort=False)
-        return pd.DataFrame(
-            {"term": vc.index.to_numpy(dtype=object), "ptf": vc.to_numpy().astype("int64")}
-        )
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        import pyarrow.compute as pc
+
+        vc = pc.value_counts(self.inner.row_terms(batch)["term"])
+        return pa.table({"term": vc.field("values"), "ptf": vc.field("counts")})
 
 
 class _LmScore:
@@ -529,39 +473,28 @@ class _LmScore:
     def __init__(self, tf_ref, total_tokens: int, text_col: str, id_col: str):
         self.inner = _DocFreqPartials(text_col)
         self.tf_ref = tf_ref
-        self.cnt_map = None  # term -> ln count, built on the first batch of each task
+        self.ln_cnt = None  # term -> ln count, built on the first batch of each task
         self.ln_total = float(np.log(total_tokens)) if total_tokens else 0.0
         self.id_col = id_col
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        if self.cnt_map is None:
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        if self.ln_cnt is None:
             import ray
 
             terms, cnts = ray.get(self.tf_ref)
-            self.cnt_map = pd.Series(np.log(cnts), index=terms)
-        lens, flat = self.inner.doc_terms(batch)
-        n = len(batch)
-        n_tok = lens.astype(np.int64)
-        avg = np.full(n, np.nan)
-        if len(flat):
-            doc_idx = np.repeat(np.arange(n), lens)
-            # per-token surprisal; vocabulary lookup vectorized on the
-            # unique terms of the batch only
-            uniq, inv = np.unique(flat, return_inverse=True)
-            ln_cnt = self.cnt_map.reindex(uniq).to_numpy()
-            val = self.ln_total - ln_cnt[inv]
-            sums = np.bincount(doc_idx, weights=val, minlength=n)
-            nz = n_tok > 0
-            avg[nz] = np.round(sums[nz] / n_tok[nz], 4)
-        ppl = np.round(np.exp(avg), 2)
-        return pd.DataFrame(
-            {
-                self.id_col: batch[self.id_col].to_numpy(),
-                "n_tokens": n_tok,
-                "avg_neg_logp": avg,
-                "unigram_ppl": ppl,
-            }
-        )
+            self.ln_cnt = dict(zip(terms, np.log(cnts)))
+        n_tok, rows, _, flat = self.inner.doc_terms(batch[self.inner.text_col].to_pylist())
+        # per-token surprisal, summed per doc
+        val = self.ln_total - np.array([self.ln_cnt.get(t, np.nan) for t in flat], dtype=np.float64)
+        sums = np.bincount(rows, weights=val, minlength=len(n_tok))
+        with np.errstate(invalid="ignore"):
+            avg = np.round(sums / n_tok, 4)  # a token-free doc: 0 / 0 -> null
+        return pa.table({
+            self.id_col: batch[self.id_col],
+            "n_tokens": n_tok,
+            "avg_neg_logp": pa.array(avg, from_pandas=True),
+            "unigram_ppl": pa.array(np.round(np.exp(avg), 2), from_pandas=True),
+        })
 
 
 def lm_quality(ds, text_col: str, id_col: str, broadcast_cutoff: int = 5_000_000):
@@ -581,7 +514,7 @@ def lm_quality(ds, text_col: str, id_col: str, broadcast_cutoff: int = 5_000_000
     from ray.data.aggregate import Sum
 
     tf = (
-        ds.map_batches(_TermFreqPartials(text_col), batch_format="pandas")
+        ds.map_batches(_TermFreqPartials(text_col), batch_format="pyarrow")
         .groupby("term")
         .aggregate(Sum("ptf", alias_name="tf"))
         .materialize()
@@ -598,7 +531,7 @@ def lm_quality(ds, text_col: str, id_col: str, broadcast_cutoff: int = 5_000_000
     tf_ref = ray.put(
         (tft["term"].to_numpy(dtype=object), tft["tf"].to_numpy().astype(np.float64))
     )
-    return ds.map_batches(_LmScore(tf_ref, total, text_col, id_col), batch_format="pandas")
+    return ds.map_batches(_LmScore(tf_ref, total, text_col, id_col), batch_format="pyarrow")
 
 
 class _ContamScore:
@@ -615,13 +548,13 @@ class _ContamScore:
         self.text_col = text_col
         self.id_col = id_col
 
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
+    def __call__(self, batch: pa.Table) -> pa.Table:
         import ray
 
         n_rows = len(batch)
         n_grams = np.zeros(n_rows, dtype=np.int64)
         n_overlap = np.zeros(n_rows, dtype=np.int64)
-        gh, pos = _word_gram_hashes(batch[self.text_col], self.n)
+        gh, pos = _word_gram_hashes(batch[self.text_col].to_pylist(), self.n)
         if len(gh):
             # distinct (doc, gram) pairs: sort by (pos, gh), drop adjacent dups
             order = np.lexsort((gh, pos))
@@ -636,14 +569,12 @@ class _ContamScore:
                 idx[idx == len(bench)] = 0
                 hit = bench[idx] == gh
                 np.add.at(n_overlap, pos[hit], 1)
-        return pd.DataFrame(
-            {
-                self.id_col: batch[self.id_col].to_numpy(),
-                "n_grams": n_grams,
-                "n_overlap": n_overlap,
-                "contaminated": n_overlap >= self.min_overlap,
-            }
-        )
+        return pa.table({
+            self.id_col: batch[self.id_col],
+            "n_grams": n_grams,
+            "n_overlap": n_overlap,
+            "contaminated": n_overlap >= self.min_overlap,
+        })
 
 
 def decontaminate(ds, bench_ds, text_col: str, id_col: str, n: int = 5,
@@ -659,16 +590,15 @@ def decontaminate(ds, bench_ds, text_col: str, id_col: str, n: int = 5,
     the distinct set is broadcast with ray.put (count-gated, 8 B/gram);
     the candidate corpus then streams ONCE with all scoring local to the
     batch — candidate text and grams never ride a shuffle."""
-    import pyarrow as pa
     import ray
     from ray.data.aggregate import Count
 
-    def bench_grams(batch: pd.DataFrame) -> pa.Table:
-        gh, _ = _word_gram_hashes(batch[text_col], n)
+    def bench_grams(batch: pa.Table) -> pa.Table:
+        gh, _ = _word_gram_hashes(batch[text_col].to_pylist(), n)
         return pa.table({"gh": pa.array(np.unique(gh).view(np.int64), type=pa.int64())})
 
     uniq = (
-        bench_ds.map_batches(bench_grams, batch_format="pandas")
+        bench_ds.map_batches(bench_grams, batch_format="pyarrow")
         .groupby("gh")
         .aggregate(Count(alias_name="c"))
         .materialize()
@@ -683,5 +613,5 @@ def decontaminate(ds, bench_ds, text_col: str, id_col: str, n: int = 5,
     ghs = np.sort(uniq.to_pandas()["gh"].to_numpy().view(np.uint64))
     bench_ref = ray.put(ghs)
     return ds.map_batches(
-        _ContamScore(bench_ref, n, min_overlap, text_col, id_col), batch_format="pandas"
+        _ContamScore(bench_ref, n, min_overlap, text_col, id_col), batch_format="pyarrow"
     )

@@ -92,15 +92,17 @@ def main() -> None:
         return ray.data.read_parquet(path, columns=cols)
 
     def ntok_counted():
-        def add_ntok(df):
-            df = df.copy()
-            df["n_tok"] = (
-                df["text"].fillna("").str.lower().str.count("[0-9a-z_]+")
-                .astype("int64")
-            )
-            return df[["doc_id", "n_tok"]]
+        import re
 
-        return read(["doc_id", "text"]).map_batches(add_ntok, batch_format="pandas")
+        from raywin.stages.text import _GRAM_TOK_PAT, _count, _texts
+
+        tok = re.compile(_GRAM_TOK_PAT)
+
+        def add_ntok(t: pa.Table) -> pa.Table:
+            n_tok = _count(tok, [x.lower() for x in _texts(t["text"].to_pylist())])
+            return pa.table({"doc_id": t["doc_id"], "n_tok": n_tok})
+
+        return read(["doc_id", "text"]).map_batches(add_ntok, batch_format="pyarrow")
 
     legs = {
         "span_removal": lambda: remove_duplicate_spans(

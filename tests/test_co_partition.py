@@ -193,7 +193,9 @@ def test_features_for_queries_match_oracle_at_any_partition_count(
 def test_co_partition_empty_side_changes_nothing(ray_session, exchange_block_rows, empty_via):
     """A side filtered to zero rows: map_batches never calls its UDF on a
     zero-row block and passes the block on with no schema; the exchange
-    must still return the other side's rows in the declared schema."""
+    must still return the other side's rows in the declared schema.  No
+    raywin stage maps in pandas, so the pandas_udf case guards a caller's
+    own pandas map feeding co_partition."""
     import ray.data
 
     exchange_block_rows(64)
@@ -302,10 +304,11 @@ def bucket_of(*sides: pa.Table) -> pa.Table:
 def test_pandas_bucket_reaches_fn_with_declared_types(block_type):
     """Ray's sort reducer converts a block to pandas when pandas blocks
     win its block-type vote (an empty pandas block rides map_batches
-    untouched).  Map, list and nullable-int64 columns do not survive pandas
-    inference, so the per-partition adapter rebuilds the block against the
-    declared schema: fn gets the same Arrow table either way, without
-    HASH_COL."""
+    untouched).  raywin's own stages make no pandas block, but a caller's
+    input can (``ray.data.from_pandas``, a caller's pandas map).  Map, list
+    and nullable-int64 columns do not survive pandas inference, so the
+    per-partition adapter rebuilds the block against the declared schema:
+    fn gets the same Arrow table either way, without HASH_COL."""
     from ray.data.block import BlockAccessor
 
     from raywin.stages.shuffle import _per_partition
@@ -344,6 +347,50 @@ def test_one_arrow_exchange_call():
     root = pathlib.Path(raywin.__file__).parent
     users = [str(p.relative_to(root)) for p in root.rglob("*.py") if ".map_groups(" in p.read_text()]
     assert users == []
+
+
+def test_no_pandas_map_stage():
+    """No call under raywin/ passes ``batch_format="pandas"``: every stage
+    maps Arrow batches, so no raywin stage makes a pandas block."""
+    import ast
+    import pathlib
+
+    import raywin
+
+    root = pathlib.Path(raywin.__file__).parent
+    bad = [
+        f"{p.relative_to(root)}:{n.lineno}"
+        for p in root.rglob("*.py")
+        for n in ast.walk(ast.parse(p.read_text()))
+        if isinstance(n, ast.keyword) and n.arg == "batch_format"
+        and isinstance(n.value, ast.Constant) and n.value.value == "pandas"
+    ]
+    assert bad == []
+
+
+# catalog queries whose stages mapped pandas batches; duplicate_spans
+# returns a driver-side frame and its stages are pinned by test_text_ops
+ARROW_PORTED_QUERIES = [
+    "tfidf_top_terms", "doc_signals", "event_type_aggs", "neardup_jaccard", "staging_query",
+    "pii_scrub", "paragraph_dedup", "doc_chunks", "token_pack", "lm_quality", "decontaminate",
+    "langid_quality",
+]
+
+
+@pytest.mark.parametrize("name", ARROW_PORTED_QUERIES)
+def test_ported_query_blocks_are_arrow(ray_session, name):
+    """Every output block of the query is a ``pa.Table`` and all of its
+    blocks share one schema (sf0.001)."""
+    import ray
+
+    from raywin.pipelines.catalog import ORACLE_QUERIES
+
+    from .test_external import SF
+
+    ds = ORACLE_QUERIES[name][0](SF)
+    blocks = [ray.get(ref) for bundle in ds.iter_internal_ref_bundles() for ref, _ in bundle.blocks]
+    assert blocks and all(isinstance(b, pa.Table) for b in blocks)
+    assert all(b.schema == blocks[0].schema for b in blocks), [str(b.schema) for b in blocks]
 
 
 def test_every_map_stage_runs_as_tasks():

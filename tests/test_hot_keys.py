@@ -134,19 +134,22 @@ def test_split_unbounded_backfill_invisible(ray_session, exchange_block_rows, tm
             pd.testing.assert_series_equal(bv, sv, rtol=rtol, atol=1e-12, check_exact=False)
 
 
-def test_distributed_detector_agrees_with_sampled(ray_session, hot_table):
+def test_distributed_detector_matches_exact_count(ray_session, hot_table):
     """The distributed (exact, per-block partial count) detector must find
-    the same hot set and chunk geometry as the retired driver-sample one."""
+    the hot set and chunk geometry of an exact count over the same file."""
     import ray.data
 
-    from raywin.stages.shuffle import _detect_hot_keys_sampled, detect_hot_keys
+    from raywin.stages.shuffle import detect_hot_keys
 
-    ds = ray.data.read_parquet(hot_table, columns=["k", "ts"])
-    dist = detect_hot_keys(ds, "k")
-    samp = _detect_hot_keys_sampled(ds, "k")
-    assert dist.keys == samp.keys == {"hot"}
-    assert dist.chunk_ms == samp.chunk_ms
-    assert dist.max_chunk == samp.max_chunk
+    dist = detect_hot_keys(ray.data.read_parquet(hot_table, columns=["k", "ts"]), "k")
+    df = pd.read_parquet(hot_table, columns=["k", "ts"])
+    freq = df["k"].value_counts(normalize=True)
+    n_chunks = 8  # detect_hot_keys' default
+    ts_max = int(df["ts"].max())
+    chunk_ms = (ts_max - int(df["ts"].min())) // n_chunks + 1
+    assert dist.keys == set(freq[freq > 0.02].index) == {"hot"}
+    assert dist.chunk_ms == chunk_ms
+    assert dist.max_chunk == (ts_max + chunk_ms) // chunk_ms
 
 
 def test_distributed_detector_no_hot_keys(ray_session, tmp_path):

@@ -35,7 +35,7 @@ def _brute_pairs(texts, thresh):
     from raywin.functions.texthash import normalize_ws
     from raywin.stages.dedup import ngram_jaccard
 
-    norm = normalize_ws(pd.Series(texts)).tolist()
+    norm = normalize_ws(texts)
     out = set()
     for a, b in itertools.combinations(range(len(texts)), 2):
         if ngram_jaccard(norm[a], norm[b], 5) >= thresh:

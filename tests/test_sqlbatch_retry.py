@@ -93,8 +93,6 @@ def test_staging_shard_retried_on_fresh_connection(stub_duckdb):
     """A sharded StagingQuery runs each date slice through SqlBatch: an
     interrupted statement re-opens the connection, which re-creates the
     table views before the statement runs again."""
-    import pandas as pd
-
     from raywin.pipelines.staging import StagingQuery, _shard_runner
 
     answer = pa.table({"n": [1]})
@@ -102,6 +100,6 @@ def test_staging_shard_retried_on_fresh_connection(stub_duckdb):
     conns = stub_duckdb(view, INTERRUPT, view, answer)
     sq = StagingQuery(query="SELECT count(*) AS n FROM t WHERE d BETWEEN '{{ start_date }}' AND '{{ end_date }}'")
     run = _shard_runner(sq, {"t": "t.parquet"})
-    out = run(pd.DataFrame({"start": ["1995-01-01"], "end": ["1995-01-07"]}))
+    out = run(pa.table({"start": ["1995-01-01"], "end": ["1995-01-07"]}))
     assert out is answer
     assert [c.executed for c in conns] == [2, 2]

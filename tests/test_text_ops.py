@@ -3,12 +3,13 @@ covers the bulk behavior; these pin the degenerate inputs)."""
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from raywin.stages.text import PiiScrub, RepetitionStats
 
 
 def test_repetition_stats_edges():
-    df = pd.DataFrame(
+    t = pa.table(
         {
             "text": [
                 None,                      # null -> zeros
@@ -18,14 +19,14 @@ def test_repetition_stats_edges():
             ]
         }
     )
-    out = RepetitionStats("text")(df.copy())
-    assert out["n_bigrams"].tolist() == [0, 0, 5, 3]
-    assert out["dup_bigram_frac"].tolist() == [0.0, 0.0, 1.0 - 2 / 5, 0.0]
-    assert out["top_bigram_frac"].tolist() == [0.0, 0.0, 3 / 5, 1 / 3]
+    out = RepetitionStats("text")(t)
+    assert out["n_bigrams"].to_pylist() == [0, 0, 5, 3]
+    assert out["dup_bigram_frac"].to_pylist() == [0.0, 0.0, 1.0 - 2 / 5, 0.0]
+    assert out["top_bigram_frac"].to_pylist() == [0.0, 0.0, 3 / 5, 1 / 3]
 
 
 def test_pii_scrub_edges():
-    df = pd.DataFrame(
+    t = pa.table(
         {
             "text": [
                 "mail a.b+c@ex-ample.co.uk now",
@@ -35,10 +36,10 @@ def test_pii_scrub_edges():
             ]
         }
     )
-    out = PiiScrub("text")(df.copy())
-    assert out["n_emails"].tolist() == [1, 0, 0, 0]
-    assert out["n_phones"].tolist() == [0, 2, 0, 0]
-    assert out["clean_text"].tolist() == [
+    out = PiiScrub("text")(t)
+    assert out["n_emails"].to_pylist() == [1, 0, 0, 0]
+    assert out["n_phones"].to_pylist() == [0, 2, 0, 0]
+    assert out["clean_text"].to_pylist() == [
         "mail <EMAIL> now",
         "call <PHONE> or <PHONE> today",
         "no pii here",
@@ -103,7 +104,7 @@ def test_duplicate_span_stats(ray_session, exchange_block_rows):
 
 
 def test_token_count_edges_vs_oracle():
-    """TokenCount (pandas/re) must tokenize identically to the DuckDB/RE2
+    """TokenCount (Python re) must tokenize identically to the DuckDB/RE2
     oracle on contraction, quote, and whitespace edge cases."""
     import duckdb
 
@@ -117,11 +118,11 @@ def test_token_count_edges_vs_oracle():
         "", None, "'", "'s", "x'sx'llx're",
         "a'd b'm c've d're e'll f's g't",
     ]
-    df = pd.DataFrame({"doc_id": range(len(texts)), "text": texts})
-    out = TokenCount("text")(df.copy())
+    t = pa.table({"doc_id": np.arange(len(texts)), "text": texts})
+    out = TokenCount("text")(t).to_pandas()
 
     con = duckdb.connect()
-    con.register("documents", df)
+    con.register("documents", t)
     from raywin.pipelines.catalog import TOKEN_COUNTS_SQL
 
     exp = con.execute(TOKEN_COUNTS_SQL).df().sort_values("doc_id").reset_index(drop=True)
