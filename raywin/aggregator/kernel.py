@@ -33,6 +33,11 @@ RowAggregator.scala:25-29; we instead exploit Arrow/numpy columns):
         part) + per-query python merges — mirrors the reference
         HopsAggregator -> SawtoothAggregator stitch
         (HopsAggregator.scala:33-165, SawtoothAggregator.scala:64-139)
+
+Every engine answers a part with one Arrow array of the part's declared
+type (``output_type``): numeric answers are wrapped from their numpy
+vectors with a null mask, list answers from flat values plus offsets, and
+only the object engine builds a Python object per answer.
 """
 
 from __future__ import annotations
@@ -52,6 +57,88 @@ from .windowing import FiveMinuteResolution, round_down
 _NEG_INF = np.iinfo(np.int64).min // 4
 
 _MAX_EXACT = float(1 << 52)
+
+_FLOAT_OUT = {
+    Operation.AVERAGE,
+    Operation.VARIANCE,
+    Operation.SKEW,
+    Operation.KURTOSIS,
+}
+_INT_OUT = {
+    Operation.COUNT,
+    Operation.UNIQUE_COUNT,
+    Operation.APPROX_UNIQUE_COUNT,
+    Operation.BOUNDED_UNIQUE_COUNT,
+}
+
+
+def output_type(part: AggregationPart, input_type: pa.DataType) -> pa.DataType:
+    """The Arrow type of a part's answers over an input column of
+    ``input_type``."""
+    op = part.operation
+    if pa.types.is_map(input_type) and part.bucket is None and not part.element_wise:
+        # per-key map aggregation: map<key, out-of-scalar-op-on-values>
+        inner = AggregationPart(op, part.input_column, part.window, part.arg_map)
+        return pa.map_(input_type.key_type, output_type(inner, input_type.item_type))
+    if pa.types.is_list(input_type) and not part.element_wise and op not in (
+        Operation.HISTOGRAM, Operation.APPROX_HISTOGRAM_K
+    ):
+        input_type = input_type.value_type  # auto-explode: element semantics
+    # element-wise parts answer a list of the op's answer over each element
+    elem = input_type.value_type if part.element_wise else input_type
+    if op in _INT_OUT:
+        base = pa.int64()
+    elif op in _FLOAT_OUT:
+        base = pa.float64()
+    elif op is Operation.SUM:
+        base = pa.int64() if pa.types.is_integer(input_type) else pa.float64()
+    elif op in (Operation.HISTOGRAM, Operation.APPROX_HISTOGRAM_K):
+        base = pa.map_(pa.string(), pa.int64())
+    elif op is Operation.APPROX_PERCENTILE:
+        base = pa.list_(pa.float64())
+    elif op in (Operation.TOP_K, Operation.BOTTOM_K):
+        # numeric inputs run the float64 segtree engine (ints coerce to
+        # float); non-numeric inputs run the object engine and keep their type
+        if pa.types.is_integer(elem) or pa.types.is_floating(elem):
+            base = pa.list_(pa.float64())
+        else:
+            base = pa.list_(elem)
+    elif op in (Operation.FIRST_K, Operation.LAST_K):
+        base = pa.list_(elem)
+    else:  # MIN MAX FIRST LAST
+        base = elem
+    if part.element_wise:
+        base = pa.list_(base)
+    if part.bucket is not None:
+        base = pa.map_(pa.string(), base)
+    return base
+
+
+def _array(vals: np.ndarray, typ: pa.DataType, null: np.ndarray) -> pa.Array:
+    """One answer per query as a column of ``typ``: null where ``null`` and,
+    for float answers, where NaN."""
+    if vals.dtype.kind == "f":
+        null = null | np.isnan(vals)
+    return pa.array(vals, type=typ, mask=null)
+
+
+def _lists(lengths: np.ndarray, values: np.ndarray, typ: pa.DataType, null: np.ndarray) -> pa.Array:
+    """A list column of ``typ``: row i holds the next ``lengths[i]`` of
+    ``values`` (NaN values are null), and is null where ``null``."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int32)
+    np.cumsum(lengths, out=offsets[1:])
+    return pa.ListArray.from_arrays(
+        offsets, pa.array(values, type=typ.value_type, from_pandas=True), type=typ, mask=pa.array(null)
+    )
+
+
+def to_arrow(values, typ: pa.DataType) -> pa.Array:
+    """Per-row Python answers (None or NaN for null) as one column of
+    ``typ``; a map cell given as a dict is written as its sorted items, and
+    a NaN inside a map stays a value."""
+    if pa.types.is_map(typ):
+        return pa.array([sorted(v.items()) if isinstance(v, dict) else v for v in values], type=typ)
+    return pa.array(values, type=typ, from_pandas=True)
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -251,10 +338,11 @@ def _factorize_frames(evf, qf, key_cols: list[str]) -> tuple[np.ndarray, np.ndar
 class _Column:
     """Per-input-column preprocessed state over the sorted events."""
 
-    def __init__(self, raw: np.ndarray, ts_sorted: np.ndarray):
+    def __init__(self, raw: np.ndarray, ts_sorted: np.ndarray, typ: pa.DataType):
         self.raw = raw
-        self.is_list = False
-        self.is_map = False
+        # from the column's type, so an all-null column picks its engine too
+        self.is_list = isinstance(typ, (pa.ListType, pa.LargeListType, pa.FixedSizeListType))
+        self.is_map = pa.types.is_map(typ) or pa.types.is_struct(typ)  # cells are dicts
         if raw.dtype.kind == "f":
             self.valid = ~np.isnan(raw)
             self.numeric = raw
@@ -264,11 +352,6 @@ class _Column:
         else:  # object / string / list / map: None and nan are nulls
             self.valid = ~pd.isna(raw)  # scalar-aware: lists/dicts are not-na
             self.numeric = None
-            probe = next((v for v in raw if v is not None), None)
-            if isinstance(probe, (list, np.ndarray)):
-                self.is_list = True
-            elif isinstance(probe, dict):
-                self.is_map = True
         self._list_stats = None
         # exclusive prefix count of valid values: cum_valid[i] = #valid in [0, i)
         self.cum_valid = np.zeros(len(raw) + 1, dtype=np.int64)
@@ -356,7 +439,7 @@ class VectorIR:
     def combine(self, a: dict, b: dict) -> dict:
         raise NotImplementedError
 
-    def finalize(self, state: dict, valid: np.ndarray):
+    def finalize(self, state: dict, valid: np.ndarray, typ: pa.DataType) -> pa.Array:
         raise NotImplementedError
 
 
@@ -371,19 +454,11 @@ class MinMaxIR(VectorIR):
         return {"v": vals.copy()}
 
     def combine(self, a, b):
-        if a["v"].dtype.kind == "O":
-            take_b = np.array([y < x if self.is_min else y > x for x, y in zip(a["v"], b["v"])])
-        else:
-            take_b = b["v"] < a["v"] if self.is_min else b["v"] > a["v"]
+        take_b = b["v"] < a["v"] if self.is_min else b["v"] > a["v"]
         return {"v": np.where(take_b, b["v"], a["v"])}
 
-    def finalize(self, state, valid):
-        v = state["v"]
-        if v.dtype.kind == "f":
-            return np.where(valid, v, np.nan)
-        out = v.astype(object)
-        out[~valid] = None
-        return out
+    def finalize(self, state, valid, typ):
+        return _array(state["v"], typ, ~valid)
 
 
 class MomentsIR(VectorIR):
@@ -431,7 +506,7 @@ class MomentsIR(VectorIR):
             out["m4"] = m4
         return out
 
-    def finalize(self, state, valid):
+    def finalize(self, state, valid, typ):
         n, m2 = state["n"], state["m2"]
         with np.errstate(invalid="ignore", divide="ignore"):
             if not self.four:
@@ -440,7 +515,7 @@ class MomentsIR(VectorIR):
                 out = np.where((n < 3) | (m2 == 0), np.nan, np.sqrt(n) * state["m3"] / m2**1.5)
             else:
                 out = np.where((n < 4) | (m2 == 0), np.nan, n * state["m4"] / (m2 * m2) - 3)
-        return np.where(valid, out, np.nan)
+        return _array(out, typ, ~valid)
 
 
 class TopKIR(VectorIR):
@@ -467,16 +542,10 @@ class TopKIR(VectorIR):
             cat = np.sort(cat, axis=1)
         return {"v": cat[:, : self.k]}
 
-    def finalize(self, state, valid):
-        out = np.empty(len(valid), dtype=object)
+    def finalize(self, state, valid, typ):
         v = state["v"]
-        for i in range(len(valid)):
-            if valid[i]:
-                row = v[i]
-                out[i] = [float(x) for x in row[~np.isnan(row)]]
-            else:
-                out[i] = None
-        return out
+        keep = valid[:, None] & ~np.isnan(v)  # row-major: each row's values in order
+        return _lists(keep.sum(axis=1), v[keep], typ, ~valid)
 
 
 # the SEGTREE engine's state for each op class it serves
@@ -778,9 +847,11 @@ class PartitionAggregator:
 
     def aggregate_tables(
         self, events: pa.Table, queries: pa.Table, extra_key_cols=()
-    ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    ) -> tuple[np.ndarray, dict[str, pa.Array]]:
         """events: key_cols + ts + inputs; queries: key_cols + ts +
-        passthrough.  Returns (q_order, per-part result arrays).
+        passthrough.  Returns (q_order, {output column: answers}): one Arrow
+        array per part, of ``output_type(part, <its input column's type in
+        events>)``, with one answer per row of ``queries.take(q_order)``.
 
         The caller reorders the queries table with ``queries.take(q_order)``
         — passthrough columns never leave Arrow.  extra_key_cols joins the
@@ -854,49 +925,48 @@ class PartitionAggregator:
 
         def get_col(name: str) -> _Column:
             if name not in cols:
-                cols[name] = _Column(
-                    events_s.np_col(name) if n else np.array([], dtype=object), ev_ts_s
-                )
+                cols[name] = _Column(events_s.np_col(name), ev_ts_s, events.schema.field(name).type)
             return cols[name]
 
-        results: dict[str, np.ndarray] = {}
+        results: dict[str, pa.Array] = {}
         for part in self.parts:
+            typ = output_type(part, events.schema.field(part.input_column).type)
             results[part.output_column] = self._eval_part(
-                part, ev_ts_s, ev_ent_s, get_col, get_bounds, segtrees, len(q_ts_s)
+                part, typ, ev_ts_s, ev_ent_s, get_col, get_bounds, segtrees, len(q_ts_s)
             )
         return q_order, results
 
     # -- engines ----------------------------------------------------------
 
-    def _eval_part(self, part, ev_ts_s, ev_ent_s, get_col, get_bounds, segtrees, nq):
+    def _eval_part(self, part, typ, ev_ts_s, ev_ent_s, get_col, get_bounds, segtrees, nq):
         if len(ev_ts_s) == 0:
-            return np.full(nq, None, dtype=object) if nq else np.array([], dtype=object)
+            return pa.nulls(nq, typ)
         col = get_col(part.input_column)
         op = _part_op(part, col)
         if isinstance(op, _Nested):
             if isinstance(op, ExplodeOp) and op.inner.ufunc is np.add:
-                return self._list_prefix_engine(part, col, get_bounds)
-            return self._object_engine(part, op, col, ev_ts_s, ev_ent_s, get_col, get_bounds, nq)
+                return self._list_prefix_engine(part, typ, col, get_bounds)
+            return self._object_engine(part, typ, op, col, ev_ts_s, ev_ent_s, get_col, get_bounds, nq)
         if op.timed:
-            return self._position_engine(part, col, get_bounds, nq)
+            return self._position_engine(part, typ, col, get_bounds, nq)
         if op.ufunc is np.add:
-            return self._prefix_engine(part, col, get_bounds)
+            return self._prefix_engine(part, typ, col, get_bounds)
         vector_ir = _VECTOR_IRS.get(type(op))
         # over strings only a comparison (an extremum) has a vector state
         if vector_ir is not None and (col.numeric is not None or op.ufunc is not None):
             if vector_ir is MomentsIR and col.decimal is not None:
-                return self._exact_moments_engine(part, col, get_bounds, nq)
-            return self._segtree_engine(part, vector_ir(op), col, get_bounds, segtrees, nq)
+                return self._exact_moments_engine(part, typ, col, get_bounds)
+            return self._segtree_engine(part, typ, vector_ir(op), col, get_bounds, segtrees, nq)
         if isinstance(op, ApproxPercentile):
-            return self._percentile_engine(part, col, get_bounds, nq)
-        return self._object_engine(part, op, col, ev_ts_s, ev_ent_s, get_col, get_bounds, nq)
+            return self._percentile_engine(part, typ, col, get_bounds, nq)
+        return self._object_engine(part, typ, op, col, ev_ts_s, ev_ent_s, get_col, get_bounds, nq)
 
-    def _prefix_engine(self, part, col, get_bounds):
+    def _prefix_engine(self, part, typ, col, get_bounds):
         l, r = get_bounds(part)
         cnt = col.cum_valid[r] - col.cum_valid[l]
         empty = cnt == 0
         if part.operation is Operation.COUNT:
-            return _mask_int(cnt, empty)
+            return _array(cnt, typ, empty)
         if col.numeric is not None and col.numeric.dtype.kind == "f" and col.decimal is not None:
             # EXACT fixed-point sum: bitwise-deterministic across partition
             # and merge order (matches an oracle summing scaled BIGINTs)
@@ -904,20 +974,15 @@ class PartitionAggregator:
             lv, rv = col.compress(l, r)
             cs = col.dec_prefix(1)
             s = (cs[rv] - cs[lv]).astype(np.float64) / np.float64(10.0**d)
-            if part.operation is Operation.SUM:
-                return np.where(empty, np.nan, s)
+        else:
+            cs = col.cumsum
+            s = cs[r] - cs[l]
+        if part.operation is not Operation.SUM:
             with np.errstate(invalid="ignore", divide="ignore"):
-                return np.where(empty, np.nan, s / np.maximum(cnt, 1))
-        cs = col.cumsum
-        s = cs[r] - cs[l]
-        if part.operation is Operation.SUM:
-            if cs.dtype.kind == "i":
-                return _mask_int(s, empty)
-            return np.where(empty, np.nan, s)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(empty, np.nan, s.astype(np.float64) / np.maximum(cnt, 1))
+                s = s.astype(np.float64) / np.maximum(cnt, 1)
+        return _array(s, typ, empty)
 
-    def _list_prefix_engine(self, part, col, get_bounds):
+    def _list_prefix_engine(self, part, typ, col, get_bounds):
         """Exploded SUM/COUNT/AVERAGE over a list column: per-row element
         sums/counts precomputed once, then the usual prefix-difference — the
         whole window aggregate without materializing the explosion."""
@@ -930,14 +995,14 @@ class PartitionAggregator:
         cnt = cs_cnt[r] - cs_cnt[l]
         empty = cnt == 0
         if part.operation is Operation.COUNT:
-            return _mask_int(cnt, empty)
+            return _array(cnt, typ, empty)
         s = cs_sum[r] - cs_sum[l]
-        if part.operation is Operation.SUM:
-            return np.where(empty, np.nan, s)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(empty, np.nan, s / np.maximum(cnt, 1))
+        if part.operation is not Operation.SUM:
+            with np.errstate(invalid="ignore", divide="ignore"):
+                s = s / np.maximum(cnt, 1)
+        return _array(s, typ, empty)
 
-    def _position_engine(self, part, col, get_bounds, nq):
+    def _position_engine(self, part, typ, col, get_bounds, nq):
         l, r = get_bounds(part)
         lv, rv = col.compress(l, r)
         has = rv > lv
@@ -946,15 +1011,9 @@ class PartitionAggregator:
         if op in (Operation.FIRST, Operation.LAST):
             if len(vals) == 0:  # every value in the partition is null:
                 # the placeholder index 0 below would be out of bounds
-                out = np.empty(nq, dtype=object)
-                out[:] = None
-                return out
+                return pa.nulls(nq, typ)
             idx = np.where(has, np.where(op is Operation.FIRST, lv, rv - 1), 0)
-            picked = vals[idx]
-            out = np.empty(nq, dtype=object)
-            out[:] = picked
-            out[~has] = None
-            return out
+            return _array(vals[idx], typ, ~has)
         k = int(part.arg("k"))
         if op is Operation.LAST_K:
             start = np.maximum(lv, rv - k)
@@ -965,23 +1024,9 @@ class PartitionAggregator:
             end = np.minimum.reduce([rv, lv + k])
             lengths = np.where(has, end - lv, 0)
             flat = concat_ranges(lv, lengths)
-        picked = vals[flat]
-        offsets = np.zeros(nq + 1, dtype=np.int64)
-        offsets[1:] = cumsum1d(lengths, dtype=np.int64)
-        out = np.empty(nq, dtype=object)
-        # bulk path: most windows hold >= k events, so their rows are exactly
-        # k long — one reshape+tolist for all of them beats per-row slicing
-        full = lengths == k
-        n_full = int(full.sum())
-        if n_full:
-            fidx = np.flatnonzero(full)
-            rows = picked[concat_ranges(offsets[fidx], np.full(n_full, k))]
-            out[fidx] = np.fromiter(rows.reshape(-1, k).tolist(), dtype=object, count=n_full)
-        for i in np.flatnonzero(~full):
-            out[i] = list(picked[offsets[i] : offsets[i + 1]]) if lengths[i] else None
-        return out
+        return _lists(lengths, vals[flat], typ, ~has)
 
-    def _segtree_engine(self, part, ir, col, get_bounds, segtrees, nq):
+    def _segtree_engine(self, part, typ, ir, col, get_bounds, segtrees, nq):
         tree_key = (part.input_column, part.operation, part.arg("k"))
         if tree_key not in segtrees:
             segtrees[tree_key] = SegTree(ir, col.comp_vals)
@@ -990,10 +1035,10 @@ class PartitionAggregator:
         lv, rv = col.compress(l, r)
         state, valid = tree.query(lv, rv)
         if state is None:
-            return np.full(nq, None, dtype=object)
-        return tree.ir.finalize(state, valid)
+            return pa.nulls(nq, typ)
+        return tree.ir.finalize(state, valid, typ)
 
-    def _exact_moments_engine(self, part, col, get_bounds, nq):
+    def _exact_moments_engine(self, part, typ, col, get_bounds):
         """Variance/skew/kurtosis from EXACT integer power sums of the
         fixed-point-scaled values, finalized with a fixed double-op sequence.
 
@@ -1036,9 +1081,9 @@ class PartitionAggregator:
                 s4 = psum(4)
                 m4 = s4 - (4 * m) * s3 + ((6 * m) * m) * s2 - (((3 * m) * m) * m) * s1
                 out = np.where((n >= 4) & (m2 > 0), n * m4 / (m2 * m2) - 3, np.nan)
-        return np.where(n >= 1, out, np.nan)
+        return _array(out, typ, n < 1)
 
-    def _percentile_engine(self, part, col, get_bounds, nq):
+    def _percentile_engine(self, part, typ, col, get_bounds, nq):
         """Exact percentiles of every query's window: the k-th smallest of
         the window's non-null values, for all queries at once
         (``_range_kth``).  Ties take the earlier event, so an answer depends
@@ -1059,10 +1104,9 @@ class PartitionAggregator:
         pct = np.asarray(list(pct) if pct else [0.5], dtype=np.float64)[:, None]
         l, r = get_bounds(part)
         lv, rv = col.compress(l, r)
-        out = np.full(nq, None, dtype=object)
-        live = np.flatnonzero(rv > lv)
-        if not len(live):
-            return out
+        live = rv > lv
+        if not live.any():
+            return pa.nulls(nq, typ)
         vals = col.comp_vals.astype(np.float64)
         order = np.argsort(vals, kind="stable")
         ranks = np.empty(len(vals), dtype=np.int64)
@@ -1080,10 +1124,10 @@ class PartitionAggregator:
             v_lo, v_hi = vals[both]
             with np.errstate(invalid="ignore"):
                 res = np.where(frac == 0, v_lo, v_lo * (1 - frac) + v_hi * frac)
-        out[live] = np.fromiter(res.T.tolist(), dtype=object, count=len(live))
-        return out
+        # res is (percentiles x live windows): row i of the column is res[:, i]
+        return _lists(live * len(pct), res.T.ravel(), typ, ~live)
 
-    def _object_engine(self, part, op, col, ev_ts_s, ev_ent_s, get_col, get_bounds, nq):
+    def _object_engine(self, part, typ, op, col, ev_ts_s, ev_ent_s, get_col, get_bounds, nq):
         valid = col.valid
         if part.bucket is not None:
             bcol = get_col(part.bucket)
@@ -1182,7 +1226,7 @@ class PartitionAggregator:
                     ir = None if cache_ir is None else op.clone(cache_ir)
                 ir = merged(ir, (tail_ir[i],))
                 out[i] = None if ir is None else op.finalize(ir)
-            return out
+            return to_arrow(out, typ)
 
         # queries arrive sorted by (entity, ts) and bounds come from one
         # composite searchsorted, so [t0, t1] advances monotonically — a
@@ -1206,13 +1250,7 @@ class PartitionAggregator:
                 ir = stack.query_cloned()
             ir = merged(ir, (head_ir[i], tail_ir[i]))
             out[i] = None if ir is None else op.finalize(ir)
-        return out
-
-
-def _mask_int(vals: np.ndarray, empty: np.ndarray):
-    out = vals.astype(object)
-    out[empty] = None
-    return out
+        return to_arrow(out, typ)
 
 
 def _range_kth(ranks: np.ndarray, lv: np.ndarray, rv: np.ndarray, k: np.ndarray) -> np.ndarray:

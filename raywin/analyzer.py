@@ -272,7 +272,8 @@ def analyze_group_by(gb: GroupBy) -> dict:
     """Analyzer report (Analyzer.scala:116-190): validation errors, the
     output feature schema, and sampled heavy-hitter keys whose skew would
     dominate the co-partition shuffle."""
-    from .pipelines.group_by import events_dataset, output_type
+    from .aggregator.kernel import output_type
+    from .pipelines.group_by import events_dataset
     from .stages.shuffle import detect_hot_keys
 
     report: dict = {"errors": validate_group_by(gb)}

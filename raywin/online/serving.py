@@ -69,6 +69,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..api import GroupBy
+from ..aggregator.kernel import output_type, to_arrow
 from ..aggregator.npfast import concat_ranges
 from ..aggregator.scalar_ops import Segments, make_scalar_op, scan_parts
 from ..aggregator.windowing import FiveMinuteResolution, round_down
@@ -599,7 +600,7 @@ class ServingKernel:
 
     def __init__(self, group_by: GroupBy, batch_end_ts: int, left_names,
                  resolution=FiveMinuteResolution):
-        from ..pipelines.group_by import events_dataset, output_type
+        from ..pipelines.group_by import events_dataset
         from ..stages.shuffle import _arrow_schema
 
         self.agg = SawtoothOnlineAggregator(group_by, batch_end_ts, resolution)
@@ -615,7 +616,6 @@ class ServingKernel:
         ]
 
     def __call__(self, group: pa.Table) -> pa.Table:
-        from ..pipelines.group_by import _to_arrow_column
         from ..stages.shuffle import SIDE_COL
 
         side = group[SIDE_COL].to_numpy(zero_copy_only=False)
@@ -651,7 +651,7 @@ class ServingKernel:
             np.cumsum([0] + lengths),
             [a for _, a, _ in groups] + [len(pos)],
         )
-        cols = [_to_arrow_column(_scatter(q_tbl.num_rows, pos, feats[f.name]), f.type)
+        cols = [to_arrow(_scatter(q_tbl.num_rows, pos, feats[f.name]), f.type)
                 for f in self.out_fields]
         return pa.Table.from_arrays(list(q_tbl.columns) + cols, schema=out_schema)
 

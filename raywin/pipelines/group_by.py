@@ -14,7 +14,9 @@ One all-to-all exchange total: both sides co-partition in a single
 ``co_partition`` (stages/shuffle.py), which hands PartitionKernel each
 partition as an Arrow table with the padded side schema's types, and the
 vectorized kernel (aggregator/kernel.py) does the per-partition sort +
-sawtooth window evaluation.  This replaces the
+sawtooth window evaluation.  The kernel answers each aggregation part with
+one Arrow array of its declared type (``kernel.output_type``), which
+PartitionKernel appends to the reordered query rows as is.  This replaces the
 reference's three-way leftOuterJoin topology (GroupBy.scala:340-355) with an
 equivalent single-shuffle union join.
 
@@ -29,102 +31,18 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from ..api import MILLIS_DAY, Accuracy, AggregationPart, GroupBy, Operation
-from ..aggregator.kernel import PartitionAggregator
+from ..api import MILLIS_DAY, Accuracy, AggregationPart, GroupBy
+from ..aggregator.kernel import PartitionAggregator, output_type
 from ..aggregator.windowing import DailyResolution, FiveMinuteResolution
 from ..sources.io import scan_source, union_sources
 from ..stages.query import apply_derivations
 from ..stages.shuffle import SIDE_COL, _arrow_schema, co_partition, declare_schema
 
-_FLOAT_OUT = {
-    Operation.AVERAGE,
-    Operation.VARIANCE,
-    Operation.SKEW,
-    Operation.KURTOSIS,
-}
-_INT_OUT = {
-    Operation.COUNT,
-    Operation.UNIQUE_COUNT,
-    Operation.APPROX_UNIQUE_COUNT,
-    Operation.BOUNDED_UNIQUE_COUNT,
-}
-
-
-def output_type(part: AggregationPart, input_type: pa.DataType) -> pa.DataType:
-    op = part.operation
-    if pa.types.is_map(input_type) and part.bucket is None and not part.element_wise:
-        # per-key map aggregation: map<key, out-of-scalar-op-on-values>
-        inner = AggregationPart(op, part.input_column, part.window, part.arg_map)
-        return pa.map_(input_type.key_type, output_type(inner, input_type.item_type))
-    if pa.types.is_list(input_type) and not part.element_wise and op not in (
-        Operation.HISTOGRAM, Operation.APPROX_HISTOGRAM_K
-    ):
-        input_type = input_type.value_type  # auto-explode: element semantics
-    if op in _INT_OUT:
-        base = pa.int64()
-    elif op in _FLOAT_OUT:
-        base = pa.float64()
-    elif op is Operation.SUM:
-        base = pa.int64() if pa.types.is_integer(input_type) else pa.float64()
-    elif op in (Operation.HISTOGRAM, Operation.APPROX_HISTOGRAM_K):
-        base = pa.map_(pa.string(), pa.int64())
-    elif op is Operation.APPROX_PERCENTILE:
-        base = pa.list_(pa.float64())
-    elif op in (Operation.TOP_K, Operation.BOTTOM_K):
-        # numeric inputs run the float64 segtree engine (ints coerce to
-        # float); non-numeric inputs run the object engine and keep their type
-        if pa.types.is_integer(input_type) or pa.types.is_floating(input_type):
-            base = pa.list_(pa.float64())
-        else:
-            base = pa.list_(input_type)
-    elif op in (Operation.FIRST_K, Operation.LAST_K):
-        elem = input_type.value_type if part.element_wise else input_type
-        base = pa.list_(elem)
-    else:  # MIN MAX FIRST LAST
-        base = input_type.value_type if part.element_wise else input_type
-    if part.element_wise and op not in (Operation.FIRST_K, Operation.LAST_K):
-        base = pa.list_(base)
-    if part.bucket is not None:
-        base = pa.map_(pa.string(), base)
-    return base
-
-
-def _to_arrow_column(values, typ: pa.DataType) -> pa.Array:
-    raw = values if isinstance(values, np.ndarray) else np.asarray(values)
-    # vectorized fast paths (hot: every passthrough column of every group)
-    if raw.dtype.kind in "iu" and (pa.types.is_integer(typ) or pa.types.is_floating(typ)):
-        return pa.array(raw, type=typ)
-    if raw.dtype.kind == "f":
-        m = np.isnan(raw)
-        if pa.types.is_floating(typ):
-            return pa.array(raw, type=typ, from_pandas=True)  # NaN -> null
-        if pa.types.is_integer(typ):
-            return pa.array(
-                np.where(m, 0, raw).astype(np.int64), type=typ, mask=m
-            )
-    arr = np.asarray(values, dtype=object)
-    if pa.types.is_floating(typ):
-        clean = [None if v is None or (isinstance(v, float) and np.isnan(v)) else float(v) for v in arr]
-        return pa.array(clean, type=typ)
-    if pa.types.is_integer(typ):
-        clean = [None if v is None or (isinstance(v, float) and np.isnan(v)) else int(v) for v in arr]
-        return pa.array(clean, type=typ)
-    if pa.types.is_map(typ):
-        clean = []
-        for v in arr:
-            if v is None or (isinstance(v, float) and np.isnan(v)):
-                clean.append(None)
-            elif isinstance(v, dict):
-                clean.append(sorted(v.items()))
-            else:  # arrow->pandas round trip yields list-of-(key, value)
-                clean.append([tuple(t) for t in v])
-        return pa.array(clean, type=typ)
-    return pa.array(list(arr), type=typ, from_pandas=True)
-
 
 class PartitionKernel:
     """co_partition fn: split a co-partitioned block into (events,
-    queries), run the vectorized PartitionAggregator, emit Arrow."""
+    queries), run the vectorized PartitionAggregator, and append its
+    answer arrays to the reordered queries."""
 
     def __init__(
         self,
@@ -169,9 +87,7 @@ class PartitionKernel:
         rt = group.filter(pa.array(~is_left)).select(list(dict.fromkeys(rt_names)))
         out_schema = pa.schema(list(self.left_schema) + self.out_fields)
         if lt.num_rows == 0:
-            return pa.Table.from_arrays(
-                [pa.nulls(0, f.type) for f in out_schema], schema=out_schema
-            )
+            return out_schema.empty_table()
         # Arrow-native kernel ingestion: only the columns the kernel actually
         # touches (keys, ts, aggregation inputs) convert to numpy — map
         # columns via per-column maps_as_pydicts — and the query passthrough
@@ -179,10 +95,10 @@ class PartitionKernel:
         q_order, results = self.agg.aggregate_tables(
             rt, lt, extra_key_cols=(CHUNK_COL,) if chunked else ()
         )
-        # co_partition hands the partition over with the declared left types
+        # co_partition hands the partition over with the declared types, so
+        # the kernel's answers already have the declared output types
         cols = list(lt.select(left_names).take(q_order).columns)
-        for f, part in zip(self.out_fields, self.parts):
-            cols.append(_to_arrow_column(results[part.output_column], f.type))
+        cols += [results[part.output_column] for part in self.parts]
         return pa.table(cols, schema=out_schema)
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 import ray.data
@@ -118,9 +119,31 @@ def read_block_count() -> int:
     return os.cpu_count() or 1
 
 
+def _read_schema(path, columns: list[str] | None) -> pa.Schema | None:
+    """The first file's schema projected to ``columns``, without its
+    metadata, or None when the read may need hive partition columns (Ray
+    adds a column for each ``key=value`` directory after the read, outside
+    ``schema``)."""
+    files = _parquet_files(path)
+    if not files or not os.path.isfile(files[0]):
+        return None
+    if columns is None and any("=" in os.path.dirname(f) for f in files):
+        return None
+    phys = pq.read_schema(files[0])
+    names = phys.names if columns is None else columns
+    if not set(names) <= set(phys.names):
+        return None
+    return pa.schema([phys.field(c).remove_metadata() for c in names])
+
+
 def read_parquet(path, columns: list[str] | None = None) -> "ray.data.Dataset":
-    """``ray.data.read_parquet`` into ``read_block_count()`` blocks."""
-    return ray.data.read_parquet(path, columns=columns, override_num_blocks=read_block_count())
+    """``ray.data.read_parquet`` into ``read_block_count()`` blocks whose
+    schemas carry no metadata.  pandas-written files carry pandas metadata,
+    and Ray cannot hash a schema that has any: it logs "Failed to hash the
+    schemas" each time it unifies such blocks."""
+    return ray.data.read_parquet(
+        path, columns=columns, schema=_read_schema(path, columns), override_num_blocks=read_block_count()
+    )
 
 
 def parquet_column_range(path: str, column: str):

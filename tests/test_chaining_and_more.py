@@ -196,6 +196,44 @@ def test_zero_leakage_image_pipeline(ray_session, exchange_block_rows, tmp_path)
     assert ((x.isna() & y.isna()) | (x == y)).all()
 
 
+def test_parquet_reads_drop_pandas_metadata(ray_session, tmp_path):
+    """Two reads of a pandas-written file, unioned and sorted, give blocks
+    without schema metadata, and Ray logs no "Failed to hash the schemas"
+    (it cannot hash a schema with metadata when it unifies blocks).  A
+    hive-partitioned directory keeps its partition column."""
+    import logging
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from raywin.sources.io import read_parquet
+
+    path = str(tmp_path / "f.parquet")
+    pd.DataFrame({"a": [3, 1, 2], "b": ["x", "y", "z"]}).to_parquet(path)
+    assert pq.read_schema(path).metadata
+    logged = []
+    handler = logging.Handler()
+    handler.emit = lambda record: logged.append(record.getMessage())
+    logger = logging.getLogger("ray.data._internal.arrow_ops.transform_pyarrow")
+    logger.addHandler(handler)
+    try:
+        ds = read_parquet(path).union(read_parquet(path, columns=["a", "b"])).sort("a")
+        blocks = ray.get(ds.to_arrow_refs())
+    finally:
+        logger.removeHandler(handler)
+    assert [b.schema.metadata for b in blocks] == [None] * len(blocks)
+    # the sort may also hand back a zero-row block with no schema
+    assert pa.concat_tables([b for b in blocks if b.num_rows])["a"].to_pylist() == [1, 1, 2, 2, 3, 3]
+    assert not [m for m in logged if "Failed to hash the schemas" in m]
+
+    hive = str(tmp_path / "hive")
+    pq.write_to_dataset(pa.table({"a": [1, 2], "ds": ["d1", "d2"]}), hive, partition_cols=["ds"])
+    for cols in (None, ["a", "ds"]):
+        rows = read_parquet(hive, columns=cols).take_all()
+        assert sorted((r["a"], r["ds"]) for r in rows) == [(1, "d1"), (2, "d2")]
+
+
 def test_lance_path_detection():
     """Lance tables are detected and route to read_lance (gated on the wheel
     being present; this container has none, so the error must be clear)."""

@@ -14,7 +14,7 @@ import pyarrow as pa
 import pytest
 
 from raywin.api import Aggregation, Operation, TimeUnit, Window
-from raywin.aggregator.kernel import PartitionAggregator
+from raywin.aggregator.kernel import PartitionAggregator, output_type
 from raywin.aggregator.windowing import FiveMinuteResolution, NaiveOracle, window_bounds
 
 WINDOWS = [Window(1, TimeUnit.HOURS), Window(1, TimeUnit.DAYS), Window(7, TimeUnit.DAYS), Window(30, TimeUnit.DAYS), Window(-1)]
@@ -94,11 +94,19 @@ def to_arrow(df: pd.DataFrame, types=None) -> pa.Table:
 
 def aggregate(agg, ev: pd.DataFrame, q: pd.DataFrame, types=None) -> pd.DataFrame:
     """agg.aggregate_tables over Arrow copies of ev and q: the query rows in
-    kernel order plus one column per part."""
-    q_order, results = agg.aggregate_tables(to_arrow(ev, types), to_arrow(q, types))
+    kernel order plus one column per part, read from the part's Arrow array
+    (of its declared type): float answers as floats with NaN for null, any
+    other answer as its Python value with None for null."""
+    events = to_arrow(ev, types)
+    q_order, results = agg.aggregate_tables(events, to_arrow(q, types))
     out = q.iloc[q_order].reset_index(drop=True)
     for part in agg.parts:
-        out[part.output_column] = results[part.output_column]
+        col = results[part.output_column]
+        assert col.type == output_type(part, events.schema.field(part.input_column).type)
+        out[part.output_column] = (
+            col.to_numpy(zero_copy_only=False) if pa.types.is_floating(col.type)
+            else pd.Series(col.to_pylist(), dtype=object)
+        )
     return out
 
 
@@ -367,6 +375,27 @@ _ENGINES = {
 }
 
 
+_PIN_EVENTS = pa.table({
+    "user": ["u"] * 4,
+    "ts": pa.array([BASE_TS + i for i in range(4)], pa.int64()),
+    "float": [0.1234567891, 2.718281828459, 3.14159265358, 1e-7],
+    "decimal": [1.25, 2.5, 3.75, 5.0],
+    "int": pa.array([3, 1, 4, 1], pa.int64()),
+    "string": ["a", "b", "a", "c"],
+    "list": pa.array([[1.0, 2.0], [3.0], [], [4.0, 5.0]], pa.list_(pa.float64())),
+    "map": pa.array([[("a", 1.0)], [("b", 2.0)], [("a", 3.0)], []],
+                    pa.map_(pa.string(), pa.float64())),
+})
+# windows of 0, 2 and 4 events
+_PIN_QUERIES = pa.table({"user": ["u"] * 3, "ts": pa.array([BASE_TS, BASE_TS + 2, BASE_TS + 9], pa.int64())})
+
+
+def _pin_part(op, kind, k=2):
+    col = {"bucketed": "float", "element_wise": "list"}.get(kind, kind)
+    return Aggregation(op, col, arg_map={"k": k}, buckets=["string"] if kind == "bucketed" else None,
+                       element_wise=kind == "element_wise").unpack()[0]
+
+
 class _Served(Exception):
     pass
 
@@ -379,27 +408,43 @@ def test_engine_per_op_and_column_kind(monkeypatch):
         def served(self, *args, name=name, **kwargs):
             raise _Served(name[1:-len("_engine")])
         monkeypatch.setattr(PartitionAggregator, name, served)
-    events = pa.table({
-        "user": ["u"] * 4,
-        "ts": pa.array([BASE_TS + i for i in range(4)], pa.int64()),
-        "float": [0.1234567891, 2.718281828459, 3.14159265358, 1e-7],
-        "decimal": [1.25, 2.5, 3.75, 5.0],
-        "int": pa.array([3, 1, 4, 1], pa.int64()),
-        "string": ["a", "b", "a", "c"],
-        "list": pa.array([[1.0, 2.0], [3.0], [], [4.0, 5.0]], pa.list_(pa.float64())),
-        "map": pa.array([[("a", 1.0)], [("b", 2.0)], [("a", 3.0)], []],
-                        pa.map_(pa.string(), pa.float64())),
-    })
-    queries = pa.table({"user": ["u", "u"], "ts": pa.array([BASE_TS + 2, BASE_TS + 9], pa.int64())})
     got = {}
     for op in Operation:
         served = []
         for kind in _ENGINE_KINDS:
-            col = {"bucketed": "float", "element_wise": "list"}.get(kind, kind)
-            part = Aggregation(op, col, arg_map={"k": 2}, buckets=["string"] if kind == "bucketed" else None,
-                               element_wise=kind == "element_wise").unpack()[0]
             with pytest.raises(_Served) as e:
-                PartitionAggregator(["user"], [part]).aggregate_tables(events, queries)
+                PartitionAggregator(["user"], [_pin_part(op, kind)]).aggregate_tables(_PIN_EVENTS, _PIN_QUERIES)
             served.append(str(e.value))
         got[op.value] = " ".join(served)
     assert got == _ENGINES
+
+
+# ops that need numbers: over the string column they have no answer
+_NUMERIC_ONLY = {Operation.SUM, Operation.AVERAGE, Operation.VARIANCE, Operation.SKEW,
+                 Operation.KURTOSIS, Operation.APPROX_PERCENTILE}
+
+
+@pytest.mark.parametrize("case", ["events", "zero_events", "all_null", "ragged"])
+def test_every_engine_answers_with_its_declared_arrow_type(case):
+    """Every (operation, column kind) answers with one Arrow array of the
+    part's declared output type, one row per query, null for the empty
+    window: over the pin's events, over no events, over all-null input
+    columns, and with k = 3 where a window holds 2 events (ragged
+    LAST_K/FIRST_K/TOP_K lists)."""
+    events = _PIN_EVENTS
+    if case == "zero_events":
+        events = events.slice(0, 0)
+    elif case == "all_null":
+        events = pa.table({f.name: events[f.name] if f.name in ("user", "ts") else pa.nulls(4, f.type)
+                           for f in events.schema})
+    for op in Operation:
+        for kind in _ENGINE_KINDS:
+            if kind == "string" and op in _NUMERIC_ONLY:
+                continue
+            part = _pin_part(op, kind, k=3 if case == "ragged" else 2)
+            q_order, results = PartitionAggregator(["user"], [part]).aggregate_tables(events, _PIN_QUERIES)
+            got = results[part.output_column]
+            assert isinstance(got, pa.Array), (op, kind, type(got))
+            assert got.type == output_type(part, events.schema.field(part.input_column).type), (op, kind)
+            assert len(got) == len(q_order) == 3, (op, kind)
+            assert not got[0].is_valid, (op, kind)  # q_order is ts order: the empty window first

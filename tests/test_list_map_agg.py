@@ -199,7 +199,7 @@ def test_map_column_vs_oracle(op):
 
 def test_list_map_pipeline(ray_session, exchange_block_rows, tmp_path):
     """End-to-end through features_for_queries: arrow list/map typing,
-    maps_as_pydicts conversion, _to_arrow_column output path."""
+    maps_as_pydicts conversion, the kernel's answers of the declared types."""
     import ray.data
 
     from raywin.api import Accuracy, EventSource, GroupBy, Query
