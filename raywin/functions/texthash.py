@@ -24,6 +24,7 @@ import re
 
 import numpy as np
 
+from ..aggregator.npfast import concat_ranges
 from ..aggregator.sketches import splitmix64
 
 HORNER_B = 1000003
@@ -119,7 +120,7 @@ def window_horner(cp: np.ndarray, off: np.ndarray, w: int) -> tuple[np.ndarray, 
             valid = ends_rep - np.arange(N - w + 1, dtype=np.int64) >= w
             # valid windows are doc-ordered and contiguous per long segment
             li = np.flatnonzero(long)
-            idx = np.repeat(sh_off[:-1][li], n_sh[li]) + _seq_within(n_sh[li])
+            idx = concat_ranges(sh_off[:-1][li], n_sh[li])
             out[idx] = acc[valid]
         if (~long).any():
             # short segments: single whole-segment hash
@@ -127,15 +128,6 @@ def window_horner(cp: np.ndarray, off: np.ndarray, w: int) -> tuple[np.ndarray, 
             si = np.flatnonzero(~long)
             out[sh_off[:-1][si]] = short_all[si]
     return out, sh_off
-
-
-def _seq_within(counts: np.ndarray) -> np.ndarray:
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    starts = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    return np.arange(total) - np.repeat(starts, counts)
 
 
 def minhash_seeds(num_perm: int) -> np.ndarray:

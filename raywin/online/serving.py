@@ -15,8 +15,10 @@ The Fetcher is the reference's online Fetcher collapsed to its offline-
 testable core: per-key batch IR map (what the KV store would hold) + per-key
 streaming rows or sealed tiles (streaming.TileAggregator), with fetch()
 returning the same feature row the offline kernel computes for (key, ts).
-Both kinds of streaming state are answered by the same lambda: sealed tiles
-join the batch IR's tail tiles, and the unsealed raw head is the stream.
+Both kinds of streaming state are answered by the same lambda.  Sealed
+tiles are held in the batch IRs' flat layout (an upload.IRTable of their
+own), and a key's sealed tiles, which start at or after the seam, follow
+its batch tiles in one ascending run; the unsealed raw head is the stream.
 
 The lambda answers a whole request in one call, as the reference's
 FetcherBase.fetchGroupBys runs it once over every key's state.  A request
@@ -46,9 +48,10 @@ Fetcher): the cache misses of a request are decoded together, with one
 np.frombuffer over their joined blobs, into flat arrays (every key's
 words, and per key and part the collapsed flag, tile count and kind).  A
 request's heads, collapsed and tile indices and tile counts are then
-fancy-indexed from those arrays and one searchsorted over the keys' tile
-starts, with no Python loop over keys; the heads of the numeric ops come
-out as one array per part.  Request and micro-batch rows are grouped by
+fancy-indexed from those arrays (and from the sealed-tile table's, joined
+run by run) and one searchsorted over the keys' tile starts, with no
+Python loop over keys; the heads of the numeric ops come out as one array
+per part.  Request and micro-batch rows are grouped by
 key with one lexsort (of the key values when they are integers, else of
 their factorize codes) instead of a pandas groupby, and a micro-batch that
 continues a key's stream in time is appended without a sort.
@@ -78,14 +81,20 @@ from .upload import IR_COL, IRTable, encode_dicts, load_upload
 
 # lo of an unbounded part: below every tile start and event ts
 _LO_NONE = np.iinfo(np.int64).min // 2
+# seam of a Fetcher or TileAggregator without a batch side: below every ts
+_NO_SEAM = np.iinfo(np.int64).min // 4
 
 
 class KeyIRs(NamedTuple):
     """Some keys' decoded batch IRs as lambda_aggregate_many takes them:
-    an upload.IRTable and each key's row in it (0: no batch IR)."""
+    an upload.IRTable and each key's row in it (0: no batch IR); and, when
+    tile-backed, a TileAggregator's table of sealed tiles and each key's
+    row in it, whose tiles follow the key's batch tiles."""
 
     table: IRTable
     rows: np.ndarray
+    tiles: IRTable | None = None
+    tile_rows: np.ndarray | None = None
 
 
 class _Groups(NamedTuple):
@@ -178,18 +187,6 @@ class SawtoothOnlineAggregator:
         table = IRTable(self.columns)
         return KeyIRs(table, table.add(encode_dicts(self.ops, self.columns, batch_irs)))
 
-    def with_tiles(self, batch_ir: dict | None, key_tiles: dict) -> dict:
-        """A dict-form batch IR with more tiles after its own: key_tiles is
-        {output_column: (starts, IRs)}, a TileAggregator key's.  decode()
-        it with the request's other keys."""
-        out = dict(batch_ir or {})
-        for col, (starts, irs) in key_tiles.items():
-            if len(starts):
-                entry = out.get(col) or {"c": None, "t": []}
-                out[col] = {"c": entry["c"],
-                            "t": list(entry["t"]) + list(zip(np.asarray(starts).tolist(), irs))}
-        return out
-
     # -- the lambda ---------------------------------------------------------
     def lambda_aggregate_many(self, batch_irs, stream_ts, stream_rows, query_ts,
                               stream_bounds=None, query_bounds=None) -> dict:
@@ -197,7 +194,7 @@ class SawtoothOnlineAggregator:
         equal to lambda_aggregate per query.
 
         A request of K keys: batch_irs is their KeyIRs (decode(), or a
-        Fetcher's table and the keys' rows in it), key k's at
+        Fetcher's tables and the keys' rows in them), key k's at
         batch_irs.rows[k]; stream_ts and stream_rows ({input column:
         values}) hold the keys' streams one after another, key k's at
         [stream_bounds[k], stream_bounds[k + 1]), each ts-ascending;
@@ -274,10 +271,13 @@ class SawtoothOnlineAggregator:
         """Each part's (heads, collapsed, tile, n_tiles) for Segments: a
         group's heads are its key's collapsed IR, then the key's tiles that
         start at or after the group's lo (all of them when unbounded),
-        found by one search over every key's and part's tile starts.  Every
-        index is computed for all keys and parts at once."""
+        found by one search over every key's and part's tile starts.  A
+        key's sealed tiles start at or after the seam, so they follow its
+        batch tiles in one ascending run.  Every index is computed for all
+        keys and parts at once."""
         n_parts = len(self._specs)
-        has_c, n_tiles, starts, heads = batch_irs.table.gather(batch_irs.rows)
+        has_c, n_tiles, starts, heads = batch_irs.table.gather(
+            batch_irs.rows, batch_irs.tiles, batch_irs.tile_rows)
         # rows: every part's groups, one part after another; tile runs are
         # (key, part), key after key as gather lays them out
         per_part = (grp.bounds[1:] - grp.bounds[:-1])[self._part_win]
@@ -360,26 +360,25 @@ def _non_null(vals):
     return None if ok.all() else ok
 
 
-def _key_groups(df: pd.DataFrame, key_cols, ts, keep=None):
-    """df's rows grouped by key, ts-ascending (stable) within a key, with one
-    lexsort: of the key values themselves when every key column has an
-    integer numpy dtype (no nulls), else of one factorize per key column.
-    Rows outside ``keep`` or with a null key are left out, as a pandas
-    groupby drops them.  Returns (positions into df, [(key tuple, a, b)]):
-    a key's rows are positions[a:b], and a key is a tuple of Python
-    values either way."""
+def _key_groups(key_values, ts, keep=None):
+    """Rows grouped by key, ts-ascending (stable) within a key, with one
+    lexsort: of the key values themselves when every key column is an
+    integer numpy array (no nulls), else of one factorize per key column.
+    key_values holds one numpy array per key column.  Rows outside
+    ``keep`` or with a null key are left out, as a pandas groupby drops
+    them.  Returns (row positions, [(key tuple, a, b)]): a key's rows are
+    positions[a:b], and a key is a tuple of Python values either way."""
     codes, uniques = [], []
-    for k in key_cols:
-        col = df[k]
-        if isinstance(col.dtype, np.dtype) and col.dtype.kind in "iu":
-            codes.append(col.to_numpy())
+    for col in key_values:
+        if col.dtype.kind in "iu":
+            codes.append(col)
             uniques.append(None)
             continue
         c, u = pd.factorize(col)
         codes.append(c)
         uniques.append(u)
         keep = c >= 0 if keep is None else keep & (c >= 0)
-    pos = np.arange(len(df)) if keep is None else np.flatnonzero(keep)
+    pos = np.arange(len(ts)) if keep is None else np.flatnonzero(keep)
     if not len(pos):
         return pos, []
     pos = pos[np.lexsort([ts[pos]] + [c[pos] for c in reversed(codes)])]
@@ -395,15 +394,15 @@ def _key_groups(df: pd.DataFrame, key_cols, ts, keep=None):
     return pos, list(zip(keys, bounds[:-1], bounds[1:]))
 
 
-def _key_streams(df: pd.DataFrame, key_cols, in_cols, keep=None):
-    """(key, ts, {input column: values}) for each key of df, ts-ascending,
-    as slices of one (key, ts) sort of the frame."""
+def _put(streams: dict, df: pd.DataFrame, key_cols, in_cols, keep):
+    """Merge df's rows in keep into streams (_merge_append), each key's
+    (ts, {input column: values}) a slice of one (key, ts) sort of df."""
     ts = df["ts"].to_numpy(dtype=np.int64)
-    pos, groups = _key_groups(df, key_cols, ts, keep)
+    pos, groups = _key_groups([df[k].to_numpy() for k in key_cols], ts, keep)
     ts = ts[pos]
     cols = {c: df[c].to_numpy()[pos] for c in in_cols if c in df.columns}
     for key, a, b in groups:
-        yield key, ts[a:b], {c: v[a:b] for c, v in cols.items()}
+        _merge_append(streams, key, ts[a:b], {c: v[a:b] for c, v in cols.items()})
 
 
 def _merge_append(streams: dict, key: tuple, ts, rows: dict):
@@ -442,9 +441,9 @@ class Fetcher:
     is decoded once into one IRTable, the request's cache misses together
     with one IRTable.add; _cache holds every key looked up, with its row in
     the table (0 when the key has no blob).  Tile-backed state takes the
-    same call: the key's sealed tiles extend the batch tiles (the request's
-    keys are then decoded afresh, as the tiles change with every batch)
-    and the unsealed raw head is the stream."""
+    same call and the same cached decode: the key's sealed tiles are read
+    from the TileAggregator's own IRTable, which the lambda gathers after
+    the key's batch tiles, and the unsealed raw head is the stream."""
 
     def __init__(self, group_by: GroupBy, batch_end_ts: int, upload=None,
                  resolution=FiveMinuteResolution):
@@ -453,13 +452,10 @@ class Fetcher:
         self.batch_end_ts = batch_end_ts
         self.key_cols = group_by.key_columns
         self._in_cols = {p.input_column for p in self.agg.parts}
-        self._blobs: dict = {}
+        self._blobs: dict = {} if upload is None else (
+            upload if isinstance(upload, dict) else load_upload(upload, self.key_cols))
         self._cache: dict = {}  # key -> its row in _irs (0 when the key has no blob)
         self._irs = IRTable(self.agg.columns)
-        if upload is not None:
-            self._blobs = (
-                upload if isinstance(upload, dict) else load_upload(upload, self.key_cols)
-            )
         self._stream: dict[tuple, list] = {}  # key -> [ts_array, {col: arr}], ts-sorted
         self._tiles = None
         self.dropped_pre_seam = 0
@@ -471,11 +467,16 @@ class Fetcher:
         Rows with a null key are dropped too (as a pandas groupby would)."""
         keep = df["ts"].to_numpy(dtype=np.int64) >= self.batch_end_ts
         self.dropped_pre_seam += len(keep) - int(np.count_nonzero(keep))
-        for key, ts, rows in _key_streams(df, self.key_cols, self._in_cols, keep):
-            _merge_append(self._stream, key, ts, rows)
+        _put(self._stream, df, self.key_cols, self._in_cols, keep)
 
     def attach_tiles(self, tile_aggregator):
-        """Serve from a TileAggregator's sealed tiles + unsealed raw rows."""
+        """Serve from a TileAggregator's sealed tiles + unsealed raw rows.
+        Its seam must be this Fetcher's (_NO_SEAM without a batch side), so
+        that its sealed tiles start at or after the seam, after every batch
+        tile, and no event on either side of the seam is lost."""
+        if tile_aggregator.batch_end_ts != self.batch_end_ts:
+            raise ValueError(f"the TileAggregator's seam {tile_aggregator.batch_end_ts} "
+                             f"is not the Fetcher's {self.batch_end_ts}")
         self._tiles = tile_aggregator
 
     # -- fetch --------------------------------------------------------------
@@ -494,34 +495,10 @@ class Fetcher:
         st = (self._stream if self._tiles is None else self._tiles.raw).get(key)
         return (st[0], st[1]) if st else (None, None)
 
-    def _tiled(self, key: tuple, ir: dict | None):
-        """Tile-backed: the dict-form batch IR ir of key followed by the
-        key's sealed tiles that start at or after the seam."""
-        key_tiles = self._tiles.tiles.get(key)
-        if not key_tiles:
-            return ir
-        tail = {}
-        for col, (starts, irs) in key_tiles.items():
-            i = int(np.searchsorted(starts, self.batch_end_ts))
-            tail[col] = (starts[i:], irs[i:])
-        return self.agg.with_tiles(ir, tail)
-
     def _state(self, key: tuple):
-        """(batch IR in dict form, stream ts, stream rows) of key, as the
-        per-row reference lambda_aggregate takes them."""
-        ir = self._irs.ir(int(self._rows([key])[0]))
-        if self._tiles is not None:
-            ir = self._tiled(key, ir)
-        return (ir, *self._stream_of(key))
-
-    def _check_sealed(self, qts):
-        """Sealed tiles are whole tile spans: a query behind the sealed
-        boundary would count the part of a tile at or after its ts."""
-        sealed = None if self._tiles is None else self._tiles.sealed_until
-        if sealed is not None and len(qts) and int(qts.min()) < sealed:
-            raise ValueError(
-                f"query_ts {int(qts.min())} is behind the sealed boundary {sealed}"
-            )
+        """(batch IR in dict form, stream ts, stream rows) of a raw-row key,
+        as the per-row reference lambda_aggregate takes them."""
+        return (self._irs.ir(int(self._rows([key])[0])), *self._stream_of(key))
 
     def fetch(self, key, query_ts: int) -> dict:
         """One key at one ts: a one-row fetch_batch."""
@@ -536,15 +513,15 @@ class Fetcher:
         engine ServingKernel's distributed path uses.  Returns
         {output_column: values aligned with batch's positions}."""
         qts = batch["ts"].to_numpy(dtype=np.int64)
-        self._check_sealed(qts)
-        pos, groups = _key_groups(batch, self.key_cols, qts)
+        # sealed tiles are whole tile spans: a query behind the sealed
+        # boundary would count the part of a tile at or after its ts
+        sealed = None if self._tiles is None else self._tiles.sealed_until
+        if sealed is not None and len(qts) and int(qts.min()) < sealed:
+            raise ValueError(f"query_ts {int(qts.min())} is behind the sealed boundary {sealed}")
+        pos, groups = _key_groups([batch[k].to_numpy() for k in self.key_cols], qts)
         keys = [key for key, _, _ in groups]
-        rows = self._rows(keys)
-        if self._tiles is None:
-            irs = KeyIRs(self._irs, rows)
-        else:
-            irs = self.agg.decode([self._tiled(k, self._irs.ir(r))
-                                   for k, r in zip(keys, rows.tolist())])
+        tiles = () if self._tiles is None else (self._tiles.table, self._tiles.rows(keys))
+        irs = KeyIRs(self._irs, self._rows(keys), *tiles)
         ts, cols, bounds = _concat_streams([self._stream_of(k) for k in keys], self._in_cols)
         feats = self.agg.lambda_aggregate_many(
             irs, ts, cols, qts[pos], bounds, [a for _, a, _ in groups] + [len(pos)],
@@ -623,37 +600,37 @@ class ServingKernel:
         out_schema = pa.schema(list(q_tbl.schema) + self.out_fields)
         if q_tbl.num_rows == 0:
             return out_schema.empty_table()
-        upload = group.filter(pa.array(side == 1)).to_pandas()
-        stream = group.filter(pa.array(side == 2)).to_pandas()
-        blobs: dict = {}
-        if len(upload):
-            keys = zip(*(upload[k] for k in self.key_cols))
-            blobs = dict(zip(keys, upload[IR_COL]))
-        s_ts = stream["ts"].to_numpy(dtype=np.int64)
-        s_pos, s_groups = _key_groups(stream, self.key_cols, s_ts)
+        upload = group.filter(pa.array(side == 1))
+        stream = group.filter(pa.array(side == 2))
+        keys = zip(*(k.tolist() for k in self._keys(upload)))
+        blobs = dict(zip(keys, upload[IR_COL].to_pylist()))
+        s_ts = stream["ts"].to_numpy(zero_copy_only=False).astype(np.int64)
+        s_pos, s_groups = _key_groups(self._keys(stream), s_ts)
         runs = {key: (a, b - a) for key, a, b in s_groups}
         qts = q_tbl["ts"].to_numpy(zero_copy_only=False).astype(np.int64)
-        pos, groups = _key_groups(q_tbl.select(self.key_cols).to_pandas(), self.key_cols, qts)
+        pos, groups = _key_groups(self._keys(q_tbl), qts)
         # the bucket's blobs of the queried keys, decoded in one pass
         table = IRTable(self.agg.columns)
         irs = KeyIRs(table, table.add([blobs.get(key) for key, _, _ in groups]))
-        starts, lengths = [], []
-        for key, _, _ in groups:
-            a, n = runs.get(key, (0, 0))
-            starts.append(a)
-            lengths.append(n)
         # the queried keys' streams, one after another
-        take = s_pos[concat_ranges(np.array(starts, dtype=np.int64),
-                                  np.array(lengths, dtype=np.int64))]
-        rows = {c: stream[c].to_numpy()[take] for c in self.in_cols if c in stream.columns}
+        starts, lengths = np.array(
+            [runs.get(key, (0, 0)) for key, _, _ in groups], dtype=np.int64).reshape(-1, 2).T
+        take = s_pos[concat_ranges(starts, lengths)]
+        rows = {c: stream[c].to_numpy(zero_copy_only=False)[take]
+                for c in self.in_cols if c in stream.column_names}
         feats = self.agg.lambda_aggregate_many(
             irs, s_ts[take], rows, qts[pos],
-            np.cumsum([0] + lengths),
+            np.concatenate(([0], lengths.cumsum())),
             [a for _, a, _ in groups] + [len(pos)],
         )
         cols = [to_arrow(_scatter(q_tbl.num_rows, pos, feats[f.name]), f.type)
                 for f in self.out_fields]
         return pa.Table.from_arrays(list(q_tbl.columns) + cols, schema=out_schema)
+
+    def _keys(self, table: pa.Table) -> list:
+        """table's key columns as numpy arrays, one conversion for every
+        side, so the sides' key tuples compare equal."""
+        return [table[k].to_numpy(zero_copy_only=False) for k in self.key_cols]
 
 
 def online_enrich_distributed(left_ds, group_by: GroupBy, batch_end_ts: int,

@@ -15,16 +15,19 @@ out-of-orderness) as a plain micro-batch consumer:
   * queries merge sealed tiles (tile-aligned, exact for any window tail
     because every tail hop is a multiple of the 5-min tile) + raw unsealed
     rows for the exact millisecond head.  A Fetcher with the aggregator
-    attached answers them with the raw-row serving lambda: sealed tiles
-    join the batch IR's tail tiles and the raw head is the stream;
+    attached answers them with the raw-row serving lambda: each key's
+    sealed tiles follow its batch tiles and the raw head is the stream;
   * a query behind the sealed boundary raises, so a tile that starts
     before round_down(sealed_until - window, tail_hop) is outside every
     window a query can still ask for: sealing drops it from a windowed
     part, and an unbounded part keeps a single tile, every sealed row
     folded into it (the key's collapsed streaming IR).
 
-The per-key tile map is the state a Flink job would checkpoint; here it
-lives in a plain object so tests can drive time deterministically.
+The sealed tiles are the state a Flink job would checkpoint, held in the
+upload's layout (per part, (key index, start, IR) ascending by (key,
+start), as encode_irs takes them); each seal rebuilds ``table``, one
+upload.IRTable row per key, which a Fetcher gathers like batch IRs.  The
+state lives in a plain object so tests can drive time deterministically.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ import pandas as pd
 from ..api import MILLIS_5MIN, GroupBy
 from ..aggregator.scalar_ops import make_scalar_op
 from ..aggregator.windowing import FiveMinuteResolution, round_down
-from .serving import Fetcher, _key_streams, _merge_append, _non_null
+from .serving import _NO_SEAM, Fetcher, _concat_streams, _non_null, _put
+from .upload import IRTable, _fold_runs, encode_irs
 
-# seam of an aggregator without a batch side: below every event ts
-_NO_SEAM = np.iinfo(np.int64).min // 4
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 class TileAggregator:
@@ -52,16 +55,20 @@ class TileAggregator:
                 raise ValueError(f"tile_ms {tile_ms} must divide the tail hop of {p}")
         self.tile_ms = tile_ms
         self.lateness = allowed_lateness_ms
-        self.batch_end_ts = batch_end_ts  # seam: ignore ts < batch_end_ts
         if batch_end_ts is not None and batch_end_ts % tile_ms != 0:
             # a tile straddling the seam would be partially owned by batch
             raise ValueError("batch_end_ts must be tile-aligned (it is a midnight)")
+        # seam: ignore ts < batch_end_ts (None: no batch side, below every ts)
+        self.batch_end_ts = _NO_SEAM if batch_end_ts is None else batch_end_ts
         self.key_cols = group_by.key_columns
         self._in_cols = {p.input_column for p in self.parts}
         self.watermark = None
         self.sealed_until = None  # tile-aligned boundary; tiles end <= this are sealed
-        # key -> {output_column: (tile starts ascending, [ir, ...])}
-        self.tiles: dict[tuple, dict] = {}
+        # per part: the sealed tiles' (key indices, starts, IRs), ascending by
+        # (key, start); a key's row in table is its index in keys + 1
+        self.sealed = [(_EMPTY, _EMPTY, []) for _ in self.parts]
+        self.keys: dict[tuple, int] = {}
+        self.table = IRTable([p.output_column for p in self.parts])
         # key -> [ts array, {col: values}] unsealed raw rows (ascending ts)
         self.raw: dict[tuple, list] = {}
         self.late_count = 0
@@ -70,70 +77,74 @@ class TileAggregator:
     # -- ingestion ----------------------------------------------------------
     def process_batch(self, df: pd.DataFrame):
         ts = df["ts"].to_numpy(dtype=np.int64)
-        keep = np.ones(len(ts), dtype=bool)
-        if self.batch_end_ts is not None:
-            keep = ts >= self.batch_end_ts
-            self.pre_seam_count += len(ts) - int(np.count_nonzero(keep))
+        keep = ts >= self.batch_end_ts
+        self.pre_seam_count += len(ts) - int(np.count_nonzero(keep))
         if self.sealed_until is not None:
             late = keep & (ts < self.sealed_until)
             self.late_count += int(np.count_nonzero(late))
             keep &= ~late
         if not keep.any():  # a batch can be entirely pre-seam or late
             return
-        for key, k_ts, rows in _key_streams(df, self.key_cols, self._in_cols, keep):
-            _merge_append(self.raw, key, k_ts, rows)
+        _put(self.raw, df, self.key_cols, self._in_cols, keep)
         new_wm = int(ts[keep].max()) - self.lateness
         if self.watermark is None or new_wm > self.watermark:
             self.watermark = new_wm
             self._advance(round_down(new_wm, self.tile_ms))
 
     def _advance(self, new_boundary: int):
-        """Seal complete tiles up to new_boundary: fold raw rows into IRs,
-        one fold_segments call per key and part over its non-null rows
-        (one segment per tile; one in all for an unbounded part, merged
-        into its single tile), then drop the tiles no query can reach."""
+        """Seal complete tiles up to new_boundary: every key's raw rows
+        before it fold into tiles by one fold_segments call per part over
+        their non-null rows (a segment per key and tile, or per key for an
+        unbounded part, merged into its single tile); the tiles no query can
+        reach are dropped and the table is rebuilt from the live ones."""
         if self.sealed_until is not None and new_boundary <= self.sealed_until:
             return
-        for key, (ts, rows) in list(self.raw.items()):
+        new = []  # (key index, ts, {column: values}) of the rows to seal
+        for key, (ts, rows) in self.raw.items():
             n_seal = int(np.searchsorted(ts, new_boundary, side="left"))
-            if n_seal == 0:
-                continue
-            key_tiles = self.tiles.setdefault(key, {})
-            for part, op in zip(self.parts, self.ops):
-                vals = rows.get(part.input_column)
-                if vals is None:
-                    continue
-                s_ts, s_vals = ts[:n_seal], vals[:n_seal]
-                ok = _non_null(s_vals)
-                if ok is not None:
-                    s_ts, s_vals = s_ts[ok], s_vals[ok]
-                if not len(s_ts):
-                    continue
-                col = part.output_column
-                starts, irs = key_tiles.get(col, (np.zeros(0, dtype=np.int64), []))
-                if part.window.unbounded:
-                    ir = op.fold_segments(s_vals, s_ts, np.zeros(1, dtype=np.int64))[0]
-                    if irs:
-                        ir = op.merge(irs[0], ir)
-                    else:
-                        starts = round_down(s_ts[:1], self.tile_ms)
-                    key_tiles[col] = (starts, [ir])
-                    continue
-                new = round_down(s_ts, self.tile_ms)
-                st = np.concatenate(([0], np.flatnonzero(np.diff(new)) + 1))
-                starts = np.concatenate((starts, new[st]))
-                irs = irs + op.fold_segments(s_vals, s_ts, st)
+            if n_seal:
+                new.append((self.keys.setdefault(key, len(self.keys)), ts[:n_seal],
+                            {c: v[:n_seal] for c, v in rows.items()}))
+                self.raw[key] = [ts[n_seal:], {c: v[n_seal:] for c, v in rows.items()}]
+        new.sort(key=lambda r: r[0])
+        ts, cols, bounds = _concat_streams([(t, rows) for _, t, rows in new], self._in_cols)
+        key = np.repeat([k for k, _, _ in new], np.diff(bounds)).astype(np.int64)
+        # per input column: its values and the positions of the non-null ones
+        cols = {c: (v, np.arange(len(v)) if (ok := _non_null(v)) is None else ok.nonzero()[0])
+                for c, v in (cols or {}).items()}
+        ids = np.arange(len(self.keys))
+        for p, (part, op) in enumerate(zip(self.parts, self.ops)):
+            keys, starts, irs = self.sealed[p]
+            vals, idx = cols.get(part.input_column, (None, _EMPTY))
+            new_keys, first_ts, new_irs = _fold_runs(
+                op, vals, ts, key, ids, idx, None if part.window.unbounded else self.tile_ms)
+            keys = np.concatenate((keys, new_keys))
+            starts = np.concatenate((starts, round_down(first_ts, self.tile_ms)))
+            irs = irs + new_irs
+            order = np.argsort(keys, kind="stable")  # a key's new tiles start after its old
+            if part.window.unbounded:  # a key's new IR merges into its one tile
+                again = (np.diff(keys[order]) == 0).nonzero()[0]
+                for a, b in zip(order[again].tolist(), order[again + 1].tolist()):
+                    irs[a] = op.merge(irs[a], irs[b])
+                order = np.delete(order, again + 1)
+            else:
                 hop = FiveMinuteResolution.tail_hop(part.window)
-                cut = int(np.searchsorted(starts, round_down(new_boundary - part.window.millis, hop)))
-                key_tiles[col] = (starts[cut:], irs[cut:])
-            self.raw[key] = [ts[n_seal:], {c: v[n_seal:] for c, v in rows.items()}]
+                order = order[starts[order] >= round_down(new_boundary - part.window.millis, hop)]
+            self.sealed[p] = (keys[order], starts[order], [irs[i] for i in order.tolist()])
         self.sealed_until = new_boundary
+        self.table = IRTable(self.table.columns)
+        self.table.add(encode_irs(self.ops, len(self.keys),
+                                  [(_EMPTY, [], *tiles) for tiles in self.sealed]).to_pylist())
+
+    def rows(self, keys) -> np.ndarray:
+        """The rows of keys in table (0: no sealed tile yet)."""
+        return np.array([self.keys.get(k, -1) + 1 for k in keys], dtype=np.int64)
 
     # -- direct query without a batch side (pure-streaming GroupBy) ---------
     def query(self, key, query_ts: int) -> dict:
         """Sealed tiles + raw head of one key at query_ts (>= sealed_until),
         served by a Fetcher with no upload."""
-        seam = _NO_SEAM if self.batch_end_ts is None else self.batch_end_ts
-        fetcher = Fetcher(self.group_by, seam)
+        fetcher = Fetcher(self.group_by, self.batch_end_ts)
         fetcher.attach_tiles(self)
         return fetcher.fetch(key, query_ts)
+

@@ -62,6 +62,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..api import GroupBy
+from ..aggregator.npfast import concat_ranges
 from ..aggregator.scalar_ops import make_scalar_op
 from ..aggregator.windowing import FiveMinuteResolution, round_down
 from ..sources.io import scan_source, union_sources
@@ -391,13 +392,33 @@ class IRTable:
         rows[have] = np.arange(first, self.n_rows)
         return rows
 
-    def gather(self, rows):
+    def gather(self, rows, tiles=None, tile_rows=None):
         """rows' batch IRs as lambda_aggregate_many reads them: has_c and
         n_tiles per row and part; every tile start, row after row and part
         after part; and per part the rows' heads one row after another, as
         one array when their kinds share one, else as a list of IRs (an
         empty list when there are none).  One take reads the starts and
-        the heads."""
+        the heads.  Given tiles (an IRTable without collapsed IRs) and each
+        row's row in it, a row's tiles of a part are followed by its tiles
+        there: the two gathers are joined run by run (_join), or as IR
+        lists when the two sides' heads do not share one array dtype."""
+        has_c, n_tiles, starts, heads = self._gather(rows)
+        if tiles is None:
+            return has_c, n_tiles, starts, heads
+        _, more, more_starts, more_heads = tiles._gather(tile_rows)
+        for p, (a, b) in enumerate(zip(heads, more_heads)):
+            if not len(a) or not len(b):
+                heads[p] = b if len(b) else a
+            elif isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and \
+                    (a.dtype, a.ndim) == (b.dtype, b.ndim):
+                heads[p] = _join(a, b, has_c[:, p] + n_tiles[:, p], more[:, p])
+            else:
+                heads[p] = [ir for r, t in zip(rows.tolist(), tile_rows.tolist())
+                            for ir in self._irs(r, p) + tiles._irs(t, p)]
+        return (has_c, n_tiles + more,
+                _join(starts, more_starts, n_tiles.ravel(), more.ravel()), heads)
+
+    def _gather(self, rows):
         m = self.meta[rows]
         # the rows' tile starts, then each part's heads of every row
         at = np.concatenate((m[:, -2], self._block(m, self.HEAD_AT).T.ravel()))
@@ -453,6 +474,13 @@ def read_ir(blob: bytes | None, columns) -> dict | None:
     reference lambda (SawtoothOnlineAggregator.lambda_aggregate)."""
     table = IRTable(columns)
     return table.ir(int(table.add([blob])[0]))
+
+
+def _join(a, b, a_runs, b_runs):
+    """a's runs (lengths a_runs), each followed by b's run of the same
+    index (lengths b_runs), by one fancy index."""
+    at = np.stack((a_runs.cumsum() - a_runs, len(a) + b_runs.cumsum() - b_runs), axis=1)
+    return np.concatenate((a, b))[concat_ranges(at.ravel(), np.stack((a_runs, b_runs), axis=1).ravel())]
 
 
 def _append(arr, n: int, new):

@@ -259,17 +259,19 @@ def dedup_paragraphs(ds, text_col: str, id_col: str, sep: str = "\n\n"):
     its first occurrence corpus-wide (ordered by (doc, position)); documents
     are reassembled from their surviving paragraphs.
 
-    Scale shape: paragraph TEXT rides exactly ONE shuffle (the per-doc
-    rebuild exchange).  The corpus-wide winner election ships only compact
-    (id, idx, hash64, len) rows keyed by the paragraph hash, and only the
-    LOSING (id, idx) pairs — typically a small fraction of the corpus —
-    return through the rebuild exchange.  Collision posture: a false drop
-    needs two distinct paragraphs with equal 64-bit Horner hash AND equal
-    character length; expected false drops ≈ same-length-pairs / 2**64 —
-    negligible at 10^12 paragraphs (duplicate_span_stats takes the same
-    stance).  Returns (id, clean_text, n_paras, n_dropped); a document whose
-    every paragraph lost survives as an empty string, so row count is
-    preserved."""
+    Scale shape: the text rides exactly ONE shuffle (the per-doc rebuild
+    exchange), as whole documents that are split into paragraphs again
+    there; paragraphs are split and hashed once, for the election.  The
+    corpus-wide winner election ships only compact (id, idx, hash64, len)
+    rows keyed by the paragraph hash, and only the LOSING (id, idx) pairs
+    — typically a small fraction of the corpus — return through the
+    rebuild exchange.  Collision posture: a false drop needs two distinct
+    paragraphs with equal 64-bit Horner hash AND equal character length;
+    expected false drops ≈ same-length-pairs / 2**64 — negligible at
+    10^12 paragraphs (duplicate_span_stats takes the same stance).
+    Returns (id, clean_text, n_paras, n_dropped), one row per document; a
+    document whose every paragraph lost survives as an empty string, so
+    row count is preserved."""
     from ..functions.texthash import horner_texts, to_signed
     from ..stages.text import _explode, _lens, _texts
 
@@ -278,7 +280,6 @@ def dedup_paragraphs(ds, text_col: str, id_col: str, sep: str = "\n\n"):
         return pa.table({
             id_col: batch[id_col].take(rows),
             "idx": idx,
-            "para": pa.array(flat, pa.string()),
             "h": to_signed(horner_texts(flat)),
             "plen": _lens(flat),
         })
@@ -290,35 +291,32 @@ def dedup_paragraphs(ds, text_col: str, id_col: str, sep: str = "\n\n"):
         return t.filter(pos > 0).select([id_col, "idx"])
 
     def rebuild(t: pa.Table) -> pa.Table:
+        # each document split as explode split it, less its losing positions
         side = t[SIDE_COL].to_numpy(zero_copy_only=False)
         lost = set(zip(*(t.filter(side == 1)[c].to_pylist() for c in (id_col, "idx"))))
-        texts, starts, _ = sort_by_key(t.filter(side == 0), [id_col], [("idx", "ascending")])
-        ids, idx, paras = (texts[c].to_pylist() for c in (id_col, "idx", "para"))
-        ends = np.append(starts, len(texts))[1:]
-        kept = [
-            [p for d, i, p in zip(ids[lo:hi], idx[lo:hi], paras[lo:hi]) if (d, i) not in lost]
-            for lo, hi in zip(starts, ends)
-        ]
+        docs = t.filter(side == 0)
+        paras = [x.split(sep) for x in _texts(docs[text_col].to_pylist())]
+        kept = [[p for i, p in enumerate(ps) if (d, i) not in lost]
+                for d, ps in zip(docs[id_col].to_pylist(), paras)]
         return pa.table({
-            id_col: texts[id_col].take(starts),
-            "n_paras": ends - starts,
-            "n_dropped": ends - starts - _lens(kept),
+            id_col: docs[id_col],
+            "n_paras": _lens(paras),
+            "n_dropped": _lens(paras) - _lens(kept),
             "clean_text": pa.array([sep.join(k) for k in kept], pa.string()),
         })
 
-    rows = ds.map_batches(explode, batch_format="pyarrow")
-    pos = [_arrow_schema(ds).field(id_col), pa.field("idx", pa.int64())]
+    schema = _arrow_schema(ds)
+    pos = [schema.field(id_col), pa.field("idx", pa.int64())]
     # shuffle 1 (compact): (id, idx, h, plen) keyed by hash -> losing pairs
     hashes = declare_schema(
-        rows.select_columns([id_col, "idx", "h", "plen"]),
+        ds.map_batches(explode, batch_format="pyarrow"),
         pa.schema(pos + [pa.field("h", pa.int64()), pa.field("plen", pa.int64())]),
     )
     losers = declare_schema(co_partition(hashes, ["h"], mark_losers), pa.schema(pos))
-    # shuffle 2: text rows + losing marks co-partition by doc id
-    texts = declare_schema(
-        rows.select_columns([id_col, "idx", "para"]), pa.schema(pos + [pa.field("para", pa.string())])
-    )
-    return co_partition([texts, losers], [id_col], rebuild)
+    # shuffle 2: the documents + losing marks co-partition by doc id
+    docs = declare_schema(ds.select_columns([id_col, text_col]),
+                          pa.schema([schema.field(id_col), schema.field(text_col)]))
+    return co_partition([docs, losers], [id_col], rebuild)
 
 
 def remove_duplicate_spans(ds, text_col: str, id_col: str, n: int = 5):

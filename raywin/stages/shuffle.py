@@ -23,6 +23,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from ..aggregator.npfast import concat_ranges
+
 HASH_COL = "__key_hash"
 SIDE_COL = "__side"
 
@@ -146,7 +148,7 @@ class HotChunkReplicate:
             last = np.minimum((hts + self.lookback_ms) // self.chunk_ms, self.max_chunk)
         counts = (last - first + 1).astype(np.int64)
         idx = np.repeat(np.arange(len(hot_tbl)), counts)
-        offsets = np.repeat(first, counts) + _seq_within(counts)
+        offsets = concat_ranges(first, counts)
         rep = hot_tbl.take(pa.array(idx)).append_column(
             CHUNK_COL, pa.array(offsets.astype(np.int64))
         )
@@ -258,16 +260,6 @@ def detect_hot_keys(
     return HotKeyConfig(hot, chunk_ms, ts_max + chunk_ms)
 
 
-def _seq_within(counts: np.ndarray) -> np.ndarray:
-    """[0,1,..c0-1, 0,1,..c1-1, ...] for the given counts."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=np.int64)
-    starts = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    return np.arange(total) - np.repeat(starts, counts)
-
-
 def sort_by_key(t: pa.Table, keys: list[str], order=()):
     """``t`` sorted by ``keys`` and then ``order`` (Arrow sort keys), the
     start row of each key's run and each row's 0-based position in its
@@ -282,7 +274,7 @@ def sort_by_key(t: pa.Table, keys: list[str], order=()):
         same = pc.or_(pc.fill_null(pc.equal(a, b), False), pc.and_(a.is_null(), b.is_null()))
         new[1:] |= ~same.to_numpy(zero_copy_only=False)
     starts = np.flatnonzero(new)
-    return t, starts, _seq_within(np.diff(np.append(starts, len(t))))
+    return t, starts, np.arange(len(t)) - starts[new.cumsum() - 1]
 
 
 def pad_to_schema(batch: pa.Table, schema: pa.Schema) -> pa.Table:

@@ -12,7 +12,7 @@ import re
 import numpy as np
 import pyarrow as pa
 
-from .shuffle import _seq_within
+from ..aggregator.npfast import concat_ranges
 
 _STOPWORDS = {
     "en": {"the", "and", "of", "to", "a", "in", "is", "that", "it", "for"},
@@ -41,7 +41,7 @@ def _explode(lists):
     0-based position within its row and value."""
     counts = _lens(lists)
     rows = np.repeat(np.arange(len(lists)), counts)
-    return counts, rows, _seq_within(counts), [x for row in lists for x in row]
+    return counts, rows, concat_ranges(np.zeros_like(counts), counts), [x for row in lists for x in row]
 
 
 def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -274,7 +274,7 @@ def chunk_documents(ds, text_col: str, id_col: str, chunk: int = 32,
         counts = _lens(toks)
         n_chunks = np.where(counts > 0, (counts - 1) // stride + 1, 0)
         rows = np.repeat(np.arange(len(toks)), n_chunks)
-        cidx = _seq_within(n_chunks)
+        cidx = concat_ranges(np.zeros_like(n_chunks), n_chunks)
         return pa.table({
             id_col: batch[id_col].take(rows),
             "chunk_idx": cidx,

@@ -4,10 +4,14 @@
   on a one-key request of ONE hot key — 100k tail events x 20k queries;
 * Fetcher closed loop: put_events micro-batches, each followed by
   fetch_batch requests over Zipf-keyed rows (one lambda_aggregate_many call
-  per request), against a 2k-key batch upload.
+  per request), against a 2k-key batch upload; the same micro-batches also
+  go to a TileAggregator (1 h allowed lateness) and the same requests to a
+  tile-backed Fetcher, so the tile-backed and raw-row fetch rates compare.
 
 Both legs spot-check the vectorized answers against the per-row reference
-lambda (bitwise: ==, and the sign of float zeros).
+lambda (bitwise: ==, and the sign of float zeros); a tile-backed answer's
+reference state is the key's batch IR, then its sealed tiles read back from
+the TileAggregator's table, and its unsealed raw head as the stream.
 
 Run:  python scripts/bench_serving_hotkey.py
 Prints one JSON line with both legs' timings.
@@ -25,10 +29,11 @@ import pandas as pd
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from raywin.api import (  # noqa: E402
-    Accuracy, Aggregation, EventSource, GroupBy, MILLIS_DAY, Operation, Query,
+    Accuracy, Aggregation, EventSource, GroupBy, MILLIS_5MIN, MILLIS_DAY, Operation, Query,
     TimeUnit, Window,
 )
 from raywin.online.serving import Fetcher, SawtoothOnlineAggregator  # noqa: E402
+from raywin.online.streaming import TileAggregator  # noqa: E402
 from raywin.online.upload import encode_dicts, read_ir  # noqa: E402
 
 DAY = MILLIS_DAY
@@ -127,7 +132,11 @@ def fetcher_leg(gb, rng) -> dict:
         return lam(*args)
 
     fetcher.agg.lambda_aggregate_many = counted
-    put_s = fetch_s = 0.0
+    tiles = TileAggregator(gb, MILLIS_5MIN, 3_600_000, batch_end_ts=BATCH_END)
+    tiled = Fetcher(gb, BATCH_END, upload=upload)
+    tiled.attach_tiles(tiles)
+    put_s = seal_s = 0.0
+    fetch_s = {"raw": 0.0, "tiled": 0.0}
     checked = 0
     for m in range(MICRO_BATCHES):
         t_lo = BATCH_END + m * DAY // MICRO_BATCHES
@@ -140,30 +149,50 @@ def fetcher_leg(gb, rng) -> dict:
         t0 = time.perf_counter()
         fetcher.put_events(mb)
         put_s += time.perf_counter() - t0
+        t0 = time.perf_counter()
+        tiles.process_batch(mb)
+        seal_s += time.perf_counter() - t0
         for r in range(REQUESTS):
             req = pd.DataFrame({
                 "k": [keys[next(zipf)] for _ in range(REQUEST_ROWS)],
                 "ts": t_lo + rng.integers(0, DAY // MICRO_BATCHES, REQUEST_ROWS),
             })
-            t0 = time.perf_counter()
-            res = fetcher.fetch_batch(req)
-            fetch_s += time.perf_counter() - t0
-            if r == 0:  # spot-check one request per micro-batch
-                for i, (k, t) in enumerate(zip(req["k"], req["ts"])):
-                    ts_rows = fetcher._stream.get((k,)) or (None, None)
-                    one = fetcher.agg.lambda_aggregate(
-                        read_ir(upload[(k,)], agg.columns), *ts_rows, int(t))
-                    for c, col in res.items():
-                        assert _same(col[i], one[c]), c
-                    checked += 1
+            for name, f in (("raw", fetcher), ("tiled", tiled)):
+                t0 = time.perf_counter()
+                res = f.fetch_batch(req)
+                fetch_s[name] += time.perf_counter() - t0
+                if r == 0:  # spot-check one request per micro-batch
+                    for i, (k, t) in enumerate(zip(req["k"], req["ts"])):
+                        one = agg.lambda_aggregate(*_reference_state(f, upload, (k,)), int(t))
+                        for c, col in res.items():
+                            assert _same(col[i], one[c]), (name, c)
+                        checked += 1
+    rows = MICRO_BATCHES * REQUESTS * REQUEST_ROWS
     return {
         "keys": N_KEYS, "micro_batches": MICRO_BATCHES, "micro_batch_rows": MICRO_BATCH_ROWS,
         "requests": MICRO_BATCHES * REQUESTS, "request_rows": REQUEST_ROWS,
-        "put_events_s": put_s, "fetch_batch_s": fetch_s,
-        "fetch_rows_per_s": MICRO_BATCHES * REQUESTS * REQUEST_ROWS / fetch_s,
+        "put_events_s": put_s, "fetch_batch_s": fetch_s["raw"],
+        "fetch_rows_per_s": rows / fetch_s["raw"],
         "lambda_calls_per_request": calls[0] / (MICRO_BATCHES * REQUESTS),
+        "process_batch_s": seal_s, "tiled_fetch_batch_s": fetch_s["tiled"],
+        "tiled_fetch_rows_per_s": rows / fetch_s["tiled"],
+        "late_events": tiles.late_count,
         "rows_checked": checked,
     }
+
+
+def _reference_state(fetcher, upload, key):
+    """(batch IR in dict form, stream ts, stream rows) of key as the per-row
+    reference lambda takes them: a tile-backed Fetcher's sealed tiles follow
+    the key's batch tiles, and its stream is the unsealed raw head."""
+    ir = read_ir(upload[key], fetcher.agg.columns)
+    tiles = fetcher._tiles
+    if tiles is None:
+        return (ir, *(fetcher._stream.get(key) or (None, None)))
+    sealed = tiles.table.ir(int(tiles.rows([key])[0]))
+    for c in (sealed or {}):
+        ir[c] = {"c": ir[c]["c"], "t": list(ir[c]["t"]) + sealed[c]["t"]}
+    return (ir, *(tiles.raw.get(key) or (None, None)))
 
 
 def main():

@@ -179,7 +179,7 @@ def test_tiled_streaming_matches_offline(ray_session, exchange_block_rows, onlin
     assert tiles.late_count == 0
     fetcher.attach_tiles(tiles)
     # state compaction happened: sealed tiles exist, raw head is bounded
-    assert tiles.sealed_until is not None and tiles.tiles
+    assert tiles.sealed_until is not None and any(len(keys) for keys, _, _ in tiles.sealed)
     qdf = _queries(df)
     qdf = qdf[qdf["ts"] >= tiles.sealed_until].reset_index(drop=True)
     assert len(qdf) > 10
@@ -209,7 +209,7 @@ def test_tile_backed_and_raw_row_serving_agree(online_fixture):
     for i in range(0, len(stream), 250):
         raw.put_events(stream.iloc[i:i + 250])
         tiles.process_batch(stream.iloc[i:i + 250])
-    assert tiles.late_count == 0 and tiles.tiles
+    assert tiles.late_count == 0 and any(len(keys) for keys, _, _ in tiles.sealed)
     qdf = _queries(df)
     qdf = pd.concat([
         qdf[qdf["ts"] >= tiles.sealed_until],

@@ -315,10 +315,11 @@ def test_tile_aggregator_releases_unreachable_tiles():
     bound = HOUR // MILLIS_5MIN + 2
     for i in range(0, n, 500):
         tiles.process_batch(events.iloc[i:i + 500])
-        for key_tiles in tiles.tiles.values():
-            assert len(key_tiles["v_sum_1h"][0]) <= bound
-            assert len(key_tiles["v_max_1h"][0]) <= bound
-            assert len(key_tiles["v_sum"][0]) == len(key_tiles["v_count"][0]) == 1
+        for row in tiles.rows(list(tiles.keys)).tolist():
+            key_tiles = tiles.table.ir(row)
+            assert len(key_tiles["v_sum_1h"]["t"]) <= bound
+            assert len(key_tiles["v_max_1h"]["t"]) <= bound
+            assert len(key_tiles["v_sum"]["t"]) == len(key_tiles["v_count"]["t"]) == 1
     parts = gb.agg_parts()
     oracle = NaiveOracle(parts)
     for k in ("a", "b", "c"):
@@ -493,7 +494,7 @@ def test_key_groups_int_keys_match_factorize():
     as_objects = df.astype(object)
 
     def by_key(frame, keep):
-        pos, groups = _key_groups(frame, ["a", "b"], ts, keep)
+        pos, groups = _key_groups([frame[k].to_numpy() for k in ("a", "b")], ts, keep)
         return {key: pos[a:b].tolist() for key, a, b in groups}
 
     for keep in (None, rng.random(n) < 0.6):
