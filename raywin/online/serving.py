@@ -376,7 +376,7 @@ def _key_groups(key_values, ts, keep=None):
             continue
         c, u = pd.factorize(col)
         codes.append(c)
-        uniques.append(u)
+        uniques.append(pd.Index(u) if u.dtype.kind in "mM" else u)  # datetimes box as a Series'
         keep = c >= 0 if keep is None else keep & (c >= 0)
     pos = np.arange(len(ts)) if keep is None else np.flatnonzero(keep)
     if not len(pos):
@@ -602,7 +602,7 @@ class ServingKernel:
             return out_schema.empty_table()
         upload = group.filter(pa.array(side == 1))
         stream = group.filter(pa.array(side == 2))
-        keys = zip(*(k.tolist() for k in self._keys(upload)))
+        keys = zip(*(pd.Index(k).tolist() for k in self._keys(upload)))
         blobs = dict(zip(keys, upload[IR_COL].to_pylist()))
         s_ts = stream["ts"].to_numpy(zero_copy_only=False).astype(np.int64)
         s_pos, s_groups = _key_groups(self._keys(stream), s_ts)

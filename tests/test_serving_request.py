@@ -512,6 +512,35 @@ def test_key_groups_int_keys_match_factorize():
     assert got == {k: rows for k, rows in by_key(df, np.arange(n) % 7 != 0).items()}
 
 
+def test_datetime_keys_find_their_upload(ray_session, tmp_path):
+    """A datetime key column: the Fetcher (query frame) and ServingKernel
+    (Arrow sides) key the upload's blobs and the requests alike, so each
+    key gets its batch IR and its stream, not a null answer."""
+    from raywin.online.serving import ServingKernel
+    from raywin.online.upload import load_upload
+
+    from .test_co_partition import bucket_of
+
+    batch_end = BASE + 2 * DAY
+    days = pd.to_datetime(["2020-01-01", "2020-01-02", "2020-01-01", "2020-01-02"])
+    events = pd.DataFrame({"k": days, "ts": [BASE + 1, BASE + 2, BASE + 3, batch_end + 1],
+                           "v": [1.0, 2.0, 4.0, 8.0]})
+    table = str(tmp_path / "events.parquet")
+    pq.write_table(pa.Table.from_pandas(events, preserve_index=False), table)
+    gb = _gb([Aggregation(Operation.SUM, "v")], table)
+    kernel = UploadKernel(["k"], gb.agg_parts(), batch_end, 2 * DAY, [pa.field("k", pa.timestamp("ns"))])
+    upload = kernel(pa.Table.from_pandas(events[events["ts"] < batch_end], preserve_index=False))
+    tail = events[events["ts"] >= batch_end]
+    queries = pd.DataFrame({"k": days[:2], "ts": [batch_end + 5, batch_end + 5]})
+    fetcher = Fetcher(gb, batch_end, upload=load_upload(upload.to_pandas(), ["k"]))
+    fetcher.put_events(tail)
+    assert fetcher.fetch_batch(queries)["v_sum"] == [5.0, 10.0]
+    bucket = bucket_of(pa.Table.from_pandas(queries, preserve_index=False), upload,
+                       pa.Table.from_pandas(tail, preserve_index=False))
+    out = ServingKernel(gb, batch_end, ["k", "ts"])(bucket)
+    assert out["v_sum"].to_pylist() == [5.0, 10.0]
+
+
 def test_put_events_appends_in_order_and_merges_out_of_order():
     """Micro-batches that continue a key's stream (appended, ties at the
     join included) and ones that go back in time or interleave (merged)

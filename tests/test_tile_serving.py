@@ -150,7 +150,11 @@ def test_tile_backed_fetch_matches_reference_lambda(n_keys, n_events, n_batches,
     assert tiles.late_count + tiles.pre_seam_count + len(kept) == n_events
 
 
-def _tiled_fetcher():
+def test_tile_backed_fetch_encodes_nothing(monkeypatch):
+    """A tile-backed fetch_batch reads the batch IRs and the sealed tiles
+    as decoded: no encode_irs or encode_dicts call on any fetch (each
+    advance encodes the live tiles once), and the answers are raw-row
+    serving's (sums to 1e-12)."""
     rng = np.random.default_rng(4)
     gb = _gb(_PARTS)
     blobs = _upload(gb, _events(rng, 300, BATCH_END - 3 * DAY, BATCH_END, 4), BATCH_END)
@@ -162,15 +166,6 @@ def _tiled_fetcher():
         raw.put_events(stream.iloc[i:i + 100])
     tiled = Fetcher(gb, BATCH_END, upload=blobs)
     tiled.attach_tiles(tiles)
-    return tiles, tiled, raw
-
-
-def test_tile_backed_fetch_encodes_nothing(monkeypatch):
-    """A tile-backed fetch_batch reads the batch IRs and the sealed tiles
-    as decoded: no encode_irs or encode_dicts call on any fetch (each
-    advance encodes the live tiles once), and the answers are raw-row
-    serving's (sums to 1e-12)."""
-    tiles, tiled, raw = _tiled_fetcher()
     assert tiles.sealed_until is not None
 
     def encode(*args, **kwargs):
